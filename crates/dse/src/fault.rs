@@ -279,6 +279,60 @@ mod tests {
         assert!(a.iter().any(|&p| p) && a.iter().any(|&p| !p));
     }
 
+    /// Pins seed 7 bit for bit: the raw draws at the first coordinates
+    /// and every decision of a three-clause plan over 32 units x 2
+    /// attempts. A seeded `--inject` run must hit the same attempts
+    /// whichever module computes the draw.
+    #[test]
+    fn seed_7_draws_and_decisions_are_pinned() {
+        let bits = |d: f64| (d * (1u64 << 53) as f64) as u64;
+        let draws: Vec<u64> = (0..12u64)
+            .map(|u| bits(unit_draw(7, 1 + u % 3, u % 3, u, (u % 2) as u32)))
+            .collect();
+        assert_eq!(
+            draws,
+            [
+                0x1a_67f3_a6bc_bfa9,
+                0x12_d0f6_fcce_ab60,
+                0x1b_4a42_1fb4_93fc,
+                0x05_27e3_53d5_d852,
+                0x11_3c4a_6c11_ca2f,
+                0x1a_d8f2_b692_bcd4,
+                0x12_ed37_ad70_b89b,
+                0x07_8e95_0ec6_7b5e,
+                0x06_26ff_503b_6882,
+                0x16_0d43_af18_5f08,
+                0x1a_0e3e_3a04_7176,
+                0x12_b591_a398_8d18,
+            ]
+        );
+        let plan = FaultPlan::parse("panic:0.5,delay:1ms:0.25,nofinite:0.125", 7).unwrap();
+        let mut masks = [0u64; 3];
+        for unit in 0..32 {
+            for attempt in 0..2u32 {
+                let inj = plan.decide(unit, attempt);
+                let bit = 1u64 << (unit * 2 + attempt as usize);
+                for (mask, hit) in
+                    masks
+                        .iter_mut()
+                        .zip([inj.panic, inj.stall.is_some(), inj.nofinite])
+                {
+                    if hit {
+                        *mask |= bit;
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            masks,
+            [
+                0x96f7_78f9_a4f3_aad4,
+                0x0020_0050_2b42_c0e0,
+                0x0011_2800_0000_d000
+            ]
+        );
+    }
+
     #[test]
     fn rates_zero_and_one_are_exact() {
         let never = FaultPlan::parse("panic:0", 1).unwrap();
