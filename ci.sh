@@ -42,6 +42,17 @@ cargo clippy -p maestro-core -p maestro-ir -p maestro-dse -p maestro-hw -p maest
   -p maestro-sim -p maestro-obs -p maestro-serve --lib \
   -- -D warnings -D clippy::exit
 
+# One seeded-draw function: fault injection, serve chaos and trace IDs
+# all draw through maestro_obs::rng. A copied splitmix64 finalizer
+# elsewhere would let two seeded streams drift apart silently. The
+# proptest shim keeps its own seeding: it stands in for an external crate.
+echo "== one seeded-draw function (maestro_obs::rng)"
+if grep -rni --include='*.rs' '0xbf58_\?476d_\?1ce4_\?e5b9' crates \
+    | grep -v '^crates/obs/src/rng\.rs:\|^crates/proptest/'; then
+  echo "splitmix64 finalizer copied outside crates/obs/src/rng.rs; call maestro_obs::rng" >&2
+  exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --release --workspace
 

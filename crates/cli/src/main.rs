@@ -217,9 +217,6 @@ Long-running sweeps (dse):
                              (quarantined units are always kept)
   --trace-seed <n>           seed for the deterministic per-unit trace IDs (default 0)
   --trace-out <path|->       dump the recorded unit traces as JSON after the sweep
-  --eval <staged|full>       cost-model evaluation mode (default staged; bit-identical,
-                             staged shares NoC-independent stages across the bw axis)
-  --memo-cap <n>             per-unit analysis-cache entry cap (default 4096; 0 = unbounded)
 
 Serving (serve):
   --addr <host:port>         bind address (default 127.0.0.1:7433; port 0 picks a free port)
@@ -522,16 +519,7 @@ fn cmd_dse(args: &Args) -> Result<(), CliError> {
     let threads = usize::try_from(args.get_u64("threads", 0).map_err(CliError::usage)?)
         .map_err(|_| CliError::usage("--threads is too large"))?;
     let (ctl, resumed) = session_ctl(args, threads)?;
-    let mut explorer = maestro_dse::Explorer::new(maestro_dse::SweepSpace::standard());
-    explorer.eval = args
-        .get("eval", "staged")
-        .parse::<maestro_dse::EvalMode>()
-        .map_err(CliError::usage)?;
-    explorer.memo_cap = usize::try_from(
-        args.get_u64("memo-cap", maestro_core::DEFAULT_CACHE_CAP as u64)
-            .map_err(CliError::usage)?,
-    )
-    .map_err(|_| CliError::usage("--memo-cap is too large"))?;
+    let explorer = maestro_dse::Explorer::new(maestro_dse::SweepSpace::standard());
     let (result, session) = explorer
         .explore_session(
             layer,

@@ -117,6 +117,42 @@ fn serve_answers_analyze_and_drains_cleanly_on_sigterm() {
     assert!(TcpStream::connect(&addr).is_err(), "socket still open");
 }
 
+/// The value of counter `name` in a `/metrics` response, 0 when absent.
+fn counter(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|line| {
+            line.strip_prefix(name)?
+                .strip_prefix(' ')?
+                .parse::<u64>()
+                .ok()
+        })
+        .unwrap_or(0)
+}
+
+/// The daemon's cache lives as long as the daemon, so its hit and miss
+/// counts must reach `/metrics` while it runs, not only on drop.
+#[test]
+fn cache_counters_reach_metrics_while_the_daemon_runs() {
+    let (mut child, addr) = spawn_serve(&[]);
+    let before = get(&addr, "/metrics");
+    let body = "{\"model\":\"alexnet\",\"layer\":\"CONV1\",\"pes\":64}";
+    for _ in 0..2 {
+        let resp = post(&addr, "/v1/analyze", body);
+        assert_eq!(status_of(&resp), 200, "{resp}");
+    }
+    let after = get(&addr, "/metrics");
+    for name in ["maestro_cache_hits", "maestro_cache_misses"] {
+        assert!(
+            counter(&after, name) > counter(&before, name),
+            "{name} did not move:\n{after}"
+        );
+    }
+    signal(&child, "-TERM");
+    let (code, _) = wait_within(&mut child, Duration::from_secs(10));
+    assert_eq!(code, 0, "clean drain must exit 0");
+}
+
 #[test]
 fn sigterm_mid_request_finishes_in_flight_work_then_exits_0() {
     let (mut child, addr) = spawn_serve(&["--drain-seconds", "30"]);

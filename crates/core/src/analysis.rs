@@ -4,8 +4,9 @@ use crate::report::{LayerReport, ModelReport};
 use crate::stages::StagedAnalysis;
 use maestro_dnn::layer::LayerError;
 use maestro_dnn::{Layer, Model};
-use maestro_hw::Accelerator;
+use maestro_hw::{Accelerator, NocConfig};
 use maestro_ir::{Dataflow, ResolveError};
+use maestro_obs::CancelToken;
 use std::fmt;
 
 /// Errors produced by the analysis entry points.
@@ -39,9 +40,9 @@ pub enum AnalysisError {
     /// analyze.
     EmptyResolution,
     /// A cooperative cancellation token tripped (deadline, signal, or
-    /// explicit cancel) before the analysis completed. Only the
-    /// `*_cancellable` entry points produce this; plain calls run to
-    /// completion.
+    /// explicit cancel) before the analysis completed. Only
+    /// [`Analyzer::analyze`](crate::Analyzer::analyze) with a token
+    /// produces this; plain calls run to completion.
     Cancelled,
 }
 
@@ -114,43 +115,30 @@ pub fn analyze(
     dataflow: &Dataflow,
     acc: &Accelerator,
 ) -> Result<LayerReport, AnalysisError> {
-    let _span = maestro_obs::span::span("maestro.analysis.analyze");
-    // The staged pipeline IS the implementation: the fused entry point
-    // builds the NoC-independent stages and immediately prices them under
-    // this accelerator's NoC, so staged and fused evaluation cannot drift.
-    StagedAnalysis::build(layer, dataflow, acc)?.finish(acc.noc.bandwidth, acc.noc.avg_latency)
+    analyze_at(layer, dataflow, acc, acc.noc, None)
 }
 
-/// [`analyze`] polling a cooperative [`CancelToken`] at its stage
-/// boundary: when the token trips before the (cheap) pricing stage runs,
-/// the call returns [`AnalysisError::Cancelled`] instead of finishing.
-/// This is the per-request deadline hook for the serving daemon — a
-/// request whose budget expires stops consuming its worker at the next
-/// cancellation point rather than running to completion.
-///
-/// [`CancelToken`]: maestro_obs::CancelToken
-///
-/// # Errors
-///
-/// As [`analyze`], plus [`AnalysisError::Cancelled`] when `token` trips
-/// before completion.
-pub fn analyze_cancellable(
+/// [`analyze`] under NoC pipe `noc` (`acc.noc` is not read), polling
+/// `cancel` before the expensive stages and again before pricing. The
+/// staged pipeline *is* the implementation: build the NoC-independent
+/// stages, then price them, so staged and fused evaluation cannot drift.
+pub(crate) fn analyze_at(
     layer: &Layer,
     dataflow: &Dataflow,
     acc: &Accelerator,
-    token: &maestro_obs::CancelToken,
+    noc: NocConfig,
+    cancel: Option<&CancelToken>,
 ) -> Result<LayerReport, AnalysisError> {
-    if token.is_cancelled() {
+    let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
+    if cancelled() {
         return Err(AnalysisError::Cancelled);
     }
     let _span = maestro_obs::span::span("maestro.analysis.analyze");
     let staged = StagedAnalysis::build(layer, dataflow, acc)?;
-    // Stage boundary: the expensive NoC-independent stages are done; bail
-    // before pricing if the budget expired while they ran.
-    if token.is_cancelled() {
+    if cancelled() {
         return Err(AnalysisError::Cancelled);
     }
-    staged.finish(acc.noc.bandwidth, acc.noc.avg_latency)
+    staged.finish(noc.bandwidth, noc.avg_latency)
 }
 
 /// Analyze every layer of `model` under a per-layer dataflow choice.
@@ -184,37 +172,6 @@ pub fn analyze_model(
     acc: &Accelerator,
 ) -> Result<ModelReport, AnalysisError> {
     analyze_model_with(model, acc, |_| dataflow.clone())
-}
-
-/// [`analyze_model`] polling a cooperative [`CancelToken`] at every layer
-/// boundary: a tripped token aborts the remaining layers with
-/// [`AnalysisError::Cancelled`]. Deep models (ResNet-50, EfficientNet)
-/// are the whole-model serving path's long pole, so per-layer polling
-/// bounds a timed-out request's overstay to one layer's analysis.
-///
-/// [`CancelToken`]: maestro_obs::CancelToken
-///
-/// # Errors
-///
-/// As [`analyze_model`], plus [`AnalysisError::Cancelled`] when `token`
-/// trips before the last layer completes.
-pub fn analyze_model_cancellable(
-    model: &Model,
-    dataflow: &Dataflow,
-    acc: &Accelerator,
-    token: &maestro_obs::CancelToken,
-) -> Result<ModelReport, AnalysisError> {
-    let mut layers = Vec::with_capacity(model.len());
-    for layer in model.iter() {
-        if token.is_cancelled() {
-            return Err(AnalysisError::Cancelled);
-        }
-        layers.push(analyze(layer, dataflow, acc)?);
-    }
-    Ok(ModelReport {
-        model: model.name.clone(),
-        layers,
-    })
 }
 
 #[cfg(test)]
@@ -273,33 +230,6 @@ mod tests {
                 fixed.runtime()
             );
         }
-    }
-
-    #[test]
-    fn cancellable_paths_match_plain_calls_and_honor_the_token() {
-        let layer = Layer::new("c", Operator::conv2d(), LayerDims::square(1, 16, 16, 18, 3));
-        let acc = Accelerator::builder(64).build();
-        let df = Style::KCP.dataflow();
-        let live = maestro_obs::CancelToken::detached();
-        assert_eq!(
-            analyze_cancellable(&layer, &df, &acc, &live).unwrap(),
-            analyze(&layer, &df, &acc).unwrap()
-        );
-        let model = zoo::alexnet(1);
-        assert_eq!(
-            analyze_model_cancellable(&model, &df, &acc, &live).unwrap(),
-            analyze_model(&model, &df, &acc).unwrap()
-        );
-        let tripped = maestro_obs::CancelToken::detached();
-        tripped.cancel();
-        assert_eq!(
-            analyze_cancellable(&layer, &df, &acc, &tripped).unwrap_err(),
-            AnalysisError::Cancelled
-        );
-        assert_eq!(
-            analyze_model_cancellable(&model, &df, &acc, &tripped).unwrap_err(),
-            AnalysisError::Cancelled
-        );
     }
 
     #[test]

@@ -53,16 +53,13 @@ pub mod report;
 pub mod reuse;
 pub mod stages;
 
-pub use analysis::{
-    analyze, analyze_cancellable, analyze_model, analyze_model_cancellable, analyze_model_with,
-    AnalysisError,
-};
+pub use analysis::{analyze, analyze_model, analyze_model_with, AnalysisError};
 pub use counts::{ActivityCounts, EnergyBreakdown, PerTensor};
 pub use engine::{LevelPerf, LevelResult, LevelStatic};
 pub use explain::{explain, Explanation, Observation};
 pub use level::{LevelCtx, OutputSpatial};
 pub use lint::{lint, Lint};
-pub use memo::{AnalysisCache, PreparedContext, ShapeKey, SharedAnalysisCache, DEFAULT_CACHE_CAP};
+pub use memo::{Analyzer, CacheCounts, Context, ShapeKey, DEFAULT_CACHE_CAP};
 pub use report::{LayerReport, ModelReport};
 pub use reuse::{opportunity_table, spatial_opportunity, temporal_opportunity, ReuseForm};
 pub use stages::StagedAnalysis;

@@ -4,17 +4,16 @@
 //! doubly-linked list by index; a `HashMap` gives O(1) key → slot lookup.
 //! `get` promotes to most-recently-used; `insert` evicts the
 //! least-recently-used entry once the configured capacity is reached.
-//! Capacity `0` means unbounded (no eviction), matching the historical
-//! behaviour of [`AnalysisCache`](crate::AnalysisCache).
+//! Capacity `0` means unbounded (no eviction).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// FNV-1a [`Hasher`] for the index map. The keys are small fixed-size
-/// tuples of integers (shape keys and fingerprints), where FNV beats the
-/// default SipHash handily; HashDoS resistance is irrelevant because the
-/// keys are internally derived fingerprints, not attacker-controlled
-/// input.
+/// FNV-1a [`Hasher`] for the index map and the analysis-context
+/// fingerprints. The keys are small fixed-size tuples of integers (shape
+/// keys and fingerprints), where FNV beats the default SipHash handily;
+/// HashDoS resistance is irrelevant because the keys are internally
+/// derived fingerprints, not attacker-controlled input.
 #[derive(Default)]
 pub struct FnvHasher(u64);
 

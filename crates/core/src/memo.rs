@@ -1,4 +1,4 @@
-//! Memoization in front of [`analyze`](crate::analyze).
+//! [`Analyzer`]: the memoized way into the cost model.
 //!
 //! Design-space exploration re-analyzes the same layer *shape* many times:
 //! networks repeat convolution shapes (VGG-16's conv3_2/conv3_3 are
@@ -8,32 +8,34 @@
 //! accelerator), so those repeats can be served from a table.
 //!
 //! [`ShapeKey`] is the hashable identity of a layer as the cost model sees
-//! it — dimensions, operator, and tensor densities, but *not* the name.
-//! [`AnalysisCache`] derives the rest of the key *internally* by
-//! fingerprinting the (dataflow, accelerator) pair, so no caller mistake
-//! can alias two different contexts onto one entry (the old caller-supplied
-//! `tag: u64` contract silently returned stale reports when a tag was
-//! reused across dataflows or accelerators). Both successful reports and
-//! analysis errors are memoized, and both tiers are LRU-bounded so long
-//! sweeps cannot grow memory without limit.
+//! it — dimensions, operator, and tensor densities, but *not* the name. A
+//! [`Context`] pins one (layer, dataflow, static accelerator) triple and
+//! fingerprints it once; each lookup then supplies only the NoC pipe, so a
+//! sweep along the bandwidth axis never re-hashes the dataflow. The
+//! fingerprint is derived from the context's own inputs, so no caller can
+//! alias two contexts onto one entry. Both successful reports and
+//! analysis errors are memoized (cancellations never are), and both tiers
+//! are LRU-bounded so long sweeps cannot grow memory without limit.
 //!
-//! The cache is two-tier:
+//! Every shard of an [`Analyzer`] is two-tier:
 //!
-//! * a **report tier** keyed by (shape, full-context fingerprint) holding
-//!   finished [`LayerReport`]s;
-//! * a **stage tier** keyed by (shape, NoC-independent fingerprint)
-//!   holding [`StagedAnalysis`] builds, shared across every NoC
-//!   configuration of the same accelerator — this is what makes a sweep
-//!   over NoC bandwidths run the expensive stages once
-//!   ([`AnalysisCache::analyze_staged`]).
+//! * a **report tier** keyed by (shape, context fingerprint, NoC pipe)
+//!   holding finished [`LayerReport`]s;
+//! * a **stage tier** keyed by (shape, context fingerprint) holding
+//!   [`StagedAnalysis`] builds, shared across every NoC pipe of the
+//!   context — this is what makes a sweep over NoC bandwidths run the
+//!   expensive stages once.
 
-use crate::analysis::{analyze, analyze_cancellable, AnalysisError};
-use crate::lru::Lru;
+use crate::analysis::{analyze_at, AnalysisError};
+use crate::lru::{FnvHasher, Lru};
 use crate::report::LayerReport;
 use crate::stages::StagedAnalysis;
 use maestro_dnn::{Layer, LayerDims, Operator};
-use maestro_hw::Accelerator;
+use maestro_hw::{Accelerator, NocConfig};
 use maestro_ir::Dataflow;
+use maestro_obs::{CancelToken, Counter};
+use std::hash::{Hash, Hasher};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Default per-tier LRU capacity: comfortably above any workload the repo
 /// sweeps today (a whole-model sweep touches ~10³ distinct entries per
@@ -72,184 +74,102 @@ impl ShapeKey {
     }
 }
 
-/// Incremental FNV-1a over bytes, exposed as a [`std::hash::Hasher`] so
-/// structured keys (`Dataflow`, `ReuseSupport`) hash field-by-field
-/// through their `Hash` impls — no `Display`/`Debug` formatting in the
-/// fingerprint path, which sweeps hit hundreds of times per work unit.
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        // Word-at-a-time FNV-1a: one xor-multiply per 8 input bytes
-        // instead of per byte. The fingerprint values never leave the
-        // process (checkpoint fingerprints are derived separately), so
-        // only dispersion matters, not any canonical FNV test vector.
-        let mut h = self.0;
-        let mut chunks = bytes.chunks_exact(8);
-        for c in chunks.by_ref() {
-            let w = u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]);
-            h ^= w;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            // Length-tagged tail so `"ab" + [0]` and `"ab"` stay distinct.
-            let mut w = rest.len() as u64;
-            for &b in rest {
-                w = (w << 8) | u64::from(b);
-            }
-            h ^= w;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-
-    fn u64(&mut self, v: u64) {
-        // One full little-endian word: identical to `bytes(&v.to_le_bytes())`.
-        self.word(v);
-    }
-
-    /// Absorb one 64-bit word (one xor-multiply round).
-    #[inline]
-    fn word(&mut self, w: u64) {
-        self.0 = (self.0 ^ w).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-impl std::hash::Hasher for Fnv {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        self.bytes(bytes);
-    }
-
-    // Fixed-width field writes from derived `Hash` impls absorb as one
-    // word each, skipping the byte-slice machinery.
-
-    fn write_u8(&mut self, v: u8) {
-        self.word(u64::from(v));
-    }
-
-    fn write_u16(&mut self, v: u16) {
-        self.word(u64::from(v));
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.word(u64::from(v));
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.word(v);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.word(v as u64);
-    }
-}
-
-/// Fingerprints of everything the cost model reads besides the layer
-/// shape: `(static, full)` where `static` covers the NoC-independent
-/// inputs (dataflow structure, PE count, vector width, reuse support, L2
-/// capacity, precision, off-chip bandwidth) and `full` additionally covers
-/// the NoC pipe. `static` is the stage-tier key; `full` the report-tier
-/// key. Derived internally so no caller can alias two contexts.
-fn context_fingerprints(dataflow: &Dataflow, acc: &Accelerator) -> (u64, u64) {
-    use std::hash::Hash;
-    let mut h = Fnv::new();
-    // Structural hash: equal fingerprint inputs ⇔ equal (name, directive
-    // list), the same equivalence the canonical text used to encode, at a
-    // fraction of the formatting cost.
-    dataflow.hash(&mut h);
-    h.u64(acc.num_pes);
-    h.u64(acc.vector_width);
-    h.u64(acc.precision_bytes);
-    h.u64(acc.l2_bytes);
-    h.u64(acc.offchip_bandwidth);
-    acc.support.hash(&mut h);
-    let stat = h.0;
-    h.u64(acc.noc.bandwidth);
-    h.u64(acc.noc.avg_latency);
-    (stat, h.0)
-}
-
-/// A cache context prepared once per (layer, dataflow, static accelerator
-/// configuration) and reused across a sweep's NoC axis: the shape key and
-/// the NoC-independent fingerprint state are computed up front, so each
-/// per-NoC call hashes only the two NoC words
-/// ([`AnalysisCache::analyze_staged_prepared`]).
+/// One (layer, dataflow, static accelerator) context, prepared once and
+/// looked up under any number of NoC pipes.
 ///
-/// The layer and dataflow are captured by reference, so a prepared
-/// context can never be replayed against different model inputs — the
-/// no-aliasing guarantee of the internal fingerprint survives the
-/// amortization. The static accelerator fields are captured by value and
-/// re-checked on every use; a mismatch silently falls back to the
-/// unprepared (full-fingerprint) path rather than aliasing an entry.
+/// The layer, dataflow and accelerator are borrowed, so a context can
+/// never be replayed against other model inputs. Only the accelerator's
+/// NoC-independent fields belong to the context — each lookup supplies
+/// its own [`NocConfig`], and `acc.noc` is never read.
 #[derive(Debug, Clone, Copy)]
-pub struct PreparedContext<'a> {
+pub struct Context<'a> {
     layer: &'a Layer,
     dataflow: &'a Dataflow,
+    acc: &'a Accelerator,
+    /// `None` for uncacheable layers (custom coupling override).
     key: Option<ShapeKey>,
-    /// FNV state after absorbing the NoC-independent context.
+    /// Fingerprint of everything the NoC-independent stages read: shape,
+    /// dataflow structure, PE count, vector width, precision, L2
+    /// capacity, off-chip bandwidth and reuse support. The stage-tier key
+    /// and the shard route.
     stat: u64,
-    num_pes: u64,
-    vector_width: u64,
-    precision_bytes: u64,
-    l2_bytes: u64,
-    offchip_bandwidth: u64,
-    support: maestro_hw::ReuseSupport,
 }
 
-impl PreparedContext<'_> {
-    /// Whether `acc` matches the static configuration this context was
-    /// prepared with (its NoC pipe is free to differ).
-    fn statics_match(&self, acc: &Accelerator) -> bool {
-        self.num_pes == acc.num_pes
-            && self.vector_width == acc.vector_width
-            && self.precision_bytes == acc.precision_bytes
-            && self.l2_bytes == acc.l2_bytes
-            && self.offchip_bandwidth == acc.offchip_bandwidth
-            && self.support == acc.support
+impl<'a> Context<'a> {
+    /// Prepare `layer` under `dataflow` on `acc`'s static configuration.
+    pub fn new(layer: &'a Layer, dataflow: &'a Dataflow, acc: &'a Accelerator) -> Self {
+        let key = ShapeKey::of(layer);
+        let mut h = FnvHasher::default();
+        key.hash(&mut h);
+        // Structural hash: equal inputs ⇔ equal (name, directive list),
+        // with no formatting in the fingerprint path.
+        dataflow.hash(&mut h);
+        for v in [
+            acc.num_pes,
+            acc.vector_width,
+            acc.precision_bytes,
+            acc.l2_bytes,
+            acc.offchip_bandwidth,
+        ] {
+            h.write_u64(v);
+        }
+        acc.support.hash(&mut h);
+        Context {
+            layer,
+            dataflow,
+            acc,
+            key,
+            stat: h.finish(),
+        }
+    }
+
+    /// `report` under this context's layer name. Cache keys ignore names,
+    /// so an entry built for one layer also answers every other layer of
+    /// the same shape.
+    fn named(&self, mut report: LayerReport) -> LayerReport {
+        if report.layer != self.layer.name {
+            report.layer.clone_from(&self.layer.name);
+        }
+        report
     }
 }
 
-/// A memo table in front of [`analyze`].
-///
-/// The cache is a plain single-threaded map: parallel explorers keep one
-/// per worker (keys never cross shard boundaries there), which avoids any
-/// locking and keeps results deterministic.
-///
-/// On drop, accumulated counters are flushed to the global metrics
-/// registry (`maestro.cache.{hits,misses,inserts,evictions,stage_hits,
-/// stage_misses}`): one batched atomic add per counter per cache lifetime,
-/// so the lookup hot path never touches shared state.
-#[derive(Debug)]
-pub struct AnalysisCache {
-    reports: Lru<(ShapeKey, u64), Result<LayerReport, AnalysisError>>,
-    stages: Lru<(ShapeKey, u64), Result<StagedAnalysis, AnalysisError>>,
-    hits: u64,
-    misses: u64,
-    inserts: u64,
-    evictions: u64,
-    stage_hits: u64,
-    stage_misses: u64,
+/// Lookup counters of an [`Analyzer`], summed over its shards.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheCounts {
+    /// Report-tier lookups served from the table.
+    pub hits: u64,
+    /// Report-tier lookups that ran the cost model (including
+    /// uncacheable layers).
+    pub misses: u64,
+    /// Entries added to the report tier.
+    pub inserts: u64,
+    /// Entries displaced from either tier by the LRU bound.
+    pub evictions: u64,
+    /// Stage-tier lookups served from the table.
+    pub stage_hits: u64,
+    /// Stage-tier lookups that ran the expensive static stages.
+    pub stage_misses: u64,
 }
 
-impl Default for AnalysisCache {
-    fn default() -> Self {
-        AnalysisCache::with_capacity(DEFAULT_CACHE_CAP)
+impl CacheCounts {
+    /// The counts in [`cache_counters`] order.
+    fn array(self) -> [u64; 6] {
+        [
+            self.hits,
+            self.misses,
+            self.inserts,
+            self.evictions,
+            self.stage_hits,
+            self.stage_misses,
+        ]
     }
 }
 
-/// `OnceLock`-cached handles for the cache counters: the registry lock is
-/// taken once per process, not once per cache drop.
-fn cache_counters() -> &'static [maestro_obs::Counter; 6] {
-    static C: std::sync::OnceLock<[maestro_obs::Counter; 6]> = std::sync::OnceLock::new();
+/// `OnceLock`-cached handles for the `maestro.cache.*` counters: the
+/// registry lock is taken once per process.
+fn cache_counters() -> &'static [Counter; 6] {
+    static C: OnceLock<[Counter; 6]> = OnceLock::new();
     C.get_or_init(|| {
         let r = maestro_obs::registry();
         [
@@ -263,446 +183,247 @@ fn cache_counters() -> &'static [maestro_obs::Counter; 6] {
     })
 }
 
-impl Drop for AnalysisCache {
-    fn drop(&mut self) {
-        if self.hits == 0 && self.misses == 0 && self.inserts == 0 {
-            return;
-        }
-        let [hits, misses, inserts, evictions, stage_hits, stage_misses] = cache_counters();
-        hits.add(self.hits);
-        misses.add(self.misses);
-        inserts.add(self.inserts);
-        evictions.add(self.evictions);
-        stage_hits.add(self.stage_hits);
-        stage_misses.add(self.stage_misses);
-    }
-}
-
-impl AnalysisCache {
-    /// An empty cache with the default per-tier capacity
-    /// ([`DEFAULT_CACHE_CAP`]).
-    pub fn new() -> Self {
-        AnalysisCache::default()
-    }
-
-    /// An empty cache holding at most `cap` entries per tier (`0` =
-    /// unbounded).
-    pub fn with_capacity(cap: usize) -> Self {
-        AnalysisCache {
-            reports: Lru::new(cap),
-            stages: Lru::new(cap),
-            hits: 0,
-            misses: 0,
-            inserts: 0,
-            evictions: 0,
-            stage_hits: 0,
-            stage_misses: 0,
-        }
-    }
-
-    /// Report-tier lookups served from the table.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Report-tier lookups that ran the cost model (including uncacheable
-    /// layers).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Entries added to the report tier (misses on cacheable layers).
-    pub fn inserts(&self) -> u64 {
-        self.inserts
-    }
-
-    /// Entries displaced from either tier by the LRU bound.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Stage-tier lookups served from the table (staged path only).
-    pub fn stage_hits(&self) -> u64 {
-        self.stage_hits
-    }
-
-    /// Stage-tier lookups that ran the expensive static stages.
-    pub fn stage_misses(&self) -> u64 {
-        self.stage_misses
-    }
-
-    /// Prepare a reusable context for `layer` under `dataflow` on `acc`'s
-    /// static configuration (see [`PreparedContext`]). `acc`'s NoC fields
-    /// are ignored — any accelerator of the sweep's static shape works.
-    pub fn prepare<'a>(
-        layer: &'a Layer,
-        dataflow: &'a Dataflow,
-        acc: &Accelerator,
-    ) -> PreparedContext<'a> {
-        let (stat, _) = context_fingerprints(dataflow, acc);
-        PreparedContext {
-            layer,
-            dataflow,
-            key: ShapeKey::of(layer),
-            stat,
-            num_pes: acc.num_pes,
-            vector_width: acc.vector_width,
-            precision_bytes: acc.precision_bytes,
-            l2_bytes: acc.l2_bytes,
-            offchip_bandwidth: acc.offchip_bandwidth,
-            support: acc.support,
-        }
-    }
-
-    /// [`analyze`] through the cache. The cache key is derived internally
-    /// from the layer shape and a fingerprint of (dataflow, accelerator):
-    /// two different contexts can never alias one entry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates (and memoizes) [`AnalysisError`] from the cost model.
-    pub fn analyze(
-        &mut self,
-        layer: &Layer,
-        dataflow: &Dataflow,
-        acc: &Accelerator,
-    ) -> Result<LayerReport, AnalysisError> {
-        let Some(key) = ShapeKey::of(layer) else {
-            self.misses += 1;
-            return analyze(layer, dataflow, acc);
-        };
-        let (_, full) = context_fingerprints(dataflow, acc);
-        if let Some(cached) = self.reports.get(&(key, full)) {
-            self.hits += 1;
-            return cached.clone();
-        }
-        self.misses += 1;
-        let result = analyze(layer, dataflow, acc);
-        self.evictions += self.reports.insert((key, full), result.clone());
-        self.inserts += 1;
-        result
-    }
-
-    /// [`analyze`] through the cache via the staged pipeline: on a report
-    /// miss, the NoC-independent stages are fetched from (or built into)
-    /// the stage tier, then priced for this accelerator's NoC. Results are
-    /// bit-identical to [`AnalysisCache::analyze`] — both paths run
-    /// [`StagedAnalysis::build`] + [`StagedAnalysis::finish`] — but a sweep
-    /// that varies only the NoC pipe re-runs just the cheap pricing stage.
-    ///
-    /// # Errors
-    ///
-    /// Propagates (and memoizes) [`AnalysisError`] from the cost model.
-    pub fn analyze_staged(
-        &mut self,
-        layer: &Layer,
-        dataflow: &Dataflow,
-        acc: &Accelerator,
-    ) -> Result<LayerReport, AnalysisError> {
-        let Some(key) = ShapeKey::of(layer) else {
-            self.misses += 1;
-            return analyze(layer, dataflow, acc);
-        };
-        let (stat, full) = context_fingerprints(dataflow, acc);
-        self.staged_lookup(key, stat, full, layer, dataflow, acc)
-    }
-
-    /// [`AnalysisCache::analyze_staged`] against a [`PreparedContext`]:
-    /// the shape key and the NoC-independent fingerprint come from the
-    /// preparation, so a sweep over NoC configurations hashes only the
-    /// two NoC words per call. Falls back to the unprepared path when
-    /// `acc` does not match the prepared static configuration, so the
-    /// result (and every counter) is always exactly what
-    /// [`AnalysisCache::analyze_staged`] would produce.
-    ///
-    /// # Errors
-    ///
-    /// Propagates (and memoizes) [`AnalysisError`] from the cost model.
-    pub fn analyze_staged_prepared(
-        &mut self,
-        prepared: &PreparedContext<'_>,
-        acc: &Accelerator,
-    ) -> Result<LayerReport, AnalysisError> {
-        if !prepared.statics_match(acc) {
-            return self.analyze_staged(prepared.layer, prepared.dataflow, acc);
-        }
-        let Some(key) = prepared.key else {
-            self.misses += 1;
-            return analyze(prepared.layer, prepared.dataflow, acc);
-        };
-        let mut h = Fnv(prepared.stat);
-        h.u64(acc.noc.bandwidth);
-        h.u64(acc.noc.avg_latency);
-        self.staged_lookup(
-            key,
-            prepared.stat,
-            h.0,
-            prepared.layer,
-            prepared.dataflow,
-            acc,
-        )
-    }
-
-    /// [`AnalysisCache::analyze_staged`] polling a cooperative
-    /// [`CancelToken`](maestro_obs::CancelToken) at the stage boundaries,
-    /// so a request whose deadline expires mid-computation stops at the
-    /// next cancellation point instead of pinning its worker to the end.
-    /// Cache hits are returned regardless of the token — they are cheaper
-    /// than the poll is useful — and [`AnalysisError::Cancelled`] is
-    /// **never** memoized: a deadline belongs to the request, not to the
-    /// (shape, context) entry.
-    ///
-    /// # Errors
-    ///
-    /// As [`AnalysisCache::analyze_staged`], plus
-    /// [`AnalysisError::Cancelled`] when `token` trips before completion.
-    pub fn analyze_staged_cancellable(
-        &mut self,
-        layer: &Layer,
-        dataflow: &Dataflow,
-        acc: &Accelerator,
-        token: &maestro_obs::CancelToken,
-    ) -> Result<LayerReport, AnalysisError> {
-        let Some(key) = ShapeKey::of(layer) else {
-            self.misses += 1;
-            return analyze_cancellable(layer, dataflow, acc, token);
-        };
-        let (stat, full) = context_fingerprints(dataflow, acc);
-        self.staged_lookup_cancellable(key, stat, full, layer, dataflow, acc, Some(token))
-    }
-
-    /// Shared staged-path body behind both fingerprint entry points.
-    fn staged_lookup(
-        &mut self,
-        key: ShapeKey,
-        stat: u64,
-        full: u64,
-        layer: &Layer,
-        dataflow: &Dataflow,
-        acc: &Accelerator,
-    ) -> Result<LayerReport, AnalysisError> {
-        self.staged_lookup_cancellable(key, stat, full, layer, dataflow, acc, None)
-    }
-
-    /// The staged-path body. With a token, cancellation is polled before
-    /// the expensive stage build and again at the build/price boundary;
-    /// a completed stage build is kept (it is valid whatever the token
-    /// says) but a `Cancelled` outcome never reaches the report tier.
-    #[allow(clippy::too_many_arguments)]
-    fn staged_lookup_cancellable(
-        &mut self,
-        key: ShapeKey,
-        stat: u64,
-        full: u64,
-        layer: &Layer,
-        dataflow: &Dataflow,
-        acc: &Accelerator,
-        token: Option<&maestro_obs::CancelToken>,
-    ) -> Result<LayerReport, AnalysisError> {
-        if let Some(cached) = self.reports.get(&(key, full)) {
-            self.hits += 1;
-            return cached.clone();
-        }
-        self.misses += 1;
-        let result = match self.stages.get(&(key, stat)) {
-            Some(Ok(staged)) => {
-                self.stage_hits += 1;
-                staged.finish(acc.noc.bandwidth, acc.noc.avg_latency)
-            }
-            Some(Err(e)) => {
-                self.stage_hits += 1;
-                Err(e.clone())
-            }
-            None => {
-                self.stage_misses += 1;
-                if token.is_some_and(maestro_obs::CancelToken::is_cancelled) {
-                    // Nothing built yet, nothing to memoize: a later
-                    // request with budget left must still be able to
-                    // build and cache this context.
-                    return Err(AnalysisError::Cancelled);
-                }
-                let built = StagedAnalysis::build(layer, dataflow, acc);
-                let out = match &built {
-                    Ok(staged) => {
-                        if token.is_some_and(maestro_obs::CancelToken::is_cancelled) {
-                            Err(AnalysisError::Cancelled)
-                        } else {
-                            staged.finish(acc.noc.bandwidth, acc.noc.avg_latency)
-                        }
-                    }
-                    Err(e) => Err(e.clone()),
-                };
-                self.evictions += self.stages.insert((key, stat), built);
-                out
-            }
-        };
-        if matches!(result, Err(AnalysisError::Cancelled)) {
-            return result;
-        }
-        self.evictions += self.reports.insert((key, full), result.clone());
-        self.inserts += 1;
-        result
-    }
-
-    /// Report-tier-only probe: the cached success for this exact
-    /// (shape, full context), if present. Touches nothing — no counters,
-    /// no LRU promotion, no stage tier — because a brownout peek answers
-    /// "can we serve this for free right now?" and must not make the
-    /// cache think the entry was served when the caller may still 503.
-    pub fn peek_report(&self, key: ShapeKey, full: u64) -> Option<LayerReport> {
-        match self.reports.peek(&(key, full)) {
-            Some(Ok(report)) => Some(report.clone()),
-            _ => None,
-        }
-    }
-}
-
-/// A thread-safe, sharded front for [`AnalysisCache`]: requests from any
-/// number of threads share one memo table, which is what a long-lived
-/// serving daemon needs (today's per-sweep caches die with their sweep,
-/// so every request re-paid the cost model for shapes the process had
-/// already analyzed).
-///
-/// Entries are sharded by the **NoC-independent** fingerprint, so every
-/// NoC configuration of one (shape, dataflow, static accelerator) context
-/// lands in the same shard and keeps sharing its stage-tier build —
-/// exactly the reuse [`AnalysisCache::analyze_staged`] exists for. Each
-/// shard is a plain `Mutex<AnalysisCache>`: lookups take one uncontended
-/// lock (the shard count spreads hot shapes), and every acquisition that
-/// had to wait is counted in `maestro.cache.lock_waits`, so contention is
-/// observable instead of silent.
-///
-/// The single-threaded DSE path is untouched: sweeps keep their private
-/// per-worker [`AnalysisCache`] with zero locking.
-#[derive(Debug)]
-pub struct SharedAnalysisCache {
-    shards: Box<[std::sync::Mutex<AnalysisCache>]>,
-}
-
 /// `OnceLock`-cached handle for the shard-lock contention counter.
-fn lock_waits_counter() -> &'static maestro_obs::Counter {
-    static C: std::sync::OnceLock<maestro_obs::Counter> = std::sync::OnceLock::new();
+fn lock_waits_counter() -> &'static Counter {
+    static C: OnceLock<Counter> = OnceLock::new();
     C.get_or_init(|| maestro_obs::registry().counter("maestro.cache.lock_waits"))
 }
 
-impl SharedAnalysisCache {
-    /// A cache with `shards` shards of `cap_per_shard` entries per tier
-    /// each (`shards` is clamped to at least 1; `0` capacity = unbounded).
-    pub fn new(shards: usize, cap_per_shard: usize) -> Self {
-        SharedAnalysisCache {
+/// One mutex shard: both tiers plus plain counters, so a lookup never
+/// touches a shared atomic.
+#[derive(Debug)]
+struct Shard {
+    reports: Lru<(ShapeKey, u64, NocConfig), Result<LayerReport, AnalysisError>>,
+    stages: Lru<(ShapeKey, u64), Result<StagedAnalysis, AnalysisError>>,
+    counts: CacheCounts,
+    /// The part of `counts` already added to the metrics registry.
+    flushed: [u64; 6],
+}
+
+impl Shard {
+    fn lookup(
+        &mut self,
+        ctx: &Context<'_>,
+        noc: NocConfig,
+        cancel: Option<&CancelToken>,
+        reuse_stages: bool,
+    ) -> Result<LayerReport, AnalysisError> {
+        let Some(key) = ctx.key else {
+            self.counts.misses += 1;
+            return analyze_at(ctx.layer, ctx.dataflow, ctx.acc, noc, cancel);
+        };
+        let entry = (key, ctx.stat, noc);
+        if let Some(cached) = self.reports.get(&entry) {
+            self.counts.hits += 1;
+            return cached.clone();
+        }
+        self.counts.misses += 1;
+        let result = if reuse_stages {
+            self.staged(key, ctx, noc, cancel)
+        } else {
+            analyze_at(ctx.layer, ctx.dataflow, ctx.acc, noc, cancel)
+        };
+        // A deadline belongs to the request, not to the entry.
+        if !matches!(result, Err(AnalysisError::Cancelled)) {
+            self.counts.evictions += self.reports.insert(entry, result.clone());
+            self.counts.inserts += 1;
+        }
+        result
+    }
+
+    /// Price a report-tier miss from the stage tier, building the static
+    /// stages on a stage miss. Cancellation is polled before the build
+    /// and at the build/price boundary; a completed build is kept (it is
+    /// valid whatever the token says).
+    fn staged(
+        &mut self,
+        key: ShapeKey,
+        ctx: &Context<'_>,
+        noc: NocConfig,
+        cancel: Option<&CancelToken>,
+    ) -> Result<LayerReport, AnalysisError> {
+        if let Some(built) = self.stages.get(&(key, ctx.stat)) {
+            self.counts.stage_hits += 1;
+            return match built {
+                Ok(staged) => staged.finish(noc.bandwidth, noc.avg_latency),
+                Err(e) => Err(e.clone()),
+            };
+        }
+        self.counts.stage_misses += 1;
+        let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
+        if cancelled() {
+            return Err(AnalysisError::Cancelled);
+        }
+        let built = StagedAnalysis::build(ctx.layer, ctx.dataflow, ctx.acc);
+        let out = match &built {
+            Ok(_) if cancelled() => Err(AnalysisError::Cancelled),
+            Ok(staged) => staged.finish(noc.bandwidth, noc.avg_latency),
+            Err(e) => Err(e.clone()),
+        };
+        self.counts.evictions += self.stages.insert((key, ctx.stat), built);
+        out
+    }
+}
+
+/// The memoized cost model: [`analyze`](crate::analyze) behind `Mutex`
+/// shards of the two-tier LRU (see the module docs).
+///
+/// One type serves both callers. A DSE work unit owns a one-shard
+/// analyzer, whose uncontended lock costs nothing measurable next to a
+/// lookup, so results and hit patterns stay deterministic at any thread
+/// count. The serving daemon shares one many-shard analyzer across its
+/// workers. Entries are routed by the context fingerprint, so every NoC
+/// pipe of one context lands in the same shard and shares its
+/// stage-tier build. A lock acquisition that has to wait is counted in
+/// `maestro.cache.lock_waits`.
+///
+/// Lookup counters stay in the shards (no shared atomic per lookup) and
+/// reach the `maestro.cache.*` registry counters as deltas on
+/// [`Analyzer::flush_metrics`] and on drop.
+#[derive(Debug)]
+pub struct Analyzer {
+    shards: Box<[Mutex<Shard>]>,
+    reuse_stages: bool,
+}
+
+impl Analyzer {
+    /// An analyzer of `shards` shards (at least 1), each holding at most
+    /// `cap` entries per tier (`0` = unbounded).
+    pub fn new(shards: usize, cap: usize) -> Self {
+        Analyzer {
             shards: (0..shards.max(1))
-                .map(|_| std::sync::Mutex::new(AnalysisCache::with_capacity(cap_per_shard)))
+                .map(|_| {
+                    Mutex::new(Shard {
+                        reports: Lru::new(cap),
+                        stages: Lru::new(cap),
+                        counts: CacheCounts::default(),
+                        flushed: [0; 6],
+                    })
+                })
                 .collect(),
+            reuse_stages: true,
         }
     }
 
-    /// Which shard owns the context with NoC-independent fingerprint
-    /// `stat` for `key`.
-    fn shard(&self, key: &ShapeKey, stat: u64) -> &std::sync::Mutex<AnalysisCache> {
-        use std::hash::{Hash, Hasher};
-        let mut h = Fnv::new();
-        key.hash(&mut h);
-        h.u64(stat);
-        let idx = (h.finish() % self.shards.len() as u64) as usize;
-        &self.shards[idx]
+    /// This analyzer with the stage tier switched off: every report-tier
+    /// miss runs the whole pipeline, as [`analyze`](crate::analyze) does.
+    /// Report-tier hits, misses and inserts are unchanged. This is the
+    /// differential oracle that staged sweeps are checked against.
+    #[must_use]
+    pub fn without_stage_reuse(mut self) -> Self {
+        self.reuse_stages = false;
+        self
     }
 
-    /// Lock a shard, counting acquisitions that had to wait. A poisoned
-    /// shard (a panicking analysis under `catch_unwind`) is recovered:
-    /// the cache holds only finished `Result`s, so its state is sound.
-    fn lock<'a>(
+    /// The report for `ctx` under NoC pipe `noc`, from the table or from
+    /// the cost model. With a `cancel` token, a computation stops at the
+    /// next stage boundary once the token trips; cache hits are returned
+    /// regardless. The report carries `ctx`'s layer name even when the
+    /// entry was built for another layer of the same shape.
+    ///
+    /// # Errors
+    ///
+    /// Propagates (and memoizes) [`AnalysisError`] from the cost model,
+    /// plus [`AnalysisError::Cancelled`] (never memoized) when `cancel`
+    /// trips before completion.
+    pub fn analyze(
         &self,
-        shard: &'a std::sync::Mutex<AnalysisCache>,
-    ) -> std::sync::MutexGuard<'a, AnalysisCache> {
-        if let Ok(guard) = shard.try_lock() {
-            return guard;
+        ctx: &Context<'_>,
+        noc: NocConfig,
+        cancel: Option<&CancelToken>,
+    ) -> Result<LayerReport, AnalysisError> {
+        let result = self
+            .shard(ctx.stat)
+            .lookup(ctx, noc, cancel, self.reuse_stages);
+        result.map(|report| ctx.named(report))
+    }
+
+    /// The cached successful report for `ctx` under `noc`, if the report
+    /// tier holds one. Read-only: no counters, no LRU promotion, no stage
+    /// tier, because a brownout probe asks "can this be served for free
+    /// right now?" and the caller may still shed the request.
+    pub fn peek(&self, ctx: &Context<'_>, noc: NocConfig) -> Option<LayerReport> {
+        let key = ctx.key?;
+        let cached = self
+            .shard(ctx.stat)
+            .reports
+            .peek(&(key, ctx.stat, noc))
+            .and_then(|r| r.as_ref().ok().cloned());
+        cached.map(|report| ctx.named(report))
+    }
+
+    /// Lookup counters summed over all shards (takes each shard lock in
+    /// turn).
+    pub fn counts(&self) -> CacheCounts {
+        let mut sum = [0u64; 6];
+        for shard in self.shards.iter() {
+            let counts = lock(shard).counts.array();
+            for (s, c) in sum.iter_mut().zip(counts) {
+                *s += c;
+            }
         }
-        lock_waits_counter().inc();
-        shard.lock().unwrap_or_else(|e| e.into_inner())
+        let [hits, misses, inserts, evictions, stage_hits, stage_misses] = sum;
+        CacheCounts {
+            hits,
+            misses,
+            inserts,
+            evictions,
+            stage_hits,
+            stage_misses,
+        }
     }
 
-    /// [`AnalysisCache::analyze_staged`] against the shared table. The
-    /// staged path is the right default for a server: repeated shapes hit
-    /// the report tier, and NoC-only variations of known contexts re-run
-    /// just the cheap pricing stage.
-    ///
-    /// # Errors
-    ///
-    /// Propagates (and memoizes) [`AnalysisError`] from the cost model.
-    pub fn analyze_staged(
-        &self,
-        layer: &Layer,
-        dataflow: &Dataflow,
-        acc: &Accelerator,
-    ) -> Result<LayerReport, AnalysisError> {
-        let Some(key) = ShapeKey::of(layer) else {
-            // Uncacheable (custom coupling): run directly, no lock taken.
-            return analyze(layer, dataflow, acc);
-        };
-        let (stat, full) = context_fingerprints(dataflow, acc);
-        let shard = self.shard(&key, stat);
-        let mut cache = self.lock(shard);
-        cache.staged_lookup(key, stat, full, layer, dataflow, acc)
+    /// Add the counts accumulated since the last flush to the
+    /// `maestro.cache.*` registry counters. A long-lived analyzer (the
+    /// daemon's) calls this before rendering `/metrics`; every analyzer
+    /// flushes once more on drop.
+    pub fn flush_metrics(&self) {
+        self.flush_into(cache_counters());
     }
 
-    /// [`AnalysisCache::analyze_staged_cancellable`] against the shared
-    /// table: the serving daemon's per-request deadline hook. `Cancelled`
-    /// is never memoized, so one timed-out request cannot poison the
-    /// cache for the requests that follow it.
-    ///
-    /// # Errors
-    ///
-    /// As [`SharedAnalysisCache::analyze_staged`], plus
-    /// [`AnalysisError::Cancelled`] when `token` trips before completion.
-    pub fn analyze_staged_cancellable(
-        &self,
-        layer: &Layer,
-        dataflow: &Dataflow,
-        acc: &Accelerator,
-        token: &maestro_obs::CancelToken,
-    ) -> Result<LayerReport, AnalysisError> {
-        let Some(key) = ShapeKey::of(layer) else {
-            // Uncacheable (custom coupling): run directly, no lock taken.
-            return analyze_cancellable(layer, dataflow, acc, token);
-        };
-        let (stat, full) = context_fingerprints(dataflow, acc);
-        let shard = self.shard(&key, stat);
-        let mut cache = self.lock(shard);
-        cache.staged_lookup_cancellable(key, stat, full, layer, dataflow, acc, Some(token))
+    fn flush_into(&self, counters: &[Counter; 6]) {
+        for shard in self.shards.iter() {
+            let mut shard = lock(shard);
+            let now = shard.counts.array();
+            for ((counter, n), done) in counters.iter().zip(now).zip(shard.flushed.iter_mut()) {
+                if n > *done {
+                    counter.add(n - *done);
+                    *done = n;
+                }
+            }
+        }
     }
 
-    /// [`AnalysisCache::peek_report`] against the shared table: the
-    /// brownout path's "serve from cache or shed" probe. Uncacheable
-    /// layers (no [`ShapeKey`]) always miss — there is nothing to serve
-    /// for free.
-    pub fn peek_report(
-        &self,
-        layer: &Layer,
-        dataflow: &Dataflow,
-        acc: &Accelerator,
-    ) -> Option<LayerReport> {
-        let key = ShapeKey::of(layer)?;
-        let (stat, full) = context_fingerprints(dataflow, acc);
-        let shard = self.shard(&key, stat);
-        let cache = self.lock(shard);
-        cache.peek_report(key, full)
+    /// The locked shard owning contexts with fingerprint `stat`.
+    fn shard(&self, stat: u64) -> MutexGuard<'_, Shard> {
+        lock(&self.shards[(stat % self.shards.len() as u64) as usize])
     }
+}
 
-    /// Aggregate `(hits, misses)` across all shards (tests/diagnostics;
-    /// takes every shard lock in turn).
-    pub fn hit_miss(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(h, m), s| {
-            let c = self.lock(s);
-            (h + c.hits(), m + c.misses())
-        })
+impl Drop for Analyzer {
+    fn drop(&mut self) {
+        self.flush_metrics();
     }
+}
+
+/// Lock a shard, counting acquisitions that had to wait. A poisoned
+/// shard (a panicking analysis under `catch_unwind`) is recovered: it
+/// holds only finished `Result`s, so its state is sound.
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    if let Ok(guard) = shard.try_lock() {
+        return guard;
+    }
+    lock_waits_counter().inc();
+    shard
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maestro_dnn::{Density, Layer, LayerDims, Operator};
-    use maestro_hw::NocConfig;
+    use crate::analysis::{analyze, analyze_model};
+    use maestro_dnn::{zoo, Density, Layer, LayerDims, Operator};
     use maestro_ir::Style;
 
     fn layer(name: &str) -> Layer {
@@ -711,6 +432,21 @@ mod tests {
             Operator::conv2d(),
             LayerDims::square(1, 32, 32, 34, 3),
         )
+    }
+
+    /// One lookup through a context prepared on `acc`, at `acc`'s NoC.
+    fn lookup(
+        cache: &Analyzer,
+        l: &Layer,
+        df: &Dataflow,
+        acc: &Accelerator,
+        cancel: Option<&CancelToken>,
+    ) -> Result<LayerReport, AnalysisError> {
+        cache.analyze(&Context::new(l, df, acc), acc.noc, cancel)
+    }
+
+    fn at_bw(bw: u64) -> Accelerator {
+        Accelerator::builder(64).noc(NocConfig::new(bw, 2)).build()
     }
 
     #[test]
@@ -745,65 +481,99 @@ mod tests {
         let acc = Accelerator::builder(64).build();
         let l = layer("x");
         let df = Style::KCP.dataflow();
-        let mut cache = AnalysisCache::new();
+        let cache = Analyzer::new(1, DEFAULT_CACHE_CAP);
 
-        let tripped = maestro_obs::CancelToken::detached();
+        let tripped = CancelToken::detached();
         tripped.cancel();
         assert!(matches!(
-            cache.analyze_staged_cancellable(&l, &df, &acc, &tripped),
+            lookup(&cache, &l, &df, &acc, Some(&tripped)),
             Err(AnalysisError::Cancelled)
         ));
 
-        let fresh = maestro_obs::CancelToken::detached();
-        let report = cache
-            .analyze_staged_cancellable(&l, &df, &acc, &fresh)
+        let fresh = CancelToken::detached();
+        let report = lookup(&cache, &l, &df, &acc, Some(&fresh))
             .expect("cancelled outcome must not poison the cache");
         assert_eq!(report, analyze(&l, &df, &acc).expect("analyzable"));
 
-        let hits_before = cache.hits();
-        cache
-            .analyze_staged_cancellable(&l, &df, &acc, &fresh)
-            .expect("analyzable");
-        assert_eq!(cache.hits(), hits_before + 1, "report tier now serves it");
+        let hits_before = cache.counts().hits;
+        lookup(&cache, &l, &df, &acc, Some(&fresh)).expect("analyzable");
+        assert_eq!(
+            cache.counts().hits,
+            hits_before + 1,
+            "report tier now serves it"
+        );
     }
 
     #[test]
-    fn shared_cache_cancellable_matches_plain() {
+    fn sharded_cancellable_matches_plain() {
         let acc = Accelerator::builder(64).build();
         let l = layer("x");
         let df = Style::KCP.dataflow();
-        let shared = SharedAnalysisCache::new(4, 0);
+        let shared = Analyzer::new(4, 0);
 
-        let tripped = maestro_obs::CancelToken::detached();
+        let tripped = CancelToken::detached();
         tripped.cancel();
         assert!(matches!(
-            shared.analyze_staged_cancellable(&l, &df, &acc, &tripped),
+            lookup(&shared, &l, &df, &acc, Some(&tripped)),
             Err(AnalysisError::Cancelled)
         ));
 
-        let fresh = maestro_obs::CancelToken::detached();
-        let via_token = shared
-            .analyze_staged_cancellable(&l, &df, &acc, &fresh)
-            .expect("analyzable");
-        let plain = shared.analyze_staged(&l, &df, &acc).expect("analyzable");
+        let fresh = CancelToken::detached();
+        let via_token = lookup(&shared, &l, &df, &acc, Some(&fresh)).expect("analyzable");
+        let plain = lookup(&shared, &l, &df, &acc, None).expect("analyzable");
         assert_eq!(via_token, plain);
+    }
+
+    /// A live token changes nothing; a tripped one stops every path,
+    /// the uncacheable direct path included.
+    #[test]
+    fn cancellable_lookups_match_plain_calls_and_honor_the_token() {
+        let l = Layer::new("c", Operator::conv2d(), LayerDims::square(1, 16, 16, 18, 3));
+        let mut custom = l.clone();
+        custom.coupling_override = Some(custom.op.coupling());
+        let acc = Accelerator::builder(64).build();
+        let df = Style::KCP.dataflow();
+        let live = CancelToken::detached();
+        let cache = Analyzer::new(1, DEFAULT_CACHE_CAP);
+        for layer in [&l, &custom] {
+            assert_eq!(
+                lookup(&cache, layer, &df, &acc, Some(&live)).unwrap(),
+                analyze(layer, &df, &acc).unwrap()
+            );
+        }
+        let model = zoo::alexnet(1);
+        let layers: Vec<LayerReport> = model
+            .iter()
+            .map(|layer| lookup(&cache, layer, &df, &acc, Some(&live)).unwrap())
+            .collect();
+        assert_eq!(layers, analyze_model(&model, &df, &acc).unwrap().layers);
+
+        let tripped = CancelToken::detached();
+        tripped.cancel();
+        let cold = Analyzer::new(1, DEFAULT_CACHE_CAP);
+        for layer in [&l, &custom] {
+            assert_eq!(
+                lookup(&cold, layer, &df, &acc, Some(&tripped)).unwrap_err(),
+                AnalysisError::Cancelled
+            );
+        }
     }
 
     #[test]
     fn cache_hits_match_direct_analysis() {
         let acc = Accelerator::builder(64).build();
         let l = layer("x");
+        let renamed = layer("renamed");
         let df = Style::KCP.dataflow();
-        let direct = analyze(&l, &df, &acc).expect("analyzable");
-        let mut cache = AnalysisCache::new();
-        let first = cache.analyze(&l, &df, &acc).expect("analyzable");
-        let second = cache
-            .analyze(&layer("renamed"), &df, &acc)
-            .expect("analyzable");
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(first, direct);
-        assert_eq!(second, direct);
+        let cache = Analyzer::new(1, DEFAULT_CACHE_CAP);
+        let first = lookup(&cache, &l, &df, &acc, None).expect("analyzable");
+        let second = lookup(&cache, &renamed, &df, &acc, None).expect("analyzable");
+        assert_eq!(cache.counts().misses, 1);
+        assert_eq!(cache.counts().hits, 1);
+        assert_eq!(first, analyze(&l, &df, &acc).expect("analyzable"));
+        // The hit carries the requesting layer's name, not the first
+        // same-shape layer's.
+        assert_eq!(second, analyze(&renamed, &df, &acc).expect("analyzable"));
     }
 
     /// Regression for the stale-report footgun: under the old API a caller
@@ -817,23 +587,23 @@ mod tests {
         let l = layer("x");
         let kcp = Style::KCP.dataflow();
         let ycp = Style::YXP.dataflow();
-        let mut cache = AnalysisCache::new();
-        let a = cache.analyze(&l, &kcp, &acc).expect("analyzable");
-        let b = cache.analyze(&l, &ycp, &acc).expect("analyzable");
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.hits(), 0);
+        let cache = Analyzer::new(1, DEFAULT_CACHE_CAP);
+        let a = lookup(&cache, &l, &kcp, &acc, None).expect("analyzable");
+        let b = lookup(&cache, &l, &ycp, &acc, None).expect("analyzable");
+        assert_eq!(cache.counts().misses, 2);
+        assert_eq!(cache.counts().hits, 0);
         assert_eq!(a, analyze(&l, &kcp, &acc).unwrap());
         assert_eq!(b, analyze(&l, &ycp, &acc).unwrap());
         // Same dataflow, different accelerator: also distinct.
         let wider = Accelerator::builder(64).noc(NocConfig::new(256, 1)).build();
-        let c = cache.analyze(&l, &kcp, &wider).expect("analyzable");
-        assert_eq!(cache.misses(), 3);
+        let c = lookup(&cache, &l, &kcp, &wider, None).expect("analyzable");
+        assert_eq!(cache.counts().misses, 3);
         assert_eq!(c, analyze(&l, &kcp, &wider).unwrap());
         // And every context replays from the table.
-        let _ = cache.analyze(&l, &kcp, &acc);
-        let _ = cache.analyze(&l, &ycp, &acc);
-        let _ = cache.analyze(&l, &kcp, &wider);
-        assert_eq!(cache.hits(), 3);
+        let _ = lookup(&cache, &l, &kcp, &acc, None);
+        let _ = lookup(&cache, &l, &ycp, &acc, None);
+        let _ = lookup(&cache, &l, &kcp, &wider, None);
+        assert_eq!(cache.counts().hits, 3);
     }
 
     #[test]
@@ -842,12 +612,13 @@ mod tests {
         for style in [Style::KCP, Style::YXP, Style::YRP] {
             let df = style.dataflow();
             for bw in [1u64, 32, 256] {
-                let acc = Accelerator::builder(64).noc(NocConfig::new(bw, 2)).build();
-                let mut full = AnalysisCache::new();
-                let mut staged = AnalysisCache::new();
-                let a = full.analyze(&l, &df, &acc);
-                let b = staged.analyze_staged(&l, &df, &acc);
+                let acc = at_bw(bw);
+                let full = Analyzer::new(1, DEFAULT_CACHE_CAP).without_stage_reuse();
+                let staged = Analyzer::new(1, DEFAULT_CACHE_CAP);
+                let a = lookup(&full, &l, &df, &acc, None);
+                let b = lookup(&staged, &l, &df, &acc, None);
                 assert_eq!(a, b, "{style} bw={bw}");
+                assert_eq!(full.counts().stage_misses, 0, "full mode builds afresh");
             }
         }
     }
@@ -856,34 +627,38 @@ mod tests {
     fn staged_shares_static_stages_across_noc_points() {
         let l = layer("x");
         let df = Style::KCP.dataflow();
-        let mut cache = AnalysisCache::new();
+        let acc = at_bw(1);
+        let ctx = Context::new(&l, &df, &acc);
+        let cache = Analyzer::new(1, DEFAULT_CACHE_CAP);
         for bw in [1u64, 2, 4, 8, 16, 32] {
-            let acc = Accelerator::builder(64).noc(NocConfig::new(bw, 2)).build();
-            cache.analyze_staged(&l, &df, &acc).expect("analyzable");
+            cache
+                .analyze(&ctx, NocConfig::new(bw, 2), None)
+                .expect("analyzable");
         }
         // Six report-tier misses, but the expensive stages ran once.
-        assert_eq!(cache.misses(), 6);
-        assert_eq!(cache.stage_misses(), 1);
-        assert_eq!(cache.stage_hits(), 5);
+        let counts = cache.counts();
+        assert_eq!(counts.misses, 6);
+        assert_eq!(counts.stage_misses, 1);
+        assert_eq!(counts.stage_hits, 5);
     }
 
     #[test]
     fn lru_bound_evicts_and_counts() {
         let l = layer("x");
         let df = Style::KCP.dataflow();
-        let mut cache = AnalysisCache::with_capacity(2);
+        let cache = Analyzer::new(1, 2);
         for bw in [1u64, 2, 3] {
-            let acc = Accelerator::builder(64).noc(NocConfig::new(bw, 2)).build();
-            cache.analyze(&l, &df, &acc).expect("analyzable");
+            lookup(&cache, &l, &df, &at_bw(bw), None).expect("analyzable");
         }
-        assert_eq!(cache.evictions(), 1);
+        assert_eq!(cache.counts().evictions, 1);
         // bw=1 was evicted: re-analyzing it is a miss, evicting bw=2.
-        let acc1 = Accelerator::builder(64).noc(NocConfig::new(1, 2)).build();
+        let acc1 = at_bw(1);
         let direct = analyze(&l, &df, &acc1).unwrap();
-        assert_eq!(cache.analyze(&l, &df, &acc1).unwrap(), direct);
-        assert_eq!(cache.misses(), 4);
-        assert_eq!(cache.evictions(), 2);
-        assert_eq!(cache.hits(), 0);
+        assert_eq!(lookup(&cache, &l, &df, &acc1, None).unwrap(), direct);
+        let counts = cache.counts();
+        assert_eq!(counts.misses, 4);
+        assert_eq!(counts.evictions, 2);
+        assert_eq!(counts.hits, 0);
     }
 
     #[test]
@@ -891,35 +666,40 @@ mod tests {
         let mut l = layer("x");
         l.coupling_override = Some(l.op.coupling());
         assert!(ShapeKey::of(&l).is_none());
+        let df = Style::KCP.dataflow();
+        let acc = Accelerator::builder(64).build();
+        let cache = Analyzer::new(1, DEFAULT_CACHE_CAP);
+        for _ in 0..2 {
+            assert_eq!(lookup(&cache, &l, &df, &acc, None), analyze(&l, &df, &acc));
+        }
+        assert_eq!(cache.counts().misses, 2);
+        assert_eq!(cache.counts().inserts, 0);
+        assert_eq!(cache.peek(&Context::new(&l, &df, &acc), acc.noc), None);
     }
 
     #[test]
     fn shared_cache_matches_direct_analysis_and_counts_hits() {
-        let shared = SharedAnalysisCache::new(4, 64);
+        let shared = Analyzer::new(4, 64);
         let l = layer("x");
         let df = Style::KCP.dataflow();
         let acc = Accelerator::builder(64).build();
         let direct = analyze(&l, &df, &acc).expect("analyzable");
-        assert_eq!(shared.analyze_staged(&l, &df, &acc).unwrap(), direct);
-        assert_eq!(shared.analyze_staged(&l, &df, &acc).unwrap(), direct);
-        let (hits, misses) = shared.hit_miss();
-        assert_eq!((hits, misses), (1, 1));
+        assert_eq!(lookup(&shared, &l, &df, &acc, None).unwrap(), direct);
+        assert_eq!(lookup(&shared, &l, &df, &acc, None).unwrap(), direct);
+        let counts = shared.counts();
+        assert_eq!((counts.hits, counts.misses), (1, 1));
     }
 
     #[test]
     fn shared_cache_serves_concurrent_threads() {
-        let shared = SharedAnalysisCache::new(2, 64);
+        let shared = Analyzer::new(2, 64);
         let df = Style::KCP.dataflow();
-        let direct = {
-            let acc = Accelerator::builder(64).noc(NocConfig::new(8, 2)).build();
-            analyze(&layer("t"), &df, &acc).expect("analyzable")
-        };
+        let direct = analyze(&layer("t"), &df, &at_bw(8)).expect("analyzable");
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     for bw in [1u64, 2, 4, 8, 16] {
-                        let acc = Accelerator::builder(64).noc(NocConfig::new(bw, 2)).build();
-                        let r = shared.analyze_staged(&layer("t"), &df, &acc).unwrap();
+                        let r = lookup(&shared, &layer("t"), &df, &at_bw(bw), None).unwrap();
                         if bw == 8 {
                             assert_eq!(r, direct);
                         }
@@ -927,11 +707,61 @@ mod tests {
                 });
             }
         });
-        let (hits, misses) = shared.hit_miss();
+        let CacheCounts { hits, misses, .. } = shared.counts();
         assert_eq!(hits + misses, 20, "every lookup accounted for");
         assert!(
             hits >= 15,
             "at most one miss per NoC point: {hits}/{misses}"
         );
+    }
+
+    /// A brownout probe serves only finished reports, under the asking
+    /// layer's name, and leaves every counter alone.
+    #[test]
+    fn peek_is_read_only_and_names_the_asking_layer() {
+        let l = layer("x");
+        let renamed = layer("renamed");
+        let df = Style::KCP.dataflow();
+        let acc = Accelerator::builder(64).build();
+        let cache = Analyzer::new(4, DEFAULT_CACHE_CAP);
+        assert_eq!(cache.peek(&Context::new(&l, &df, &acc), acc.noc), None);
+        lookup(&cache, &l, &df, &acc, None).expect("analyzable");
+        let before = cache.counts();
+        let peeked = cache.peek(&Context::new(&renamed, &df, &acc), acc.noc);
+        assert_eq!(peeked, Some(analyze(&renamed, &df, &acc).unwrap()));
+        let other_noc = NocConfig::new(acc.noc.bandwidth + 1, acc.noc.avg_latency);
+        assert_eq!(cache.peek(&Context::new(&l, &df, &acc), other_noc), None);
+        assert_eq!(cache.counts(), before);
+    }
+
+    /// Counts reach the registry as deltas: a second flush adds only what
+    /// accrued since the first, so a live analyzer can flush on every
+    /// `/metrics` render without double counting.
+    #[test]
+    fn flushes_add_only_new_counts() {
+        let registry = maestro_obs::Registry::new();
+        let counters = [
+            "hits",
+            "misses",
+            "inserts",
+            "evictions",
+            "stage_hits",
+            "stage_misses",
+        ]
+        .map(|n| registry.counter(&format!("maestro.test.cache.{n}")));
+        let l = layer("x");
+        let df = Style::KCP.dataflow();
+        let acc = Accelerator::builder(64).build();
+        let cache = Analyzer::new(2, DEFAULT_CACHE_CAP);
+        lookup(&cache, &l, &df, &acc, None).expect("analyzable");
+        lookup(&cache, &l, &df, &acc, None).expect("analyzable");
+        cache.flush_into(&counters);
+        let read = || counters.each_ref().map(Counter::get);
+        assert_eq!(read(), [1, 1, 1, 0, 0, 1]);
+        cache.flush_into(&counters);
+        assert_eq!(read(), [1, 1, 1, 0, 0, 1], "nothing new, nothing added");
+        lookup(&cache, &l, &df, &acc, None).expect("analyzable");
+        cache.flush_into(&counters);
+        assert_eq!(read(), [2, 1, 1, 0, 0, 1]);
     }
 }

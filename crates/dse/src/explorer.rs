@@ -13,8 +13,8 @@
 //! and folded by [`crate::parallel::merge_partials`]; `explore` is the
 //! one-thread special case of `explore_parallel`, so parallel results are
 //! bit-identical to sequential ones apart from the wall-clock fields.
-//! Repeated layer shapes are served from a per-unit
-//! [`maestro_core::AnalysisCache`] instead of re-running the cost model.
+//! Repeated layer shapes are served from a per-unit one-shard
+//! [`maestro_core::Analyzer`] instead of re-running the cost model.
 
 use crate::cancel::{SessionCtl, SessionError, SessionReport};
 use crate::checkpoint::{sweep_fingerprint, Checkpoint};
@@ -22,9 +22,9 @@ use crate::parallel::{
     merge_indexed_partials, merge_partials, run_units, run_units_ctl, CheckpointSink, RunCtl,
 };
 use crate::space::{Constraints, SpaceError, SweepSpace};
-use maestro_core::{AnalysisCache, AnalysisError, LayerReport};
+use maestro_core::{AnalysisError, Analyzer, Context, LayerReport, DEFAULT_CACHE_CAP};
 use maestro_dnn::Layer;
-use maestro_hw::{Accelerator, AreaModel, EnergyModel, PowerModel};
+use maestro_hw::{Accelerator, AreaModel, EnergyModel, NocConfig, PowerModel};
 use maestro_ir::Dataflow;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -32,14 +32,15 @@ use std::time::Instant;
 /// How the sweep invokes the cost model.
 ///
 /// Both modes produce bit-identical results (they share one analysis
-/// implementation — see [`maestro_core::StagedAnalysis`]); `Staged` is an
-/// order of magnitude faster on bandwidth-heavy sweeps and is the default.
-/// The mode is folded into the checkpoint sweep fingerprint, so a
-/// checkpoint written under one mode cannot silently resume under the
-/// other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+/// implementation — see [`maestro_core::StagedAnalysis`]). `Staged` is
+/// the sweep; `Full` is the differential oracle that equivalence tests
+/// and benchmarks check it against. The mode is folded into the
+/// checkpoint sweep fingerprint, so a checkpoint written under one mode
+/// cannot silently resume under the other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
-    /// One fused `analyze()` per (mapping, bandwidth) grid point.
+    /// No stage reuse: every memo miss runs the whole pipeline, like a
+    /// fused `analyze()` per (mapping, bandwidth) grid point.
     Full,
     /// Staged evaluation: the NoC-independent stages (tensor, reuse,
     /// buffer, off-chip) are computed once per mapping and shared across
@@ -54,18 +55,6 @@ impl std::fmt::Display for EvalMode {
         match self {
             EvalMode::Full => write!(f, "full"),
             EvalMode::Staged => write!(f, "staged"),
-        }
-    }
-}
-
-impl std::str::FromStr for EvalMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "full" => Ok(EvalMode::Full),
-            "staged" => Ok(EvalMode::Staged),
-            other => Err(format!("unknown eval mode `{other}` (full|staged)")),
         }
     }
 }
@@ -278,12 +267,9 @@ pub struct Explorer {
     /// PE count panics, exercising the quarantine path end to end. Leave
     /// `None` in production use.
     pub fail_unit_pes: Option<u64>,
-    /// How the cost model is invoked (staged delta-evaluation vs. fused
-    /// full analysis). Results are bit-identical either way.
+    /// How the cost model is invoked (staged delta-evaluation vs. the
+    /// full-analysis oracle). Results are bit-identical either way.
     pub eval: EvalMode,
-    /// Per-tier LRU capacity of each work unit's [`AnalysisCache`]
-    /// (`0` = unbounded).
-    pub memo_cap: usize,
 }
 
 impl Explorer {
@@ -300,21 +286,16 @@ impl Explorer {
             precision_bytes: 1,
             fail_unit_pes: None,
             eval: EvalMode::default(),
-            memo_cap: maestro_core::DEFAULT_CACHE_CAP,
         }
     }
 
-    /// Dispatch one cost-model invocation according to [`Explorer::eval`].
-    fn memo_analyze(
-        &self,
-        memo: &mut AnalysisCache,
-        layer: &Layer,
-        mapping: &Dataflow,
-        acc: &Accelerator,
-    ) -> Result<LayerReport, AnalysisError> {
+    /// A work unit's memo table: one shard (the unit is single-threaded)
+    /// with stage reuse as [`Explorer::eval`] selects.
+    fn analyzer(&self) -> Analyzer {
+        let memo = Analyzer::new(1, DEFAULT_CACHE_CAP);
         match self.eval {
-            EvalMode::Full => memo.analyze(layer, mapping, acc),
-            EvalMode::Staged => memo.analyze_staged(layer, mapping, acc),
+            EvalMode::Full => memo.without_stage_reuse(),
+            EvalMode::Staged => memo,
         }
     }
 
@@ -432,7 +413,11 @@ impl Explorer {
             part.stats.explored += subtree;
             return part;
         }
-        let mut memo = AnalysisCache::with_capacity(self.memo_cap);
+        let memo = self.analyzer();
+        // Capacities do not change the schedule, so the analysis runs at
+        // the reference capacities and is expanded below; each mapping's
+        // context is fingerprinted once and looked up per NoC pipe.
+        let acc = self.accelerator(pes, min_bw, None);
         let ctx = UnitCtx::new(self, pes);
         let mut front = ParetoFront::new();
         // Placed energy depends only on (mapping, L1, L2): activity counts
@@ -443,26 +428,14 @@ impl Explorer {
         let mut best = BestKeys::new();
         for mapping in mappings.iter() {
             ecells.reset();
-            // Staged mode amortizes the context fingerprint across the
-            // NoC axis: prepared once here, each per-bandwidth call below
-            // hashes only the two NoC words (`analyze_staged_prepared`).
-            let prepared = match self.eval {
-                EvalMode::Staged => {
-                    let acc0 = self.accelerator(pes, self.space.noc_bw[0], None);
-                    Some(AnalysisCache::prepare(layer, mapping, &acc0))
-                }
-                EvalMode::Full => None,
-            };
+            let analysis = Context::new(layer, mapping, &acc);
             for (b_idx, &bw) in self.space.noc_bw.iter().enumerate() {
                 part.stats.explored += caps_per_eval;
-                // Capacities do not change the schedule, so the analysis
-                // runs at the reference capacities and is expanded below.
-                let acc = self.accelerator(pes, bw, None);
-                let analyzed = match &prepared {
-                    Some(p) => memo.analyze_staged_prepared(p, &acc),
-                    None => memo.analyze(layer, mapping, &acc),
+                let noc = NocConfig {
+                    bandwidth: bw,
+                    ..acc.noc
                 };
-                let report = match analyzed {
+                let report = match memo.analyze(&analysis, noc, None) {
                     Ok(r) => r,
                     Err(AnalysisError::NonFinite { .. }) => {
                         part.stats.nonfinite_dropped += caps_per_eval;
@@ -484,8 +457,9 @@ impl Explorer {
             }
         }
         part.pareto = front.into_points();
-        part.stats.evaluated += memo.misses();
-        part.stats.memo_hits += memo.hits();
+        let counts = memo.counts();
+        part.stats.evaluated += counts.misses;
+        part.stats.memo_hits += counts.hits;
         part
     }
 
@@ -1690,7 +1664,21 @@ impl Explorer {
         }
         let mut part = Partial::new();
         let caps_per_eval = self.space.capacity_cells() as u64;
-        let mut memo = AnalysisCache::with_capacity(self.memo_cap);
+        let Some(&bw0) = self.space.noc_bw.first() else {
+            return part;
+        };
+        let memo = self.analyzer();
+        let acc = self.accelerator(pes, bw0, None);
+        // One context per (layer, mapping), looked up per NoC pipe.
+        let analyses: Vec<Vec<Context<'_>>> = model
+            .iter()
+            .map(|layer| {
+                mappings
+                    .iter()
+                    .map(|m| Context::new(layer, m, &acc))
+                    .collect()
+            })
+            .collect();
         let ctx = UnitCtx::new(self, pes);
         let mut front = ParetoFront::new();
         let l2_len = self.space.l2_bytes.len();
@@ -1698,14 +1686,17 @@ impl Explorer {
         let label = format!("per-layer best of {}", mappings.len());
         for (b_idx, &bw) in self.space.noc_bw.iter().enumerate() {
             part.stats.explored += caps_per_eval;
-            let acc = self.accelerator(pes, bw, None);
+            let noc = NocConfig {
+                bandwidth: bw,
+                ..acc.noc
+            };
             // Per-layer best-runtime mapping (embedded tuning).
             let mut reports: Vec<LayerReport> = Vec::with_capacity(model.len());
             let mut ok = true;
-            for layer in model.iter() {
-                let best = mappings
+            for layer_analyses in &analyses {
+                let best = layer_analyses
                     .iter()
-                    .filter_map(|m| self.memo_analyze(&mut memo, layer, m, &acc).ok())
+                    .filter_map(|a| memo.analyze(a, noc, None).ok())
                     .min_by(|a, b| a.runtime.total_cmp(&b.runtime));
                 match best {
                     Some(r) => reports.push(r),
@@ -1791,8 +1782,9 @@ impl Explorer {
             }
         }
         part.pareto = front.into_points();
-        part.stats.evaluated += memo.misses();
-        part.stats.memo_hits += memo.hits();
+        let counts = memo.counts();
+        part.stats.evaluated += counts.misses;
+        part.stats.memo_hits += counts.hits;
         part
     }
 }

@@ -209,20 +209,10 @@ fn parse_duration(text: &str) -> Option<Duration> {
     Some(Duration::from_secs_f64(v * scale_ms / 1000.0))
 }
 
-/// Uniform draw in `[0, 1)` from a splitmix64 finalizer over the decision
-/// coordinates — stateless, so decisions are independent of evaluation
-/// order and thread count.
+/// Uniform draw in `[0, 1)` at the decision coordinates — stateless, so
+/// decisions are independent of evaluation order and thread count.
 fn unit_draw(seed: u64, kind: u64, slot: u64, unit: u64, attempt: u32) -> f64 {
-    let mut z = seed
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(kind.wrapping_mul(0xbf58_476d_1ce4_e5b9))
-        .wrapping_add(slot.wrapping_mul(0x94d0_49bb_1331_11eb))
-        .wrapping_add(unit.wrapping_mul(0x2545_f491_4f6c_dd1d))
-        .wrapping_add(u64::from(attempt).wrapping_mul(0xd6e8_feb8_6659_fd93));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
+    maestro_obs::rng::uniform(seed, [kind, slot, unit, u64::from(attempt)])
 }
 
 #[cfg(test)]

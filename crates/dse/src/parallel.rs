@@ -114,11 +114,7 @@ fn payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {
 /// `(seed, unit)`, so the same unit names the same trace at any thread
 /// count and across interrupt/resume splits.
 pub fn unit_trace_id(seed: u64, unit: usize) -> maestro_obs::TraceId {
-    use maestro_obs::trace::splitmix64;
-    let n = unit as u64;
-    let hi = splitmix64(seed ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let lo = splitmix64(hi ^ !n);
-    maestro_obs::TraceId((u128::from(hi) << 64) | u128::from(lo))
+    maestro_obs::rng::trace_id(seed, unit as u64)
 }
 
 /// The healthy-unit draw for `--trace-sample 1/k`: trace unit `i` when

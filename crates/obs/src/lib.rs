@@ -3,7 +3,7 @@
 //! access: `tracing`/`metrics`/`log` cannot be pulled in; see DESIGN.md's
 //! dependency policy).
 //!
-//! Five cooperating facilities:
+//! Six cooperating facilities:
 //!
 //! * [`cancel`] — a cloneable cooperative [`CancelToken`] (explicit
 //!   cancel, wall-clock deadline, process-wide interrupt flag raisable
@@ -15,6 +15,9 @@
 //! * [`metrics`] — a process-global registry of named counters, gauges
 //!   and fixed-bucket histograms with atomic updates, rendered in the
 //!   Prometheus text exposition format.
+//! * [`rng`] — stateless seeded draws (splitmix64): the one source of
+//!   randomness behind fault injection, serve chaos and trace IDs, so
+//!   every seeded run reproduces at any thread count.
 //! * [`span`] — lightweight hierarchical tracing spans: RAII guards,
 //!   monotonic timing, per-thread buffers flushed at root-scope exit so
 //!   the parallel DSE hot path never contends on a global lock. Exported
@@ -31,9 +34,10 @@
 //! inert guard — no thread-local access, no allocation, no clock read.
 //! The logger is the same: one relaxed load against the level. Metric
 //! handles are pre-registered atomics; the instrumented hot paths batch
-//! their updates (one flush per DSE work unit, one per memo-cache drop),
-//! so steady-state cost is zero loads per design point. The
-//! `obs_overhead` bench in `maestro-bench` pins the disabled-path cost.
+//! their updates (one flush per DSE work unit, one per analysis-cache
+//! drop or daemon `/metrics` render), so steady-state cost is zero loads
+//! per design point. The `obs_overhead` bench in `maestro-bench` pins
+//! the disabled-path cost.
 //!
 //! # Naming scheme
 //!
@@ -58,6 +62,7 @@
 pub mod cancel;
 pub mod log;
 pub mod metrics;
+pub mod rng;
 pub mod span;
 pub mod trace;
 

@@ -761,15 +761,20 @@ mod tests {
         // nondecreasing, +Inf == _count).
         let r = std::sync::Arc::new(Registry::new());
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        // Every writer finishes one update before the first render, so
+        // the renders below always overlap live writers and `total > 0`
+        // does not depend on how the scheduler orders the threads.
+        let started = std::sync::Arc::new(std::sync::Barrier::new(5));
         let mut handles = Vec::new();
         for t in 0..4 {
             let r = std::sync::Arc::clone(&r);
             let stop = std::sync::Arc::clone(&stop);
+            let started = std::sync::Arc::clone(&started);
             handles.push(std::thread::spawn(move || {
                 let c = r.counter("maestro.test.conc.ops");
                 let h = r.histogram("maestro.test.conc.lat", &[0.001, 0.01, 0.1, 1.0]);
                 let mut n = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     c.inc();
                     h.observe((n % 7) as f64 * 0.03);
                     // Churn registration too: lookups race with renders.
@@ -779,10 +784,17 @@ mod tests {
                         "maestro.test.conc.g1"
                     });
                     n += 1;
+                    if n == 1 {
+                        started.wait();
+                    }
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 n
             }));
         }
+        started.wait();
         for _ in 0..50 {
             let text = r.render_prometheus();
             let samples = parse_exposition(&text);

@@ -66,17 +66,6 @@ impl std::fmt::Display for TraceId {
     }
 }
 
-/// The splitmix64 finalizer — the same mixing constants the DSE fault
-/// plan uses. Good enough to decorrelate sequential counters into
-/// uniform-looking IDs, and fully deterministic.
-#[must_use]
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 static TRACE_SEED: AtomicU64 = AtomicU64::new(0);
 static TRACE_COUNTER: AtomicU64 = AtomicU64::new(1);
 
@@ -88,9 +77,9 @@ pub fn seed_trace_ids(seed: u64) {
     TRACE_COUNTER.store(1, Ordering::Relaxed);
 }
 
-/// Draw the next trace ID: two chained splitmix64 finalizations of a
-/// process-global counter mixed with the seed. Unique within the process
-/// by construction (the counter), reproducible when seeded.
+/// Draw the next trace ID: [`crate::rng::trace_id`] at a process-global
+/// counter. Unique within the process by construction (the counter),
+/// reproducible when seeded.
 pub fn next_trace_id() -> TraceId {
     let n = TRACE_COUNTER.fetch_add(1, Ordering::Relaxed);
     let seed = match TRACE_SEED.load(Ordering::Relaxed) {
@@ -110,9 +99,7 @@ pub fn next_trace_id() -> TraceId {
         }
         s => s,
     };
-    let hi = splitmix64(seed ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let lo = splitmix64(hi ^ n);
-    TraceId(((hi as u128) << 64) | lo as u128)
+    crate::rng::trace_id(seed, n)
 }
 
 thread_local! {
@@ -417,7 +404,7 @@ pub fn decide(policy: FlightPolicy, id: TraceId, status: u16, total_us: u64) -> 
     match policy.sample_k {
         0 => None,
         1 => Some(KeepReason::Sampled),
-        k => splitmix64(id.lo())
+        k => crate::rng::splitmix64(id.lo())
             .is_multiple_of(k)
             .then_some(KeepReason::Sampled),
     }

@@ -33,7 +33,7 @@ use crate::json::{self, Value};
 use crate::queue::AdmissionCtl;
 use crate::server::ServeMetrics;
 use crate::supervise::WorkerTable;
-use maestro_core::{AnalysisError, LayerReport, ModelReport, SharedAnalysisCache};
+use maestro_core::{AnalysisError, Analyzer, Context, LayerReport, ModelReport};
 use maestro_dnn::{zoo, Model};
 use maestro_hw::Accelerator;
 use maestro_ir::{Dataflow, Style};
@@ -118,7 +118,7 @@ impl StreamSink {
 /// Shared, immutable context every worker thread serves requests from.
 pub struct ApiCtx {
     /// The process-wide analysis cache shared by all requests.
-    pub cache: SharedAnalysisCache,
+    pub cache: Analyzer,
     /// Root of every per-request child token. Detached (it must ignore
     /// the interrupt flag: a drain lets in-flight requests finish);
     /// cancelled only when a forced drain gives up on the drain deadline.
@@ -202,6 +202,9 @@ impl ApiCtx {
                 self.metrics
                     .uptime_seconds
                     .set(self.started.elapsed().as_secs_f64());
+                // The shared cache lives as long as the daemon, so its
+                // counts are flushed here rather than on drop.
+                self.cache.flush_metrics();
                 Response::text(200, maestro_obs::registry().render_prometheus())
             }
             ("GET", "/debug/traces") => {
@@ -436,14 +439,14 @@ impl ApiCtx {
                     &format!("model {} has no layer `{layer_name}`", model.name),
                 );
             };
-            // The cancellable staged path polls the token at the stage
-            // boundaries inside the engine, so a slow layer stops at the
-            // next cancellation point instead of pinning the worker past
-            // its 504 budget.
-            return match self
-                .cache
-                .analyze_staged_cancellable(layer, &dataflow, &acc, token)
-            {
+            // The lookup polls the token at the stage boundaries inside
+            // the engine, so a slow layer stops at the next cancellation
+            // point instead of pinning the worker past its 504 budget.
+            return match self.cache.analyze(
+                &Context::new(layer, &dataflow, &acc),
+                acc.noc,
+                Some(token),
+            ) {
                 Ok(report) => {
                     crate::trace::mark("serialize");
                     match serde_json::to_string(&report) {
@@ -471,7 +474,7 @@ impl ApiCtx {
         for layer in model.iter() {
             match self
                 .cache
-                .analyze_staged_cancellable(layer, &dataflow, &acc, token)
+                .analyze(&Context::new(layer, &dataflow, &acc), acc.noc, Some(token))
             {
                 Ok(r) => layers.push(r),
                 Err(AnalysisError::Cancelled) => {
@@ -509,7 +512,10 @@ impl ApiCtx {
         let mut resp = if layer_name.is_empty() {
             let mut layers: Vec<LayerReport> = Vec::with_capacity(model.len());
             for layer in model.iter() {
-                match self.cache.peek_report(layer, dataflow, acc) {
+                match self
+                    .cache
+                    .peek(&Context::new(layer, dataflow, acc), acc.noc)
+                {
                     Some(r) => layers.push(r),
                     None => return self.degraded_miss(layers.len(), model.len(), token),
                 }
@@ -530,7 +536,10 @@ impl ApiCtx {
                     &format!("model {} has no layer `{layer_name}`", model.name),
                 );
             };
-            let Some(report) = self.cache.peek_report(layer, dataflow, acc) else {
+            let Some(report) = self
+                .cache
+                .peek(&Context::new(layer, dataflow, acc), acc.noc)
+            else {
                 return self.degraded_miss(0, 1, token);
             };
             crate::trace::mark("serialize");
@@ -600,13 +609,7 @@ impl ApiCtx {
                 ))
             }
         };
-        let mut explorer = maestro_dse::Explorer::new(space);
-        if let Some(eval) = body.get("eval").and_then(Value::as_str) {
-            match eval.parse::<maestro_dse::EvalMode>() {
-                Ok(mode) => explorer.eval = mode,
-                Err(e) => return Err(error_response(400, &e)),
-            }
-        }
+        let explorer = maestro_dse::Explorer::new(space);
         // Server-side thread cap: without it, `workers × threads` scoped
         // threads from concurrent requests could oversubscribe the host.
         let threads = effective_threads(
@@ -844,7 +847,7 @@ impl ApiCtx {
         };
         match self
             .cache
-            .analyze_staged_cancellable(layer, &dataflow, &acc, token)
+            .analyze(&Context::new(layer, &dataflow, &acc), acc.noc, Some(token))
         {
             Ok(report) => match serde_json::to_string(&report) {
                 Ok(js) => Ok(format!(

@@ -1,9 +1,9 @@
 //! Deterministic fault injection for the serve plane (`serve --chaos`).
 //!
-//! The same splitmix64 discipline as the DSE's `--inject` plan
-//! (`maestro_dse::fault`): whether a given injection site fires is a pure
-//! function of `(seed, kind, sequence#)`, where the sequence number is a
-//! per-kind atomic counter. Nothing else — not timing, not thread
+//! The same seeded draw as the DSE's `--inject` plan
+//! (`maestro_obs::rng::uniform`): whether a given injection site fires is
+//! a pure function of `(seed, kind, sequence#)`, where the sequence number
+//! is a per-kind atomic counter. Nothing else — not timing, not thread
 //! identity — feeds the draw, so a chaos run against a fixed request
 //! count hits a fixed set of sites and ci.sh can assert the serve-plane
 //! invariants (no dropped responses, drain contract intact, worker
@@ -155,19 +155,10 @@ impl ChaosPlan {
     }
 
     /// One deterministic draw in `[0, 1)` for `kind` at its next
-    /// sequence number (splitmix64-style finalizer, as in
-    /// `maestro_dse::fault`).
+    /// sequence number.
     fn draw(&self, kind: usize) -> f64 {
         let n = self.seq[kind].fetch_add(1, Ordering::Relaxed);
-        let mut z = self
-            .seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add((kind as u64 + 1).wrapping_mul(0xbf58_476d_1ce4_e5b9))
-            .wrapping_add(n.wrapping_mul(0x2545_f491_4f6c_dd1d));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
+        maestro_obs::rng::uniform(self.seed, [kind as u64 + 1, 0, n, 0])
     }
 
     /// Tear this connection down before reading any request byte?

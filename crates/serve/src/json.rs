@@ -98,6 +98,7 @@ impl std::error::Error for JsonError {}
 /// trailing garbage.
 pub fn parse(text: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
+        s: text,
         b: text.as_bytes(),
         i: 0,
     };
@@ -111,6 +112,7 @@ pub fn parse(text: &str) -> Result<Value, JsonError> {
 }
 
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     i: usize,
 }
@@ -263,17 +265,19 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is &str, so the
-                    // boundary math cannot fail; fall back defensively).
-                    let rest = &self.b[self.i..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    match s.chars().next() {
-                        Some(c) => {
-                            out.push(c);
-                            self.i += c.len_utf8();
-                        }
-                        None => return Err(self.err("unterminated string")),
+                    // Copy the run of plain characters in place. The run
+                    // stops at an ASCII byte (quote, backslash, control)
+                    // or the end, so both ends are char boundaries of the
+                    // valid UTF-8 input and each byte is visited once.
+                    let start = self.i;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.i += 1;
                     }
+                    let run = self
+                        .s
+                        .get(start..self.i)
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -427,6 +431,40 @@ mod tests {
             "]".repeat(MAX_DEPTH + 2)
         );
         assert_eq!(parse(&deep_bad).unwrap_err().what, "too deeply nested");
+    }
+
+    #[test]
+    fn multibyte_strings_round_trip() {
+        for text in [
+            "héllo wörld",
+            "日本語のテキスト",
+            "mixed 😀 emoji 🚀 \"quoted\"\n",
+            "ß",
+        ] {
+            let doc = format!(
+                "{{\"k\":{},\"n\":1}}",
+                serde_json::to_string(&text).unwrap()
+            );
+            let v = parse(&doc).unwrap();
+            assert_eq!(v.get("k").and_then(Value::as_str), Some(text), "{doc}");
+            assert_eq!(v.get("n").and_then(Value::as_u64), Some(1));
+        }
+    }
+
+    /// Parsing is linear in the input: a 1 MiB string value (mixed ASCII
+    /// and multi-byte characters) parses well inside a second even in a
+    /// debug build. The old per-character re-validation of the rest of
+    /// the input took minutes at this size.
+    #[test]
+    fn a_one_mib_string_parses_in_linear_time() {
+        let chunk = "abcdefghijklmnopqrstuvwxyz0123456789 é日😀";
+        let value: String = chunk.repeat((1 << 20) / chunk.len() + 1);
+        let doc = format!("{{\"blob\":\"{value}\"}}");
+        let t0 = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let took = t0.elapsed();
+        assert_eq!(v.get("blob").and_then(Value::as_str), Some(value.as_str()));
+        assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //!   (`maestro.serve.worker_restarts`), and a `/readyz` that reports 503
 //!   with the cause when live workers fall below quorum.
 //! * **Deterministic chaos** — `--chaos` injects seeded socket faults,
-//!   worker panics and handler stalls (the DSE `--inject` splitmix64
-//!   discipline), so overload invariants are CI-assertable.
+//!   worker panics and handler stalls (the DSE `--inject` draw from
+//!   `maestro_obs::rng`), so overload invariants are CI-assertable.
 //! * **Per-request deadlines** — every request runs under a
 //!   [`CancelToken::child_with_deadline`] child token, so a timed-out
 //!   request returns a typed `504` with a partial-result marker and can

@@ -36,7 +36,7 @@ use crate::http::{parse_request, Limits, Parsed, Request, Response};
 use crate::queue::{AdmissionCtl, BoundedQueue};
 use crate::supervise::{ThreadGuard, WorkerSlot, WorkerTable};
 use crate::trace::{AccessLog, RequestTimer};
-use maestro_core::SharedAnalysisCache;
+use maestro_core::Analyzer;
 use maestro_obs::trace::{FlightPolicy, FlightRecorder};
 use maestro_obs::{Counter, Gauge, Histogram};
 use std::io::{ErrorKind, Read, Write};
@@ -289,7 +289,7 @@ impl Server {
             cfg.wedge_after,
         ));
         let ctx = Arc::new(ApiCtx {
-            cache: SharedAnalysisCache::new(cfg.shards, cfg.memo_cap),
+            cache: Analyzer::new(cfg.shards, cfg.memo_cap),
             request_root: maestro_obs::CancelToken::detached(),
             default_deadline: cfg.default_deadline,
             ready: AtomicBool::new(true),

@@ -137,6 +137,38 @@ fn analyze_layer_model_and_deadline() {
     assert_eq!(d.stop(), DrainOutcome::Clean);
 }
 
+/// VGG16 repeats conv shapes, and the cache keys ignore layer names. Every
+/// layer must still come back under its own name, byte for byte as the
+/// uncached oracle renders it: computed fresh, replayed from the report
+/// tier, and served cache-only under an expired deadline.
+#[test]
+fn whole_model_analyze_matches_the_uncached_oracle_byte_for_byte() {
+    let d = Daemon::start(test_config());
+    let acc = maestro_hw::Accelerator::builder(64)
+        .noc_bandwidth(32)
+        .l1_bytes(2048)
+        .l2_bytes(1 << 20)
+        .build();
+    let oracle = maestro_core::analyze_model(
+        &maestro_dnn::zoo::vgg16(1),
+        &maestro_ir::Style::KCP.dataflow(),
+        &acc,
+    )
+    .expect("VGG16 analyzes");
+    let want = serde_json::to_string(&oracle).expect("report serializes");
+    for body in [
+        "{\"model\":\"vgg16\",\"dataflow\":\"KC-P\",\"pes\":64}",
+        "{\"model\":\"vgg16\",\"dataflow\":\"KC-P\",\"pes\":64}",
+        "{\"model\":\"vgg16\",\"dataflow\":\"KC-P\",\"pes\":64,\"deadline_ms\":0}",
+    ] {
+        let resp = post(d.addr, "/v1/analyze", body);
+        assert_eq!(status_of(&resp), 200, "{resp}");
+        let (_, got) = resp.split_once("\r\n\r\n").expect("headers end");
+        assert_eq!(got, want, "{body}");
+    }
+    assert_eq!(d.stop(), DrainOutcome::Clean);
+}
+
 #[test]
 fn dse_and_conform_round_trips() {
     let d = Daemon::start(test_config());
