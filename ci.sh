@@ -81,6 +81,13 @@ echo "== staged-equivalence goldens"
 cargo test -q --release -p maestro-dse --test staged_equivalence
 cargo test -q --release -p maestro-sim --test staged_conform_smoke
 
+# The whole-model and Fig 13 sweep digests, and the daemon's tracing
+# tests, run in release too: a sweep drift or a release-only failure
+# (timing premises, accept/pop races) fails CI, not just a debug run.
+echo "== sweep digests + serve tracing (release)"
+cargo test -q --release -p maestro-dse --test sweep_digests
+cargo test -q --release -p maestro-cli --test serve_trace
+
 # DSE-rate smoke: times full vs staged on the standard VGG16 CONV2 /
 # KC-P sweep and refreshes the BENCH_dse_rate.json baseline tracked in
 # the repo, so perf regressions show up as a diff in review. The binary

@@ -24,7 +24,7 @@ use crate::parallel::{
 use crate::space::{Constraints, SpaceError, SweepSpace};
 use maestro_core::{AnalysisError, Analyzer, Context, LayerReport, DEFAULT_CACHE_CAP};
 use maestro_dnn::Layer;
-use maestro_hw::{Accelerator, AreaModel, EnergyModel, NocConfig, PowerModel};
+use maestro_hw::{Accelerator, AreaModel, NocConfig, PowerModel};
 use maestro_ir::Dataflow;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -84,24 +84,6 @@ pub struct DesignPoint {
     pub energy: f64,
     /// Energy-delay product.
     pub edp: f64,
-}
-
-impl DesignPoint {
-    /// `true` when every objective and cost scalar is finite. Non-finite
-    /// points must never reach the Pareto front or the best-point slots:
-    /// NaN fails every strict comparison and would silently corrupt both.
-    pub fn is_finite(&self) -> bool {
-        [
-            self.area_mm2,
-            self.power_mw,
-            self.runtime,
-            self.throughput,
-            self.energy,
-            self.edp,
-        ]
-        .iter()
-        .all(|v| v.is_finite())
-    }
 }
 
 /// A work unit that panicked during a sweep and was dropped from the
@@ -316,24 +298,6 @@ impl Explorer {
         bytes / self.precision_bytes.max(1)
     }
 
-    /// Total energy of a placed design: CACTI-style on-chip accesses plus
-    /// DRAM spill traffic. With `l2` at least the layer's working set, only
-    /// compulsory DRAM traffic remains (each tensor moved once); below the
-    /// requirement-to-working-set range, L2 refills increasingly miss.
-    fn placed_energy(&self, report: &LayerReport, l1: u64, l2: u64) -> f64 {
-        let mut em = EnergyModel::cacti_28nm(l1, l2);
-        em.dram = self.dram_pj;
-        // Recompute the off-chip traffic at the *placed* capacity using
-        // the shared estimator, replacing the counts taken at analysis
-        // time (which assumed the reference L2 size).
-        let mut counts = report.counts;
-        let (dr, dw) =
-            maestro_core::report::offchip_traffic(&counts, report.tensor_elems, self.elements(l2));
-        counts.dram_read = dr;
-        counts.dram_write = dw;
-        counts.energy(&em)
-    }
-
     /// Explore `layer` across the hardware space × `mappings`.
     ///
     /// # Errors
@@ -363,29 +327,28 @@ impl Explorer {
         mappings: &[Dataflow],
         threads: usize,
     ) -> Result<DseResult, SpaceError> {
+        self.sweep(threads, |pes| self.explore_unit_inner(pes, layer, mappings))
+    }
+
+    /// The plain (uncontrolled) sweep driver: validate the space, run one
+    /// [`timed_unit`] per PE count on `threads` workers, and merge the
+    /// partials in unit order.
+    fn sweep<F>(&self, threads: usize, unit: F) -> Result<DseResult, SpaceError>
+    where
+        F: Fn(u64) -> Partial + Sync,
+    {
         let t0 = Instant::now();
         self.space.validate()?;
         let partials = run_units(self.space.pes.len(), threads, |i| {
-            self.explore_unit(self.space.pes[i], layer, mappings)
+            timed_unit(|| unit(self.space.pes[i]))
         });
         let mut result = merge_partials(partials, self.sample_cap);
         finish_stats(&mut result.stats, t0);
         Ok(result)
     }
 
-    /// One work unit: the full mapping × bandwidth × capacity sweep at a
-    /// single PE count. A thin shell around [`Explorer::explore_unit_inner`]
-    /// that times the unit and batch-flushes its counters to the global
-    /// metrics registry — wall-clock throughput goes to metrics *only*,
-    /// never into [`DseStats`], which must stay deterministic.
-    fn explore_unit(&self, pes: u64, layer: &Layer, mappings: &[Dataflow]) -> Partial {
-        let _span = maestro_obs::span::span("maestro.dse.unit");
-        let t0 = Instant::now();
-        let part = self.explore_unit_inner(pes, layer, mappings);
-        flush_unit_metrics(&part, t0.elapsed());
-        part
-    }
-
+    /// One layer work unit: the full mapping × bandwidth × capacity sweep
+    /// at a single PE count.
     fn explore_unit_inner(&self, pes: u64, layer: &Layer, mappings: &[Dataflow]) -> Partial {
         if self.fail_unit_pes == Some(pes) {
             panic!("injected failure for PE count {pes}");
@@ -420,15 +383,15 @@ impl Explorer {
         let acc = self.accelerator(pes, min_bw, None);
         let ctx = UnitCtx::new(self, pes);
         let mut front = ParetoFront::new();
-        // Placed energy depends only on (mapping, L1, L2): activity counts
-        // and tensor sizes are NoC-independent, so one decomposed energy
-        // table per mapping is shared across the whole bandwidth axis
-        // (filled lazily from the first analyzable bandwidth's report).
         let mut ecells = EnergyCells::new(self.space.l1_bytes.len(), self.space.l2_bytes.len());
         let mut best = BestKeys::new();
         for mapping in mappings.iter() {
-            ecells.reset();
             let analysis = Context::new(layer, mapping, &acc);
+            // Placed energy depends only on (mapping, L1, L2): activity
+            // counts and tensor sizes are NoC-independent, so the energy
+            // table is filled once per mapping, from the first analyzable
+            // bandwidth's report, and shared across the bandwidth axis.
+            let mut filled = false;
             for (b_idx, &bw) in self.space.noc_bw.iter().enumerate() {
                 part.stats.explored += caps_per_eval;
                 let noc = NocConfig {
@@ -443,15 +406,25 @@ impl Explorer {
                     }
                     Err(_) => continue,
                 };
+                if !filled {
+                    ecells.fill(self, std::slice::from_ref(&report), &ctx);
+                    filled = true;
+                }
+                let eval = Eval {
+                    runtime: report.runtime,
+                    throughput: report.throughput(),
+                    l1_req: report.l1_per_pe_elems,
+                    l2_req: report.l2_staging_elems,
+                };
                 self.expand_capacities(
                     pes,
                     b_idx,
                     mapping.name(),
-                    &report,
+                    eval,
+                    &ecells,
+                    &ctx,
                     &mut part,
                     &mut front,
-                    &ctx,
-                    &mut ecells,
                     &mut best,
                 );
             }
@@ -463,14 +436,17 @@ impl Explorer {
         part
     }
 
-    /// Expand one (PE count, bandwidth, mapping) evaluation across the
-    /// L1/L2 capacity grid, accumulating into `part` and `front`.
+    /// Expand one evaluation at (PE count, bandwidth) — a layer's report
+    /// under one mapping, or a whole model's per-layer bests — across the
+    /// L1/L2 capacity grid, accumulating into `part` and `front`. This is
+    /// the one capacity loop of every sweep.
     ///
     /// The capacity loop is the sweep's hot path (hundreds of iterations
     /// per evaluation), so everything that does not vary inside it is
     /// precomputed: the budget/finiteness verdict is one byte load from
-    /// `ctx.mask`, placed energy one load from the per-mapping `ecells`
-    /// table (both bit-identical to the full model calls — see `UnitCtx`),
+    /// `ctx.mask`, placed energy one load from the `ecells` table the
+    /// caller filled for this evaluation (both bit-identical to the full
+    /// model calls — see `UnitCtx`),
     /// the best-objective comparisons hit register-resident keys, and the
     /// dominance scan collapses to one scalar compare because runtime is
     /// constant across this whole expansion. The `DesignPoint` (with its
@@ -483,22 +459,23 @@ impl Explorer {
         pes: u64,
         b_idx: usize,
         mapping: &str,
-        report: &LayerReport,
+        eval: Eval,
+        ecells: &EnergyCells,
+        ctx: &UnitCtx,
         part: &mut Partial,
         front: &mut ParetoFront,
-        ctx: &UnitCtx,
-        ecells: &mut EnergyCells,
         best: &mut BestKeys,
     ) {
         let bw = self.space.noc_bw[b_idx];
         let l2_len = self.space.l2_bytes.len();
-        ecells.fill_once(self, report, ctx);
-        let runtime = report.runtime;
-        let throughput = report.throughput();
+        let Eval {
+            runtime,
+            throughput,
+            l1_req,
+            l2_req,
+        } = eval;
         let neg_tp = -throughput;
         let rt_tp_ok = runtime.is_finite() && throughput.is_finite();
-        let l1_req = report.l1_per_pe_elems;
-        let l2_req = report.l2_staging_elems;
         let cells = ctx.l1_elems.len() * l2_len;
         let mask = &ctx.mask[b_idx * cells..(b_idx + 1) * cells];
         // `min_en <= e` is exactly the dominance verdict for a candidate
@@ -847,12 +824,13 @@ impl UnitCtx {
     }
 }
 
-/// Per-mapping energy decomposition: the activity totals scaled once, plus
-/// the placed DRAM traffic per L2 grid entry. `at(i1, i2)` reproduces
-/// [`Explorer::placed_energy`] term by term in the same order (pinned by
+/// Per-report energy decomposition: the activity totals scaled once, plus
+/// the placed DRAM traffic per L2 grid entry. `at(i1, i2)` reproduces the
+/// placed energy of a full model call (`tests::placed_energy`) term by
+/// term in the same order (pinned by
 /// `cost_decomposition_matches_full_model_calls`), turning a model
-/// evaluation per (mapping, capacity) pair into a handful of
-/// multiply-adds per grid point.
+/// evaluation per (report, capacity) pair into a handful of multiply-adds
+/// per grid point.
 struct EnergyTab {
     mac: f64,
     l1r: f64,
@@ -889,9 +867,9 @@ impl EnergyTab {
     }
 
     /// Placed energy at one capacity cell — the reference recomposition.
-    /// The sweep itself uses the row-hoisted [`EnergyCells::fill_once`];
+    /// The sweep itself uses the row-hoisted [`EnergyCells::fill`];
     /// `cost_decomposition_matches_full_model_calls` pins both against
-    /// [`Explorer::placed_energy`] bit-for-bit.
+    /// `tests::placed_energy` bit-for-bit.
     #[cfg(test)]
     fn at(&self, ctx: &UnitCtx, i1: usize, i2: usize) -> f64 {
         let (e1r, e1w) = ctx.e_l1[i1];
@@ -906,13 +884,15 @@ impl EnergyTab {
     }
 }
 
-/// The per-mapping placed energies of every capacity cell, composed once
-/// per mapping (placed energy is NoC-independent) and shared across the
-/// whole bandwidth axis. The cell values are [`EnergyTab::at`] evaluated
-/// with the identical operation sequence — the shared left prefix of the
-/// sum is hoisted per L1 row, which preserves every intermediate rounding.
+/// The placed energy of every capacity cell for the evaluation being
+/// expanded: the sum of its reports' [`EnergyTab::at`] values, added in
+/// report order from `-0.0` exactly as `Iterator::sum` adds them. A layer
+/// evaluation has one report, so its cells carry that report's bits; a
+/// whole-model evaluation sums its per-layer best reports in layer order.
+/// Each report's term is evaluated with the identical operation sequence
+/// — the shared left prefix of the sum is hoisted per L1 row, which
+/// preserves every intermediate rounding.
 struct EnergyCells {
-    ready: bool,
     e: Vec<f64>,
     /// Per-L1-row minimum / maximum placed energy — the extreme
     /// objectives a row can produce (EDP is monotone in energy at the
@@ -930,7 +910,6 @@ struct EnergyCells {
 impl EnergyCells {
     fn new(l1_len: usize, l2_len: usize) -> Self {
         EnergyCells {
-            ready: false,
             e: vec![0.0; l1_len * l2_len],
             rowmin: vec![f64::NAN; l1_len],
             rowmax: vec![f64::NAN; l1_len],
@@ -938,27 +917,26 @@ impl EnergyCells {
         }
     }
 
-    /// Invalidate before moving to the next mapping.
-    fn reset(&mut self) {
-        self.ready = false;
-    }
-
-    /// Fill from the first analyzable bandwidth's report (activity counts
-    /// are the same for every bandwidth of a mapping).
-    fn fill_once(&mut self, ex: &Explorer, report: &LayerReport, ctx: &UnitCtx) {
-        if self.ready {
-            return;
-        }
-        let tab = EnergyTab::new(ex, report, ctx);
+    /// Refill with the summed placed energies of `reports`.
+    fn fill(&mut self, ex: &Explorer, reports: &[LayerReport], ctx: &UnitCtx) {
+        self.e.fill(-0.0);
         let l2_len = ctx.l2_elems.len();
-        for (i1, &(e1r, e1w)) in ctx.e_l1.iter().enumerate() {
-            // Left prefix of the `EnergyTab::at` chain, constant per row.
-            let row = tab.mac + tab.l1r * e1r + tab.l1w * e1w;
+        for report in reports {
+            let tab = EnergyTab::new(ex, report, ctx);
+            for (i1, &(e1r, e1w)) in ctx.e_l1.iter().enumerate() {
+                // Left prefix of the `EnergyTab::at` chain, constant per row.
+                let row = tab.mac + tab.l1r * e1r + tab.l1w * e1w;
+                let cells = &mut self.e[i1 * l2_len..(i1 + 1) * l2_len];
+                for (i2, &(e2r, e2w)) in ctx.e_l2.iter().enumerate() {
+                    cells[i2] +=
+                        row + tab.l2r * e2r + tab.l2w * e2w + tab.noc + tab.dram[i2] * tab.dram_pj;
+                }
+            }
+        }
+        for i1 in 0..ctx.e_l1.len() {
             let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
             let mut finite = true;
-            for (i2, &(e2r, e2w)) in ctx.e_l2.iter().enumerate() {
-                let v = row + tab.l2r * e2r + tab.l2w * e2w + tab.noc + tab.dram[i2] * tab.dram_pj;
-                self.e[i1 * l2_len + i2] = v;
+            for &v in &self.e[i1 * l2_len..(i1 + 1) * l2_len] {
                 lo = lo.min(v);
                 hi = hi.max(v);
                 finite &= v.is_finite();
@@ -967,15 +945,28 @@ impl EnergyCells {
             self.rowmax[i1] = hi;
             self.row_finite[i1] = u8::from(finite);
         }
-        self.ready = true;
     }
+}
+
+/// What the capacity expansion needs of one evaluation: a layer's report
+/// under one mapping, or a whole model's per-layer best reports combined.
+#[derive(Clone, Copy)]
+struct Eval {
+    /// Runtime (cycles).
+    runtime: f64,
+    /// Throughput (MACs/cycle).
+    throughput: f64,
+    /// Per-PE L1 requirement (elements; worst case over a model's layers).
+    l1_req: u64,
+    /// L2 staging requirement (elements; worst case over a model's layers).
+    l2_req: u64,
 }
 
 /// Running best-objective keys mirroring the `Partial::best_*` slots, so
 /// the hot loop compares against a register-resident `f64` instead of
 /// re-deriving the key from the stored [`DesignPoint`]. `NAN` means the
-/// slot is empty; `total_cmp` orders every finite key below it, which
-/// reproduces the "empty slot always loses" rule of [`update_best`].
+/// slot is empty; every finite key beats it, which reproduces the "empty
+/// slot always loses" rule of [`update_best`].
 struct BestKeys {
     neg_throughput: f64,
     energy: f64,
@@ -1011,20 +1002,6 @@ struct Cand<'a> {
 }
 
 impl Cand<'_> {
-    /// Mirror of [`DesignPoint::is_finite`].
-    fn is_finite(&self) -> bool {
-        [
-            self.area,
-            self.power,
-            self.runtime,
-            self.throughput,
-            self.energy,
-            self.edp,
-        ]
-        .iter()
-        .all(|v| v.is_finite())
-    }
-
     fn to_point(&self) -> DesignPoint {
         DesignPoint {
             pes: self.pes,
@@ -1042,26 +1019,16 @@ impl Cand<'_> {
     }
 }
 
-/// [`update_best`] for a not-yet-materialized candidate: same finite gate
-/// and strict-less, first-wins tie rule, but the owned point is only built
-/// (once, shared via `made`) when the candidate actually wins a slot.
-fn update_best_cand(
-    slot: &mut Option<DesignPoint>,
-    key_val: f64,
-    cand: &Cand<'_>,
-    made: &mut Option<DesignPoint>,
-    key: impl Fn(&DesignPoint) -> f64,
-) {
-    if !key_val.is_finite() {
-        return;
-    }
-    let better = match slot {
-        Some(cur) => key_val.total_cmp(&key(cur)) == std::cmp::Ordering::Less,
-        None => true,
-    };
-    if better {
-        *slot = Some(made.get_or_insert_with(|| cand.to_point()).clone());
-    }
+/// Run one work unit (one PE count's slice of a sweep) under the
+/// `maestro.dse.unit` span, time it, and batch-flush its counters to the
+/// global metrics registry — wall-clock throughput goes to metrics *only*,
+/// never into [`DseStats`], which must stay deterministic.
+fn timed_unit(unit: impl FnOnce() -> Partial) -> Partial {
+    let _span = maestro_obs::span::span("maestro.dse.unit");
+    let t0 = Instant::now();
+    let part = unit();
+    flush_unit_metrics(&part, t0.elapsed());
+    part
 }
 
 /// Stamp wall-clock duration and effective rate onto merged statistics.
@@ -1345,10 +1312,31 @@ mod tests {
     use crate::space::SweepSpace;
     use crate::variants;
     use maestro_dnn::{LayerDims, Operator};
+    use maestro_hw::EnergyModel;
     use maestro_ir::Style;
 
     fn layer() -> Layer {
         Layer::new("c", Operator::conv2d(), LayerDims::square(1, 32, 32, 34, 3))
+    }
+
+    /// Total energy of a placed design, from the full model calls:
+    /// CACTI-style on-chip accesses plus DRAM spill traffic. With `l2` at
+    /// least the layer's working set, only compulsory DRAM traffic remains
+    /// (each tensor moved once); below the requirement-to-working-set
+    /// range, L2 refills increasingly miss. The sweep's decomposed energy
+    /// tables are pinned against this reference.
+    fn placed_energy(ex: &Explorer, report: &LayerReport, l1: u64, l2: u64) -> f64 {
+        let mut em = EnergyModel::cacti_28nm(l1, l2);
+        em.dram = ex.dram_pj;
+        // Recompute the off-chip traffic at the *placed* capacity using
+        // the shared estimator, replacing the counts taken at analysis
+        // time (which assumed the reference L2 size).
+        let mut counts = report.counts;
+        let (dr, dw) =
+            maestro_core::report::offchip_traffic(&counts, report.tensor_elems, ex.elements(l2));
+        counts.dram_read = dr;
+        counts.dram_write = dw;
+        counts.energy(&em)
     }
 
     /// The per-axis cost decomposition (`UnitCtx::area_power`,
@@ -1380,10 +1368,10 @@ mod tests {
                 };
                 let etab = EnergyTab::new(&ex, &report, &ctx);
                 let mut cells = EnergyCells::new(ex.space.l1_bytes.len(), ex.space.l2_bytes.len());
-                cells.fill_once(&ex, &report, &ctx);
+                cells.fill(&ex, std::slice::from_ref(&report), &ctx);
                 for (i1, &l1) in ex.space.l1_bytes.iter().enumerate() {
                     for (i2, &l2) in ex.space.l2_bytes.iter().enumerate() {
-                        let want = ex.placed_energy(&report, l1, l2);
+                        let want = placed_energy(&ex, &report, l1, l2);
                         assert_eq!(etab.at(&ctx, i1, i2).to_bits(), want.to_bits());
                         let got = cells.e[i1 * ex.space.l2_bytes.len() + i2];
                         assert_eq!(got.to_bits(), want.to_bits());
@@ -1632,27 +1620,11 @@ impl Explorer {
         mappings: &[Dataflow],
         threads: usize,
     ) -> Result<DseResult, SpaceError> {
-        let t0 = Instant::now();
-        self.space.validate()?;
-        let partials = run_units(self.space.pes.len(), threads, |i| {
-            self.model_unit(self.space.pes[i], model, mappings)
-        });
-        let mut result = merge_partials(partials, self.sample_cap);
-        finish_stats(&mut result.stats, t0);
-        Ok(result)
+        self.sweep(threads, |pes| self.model_unit_inner(pes, model, mappings))
     }
 
     /// One whole-model work unit: the bandwidth × capacity sweep at a
-    /// single PE count, auto-tuning the mapping per layer. Timed and
-    /// metric-flushed like [`Explorer::explore_unit`].
-    fn model_unit(&self, pes: u64, model: &maestro_dnn::Model, mappings: &[Dataflow]) -> Partial {
-        let _span = maestro_obs::span::span("maestro.dse.unit");
-        let t0 = Instant::now();
-        let part = self.model_unit_inner(pes, model, mappings);
-        flush_unit_metrics(&part, t0.elapsed());
-        part
-    }
-
+    /// single PE count, auto-tuning the mapping per layer.
     fn model_unit_inner(
         &self,
         pes: u64,
@@ -1681,7 +1653,8 @@ impl Explorer {
             .collect();
         let ctx = UnitCtx::new(self, pes);
         let mut front = ParetoFront::new();
-        let l2_len = self.space.l2_bytes.len();
+        let mut ecells = EnergyCells::new(self.space.l1_bytes.len(), self.space.l2_bytes.len());
+        let mut best = BestKeys::new();
         // The mapping label is the same for every point of this unit.
         let label = format!("per-layer best of {}", mappings.len());
         for (b_idx, &bw) in self.space.noc_bw.iter().enumerate() {
@@ -1709,77 +1682,24 @@ impl Explorer {
             if !ok {
                 continue;
             }
+            // The per-layer best mapping (and so the activity counts) can
+            // change with bandwidth, so the energy table is refilled here.
+            ecells.fill(self, &reports, &ctx);
             let runtime: f64 = reports.iter().map(|r| r.runtime).sum();
             let macs: f64 = reports.iter().map(|r| r.macs_effective).sum();
-            let throughput = macs / runtime.max(1.0);
-            let l1_req = reports.iter().map(|r| r.l1_per_pe_elems).max().unwrap_or(0);
-            let l2_req = reports
-                .iter()
-                .map(|r| r.l2_staging_elems)
-                .max()
-                .unwrap_or(0);
-            for (i1, &l1) in self.space.l1_bytes.iter().enumerate() {
-                if ctx.l1_elems[i1] < l1_req {
-                    part.stats.capacity_skipped += l2_len as u64;
-                    continue;
-                }
-                for (i2, &l2) in self.space.l2_bytes.iter().enumerate() {
-                    if ctx.l2_elems[i2] < l2_req {
-                        part.stats.capacity_skipped += 1;
-                        continue;
-                    }
-                    let (area, power) = ctx.area_power(b_idx, i1, i2);
-                    if area > self.constraints.max_area_mm2 || power > self.constraints.max_power_mw
-                    {
-                        continue;
-                    }
-                    // No cross-bandwidth energy cache here: the per-layer
-                    // best mapping (and so the activity counts) can change
-                    // with bandwidth.
-                    let energy: f64 = reports.iter().map(|r| self.placed_energy(r, l1, l2)).sum();
-                    let cand = Cand {
-                        pes,
-                        bw,
-                        l1,
-                        l2,
-                        mapping: &label,
-                        area,
-                        power,
-                        runtime,
-                        throughput,
-                        energy,
-                        edp: energy * runtime,
-                    };
-                    if !cand.is_finite() {
-                        part.stats.nonfinite_dropped += 1;
-                        continue;
-                    }
-                    part.stats.valid += 1;
-                    let mut made: Option<DesignPoint> = None;
-                    update_best_cand(
-                        &mut part.best_throughput,
-                        -cand.throughput,
-                        &cand,
-                        &mut made,
-                        |p| -p.throughput,
-                    );
-                    update_best_cand(&mut part.best_energy, cand.energy, &cand, &mut made, |p| {
-                        p.energy
-                    });
-                    update_best_cand(&mut part.best_edp, cand.edp, &cand, &mut made, |p| p.edp);
-                    if front.try_insert_with(cand.runtime, cand.energy, || {
-                        made.get_or_insert_with(|| cand.to_point()).clone()
-                    }) {
-                        part.stats.pareto_inserted += 1;
-                    } else {
-                        part.stats.pareto_rejected += 1;
-                    }
-                    if part.stats.valid.is_multiple_of(61) && part.sample.len() < self.sample_cap {
-                        part.sample
-                            .push(made.get_or_insert_with(|| cand.to_point()).clone());
-                    }
-                }
-            }
+            let eval = Eval {
+                runtime,
+                throughput: macs / runtime.max(1.0),
+                l1_req: reports.iter().map(|r| r.l1_per_pe_elems).max().unwrap_or(0),
+                l2_req: reports
+                    .iter()
+                    .map(|r| r.l2_staging_elems)
+                    .max()
+                    .unwrap_or(0),
+            };
+            self.expand_capacities(
+                pes, b_idx, &label, eval, &ecells, &ctx, &mut part, &mut front, &mut best,
+            );
         }
         part.pareto = front.into_points();
         let counts = memo.counts();
@@ -1816,8 +1736,8 @@ impl Explorer {
         let t0 = Instant::now();
         self.space.validate()?;
         let fingerprint = sweep_fingerprint(self, &format!("layer:{layer:?}"), mappings);
-        self.run_session(fingerprint, threads, ctl, t0, |i| {
-            self.explore_unit(self.space.pes[i], layer, mappings)
+        self.run_session(fingerprint, threads, ctl, t0, |pes| {
+            self.explore_unit_inner(pes, layer, mappings)
         })
     }
 
@@ -1837,14 +1757,15 @@ impl Explorer {
         let t0 = Instant::now();
         self.space.validate()?;
         let fingerprint = sweep_fingerprint(self, &format!("model:{model:?}"), mappings);
-        self.run_session(fingerprint, threads, ctl, t0, |i| {
-            self.model_unit(self.space.pes[i], model, mappings)
+        self.run_session(fingerprint, threads, ctl, t0, |pes| {
+            self.model_unit_inner(pes, model, mappings)
         })
     }
 
     /// Shared session driver: validate the resume checkpoint, run the
-    /// controlled unit loop, write the final checkpoint, merge whatever
-    /// completed, and assemble the control report.
+    /// controlled loop of [`timed_unit`]s (one per PE count), write the
+    /// final checkpoint, merge whatever completed, and assemble the
+    /// control report.
     fn run_session<F>(
         &self,
         fingerprint: u64,
@@ -1854,7 +1775,7 @@ impl Explorer {
         unit: F,
     ) -> Result<(DseResult, SessionReport), SessionError>
     where
-        F: Fn(usize) -> Partial + Sync,
+        F: Fn(u64) -> Partial + Sync,
     {
         let total = self.space.pes.len();
         if let Some(resume) = &ctl.resume {
@@ -1877,7 +1798,9 @@ impl Explorer {
             trace_sample: ctl.trace_sample,
             trace_seed: ctl.trace_seed,
         };
-        let run = run_units_ctl(total, threads, &run_ctl, unit);
+        let run = run_units_ctl(total, threads, &run_ctl, |i| {
+            timed_unit(|| unit(self.space.pes[i]))
+        });
 
         // Final checkpoint: always current as of the last completed unit,
         // whether the run finished or was cut short.

@@ -34,7 +34,7 @@ use crate::queue::AdmissionCtl;
 use crate::server::ServeMetrics;
 use crate::supervise::WorkerTable;
 use maestro_core::{AnalysisError, Analyzer, Context, LayerReport, ModelReport};
-use maestro_dnn::{zoo, Model};
+use maestro_dnn::{zoo, Layer, Model};
 use maestro_hw::Accelerator;
 use maestro_ir::{Dataflow, Style};
 use maestro_obs::trace::{records_to_json, FlightRecorder, TraceId};
@@ -193,8 +193,10 @@ pub enum Pressure {
 }
 
 impl ApiCtx {
-    /// Route and serve one parsed request.
-    pub fn handle(&self, req: &Request) -> Response {
+    /// Route and serve one parsed request. `POST /v1/dse` never gets
+    /// here: [`ApiCtx::handle_conn`] answers it first, with the socket in
+    /// reach for streaming.
+    fn handle(&self, req: &Request) -> Response {
         match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/healthz") => Response::text(200, "ok\n"),
             ("GET", "/readyz") => self.readyz(),
@@ -222,7 +224,6 @@ impl ApiCtx {
             }
             ("POST", "/v1/analyze") => self.with_body(req, Self::analyze),
             ("POST", "/v1/batch") => self.with_body(req, Self::batch),
-            ("POST", "/v1/dse") => self.with_body(req, Self::dse),
             ("POST", "/v1/conform") => self.with_body(req, Self::conform),
             ("POST", "/v1/panic") if self.test_endpoints => {
                 panic!("test endpoint /v1/panic: deliberate handler panic")
@@ -347,7 +348,8 @@ impl ApiCtx {
 
     /// Route and serve one parsed request with the socket in reach, so
     /// handlers that stream (NDJSON `/v1/dse`) can write incrementally.
-    /// Everything else delegates to [`ApiCtx::handle`].
+    /// This is the one entry point: it answers `POST /v1/dse` itself and
+    /// delegates everything else to the private router.
     pub fn handle_conn(&self, req: &Request, sock: &TcpStream) -> Handled {
         if let Some(resp) = self.preflight(req) {
             return Handled::Response(resp);
@@ -409,18 +411,11 @@ impl ApiCtx {
         }
     }
 
-    /// `POST /v1/analyze`.
+    /// `POST /v1/analyze`: one layer, or the whole model when no
+    /// `layer` is named.
     fn analyze(&self, body: &Value, token: &CancelToken) -> Response {
-        let model = match load_model(body) {
-            Ok(m) => m,
-            Err(r) => return r,
-        };
-        let dataflow = match load_dataflow(body) {
-            Ok(d) => d,
-            Err(r) => return r,
-        };
-        let acc = match accelerator(body) {
-            Ok(a) => a,
+        let point = match Point::resolve(body) {
+            Ok(p) => p,
             Err(r) => return r,
         };
         // Brownout: a request whose deadline already tripped (it burned
@@ -428,147 +423,69 @@ impl ApiCtx {
         // served from the report cache only. A degraded 200 from cache
         // beats a 504 the client must retry — and costs the drowning
         // daemon almost nothing.
-        if token.is_cancelled() || self.pressure() == Pressure::Critical {
-            return self.analyze_degraded(&model, body, &dataflow, &acc, token);
-        }
-        let layer_name = body.get("layer").and_then(Value::as_str).unwrap_or("");
-        if !layer_name.is_empty() {
-            let Some(layer) = model.layer(layer_name) else {
-                return error_response(
-                    400,
-                    &format!("model {} has no layer `{layer_name}`", model.name),
-                );
-            };
-            // The lookup polls the token at the stage boundaries inside
-            // the engine, so a slow layer stops at the next cancellation
-            // point instead of pinning the worker past its 504 budget.
-            return match self.cache.analyze(
-                &Context::new(layer, &dataflow, &acc),
-                acc.noc,
-                Some(token),
-            ) {
-                Ok(report) => {
-                    crate::trace::mark("serialize");
-                    match serde_json::to_string(&report) {
-                        Ok(js) => Response::json(
-                            200,
-                            format!(
-                                "{{\"model\":{},\"layer\":{},\"report\":{js}}}",
-                                json_str(&model.name),
-                                json_str(layer_name)
-                            ),
-                        ),
-                        Err(e) => error_response(500, &e.to_string()),
-                    }
+        let cache_only = token.is_cancelled() || self.pressure() == Pressure::Critical;
+        match self.lookup(&point, token, cache_only) {
+            Ok(reports) => {
+                crate::trace::mark("serialize");
+                let mut resp = match point.to_json(reports) {
+                    Ok(js) => Response::json(200, js),
+                    Err(e) => return error_response(500, &e.to_string()),
+                };
+                if cache_only {
+                    self.metrics.degraded.inc();
+                    resp.degraded = Some("cache-only");
                 }
-                Err(AnalysisError::Cancelled) => {
-                    self.metrics.timeouts.inc();
-                    timeout_response(0, 1, None)
-                }
-                Err(e) => analysis_error_response(&e),
-            };
-        }
-        // Whole model: the per-layer loop plus the engine's in-layer
-        // cancellation points bound how far a timed-out request overstays.
-        let mut layers = Vec::with_capacity(model.len());
-        for layer in model.iter() {
-            match self
-                .cache
-                .analyze(&Context::new(layer, &dataflow, &acc), acc.noc, Some(token))
-            {
-                Ok(r) => layers.push(r),
-                Err(AnalysisError::Cancelled) => {
-                    self.metrics.timeouts.inc();
-                    return timeout_response(layers.len(), model.len(), None);
-                }
-                Err(e) => return analysis_error_response(&e),
+                resp
             }
-        }
-        let report = ModelReport {
-            model: model.name.clone(),
-            layers,
-        };
-        crate::trace::mark("serialize");
-        match serde_json::to_string(&report) {
-            Ok(js) => Response::json(200, js),
-            Err(e) => error_response(500, &e.to_string()),
+            Err((_, Some(e))) => analysis_error_response(&e),
+            // No report and the deadline tripped: the honest 504.
+            Err((done, None)) if token.is_cancelled() => {
+                self.metrics.timeouts.inc();
+                timeout_response(done, point.layers().len(), None)
+            }
+            // Cache-only and uncached: shed with a retry hint.
+            Err(_) => {
+                self.metrics.brownout_shed.inc();
+                self.shed_response("server is in brownout, uncached analyses are shed")
+            }
         }
     }
 
-    /// The cache-only analyze path behind brownout. Every requested
-    /// layer must already sit in the shared report tier (peeked without
-    /// perturbing LRU order or hit/miss counters); any miss falls back
-    /// to the honest failure — `504` if the deadline tripped, a `503`
-    /// shed with a retry hint if we are merely refusing fresh work.
-    fn analyze_degraded(
+    /// The one lookup loop behind every analyze answer: each layer `p`
+    /// asks for, in model order, through the shared cache — or, when
+    /// `cache_only`, peeked from its report tier without perturbing LRU
+    /// order or hit/miss counters. The cost model polls `token` at its
+    /// stage boundaries, so a slow layer stops at the next cancellation
+    /// point instead of pinning the worker past its 504 budget. A stop
+    /// reports how many layers completed and why: the analysis error, or
+    /// `None` when there is no report (the deadline tripped, or a
+    /// cache-only layer is not cached).
+    fn lookup(
         &self,
-        model: &Model,
-        body: &Value,
-        dataflow: &Dataflow,
-        acc: &Accelerator,
+        p: &Point,
         token: &CancelToken,
-    ) -> Response {
-        let layer_name = body.get("layer").and_then(Value::as_str).unwrap_or("");
-        let mut resp = if layer_name.is_empty() {
-            let mut layers: Vec<LayerReport> = Vec::with_capacity(model.len());
-            for layer in model.iter() {
-                match self
-                    .cache
-                    .peek(&Context::new(layer, dataflow, acc), acc.noc)
-                {
-                    Some(r) => layers.push(r),
-                    None => return self.degraded_miss(layers.len(), model.len(), token),
-                }
-            }
-            let report = ModelReport {
-                model: model.name.clone(),
-                layers,
+        cache_only: bool,
+    ) -> Result<Vec<LayerReport>, (usize, Option<AnalysisError>)> {
+        let layers = p.layers();
+        let mut reports = Vec::with_capacity(layers.len());
+        for layer in layers {
+            let ctx = Context::new(layer, &p.dataflow, &p.acc);
+            let got = if cache_only {
+                self.cache.peek(&ctx, p.acc.noc).ok_or(None)
+            } else {
+                self.cache
+                    .analyze(&ctx, p.acc.noc, Some(token))
+                    .map_err(|e| match e {
+                        AnalysisError::Cancelled => None,
+                        e => Some(e),
+                    })
             };
-            crate::trace::mark("serialize");
-            match serde_json::to_string(&report) {
-                Ok(js) => Response::json(200, js),
-                Err(e) => return error_response(500, &e.to_string()),
+            match got {
+                Ok(r) => reports.push(r),
+                Err(why) => return Err((reports.len(), why)),
             }
-        } else {
-            let Some(layer) = model.layer(layer_name) else {
-                return error_response(
-                    400,
-                    &format!("model {} has no layer `{layer_name}`", model.name),
-                );
-            };
-            let Some(report) = self
-                .cache
-                .peek(&Context::new(layer, dataflow, acc), acc.noc)
-            else {
-                return self.degraded_miss(0, 1, token);
-            };
-            crate::trace::mark("serialize");
-            match serde_json::to_string(&report) {
-                Ok(js) => Response::json(
-                    200,
-                    format!(
-                        "{{\"model\":{},\"layer\":{},\"report\":{js}}}",
-                        json_str(&model.name),
-                        json_str(layer_name)
-                    ),
-                ),
-                Err(e) => return error_response(500, &e.to_string()),
-            }
-        };
-        self.metrics.degraded.inc();
-        resp.degraded = Some("cache-only");
-        resp
-    }
-
-    /// The honest failure when brownout cannot serve from cache.
-    fn degraded_miss(&self, completed: usize, total: usize, token: &CancelToken) -> Response {
-        if token.is_cancelled() {
-            self.metrics.timeouts.inc();
-            timeout_response(completed, total, None)
-        } else {
-            self.metrics.brownout_shed.inc();
-            self.shed_response("server is in brownout, uncached analyses are shed")
         }
+        Ok(reports)
     }
 
     /// Parse and validate everything a `/v1/dse` request needs before any
@@ -823,42 +740,20 @@ impl ApiCtx {
         if !matches!(point, Value::Obj(_)) {
             return Ok("{\"error\":\"batch point must be a JSON object\"}".to_string());
         }
-        let model = match load_model(point) {
-            Ok(m) => m,
+        let p = match Point::resolve(point) {
+            Ok(p) if p.layer.is_none() => {
+                return Ok("{\"error\":\"batch point missing `layer`\"}".to_string())
+            }
+            Ok(p) => p,
             Err(r) => return Ok(r.body),
         };
-        let dataflow = match load_dataflow(point) {
-            Ok(d) => d,
-            Err(r) => return Ok(r.body),
-        };
-        let acc = match accelerator(point) {
-            Ok(a) => a,
-            Err(r) => return Ok(r.body),
-        };
-        let layer_name = point.get("layer").and_then(Value::as_str).unwrap_or("");
-        if layer_name.is_empty() {
-            return Ok("{\"error\":\"batch point missing `layer`\"}".to_string());
-        }
-        let Some(layer) = model.layer(layer_name) else {
-            return Ok(format!(
-                "{{\"error\":{}}}",
-                json_str(&format!("model {} has no layer `{layer_name}`", model.name))
-            ));
-        };
-        match self
-            .cache
-            .analyze(&Context::new(layer, &dataflow, &acc), acc.noc, Some(token))
-        {
-            Ok(report) => match serde_json::to_string(&report) {
-                Ok(js) => Ok(format!(
-                    "{{\"model\":{},\"layer\":{},\"report\":{js}}}",
-                    json_str(&model.name),
-                    json_str(layer_name)
-                )),
-                Err(e) => Ok(format!("{{\"error\":{}}}", json_str(&e.to_string()))),
-            },
-            Err(AnalysisError::Cancelled) => Err(()),
-            Err(e) => Ok(format!("{{\"error\":{}}}", json_str(&e.to_string()))),
+        match self.lookup(&p, token, false) {
+            Ok(reports) => Ok(match p.to_json(reports) {
+                Ok(js) => js,
+                Err(e) => error_response(500, &e.to_string()).body,
+            }),
+            Err((_, Some(e))) => Ok(analysis_error_response(&e).body),
+            Err((_, None)) => Err(()),
         }
     }
 
@@ -896,6 +791,67 @@ impl ApiCtx {
             timeout_response(report.cases as usize, cfg.cases as usize, Some(&js))
         } else {
             Response::json(200, js)
+        }
+    }
+}
+
+/// One analyze point (a `/v1/analyze` body or a `/v1/batch` item),
+/// resolved: a zoo model, the dataflow and accelerator to price it on,
+/// and the one layer asked for (`None`: the whole model).
+struct Point {
+    model: Model,
+    dataflow: Dataflow,
+    acc: Accelerator,
+    layer: Option<String>,
+}
+
+impl Point {
+    /// The one point resolver. Fields are checked in the order clients
+    /// see their errors: model, dataflow, accelerator, then layer.
+    fn resolve(body: &Value) -> Result<Point, Response> {
+        let model = load_model(body)?;
+        let dataflow = load_dataflow(body)?;
+        let acc = accelerator(body)?;
+        let layer = match body.get("layer").and_then(Value::as_str).unwrap_or("") {
+            "" => None,
+            name if model.layer(name).is_some() => Some(name.to_string()),
+            name => {
+                return Err(error_response(
+                    400,
+                    &format!("model {} has no layer `{name}`", model.name),
+                ))
+            }
+        };
+        Ok(Point {
+            model,
+            dataflow,
+            acc,
+            layer,
+        })
+    }
+
+    /// The layers this point prices, in model order.
+    fn layers(&self) -> Vec<&Layer> {
+        match &self.layer {
+            Some(name) => self.model.layer(name).into_iter().collect(),
+            None => self.model.iter().collect(),
+        }
+    }
+
+    /// The one analyze serializer: `{"model","layer","report"}` for one
+    /// layer, the whole [`ModelReport`] otherwise.
+    fn to_json(&self, reports: Vec<LayerReport>) -> Result<String, serde_json::Error> {
+        match (&self.layer, reports.first()) {
+            (Some(layer), Some(report)) => Ok(format!(
+                "{{\"model\":{},\"layer\":{},\"report\":{}}}",
+                json_str(&self.model.name),
+                json_str(layer),
+                serde_json::to_string(report)?
+            )),
+            _ => serde_json::to_string(&ModelReport {
+                model: self.model.name.clone(),
+                layers: reports,
+            }),
         }
     }
 }
@@ -939,7 +895,6 @@ fn analysis_error_response(e: &AnalysisError) -> Response {
     match e {
         // The client's configuration cannot be analyzed: their fault.
         AnalysisError::Layer(_) | AnalysisError::Resolve(_) => error_response(400, &e.to_string()),
-        AnalysisError::Cancelled => timeout_response(0, 1, None),
         _ => error_response(500, &e.to_string()),
     }
 }

@@ -190,7 +190,12 @@ pub struct ServeMetrics {
 impl ServeMetrics {
     /// Register (or re-attach to) the serve-plane metrics.
     pub fn register() -> ServeMetrics {
-        let r = maestro_obs::registry();
+        Self::register_in(maestro_obs::registry())
+    }
+
+    /// The serve-plane metrics in registry `r` (unit tests use a private
+    /// one, so their counts are not shared with concurrent tests).
+    fn register_in(r: &maestro_obs::Registry) -> ServeMetrics {
         ServeMetrics {
             requests_total: r.counter("maestro.serve.requests_total"),
             shed: r.counter("maestro.serve.shed"),
@@ -660,14 +665,30 @@ fn wait_for_threads(table: &WorkerTable, t0: Instant, budget: Duration) -> bool 
 }
 
 /// Admission-control rejection: immediate `503` + `Retry-After`, close.
-/// Shed requests get a trace too — a 503 outcome is always tail-kept, so
-/// overload events stay diagnosable after the fact. `retry_after` is the
-/// computed drain-time hint (see `ApiCtx::retry_hint`), not a constant.
+/// `retry_after` is the computed drain-time hint (see
+/// `ApiCtx::retry_hint`), not a constant.
 fn shed(
-    stream: TcpStream,
+    mut stream: TcpStream,
     accepted: Instant,
     metrics: &ServeMetrics,
     io_timeout: Duration,
+    access: Option<&AccessLog>,
+    retry_after: u64,
+) {
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.set_write_timeout(Some(io_timeout.min(Duration::from_secs(1))));
+    write_shed(&mut stream, accepted, metrics, access, retry_after);
+    let _ = stream.shutdown(std::net::Shutdown::Both);
+}
+
+/// Write the queue-full `503` to `sink` under the `shed` route. Shed
+/// requests get a trace too — a 503 outcome is always tail-kept, so
+/// overload events stay diagnosable after the fact — and a failed write
+/// is accounted like any other (see [`write_and_account`]).
+fn write_shed<W: Write>(
+    sink: &mut W,
+    accepted: Instant,
+    metrics: &ServeMetrics,
     access: Option<&AccessLog>,
     retry_after: u64,
 ) {
@@ -678,17 +699,16 @@ fn shed(
     resp.retry_after = Some(retry_after);
     resp.trace = Some(timer.id().to_hex());
     resp.close = true;
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(io_timeout.min(Duration::from_secs(1))));
-    let mut stream = stream;
-    let bytes = resp.to_bytes();
-    let _ = stream.write_all(&bytes);
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-    let rec = timer.finish("shed".to_string(), 503, resp.body.len() as u64);
-    if let Some(log) = access {
-        log.write(&rec);
-    }
-    let _ = FlightRecorder::global().record(rec);
+    crate::trace::install(timer);
+    write_and_account(
+        sink,
+        &resp.to_bytes(),
+        "shed",
+        resp.status,
+        resp.body.len() as u64,
+        metrics,
+        access,
+    );
 }
 
 /// Serve one connection: a keep-alive loop of parse → handle → respond.
@@ -873,6 +893,7 @@ fn serve_connection(
                             &mut stream,
                             &mut resp,
                             first.take().map(|(a, _)| a).or(first_byte),
+                            &ctx.metrics,
                             access,
                         );
                     }
@@ -887,6 +908,7 @@ fn serve_connection(
                     &mut stream,
                     &mut resp,
                     first.take().map(|(a, _)| a).or(first_byte),
+                    &ctx.metrics,
                     access,
                 );
                 return;
@@ -895,25 +917,32 @@ fn serve_connection(
     }
 }
 
-/// Write a parser-rejection response (`400`/`408`/`413`) with a trace:
-/// even requests that never parsed get an `x-maestro-trace` header and a
-/// recorder entry, anchored at the best-known request start.
-fn reject_with_trace(
-    stream: &mut TcpStream,
+/// Write a parser-rejection response (`400`/`408`/`413`) under the
+/// `reject` route, with a trace: even requests that never parsed get an
+/// `x-maestro-trace` header and a recorder entry, anchored at the
+/// best-known request start. A failed write is accounted like any other
+/// (see [`write_and_account`]).
+fn reject_with_trace<W: Write>(
+    sink: &mut W,
     resp: &mut Response,
     anchor: Option<Instant>,
+    metrics: &ServeMetrics,
     access: Option<&AccessLog>,
 ) {
     let anchor = anchor.unwrap_or_else(Instant::now);
     let mut timer = RequestTimer::begin(anchor);
     timer.phase_span("parse", anchor, Instant::now());
     resp.trace = Some(timer.id().to_hex());
-    let _ = stream.write_all(&resp.to_bytes());
-    let rec = timer.finish("reject".to_string(), resp.status, resp.body.len() as u64);
-    if let Some(log) = access {
-        log.write(&rec);
-    }
-    let _ = FlightRecorder::global().record(rec);
+    crate::trace::install(timer);
+    write_and_account(
+        sink,
+        &resp.to_bytes(),
+        "reject",
+        resp.status,
+        resp.body.len() as u64,
+        metrics,
+        access,
+    );
 }
 
 /// Write the response bytes and record the request's true outcome: a
@@ -1048,5 +1077,60 @@ mod tests {
         );
         assert!(!ok);
         assert_eq!(metrics.write_failures.get(), before + 1);
+    }
+
+    /// The force-kept 499 record of a failed write under `route`.
+    fn kept_499(route: &str) -> Option<maestro_obs::TraceRecord> {
+        FlightRecorder::global()
+            .recent()
+            .into_iter()
+            .find(|r| r.name == route && r.status == 499)
+    }
+
+    // Regression: the queue-full 503 dropped its write error and logged
+    // the intended 503 as delivered.
+    #[test]
+    fn failed_shed_write_is_accounted_as_a_distinct_outcome() {
+        let metrics = ServeMetrics::register_in(&maestro_obs::Registry::new());
+        write_shed(&mut FailWriter, Instant::now(), &metrics, None, 1);
+        assert_eq!(metrics.shed.get(), 1);
+        assert_eq!(metrics.write_failures.get(), 1);
+        let kept = kept_499("shed").expect("failed shed write must be force-kept as a 499");
+        assert_eq!(kept.bytes, 0, "{kept:?}");
+
+        let mut out = Vec::new();
+        write_shed(&mut out, Instant::now(), &metrics, None, 3);
+        assert_eq!(
+            metrics.write_failures.get(),
+            1,
+            "a delivered shed is no failure"
+        );
+        let text = String::from_utf8(out).expect("utf-8 response");
+        assert!(text.starts_with("HTTP/1.1 503"), "{text}");
+        assert!(text.contains("Retry-After: 3"), "{text}");
+    }
+
+    // Regression: parser rejections (400/408/413) dropped their write
+    // error and logged the intended status as delivered.
+    #[test]
+    fn failed_reject_write_is_accounted_as_a_distinct_outcome() {
+        let metrics = ServeMetrics::register_in(&maestro_obs::Registry::new());
+        let mut resp = error_response(400, "malformed request");
+        reject_with_trace(&mut FailWriter, &mut resp, None, &metrics, None);
+        assert_eq!(metrics.write_failures.get(), 1);
+        let kept = kept_499("reject").expect("failed reject write must be force-kept as a 499");
+        assert_eq!(kept.bytes, 0, "{kept:?}");
+
+        let mut out = Vec::new();
+        let mut resp = error_response(413, "request too large");
+        reject_with_trace(&mut out, &mut resp, None, &metrics, None);
+        assert_eq!(
+            metrics.write_failures.get(),
+            1,
+            "a delivered reject is no failure"
+        );
+        let text = String::from_utf8(out).expect("utf-8 response");
+        assert!(text.starts_with("HTTP/1.1 413"), "{text}");
+        assert!(text.contains("x-maestro-trace:"), "{text}");
     }
 }

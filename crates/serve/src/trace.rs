@@ -68,9 +68,10 @@ impl RequestTimer {
 
     fn push(&mut self, name: &'static str, start_us: u64, end_us: u64) {
         let dur_us = end_us.saturating_sub(start_us);
-        // Merge contiguous same-named phases (HTTP parse + JSON decode).
+        // Merge consecutive same-named phases (HTTP parse + JSON decode);
+        // the merged phase also covers any gap between the two.
         if let Some(last) = self.phases.last_mut() {
-            if last.name == name && last.start_us + last.dur_us >= start_us {
+            if last.name == name {
                 last.dur_us = end_us.saturating_sub(last.start_us);
                 return;
             }
@@ -306,6 +307,26 @@ mod tests {
             "total {} vs phase sum {sum}: {rec:?}",
             rec.total_us
         );
+    }
+
+    // Regression: the connection loop closes `parse` at the parse instant
+    // and reopens it with `mark("parse")` after the admission check; the
+    // two only merged when their microsecond offsets touched, so traces
+    // listed `parse` twice.
+    #[test]
+    fn same_named_phases_merge_across_a_gap() {
+        let anchor = Instant::now();
+        let mut t = RequestTimer::begin(anchor);
+        t.phase_span("parse", anchor, anchor + Duration::from_micros(100));
+        std::thread::sleep(Duration::from_millis(2));
+        t.mark("parse");
+        t.mark("analyze");
+        let rec = t.finish("POST /v1/x".to_string(), 200, 0);
+        let names: Vec<&str> = rec.phases.iter().map(|p| p.name).collect();
+        assert_eq!(names, vec!["parse", "analyze"], "{rec:?}");
+        let (parse, analyze) = (&rec.phases[0], &rec.phases[1]);
+        assert_eq!(parse.start_us, 0, "{rec:?}");
+        assert_eq!(parse.start_us + parse.dur_us, analyze.start_us, "{rec:?}");
     }
 
     #[test]
