@@ -12,7 +12,7 @@
 
 use maestro_dnn::{zoo, Model};
 use maestro_dse::checkpoint::fnv1a;
-use maestro_dse::{variants, DseResult, Explorer, SweepSpace};
+use maestro_dse::{variants, Constraints, DseResult, EvalMode, Explorer, SweepSpace};
 use maestro_ir::Style;
 
 /// FNV-1a of the `Debug` text of `r` with `seconds`/`rate` zeroed.
@@ -141,5 +141,43 @@ fn fig13_layer_digests_are_pinned() {
             ex.explore_parallel(layer, &maps, threads)
                 .expect("valid space")
         });
+    }
+}
+
+/// Layer sweeps off the Fig 13 settings: 2-byte elements, a budget tight
+/// enough to kill whole rows, and a sample cap every unit reaches, on a
+/// standard convolution and a depth-wise one. Staged and full evaluation
+/// must land on the same digest.
+#[test]
+fn capped_two_byte_layer_digests_are_pinned() {
+    let vgg = model("vgg16");
+    let mobilenet = model("mobilenet_v2");
+    let mut ex = Explorer::new(SweepSpace::standard());
+    ex.sample_cap = 100;
+    ex.precision_bytes = 2;
+    ex.constraints = Constraints {
+        max_area_mm2: 8.0,
+        max_power_mw: 250.0,
+    };
+    let mut full = ex.clone();
+    full.eval = EvalMode::Full;
+    for (m, layer, style, want) in [
+        (&vgg, "CONV2", Style::KCP, 0xcea7_ac29_10b4_8d4f),
+        (&vgg, "CONV2", Style::YRP, 0x5325_8b2e_f28d_7d87),
+        (&vgg, "CONV2", Style::XP, 0xf4d0_b0cd_1a55_36d1),
+        (&mobilenet, "BN2_1_dw", Style::KCP, 0xe096_f320_d43b_4da0),
+        (&mobilenet, "BN2_1_dw", Style::YRP, 0x34e4_b0f1_e449_c17b),
+        (&mobilenet, "BN2_1_dw", Style::XP, 0x0798_e320_0d0c_6f68),
+    ] {
+        let layer = m.layer(layer).expect("zoo layer");
+        let maps = variants::variants(style);
+        let what = format!("{} {style} (2-byte, capped)", layer.name);
+        let r = pinned(&what, want, |threads| {
+            ex.explore_parallel(layer, &maps, threads)
+                .expect("valid space")
+        });
+        assert_eq!(r.sample.len(), ex.sample_cap, "{what}: cap not reached");
+        let oracle = full.explore(layer, &maps).expect("valid space");
+        assert_eq!(digest(oracle), want, "{what}: full evaluation differs");
     }
 }
