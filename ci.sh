@@ -81,6 +81,13 @@ echo "== staged-equivalence goldens"
 cargo test -q --release -p maestro-dse --test staged_equivalence
 cargo test -q --release -p maestro-sim --test staged_conform_smoke
 
+# The disabled-tracing budget: the obs_overhead guard fails when the
+# spans and metrics compiled into a real sweep reach 2% of its wall time
+# with no sink installed. A faster sweep shrinks the denominator, so
+# the budget is re-checked on every change.
+echo "== obs_overhead guard (disabled instrumentation < 2% of a sweep)"
+cargo bench -q -p maestro-bench --bench obs_overhead
+
 # The whole-model and Fig 13 sweep digests, and the daemon's tracing
 # tests, run in release too: a sweep drift or a release-only failure
 # (timing premises, accept/pop races) fails CI, not just a debug run.
@@ -88,13 +95,27 @@ echo "== sweep digests + serve tracing (release)"
 cargo test -q --release -p maestro-dse --test sweep_digests
 cargo test -q --release -p maestro-cli --test serve_trace
 
+smokedir=$(mktemp -d)
+trap 'rm -rf "${smokedir}"' EXIT
+
 # DSE-rate smoke: times full vs staged on the standard VGG16 CONV2 /
-# KC-P sweep and refreshes the BENCH_dse_rate.json baseline tracked in
-# the repo, so perf regressions show up as a diff in review. The binary
-# itself asserts the two modes' results are bit-identical.
-echo "== dse_rate smoke (BENCH_dse_rate.json)"
-target/release/dse_rate_smoke --repeats 5 --out BENCH_dse_rate.json
-grep -q '"bit_identical": true' BENCH_dse_rate.json
+# KC-P sweep into the smoke scratch dir. The binary itself asserts the
+# two modes' results are bit-identical. The run must also explore and
+# find valid exactly as many points as the committed BENCH_dse_rate.json
+# record, so a coverage or pruning change cannot pass as a speed-up.
+# The committed record is a baseline re-recorded by hand, never here.
+echo "== dse_rate smoke (checked against BENCH_dse_rate.json)"
+target/release/dse_rate_smoke --repeats 5 --out "${smokedir}/dse_rate.json"
+grep -q '"bit_identical": true' "${smokedir}/dse_rate.json" \
+  || { echo "dse_rate smoke: staged and full sweeps are not bit-identical" >&2; exit 1; }
+for field in explored valid; do
+  want=$(sed -n "s/^ *\"${field}\": \([0-9]*\),\$/\1/p" BENCH_dse_rate.json)
+  got=$(sed -n "s/^ *\"${field}\": \([0-9]*\),\$/\1/p" "${smokedir}/dse_rate.json")
+  if [ -z "${want}" ] || [ "${got}" != "${want}" ]; then
+    echo "dse_rate smoke: ${field} is '${got}', the committed record has '${want}'" >&2
+    exit 1
+  fi
+done
 
 # The closed-form model and the step simulator must agree on a fixed
 # fuzz corpus: any divergence beyond the calibrated tolerances exits 6
@@ -114,8 +135,6 @@ fi
 # (only the wall-clock `seconds`/`rate` stats and the `partial` marker
 # may differ).
 echo "== kill-and-resume smoke (dse SIGTERM + --resume)"
-smokedir=$(mktemp -d)
-trap 'rm -rf "${smokedir}"' EXIT
 dse_args=(dse --model vgg16 --layer CONV5 --style KC-P --threads 2 --json)
 target/release/maestro "${dse_args[@]}" --max-seconds 300 > "${smokedir}/golden.json"
 target/release/maestro "${dse_args[@]}" \

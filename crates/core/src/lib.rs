@@ -60,6 +60,6 @@ pub use explain::{explain, Explanation, Observation};
 pub use level::{LevelCtx, OutputSpatial};
 pub use lint::{lint, Lint};
 pub use memo::{Analyzer, CacheCounts, Context, ShapeKey, DEFAULT_CACHE_CAP};
-pub use report::{LayerReport, ModelReport};
+pub use report::{LayerReport, ModelReport, Priced};
 pub use reuse::{opportunity_table, spatial_opportunity, temporal_opportunity, ReuseForm};
 pub use stages::StagedAnalysis;

@@ -65,9 +65,126 @@ pub struct LayerReport {
 }
 
 impl LayerReport {
-    /// Finite-value gate: reject any NaN or infinite scalar in the report
-    /// before it can reach Pareto/best-point comparisons, where NaN fails
-    /// every strict ordering and would silently corrupt the front.
+    /// The report's scalar fields, without the names and per-level detail.
+    pub fn priced(&self) -> Priced {
+        Priced {
+            runtime: self.runtime,
+            counts: self.counts,
+            macs_dense: self.macs_dense,
+            macs_effective: self.macs_effective,
+            l1_per_pe_elems: self.l1_per_pe_elems,
+            l2_staging_elems: self.l2_staging_elems,
+            peak_bw: self.peak_bw,
+            avg_bw: self.avg_bw,
+            utilization: self.utilization,
+            used_pes: self.used_pes,
+            num_pes: self.num_pes,
+            tensor_elems: self.tensor_elems,
+        }
+    }
+
+    /// Finite-value gate: [`Priced::validate`] on the report's scalars.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalysisError::NonFinite`] naming the first offending
+    /// field.
+    ///
+    /// [`AnalysisError::NonFinite`]: crate::AnalysisError::NonFinite
+    pub fn validate(&self) -> Result<(), crate::AnalysisError> {
+        self.priced().validate()
+    }
+
+    /// Total energy under an energy table.
+    pub fn energy(&self, e: &EnergyModel) -> f64 {
+        self.counts.energy(e)
+    }
+
+    /// Per-category energy (Figure 12).
+    pub fn energy_breakdown(&self, e: &EnergyModel) -> EnergyBreakdown {
+        self.counts.energy_breakdown(e)
+    }
+
+    /// Throughput in MACs per cycle (see [`Priced::throughput`]).
+    pub fn throughput(&self) -> f64 {
+        self.priced().throughput()
+    }
+
+    /// Energy-delay product.
+    pub fn edp(&self, e: &EnergyModel) -> f64 {
+        self.energy(e) * self.runtime
+    }
+
+    /// The reuse factor of a tensor: local (L1) accesses per upstream (L2)
+    /// fetch (Figure 11's metric). Infinite reuse (zero fetches) is
+    /// reported as the algorithmic maximum.
+    pub fn reuse_factor(&self, kind: TensorKind) -> f64 {
+        let local = self.counts.l1_read[kind] + self.counts.l1_write[kind];
+        let upstream = self.counts.l2_read[kind] + self.counts.l2_write[kind];
+        if upstream > 0.0 {
+            local / upstream
+        } else {
+            self.algorithmic_max_reuse(kind)
+        }
+    }
+
+    /// The algorithmic maximum reuse factor: MAC-level accesses divided by
+    /// the tensor's size (the "A" bars of Figure 11).
+    pub fn algorithmic_max_reuse(&self, kind: TensorKind) -> f64 {
+        let elems = self.tensor_elems[kind as usize] as f64;
+        if elems > 0.0 {
+            // Outputs are touched twice per MAC (read-modify-write).
+            let per_mac = if kind == TensorKind::Output { 2.0 } else { 1.0 };
+            self.macs_effective * per_mac / elems
+        } else {
+            0.0
+        }
+    }
+
+    /// `true` when the dataflow's buffer requirements fit the hardware.
+    pub fn buffers_fit(&self, acc: &Accelerator) -> bool {
+        self.l1_per_pe_elems <= acc.l1_elements() && self.l2_staging_elems <= acc.l2_elements()
+    }
+}
+
+/// The scalar fields of a [`LayerReport`]: everything but the layer and
+/// dataflow names and the per-level detail. It is `Copy` and owns no
+/// allocation, so pricing a staged analysis into one
+/// ([`StagedAnalysis::price`](crate::StagedAnalysis::price)) costs only the
+/// perf stage. A sweep that needs runtime, throughput, buffer requirements
+/// and activity counts per point never builds a report.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Priced {
+    /// Estimated runtime in cycles.
+    pub runtime: f64,
+    /// Activity counts for the whole layer.
+    pub counts: ActivityCounts,
+    /// Dense MAC count modeled.
+    pub macs_dense: f64,
+    /// Density-scaled MAC count.
+    pub macs_effective: f64,
+    /// Required per-PE L1 capacity, elements (double-buffered).
+    pub l1_per_pe_elems: u64,
+    /// Required L2 staging capacity, elements (double-buffered).
+    pub l2_staging_elems: u64,
+    /// Peak NoC bandwidth demand, elements/cycle.
+    pub peak_bw: f64,
+    /// Average NoC bandwidth use, elements/cycle.
+    pub avg_bw: f64,
+    /// Average fraction of PEs doing useful work.
+    pub utilization: f64,
+    /// PEs covered by the dataflow's cluster hierarchy.
+    pub used_pes: u64,
+    /// Total PEs in the configuration.
+    pub num_pes: u64,
+    /// Whole-tensor element counts, indexed Input/Weight/Output.
+    pub tensor_elems: [u64; 3],
+}
+
+impl Priced {
+    /// Finite-value gate: reject any NaN or infinite scalar before it can
+    /// reach Pareto/best-point comparisons, where NaN fails every strict
+    /// ordering and would silently corrupt the front.
     ///
     /// # Errors
     ///
@@ -111,16 +228,6 @@ impl LayerReport {
         Ok(())
     }
 
-    /// Total energy under an energy table.
-    pub fn energy(&self, e: &EnergyModel) -> f64 {
-        self.counts.energy(e)
-    }
-
-    /// Per-category energy (Figure 12).
-    pub fn energy_breakdown(&self, e: &EnergyModel) -> EnergyBreakdown {
-        self.counts.energy_breakdown(e)
-    }
-
     /// Throughput in MACs per cycle.
     pub fn throughput(&self) -> f64 {
         if self.runtime > 0.0 {
@@ -130,40 +237,30 @@ impl LayerReport {
         }
     }
 
-    /// Energy-delay product.
-    pub fn edp(&self, e: &EnergyModel) -> f64 {
-        self.energy(e) * self.runtime
-    }
-
-    /// The reuse factor of a tensor: local (L1) accesses per upstream (L2)
-    /// fetch (Figure 11's metric). Infinite reuse (zero fetches) is
-    /// reported as the algorithmic maximum.
-    pub fn reuse_factor(&self, kind: TensorKind) -> f64 {
-        let local = self.counts.l1_read[kind] + self.counts.l1_write[kind];
-        let upstream = self.counts.l2_read[kind] + self.counts.l2_write[kind];
-        if upstream > 0.0 {
-            local / upstream
-        } else {
-            self.algorithmic_max_reuse(kind)
+    /// The full report: these scalars plus the names and per-level detail.
+    pub(crate) fn into_report(
+        self,
+        layer: String,
+        dataflow: String,
+        levels: Vec<LevelSummary>,
+    ) -> LayerReport {
+        LayerReport {
+            layer,
+            dataflow,
+            runtime: self.runtime,
+            counts: self.counts,
+            macs_dense: self.macs_dense,
+            macs_effective: self.macs_effective,
+            l1_per_pe_elems: self.l1_per_pe_elems,
+            l2_staging_elems: self.l2_staging_elems,
+            peak_bw: self.peak_bw,
+            avg_bw: self.avg_bw,
+            utilization: self.utilization,
+            used_pes: self.used_pes,
+            num_pes: self.num_pes,
+            tensor_elems: self.tensor_elems,
+            levels,
         }
-    }
-
-    /// The algorithmic maximum reuse factor: MAC-level accesses divided by
-    /// the tensor's size (the "A" bars of Figure 11).
-    pub fn algorithmic_max_reuse(&self, kind: TensorKind) -> f64 {
-        let elems = self.tensor_elems[kind as usize] as f64;
-        if elems > 0.0 {
-            // Outputs are touched twice per MAC (read-modify-write).
-            let per_mac = if kind == TensorKind::Output { 2.0 } else { 1.0 };
-            self.macs_effective * per_mac / elems
-        } else {
-            0.0
-        }
-    }
-
-    /// `true` when the dataflow's buffer requirements fit the hardware.
-    pub fn buffers_fit(&self, acc: &Accelerator) -> bool {
-        self.l1_per_pe_elems <= acc.l1_elements() && self.l2_staging_elems <= acc.l2_elements()
     }
 }
 

@@ -17,21 +17,26 @@
 //! * `maestro.analysis.noc` — off-chip (DRAM) traffic and delay, which
 //!   depend on the L2 capacity and off-chip bandwidth but *not* on the NoC
 //!   pipe;
-//! * `maestro.analysis.perf` — [`finish`]: price the transition tables
+//! * `maestro.analysis.perf` — [`price`]: price the transition tables
 //!   under a concrete (bandwidth, latency) NoC.
 //!
 //! Everything up to and including `noc` is captured in a [`StagedAnalysis`];
-//! [`finish`] re-prices it for as many NoC configurations as desired.
+//! [`price`] re-prices it for as many NoC configurations as desired into a
+//! [`Priced`], the report's scalar fields with no allocation. [`finish`] is
+//! `price` plus the names and the per-level pass cycles: one perf loop, one
+//! span and one finite-value gate serve both, so a sweep that prices and a
+//! caller that wants the whole report cannot disagree.
 //!
 //! [`analyze`]: crate::analyze
 //! [`analyze_level_static`]: crate::engine::analyze_level_static
+//! [`price`]: StagedAnalysis::price
 //! [`finish`]: StagedAnalysis::finish
 
 use crate::analysis::AnalysisError;
 use crate::counts::ActivityCounts;
 use crate::engine::{analyze_level_static, level_perf, LevelPerf, LevelStatic};
 use crate::level::LevelCtx;
-use crate::report::{LayerReport, LevelSummary};
+use crate::report::{LayerReport, LevelSummary, Priced};
 use maestro_dnn::{Layer, TensorKind};
 use maestro_hw::Accelerator;
 use maestro_ir::{resolve, Dataflow};
@@ -57,10 +62,10 @@ fn analysis_calls() -> &'static maestro_obs::Counter {
 /// minus its NoC pipe): everything [`analyze`](crate::analyze) computes
 /// except runtime, average/peak bandwidth and per-level pass cycles.
 ///
-/// Build once with [`StagedAnalysis::build`], then obtain full
-/// [`LayerReport`]s for any number of NoC configurations with
-/// [`StagedAnalysis::finish`] — each finish is a few hundred floating-point
-/// operations instead of a full re-analysis.
+/// Build once with [`StagedAnalysis::build`], then price it for any number
+/// of NoC configurations with [`StagedAnalysis::price`] (the scalars) or
+/// [`StagedAnalysis::finish`] (the full [`LayerReport`]) — each is a few
+/// hundred floating-point operations instead of a full re-analysis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StagedAnalysis {
     layer: String,
@@ -77,7 +82,7 @@ pub struct StagedAnalysis {
     l1_per_pe_elems: u64,
     l2_staging_elems: u64,
     /// Off-chip transfer delay (elements / off-chip bandwidth), overlapped
-    /// against on-chip runtime in [`finish`](StagedAnalysis::finish).
+    /// against on-chip runtime in [`price`](StagedAnalysis::price).
     dram_delay: f64,
     /// Per-level static analyses, outermost first (index = level).
     levels_static: Vec<LevelStatic>,
@@ -196,7 +201,7 @@ impl StagedAnalysis {
         // among the model's hardware parameters) — compulsory moves plus
         // capacity misses. The delay depends on L2 capacity and off-chip
         // bandwidth only; the overlap against on-chip execution happens in
-        // `finish`, where the on-chip runtime is known.
+        // `price`, where the on-chip runtime is known.
         let (dram_delay, tensor_elems) = {
             let _s = maestro_obs::span::span("maestro.analysis.noc");
             let tensor_elems = [
@@ -231,22 +236,57 @@ impl StagedAnalysis {
         })
     }
 
-    /// Price the staged analysis under a concrete NoC pipe, producing the
-    /// same [`LayerReport`] a fused [`analyze`](crate::analyze) on an
-    /// accelerator with that NoC would — bit for bit.
+    /// Price the staged analysis under a concrete NoC pipe: the scalar
+    /// fields of the [`LayerReport`] a fused [`analyze`](crate::analyze)
+    /// on an accelerator with that NoC would return, bit for bit, without
+    /// building the report.
     ///
     /// # Errors
     ///
-    /// Returns [`AnalysisError::NonFinite`] when the priced report fails
+    /// Returns [`AnalysisError::NonFinite`] when the priced scalars fail
     /// the finite-value gate (e.g. zero bandwidth yielding an infinite
     /// runtime).
+    pub fn price(&self, bandwidth: u64, avg_latency: u64) -> Result<Priced, AnalysisError> {
+        self.perf(bandwidth, avg_latency, |_, _| {})
+    }
+
+    /// Price the staged analysis under a concrete NoC pipe, producing the
+    /// same [`LayerReport`] a fused [`analyze`](crate::analyze) on an
+    /// accelerator with that NoC would — bit for bit. This is
+    /// [`price`](StagedAnalysis::price) plus the names and the per-level
+    /// pass cycles.
+    ///
+    /// # Errors
+    ///
+    /// As [`price`](StagedAnalysis::price).
     pub fn finish(&self, bandwidth: u64, avg_latency: u64) -> Result<LayerReport, AnalysisError> {
+        let mut levels = self.levels_meta.clone();
+        let priced = self.perf(bandwidth, avg_latency, |level, pass_cycles| {
+            if let Some(meta) = levels.get_mut(level) {
+                meta.pass_cycles = pass_cycles;
+            }
+        })?;
+        Ok(priced.into_report(self.layer.clone(), self.dataflow.clone(), levels))
+    }
+
+    /// The perf stage behind both [`price`] and [`finish`]: price every
+    /// level innermost first under the `maestro.analysis.perf` span,
+    /// handing `pass_cycles` each level's steady-state pass runtime, then
+    /// apply the finite-value gate.
+    ///
+    /// [`price`]: StagedAnalysis::price
+    /// [`finish`]: StagedAnalysis::finish
+    fn perf(
+        &self,
+        bandwidth: u64,
+        avg_latency: u64,
+        mut pass_cycles: impl FnMut(usize, f64),
+    ) -> Result<Priced, AnalysisError> {
         let _s = maestro_obs::span::span("maestro.analysis.perf");
         let mut perf: Option<LevelPerf> = None;
-        let mut levels = self.levels_meta.clone();
-        for (st, meta) in self.levels_static.iter().zip(levels.iter_mut()).rev() {
+        for (level, st) in self.levels_static.iter().enumerate().rev() {
             let p = level_perf(st, perf.as_ref(), bandwidth, avg_latency);
-            meta.pass_cycles = p.runtime_steady;
+            pass_cycles(level, p.runtime_steady);
             perf = Some(p);
         }
         let Some(top) = perf else {
@@ -260,9 +300,7 @@ impl StagedAnalysis {
             0.0
         };
 
-        let report = LayerReport {
-            layer: self.layer.clone(),
-            dataflow: self.dataflow.clone(),
+        let priced = Priced {
             runtime,
             counts: self.counts,
             macs_dense: self.macs_dense,
@@ -275,9 +313,8 @@ impl StagedAnalysis {
             used_pes: self.used_pes,
             num_pes: self.num_pes,
             tensor_elems: self.tensor_elems,
-            levels,
         };
-        if let Err(e) = report.validate() {
+        if let Err(e) = priced.validate() {
             validation_failures().inc();
             maestro_obs::debug!(
                 "analysis of {}/{} rejected by the finite-value gate: {e}",
@@ -286,7 +323,7 @@ impl StagedAnalysis {
             );
             return Err(e);
         }
-        Ok(report)
+        Ok(priced)
     }
 
     /// The analyzed layer's name.
@@ -310,6 +347,37 @@ mod tests {
         Layer::new("c", Operator::conv2d(), LayerDims::square(1, 16, 16, 18, 3))
     }
 
+    /// Every field of `p` as raw bits, in declaration order.
+    fn bits(p: &Priced) -> Vec<u64> {
+        let c = &p.counts;
+        let mut v = vec![
+            p.runtime.to_bits(),
+            c.macs.to_bits(),
+            p.macs_dense.to_bits(),
+            p.macs_effective.to_bits(),
+            p.l1_per_pe_elems,
+            p.l2_staging_elems,
+            p.peak_bw.to_bits(),
+            p.avg_bw.to_bits(),
+            p.utilization.to_bits(),
+            p.used_pes,
+            p.num_pes,
+        ];
+        for t in [
+            c.l1_read,
+            c.l1_write,
+            c.l2_read,
+            c.l2_write,
+            c.noc,
+            c.dram_read,
+            c.dram_write,
+        ] {
+            v.extend(t.0.map(f64::to_bits));
+        }
+        v.extend(p.tensor_elems);
+        v
+    }
+
     #[test]
     fn finish_matches_fused_analyze_across_noc_grid() {
         let layer = sample_layer();
@@ -327,8 +395,27 @@ mod tests {
                     let fused = crate::analyze(&layer, &df, &acc).unwrap();
                     let fin = staged.finish(bw, lat).unwrap();
                     assert_eq!(fused, fin, "{style} bw={bw} lat={lat}");
+                    let priced = staged.price(bw, lat).unwrap();
+                    assert_eq!(
+                        bits(&priced),
+                        bits(&fin.priced()),
+                        "{style} bw={bw} lat={lat}"
+                    );
                 }
             }
+            // Zero bandwidth: both entry points fail the one gate on the
+            // same field, and each rejection is counted once.
+            let failures = validation_failures();
+            let before = failures.get();
+            let priced = staged.price(0, 2).unwrap_err();
+            assert_eq!(failures.get(), before + 1, "{style}: price");
+            let fin = staged.finish(0, 2).unwrap_err();
+            assert_eq!(failures.get(), before + 2, "{style}: finish");
+            assert!(
+                matches!(priced, AnalysisError::NonFinite { .. }),
+                "{style}: {priced:?}"
+            );
+            assert_eq!(priced, fin, "{style}");
         }
     }
 

@@ -13,8 +13,9 @@
 //! and folded by [`crate::parallel::merge_partials`]; `explore` is the
 //! one-thread special case of `explore_parallel`, so parallel results are
 //! bit-identical to sequential ones apart from the wall-clock fields.
-//! Repeated layer shapes are served from a per-unit one-shard
-//! [`maestro_core::Analyzer`] instead of re-running the cost model.
+//! Each unit owns a one-shard [`maestro_core::Analyzer`]: layer units price
+//! every (mapping, bandwidth) point from its stage tier, and whole-model
+//! units serve repeated layer shapes from its report tier.
 
 use crate::cancel::{SessionCtl, SessionError, SessionReport};
 use crate::checkpoint::{sweep_fingerprint, Checkpoint};
@@ -22,7 +23,7 @@ use crate::parallel::{
     merge_indexed_partials, merge_partials, run_units, run_units_ctl, CheckpointSink, RunCtl,
 };
 use crate::space::{Constraints, SpaceError, SweepSpace};
-use maestro_core::{AnalysisError, Analyzer, Context, LayerReport, DEFAULT_CACHE_CAP};
+use maestro_core::{AnalysisError, Analyzer, Context, Priced, DEFAULT_CACHE_CAP};
 use maestro_dnn::Layer;
 use maestro_hw::{Accelerator, AreaModel, NocConfig, PowerModel};
 use maestro_ir::Dataflow;
@@ -101,12 +102,14 @@ pub struct QuarantinedUnit {
 pub struct DseStats {
     /// Design points covered (including bulk-skipped ones).
     pub explored: u64,
-    /// Cost-model invocations actually performed (memo-cache misses,
-    /// including ones that returned an analysis error).
+    /// Cost-model invocations actually performed (memo-cache misses, one
+    /// per priced point of a layer sweep, including ones that returned an
+    /// analysis error).
     pub evaluated: u64,
     /// Valid design points found.
     pub valid: u64,
-    /// Cost-model invocations served from the memo cache.
+    /// Cost-model invocations served from the memo cache's report tier
+    /// (whole-model sweeps; layer sweeps price every point afresh).
     pub memo_hits: u64,
     /// Design points dropped because an objective evaluated to NaN or
     /// infinity (the finite-value gate).
@@ -379,18 +382,19 @@ impl Explorer {
         let memo = self.analyzer();
         // Capacities do not change the schedule, so the analysis runs at
         // the reference capacities and is expanded below; each mapping's
-        // context is fingerprinted once and looked up per NoC pipe.
+        // context is fingerprinted once and priced per NoC pipe from the
+        // stage tier, so the mapping's static stages are built once.
         let acc = self.accelerator(pes, min_bw, None);
         let ctx = UnitCtx::new(self, pes);
         let mut front = ParetoFront::new();
         let mut ecells = EnergyCells::new(self.space.l1_bytes.len(), self.space.l2_bytes.len());
-        let mut best = BestKeys::new();
+        let mut best = Best::new();
         for mapping in mappings.iter() {
             let analysis = Context::new(layer, mapping, &acc);
             // Placed energy depends only on (mapping, L1, L2): activity
             // counts and tensor sizes are NoC-independent, so the energy
-            // table is filled once per mapping, from the first analyzable
-            // bandwidth's report, and shared across the bandwidth axis.
+            // table is filled once per mapping, from the first priced
+            // bandwidth, and shared across the bandwidth axis.
             let mut filled = false;
             for (b_idx, &bw) in self.space.noc_bw.iter().enumerate() {
                 part.stats.explored += caps_per_eval;
@@ -398,8 +402,8 @@ impl Explorer {
                     bandwidth: bw,
                     ..acc.noc
                 };
-                let report = match memo.analyze(&analysis, noc, None) {
-                    Ok(r) => r,
+                let priced = match memo.price(&analysis, noc) {
+                    Ok(p) => p,
                     Err(AnalysisError::NonFinite { .. }) => {
                         part.stats.nonfinite_dropped += caps_per_eval;
                         continue;
@@ -407,14 +411,14 @@ impl Explorer {
                     Err(_) => continue,
                 };
                 if !filled {
-                    ecells.fill(self, std::slice::from_ref(&report), &ctx);
+                    ecells.fill(self, std::slice::from_ref(&priced), &ctx);
                     filled = true;
                 }
                 let eval = Eval {
-                    runtime: report.runtime,
-                    throughput: report.throughput(),
-                    l1_req: report.l1_per_pe_elems,
-                    l2_req: report.l2_staging_elems,
+                    runtime: priced.runtime,
+                    throughput: priced.throughput(),
+                    l1_req: priced.l1_per_pe_elems,
+                    l2_req: priced.l2_staging_elems,
                 };
                 self.expand_capacities(
                     pes,
@@ -429,17 +433,14 @@ impl Explorer {
                 );
             }
         }
-        part.pareto = front.into_points();
-        let counts = memo.counts();
-        part.stats.evaluated += counts.misses;
-        part.stats.memo_hits += counts.hits;
+        close_unit(&mut part, front, best, &memo);
         part
     }
 
-    /// Expand one evaluation at (PE count, bandwidth) — a layer's report
-    /// under one mapping, or a whole model's per-layer bests — across the
-    /// L1/L2 capacity grid, accumulating into `part` and `front`. This is
-    /// the one capacity loop of every sweep.
+    /// Expand one evaluation at (PE count, bandwidth) — a layer's priced
+    /// point under one mapping, or a whole model's per-layer bests — across
+    /// the L1/L2 capacity grid, accumulating into `part`, `front` and
+    /// `best`. This is the one capacity loop of every sweep.
     ///
     /// The capacity loop is the sweep's hot path (hundreds of iterations
     /// per evaluation), so everything that does not vary inside it is
@@ -449,22 +450,23 @@ impl Explorer {
     /// model calls — see `UnitCtx`),
     /// the best-objective comparisons hit register-resident keys, and the
     /// dominance scan collapses to one scalar compare because runtime is
-    /// constant across this whole expansion. The `DesignPoint` (with its
-    /// owned mapping string) — and the recomposed area/power it carries —
-    /// is only materialized for points that actually enter a best slot,
-    /// the front, or the sample.
+    /// constant across this whole expansion. Only points that enter a
+    /// best slot, the front or the sample get a compact [`Cand`] (with
+    /// the recomposed area/power); front and best candidates stay compact
+    /// until [`close_unit`], and only samples become owned `DesignPoint`s
+    /// here.
     #[allow(clippy::too_many_arguments)]
-    fn expand_capacities(
+    fn expand_capacities<'m>(
         &self,
         pes: u64,
         b_idx: usize,
-        mapping: &str,
+        mapping: &'m str,
         eval: Eval,
         ecells: &EnergyCells,
         ctx: &UnitCtx,
         part: &mut Partial,
-        front: &mut ParetoFront,
-        best: &mut BestKeys,
+        front: &mut ParetoFront<Cand<'m>>,
+        best: &mut Best<'m>,
     ) {
         let bw = self.space.noc_bw[b_idx];
         let l2_len = self.space.l2_bytes.len();
@@ -605,9 +607,9 @@ impl Explorer {
                     rejected += 1;
                     continue;
                 }
-                // Slow path: the point matters — materialize it once.
+                // Slow path: the point matters — recompose it once.
                 let (area, power) = ctx.area_power(b_idx, i1, i2);
-                let point = Cand {
+                let cand = Cand {
                     pes,
                     bw,
                     l1: self.space.l1_bytes[i1],
@@ -619,22 +621,21 @@ impl Explorer {
                     throughput,
                     energy: e,
                     edp,
-                }
-                .to_point();
+                };
                 if wins_tp {
                     best.neg_throughput = neg_tp;
-                    part.best_throughput = Some(point.clone());
+                    best.by_throughput = Some(cand);
                 }
                 if wins_en {
                     best.energy = e;
-                    part.best_energy = Some(point.clone());
+                    best.by_energy = Some(cand);
                 }
                 if wins_edp {
                     best.edp = edp;
-                    part.best_edp = Some(point.clone());
+                    best.by_edp = Some(cand);
                 }
                 if accepted {
-                    front.accept(runtime, e, point.clone());
+                    front.accept(runtime, e, cand);
                     min_en = e;
                     part.stats.pareto_inserted += 1;
                 } else {
@@ -645,7 +646,7 @@ impl Explorer {
                 // its first corner — and so unit samples concatenate
                 // deterministically (see `crate::parallel`).
                 if sampled {
-                    part.sample.push(point);
+                    part.sample.push(cand.to_point());
                 }
             }
         }
@@ -824,13 +825,13 @@ impl UnitCtx {
     }
 }
 
-/// Per-report energy decomposition: the activity totals scaled once, plus
-/// the placed DRAM traffic per L2 grid entry. `at(i1, i2)` reproduces the
-/// placed energy of a full model call (`tests::placed_energy`) term by
+/// Per-evaluation energy decomposition: the activity totals scaled once,
+/// plus the placed DRAM traffic per L2 grid entry. `at(i1, i2)` reproduces
+/// the placed energy of a full model call (`tests::placed_energy`) term by
 /// term in the same order (pinned by
 /// `cost_decomposition_matches_full_model_calls`), turning a model
-/// evaluation per (report, capacity) pair into a handful of multiply-adds
-/// per grid point.
+/// evaluation per (priced point, capacity) pair into a handful of
+/// multiply-adds per grid point.
 struct EnergyTab {
     mac: f64,
     l1r: f64,
@@ -844,8 +845,8 @@ struct EnergyTab {
 }
 
 impl EnergyTab {
-    fn new(ex: &Explorer, report: &LayerReport, ctx: &UnitCtx) -> Self {
-        let c = &report.counts;
+    fn new(ex: &Explorer, priced: &Priced, ctx: &UnitCtx) -> Self {
+        let c = &priced.counts;
         EnergyTab {
             mac: c.macs * ctx.e_mac,
             l1r: c.l1_read.total(),
@@ -859,7 +860,7 @@ impl EnergyTab {
                 .iter()
                 .map(|&l2_elems| {
                     let (dr, dw) =
-                        maestro_core::report::offchip_traffic(c, report.tensor_elems, l2_elems);
+                        maestro_core::report::offchip_traffic(c, priced.tensor_elems, l2_elems);
                     dr.total() + dw.total()
                 })
                 .collect(),
@@ -885,13 +886,13 @@ impl EnergyTab {
 }
 
 /// The placed energy of every capacity cell for the evaluation being
-/// expanded: the sum of its reports' [`EnergyTab::at`] values, added in
-/// report order from `-0.0` exactly as `Iterator::sum` adds them. A layer
-/// evaluation has one report, so its cells carry that report's bits; a
-/// whole-model evaluation sums its per-layer best reports in layer order.
-/// Each report's term is evaluated with the identical operation sequence
-/// — the shared left prefix of the sum is hoisted per L1 row, which
-/// preserves every intermediate rounding.
+/// expanded: the sum of its priced points' [`EnergyTab::at`] values, added
+/// in order from `-0.0` exactly as `Iterator::sum` adds them. A layer
+/// evaluation has one priced point, so its cells carry that point's bits;
+/// a whole-model evaluation sums its per-layer bests in layer order. Each
+/// term is evaluated with the identical operation sequence — the shared
+/// left prefix of the sum is hoisted per L1 row, which preserves every
+/// intermediate rounding.
 struct EnergyCells {
     e: Vec<f64>,
     /// Per-L1-row minimum / maximum placed energy — the extreme
@@ -917,12 +918,12 @@ impl EnergyCells {
         }
     }
 
-    /// Refill with the summed placed energies of `reports`.
-    fn fill(&mut self, ex: &Explorer, reports: &[LayerReport], ctx: &UnitCtx) {
+    /// Refill with the summed placed energies of `evals`.
+    fn fill(&mut self, ex: &Explorer, evals: &[Priced], ctx: &UnitCtx) {
         self.e.fill(-0.0);
         let l2_len = ctx.l2_elems.len();
-        for report in reports {
-            let tab = EnergyTab::new(ex, report, ctx);
+        for priced in evals {
+            let tab = EnergyTab::new(ex, priced, ctx);
             for (i1, &(e1r, e1w)) in ctx.e_l1.iter().enumerate() {
                 // Left prefix of the `EnergyTab::at` chain, constant per row.
                 let row = tab.mac + tab.l1r * e1r + tab.l1w * e1w;
@@ -948,8 +949,8 @@ impl EnergyCells {
     }
 }
 
-/// What the capacity expansion needs of one evaluation: a layer's report
-/// under one mapping, or a whole model's per-layer best reports combined.
+/// What the capacity expansion needs of one evaluation: a layer's priced
+/// point under one mapping, or a whole model's per-layer bests combined.
 #[derive(Clone, Copy)]
 struct Eval {
     /// Runtime (cycles).
@@ -962,31 +963,39 @@ struct Eval {
     l2_req: u64,
 }
 
-/// Running best-objective keys mirroring the `Partial::best_*` slots, so
-/// the hot loop compares against a register-resident `f64` instead of
-/// re-deriving the key from the stored [`DesignPoint`]. `NAN` means the
-/// slot is empty; every finite key beats it, which reproduces the "empty
-/// slot always loses" rule of [`update_best`].
-struct BestKeys {
+/// A unit's best point per objective, held as compact [`Cand`]s until
+/// [`close_unit`] fills the `Partial::best_*` slots, each beside its key
+/// so the hot loop compares against a register-resident `f64`. A `NAN`
+/// key means the slot is empty; every finite key beats it, which
+/// reproduces the "empty slot always loses" rule of [`update_best`].
+struct Best<'m> {
     neg_throughput: f64,
     energy: f64,
     edp: f64,
+    by_throughput: Option<Cand<'m>>,
+    by_energy: Option<Cand<'m>>,
+    by_edp: Option<Cand<'m>>,
 }
 
-impl BestKeys {
+impl Best<'_> {
     fn new() -> Self {
-        BestKeys {
+        Best {
             neg_throughput: f64::NAN,
             energy: f64::NAN,
             edp: f64::NAN,
+            by_throughput: None,
+            by_energy: None,
+            by_edp: None,
         }
     }
 }
 
-/// A candidate design point by value, before the owned [`DesignPoint`]
-/// (and its mapping `String`) is materialized. Most candidates are
-/// examined and discarded; deferring the allocation to acceptance keeps
-/// the hot loop allocation-free.
+/// A candidate design point by value, borrowing its mapping name. Most
+/// candidates are examined and discarded, and most that enter the front
+/// or a best slot are displaced before the unit ends, so the owned
+/// [`DesignPoint`] (and its mapping `String`) is built only for samples
+/// and for the survivors in [`close_unit`].
+#[derive(Clone, Copy)]
 struct Cand<'a> {
     pes: u64,
     bw: u64,
@@ -1002,7 +1011,7 @@ struct Cand<'a> {
 }
 
 impl Cand<'_> {
-    fn to_point(&self) -> DesignPoint {
+    fn to_point(self) -> DesignPoint {
         DesignPoint {
             pes: self.pes,
             noc_bw: self.bw,
@@ -1017,6 +1026,22 @@ impl Cand<'_> {
             edp: self.edp,
         }
     }
+}
+
+/// End a work unit: build owned [`DesignPoint`]s for the front survivors
+/// and the three bests, and take the lookup counters from its analyzer.
+fn close_unit(part: &mut Partial, front: ParetoFront<Cand<'_>>, best: Best<'_>, memo: &Analyzer) {
+    part.pareto = front
+        .into_points()
+        .into_iter()
+        .map(Cand::to_point)
+        .collect();
+    part.best_throughput = best.by_throughput.map(Cand::to_point);
+    part.best_energy = best.by_energy.map(Cand::to_point);
+    part.best_edp = best.by_edp.map(Cand::to_point);
+    let counts = memo.counts();
+    part.stats.evaluated += counts.misses;
+    part.stats.memo_hits += counts.hits;
 }
 
 /// Run one work unit (one PE count's slice of a sweep) under the
@@ -1147,7 +1172,7 @@ pub fn insert_pareto(front: &mut Vec<DesignPoint>, p: &DesignPoint) -> bool {
     true
 }
 
-/// A structure-of-arrays (runtime, energy) Pareto front.
+/// A structure-of-arrays (runtime, energy) Pareto front over payloads `P`.
 ///
 /// Semantically identical to folding points through [`insert_pareto`], but
 /// the dominance scan runs over two flat `f64` arrays instead of a
@@ -1155,15 +1180,26 @@ pub fn insert_pareto(front: &mut Vec<DesignPoint>, p: &DesignPoint) -> bool {
 /// strings. The scan accumulates a branch-free boolean (no early exit by
 /// default — fronts are small and the predictable loop beats a
 /// mispredicted break), and eviction compacts all three arrays in one
-/// stable pass.
-#[derive(Debug, Default, Clone)]
-pub struct ParetoFront {
+/// stable pass. The merge holds owned [`DesignPoint`]s; a sweep unit holds
+/// compact candidates and builds owned points only for the survivors.
+#[derive(Debug, Clone)]
+pub struct ParetoFront<P = DesignPoint> {
     runtime: Vec<f64>,
     energy: Vec<f64>,
-    points: Vec<DesignPoint>,
+    points: Vec<P>,
 }
 
-impl ParetoFront {
+impl<P> Default for ParetoFront<P> {
+    fn default() -> Self {
+        ParetoFront {
+            runtime: Vec::new(),
+            energy: Vec::new(),
+            points: Vec::new(),
+        }
+    }
+}
+
+impl<P> ParetoFront<P> {
     /// An empty front.
     pub fn new() -> Self {
         ParetoFront::default()
@@ -1180,7 +1216,7 @@ impl ParetoFront {
     }
 
     /// The points currently on the front, in insertion (fold) order.
-    pub fn points(&self) -> &[DesignPoint] {
+    pub fn points(&self) -> &[P] {
         &self.points
     }
 
@@ -1250,10 +1286,10 @@ impl ParetoFront {
     }
 
     /// Accept a point already known to be finite and non-dominated:
-    /// evict what it dominates and push. Callers must have established
-    /// both preconditions (see `expand_capacities`); this is the accept
-    /// half of [`Self::try_insert_with`].
-    fn accept(&mut self, rt: f64, en: f64, point: DesignPoint) {
+    /// evict what it dominates and push, moving `point` in. Callers must
+    /// have established both preconditions (see `expand_capacities`);
+    /// this is the accept half of [`Self::try_insert_with`].
+    fn accept(&mut self, rt: f64, en: f64, point: P) {
         self.evict_dominated(rt, en);
         self.runtime.push(rt);
         self.energy.push(en);
@@ -1263,34 +1299,28 @@ impl ParetoFront {
     /// Insert `(rt, en)` if non-dominated, materializing the owned point
     /// via `make` only on acceptance. Returns whether the point entered
     /// the front — same accept/reject behaviour as [`insert_pareto`].
-    pub fn try_insert_with(
-        &mut self,
-        rt: f64,
-        en: f64,
-        make: impl FnOnce() -> DesignPoint,
-    ) -> bool {
+    pub fn try_insert_with(&mut self, rt: f64, en: f64, make: impl FnOnce() -> P) -> bool {
         if !(rt.is_finite() && en.is_finite()) {
             return false;
         }
         if self.dominated(rt, en) {
             return false;
         }
-        self.evict_dominated(rt, en);
-        self.runtime.push(rt);
-        self.energy.push(en);
-        self.points.push(make());
+        self.accept(rt, en, make());
         true
     }
 
+    /// Consume the front, returning the surviving points in fold order.
+    pub fn into_points(self) -> Vec<P> {
+        self.points
+    }
+}
+
+impl ParetoFront {
     /// Insert an already-owned point (merge path). Equivalent to
     /// [`insert_pareto`] on the underlying vector.
     pub fn insert(&mut self, p: &DesignPoint) -> bool {
         self.try_insert_with(p.runtime, p.energy, || p.clone())
-    }
-
-    /// Consume the front, returning the surviving points in fold order.
-    pub fn into_points(self) -> Vec<DesignPoint> {
-        self.points
     }
 }
 
@@ -1311,6 +1341,7 @@ mod tests {
     use super::*;
     use crate::space::SweepSpace;
     use crate::variants;
+    use maestro_core::LayerReport;
     use maestro_dnn::{LayerDims, Operator};
     use maestro_hw::EnergyModel;
     use maestro_ir::Style;
@@ -1366,9 +1397,10 @@ mod tests {
                 let Ok(report) = maestro_core::analyze(&layer(), mapping, &acc) else {
                     continue;
                 };
-                let etab = EnergyTab::new(&ex, &report, &ctx);
+                let priced = report.priced();
+                let etab = EnergyTab::new(&ex, &priced, &ctx);
                 let mut cells = EnergyCells::new(ex.space.l1_bytes.len(), ex.space.l2_bytes.len());
-                cells.fill(&ex, std::slice::from_ref(&report), &ctx);
+                cells.fill(&ex, std::slice::from_ref(&priced), &ctx);
                 for (i1, &l1) in ex.space.l1_bytes.iter().enumerate() {
                     for (i2, &l2) in ex.space.l2_bytes.iter().enumerate() {
                         let want = placed_energy(&ex, &report, l1, l2);
@@ -1652,11 +1684,11 @@ impl Explorer {
             })
             .collect();
         let ctx = UnitCtx::new(self, pes);
-        let mut front = ParetoFront::new();
-        let mut ecells = EnergyCells::new(self.space.l1_bytes.len(), self.space.l2_bytes.len());
-        let mut best = BestKeys::new();
         // The mapping label is the same for every point of this unit.
         let label = format!("per-layer best of {}", mappings.len());
+        let mut front = ParetoFront::new();
+        let mut ecells = EnergyCells::new(self.space.l1_bytes.len(), self.space.l2_bytes.len());
+        let mut best = Best::new();
         for (b_idx, &bw) in self.space.noc_bw.iter().enumerate() {
             part.stats.explored += caps_per_eval;
             let noc = NocConfig {
@@ -1664,15 +1696,15 @@ impl Explorer {
                 ..acc.noc
             };
             // Per-layer best-runtime mapping (embedded tuning).
-            let mut reports: Vec<LayerReport> = Vec::with_capacity(model.len());
+            let mut layers: Vec<Priced> = Vec::with_capacity(model.len());
             let mut ok = true;
             for layer_analyses in &analyses {
-                let best = layer_analyses
+                let fastest = layer_analyses
                     .iter()
                     .filter_map(|a| memo.analyze(a, noc, None).ok())
                     .min_by(|a, b| a.runtime.total_cmp(&b.runtime));
-                match best {
-                    Some(r) => reports.push(r),
+                match fastest {
+                    Some(r) => layers.push(r.priced()),
                     None => {
                         ok = false;
                         break;
@@ -1684,27 +1716,20 @@ impl Explorer {
             }
             // The per-layer best mapping (and so the activity counts) can
             // change with bandwidth, so the energy table is refilled here.
-            ecells.fill(self, &reports, &ctx);
-            let runtime: f64 = reports.iter().map(|r| r.runtime).sum();
-            let macs: f64 = reports.iter().map(|r| r.macs_effective).sum();
+            ecells.fill(self, &layers, &ctx);
+            let runtime: f64 = layers.iter().map(|r| r.runtime).sum();
+            let macs: f64 = layers.iter().map(|r| r.macs_effective).sum();
             let eval = Eval {
                 runtime,
                 throughput: macs / runtime.max(1.0),
-                l1_req: reports.iter().map(|r| r.l1_per_pe_elems).max().unwrap_or(0),
-                l2_req: reports
-                    .iter()
-                    .map(|r| r.l2_staging_elems)
-                    .max()
-                    .unwrap_or(0),
+                l1_req: layers.iter().map(|r| r.l1_per_pe_elems).max().unwrap_or(0),
+                l2_req: layers.iter().map(|r| r.l2_staging_elems).max().unwrap_or(0),
             };
             self.expand_capacities(
                 pes, b_idx, &label, eval, &ecells, &ctx, &mut part, &mut front, &mut best,
             );
         }
-        part.pareto = front.into_points();
-        let counts = memo.counts();
-        part.stats.evaluated += counts.misses;
-        part.stats.memo_hits += counts.hits;
+        close_unit(&mut part, front, best, &memo);
         part
     }
 }
