@@ -49,9 +49,10 @@ pub struct UnitUpdate<'a> {
 /// fine; unbounded blocking stalls the sweep).
 pub type UnitFn = dyn Fn(&UnitUpdate<'_>) + Sync;
 
-/// Controls for one interruption-proof sweep. [`SessionCtl::default`] is
-/// a plain run-to-completion sweep: no checkpointing, no deadline, no
-/// faults, a detached token.
+/// Controls for one sweep. [`SessionCtl::default`] is a plain
+/// run-to-completion sweep — no checkpointing, no deadline, no faults, a
+/// detached token, one retry for a panicking unit — and is what the plain
+/// `explore*` entry points run under.
 pub struct SessionCtl {
     /// Cancellation token polled at work-unit boundaries. Arm a deadline
     /// on it for `--deadline`; pass [`CancelToken::new`] to also heed the

@@ -48,6 +48,7 @@
 //! real path.
 
 use crate::explorer::{DesignPoint, Partial};
+use crate::parallel::UnitOutcome;
 use crate::space::Constraints;
 use crate::Explorer;
 use maestro_ir::Dataflow;
@@ -91,7 +92,7 @@ pub enum CheckpointError {
         found: String,
     },
     /// The checkpoint belongs to a different sweep configuration (space /
-    /// constraints / workload / mappings differ).
+    /// constraints / cost models / workload / mappings differ).
     Fingerprint {
         /// Fingerprint of the sweep being resumed.
         expected: String,
@@ -120,28 +121,13 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Fingerprint { expected, found } => write!(
                 f,
                 "checkpoint belongs to a different sweep (fingerprint {found}, this sweep is {expected}) — \
-                 space, constraints, workload and mappings must match exactly to resume"
+                 space, constraints, cost models, workload and mappings must match exactly to resume"
             ),
         }
     }
 }
 
 impl std::error::Error for CheckpointError {}
-
-/// Terminal outcome of one completed work unit, as stored in a checkpoint.
-// `Done` dwarfs `Quarantined`, but it is also the overwhelmingly common
-// variant and the enum only ever lives in the per-unit slot vector (one
-// entry per PE-count shard), so boxing would add indirection to the hot
-// case to save bytes on the rare one.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq)]
-pub enum UnitEntry {
-    /// The unit finished and produced this partial.
-    Done(Partial),
-    /// The unit was quarantined with this panic/timeout message and will
-    /// not be retried on resume.
-    Quarantined(String),
-}
 
 /// Resumable state of a sweep: which units completed and what they
 /// produced. See the module docs for why per-unit partials (not the
@@ -150,9 +136,10 @@ pub enum UnitEntry {
 pub struct Checkpoint {
     /// Fingerprint of the sweep configuration (see [`sweep_fingerprint`]).
     pub fingerprint: u64,
-    /// One slot per work unit, indexed like `SweepSpace::pes`; `None`
-    /// means "not completed yet".
-    pub units: Vec<Option<UnitEntry>>,
+    /// One slot per work unit, indexed like `SweepSpace::pes`: the
+    /// unit's partial (`done`), its quarantine message (`quarantined`,
+    /// never retried on resume), or `None` when it has not completed yet.
+    pub units: Vec<Option<UnitOutcome>>,
 }
 
 impl Checkpoint {
@@ -164,33 +151,9 @@ impl Checkpoint {
         }
     }
 
-    /// Snapshot the outcome slots of a (possibly still incomplete) run
-    /// into a checkpoint: `Ok` partials become [`UnitEntry::Done`],
-    /// quarantine messages become [`UnitEntry::Quarantined`], unfinished
-    /// units stay empty.
-    pub fn from_outcomes(fingerprint: u64, slots: &[Option<crate::parallel::UnitOutcome>]) -> Self {
-        Checkpoint {
-            fingerprint,
-            units: slots
-                .iter()
-                .map(|slot| {
-                    slot.as_ref().map(|outcome| match outcome {
-                        Ok(p) => UnitEntry::Done(p.clone()),
-                        Err(m) => UnitEntry::Quarantined(m.clone()),
-                    })
-                })
-                .collect(),
-        }
-    }
-
     /// Number of completed (done or quarantined) units.
     pub fn completed(&self) -> usize {
         self.units.iter().filter(|u| u.is_some()).count()
-    }
-
-    /// Whether unit `i` already has a terminal outcome.
-    pub fn is_done(&self, i: usize) -> bool {
-        self.units.get(i).is_some_and(|u| u.is_some())
     }
 
     /// Reject this checkpoint unless it matches the sweep about to run.
@@ -224,10 +187,10 @@ impl Checkpoint {
         for (i, entry) in self.units.iter().enumerate() {
             match entry {
                 None => {}
-                Some(UnitEntry::Quarantined(msg)) => {
+                Some(Err(msg)) => {
                     let _ = writeln!(s, "unit {i} quarantined {}", escape(msg));
                 }
-                Some(UnitEntry::Done(p)) => {
+                Some(Ok(p)) => {
                     let _ = writeln!(s, "unit {i} done");
                     let st = &p.stats;
                     let _ = writeln!(
@@ -343,11 +306,11 @@ impl Checkpoint {
                 match parts.next() {
                     Some("quarantined") => {
                         let msg = unescape(parts.next().unwrap_or_default());
-                        ckpt.units[i] = Some(UnitEntry::Quarantined(msg));
+                        ckpt.units[i] = Some(Err(msg));
                     }
                     Some("done") => {
                         let p = decode_partial(&mut lines)?;
-                        ckpt.units[i] = Some(UnitEntry::Done(p));
+                        ckpt.units[i] = Some(Ok(p));
                     }
                     _ => return Err(lines.err("expected `done` or `quarantined <message>`")),
                 }
@@ -402,9 +365,10 @@ fn checkpoint_writes() -> &'static maestro_obs::Counter {
 }
 
 /// Fingerprint of everything that determines a sweep's results: the
-/// hardware space, constraints, model parameters, the workload, and the
-/// full mapping DSL. Two sweeps with equal fingerprints produce equal
-/// results, so a checkpoint is resumable exactly when fingerprints match.
+/// hardware space, constraints, the area and power models, model
+/// parameters, the workload, and the full mapping DSL. Two sweeps with
+/// equal fingerprints produce equal results, so a checkpoint is resumable
+/// exactly when fingerprints match.
 /// `threads`, checkpoint cadence and fault plans are deliberately *not*
 /// fingerprinted: they do not change results. The evaluation mode
 /// ([`crate::EvalMode`]) *is* fingerprinted even though staged and full
@@ -417,13 +381,15 @@ pub fn sweep_fingerprint(explorer: &Explorer, workload: &str, mappings: &[Datafl
     let c: &Constraints = &explorer.constraints;
     let _ = write!(
         s,
-        "pes{:?};bw{:?};l1{:?};l2{:?};area{:016x};power{:016x};dram{:016x};prec{};cap{};eval={};wl={workload};",
+        "pes{:?};bw{:?};l1{:?};l2{:?};area{:016x};power{:016x};{:?};{:?};dram{:016x};prec{};cap{};eval={};wl={workload};",
         sp.pes,
         sp.noc_bw,
         sp.l1_bytes,
         sp.l2_bytes,
         c.max_area_mm2.to_bits(),
         c.max_power_mw.to_bits(),
+        explorer.area_model,
+        explorer.power_model,
         explorer.dram_pj.to_bits(),
         explorer.precision_bytes,
         explorer.sample_cap,
@@ -671,8 +637,8 @@ mod tests {
         p.best_throughput = Some(point(64, 4000.0));
         p.best_edp = Some(point(64, 4500.0));
         p.sample = vec![point(64, 4100.0)];
-        ckpt.units[0] = Some(UnitEntry::Done(p));
-        ckpt.units[2] = Some(UnitEntry::Quarantined("panicked: bad\nluck".to_string()));
+        ckpt.units[0] = Some(Ok(p));
+        ckpt.units[2] = Some(Err("panicked: bad\nluck".to_string()));
         ckpt
     }
 
@@ -684,7 +650,7 @@ mod tests {
         assert_eq!(back, ckpt);
         assert_eq!(back.encode(), text, "re-encode is byte-identical");
         assert_eq!(back.completed(), 2);
-        assert!(back.is_done(0) && !back.is_done(1) && back.is_done(2));
+        assert!(back.units[0].is_some() && back.units[1].is_none() && back.units[2].is_some());
     }
 
     #[test]
@@ -694,9 +660,9 @@ mod tests {
         let mut pt = point(8, f64::NAN);
         pt.energy = f64::INFINITY;
         p.sample = vec![pt];
-        ckpt.units[0] = Some(UnitEntry::Done(p));
+        ckpt.units[0] = Some(Ok(p));
         let back = Checkpoint::decode(&ckpt.encode()).expect("decodes");
-        let Some(UnitEntry::Done(bp)) = &back.units[0] else {
+        let Some(Ok(bp)) = &back.units[0] else {
             panic!("unit 0 lost");
         };
         assert!(bp.sample[0].runtime.is_nan());
@@ -798,6 +764,14 @@ mod tests {
         assert_ne!(reference, fp(&other, "layer:c", &maps));
         let mut other = base.clone();
         other.space.pes.push(4096);
+        assert_ne!(reference, fp(&other, "layer:c", &maps));
+        // The cost models decide every cell's budget verdict and every
+        // point's area and power.
+        let mut other = base.clone();
+        other.area_model.sram_mm2_per_byte *= 2.0;
+        assert_ne!(reference, fp(&other, "layer:c", &maps));
+        let mut other = base.clone();
+        other.power_model.noc_mw_per_lane += 1.0;
         assert_ne!(reference, fp(&other, "layer:c", &maps));
         // Evaluation mode: a staged checkpoint must not resume a full
         // sweep (or vice versa), even though the two modes agree

@@ -9,20 +9,20 @@
 //! is what produces effective rates of >0.1M designs/second.
 //!
 //! The sweep is sharded by PE count into independent work units (one per
-//! entry of [`SweepSpace::pes`]) executed by [`crate::parallel::run_units`]
-//! and folded by [`crate::parallel::merge_partials`]; `explore` is the
-//! one-thread special case of `explore_parallel`, so parallel results are
-//! bit-identical to sequential ones apart from the wall-clock fields.
+//! entry of [`SweepSpace::pes`]) executed by the runner in
+//! [`crate::parallel`] and folded by its merge. Every `explore*` entry
+//! point runs as a session under a [`SessionCtl`] (plain explores pass
+//! [`SessionCtl::default`]), and `explore` is the one-thread case of
+//! `explore_parallel`, so parallel results are bit-identical to sequential
+//! ones apart from the wall-clock fields.
 //! Each unit owns a one-shard [`maestro_core::Analyzer`]: layer units price
 //! every (mapping, bandwidth) point from its stage tier, and whole-model
 //! units serve repeated layer shapes from its report tier.
 
 use crate::cancel::{SessionCtl, SessionError, SessionReport};
 use crate::checkpoint::{sweep_fingerprint, Checkpoint};
-use crate::parallel::{
-    merge_indexed_partials, merge_partials, run_units, run_units_ctl, CheckpointSink, RunCtl,
-};
-use crate::space::{Constraints, SpaceError, SweepSpace};
+use crate::parallel::{merge_partials, run_units};
+use crate::space::{Constraints, SweepSpace};
 use maestro_core::{AnalysisError, Analyzer, Context, Priced, DEFAULT_CACHE_CAP};
 use maestro_dnn::Layer;
 use maestro_hw::{Accelerator, AreaModel, NocConfig, PowerModel};
@@ -88,7 +88,7 @@ pub struct DesignPoint {
 }
 
 /// A work unit that panicked during a sweep and was dropped from the
-/// merged result (see [`crate::parallel::merge_partials`]).
+/// merged result (see [`crate::parallel`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuarantinedUnit {
     /// Index of the failing unit (its position in [`SweepSpace::pes`]).
@@ -305,9 +305,9 @@ impl Explorer {
     ///
     /// # Errors
     ///
-    /// Returns [`SpaceError`] when the sweep space has an empty or
+    /// Returns [`SessionError::Space`] when the sweep space has an empty or
     /// zero-containing grid.
-    pub fn explore(&self, layer: &Layer, mappings: &[Dataflow]) -> Result<DseResult, SpaceError> {
+    pub fn explore(&self, layer: &Layer, mappings: &[Dataflow]) -> Result<DseResult, SessionError> {
         self.explore_parallel(layer, mappings, 1)
     }
 
@@ -317,37 +317,22 @@ impl Explorer {
     /// `rate` fields. (The paper runs four DSEs concurrently on its
     /// workstation; this parallelizes *within* one DSE.)
     ///
-    /// A panicking work unit does not abort the sweep: it is quarantined
-    /// (see [`DseStats::quarantined`]) and the remaining units complete.
+    /// A panicking work unit does not abort the sweep: it is retried once
+    /// ([`SessionCtl::default`]), then quarantined (see
+    /// [`DseStats::quarantined`]) while the remaining units complete.
     ///
     /// # Errors
     ///
-    /// Returns [`SpaceError`] when the sweep space has an empty or
-    /// zero-containing grid.
+    /// Returns [`SessionError::Space`] when the sweep space has an empty or
+    /// zero-containing grid (a default session fails no other way).
     pub fn explore_parallel(
         &self,
         layer: &Layer,
         mappings: &[Dataflow],
         threads: usize,
-    ) -> Result<DseResult, SpaceError> {
-        self.sweep(threads, |pes| self.explore_unit_inner(pes, layer, mappings))
-    }
-
-    /// The plain (uncontrolled) sweep driver: validate the space, run one
-    /// [`timed_unit`] per PE count on `threads` workers, and merge the
-    /// partials in unit order.
-    fn sweep<F>(&self, threads: usize, unit: F) -> Result<DseResult, SpaceError>
-    where
-        F: Fn(u64) -> Partial + Sync,
-    {
-        let t0 = Instant::now();
-        self.space.validate()?;
-        let partials = run_units(self.space.pes.len(), threads, |i| {
-            timed_unit(|| unit(self.space.pes[i]))
-        });
-        let mut result = merge_partials(partials, self.sample_cap);
-        finish_stats(&mut result.stats, t0);
-        Ok(result)
+    ) -> Result<DseResult, SessionError> {
+        self.explore_session(layer, mappings, threads, &SessionCtl::default())
+            .map(|(result, _)| result)
     }
 
     /// One layer work unit: the full mapping × bandwidth × capacity sweep
@@ -1324,18 +1309,6 @@ impl ParetoFront {
     }
 }
 
-impl From<Vec<DesignPoint>> for ParetoFront {
-    /// Rebuild the SoA columns from an existing front (assumed already
-    /// mutually non-dominated, e.g. a checkpointed partial's front).
-    fn from(points: Vec<DesignPoint>) -> Self {
-        ParetoFront {
-            runtime: points.iter().map(|p| p.runtime).collect(),
-            energy: points.iter().map(|p| p.energy).collect(),
-            points,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1609,7 +1582,10 @@ mod tests {
         let err = Explorer::new(space)
             .explore(&layer(), &variants::variants(Style::KCP))
             .unwrap_err();
-        assert_eq!(err, crate::space::SpaceError::EmptyGrid { grid: "noc_bw" });
+        assert_eq!(
+            err,
+            SessionError::Space(crate::space::SpaceError::EmptyGrid { grid: "noc_bw" })
+        );
         assert!(err.to_string().contains("noc_bw"), "{err}");
     }
 }
@@ -1623,13 +1599,13 @@ impl Explorer {
     ///
     /// # Errors
     ///
-    /// Returns [`SpaceError`] when the sweep space has an empty or
+    /// Returns [`SessionError::Space`] when the sweep space has an empty or
     /// zero-containing grid.
     pub fn explore_model(
         &self,
         model: &maestro_dnn::Model,
         mappings: &[Dataflow],
-    ) -> Result<DseResult, SpaceError> {
+    ) -> Result<DseResult, SessionError> {
         self.explore_model_parallel(model, mappings, 1)
     }
 
@@ -1639,20 +1615,21 @@ impl Explorer {
     /// (VGG/ResNet blocks) hit the per-unit memo cache instead of
     /// re-running the cost model; `stats.memo_hits` counts those.
     ///
-    /// A panicking work unit does not abort the sweep: it is quarantined
-    /// (see [`DseStats::quarantined`]) and the remaining units complete.
+    /// A panicking work unit is handled as in
+    /// [`Explorer::explore_parallel`].
     ///
     /// # Errors
     ///
-    /// Returns [`SpaceError`] when the sweep space has an empty or
+    /// Returns [`SessionError::Space`] when the sweep space has an empty or
     /// zero-containing grid.
     pub fn explore_model_parallel(
         &self,
         model: &maestro_dnn::Model,
         mappings: &[Dataflow],
         threads: usize,
-    ) -> Result<DseResult, SpaceError> {
-        self.sweep(threads, |pes| self.model_unit_inner(pes, model, mappings))
+    ) -> Result<DseResult, SessionError> {
+        self.explore_model_session(model, mappings, threads, &SessionCtl::default())
+            .map(|(result, _)| result)
     }
 
     /// One whole-model work unit: the bandwidth × capacity sweep at a
@@ -1732,9 +1709,7 @@ impl Explorer {
         close_unit(&mut part, front, best, &memo);
         part
     }
-}
 
-impl Explorer {
     /// [`Explorer::explore_parallel`] as an interruption-proof **session**:
     /// resumable from a checkpoint, periodically checkpointed,
     /// deadline/signal-cancellable, and optionally fault-injected — all
@@ -1758,12 +1733,12 @@ impl Explorer {
         threads: usize,
         ctl: &SessionCtl,
     ) -> Result<(DseResult, SessionReport), SessionError> {
-        let t0 = Instant::now();
-        self.space.validate()?;
-        let fingerprint = sweep_fingerprint(self, &format!("layer:{layer:?}"), mappings);
-        self.run_session(fingerprint, threads, ctl, t0, |pes| {
-            self.explore_unit_inner(pes, layer, mappings)
-        })
+        self.run_session(
+            threads,
+            ctl,
+            || sweep_fingerprint(self, &format!("layer:{layer:?}"), mappings),
+            |pes| self.explore_unit_inner(pes, layer, mappings),
+        )
     }
 
     /// [`Explorer::explore_model_parallel`] as an interruption-proof
@@ -1779,87 +1754,58 @@ impl Explorer {
         threads: usize,
         ctl: &SessionCtl,
     ) -> Result<(DseResult, SessionReport), SessionError> {
-        let t0 = Instant::now();
-        self.space.validate()?;
-        let fingerprint = sweep_fingerprint(self, &format!("model:{model:?}"), mappings);
-        self.run_session(fingerprint, threads, ctl, t0, |pes| {
-            self.model_unit_inner(pes, model, mappings)
-        })
+        self.run_session(
+            threads,
+            ctl,
+            || sweep_fingerprint(self, &format!("model:{model:?}"), mappings),
+            |pes| self.model_unit_inner(pes, model, mappings),
+        )
     }
 
-    /// Shared session driver: validate the resume checkpoint, run the
-    /// controlled loop of [`timed_unit`]s (one per PE count), write the
-    /// final checkpoint, merge whatever completed, and assemble the
-    /// control report.
+    /// The one path every sweep takes: validate the space and the resume
+    /// checkpoint, run one [`timed_unit`] per PE count under `ctl`, write
+    /// the final checkpoint, and merge whatever completed in unit order.
+    ///
+    /// `fingerprint` is called only when `ctl` resumes or writes
+    /// checkpoints, so a plain sweep does not hash its configuration.
     fn run_session<F>(
         &self,
-        fingerprint: u64,
         threads: usize,
         ctl: &SessionCtl,
-        t0: Instant,
+        fingerprint: impl FnOnce() -> u64,
         unit: F,
     ) -> Result<(DseResult, SessionReport), SessionError>
     where
         F: Fn(u64) -> Partial + Sync,
     {
+        let t0 = Instant::now();
+        self.space.validate()?;
         let total = self.space.pes.len();
+        let fingerprint = if ctl.resume.is_some() || ctl.checkpoint_path.is_some() {
+            fingerprint()
+        } else {
+            0
+        };
         if let Some(resume) = &ctl.resume {
             resume.validate_against(fingerprint, total)?;
         }
-        let run_ctl = RunCtl {
-            token: &ctl.token,
-            resume: ctl.resume.as_ref(),
-            faults: &ctl.faults,
-            retries: ctl.retries,
-            unit_timeout: ctl.unit_timeout,
-            checkpoint: ctl.checkpoint_path.as_deref().map(|path| CheckpointSink {
-                path,
-                fingerprint,
-                every_units: ctl.checkpoint_every_units,
-                every: ctl.checkpoint_every,
-            }),
-            on_progress: ctl.on_progress.as_deref(),
-            on_unit: ctl.on_unit.as_deref(),
-            trace_sample: ctl.trace_sample,
-            trace_seed: ctl.trace_seed,
-        };
-        let run = run_units_ctl(total, threads, &run_ctl, |i| {
+        let (mut slots, mut report) = run_units(total, threads, ctl, fingerprint, |i| {
             timed_unit(|| unit(self.space.pes[i]))
         });
 
         // Final checkpoint: always current as of the last completed unit,
         // whether the run finished or was cut short.
-        let mut checkpoint_writes = run.checkpoint_writes;
         if let Some(path) = &ctl.checkpoint_path {
-            Checkpoint::from_outcomes(fingerprint, &run.slots).save(path)?;
-            checkpoint_writes += 1;
+            let ckpt = Checkpoint {
+                fingerprint,
+                units: slots,
+            };
+            ckpt.save(path)?;
+            report.checkpoint_writes += 1;
+            slots = ckpt.units;
         }
 
-        let complete = run.complete();
-        let completed_units = run.completed();
-        let report = SessionReport {
-            interrupted: run.cancelled && !complete,
-            deadline_hit: ctl.token.deadline_exceeded(),
-            resumed_skipped: run.resumed_skipped,
-            checkpoint_writes,
-            completed_units,
-            total_units: total,
-            units_retried: run.units_retried,
-            units_timed_out: run.units_timed_out,
-            faults_injected: run.faults_injected,
-        };
-        if report.deadline_hit {
-            crate::parallel::note_deadline_exceeded();
-        }
-        let mut result = merge_indexed_partials(
-            run.slots
-                .into_iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.map(|o| (i, o)))
-                .collect(),
-            self.sample_cap,
-        );
-        result.partial = !complete;
+        let mut result = merge_partials(slots, self.sample_cap);
         finish_stats(&mut result.stats, t0);
         Ok((result, report))
     }

@@ -45,14 +45,12 @@ pub mod tuner;
 pub mod variants;
 
 pub use cancel::{CancelToken, SessionCtl, SessionError, SessionReport, UnitUpdate};
-pub use checkpoint::{sweep_fingerprint, Checkpoint, CheckpointError, UnitEntry};
+pub use checkpoint::{sweep_fingerprint, Checkpoint, CheckpointError};
 pub use explorer::{
     insert_pareto, unit_seconds_buckets, DesignPoint, DseResult, DseStats, EvalMode, Explorer,
     ParetoFront, Partial, QuarantinedUnit,
 };
 pub use fault::{Fault, FaultPlan, FaultSpecError};
-pub use parallel::{
-    merge_partials, resolve_threads, run_units, unit_trace_draw, unit_trace_id, UnitOutcome,
-};
+pub use parallel::{resolve_threads, unit_trace_draw, unit_trace_id, UnitOutcome};
 pub use space::{Constraints, SpaceError, SweepSpace};
 pub use tuner::{tune_layer, tune_model, Objective, TunedLayer, TunedModel};

@@ -3,10 +3,11 @@
 //! The explorer's sweep is decomposed into independent **work units**, one
 //! per PE-count index. A unit produces a [`Partial`] — private statistics,
 //! Pareto front, per-objective bests and scatter subsample for its slice
-//! of the space. [`run_units`] executes units either inline or on scoped
+//! of the space. `run_units` executes units either inline or on scoped
 //! worker threads pulling indices from a shared atomic counter, and always
-//! returns the partials **in unit-index order** regardless of which thread
-//! computed what. [`merge_partials`] then folds them in that fixed order.
+//! returns their outcomes **in unit-index order** regardless of which
+//! thread computed what. `merge_partials` then folds them in that fixed
+//! order.
 //!
 //! Because the sequential path (`threads == 1`) runs the *same* units
 //! through the *same* merge, the parallel result is bit-identical to the
@@ -30,7 +31,7 @@
 //!
 //! Each work unit runs under [`std::panic::catch_unwind`], on the inline
 //! path and on the workers alike. A panicking unit yields an `Err` at its
-//! fixed index instead of aborting the sweep; [`merge_partials`] records it
+//! fixed index instead of aborting the sweep; `merge_partials` records it
 //! in [`DseStats::quarantined`] (unit index + panic payload) and folds the
 //! remaining units unchanged. Because the failed unit contributes nothing
 //! at the same position on every path, results stay bit-identical at any
@@ -38,9 +39,10 @@
 //!
 //! # Controlled execution
 //!
-//! [`run_units_ctl`] is the full engine underneath [`run_units`]: the same
-//! claiming loop, plus cooperative cancellation (polled between units and
-//! inside injected stalls), resume (units already terminal in a
+//! Every sweep runs under a [`SessionCtl`]; [`SessionCtl::default`] is a
+//! plain run to completion. On top of the claiming loop the control adds
+//! cooperative cancellation (polled between units and inside injected
+//! stalls), resume (units already terminal in the resume
 //! [`Checkpoint`] are pre-filled, not re-run), per-attempt deterministic
 //! fault injection with retry (a failed attempt is re-run up to
 //! `retries` times with a fresh fault draw before quarantining), a
@@ -50,20 +52,18 @@
 //! the unit index, so the bit-identical guarantee extends across
 //! interruption, resume and injection at any thread count.
 
-use crate::cancel::{CancelToken, UnitUpdate};
-use crate::checkpoint::{Checkpoint, UnitEntry};
+use crate::cancel::{SessionCtl, SessionReport, UnitUpdate};
+use crate::checkpoint::Checkpoint;
 use crate::explorer::{
     update_best, DesignPoint, DseResult, DseStats, ParetoFront, Partial, QuarantinedUnit,
 };
-use crate::fault::FaultPlan;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// What one work unit produced: its [`Partial`], or the panic payload
-/// (rendered as a string) if it panicked.
+/// (rendered as a string) if it panicked or timed out.
 pub type UnitOutcome = Result<Partial, String>;
 
 /// `OnceLock`-cached handles for the session-control counters, registered
@@ -90,12 +90,6 @@ fn ctl_metrics() -> &'static CtlMetrics {
             deadline_exceeded: r.counter("maestro.dse.deadline_exceeded"),
         }
     })
-}
-
-/// Bump `maestro.dse.deadline_exceeded` (the session layer calls this once
-/// when a run winds down with its deadline passed).
-pub(crate) fn note_deadline_exceeded() {
-    ctl_metrics().deadline_exceeded.inc();
 }
 
 /// Render a panic payload as a string (`&str` and `String` payloads pass
@@ -139,7 +133,7 @@ fn unix_ms() -> u64 {
 /// here is on the unit *index*, not the trace ID, so which units get
 /// traced does not change when the seed (and hence the IDs) does.
 fn record_unit_trace(
-    ctl: &RunCtl<'_>,
+    ctl: &SessionCtl,
     i: usize,
     outcome: &UnitOutcome,
     started_ms: u64,
@@ -184,85 +178,6 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Incremental checkpoint sink for [`run_units_ctl`]: where to write, what
-/// fingerprint to stamp, and how often.
-pub struct CheckpointSink<'a> {
-    /// Checkpoint file path (written atomically via temp + rename).
-    pub path: &'a Path,
-    /// Sweep fingerprint stamped into every write.
-    pub fingerprint: u64,
-    /// Write after this many newly completed units (0 = never on a unit
-    /// count basis).
-    pub every_units: usize,
-    /// Also write when this much time has passed since the last write.
-    pub every: Option<Duration>,
-}
-
-/// Controls for [`run_units_ctl`]. [`run_units`] passes the inert
-/// configuration (detached token, no resume, no faults, no retries).
-pub struct RunCtl<'a> {
-    /// Polled between units and inside injected stalls.
-    pub token: &'a CancelToken,
-    /// Units already terminal in this checkpoint are pre-filled and
-    /// skipped (quarantined entries stay quarantined — they are *not*
-    /// retried, so a resumed sweep agrees with an uninterrupted one).
-    pub resume: Option<&'a Checkpoint>,
-    /// Deterministic per-`(unit, attempt)` fault injection.
-    pub faults: &'a FaultPlan,
-    /// Re-attempts granted to a failed (panicked / timed-out) unit before
-    /// it is quarantined.
-    pub retries: u32,
-    /// Watchdog budget per attempt; only injected stalls can consume it
-    /// (see [`crate::cancel::SessionCtl::unit_timeout`]).
-    pub unit_timeout: Option<Duration>,
-    /// Incremental checkpointing (a final checkpoint is the session
-    /// layer's responsibility).
-    pub checkpoint: Option<CheckpointSink<'a>>,
-    /// Called with `(completed, total)` after each terminal unit.
-    pub on_progress: Option<&'a (dyn Fn(usize, usize) + Sync + 'a)>,
-    /// Per-unit frontier observer, fired under the completion lock so
-    /// calls are serialized and `completed` is strictly monotone (see
-    /// [`crate::cancel::SessionCtl::on_unit`]).
-    pub on_unit: Option<&'a (dyn Fn(&UnitUpdate<'_>) + Sync + 'a)>,
-    /// Record 1 in this many units (by unit index, plus every
-    /// quarantined unit) as a trace in the global flight recorder.
-    /// See [`crate::cancel::SessionCtl::trace_sample`].
-    pub trace_sample: Option<u64>,
-    /// Seed for sampled units' deterministic trace IDs.
-    pub trace_seed: u64,
-}
-
-/// What [`run_units_ctl`] produced. `slots[i]` is `None` only when the run
-/// was cancelled before unit `i` completed.
-pub struct RunReport {
-    /// Per-unit outcomes in index order; `None` = not completed.
-    pub slots: Vec<Option<UnitOutcome>>,
-    /// The token had tripped by the time the run wound down.
-    pub cancelled: bool,
-    /// Units pre-filled from the resume checkpoint.
-    pub resumed_skipped: usize,
-    /// Extra attempts spent on failed units.
-    pub units_retried: u64,
-    /// Attempts cut short by the watchdog.
-    pub units_timed_out: u64,
-    /// Individual faults injected.
-    pub faults_injected: u64,
-    /// Periodic checkpoints written during the run.
-    pub checkpoint_writes: u64,
-}
-
-impl RunReport {
-    /// `true` when every unit reached a terminal outcome.
-    pub fn complete(&self) -> bool {
-        self.slots.iter().all(|s| s.is_some())
-    }
-
-    /// Units with a terminal outcome.
-    pub fn completed(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-}
-
 /// The placeholder appended to a unit's Pareto slice by `nofinite`
 /// injection. Rejected by [`insert_pareto`]'s finite gate at merge time,
 /// so injected sweeps stay bit-identical to clean ones — which is exactly
@@ -292,28 +207,39 @@ struct SlotState {
     last_write: Instant,
 }
 
-/// The full controlled execution engine. See the module docs; `run_units`
-/// is the inert special case.
-pub fn run_units_ctl<F>(units: usize, threads: usize, ctl: &RunCtl<'_>, unit: F) -> RunReport
+/// Run `units` work units on up to `threads` scoped worker threads
+/// (`0` = auto, one per core) under `ctl`, and return their outcomes in
+/// unit-index order plus the control report. `slots[i]` is `None` only
+/// when the run was cancelled before unit `i` completed. Periodic
+/// checkpoints are stamped with `fingerprint`; the final checkpoint is
+/// the caller's.
+///
+/// Units are claimed dynamically from an atomic counter, so uneven unit
+/// costs (bulk-skipped PE counts finish instantly) still load-balance.
+/// A panicking unit becomes an `Err` at its index — on the sequential and
+/// parallel paths alike — so a single poisoned configuration degrades that
+/// slice instead of aborting the whole sweep.
+pub(crate) fn run_units<F>(
+    units: usize,
+    threads: usize,
+    ctl: &SessionCtl,
+    fingerprint: u64,
+    unit: F,
+) -> (Vec<Option<UnitOutcome>>, SessionReport)
 where
     F: Fn(usize) -> Partial + Sync,
 {
     let metrics = ctl_metrics();
-    let mut slots: Vec<Option<UnitOutcome>> = (0..units).map(|_| None).collect();
-    let mut skip = vec![false; units];
-    let mut resumed_skipped = 0usize;
-    if let Some(ckpt) = ctl.resume {
-        for (i, entry) in ckpt.units.iter().enumerate().take(units) {
-            match entry {
-                Some(UnitEntry::Done(p)) => slots[i] = Some(Ok(p.clone())),
-                Some(UnitEntry::Quarantined(m)) => slots[i] = Some(Err(m.clone())),
-                None => continue,
-            }
-            skip[i] = true;
-            resumed_skipped += 1;
-        }
-        metrics.resumed_skipped.add(resumed_skipped as u64);
-    }
+    // Units already terminal in the resume checkpoint (quarantined ones
+    // included) are copied in and never re-run.
+    let mut slots = ctl
+        .resume
+        .as_ref()
+        .map_or_else(Vec::new, |c| c.units.clone());
+    slots.resize(units, None);
+    let skip: Vec<bool> = slots.iter().map(Option::is_some).collect();
+    let resumed_skipped = skip.iter().filter(|&&s| s).count();
+    metrics.resumed_skipped.add(resumed_skipped as u64);
 
     let retried = AtomicU64::new(0);
     let timed_out = AtomicU64::new(0);
@@ -325,7 +251,7 @@ where
         units_since_write: 0,
         last_write: Instant::now(),
     });
-    if let Some(p) = ctl.on_progress {
+    if let Some(p) = &ctl.on_progress {
         p(resumed_skipped, units);
     }
 
@@ -403,12 +329,18 @@ where
         st.completed += 1;
         st.units_since_write += 1;
         let completed = st.completed;
-        if let Some(sink) = &ctl.checkpoint {
-            let due_units = sink.every_units > 0 && st.units_since_write >= sink.every_units;
-            let due_time = sink.every.is_some_and(|d| st.last_write.elapsed() >= d);
+        if let Some(path) = &ctl.checkpoint_path {
+            let due_units = ctl.checkpoint_every_units > 0
+                && st.units_since_write >= ctl.checkpoint_every_units;
+            let due_time = ctl
+                .checkpoint_every
+                .is_some_and(|d| st.last_write.elapsed() >= d);
             if due_units || due_time {
-                let ckpt = Checkpoint::from_outcomes(sink.fingerprint, &st.slots);
-                match ckpt.save(sink.path) {
+                let ckpt = Checkpoint {
+                    fingerprint,
+                    units: st.slots.clone(),
+                };
+                match ckpt.save(path) {
                     Ok(()) => {
                         ckpt_writes.fetch_add(1, Ordering::Relaxed);
                         st.units_since_write = 0;
@@ -421,7 +353,7 @@ where
         // Deliberately still under the lock: streaming consumers get
         // serialized calls with monotone `completed`, with no extra
         // synchronization of their own.
-        if let Some(f) = ctl.on_unit {
+        if let Some(f) = &ctl.on_unit {
             let (pareto, failed): (&[_], Option<&str>) = match &st.slots[i] {
                 Some(Ok(p)) => (&p.pareto, None),
                 Some(Err(e)) => (&[], Some(e.as_str())),
@@ -436,7 +368,7 @@ where
             });
         }
         drop(st);
-        if let Some(p) = ctl.on_progress {
+        if let Some(p) = &ctl.on_progress {
             p(completed, units);
         }
     };
@@ -481,67 +413,33 @@ where
     }
 
     let st = state.into_inner().unwrap_or_else(|e| e.into_inner());
-    RunReport {
-        slots: st.slots,
-        cancelled: ctl.token.is_cancelled(),
+    let report = SessionReport {
+        interrupted: ctl.token.is_cancelled() && st.completed < units,
+        deadline_hit: ctl.token.deadline_exceeded(),
         resumed_skipped,
+        checkpoint_writes: ckpt_writes.into_inner(),
+        completed_units: st.completed,
+        total_units: units,
         units_retried: retried.into_inner(),
         units_timed_out: timed_out.into_inner(),
         faults_injected: injected.into_inner(),
-        checkpoint_writes: ckpt_writes.into_inner(),
-    }
-}
-
-/// Run `units` work units on up to `threads` scoped worker threads
-/// (`0` = auto, one per core) and return their outcomes in unit-index
-/// order.
-///
-/// Units are claimed dynamically from an atomic counter, so uneven unit
-/// costs (bulk-skipped PE counts finish instantly) still load-balance.
-///
-/// A panicking unit becomes an `Err` at its index — on the sequential and
-/// parallel paths alike — so a single poisoned configuration degrades that
-/// slice instead of aborting the whole sweep.
-pub fn run_units<F>(units: usize, threads: usize, unit: F) -> Vec<UnitOutcome>
-where
-    F: Fn(usize) -> Partial + Sync,
-{
-    let token = CancelToken::detached();
-    let faults = FaultPlan::new(0, Vec::new());
-    let ctl = RunCtl {
-        token: &token,
-        resume: None,
-        faults: &faults,
-        retries: 0,
-        unit_timeout: None,
-        checkpoint: None,
-        on_progress: None,
-        on_unit: None,
-        trace_sample: None,
-        trace_seed: 0,
     };
-    run_units_ctl(units, threads, &ctl, unit)
-        .slots
-        .into_iter()
-        .map(|s| s.unwrap_or_else(|| Err("work unit result lost (worker thread died)".to_string())))
-        .collect()
+    if report.deadline_hit {
+        metrics.deadline_exceeded.inc();
+    }
+    (st.slots, report)
 }
 
-/// Fold unit outcomes — **in the given order** — into one result.
+/// Fold unit outcome slots — **in index order** — into one result.
 ///
 /// Failed units are quarantined into [`DseStats::quarantined`] (in
 /// unit-index order) and contribute nothing else, which preserves the
 /// bit-identical-at-any-thread-count guarantee even when units fail.
+/// Unfinished (`None`) slots are skipped and mark the result
+/// [`DseResult::partial`].
 ///
 /// `seconds`/`rate` are left at zero; the caller stamps wall-clock time.
-pub fn merge_partials(outcomes: Vec<UnitOutcome>, sample_cap: usize) -> DseResult {
-    merge_indexed_partials(outcomes.into_iter().enumerate().collect(), sample_cap)
-}
-
-/// [`merge_partials`] over explicitly indexed outcomes — the partial-result
-/// path, where an interrupted run merges only the units that completed
-/// (their true indices must survive into [`QuarantinedUnit::unit`]).
-pub fn merge_indexed_partials(outcomes: Vec<(usize, UnitOutcome)>, sample_cap: usize) -> DseResult {
+pub(crate) fn merge_partials(slots: Vec<Option<UnitOutcome>>, sample_cap: usize) -> DseResult {
     // Touch the counter up front so `maestro.dse.units_quarantined` shows
     // up (at zero) in every exposition, not only after the first failure —
     // dashboards and the CI grep rely on its presence.
@@ -558,15 +456,19 @@ pub fn merge_indexed_partials(outcomes: Vec<(usize, UnitOutcome)>, sample_cap: u
     // Merge through the SoA front — same accept/evict semantics as
     // `insert_pareto`, but the dominance scans run over flat f64 columns.
     let mut front = ParetoFront::new();
-    for (i, outcome) in outcomes {
-        let part = match outcome {
-            Ok(p) => p,
-            Err(message) => {
+    for (i, slot) in slots.into_iter().enumerate() {
+        let part = match slot {
+            Some(Ok(p)) => p,
+            Some(Err(message)) => {
                 maestro_obs::warn!("DSE work unit {i} quarantined: {message}");
                 quarantined_units.inc();
                 out.stats
                     .quarantined
                     .push(QuarantinedUnit { unit: i, message });
+                continue;
+            }
+            None => {
+                out.partial = true;
                 continue;
             }
         };
@@ -597,16 +499,15 @@ pub fn merge_indexed_partials(outcomes: Vec<(usize, UnitOutcome)>, sample_cap: u
     out
 }
 
-// The scoped workers share `&Explorer`, `&Layer`, `&Model` and
-// `&[Dataflow]`; fail at compile time (with a readable message, not a
+// The scoped workers share `&Explorer`, `&SessionCtl`, `&Layer`, `&Model`
+// and `&[Dataflow]`; fail at compile time (with a readable message, not a
 // trait-bound blizzard at the `scope.spawn` call) if any of them stops
 // being thread-shareable.
 const _: () = {
     const fn assert_sync<T: Sync>() {}
     const fn assert_send<T: Send>() {}
     assert_sync::<crate::Explorer>();
-    assert_sync::<CancelToken>();
-    assert_sync::<FaultPlan>();
+    assert_sync::<SessionCtl>();
     assert_sync::<maestro_dnn::Layer>();
     assert_sync::<maestro_dnn::Model>();
     assert_sync::<maestro_ir::Dataflow>();
@@ -617,6 +518,8 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
+    use std::sync::Arc;
 
     fn unit(i: usize) -> Partial {
         let mut p = Partial::new();
@@ -625,26 +528,35 @@ mod tests {
         p
     }
 
-    fn explored(outcomes: &[UnitOutcome]) -> Vec<u64> {
-        outcomes
+    fn explored(slots: &[Option<UnitOutcome>]) -> Vec<u64> {
+        slots
             .iter()
-            .map(|o| o.as_ref().expect("unit ok").stats.explored)
+            .map(|s| {
+                s.as_ref()
+                    .expect("unit done")
+                    .as_ref()
+                    .expect("unit ok")
+                    .stats
+                    .explored
+            })
             .collect()
     }
 
-    fn plain_ctl<'a>(token: &'a CancelToken, faults: &'a FaultPlan) -> RunCtl<'a> {
-        RunCtl {
-            token,
-            resume: None,
-            faults,
+    /// The inert control: no retries, no time-based checkpoint cadence.
+    fn plain_ctl() -> SessionCtl {
+        SessionCtl {
             retries: 0,
-            unit_timeout: None,
-            checkpoint: None,
-            on_progress: None,
-            on_unit: None,
-            trace_sample: None,
-            trace_seed: 0,
+            checkpoint_every: None,
+            ..SessionCtl::default()
         }
+    }
+
+    /// Run to completion under [`plain_ctl`], returning only the slots.
+    fn run_plain<F>(units: usize, threads: usize, unit: F) -> Vec<Option<UnitOutcome>>
+    where
+        F: Fn(usize) -> Partial + Sync,
+    {
+        run_units(units, threads, &plain_ctl(), 0, unit).0
     }
 
     /// The streaming hook fires exactly once per unit, serialized, with a
@@ -652,55 +564,51 @@ mod tests {
     /// quarantined units — the contract the NDJSON stream relies on.
     #[test]
     fn on_unit_fires_serialized_with_monotone_progress() {
-        let token = CancelToken::detached();
-        let faults = FaultPlan::new(0, Vec::new());
-        let seen: Mutex<Vec<(usize, usize, bool)>> = Mutex::new(Vec::new());
-        let on_unit = |u: &UnitUpdate<'_>| {
-            seen.lock()
-                .unwrap()
-                .push((u.unit, u.completed, u.failed.is_some()));
+        let seen: Arc<Mutex<Vec<(usize, usize, bool)>>> = Arc::default();
+        let sink = Arc::clone(&seen);
+        let ctl = SessionCtl {
+            on_unit: Some(Box::new(move |u: &UnitUpdate<'_>| {
+                sink.lock()
+                    .unwrap()
+                    .push((u.unit, u.completed, u.failed.is_some()));
+            })),
+            ..plain_ctl()
         };
-        let ctl = RunCtl {
-            on_unit: Some(&on_unit),
-            ..plain_ctl(&token, &faults)
-        };
-        let report = run_units_ctl(6, 3, &ctl, |i| {
+        let (_, report) = run_units(6, 3, &ctl, 0, |i| {
             if i == 2 {
                 panic!("boom unit 2");
             }
             unit(i)
         });
-        assert!(report.complete());
-        let seen = seen.into_inner().unwrap();
+        assert_eq!(report.completed_units, report.total_units);
+        let seen = seen.lock().unwrap();
         assert_eq!(seen.len(), 6, "one call per unit");
         let completed: Vec<usize> = seen.iter().map(|(_, c, _)| *c).collect();
         assert_eq!(completed, vec![1, 2, 3, 4, 5, 6], "strictly monotone");
         let mut units: Vec<usize> = seen.iter().map(|(u, _, _)| *u).collect();
         units.sort_unstable();
         assert_eq!(units, vec![0, 1, 2, 3, 4, 5]);
-        for (u, _, failed) in &seen {
+        for (u, _, failed) in seen.iter() {
             assert_eq!(*failed, *u == 2, "only the panicked unit is failed");
         }
     }
 
     #[test]
     fn trace_sample_records_drawn_and_quarantined_units() {
-        let token = CancelToken::detached();
-        let faults = FaultPlan::new(0, Vec::new());
-        let ctl = RunCtl {
+        let ctl = SessionCtl {
             trace_sample: Some(3),
             trace_seed: 42,
-            ..plain_ctl(&token, &faults)
+            ..plain_ctl()
         };
         let rec = maestro_obs::FlightRecorder::global();
         rec.clear();
-        let report = run_units_ctl(7, 2, &ctl, |i| {
+        let (_, report) = run_units(7, 2, &ctl, 0, |i| {
             if i == 4 {
                 panic!("boom unit 4");
             }
             unit(i)
         });
-        assert_eq!(report.completed(), 7);
+        assert_eq!(report.completed_units, 7);
 
         // Drawn units 0, 3, 6 (1-in-3 by index) plus the quarantined
         // unit 4 — and nothing else, at any thread interleaving.
@@ -744,9 +652,9 @@ mod tests {
 
     #[test]
     fn run_units_is_index_ordered_at_any_thread_count() {
-        let sequential = run_units(7, 1, unit);
+        let sequential = run_plain(7, 1, unit);
         for threads in [2, 3, 8, 64] {
-            let parallel = run_units(7, threads, unit);
+            let parallel = run_plain(7, threads, unit);
             assert_eq!(
                 explored(&sequential),
                 explored(&parallel),
@@ -757,14 +665,14 @@ mod tests {
 
     #[test]
     fn zero_units_and_auto_threads() {
-        assert!(run_units(0, 0, unit).is_empty());
+        assert!(run_plain(0, 0, unit).is_empty());
         assert!(resolve_threads(0) >= 1);
         assert_eq!(resolve_threads(5), 5);
     }
 
     #[test]
     fn merge_sums_counters() {
-        let merged = merge_partials(run_units(4, 2, unit), 16);
+        let merged = merge_partials(run_plain(4, 2, unit), 16);
         assert_eq!(merged.stats.explored, 100 + 101 + 102 + 103);
         assert_eq!(merged.stats.valid, 1 + 2 + 3);
         assert!(merged.pareto.is_empty());
@@ -782,9 +690,9 @@ mod tests {
     #[test]
     fn panicking_unit_is_quarantined_not_fatal() {
         for threads in [1, 2, 8, 0] {
-            let outcomes = run_units(5, threads, faulty);
+            let outcomes = run_plain(5, threads, faulty);
             assert_eq!(outcomes.len(), 5);
-            assert!(outcomes[2].is_err(), "threads={threads}");
+            assert!(matches!(outcomes[2], Some(Err(_))), "threads={threads}");
             let merged = merge_partials(outcomes, 16);
             assert_eq!(merged.stats.quarantined.len(), 1);
             let q = &merged.stats.quarantined[0];
@@ -798,45 +706,40 @@ mod tests {
 
     #[test]
     fn quarantine_preserves_merge_determinism() {
-        let reference = merge_partials(run_units(5, 1, faulty), 16);
+        let reference = merge_partials(run_plain(5, 1, faulty), 16);
         for threads in [2, 8, 0] {
-            let merged = merge_partials(run_units(5, threads, faulty), 16);
+            let merged = merge_partials(run_plain(5, threads, faulty), 16);
             assert_eq!(merged.stats, reference.stats, "threads={threads}");
         }
     }
 
     #[test]
     fn cancelled_run_leaves_later_units_incomplete() {
-        let token = CancelToken::detached();
-        token.cancel();
-        let faults = FaultPlan::new(0, Vec::new());
-        let report = run_units_ctl(6, 1, &plain_ctl(&token, &faults), unit);
-        assert!(report.cancelled);
-        assert!(!report.complete());
-        assert_eq!(report.completed(), 0);
+        let ctl = plain_ctl();
+        ctl.token.cancel();
+        let (_, report) = run_units(6, 1, &ctl, 0, unit);
+        assert!(report.interrupted);
+        assert!(report.completed_units < report.total_units);
+        assert_eq!(report.completed_units, 0);
     }
 
     #[test]
     fn cancellation_mid_run_is_a_partial_not_an_error() {
-        let token = CancelToken::detached();
-        let faults = FaultPlan::new(0, Vec::new());
         let cancel_after = 3usize;
+        let mut ctl = plain_ctl();
         // Cancellation is requested from the progress hook, which fires at
         // each unit boundary — exactly where real signals are observed.
-        let progress = |done: usize, _total: usize| {
+        let token = ctl.token.clone();
+        ctl.on_progress = Some(Box::new(move |done: usize, _total: usize| {
             if done >= cancel_after {
                 token.cancel();
             }
-        };
-        let ctl = RunCtl {
-            on_progress: Some(&progress),
-            ..plain_ctl(&token, &faults)
-        };
-        let report = run_units_ctl(8, 1, &ctl, unit);
-        assert!(report.cancelled);
-        assert_eq!(report.completed(), cancel_after);
+        }));
+        let (slots, report) = run_units(8, 1, &ctl, 0, unit);
+        assert!(report.interrupted);
+        assert_eq!(report.completed_units, cancel_after);
         // Completed prefix is exactly units 0..cancel_after on one thread.
-        for (i, s) in report.slots.iter().enumerate() {
+        for (i, s) in slots.iter().enumerate() {
             assert_eq!(s.is_some(), i < cancel_after, "unit {i}");
         }
     }
@@ -844,8 +747,6 @@ mod tests {
     #[test]
     fn retry_recovers_a_transiently_failing_unit() {
         use std::sync::atomic::AtomicU32;
-        let token = CancelToken::detached();
-        let faults = FaultPlan::new(0, Vec::new());
         let attempts = AtomicU32::new(0);
         let flaky = |i: usize| {
             if i == 1 && attempts.fetch_add(1, Ordering::Relaxed) == 0 {
@@ -853,128 +754,107 @@ mod tests {
             }
             unit(i)
         };
-        let ctl = RunCtl {
+        let ctl = SessionCtl {
             retries: 1,
-            ..plain_ctl(&token, &faults)
+            ..plain_ctl()
         };
-        let report = run_units_ctl(3, 1, &ctl, flaky);
-        assert!(report.complete());
+        let (slots, report) = run_units(3, 1, &ctl, 0, flaky);
+        assert_eq!(report.completed_units, report.total_units);
         assert_eq!(report.units_retried, 1);
-        let slots: Vec<UnitOutcome> = report.slots.into_iter().flatten().collect();
+        let slots: Vec<UnitOutcome> = slots.into_iter().flatten().collect();
         assert!(slots[1].is_ok(), "unit recovered on retry");
     }
 
     #[test]
     fn persistent_failure_is_quarantined_after_retries() {
-        let token = CancelToken::detached();
-        let faults = FaultPlan::new(0, Vec::new());
-        let ctl = RunCtl {
+        let ctl = SessionCtl {
             retries: 2,
-            ..plain_ctl(&token, &faults)
+            ..plain_ctl()
         };
-        let report = run_units_ctl(5, 2, &ctl, faulty);
-        assert!(report.complete());
+        let (slots, report) = run_units(5, 2, &ctl, 0, faulty);
+        assert_eq!(report.completed_units, report.total_units);
         assert_eq!(report.units_retried, 2, "both retries were spent");
-        let merged = merge_indexed_partials(
-            report
-                .slots
-                .into_iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.map(|o| (i, o)))
-                .collect(),
-            16,
-        );
+        let merged = merge_partials(slots, 16);
         assert_eq!(merged.stats.quarantined.len(), 1);
         assert_eq!(merged.stats.quarantined[0].unit, 2);
     }
 
     #[test]
     fn injected_panic_with_retry_preserves_results() {
-        let token = CancelToken::detached();
         // Rate 1.0 hits every attempt, so retries are spent and exhausted:
         // this pins the deterministic injected-quarantine path.
-        let faults = FaultPlan::parse("panic:1", 9).expect("valid spec");
-        let ctl = RunCtl {
+        let ctl = SessionCtl {
+            faults: FaultPlan::parse("panic:1", 9).expect("valid spec"),
             retries: 1,
-            ..plain_ctl(&token, &faults)
+            ..plain_ctl()
         };
-        let report = run_units_ctl(3, 1, &ctl, unit);
-        assert!(report.complete());
+        let (slots, report) = run_units(3, 1, &ctl, 0, unit);
+        assert_eq!(report.completed_units, report.total_units);
         assert_eq!(report.units_retried, 3);
         assert!(report.faults_injected >= 6, "{}", report.faults_injected);
-        for s in &report.slots {
+        for s in &slots {
             assert!(matches!(s, Some(Err(m)) if m.contains("injected panic")));
         }
     }
 
     #[test]
     fn watchdog_times_out_injected_stalls_and_reroutes() {
-        let token = CancelToken::detached();
         // Stall every attempt for 10s against a 20ms budget: the watchdog
         // must fire (quickly!) and, with no retries, quarantine.
-        let faults = FaultPlan::parse("delay:10s:1.0", 3).expect("valid spec");
-        let ctl = RunCtl {
+        let ctl = SessionCtl {
+            faults: FaultPlan::parse("delay:10s:1.0", 3).expect("valid spec"),
             unit_timeout: Some(Duration::from_millis(20)),
-            ..plain_ctl(&token, &faults)
+            ..plain_ctl()
         };
         let t0 = Instant::now();
-        let report = run_units_ctl(2, 1, &ctl, unit);
+        let (slots, report) = run_units(2, 1, &ctl, 0, unit);
         assert!(
             t0.elapsed() < Duration::from_secs(5),
             "watchdog cut the stall"
         );
-        assert!(report.complete());
+        assert_eq!(report.completed_units, report.total_units);
         assert_eq!(report.units_timed_out, 2);
-        for s in &report.slots {
+        for s in &slots {
             assert!(matches!(s, Some(Err(m)) if m.contains("timed out")));
         }
     }
 
     #[test]
     fn resume_skips_completed_units_and_preserves_quarantine() {
-        let token = CancelToken::detached();
-        let faults = FaultPlan::new(0, Vec::new());
         let mut ckpt = Checkpoint::new(7, 5);
-        ckpt.units[0] = Some(UnitEntry::Done(unit(0)));
-        ckpt.units[2] = Some(UnitEntry::Quarantined("old panic".to_string()));
+        ckpt.units[0] = Some(Ok(unit(0)));
+        ckpt.units[2] = Some(Err("old panic".to_string()));
         let ran = AtomicUsize::new(0);
         let counting = |i: usize| {
             ran.fetch_add(1, Ordering::Relaxed);
             unit(i)
         };
-        let ctl = RunCtl {
-            resume: Some(&ckpt),
-            ..plain_ctl(&token, &faults)
+        let ctl = SessionCtl {
+            resume: Some(ckpt),
+            ..plain_ctl()
         };
-        let report = run_units_ctl(5, 1, &ctl, counting);
-        assert!(report.complete());
+        let (slots, report) = run_units(5, 1, &ctl, 7, counting);
+        assert_eq!(report.completed_units, report.total_units);
         assert_eq!(report.resumed_skipped, 2);
         assert_eq!(ran.load(Ordering::Relaxed), 3, "only units 1, 3, 4 ran");
-        assert!(matches!(&report.slots[2], Some(Err(m)) if m == "old panic"));
+        assert!(matches!(&slots[2], Some(Err(m)) if m == "old panic"));
         // Full-resume outcomes equal a fresh run's.
-        let fresh = run_units(5, 1, unit);
-        let resumed: Vec<UnitOutcome> = report.slots.into_iter().flatten().collect();
-        assert_eq!(explored(&fresh[..2]), explored(&resumed[..2]));
+        let fresh = run_plain(5, 1, unit);
+        assert_eq!(explored(&fresh[..2]), explored(&slots[..2]));
     }
 
     #[test]
     fn periodic_checkpoints_are_written_and_loadable() {
-        let token = CancelToken::detached();
-        let faults = FaultPlan::new(0, Vec::new());
         let dir = std::env::temp_dir().join(format!("maestro-ckpt-par-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("run.ckpt");
-        let ctl = RunCtl {
-            checkpoint: Some(CheckpointSink {
-                path: &path,
-                fingerprint: 42,
-                every_units: 2,
-                every: None,
-            }),
-            ..plain_ctl(&token, &faults)
+        let ctl = SessionCtl {
+            checkpoint_path: Some(path.clone()),
+            checkpoint_every_units: 2,
+            ..plain_ctl()
         };
-        let report = run_units_ctl(6, 2, &ctl, unit);
-        assert!(report.complete());
+        let (_, report) = run_units(6, 2, &ctl, 42, unit);
+        assert_eq!(report.completed_units, report.total_units);
         assert!(
             report.checkpoint_writes >= 3,
             "{}",

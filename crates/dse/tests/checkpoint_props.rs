@@ -4,7 +4,7 @@
 //! silently-accepted checkpoint.
 
 use maestro_dse::checkpoint::fnv1a;
-use maestro_dse::{Checkpoint, CheckpointError, DesignPoint, Partial, UnitEntry};
+use maestro_dse::{Checkpoint, CheckpointError, DesignPoint, Partial};
 use proptest::prelude::*;
 
 /// Tiny deterministic PRNG so one `u64` seed expands into a whole
@@ -97,8 +97,8 @@ impl Rng {
         for i in 0..total {
             cp.units[i] = match self.below(3) {
                 0 => None,
-                1 => Some(UnitEntry::Done(self.partial())),
-                _ => Some(UnitEntry::Quarantined(match self.below(3) {
+                1 => Some(Ok(self.partial())),
+                _ => Some(Err(match self.below(3) {
                     0 => String::new(),
                     1 => "panicked at 'boom'".into(),
                     _ => "multi\nline \\ payload".into(),
