@@ -88,11 +88,14 @@ cargo test -q --release -p maestro-sim --test staged_conform_smoke
 echo "== obs_overhead guard (disabled instrumentation < 2% of a sweep)"
 cargo bench -q -p maestro-bench --bench obs_overhead
 
-# The whole-model and Fig 13 sweep digests, and the daemon's tracing
-# tests, run in release too: a sweep drift or a release-only failure
-# (timing premises, accept/pop races) fails CI, not just a debug run.
-echo "== sweep digests + serve tracing (release)"
+# The whole-model and Fig 13 sweep digests, the capacity kernel's
+# differential suite, and the daemon's tracing tests run in release too:
+# a sweep drift, a kernel that vectorizes or reorders differently, or a
+# release-only failure (timing premises, accept/pop races) fails CI, not
+# just a debug run.
+echo "== sweep digests + capacity kernel + serve tracing (release)"
 cargo test -q --release -p maestro-dse --test sweep_digests
+cargo test -q --release -p maestro-dse --lib capacity_kernel
 cargo test -q --release -p maestro-cli --test serve_trace
 
 smokedir=$(mktemp -d)

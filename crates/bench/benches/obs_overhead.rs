@@ -14,8 +14,9 @@ use maestro_ir::Style;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Spans inside one `analyze` call: the root plus the four engine stages.
-const SPANS_PER_ANALYZE: u64 = 5;
+/// Touch points inside one static build: the four stage span guards plus
+/// the `maestro.analysis.calls` add.
+const TOUCHES_PER_BUILD: u64 = 5;
 
 fn main() {
     maestro_obs::log::set_level(maestro_obs::Level::Off);
@@ -111,6 +112,8 @@ fn main() {
     let vgg = zoo::vgg16(1);
     let layer = vgg.layer("CONV2").expect("zoo layer");
     let maps = variants::variants(Style::KCP);
+    let calls = maestro_obs::registry().counter("maestro.analysis.calls");
+    let calls_before = calls.get();
     let t0 = Instant::now();
     let e = Explorer::new(SweepSpace::standard());
     let r = e
@@ -118,13 +121,15 @@ fn main() {
         .expect("valid sweep space");
     let sweep_s = t0.elapsed().as_secs_f64();
     assert!(r.stats.valid > 0);
+    let builds = calls.get() - calls_before;
 
-    // Instrumentation touch points in that sweep: five span guards per
-    // cost-model call, one span guard plus one batched metric flush
-    // (~10 atomic adds, costed here at one span each for headroom) per
-    // work unit, and one cache-drop flush per unit.
+    // Instrumentation touch points in that sweep, each costed as one
+    // disabled span guard: five per static build (read back from
+    // `maestro.analysis.calls`), one `maestro.analysis.perf` guard per
+    // price call, and per work unit one span guard plus one batched
+    // metric flush (~11 atomic adds, costed at 11 spans).
     let units = e.space.pes.len() as u64;
-    let touches = SPANS_PER_ANALYZE * r.stats.evaluated + units * 12;
+    let touches = TOUCHES_PER_BUILD * builds + r.stats.evaluated + units * 12;
     let implied_s = touches as f64 * span_ns * 1e-9;
     let share = 100.0 * implied_s / sweep_s;
 
@@ -136,7 +141,7 @@ fn main() {
     println!("  record, sampled out   {drop_ns:>8.2} ns (the 15-in-16 case)");
     println!("  record, kept          {keep_ns:>8.2} ns (ring insert + eviction)");
     println!(
-        "  DSE sweep             {sweep_s:>8.3} s wall, {} cost-model calls, {units} units",
+        "  DSE sweep             {sweep_s:>8.3} s wall, {builds} builds, {} price calls, {units} units",
         r.stats.evaluated
     );
     println!("  instrumentation share {share:>8.4} % of sweep wall time ({touches} touch points)");

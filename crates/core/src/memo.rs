@@ -27,14 +27,13 @@
 //!   expensive stages once.
 //!
 //! [`Analyzer::analyze`] goes through both tiers; it serves the daemon and
-//! whole-model sweeps, whose repeated shapes hit finished reports.
-//! [`Analyzer::price`] answers from the stage tier alone with a [`Priced`]:
-//! a layer sweep prices each (mapping, bandwidth) point exactly once, so a
-//! report tier would only allocate, clone and hash entries that never hit.
+//! whole-model sweeps, whose repeated shapes hit finished reports. (A DSE
+//! layer sweep prices each (mapping, bandwidth) point exactly once, so it
+//! builds its stages directly, with no memo table.)
 
 use crate::analysis::{analyze_at, AnalysisError};
 use crate::lru::{FnvHasher, Lru};
-use crate::report::{LayerReport, Priced};
+use crate::report::LayerReport;
 use crate::stages::StagedAnalysis;
 use maestro_dnn::{Layer, LayerDims, Operator};
 use maestro_hw::{Accelerator, NocConfig};
@@ -146,7 +145,7 @@ pub struct CacheCounts {
     /// Report-tier lookups served from the table.
     pub hits: u64,
     /// Report-tier lookups that ran the cost model (including
-    /// uncacheable layers), plus every [`Analyzer::price`] call.
+    /// uncacheable layers).
     pub misses: u64,
     /// Entries added to the report tier.
     pub inserts: u64,
@@ -195,6 +194,13 @@ fn lock_waits_counter() -> &'static Counter {
     C.get_or_init(|| maestro_obs::registry().counter("maestro.cache.lock_waits"))
 }
 
+/// Register every `maestro.cache.*` counter, at zero until an analyzer
+/// adds to it.
+pub(crate) fn register_counters() {
+    cache_counters();
+    lock_waits_counter();
+}
+
 /// One mutex shard: both tiers plus plain counters, so a lookup never
 /// touches a shared atomic.
 #[derive(Debug)]
@@ -225,9 +231,7 @@ impl Shard {
         }
         self.counts.misses += 1;
         let result = if reuse_stages {
-            self.staged(key, ctx, cancel, |s| {
-                s.finish(noc.bandwidth, noc.avg_latency)
-            })
+            self.staged(key, ctx, noc, cancel)
         } else {
             analyze_at(ctx.layer, ctx.dataflow, ctx.acc, noc, cancel)
         };
@@ -239,39 +243,21 @@ impl Shard {
         result
     }
 
-    /// [`Analyzer::price`] on this shard: one miss, served from the stage
-    /// tier, or built afresh without stage reuse or a cache key.
-    fn price(
-        &mut self,
-        ctx: &Context<'_>,
-        noc: NocConfig,
-        reuse_stages: bool,
-    ) -> Result<Priced, AnalysisError> {
-        self.counts.misses += 1;
-        match ctx.key {
-            Some(key) if reuse_stages => {
-                self.staged(key, ctx, None, |s| s.price(noc.bandwidth, noc.avg_latency))
-            }
-            _ => StagedAnalysis::build(ctx.layer, ctx.dataflow, ctx.acc)?
-                .price(noc.bandwidth, noc.avg_latency),
-        }
-    }
-
-    /// Price `ctx` from the stage tier with `price`, building the static
-    /// stages on a stage miss. Cancellation is polled before the build and
-    /// at the build/price boundary; a completed build is kept (it is valid
-    /// whatever the token says).
-    fn staged<T>(
+    /// Price a report-tier miss from the stage tier, building the static
+    /// stages on a stage miss. Cancellation is polled before the build
+    /// and at the build/price boundary; a completed build is kept (it is
+    /// valid whatever the token says).
+    fn staged(
         &mut self,
         key: ShapeKey,
         ctx: &Context<'_>,
+        noc: NocConfig,
         cancel: Option<&CancelToken>,
-        price: impl FnOnce(&StagedAnalysis) -> Result<T, AnalysisError>,
-    ) -> Result<T, AnalysisError> {
+    ) -> Result<LayerReport, AnalysisError> {
         if let Some(built) = self.stages.get(&(key, ctx.stat)) {
             self.counts.stage_hits += 1;
             return match built {
-                Ok(staged) => price(staged),
+                Ok(staged) => staged.finish(noc.bandwidth, noc.avg_latency),
                 Err(e) => Err(e.clone()),
             };
         }
@@ -283,7 +269,7 @@ impl Shard {
         let built = StagedAnalysis::build(ctx.layer, ctx.dataflow, ctx.acc);
         let out = match &built {
             Ok(_) if cancelled() => Err(AnalysisError::Cancelled),
-            Ok(staged) => price(staged),
+            Ok(staged) => staged.finish(noc.bandwidth, noc.avg_latency),
             Err(e) => Err(e.clone()),
         };
         self.counts.evictions += self.stages.insert((key, ctx.stat), built);
@@ -362,21 +348,6 @@ impl Analyzer {
             .shard(ctx.stat)
             .lookup(ctx, noc, cancel, self.reuse_stages);
         result.map(|report| ctx.named(report))
-    }
-
-    /// The priced scalars for `ctx` under NoC pipe `noc`, from the stage
-    /// tier only: a stage hit is re-priced, a stage miss is built, kept
-    /// and priced. Without stage reuse, or for an uncacheable layer, every
-    /// call builds. Each call counts as one `misses`; the report tier is
-    /// never read or written, so `hits` and `inserts` do not move and
-    /// [`Analyzer::peek`] finds nothing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`AnalysisError`] from the cost model; a failed build
-    /// is memoized in the stage tier like a successful one.
-    pub fn price(&self, ctx: &Context<'_>, noc: NocConfig) -> Result<Priced, AnalysisError> {
-        self.shard(ctx.stat).price(ctx, noc, self.reuse_stages)
     }
 
     /// The cached successful report for `ctx` under `noc`, if the report
@@ -681,56 +652,6 @@ mod tests {
         assert_eq!(counts.misses, 6);
         assert_eq!(counts.stage_misses, 1);
         assert_eq!(counts.stage_hits, 5);
-    }
-
-    /// `price` answers from the stage tier alone: stage hits and misses
-    /// are counted, every call is one miss, the report tier stays empty,
-    /// and a later `analyze` reuses the build `price` made.
-    #[test]
-    fn price_uses_only_the_stage_tier() {
-        let l = layer("x");
-        let df = Style::KCP.dataflow();
-        let acc = at_bw(1);
-        let ctx = Context::new(&l, &df, &acc);
-        let cache = Analyzer::new(1, DEFAULT_CACHE_CAP);
-        let bws = [1u64, 2, 4, 8];
-        for bw in bws {
-            let noc = NocConfig::new(bw, 2);
-            let priced = cache.price(&ctx, noc).expect("analyzable");
-            let direct = analyze(&l, &df, &Accelerator::builder(64).noc(noc).build()).unwrap();
-            assert_eq!(priced, direct.priced(), "bw={bw}");
-        }
-        let counts = cache.counts();
-        assert_eq!((counts.misses, counts.stage_misses), (4, 1));
-        assert_eq!(counts.stage_hits, 3);
-        assert_eq!((counts.hits, counts.inserts), (0, 0));
-        for bw in bws {
-            assert_eq!(cache.peek(&ctx, NocConfig::new(bw, 2)), None);
-        }
-
-        // A report miss on the same context is priced from the build
-        // `price` made: a stage hit, not a second build.
-        let noc = NocConfig::new(4, 2);
-        let report = cache.analyze(&ctx, noc, None).expect("analyzable");
-        assert_eq!(report.priced(), cache.price(&ctx, noc).unwrap());
-        let after = cache.counts();
-        assert_eq!(after.stage_misses, 1, "no second build");
-        assert_eq!(after.stage_hits, counts.stage_hits + 2);
-        assert_eq!((after.hits, after.inserts), (0, 1));
-
-        // Without stage reuse every call builds, and the stage tier is
-        // never touched.
-        let full = Analyzer::new(1, DEFAULT_CACHE_CAP).without_stage_reuse();
-        for bw in bws {
-            assert_eq!(
-                full.price(&ctx, NocConfig::new(bw, 2)),
-                cache.price(&ctx, NocConfig::new(bw, 2))
-            );
-        }
-        let counts = full.counts();
-        assert_eq!(counts.misses, 4);
-        assert_eq!((counts.stage_hits, counts.stage_misses), (0, 0));
-        assert_eq!((counts.hits, counts.inserts), (0, 0));
     }
 
     #[test]

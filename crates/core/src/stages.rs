@@ -53,9 +53,16 @@ fn validation_failures() -> &'static maestro_obs::Counter {
 /// [`analyze`](crate::analyze) counts once; under staged evaluation each
 /// *static build* counts once however many NoC points it is finished for —
 /// which is exactly the number of expensive analyses actually run.
+///
+/// Registering it also registers the memo table's `maestro.cache.*`
+/// counters, so every exposition that counts analyses carries them — at
+/// zero when no [`Analyzer`](crate::Analyzer) ran, as in a layer sweep.
 fn analysis_calls() -> &'static maestro_obs::Counter {
     static C: OnceLock<maestro_obs::Counter> = OnceLock::new();
-    C.get_or_init(|| maestro_obs::registry().counter("maestro.analysis.calls"))
+    C.get_or_init(|| {
+        crate::memo::register_counters();
+        maestro_obs::registry().counter("maestro.analysis.calls")
+    })
 }
 
 /// The NoC-independent result of analyzing (layer × dataflow × accelerator

@@ -597,7 +597,7 @@ fn decode_point(lines: &mut Lines<'_>) -> Result<DesignPoint, CheckpointError> {
         noc_bw,
         l1_bytes,
         l2_bytes,
-        mapping,
+        mapping: mapping.into(),
         area_mm2: f64::from_bits(area),
         power_mw: f64::from_bits(power),
         runtime: f64::from_bits(runtime),
@@ -618,7 +618,7 @@ mod tests {
             noc_bw: 16,
             l1_bytes: 512,
             l2_bytes: 1 << 20,
-            mapping: "per-layer best of 5".to_string(),
+            mapping: "per-layer best of 5".into(),
             area_mm2: 3.5,
             power_mw: 450.0,
             runtime,

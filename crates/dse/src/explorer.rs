@@ -15,19 +15,22 @@
 //! [`SessionCtl::default`]), and `explore` is the one-thread case of
 //! `explore_parallel`, so parallel results are bit-identical to sequential
 //! ones apart from the wall-clock fields.
-//! Each unit owns a one-shard [`maestro_core::Analyzer`]: layer units price
-//! every (mapping, bandwidth) point from its stage tier, and whole-model
-//! units serve repeated layer shapes from its report tier.
+//! Layer units need no memo table: under [`EvalMode::Staged`] each
+//! mapping's [`StagedAnalysis`] is built once and priced for every
+//! bandwidth, and every price call counts in [`DseStats::evaluated`].
+//! Whole-model units own a one-shard [`maestro_core::Analyzer`] whose
+//! report tier serves repeated layer shapes.
 
 use crate::cancel::{SessionCtl, SessionError, SessionReport};
 use crate::checkpoint::{sweep_fingerprint, Checkpoint};
 use crate::parallel::{merge_partials, run_units};
 use crate::space::{Constraints, SweepSpace};
-use maestro_core::{AnalysisError, Analyzer, Context, Priced, DEFAULT_CACHE_CAP};
+use maestro_core::{AnalysisError, Analyzer, Context, Priced, StagedAnalysis, DEFAULT_CACHE_CAP};
 use maestro_dnn::Layer;
 use maestro_hw::{Accelerator, AreaModel, NocConfig, PowerModel};
 use maestro_ir::Dataflow;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How the sweep invokes the cost model.
@@ -40,13 +43,14 @@ use std::time::Instant;
 /// cannot silently resume under the other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
-    /// No stage reuse: every memo miss runs the whole pipeline, like a
-    /// fused `analyze()` per (mapping, bandwidth) grid point.
+    /// No stage reuse: every price call of a layer sweep (and every
+    /// report-tier miss of a whole-model sweep) runs the whole pipeline,
+    /// like a fused `analyze()` per (mapping, bandwidth) grid point.
     Full,
     /// Staged evaluation: the NoC-independent stages (tensor, reuse,
     /// buffer, off-chip) are computed once per mapping and shared across
     /// the whole NoC-bandwidth axis; only the cheap performance stage
-    /// re-runs per bandwidth.
+    /// re-runs per price call.
     #[default]
     Staged,
 }
@@ -71,8 +75,9 @@ pub struct DesignPoint {
     pub l1_bytes: u64,
     /// Placed L2 capacity (bytes).
     pub l2_bytes: u64,
-    /// Mapping (dataflow variant) name.
-    pub mapping: String,
+    /// Mapping (dataflow variant) name, shared by every point a work unit
+    /// builds under that mapping.
+    pub mapping: Arc<str>,
     /// Die area (mm²).
     pub area_mm2: f64,
     /// Power (mW).
@@ -102,14 +107,16 @@ pub struct QuarantinedUnit {
 pub struct DseStats {
     /// Design points covered (including bulk-skipped ones).
     pub explored: u64,
-    /// Cost-model invocations actually performed (memo-cache misses, one
-    /// per priced point of a layer sweep, including ones that returned an
-    /// analysis error).
+    /// Cost-model invocations actually performed: in a layer sweep the
+    /// price calls, one per (mapping, bandwidth) point including ones that
+    /// returned an analysis error; in a whole-model sweep the memo-cache
+    /// misses.
     pub evaluated: u64,
     /// Valid design points found.
     pub valid: u64,
     /// Cost-model invocations served from the memo cache's report tier
-    /// (whole-model sweeps; layer sweeps price every point afresh).
+    /// (whole-model sweeps; a layer sweep has no memo cache, so its
+    /// price calls all count in `evaluated`).
     pub memo_hits: u64,
     /// Design points dropped because an objective evaluated to NaN or
     /// infinity (the finite-value gate).
@@ -274,8 +281,9 @@ impl Explorer {
         }
     }
 
-    /// A work unit's memo table: one shard (the unit is single-threaded)
-    /// with stage reuse as [`Explorer::eval`] selects.
+    /// A whole-model work unit's memo table: one shard (the unit is
+    /// single-threaded) with stage reuse as [`Explorer::eval`] selects.
+    /// Layer units make price calls without one.
     fn analyzer(&self) -> Analyzer {
         let memo = Analyzer::new(1, DEFAULT_CACHE_CAP);
         match self.eval {
@@ -364,18 +372,25 @@ impl Explorer {
             part.stats.explored += subtree;
             return part;
         }
-        let memo = self.analyzer();
         // Capacities do not change the schedule, so the analysis runs at
-        // the reference capacities and is expanded below; each mapping's
-        // context is fingerprinted once and priced per NoC pipe from the
-        // stage tier, so the mapping's static stages are built once.
+        // the reference capacities and is expanded below.
         let acc = self.accelerator(pes, min_bw, None);
+        let lat = acc.noc.avg_latency;
         let ctx = UnitCtx::new(self, pes);
+        part.sample.reserve_exact(self.sample_capacity(subtree));
+        // One shared name per mapping, borrowed by every candidate.
+        let names: Vec<Arc<str>> = mappings.iter().map(|m| Arc::from(m.name())).collect();
         let mut front = ParetoFront::new();
         let mut ecells = EnergyCells::new(self.space.l1_bytes.len(), self.space.l2_bytes.len());
         let mut best = Best::new();
-        for mapping in mappings.iter() {
-            let analysis = Context::new(layer, mapping, &acc);
+        for (mapping, name) in mappings.iter().zip(&names) {
+            // Staged evaluation builds the mapping's static stages once and
+            // prices every bandwidth from them; the full oracle builds per
+            // price call.
+            let staged = match self.eval {
+                EvalMode::Staged => Some(StagedAnalysis::build(layer, mapping, &acc)),
+                EvalMode::Full => None,
+            };
             // Placed energy depends only on (mapping, L1, L2): activity
             // counts and tensor sizes are NoC-independent, so the energy
             // table is filled once per mapping, from the first priced
@@ -383,11 +398,14 @@ impl Explorer {
             let mut filled = false;
             for (b_idx, &bw) in self.space.noc_bw.iter().enumerate() {
                 part.stats.explored += caps_per_eval;
-                let noc = NocConfig {
-                    bandwidth: bw,
-                    ..acc.noc
+                part.stats.evaluated += 1;
+                let priced = match &staged {
+                    Some(Ok(built)) => built.price(bw, lat),
+                    Some(Err(e)) => Err(e.clone()),
+                    None => StagedAnalysis::build(layer, mapping, &acc)
+                        .and_then(|built| built.price(bw, lat)),
                 };
-                let priced = match memo.price(&analysis, noc) {
+                let priced = match priced {
                     Ok(p) => p,
                     Err(AnalysisError::NonFinite { .. }) => {
                         part.stats.nonfinite_dropped += caps_per_eval;
@@ -406,20 +424,18 @@ impl Explorer {
                     l2_req: priced.l2_staging_elems,
                 };
                 self.expand_capacities(
-                    pes,
-                    b_idx,
-                    mapping.name(),
-                    eval,
-                    &ecells,
-                    &ctx,
-                    &mut part,
-                    &mut front,
-                    &mut best,
+                    pes, b_idx, name, eval, &ecells, &ctx, &mut part, &mut front, &mut best,
                 );
             }
         }
-        close_unit(&mut part, front, best, &memo);
+        close_unit(&mut part, front, best);
         part
+    }
+
+    /// Room for a unit's sample: one every 61st valid point of the
+    /// `explored` designs it covers, at most [`Explorer::sample_cap`].
+    fn sample_capacity(&self, explored: u64) -> usize {
+        usize::try_from(explored / 61 + 1).map_or(self.sample_cap, |n| n.min(self.sample_cap))
     }
 
     /// Expand one evaluation at (PE count, bandwidth) — a layer's priced
@@ -427,25 +443,33 @@ impl Explorer {
     /// the L1/L2 capacity grid, accumulating into `part`, `front` and
     /// `best`. This is the one capacity loop of every sweep.
     ///
-    /// The capacity loop is the sweep's hot path (hundreds of iterations
-    /// per evaluation), so everything that does not vary inside it is
-    /// precomputed: the budget/finiteness verdict is one byte load from
-    /// `ctx.mask`, placed energy one load from the `ecells` table the
-    /// caller filled for this evaluation (both bit-identical to the full
-    /// model calls — see `UnitCtx`),
-    /// the best-objective comparisons hit register-resident keys, and the
-    /// dominance scan collapses to one scalar compare because runtime is
-    /// constant across this whole expansion. Only points that enter a
-    /// best slot, the front or the sample get a compact [`Cand`] (with
-    /// the recomposed area/power); front and best candidates stay compact
-    /// until [`close_unit`], and only samples become owned `DesignPoint`s
-    /// here.
+    /// The kernel counts cells instead of visiting them. A row's cells
+    /// below the L2 requirement are the same in every row (`ctx.l2_fit`);
+    /// masked with them, the row's two bitsets in `ctx` give by popcount
+    /// the cells that reach the finite-value gate and the *valid bits*,
+    /// the ones whose area and power are finite too. A row is *counted*
+    /// when every valid bit certainly passes the gate, and a counted row
+    /// is *quiet* when no valid bit can win an objective or enter the
+    /// front: its valid bits add to `valid` and `pareto_rejected` at once,
+    /// and each sample landing in it is its k-th valid bit. Every other
+    /// row walks its valid bits in ascending L2 order — a counted row past
+    /// the gate, any other through it — so the scan-order-dependent
+    /// `pareto_inserted` stays exact. The `#[cfg(test)]` per-cell loop
+    /// `expand_reference` is the oracle the kernel is checked against.
+    ///
+    /// A walked cell's objective comparisons hit register-resident keys,
+    /// and the dominance scan collapses to one scalar compare because
+    /// runtime is constant across this whole expansion. Only points that
+    /// enter a best slot, the front or the sample get a compact [`Cand`]
+    /// (with the recomposed area/power); front and best candidates stay
+    /// compact until [`close_unit`], and only samples become owned
+    /// `DesignPoint`s here.
     #[allow(clippy::too_many_arguments)]
     fn expand_capacities<'m>(
         &self,
         pes: u64,
         b_idx: usize,
-        mapping: &'m str,
+        mapping: &'m Arc<str>,
         eval: Eval,
         ecells: &EnergyCells,
         ctx: &UnitCtx,
@@ -453,8 +477,12 @@ impl Explorer {
         front: &mut ParetoFront<Cand<'m>>,
         best: &mut Best<'m>,
     ) {
-        let bw = self.space.noc_bw[b_idx];
-        let l2_len = self.space.l2_bytes.len();
+        let l2_len = ctx.l2_elems.len();
+        let words = ctx.words;
+        if words == 0 {
+            // An empty L2 grid has no cells to count.
+            return;
+        }
         let Eval {
             runtime,
             throughput,
@@ -463,28 +491,56 @@ impl Explorer {
         } = eval;
         let neg_tp = -throughput;
         let rt_tp_ok = runtime.is_finite() && throughput.is_finite();
-        let cells = ctx.l1_elems.len() * l2_len;
-        let mask = &ctx.mask[b_idx * cells..(b_idx + 1) * cells];
         // `min_en <= e` is exactly the dominance verdict for a candidate
         // at this expansion's (constant) runtime; an accepted candidate
         // becomes the new minimum (see `ParetoFront::min_energy_leq_runtime`).
         let mut min_en = front.min_energy_leq_runtime(runtime);
-        // Stats accumulate in locals (flushed below) so the dense loop
-        // does not read-modify-write `part.stats` fields per cell.
+        // Stats accumulate in locals (flushed below) so the row loop does
+        // not read-modify-write `part.stats` fields.
         let mut valid = part.stats.valid;
         let mut rejected = 0u64;
         let mut skipped = 0u64;
         let mut dropped = 0u64;
-        let l1_len = self.space.l1_bytes.len();
-        let l1_elems = &ctx.l1_elems[..l1_len];
-        let l2_elems = &ctx.l2_elems[..l2_len];
-        let row_fast = &ctx.row_fast[b_idx * l1_len..(b_idx + 1) * l1_len];
-        let row_any = &ctx.row_any[b_idx * l1_len..(b_idx + 1) * l1_len];
-        let l2_all_fit = l2_req <= ctx.l2_min_elems;
-        // Cells below the L2 requirement — the same subset for every L1
-        // row, so one count serves every dead row's capacity skips.
-        let l2_skip_count = l2_elems.iter().filter(|&&c| c < l2_req).count() as u64;
-        for (i1, &l1_cap) in l1_elems.iter().enumerate() {
+        // The cells below the L2 requirement are the `short` smallest L2
+        // capacities, the same cells in every row.
+        let short = ctx.l2_sorted.partition_point(|&c| c < l2_req);
+        let fit = &ctx.l2_fit[short * words..(short + 1) * words];
+        // The unit's next sample position: the next multiple of 61 above
+        // `valid`.
+        let mut next_sample = valid - valid % 61 + 61;
+        let cand = |i1: usize, i2: usize, energy: f64, edp: f64| {
+            let (area, power) = ctx.area_power(b_idx, i1, i2);
+            Cand {
+                pes,
+                bw: self.space.noc_bw[b_idx],
+                l1: self.space.l1_bytes[i1],
+                l2: self.space.l2_bytes[i2],
+                mapping,
+                area,
+                power,
+                runtime,
+                throughput,
+                energy,
+                edp,
+            }
+        };
+        let l1_len = ctx.l1_elems.len();
+        let span = b_idx * l1_len * words..(b_idx + 1) * l1_len * words;
+        let rows = ctx.l1_elems.iter().zip(
+            ctx.budget[span.clone()]
+                .chunks_exact(words)
+                .zip(ctx.finite[span].chunks_exact(words)),
+        );
+        let energies = ecells.e.chunks_exact(l2_len).zip(
+            ecells
+                .rowmin
+                .iter()
+                .zip(&ecells.rowmax)
+                .zip(&ecells.row_finite),
+        );
+        for (i1, ((&l1_cap, (budget, finite)), (erow, ((&lo, &hi), &row_finite)))) in
+            rows.zip(energies).enumerate()
+        {
             // The grid is in bytes, the requirement in elements.
             if l1_cap < l1_req {
                 // Capacity below the mapping's requirement: the whole L2
@@ -492,81 +548,62 @@ impl Explorer {
                 skipped += l2_len as u64;
                 continue;
             }
-            // Dead row: no cell passes the budget, so the scalar loop
-            // would only count the capacity skips (budget-rejected cells
-            // are uncounted, exactly as in the fused filter).
-            if row_any[i1] == 0 {
-                skipped += l2_skip_count;
+            skipped += short as u64;
+            let bits = ValidBits { finite, fit };
+            // Budget-passing cells with a non-finite area or power fail
+            // the finite-value gate whatever their energy.
+            for ((&b, &f), &m) in budget.iter().zip(finite).zip(fit) {
+                let lost = b & !f & m;
+                if lost != 0 {
+                    dropped += u64::from(lost.count_ones());
+                }
+            }
+            let n = bits.count();
+            if n == 0 {
                 continue;
             }
-            // Whole-row reject: when provably no cell of this L2 row can
-            // be skipped, dropped, win an objective, or enter the front,
-            // the scalar loop below would only count — all cells valid,
-            // all rejected — plus push any every-61st-valid samples. Each
-            // clause certifies one scalar-path outcome: row uniformly
-            // within budget and finite; runtime/throughput and every
-            // placed energy finite (EDP spans [rowmin, rowmax]·runtime,
-            // both finite, and runtime > 0 under `rt_tp_ok`, so EDP is
-            // monotone in energy); no objective beaten by the row's best
-            // case (a NaN empty best fails its `>=`, forcing the scalar
-            // path); and the front's minimum at or below the row minimum.
-            if row_fast[i1] != 0
-                && l2_all_fit
-                && rt_tp_ok
-                && ecells.row_finite[i1] != 0
-                && (ecells.rowmax[i1] * runtime).is_finite()
+            // Counted: runtime, throughput and every energy of the row are
+            // finite, and so is EDP at both energy extremes (any cell's
+            // EDP lies between), so every valid bit passes the gate.
+            let counted = rt_tp_ok
+                && row_finite != 0
+                && (lo * runtime).is_finite()
+                && (hi * runtime).is_finite();
+            // No valid bit can win an objective or enter the front when a
+            // lower bound `lo` on their energies clears each key: at a
+            // non-negative runtime EDP is monotone in energy, so `lo`
+            // bounds EDP too. A NaN (empty) best fails its `>=`, and
+            // `min_en` stays infinite until a front member can dominate,
+            // so an empty slot or front always forces the walk. The row
+            // minimum is tried first, then the valid bits' own minimum.
+            let quiet = |lo: f64| lo >= best.energy && lo * runtime >= best.edp && min_en <= lo;
+            if counted
+                && runtime >= 0.0
                 && neg_tp >= best.neg_throughput
-                && ecells.rowmin[i1] >= best.energy
-                && ecells.rowmin[i1] * runtime >= best.edp
-                && min_en <= ecells.rowmin[i1]
+                && (quiet(lo) || quiet(bits.min_energy(erow)))
             {
                 let row_start = valid;
-                valid += l2_len as u64;
-                rejected += l2_len as u64;
+                valid += n;
+                rejected += n;
                 // Samples landing in this row (valid counts row_start+1
-                // ..=valid): materialize exactly the cells the scalar
-                // loop would have pushed, in the same order.
-                let mut m = row_start - row_start % 61 + 61;
-                while m <= valid && part.sample.len() < self.sample_cap {
-                    let i2 = (m - row_start - 1) as usize;
-                    let e = ecells.e[i1 * l2_len + i2];
-                    let (area, power) = ctx.area_power(b_idx, i1, i2);
-                    part.sample.push(
-                        Cand {
-                            pes,
-                            bw,
-                            l1: self.space.l1_bytes[i1],
-                            l2: self.space.l2_bytes[i2],
-                            mapping,
-                            area,
-                            power,
-                            runtime,
-                            throughput,
-                            energy: e,
-                            edp: e * runtime,
-                        }
-                        .to_point(),
-                    );
-                    m += 61;
+                // ..=valid): the k-th valid bit is the cell the per-cell
+                // loop would have pushed.
+                while next_sample <= valid && part.sample.len() < self.sample_cap {
+                    if let Some(i2) = bits.select(next_sample - row_start - 1) {
+                        let e = erow[i2];
+                        part.sample.push(cand(i1, i2, e, e * runtime).to_point());
+                    }
+                    next_sample += 61;
                 }
                 continue;
             }
-            let mrow = &mask[i1 * l2_len..i1 * l2_len + l2_len];
-            let erow = &ecells.e[i1 * l2_len..i1 * l2_len + l2_len];
-            for (i2, &l2_cap) in l2_elems.iter().enumerate() {
-                if l2_cap < l2_req {
-                    skipped += 1;
-                    continue;
-                }
-                let flags = mrow[i2];
-                if flags & MASK_BUDGET_OK == 0 {
-                    continue;
-                }
+            for i2 in bits.iter() {
                 let e = erow[i2];
                 let edp = e * runtime;
-                // Finite-value gate: drop-and-count rather than let a NaN
-                // objective corrupt the front or the best slots.
-                if flags & MASK_AP_FINITE == 0 || !rt_tp_ok || !e.is_finite() || !edp.is_finite() {
+                // Finite-value gate, which every valid bit of a counted row
+                // passes: drop-and-count rather than let a NaN objective
+                // corrupt the front or the best slots.
+                if !counted && (!rt_tp_ok || !e.is_finite() || !edp.is_finite()) {
                     dropped += 1;
                     continue;
                 }
@@ -593,10 +630,109 @@ impl Explorer {
                     continue;
                 }
                 // Slow path: the point matters — recompose it once.
+                let c = cand(i1, i2, e, edp);
+                if wins_tp {
+                    best.neg_throughput = neg_tp;
+                    best.by_throughput = Some(c);
+                }
+                if wins_en {
+                    best.energy = e;
+                    best.by_energy = Some(c);
+                }
+                if wins_edp {
+                    best.edp = edp;
+                    best.by_edp = Some(c);
+                }
+                if accepted {
+                    front.accept(runtime, e, c);
+                    min_en = e;
+                    part.stats.pareto_inserted += 1;
+                } else {
+                    rejected += 1;
+                }
+                // Stratified subsample: every 61st valid point *of this
+                // unit*, so the scatter spans the whole space instead of
+                // its first corner — and so unit samples concatenate
+                // deterministically (see `crate::parallel`).
+                if sampled {
+                    part.sample.push(c.to_point());
+                }
+            }
+            next_sample = valid - valid % 61 + 61;
+        }
+        part.stats.valid = valid;
+        part.stats.pareto_rejected += rejected;
+        part.stats.capacity_skipped += skipped;
+        part.stats.nonfinite_dropped += dropped;
+    }
+
+    /// The per-cell capacity loop the kernel replaced, kept as the oracle
+    /// of `expand_capacities`: every cell of the grid in row-major order,
+    /// its budget and finiteness verdicts recomposed from the full
+    /// component sums, then the same gate and decisions as a walked row.
+    #[cfg(test)]
+    #[allow(clippy::too_many_arguments)]
+    fn expand_reference<'m>(
+        &self,
+        pes: u64,
+        b_idx: usize,
+        mapping: &'m Arc<str>,
+        eval: Eval,
+        ecells: &EnergyCells,
+        ctx: &UnitCtx,
+        part: &mut Partial,
+        front: &mut ParetoFront<Cand<'m>>,
+        best: &mut Best<'m>,
+    ) {
+        let l2_len = ctx.l2_elems.len();
+        let Eval {
+            runtime,
+            throughput,
+            l1_req,
+            l2_req,
+        } = eval;
+        let neg_tp = -throughput;
+        let rt_tp_ok = runtime.is_finite() && throughput.is_finite();
+        let mut min_en = front.min_energy_leq_runtime(runtime);
+        for (i1, &l1_cap) in ctx.l1_elems.iter().enumerate() {
+            if l1_cap < l1_req {
+                part.stats.capacity_skipped += l2_len as u64;
+                continue;
+            }
+            for (i2, &l2_cap) in ctx.l2_elems.iter().enumerate() {
+                if l2_cap < l2_req {
+                    part.stats.capacity_skipped += 1;
+                    continue;
+                }
                 let (area, power) = ctx.area_power(b_idx, i1, i2);
-                let cand = Cand {
+                if area > self.constraints.max_area_mm2 || power > self.constraints.max_power_mw {
+                    continue;
+                }
+                let e = ecells.e[i1 * l2_len + i2];
+                let edp = e * runtime;
+                if !(area.is_finite()
+                    && power.is_finite()
+                    && rt_tp_ok
+                    && e.is_finite()
+                    && edp.is_finite())
+                {
+                    part.stats.nonfinite_dropped += 1;
+                    continue;
+                }
+                part.stats.valid += 1;
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                let wins_tp = !(neg_tp >= best.neg_throughput);
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                let wins_en = !(e >= best.energy);
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                let wins_edp = !(edp >= best.edp);
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                let accepted = !(min_en <= e);
+                let sampled =
+                    part.stats.valid.is_multiple_of(61) && part.sample.len() < self.sample_cap;
+                let c = Cand {
                     pes,
-                    bw,
+                    bw: self.space.noc_bw[b_idx],
                     l1: self.space.l1_bytes[i1],
                     l2: self.space.l2_bytes[i2],
                     mapping,
@@ -609,42 +745,88 @@ impl Explorer {
                 };
                 if wins_tp {
                     best.neg_throughput = neg_tp;
-                    best.by_throughput = Some(cand);
+                    best.by_throughput = Some(c);
                 }
                 if wins_en {
                     best.energy = e;
-                    best.by_energy = Some(cand);
+                    best.by_energy = Some(c);
                 }
                 if wins_edp {
                     best.edp = edp;
-                    best.by_edp = Some(cand);
+                    best.by_edp = Some(c);
                 }
                 if accepted {
-                    front.accept(runtime, e, cand);
+                    front.accept(runtime, e, c);
                     min_en = e;
                     part.stats.pareto_inserted += 1;
                 } else {
-                    rejected += 1;
+                    part.stats.pareto_rejected += 1;
                 }
-                // Stratified subsample: every 61st valid point *of this
-                // unit*, so the scatter spans the whole space instead of
-                // its first corner — and so unit samples concatenate
-                // deterministically (see `crate::parallel`).
                 if sampled {
-                    part.sample.push(cand.to_point());
+                    part.sample.push(c.to_point());
                 }
             }
         }
-        part.stats.valid = valid;
-        part.stats.pareto_rejected += rejected;
-        part.stats.capacity_skipped += skipped;
-        part.stats.nonfinite_dropped += dropped;
+    }
+}
+
+/// One row's valid bits — its budget-passing, finite-cost cells that hold
+/// the L2 requirement — as the word-wise AND of two L2-axis bitsets.
+#[derive(Clone, Copy)]
+struct ValidBits<'a> {
+    finite: &'a [u64],
+    fit: &'a [u64],
+}
+
+impl<'a> ValidBits<'a> {
+    fn words(self) -> impl Iterator<Item = u64> + 'a {
+        self.finite.iter().zip(self.fit).map(|(&a, &b)| a & b)
+    }
+
+    /// Number of valid bits.
+    fn count(self) -> u64 {
+        self.words().map(|w| u64::from(w.count_ones())).sum()
+    }
+
+    /// L2 indices of the valid bits, ascending.
+    fn iter(self) -> impl Iterator<Item = usize> + 'a {
+        self.words().enumerate().flat_map(|(j, mut w)| {
+            std::iter::from_fn(move || {
+                if w == 0 {
+                    return None;
+                }
+                let bit = w.trailing_zeros() as usize;
+                w &= w - 1;
+                Some(j * 64 + bit)
+            })
+        })
+    }
+
+    /// L2 index of the `k`-th valid bit (0-based), if there are more
+    /// than `k`.
+    fn select(self, mut k: u64) -> Option<usize> {
+        for (j, mut w) in self.words().enumerate() {
+            let ones = u64::from(w.count_ones());
+            if k < ones {
+                for _ in 0..k {
+                    w &= w - 1;
+                }
+                return Some(j * 64 + w.trailing_zeros() as usize);
+            }
+            k -= ones;
+        }
+        None
+    }
+
+    /// The smallest energy among the valid bits of `erow`.
+    fn min_energy(self, erow: &[f64]) -> f64 {
+        self.iter().map(|i2| erow[i2]).fold(f64::INFINITY, f64::min)
     }
 }
 
 /// Per-unit expansion context: the capacity grids converted to elements
-/// once, plus the area/power/energy models decomposed into per-axis
-/// component tables.
+/// once, the area/power/energy models decomposed into per-axis component
+/// tables, and every grid cell's budget verdict as L2-axis bitsets.
 ///
 /// Area and power are sums of four independent components — PE array (L1
 /// axis), shared L2, NoC (bandwidth axis), and reuse support — so one
@@ -655,6 +837,10 @@ impl Explorer {
 /// recomposed scalars are bit-identical to the per-point calls they
 /// replace (pinned by `cost_decomposition_matches_full_model_calls`
 /// below).
+///
+/// A bitset holds bit `i2 % 64` of word `i2 / 64` for L2 grid entry `i2`,
+/// in as many `u64` words as the L2 grid needs, so every grid length takes
+/// the one path.
 struct UnitCtx {
     l1_elems: Vec<u64>,
     l2_elems: Vec<u64>,
@@ -674,29 +860,22 @@ struct UnitCtx {
     /// Capacity-independent per-access energies.
     e_mac: f64,
     e_noc: f64,
-    /// Per-(bandwidth, capacity cell) verdict flags, `b_idx * cells +
-    /// i1 * l2_len + i2`: see [`MASK_BUDGET_OK`] / [`MASK_AP_FINITE`].
-    mask: Vec<u8>,
-    /// Per-(bandwidth, L1 row) flag, `b_idx * l1_len + i1`: nonzero when
-    /// *every* cell of the row is both inside the budget and finite — the
-    /// precondition for the expansion's whole-row reject.
-    row_fast: Vec<u8>,
-    /// Per-(bandwidth, L1 row) flag: nonzero when *any* cell of the row
-    /// passes the budget. A zero row contributes nothing but capacity
-    /// skips, so the expansion drops it without touching its cells.
-    row_any: Vec<u8>,
-    /// Smallest L2 grid capacity in elements (`u64::MAX` on an empty
-    /// grid): `l2_req <= l2_min_elems` means no cell of a row is
-    /// capacity-skipped.
-    l2_min_elems: u64,
+    /// `u64` words per L2-axis bitset.
+    words: usize,
+    /// Per-(bandwidth, L1 row) bitset of the cells inside the area/power
+    /// budget, row `b_idx * l1_len + i1`. The test is the fused filter's
+    /// `> max` pair, so a NaN cost *passes* here and is dropped by the
+    /// finite-value gate, exactly as before.
+    budget: Vec<u64>,
+    /// The `budget` cells whose area and power are both finite.
+    finite: Vec<u64>,
+    /// The L2 grid in elements, ascending.
+    l2_sorted: Vec<u64>,
+    /// `l2_len + 1` bitsets of the L2 entries that hold a requirement:
+    /// bitset `k` clears the `k` smallest entries, so a requirement that
+    /// exactly `k` entries fall short of fits the cells of bitset `k`.
+    l2_fit: Vec<u64>,
 }
-
-/// [`UnitCtx::mask`] bit: the cell passes the area/power budget — the
-/// same `> max` comparisons as the fused filter, so a NaN cost *passes*
-/// here and is dropped by the finiteness gate, exactly as before.
-const MASK_BUDGET_OK: u8 = 1;
-/// [`UnitCtx::mask`] bit: the cell's area and power are both finite.
-const MASK_AP_FINITE: u8 = 2;
 
 impl UnitCtx {
     fn new(ex: &Explorer, pes: u64) -> Self {
@@ -710,6 +889,8 @@ impl UnitCtx {
         let a = &ex.area_model;
         let p = &ex.power_model;
         let e0 = maestro_hw::EnergyModel::cacti_28nm(0, 0);
+        let (l1_len, l2_len) = (ex.space.l1_bytes.len(), ex.space.l2_bytes.len());
+        let words = l2_len.div_ceil(64);
         let mut ctx = UnitCtx {
             l1_elems: ex.space.l1_bytes.iter().map(|&b| ex.elements(b)).collect(),
             l2_elems: ex.space.l2_bytes.iter().map(|&b| ex.elements(b)).collect(),
@@ -756,46 +937,51 @@ impl UnitCtx {
                 .collect(),
             e_mac: e0.mac,
             e_noc: e0.noc,
-            mask: Vec::new(),
-            row_fast: Vec::new(),
-            row_any: Vec::new(),
-            l2_min_elems: u64::MAX,
+            words,
+            budget: Vec::new(),
+            finite: Vec::new(),
+            l2_sorted: Vec::new(),
+            l2_fit: Vec::new(),
         };
-        ctx.l2_min_elems = ctx.l2_elems.iter().copied().min().unwrap_or(u64::MAX);
-        // Precompute the budget/finiteness verdict of every grid point
-        // once per unit (the verdict is mapping-independent), so the
-        // per-mapping expansion reduces it to one byte load — and roll the
-        // verdicts up per L1 row for the whole-row reject.
-        let cells = ctx.l1_elems.len() * ctx.l2_elems.len();
-        let mut mask = vec![0u8; ex.space.noc_bw.len() * cells];
-        let mut row_fast = vec![0u8; ex.space.noc_bw.len() * ctx.l1_elems.len()];
-        let mut row_any = vec![0u8; ex.space.noc_bw.len() * ctx.l1_elems.len()];
+        // The budget verdict of every grid cell, once per unit (it is
+        // mapping-independent).
+        let (max_area, max_power) = (ex.constraints.max_area_mm2, ex.constraints.max_power_mw);
+        let rows = ex.space.noc_bw.len() * l1_len;
+        let mut budget = vec![0u64; rows * words];
+        let mut finite = vec![0u64; rows * words];
         for b_idx in 0..ex.space.noc_bw.len() {
-            for i1 in 0..ctx.l1_elems.len() {
-                let mut all = MASK_BUDGET_OK | MASK_AP_FINITE;
-                let mut any = 0u8;
-                for i2 in 0..ctx.l2_elems.len() {
-                    let (area, power) = ctx.area_power(b_idx, i1, i2);
-                    let mut m = 0u8;
-                    if !(area > ex.constraints.max_area_mm2 || power > ex.constraints.max_power_mw)
-                    {
-                        m |= MASK_BUDGET_OK;
+            for i1 in 0..l1_len {
+                let row = (b_idx * l1_len + i1) * words;
+                for w in 0..words {
+                    let (mut b, mut f) = (0u64, 0u64);
+                    for i2 in w * 64..l2_len.min(w * 64 + 64) {
+                        let (area, power) = ctx.area_power(b_idx, i1, i2);
+                        let ok = !((area > max_area) | (power > max_power));
+                        b |= u64::from(ok) << (i2 % 64);
+                        f |= u64::from(ok & area.is_finite() & power.is_finite()) << (i2 % 64);
                     }
-                    if area.is_finite() && power.is_finite() {
-                        m |= MASK_AP_FINITE;
-                    }
-                    all &= m;
-                    any |= m & MASK_BUDGET_OK;
-                    mask[b_idx * cells + i1 * ctx.l2_elems.len() + i2] = m;
+                    budget[row + w] = b;
+                    finite[row + w] = f;
                 }
-                row_fast[b_idx * ctx.l1_elems.len() + i1] =
-                    u8::from(all == MASK_BUDGET_OK | MASK_AP_FINITE);
-                row_any[b_idx * ctx.l1_elems.len() + i1] = any;
             }
         }
-        ctx.mask = mask;
-        ctx.row_fast = row_fast;
-        ctx.row_any = row_any;
+        // The L2 fit bitsets: clear the entries one at a time in ascending
+        // capacity order.
+        let mut order: Vec<usize> = (0..l2_len).collect();
+        order.sort_by_key(|&i2| ctx.l2_elems[i2]);
+        let mut l2_fit = vec![0u64; (l2_len + 1) * words];
+        for i2 in 0..l2_len {
+            l2_fit[i2 / 64] |= 1u64 << (i2 % 64);
+        }
+        for (k, &i2) in order.iter().enumerate() {
+            let (done, next) = l2_fit.split_at_mut((k + 1) * words);
+            next[..words].copy_from_slice(&done[k * words..]);
+            next[i2 / 64] &= !(1u64 << (i2 % 64));
+        }
+        ctx.l2_sorted = order.iter().map(|&i2| ctx.l2_elems[i2]).collect();
+        ctx.budget = budget;
+        ctx.finite = finite;
+        ctx.l2_fit = l2_fit;
         ctx
     }
 
@@ -880,10 +1066,10 @@ impl EnergyTab {
 /// intermediate rounding.
 struct EnergyCells {
     e: Vec<f64>,
-    /// Per-L1-row minimum / maximum placed energy — the extreme
-    /// objectives a row can produce (EDP is monotone in energy at the
-    /// expansion's constant positive runtime), driving the whole-row
-    /// reject in `expand_capacities`.
+    /// Per-L1-row minimum / maximum placed energy. In
+    /// `expand_capacities` both bound EDP for the row's finiteness
+    /// certificate, and the minimum is the first energy bound its quiet
+    /// certificate tries.
     rowmin: Vec<f64>,
     rowmax: Vec<f64>,
     /// Per-L1-row flag: every cell of the row is finite. Tracked
@@ -919,10 +1105,15 @@ impl EnergyCells {
                 }
             }
         }
-        for i1 in 0..ctx.e_l1.len() {
+        self.summarize_rows(l2_len);
+    }
+
+    /// Recompute each row's extremes and finiteness flag from `e`.
+    fn summarize_rows(&mut self, l2_len: usize) {
+        for (i1, row) in self.e.chunks_exact(l2_len.max(1)).enumerate() {
             let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
             let mut finite = true;
-            for &v in &self.e[i1 * l2_len..(i1 + 1) * l2_len] {
+            for &v in row {
                 lo = lo.min(v);
                 hi = hi.max(v);
                 finite &= v.is_finite();
@@ -953,6 +1144,7 @@ struct Eval {
 /// so the hot loop compares against a register-resident `f64`. A `NAN`
 /// key means the slot is empty; every finite key beats it, which
 /// reproduces the "empty slot always loses" rule of [`update_best`].
+#[derive(Clone)]
 struct Best<'m> {
     neg_throughput: f64,
     energy: f64,
@@ -978,15 +1170,15 @@ impl Best<'_> {
 /// A candidate design point by value, borrowing its mapping name. Most
 /// candidates are examined and discarded, and most that enter the front
 /// or a best slot are displaced before the unit ends, so the owned
-/// [`DesignPoint`] (and its mapping `String`) is built only for samples
-/// and for the survivors in [`close_unit`].
+/// [`DesignPoint`] (a reference count on the unit's shared name) is built
+/// only for samples and for the survivors in [`close_unit`].
 #[derive(Clone, Copy)]
 struct Cand<'a> {
     pes: u64,
     bw: u64,
     l1: u64,
     l2: u64,
-    mapping: &'a str,
+    mapping: &'a Arc<str>,
     area: f64,
     power: f64,
     runtime: f64,
@@ -1002,7 +1194,7 @@ impl Cand<'_> {
             noc_bw: self.bw,
             l1_bytes: self.l1,
             l2_bytes: self.l2,
-            mapping: self.mapping.to_string(),
+            mapping: Arc::clone(self.mapping),
             area_mm2: self.area,
             power_mw: self.power,
             runtime: self.runtime,
@@ -1014,8 +1206,8 @@ impl Cand<'_> {
 }
 
 /// End a work unit: build owned [`DesignPoint`]s for the front survivors
-/// and the three bests, and take the lookup counters from its analyzer.
-fn close_unit(part: &mut Partial, front: ParetoFront<Cand<'_>>, best: Best<'_>, memo: &Analyzer) {
+/// and the three bests.
+fn close_unit(part: &mut Partial, front: ParetoFront<Cand<'_>>, best: Best<'_>) {
     part.pareto = front
         .into_points()
         .into_iter()
@@ -1024,9 +1216,6 @@ fn close_unit(part: &mut Partial, front: ParetoFront<Cand<'_>>, best: Best<'_>, 
     part.best_throughput = best.by_throughput.map(Cand::to_point);
     part.best_energy = best.by_energy.map(Cand::to_point);
     part.best_edp = best.by_edp.map(Cand::to_point);
-    let counts = memo.counts();
-    part.stats.evaluated += counts.misses;
-    part.stats.memo_hits += counts.hits;
 }
 
 /// Run one work unit (one PE count's slice of a sweep) under the
@@ -1061,12 +1250,21 @@ struct UnitMetrics {
 }
 
 /// The one source of truth for `maestro.dse.unit_seconds` bucket bounds:
-/// log-spaced, 2 per decade from 100 µs to 60 s, so tail quantiles
-/// interpolate within ~3x instead of the old decade-wide jumps. The CLI
+/// log-spaced, 2 per decade from 1 µs to 60 s, so tail quantiles
+/// interpolate within ~3x instead of the old decade-wide jumps, and a
+/// layer unit of a few tens of µs lands inside the range. The CLI
 /// registers the same histogram from its progress callback — sharing the
 /// bounds here keeps the two registrations from conflicting.
 pub fn unit_seconds_buckets() -> Vec<f64> {
-    maestro_obs::metrics::log_buckets(1e-4, 60.0, 2)
+    maestro_obs::metrics::log_buckets(1e-6, 60.0, 2)
+}
+
+/// Bucket bounds of `maestro.dse.unit_rate` (designs per second per
+/// unit): log-spaced, 2 per decade from 1e3 to 1e12. A layer unit
+/// sweeps 10⁸–10⁹ designs/s and a bulk-skipped one ~10¹¹, so both land
+/// in finite buckets.
+fn unit_rate_buckets() -> Vec<f64> {
+    maestro_obs::metrics::log_buckets(1e3, 1e12, 2)
 }
 
 fn unit_metrics() -> &'static UnitMetrics {
@@ -1081,9 +1279,7 @@ fn unit_metrics() -> &'static UnitMetrics {
             pareto_inserted: r.counter("maestro.dse.pareto_inserted"),
             pareto_rejected: r.counter("maestro.dse.pareto_rejected"),
             unit_seconds: r.histogram("maestro.dse.unit_seconds", &unit_seconds_buckets()),
-            // Designs/second per shard; the paper reports sweeps north of
-            // 0.1M designs/s, hence the decade buckets up to 1e8.
-            unit_rate: r.histogram("maestro.dse.unit_rate", &[1e3, 1e4, 1e5, 1e6, 1e7, 1e8]),
+            unit_rate: r.histogram("maestro.dse.unit_rate", &unit_rate_buckets()),
         }
     })
 }
@@ -1314,7 +1510,7 @@ mod tests {
     use super::*;
     use crate::space::SweepSpace;
     use crate::variants;
-    use maestro_core::LayerReport;
+    use maestro_core::{ActivityCounts, LayerReport, PerTensor};
     use maestro_dnn::{LayerDims, Operator};
     use maestro_hw::EnergyModel;
     use maestro_ir::Style;
@@ -1346,12 +1542,15 @@ mod tests {
     /// The per-axis cost decomposition (`UnitCtx::area_power`,
     /// `EnergyTab::at`) must reproduce the full model calls bit-for-bit —
     /// exact `f64` equality, not tolerance — on every grid point of the
-    /// standard space. The doc comments on `UnitCtx`/`EnergyTab` point
-    /// here.
+    /// standard space, and every bit of `UnitCtx`'s budget and finite
+    /// bitsets must be the full calls' verdict. The doc comments on
+    /// `UnitCtx`/`EnergyTab` point here.
     #[test]
     fn cost_decomposition_matches_full_model_calls() {
         let ex = Explorer::new(SweepSpace::standard());
         let maps = variants::variants(Style::KCP);
+        let (max_area, max_power) = (ex.constraints.max_area_mm2, ex.constraints.max_power_mw);
+        let l1_len = ex.space.l1_bytes.len();
         for &pes in &[16u64, 128, 512] {
             let ctx = UnitCtx::new(&ex, pes);
             for (b_idx, &bw) in ex.space.noc_bw.iter().enumerate() {
@@ -1359,8 +1558,19 @@ mod tests {
                     for (i2, &l2) in ex.space.l2_bytes.iter().enumerate() {
                         let acc = ex.accelerator(pes, bw, Some((l1, l2)));
                         let (area, power) = ctx.area_power(b_idx, i1, i2);
-                        assert_eq!(area.to_bits(), ex.area_model.total_area(&acc).to_bits());
-                        assert_eq!(power.to_bits(), ex.power_model.total_power(&acc).to_bits());
+                        let full_area = ex.area_model.total_area(&acc);
+                        let full_power = ex.power_model.total_power(&acc);
+                        assert_eq!(area.to_bits(), full_area.to_bits());
+                        assert_eq!(power.to_bits(), full_power.to_bits());
+                        let word = (b_idx * l1_len + i1) * ctx.words + i2 / 64;
+                        let bit = |set: &[u64]| set[word] >> (i2 % 64) & 1 == 1;
+                        let in_budget = !(full_area > max_area || full_power > max_power);
+                        assert_eq!(bit(&ctx.budget), in_budget, "({b_idx}, {i1}, {i2})");
+                        assert_eq!(
+                            bit(&ctx.finite),
+                            in_budget && full_area.is_finite() && full_power.is_finite(),
+                            "({b_idx}, {i1}, {i2})"
+                        );
                     }
                 }
             }
@@ -1382,6 +1592,314 @@ mod tests {
                         assert_eq!(got.to_bits(), want.to_bits());
                     }
                 }
+            }
+        }
+    }
+
+    /// A seeded source of capacity-kernel inputs: grids, coefficients and
+    /// objectives that are often unsorted, tied, negative or non-finite.
+    struct Draw(proptest::TestRng);
+
+    impl Draw {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0.below(n.max(1))
+        }
+
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[self.below(from.len() as u64) as usize]
+        }
+
+        /// A positive magnitude, log-uniform over `1e{lo}..1e{hi+1}`.
+        fn mag(&mut self, lo: i32, hi: i32) -> f64 {
+            let exp = lo + self.below((hi - lo + 1) as u64) as i32;
+            (1.0 + self.below(1000) as f64 / 100.0) * 10f64.powi(exp)
+        }
+
+        /// A best-slot key or front coordinate: any sign, any finiteness,
+        /// often an extreme that makes one clause of the certificate
+        /// decide alone.
+        fn key(&mut self) -> f64 {
+            match self.below(7) {
+                0 => f64::NEG_INFINITY,
+                1 => f64::INFINITY,
+                2 => -f64::MAX,
+                3 => f64::MAX,
+                4 => -self.mag(0, 300),
+                5 => 0.0,
+                _ => self.mag(0, 300),
+            }
+        }
+
+        fn space(&mut self) -> SweepSpace {
+            const L1: [u64; 6] = [256, 512, 2048, 8192, 65536, 1 << 20];
+            const L2: [u64; 7] = [4096, 16384, 65536, 262144, 1 << 20, 1 << 22, 1 << 24];
+            const BW: [u64; 5] = [1, 4, 16, 32, 64];
+            let l2_len = self.pick(&[1usize, 2, 5, 17, 63, 64, 65, 130]);
+            let l1_len = 1 + self.below(4) as usize;
+            let bw_len = 1 + self.below(3) as usize;
+            SweepSpace {
+                pes: vec![self.pick(&[16, 64, 256])],
+                noc_bw: (0..bw_len).map(|_| self.pick(&BW)).collect(),
+                l1_bytes: (0..l1_len).map(|_| self.pick(&L1)).collect(),
+                l2_bytes: (0..l2_len).map(|_| self.pick(&L2)).collect(),
+            }
+        }
+
+        /// A model coefficient replaced by a NaN, infinite or negative
+        /// value.
+        fn spoil(&mut self, coeff: &mut f64) {
+            *coeff = match self.below(4) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                _ => -*coeff * self.mag(0, 3),
+            };
+        }
+
+        /// A budget limit inside the range of `costs`, so it crosses rows.
+        fn limit(&mut self, mut costs: Vec<f64>) -> f64 {
+            costs.retain(|c| c.is_finite());
+            costs.sort_by(f64::total_cmp);
+            let n = costs.len() as u64;
+            costs
+                .get((n / 3 + self.below(n - n / 3)) as usize)
+                .copied()
+                .unwrap_or(f64::INFINITY)
+        }
+
+        fn priced(&mut self) -> Priced {
+            let mut per_tensor = || PerTensor([self.mag(0, 9), self.mag(0, 9), self.mag(0, 9)]);
+            let counts = ActivityCounts {
+                l1_read: per_tensor(),
+                l1_write: per_tensor(),
+                l2_read: per_tensor(),
+                l2_write: per_tensor(),
+                noc: per_tensor(),
+                ..ActivityCounts::default()
+            };
+            Priced {
+                runtime: 0.0,
+                counts: ActivityCounts {
+                    macs: self.mag(3, 9),
+                    ..counts
+                },
+                macs_dense: 0.0,
+                macs_effective: 0.0,
+                l1_per_pe_elems: 0,
+                l2_staging_elems: 0,
+                peak_bw: 0.0,
+                avg_bw: 0.0,
+                utilization: 0.0,
+                used_pes: 0,
+                num_pes: 0,
+                tensor_elems: [
+                    self.mag(2, 7) as u64,
+                    self.mag(2, 7) as u64,
+                    self.mag(2, 7) as u64,
+                ],
+            }
+        }
+
+        fn eval(&mut self, runtimes: &[f64], ex: &Explorer) -> Eval {
+            let runtime = match self.below(16) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => -self.mag(0, 9),
+                3 => -0.0,
+                4 => self.mag(0, 12),
+                _ => self.pick(runtimes),
+            };
+            let throughput = match self.below(16) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => -self.mag(0, 3),
+                _ => self.mag(0, 2),
+            };
+            // Mostly requirements every cell holds, so rows stay full.
+            let mut req = |grid: &[u64]| match self.below(3) {
+                0 => ex.elements(self.pick(grid)) + self.below(2),
+                _ => 0,
+            };
+            Eval {
+                runtime,
+                throughput,
+                l1_req: req(&ex.space.l1_bytes),
+                l2_req: req(&ex.space.l2_bytes),
+            }
+        }
+
+        fn cand<'m>(&mut self, mapping: &'m Arc<str>) -> Cand<'m> {
+            Cand {
+                pes: 1,
+                bw: 1,
+                l1: 1,
+                l2: 1,
+                mapping,
+                area: 1.0,
+                power: 1.0,
+                runtime: self.key(),
+                throughput: self.key(),
+                energy: self.key(),
+                edp: self.key(),
+            }
+        }
+    }
+
+    /// A design point by the bits of every field, so `-0.0` and `0.0`
+    /// differ and NaNs compare.
+    type PointBits = (u64, u64, u64, u64, String, [u64; 6]);
+
+    fn point_bits(p: &DesignPoint) -> PointBits {
+        let f = [
+            p.area_mm2,
+            p.power_mw,
+            p.runtime,
+            p.throughput,
+            p.energy,
+            p.edp,
+        ];
+        (
+            p.pes,
+            p.noc_bw,
+            p.l1_bytes,
+            p.l2_bytes,
+            p.mapping.to_string(),
+            f.map(f64::to_bits),
+        )
+    }
+
+    type Kernel<'m> = (Partial, ParetoFront<Cand<'m>>, Best<'m>);
+
+    /// Everything an expansion leaves behind, by bits: the counters, the
+    /// sample, the front in order, the three best keys and slots.
+    type KernelBits = (
+        DseStats,
+        Vec<PointBits>,
+        Vec<PointBits>,
+        [u64; 3],
+        Vec<Option<PointBits>>,
+    );
+
+    fn kernel_bits((part, front, best): &Kernel<'_>) -> KernelBits {
+        let slot = |c: &Option<Cand<'_>>| c.map(|c| point_bits(&c.to_point()));
+        (
+            part.stats.clone(),
+            part.sample.iter().map(point_bits).collect(),
+            front
+                .points()
+                .iter()
+                .map(|c| point_bits(&c.to_point()))
+                .collect(),
+            [best.neg_throughput, best.energy, best.edp].map(f64::to_bits),
+            vec![
+                slot(&best.by_throughput),
+                slot(&best.by_energy),
+                slot(&best.by_edp),
+            ],
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1500))]
+
+        /// The counting kernel must leave exactly what the per-cell loop
+        /// leaves — every counter, the sample, the front in order and the
+        /// three bests, bit for bit — on grids of any length, order and
+        /// duplication, under NaN, infinite or negative cost coefficients,
+        /// DRAM energies, runtimes and throughputs, with budgets that cross
+        /// rows, empty or populated bests and fronts, and a sample cap
+        /// that can run out mid-row.
+        #[test]
+        fn capacity_kernel_matches_per_cell_loop(seed in 0u64..u64::MAX) {
+            let mut d = Draw(proptest::TestRng::from_seed(seed));
+            let mut ex = Explorer::new(d.space());
+            ex.precision_bytes = d.pick(&[1, 2]);
+            ex.sample_cap = d.pick(&[0, 1, 2, 5, 4096]);
+            ex.dram_pj = match d.below(13) {
+                0 => -1e297,
+                1 => f64::NAN,
+                2 => f64::INFINITY,
+                3 => f64::NEG_INFINITY,
+                4 => -d.mag(0, 3),
+                5 => d.mag(290, 297),
+                _ => 100.0,
+            };
+            let (a, p) = (&mut ex.area_model, &mut ex.power_model);
+            match d.below(10) {
+                0 => d.spoil(&mut a.pe_overhead_mm2),
+                1 => d.spoil(&mut a.sram_mm2_per_byte),
+                2 => d.spoil(&mut a.bus_mm2_per_lane),
+                3 => d.spoil(&mut p.pe_mw),
+                4 => d.spoil(&mut p.sram_mw_per_kb),
+                5 => d.spoil(&mut p.noc_mw_per_lane),
+                _ => {}
+            }
+            // Limits inside the grid's costs cross rows; a NaN or infinite
+            // limit passes everything.
+            let pes = ex.space.pes[0];
+            let probe = UnitCtx::new(&ex, pes);
+            let mut costs = Vec::new();
+            for b_idx in 0..ex.space.noc_bw.len() {
+                for i1 in 0..ex.space.l1_bytes.len() {
+                    for i2 in 0..ex.space.l2_bytes.len() {
+                        costs.push(probe.area_power(b_idx, i1, i2));
+                    }
+                }
+            }
+            ex.constraints = match d.below(6) {
+                0 => Constraints { max_area_mm2: f64::INFINITY, max_power_mw: f64::NAN },
+                _ => Constraints {
+                    max_area_mm2: d.limit(costs.iter().map(|c| c.0).collect()),
+                    max_power_mw: d.limit(costs.iter().map(|c| c.1).collect()),
+                },
+            };
+            let ctx = UnitCtx::new(&ex, pes);
+            let mapping: Arc<str> = format!("m{seed}").into();
+            let mut kernel: Kernel<'_> = (Partial::new(), ParetoFront::new(), Best::new());
+            kernel.0.stats.valid = d.below(200);
+            for _ in 0..d.below(3) {
+                let c = d.cand(&mapping);
+                kernel.1.try_insert_with(c.runtime, c.energy, || c);
+            }
+            if d.below(2) == 0 {
+                let best = &mut kernel.2;
+                best.neg_throughput = d.key();
+                best.energy = d.key();
+                best.edp = d.key();
+                best.by_throughput = Some(d.cand(&mapping));
+                best.by_energy = Some(d.cand(&mapping));
+                best.by_edp = Some(d.cand(&mapping));
+            }
+            let mut reference = (kernel.0.clone(), kernel.1.clone(), kernel.2.clone());
+            let runtimes = [d.mag(0, 12), d.mag(0, 12), -d.mag(0, 6)];
+            let mut ecells = EnergyCells::new(ex.space.l1_bytes.len(), ex.space.l2_bytes.len());
+            for step in 0..2 + d.below(8) {
+                if step == 0 || d.below(4) == 0 {
+                    let evals: Vec<Priced> = (0..1 + d.below(2)).map(|_| d.priced()).collect();
+                    ecells.fill(&ex, &evals, &ctx);
+                    // Scattered non-finite cells among finite ones.
+                    if d.below(3) == 0 {
+                        for _ in 0..1 + d.below(3) {
+                            let cell = d.below(ecells.e.len() as u64) as usize;
+                            ecells.e[cell] = d.pick(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+                        }
+                        ecells.summarize_rows(ex.space.l2_bytes.len());
+                    }
+                }
+                let b_idx = d.below(ex.space.noc_bw.len() as u64) as usize;
+                let eval = d.eval(&runtimes, &ex);
+                let (part, front, best) = &mut kernel;
+                ex.expand_capacities(pes, b_idx, &mapping, eval, &ecells, &ctx, part, front, best);
+                let (part, front, best) = &mut reference;
+                ex.expand_reference(pes, b_idx, &mapping, eval, &ecells, &ctx, part, front, best);
+                proptest::prop_assert_eq!(
+                    kernel_bits(&kernel),
+                    kernel_bits(&reference),
+                    "seed {} step {}",
+                    seed,
+                    step
+                );
             }
         }
     }
@@ -1565,7 +2083,7 @@ mod tests {
             noc_bw: 16,
             l1_bytes: 512,
             l2_bytes: 1 << 20,
-            mapping: "kcp".to_string(),
+            mapping: "kcp".into(),
             area_mm2: 3.0,
             power_mw: 400.0,
             runtime: 1e6,
@@ -1661,8 +2179,10 @@ impl Explorer {
             })
             .collect();
         let ctx = UnitCtx::new(self, pes);
+        part.sample
+            .reserve_exact(self.sample_capacity(caps_per_eval * self.space.noc_bw.len() as u64));
         // The mapping label is the same for every point of this unit.
-        let label = format!("per-layer best of {}", mappings.len());
+        let label: Arc<str> = format!("per-layer best of {}", mappings.len()).into();
         let mut front = ParetoFront::new();
         let mut ecells = EnergyCells::new(self.space.l1_bytes.len(), self.space.l2_bytes.len());
         let mut best = Best::new();
@@ -1706,7 +2226,10 @@ impl Explorer {
                 pes, b_idx, &label, eval, &ecells, &ctx, &mut part, &mut front, &mut best,
             );
         }
-        close_unit(&mut part, front, best, &memo);
+        close_unit(&mut part, front, best);
+        let counts = memo.counts();
+        part.stats.evaluated += counts.misses;
+        part.stats.memo_hits += counts.hits;
         part
     }
 

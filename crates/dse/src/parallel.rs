@@ -188,7 +188,7 @@ fn poison_point() -> DesignPoint {
         noc_bw: 0,
         l1_bytes: 0,
         l2_bytes: 0,
-        mapping: "injected-nofinite".to_string(),
+        mapping: "injected-nofinite".into(),
         area_mm2: f64::NAN,
         power_mw: f64::NAN,
         runtime: f64::NAN,
@@ -444,12 +444,20 @@ pub(crate) fn merge_partials(slots: Vec<Option<UnitOutcome>>, sample_cap: usize)
     // up (at zero) in every exposition, not only after the first failure —
     // dashboards and the CI grep rely on its presence.
     let quarantined_units = &ctl_metrics().quarantined;
+    let merged_sample = slots
+        .iter()
+        .map(|slot| match slot {
+            Some(Ok(part)) => part.sample.len(),
+            _ => 0,
+        })
+        .sum::<usize>()
+        .min(sample_cap);
     let mut out = DseResult {
         pareto: Vec::new(),
         best_throughput: None,
         best_energy: None,
         best_edp: None,
-        sample: Vec::new(),
+        sample: Vec::with_capacity(merged_sample),
         stats: DseStats::empty(),
         partial: false,
     };

@@ -52,7 +52,8 @@ impl Rng {
                 1 => "KC-P[c16,y4,x4]".into(),
                 2 => "evil \\ mapping\nwith newline\r".into(),
                 _ => format!("map-{}", self.next()),
-            },
+            }
+            .into(),
             area_mm2: self.f64(),
             power_mw: self.f64(),
             runtime: self.f64(),

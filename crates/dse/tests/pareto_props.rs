@@ -12,7 +12,7 @@ fn point(runtime: u64, energy: u64) -> DesignPoint {
         noc_bw: 0,
         l1_bytes: 0,
         l2_bytes: 0,
-        mapping: String::new(),
+        mapping: String::new().into(),
         area_mm2: 0.0,
         power_mw: 0.0,
         runtime: runtime as f64,

@@ -199,8 +199,15 @@ fn round_sig3(v: f64) -> f64 {
         return v;
     }
     let mag = v.abs().log10().floor();
-    let scale = 10f64.powf(2.0 - mag);
-    (v * scale).round() / scale
+    // Scale by an exact power of ten: dividing by an inexact 10^-k would
+    // print 3.16e7 as 31599999.999999996.
+    if mag >= 2.0 {
+        let unit = 10f64.powf(mag - 2.0);
+        (v / unit).round() * unit
+    } else {
+        let scale = 10f64.powf(2.0 - mag);
+        (v * scale).round() / scale
+    }
 }
 
 /// Estimate the `q`-quantile from histogram buckets, the same way
@@ -669,6 +676,11 @@ mod tests {
         assert_eq!(b[3], 0.01);
         assert_eq!(*b.last().unwrap(), 10.0);
         assert!(b.windows(2).all(|w| w[0] < w[1]), "{b:?}");
+        // Large bounds are exact, so they print as written.
+        let big = log_buckets(1e3, 1e12, 2);
+        assert_eq!(big.len(), 19, "{big:?}");
+        assert_eq!(big[9], 31_600_000.0, "{big:?}");
+        assert_eq!(big[9].to_string(), "31600000");
         // Degenerate inputs clamp instead of panicking.
         assert!(!log_buckets(-1.0, 0.0, 0).is_empty());
         assert!(log_buckets(1e-9, 1e9, 100).len() <= 256);

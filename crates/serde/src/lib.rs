@@ -233,6 +233,12 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
     }
 }
 
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn serialize(&self, w: &mut JsonWriter) {
+        (**self).serialize(w);
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn serialize(&self, w: &mut JsonWriter) {
         match self {
@@ -303,6 +309,8 @@ mod tests {
         assert_eq!(json(&Some(7u64)), "7");
         assert_eq!(json(&Option::<u64>::None), "null");
         assert_eq!(json(&(1u64, "x")), "[1,\"x\"]");
+        let shared: std::sync::Arc<str> = "x".into();
+        assert_eq!(json(&shared), json(&"x"));
     }
 
     #[test]
