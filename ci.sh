@@ -88,14 +88,18 @@ cargo test -q --release -p maestro-sim --test staged_conform_smoke
 echo "== obs_overhead guard (disabled instrumentation < 2% of a sweep)"
 cargo bench -q -p maestro-bench --bench obs_overhead
 
-# The whole-model and Fig 13 sweep digests, the capacity kernel's
-# differential suite, and the daemon's tracing tests run in release too:
-# a sweep drift, a kernel that vectorizes or reorders differently, or a
+# The whole-model and Fig 13 sweep digests, the whole-model build
+# counts, the capacity kernel's differential suite, the brownout table
+# (whose cache-only answers read the daemon's one cache) and the daemon's
+# tracing tests run in release too: a sweep drift, a unit that rebuilds
+# per bandwidth, a kernel that vectorizes or reorders differently, or a
 # release-only failure (timing premises, accept/pop races) fails CI, not
 # just a debug run.
-echo "== sweep digests + capacity kernel + serve tracing (release)"
+echo "== sweep digests + build counts + capacity kernel + serve (release)"
 cargo test -q --release -p maestro-dse --test sweep_digests
+cargo test -q --release -p maestro-dse --test model_builds
 cargo test -q --release -p maestro-dse --lib capacity_kernel
+cargo test -q --release -p maestro-serve --test brownout
 cargo test -q --release -p maestro-cli --test serve_trace
 
 smokedir=$(mktemp -d)
@@ -233,6 +237,13 @@ metrics_resp=$(serve_request "${serve_addr}" GET /metrics)
 served=$(sed -n 's/^maestro_serve_requests_total \([0-9]*\).*/\1/p' <<<"${metrics_resp}" | head -1)
 if [ -z "${served}" ] || [ "${served}" -lt 2 ]; then
   echo "expected maestro_serve_requests_total >= 2, got '${served}'" >&2
+  exit 1
+fi
+# The batch's first point repeats the analyze request's point, so the
+# release daemon's cache must have answered at least one lookup.
+cache_hits=$(sed -n 's/^maestro_cache_hits \([0-9]*\).*/\1/p' <<<"${metrics_resp}" | head -1)
+if [ -z "${cache_hits}" ] || [ "${cache_hits}" -lt 1 ]; then
+  echo "expected maestro_cache_hits >= 1 after a repeated point, got '${cache_hits}'" >&2
   exit 1
 fi
 # Build/uptime identity gauges: one constant-1 info metric with

@@ -230,7 +230,7 @@ Serving (serve):
   --io-timeout <s>           socket read/write timeout, slow-loris guard (default 10)
   --max-body-bytes <n>       request body cap, 413 beyond it (default 1048576)
   --shards <n>               shared analysis-cache shards (default 8)
-  --memo-cap <n>             per-shard analysis-cache entry cap (default 4096)
+  --memo-cap <n>             reports kept per analysis-cache shard (default 4096; 0 = unbounded)
   --max-seconds <s>          self-terminate after s seconds (smoke tests)
   --test-endpoints           enable POST /v1/panic (panic-isolation tests only)
   --access-log <path|->      JSONL per-request log with phase attribution (- = stdout)

@@ -4,7 +4,7 @@ use crate::report::{LayerReport, ModelReport};
 use crate::stages::StagedAnalysis;
 use maestro_dnn::layer::LayerError;
 use maestro_dnn::{Layer, Model};
-use maestro_hw::{Accelerator, NocConfig};
+use maestro_hw::Accelerator;
 use maestro_ir::{Dataflow, ResolveError};
 use maestro_obs::CancelToken;
 use std::fmt;
@@ -115,18 +115,17 @@ pub fn analyze(
     dataflow: &Dataflow,
     acc: &Accelerator,
 ) -> Result<LayerReport, AnalysisError> {
-    analyze_at(layer, dataflow, acc, acc.noc, None)
+    analyze_at(layer, dataflow, acc, None)
 }
 
-/// [`analyze`] under NoC pipe `noc` (`acc.noc` is not read), polling
-/// `cancel` before the expensive stages and again before pricing. The
-/// staged pipeline *is* the implementation: build the NoC-independent
-/// stages, then price them, so staged and fused evaluation cannot drift.
+/// [`analyze`], polling `cancel` before the expensive stages and again
+/// before pricing. The staged pipeline *is* the implementation: build the
+/// NoC-independent stages, then price them under `acc.noc`, so staged and
+/// fused evaluation cannot drift.
 pub(crate) fn analyze_at(
     layer: &Layer,
     dataflow: &Dataflow,
     acc: &Accelerator,
-    noc: NocConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<LayerReport, AnalysisError> {
     let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
@@ -138,7 +137,7 @@ pub(crate) fn analyze_at(
     if cancelled() {
         return Err(AnalysisError::Cancelled);
     }
-    staged.finish(noc.bandwidth, noc.avg_latency)
+    staged.finish(acc.noc.bandwidth, acc.noc.avg_latency)
 }
 
 /// Analyze every layer of `model` under a per-layer dataflow choice.

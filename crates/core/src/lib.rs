@@ -59,7 +59,7 @@ pub use engine::{LevelPerf, LevelResult, LevelStatic};
 pub use explain::{explain, Explanation, Observation};
 pub use level::{LevelCtx, OutputSpatial};
 pub use lint::{lint, Lint};
-pub use memo::{Analyzer, CacheCounts, Context, ShapeKey, DEFAULT_CACHE_CAP};
+pub use memo::{Analyzer, CacheCounts, ShapeKey, DEFAULT_CACHE_CAP};
 pub use report::{LayerReport, ModelReport, Priced};
 pub use reuse::{opportunity_table, spatial_opportunity, temporal_opportunity, ReuseForm};
 pub use stages::StagedAnalysis;

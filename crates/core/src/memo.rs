@@ -1,40 +1,32 @@
-//! [`Analyzer`]: the memoized way into the cost model.
+//! [`Analyzer`]: the daemon's answer cache.
 //!
-//! Design-space exploration re-analyzes the same layer *shape* many times:
-//! networks repeat convolution shapes (VGG-16's conv3_2/conv3_3 are
-//! identical, ResNet-50 repeats its bottleneck blocks), and a whole-model
-//! sweep evaluates every mapping on every one of them at every hardware
-//! point. The cost model is a pure function of (layer shape, dataflow,
-//! accelerator), so those repeats can be served from a table.
+//! A serving daemon is asked the same points again and again: hot layers,
+//! whole models that repeat convolution shapes (VGG-16's conv3_2/conv3_3
+//! are identical, ResNet-50 repeats its bottleneck blocks), batches that
+//! revisit a point. The cost model is a pure function of (layer shape,
+//! dataflow, accelerator), so a repeated question is answered from a
+//! table.
 //!
 //! [`ShapeKey`] is the hashable identity of a layer as the cost model sees
-//! it — dimensions, operator, and tensor densities, but *not* the name. A
-//! [`Context`] pins one (layer, dataflow, static accelerator) triple and
-//! fingerprints it once; each lookup then supplies only the NoC pipe, so a
-//! sweep along the bandwidth axis never re-hashes the dataflow. The
-//! fingerprint is derived from the context's own inputs, so no caller can
-//! alias two contexts onto one entry. Both successful reports and
-//! analysis errors are memoized (cancellations never are), and both tiers
-//! are LRU-bounded so long sweeps cannot grow memory without limit.
+//! it — dimensions, operator, and tensor densities, but *not* the name. An
+//! entry is keyed by the shape, a fingerprint of the dataflow and the
+//! accelerator's NoC-independent fields, and the NoC pipe. The fingerprint
+//! is derived from those inputs themselves, so no caller can alias two
+//! points onto one entry. Both successful reports and analysis errors are
+//! memoized (cancellations never are), and each shard's table is
+//! LRU-bounded so a long-lived daemon cannot grow memory without limit. A
+//! miss runs the whole pipeline, as [`analyze`](crate::analyze) does.
 //!
-//! Every shard of an [`Analyzer`] is two-tier:
+//! DSE sweeps use no `Analyzer`: they build [`StagedAnalysis`]es and
+//! price them per bandwidth themselves. A layer unit prices every
+//! (mapping, bandwidth) point once, and a whole-model unit reads its
+//! repeated shapes from the model's layer list.
 //!
-//! * a **report tier** keyed by (shape, context fingerprint, NoC pipe)
-//!   holding finished [`LayerReport`]s;
-//! * a **stage tier** keyed by (shape, context fingerprint) holding
-//!   [`StagedAnalysis`] builds, shared across every NoC pipe of the
-//!   context — this is what makes a sweep over NoC bandwidths run the
-//!   expensive stages once.
-//!
-//! [`Analyzer::analyze`] goes through both tiers; it serves the daemon and
-//! whole-model sweeps, whose repeated shapes hit finished reports. (A DSE
-//! layer sweep prices each (mapping, bandwidth) point exactly once, so it
-//! builds its stages directly, with no memo table.)
+//! [`StagedAnalysis`]: crate::StagedAnalysis
 
 use crate::analysis::{analyze_at, AnalysisError};
 use crate::lru::{FnvHasher, Lru};
 use crate::report::LayerReport;
-use crate::stages::StagedAnalysis;
 use maestro_dnn::{Layer, LayerDims, Operator};
 use maestro_hw::{Accelerator, NocConfig};
 use maestro_ir::Dataflow;
@@ -42,9 +34,8 @@ use maestro_obs::{CancelToken, Counter};
 use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Default per-tier LRU capacity: comfortably above any workload the repo
-/// sweeps today (a whole-model sweep touches ~10³ distinct entries per
-/// worker) while bounding a pathological sweep to a few tens of MB.
+/// Default per-shard LRU capacity: comfortably above the daemon's hot set
+/// while bounding a pathological request stream to a few tens of MB.
 pub const DEFAULT_CACHE_CAP: usize = 4096;
 
 /// The identity of a layer under the cost model: everything `analyze`
@@ -79,102 +70,69 @@ impl ShapeKey {
     }
 }
 
-/// One (layer, dataflow, static accelerator) context, prepared once and
-/// looked up under any number of NoC pipes.
-///
-/// The layer, dataflow and accelerator are borrowed, so a context can
-/// never be replayed against other model inputs. Only the accelerator's
-/// NoC-independent fields belong to the context — each lookup supplies
-/// its own [`NocConfig`], and `acc.noc` is never read.
-#[derive(Debug, Clone, Copy)]
-pub struct Context<'a> {
-    layer: &'a Layer,
-    dataflow: &'a Dataflow,
-    acc: &'a Accelerator,
-    /// `None` for uncacheable layers (custom coupling override).
-    key: Option<ShapeKey>,
-    /// Fingerprint of everything the NoC-independent stages read: shape,
-    /// dataflow structure, PE count, vector width, precision, L2
-    /// capacity, off-chip bandwidth and reuse support. The stage-tier key
-    /// and the shard route.
-    stat: u64,
+/// A table entry: the shape, the fingerprint of everything else the
+/// NoC-independent stages read, and the NoC pipe.
+type Entry = (ShapeKey, u64, NocConfig);
+
+/// The shard route and the table entry of `layer` under `dataflow` on
+/// `acc`. The route fingerprints the shape, the dataflow's structure and
+/// the accelerator's PE count, vector width, precision, L2 capacity,
+/// off-chip bandwidth and reuse support; the entry adds the NoC pipe. A
+/// layer with a coupling override has no entry.
+fn locate(layer: &Layer, dataflow: &Dataflow, acc: &Accelerator) -> (u64, Option<Entry>) {
+    let key = ShapeKey::of(layer);
+    let mut h = FnvHasher::default();
+    key.hash(&mut h);
+    // Structural hash: equal inputs ⇔ equal (name, directive list),
+    // with no formatting in the fingerprint path.
+    dataflow.hash(&mut h);
+    for v in [
+        acc.num_pes,
+        acc.vector_width,
+        acc.precision_bytes,
+        acc.l2_bytes,
+        acc.offchip_bandwidth,
+    ] {
+        h.write_u64(v);
+    }
+    acc.support.hash(&mut h);
+    let route = h.finish();
+    (route, key.map(|key| (key, route, acc.noc)))
 }
 
-impl<'a> Context<'a> {
-    /// Prepare `layer` under `dataflow` on `acc`'s static configuration.
-    pub fn new(layer: &'a Layer, dataflow: &'a Dataflow, acc: &'a Accelerator) -> Self {
-        let key = ShapeKey::of(layer);
-        let mut h = FnvHasher::default();
-        key.hash(&mut h);
-        // Structural hash: equal inputs ⇔ equal (name, directive list),
-        // with no formatting in the fingerprint path.
-        dataflow.hash(&mut h);
-        for v in [
-            acc.num_pes,
-            acc.vector_width,
-            acc.precision_bytes,
-            acc.l2_bytes,
-            acc.offchip_bandwidth,
-        ] {
-            h.write_u64(v);
-        }
-        acc.support.hash(&mut h);
-        Context {
-            layer,
-            dataflow,
-            acc,
-            key,
-            stat: h.finish(),
-        }
+/// `report` under `layer`'s name. Entries ignore names, so one built for
+/// a layer also answers every other layer of the same shape.
+fn named(mut report: LayerReport, layer: &Layer) -> LayerReport {
+    if report.layer != layer.name {
+        report.layer.clone_from(&layer.name);
     }
-
-    /// `report` under this context's layer name. Cache keys ignore names,
-    /// so an entry built for one layer also answers every other layer of
-    /// the same shape.
-    fn named(&self, mut report: LayerReport) -> LayerReport {
-        if report.layer != self.layer.name {
-            report.layer.clone_from(&self.layer.name);
-        }
-        report
-    }
+    report
 }
 
 /// Lookup counters of an [`Analyzer`], summed over its shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounts {
-    /// Report-tier lookups served from the table.
+    /// Lookups served from the table.
     pub hits: u64,
-    /// Report-tier lookups that ran the cost model (including
-    /// uncacheable layers).
+    /// Lookups that ran the cost model (including uncacheable layers).
     pub misses: u64,
-    /// Entries added to the report tier.
+    /// Entries added to the table.
     pub inserts: u64,
-    /// Entries displaced from either tier by the LRU bound.
+    /// Entries displaced by the LRU bound.
     pub evictions: u64,
-    /// Stage-tier lookups served from the table.
-    pub stage_hits: u64,
-    /// Stage-tier lookups that ran the expensive static stages.
-    pub stage_misses: u64,
 }
 
 impl CacheCounts {
     /// The counts in [`cache_counters`] order.
-    fn array(self) -> [u64; 6] {
-        [
-            self.hits,
-            self.misses,
-            self.inserts,
-            self.evictions,
-            self.stage_hits,
-            self.stage_misses,
-        ]
+    fn array(self) -> [u64; 4] {
+        [self.hits, self.misses, self.inserts, self.evictions]
     }
 }
 
 /// `OnceLock`-cached handles for the `maestro.cache.*` counters: the
 /// registry lock is taken once per process.
-fn cache_counters() -> &'static [Counter; 6] {
-    static C: OnceLock<[Counter; 6]> = OnceLock::new();
+fn cache_counters() -> &'static [Counter; 4] {
+    static C: OnceLock<[Counter; 4]> = OnceLock::new();
     C.get_or_init(|| {
         let r = maestro_obs::registry();
         [
@@ -182,8 +140,6 @@ fn cache_counters() -> &'static [Counter; 6] {
             r.counter("maestro.cache.misses"),
             r.counter("maestro.cache.inserts"),
             r.counter("maestro.cache.evictions"),
-            r.counter("maestro.cache.stage_hits"),
-            r.counter("maestro.cache.stage_misses"),
         ]
     })
 }
@@ -201,40 +157,37 @@ pub(crate) fn register_counters() {
     lock_waits_counter();
 }
 
-/// One mutex shard: both tiers plus plain counters, so a lookup never
+/// One mutex shard: an LRU table plus plain counters, so a lookup never
 /// touches a shared atomic.
 #[derive(Debug)]
 struct Shard {
-    reports: Lru<(ShapeKey, u64, NocConfig), Result<LayerReport, AnalysisError>>,
-    stages: Lru<(ShapeKey, u64), Result<StagedAnalysis, AnalysisError>>,
+    reports: Lru<Entry, Result<LayerReport, AnalysisError>>,
     counts: CacheCounts,
     /// The part of `counts` already added to the metrics registry.
-    flushed: [u64; 6],
+    flushed: [u64; 4],
 }
 
 impl Shard {
+    /// The report at `entry` from the table, or from the cost model on a
+    /// miss (and always for a layer with no entry).
     fn lookup(
         &mut self,
-        ctx: &Context<'_>,
-        noc: NocConfig,
+        entry: Option<Entry>,
+        layer: &Layer,
+        dataflow: &Dataflow,
+        acc: &Accelerator,
         cancel: Option<&CancelToken>,
-        reuse_stages: bool,
     ) -> Result<LayerReport, AnalysisError> {
-        let Some(key) = ctx.key else {
+        let Some(entry) = entry else {
             self.counts.misses += 1;
-            return analyze_at(ctx.layer, ctx.dataflow, ctx.acc, noc, cancel);
+            return analyze_at(layer, dataflow, acc, cancel);
         };
-        let entry = (key, ctx.stat, noc);
         if let Some(cached) = self.reports.get(&entry) {
             self.counts.hits += 1;
             return cached.clone();
         }
         self.counts.misses += 1;
-        let result = if reuse_stages {
-            self.staged(key, ctx, noc, cancel)
-        } else {
-            analyze_at(ctx.layer, ctx.dataflow, ctx.acc, noc, cancel)
-        };
+        let result = analyze_at(layer, dataflow, acc, cancel);
         // A deadline belongs to the request, not to the entry.
         if !matches!(result, Err(AnalysisError::Cancelled)) {
             self.counts.evictions += self.reports.insert(entry, result.clone());
@@ -242,52 +195,15 @@ impl Shard {
         }
         result
     }
-
-    /// Price a report-tier miss from the stage tier, building the static
-    /// stages on a stage miss. Cancellation is polled before the build
-    /// and at the build/price boundary; a completed build is kept (it is
-    /// valid whatever the token says).
-    fn staged(
-        &mut self,
-        key: ShapeKey,
-        ctx: &Context<'_>,
-        noc: NocConfig,
-        cancel: Option<&CancelToken>,
-    ) -> Result<LayerReport, AnalysisError> {
-        if let Some(built) = self.stages.get(&(key, ctx.stat)) {
-            self.counts.stage_hits += 1;
-            return match built {
-                Ok(staged) => staged.finish(noc.bandwidth, noc.avg_latency),
-                Err(e) => Err(e.clone()),
-            };
-        }
-        self.counts.stage_misses += 1;
-        let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
-        if cancelled() {
-            return Err(AnalysisError::Cancelled);
-        }
-        let built = StagedAnalysis::build(ctx.layer, ctx.dataflow, ctx.acc);
-        let out = match &built {
-            Ok(_) if cancelled() => Err(AnalysisError::Cancelled),
-            Ok(staged) => staged.finish(noc.bandwidth, noc.avg_latency),
-            Err(e) => Err(e.clone()),
-        };
-        self.counts.evictions += self.stages.insert((key, ctx.stat), built);
-        out
-    }
 }
 
 /// The memoized cost model: [`analyze`](crate::analyze) behind `Mutex`
-/// shards of the two-tier LRU (see the module docs).
+/// shards of one LRU table each (see the module docs).
 ///
-/// One type serves both callers. A DSE work unit owns a one-shard
-/// analyzer, whose uncontended lock costs nothing measurable next to a
-/// lookup, so results and hit patterns stay deterministic at any thread
-/// count. The serving daemon shares one many-shard analyzer across its
-/// workers. Entries are routed by the context fingerprint, so every NoC
-/// pipe of one context lands in the same shard and shares its
-/// stage-tier build. A lock acquisition that has to wait is counted in
-/// `maestro.cache.lock_waits`.
+/// The serving daemon shares one many-shard analyzer across its workers.
+/// Entries are routed by their NoC-independent fingerprint, so distinct
+/// shapes spread over the shards. A lock acquisition that has to wait is
+/// counted in `maestro.cache.lock_waits`.
 ///
 /// Lookup counters stay in the shards (no shared atomic per lookup) and
 /// reach the `maestro.cache.*` registry counters as deltas on
@@ -295,43 +211,30 @@ impl Shard {
 #[derive(Debug)]
 pub struct Analyzer {
     shards: Box<[Mutex<Shard>]>,
-    reuse_stages: bool,
 }
 
 impl Analyzer {
     /// An analyzer of `shards` shards (at least 1), each holding at most
-    /// `cap` entries per tier (`0` = unbounded).
+    /// `cap` entries (`0` = unbounded).
     pub fn new(shards: usize, cap: usize) -> Self {
         Analyzer {
             shards: (0..shards.max(1))
                 .map(|_| {
                     Mutex::new(Shard {
                         reports: Lru::new(cap),
-                        stages: Lru::new(cap),
                         counts: CacheCounts::default(),
-                        flushed: [0; 6],
+                        flushed: [0; 4],
                     })
                 })
                 .collect(),
-            reuse_stages: true,
         }
     }
 
-    /// This analyzer with the stage tier switched off: every report-tier
-    /// miss runs the whole pipeline, as [`analyze`](crate::analyze) does.
-    /// Report-tier hits, misses and inserts are unchanged. This is the
-    /// differential oracle that staged sweeps are checked against.
-    #[must_use]
-    pub fn without_stage_reuse(mut self) -> Self {
-        self.reuse_stages = false;
-        self
-    }
-
-    /// The report for `ctx` under NoC pipe `noc`, from the table or from
-    /// the cost model. With a `cancel` token, a computation stops at the
-    /// next stage boundary once the token trips; cache hits are returned
-    /// regardless. The report carries `ctx`'s layer name even when the
-    /// entry was built for another layer of the same shape.
+    /// The report for `layer` under `dataflow` on `acc`, from the table
+    /// or from the cost model. With a `cancel` token, a computation stops
+    /// at the next stage boundary once the token trips; cache hits are
+    /// returned regardless. The report carries `layer`'s name even when
+    /// the entry was built for another layer of the same shape.
     ///
     /// # Errors
     ///
@@ -340,48 +243,54 @@ impl Analyzer {
     /// trips before completion.
     pub fn analyze(
         &self,
-        ctx: &Context<'_>,
-        noc: NocConfig,
+        layer: &Layer,
+        dataflow: &Dataflow,
+        acc: &Accelerator,
         cancel: Option<&CancelToken>,
     ) -> Result<LayerReport, AnalysisError> {
+        let (route, entry) = locate(layer, dataflow, acc);
         let result = self
-            .shard(ctx.stat)
-            .lookup(ctx, noc, cancel, self.reuse_stages);
-        result.map(|report| ctx.named(report))
+            .shard(route)
+            .lookup(entry, layer, dataflow, acc, cancel);
+        result.map(|report| named(report, layer))
     }
 
-    /// The cached successful report for `ctx` under `noc`, if the report
-    /// tier holds one. Read-only: no counters, no LRU promotion, no stage
-    /// tier, because a brownout probe asks "can this be served for free
-    /// right now?" and the caller may still shed the request.
-    pub fn peek(&self, ctx: &Context<'_>, noc: NocConfig) -> Option<LayerReport> {
-        let key = ctx.key?;
+    /// The cached successful report for `layer` under `dataflow` on
+    /// `acc`, if the table holds one. Read-only: no counters and no LRU
+    /// promotion, because a brownout probe asks "can this be served for
+    /// free right now?" and the caller may still shed the request.
+    pub fn peek(
+        &self,
+        layer: &Layer,
+        dataflow: &Dataflow,
+        acc: &Accelerator,
+    ) -> Option<LayerReport> {
+        let (route, entry) = locate(layer, dataflow, acc);
+        let entry = entry?;
         let cached = self
-            .shard(ctx.stat)
+            .shard(route)
             .reports
-            .peek(&(key, ctx.stat, noc))
+            .peek(&entry)
             .and_then(|r| r.as_ref().ok().cloned());
-        cached.map(|report| ctx.named(report))
+        cached.map(|report| named(report, layer))
     }
 
     /// Lookup counters summed over all shards (takes each shard lock in
     /// turn).
     pub fn counts(&self) -> CacheCounts {
-        let mut sum = [0u64; 6];
+        let mut sum = [0u64; 4];
         for shard in self.shards.iter() {
             let counts = lock(shard).counts.array();
             for (s, c) in sum.iter_mut().zip(counts) {
                 *s += c;
             }
         }
-        let [hits, misses, inserts, evictions, stage_hits, stage_misses] = sum;
+        let [hits, misses, inserts, evictions] = sum;
         CacheCounts {
             hits,
             misses,
             inserts,
             evictions,
-            stage_hits,
-            stage_misses,
         }
     }
 
@@ -393,7 +302,7 @@ impl Analyzer {
         self.flush_into(cache_counters());
     }
 
-    fn flush_into(&self, counters: &[Counter; 6]) {
+    fn flush_into(&self, counters: &[Counter; 4]) {
         for shard in self.shards.iter() {
             let mut shard = lock(shard);
             let now = shard.counts.array();
@@ -406,9 +315,9 @@ impl Analyzer {
         }
     }
 
-    /// The locked shard owning contexts with fingerprint `stat`.
-    fn shard(&self, stat: u64) -> MutexGuard<'_, Shard> {
-        lock(&self.shards[(stat % self.shards.len() as u64) as usize])
+    /// The locked shard owning entries routed to `route`.
+    fn shard(&self, route: u64) -> MutexGuard<'_, Shard> {
+        lock(&self.shards[(route % self.shards.len() as u64) as usize])
     }
 }
 
@@ -446,17 +355,6 @@ mod tests {
         )
     }
 
-    /// One lookup through a context prepared on `acc`, at `acc`'s NoC.
-    fn lookup(
-        cache: &Analyzer,
-        l: &Layer,
-        df: &Dataflow,
-        acc: &Accelerator,
-        cancel: Option<&CancelToken>,
-    ) -> Result<LayerReport, AnalysisError> {
-        cache.analyze(&Context::new(l, df, acc), acc.noc, cancel)
-    }
-
     fn at_bw(bw: u64) -> Accelerator {
         Accelerator::builder(64).noc(NocConfig::new(bw, 2)).build()
     }
@@ -487,7 +385,7 @@ mod tests {
 
     /// Pins the deadline bugfix: a tripped token yields `Cancelled`, and
     /// that outcome is never memoized — the next request with budget gets
-    /// the real report and subsequent calls hit the report tier.
+    /// the real report and subsequent calls hit the table.
     #[test]
     fn cancelled_results_are_not_memoized() {
         let acc = Accelerator::builder(64).build();
@@ -498,21 +396,24 @@ mod tests {
         let tripped = CancelToken::detached();
         tripped.cancel();
         assert!(matches!(
-            lookup(&cache, &l, &df, &acc, Some(&tripped)),
+            cache.analyze(&l, &df, &acc, Some(&tripped)),
             Err(AnalysisError::Cancelled)
         ));
 
         let fresh = CancelToken::detached();
-        let report = lookup(&cache, &l, &df, &acc, Some(&fresh))
+        let report = cache
+            .analyze(&l, &df, &acc, Some(&fresh))
             .expect("cancelled outcome must not poison the cache");
         assert_eq!(report, analyze(&l, &df, &acc).expect("analyzable"));
 
         let hits_before = cache.counts().hits;
-        lookup(&cache, &l, &df, &acc, Some(&fresh)).expect("analyzable");
+        cache
+            .analyze(&l, &df, &acc, Some(&fresh))
+            .expect("analyzable");
         assert_eq!(
             cache.counts().hits,
             hits_before + 1,
-            "report tier now serves it"
+            "the table now serves it"
         );
     }
 
@@ -526,13 +427,15 @@ mod tests {
         let tripped = CancelToken::detached();
         tripped.cancel();
         assert!(matches!(
-            lookup(&shared, &l, &df, &acc, Some(&tripped)),
+            shared.analyze(&l, &df, &acc, Some(&tripped)),
             Err(AnalysisError::Cancelled)
         ));
 
         let fresh = CancelToken::detached();
-        let via_token = lookup(&shared, &l, &df, &acc, Some(&fresh)).expect("analyzable");
-        let plain = lookup(&shared, &l, &df, &acc, None).expect("analyzable");
+        let via_token = shared
+            .analyze(&l, &df, &acc, Some(&fresh))
+            .expect("analyzable");
+        let plain = shared.analyze(&l, &df, &acc, None).expect("analyzable");
         assert_eq!(via_token, plain);
     }
 
@@ -549,14 +452,14 @@ mod tests {
         let cache = Analyzer::new(1, DEFAULT_CACHE_CAP);
         for layer in [&l, &custom] {
             assert_eq!(
-                lookup(&cache, layer, &df, &acc, Some(&live)).unwrap(),
+                cache.analyze(layer, &df, &acc, Some(&live)).unwrap(),
                 analyze(layer, &df, &acc).unwrap()
             );
         }
         let model = zoo::alexnet(1);
         let layers: Vec<LayerReport> = model
             .iter()
-            .map(|layer| lookup(&cache, layer, &df, &acc, Some(&live)).unwrap())
+            .map(|layer| cache.analyze(layer, &df, &acc, Some(&live)).unwrap())
             .collect();
         assert_eq!(layers, analyze_model(&model, &df, &acc).unwrap().layers);
 
@@ -565,7 +468,7 @@ mod tests {
         let cold = Analyzer::new(1, DEFAULT_CACHE_CAP);
         for layer in [&l, &custom] {
             assert_eq!(
-                lookup(&cold, layer, &df, &acc, Some(&tripped)).unwrap_err(),
+                cold.analyze(layer, &df, &acc, Some(&tripped)).unwrap_err(),
                 AnalysisError::Cancelled
             );
         }
@@ -578,8 +481,10 @@ mod tests {
         let renamed = layer("renamed");
         let df = Style::KCP.dataflow();
         let cache = Analyzer::new(1, DEFAULT_CACHE_CAP);
-        let first = lookup(&cache, &l, &df, &acc, None).expect("analyzable");
-        let second = lookup(&cache, &renamed, &df, &acc, None).expect("analyzable");
+        let first = cache.analyze(&l, &df, &acc, None).expect("analyzable");
+        let second = cache
+            .analyze(&renamed, &df, &acc, None)
+            .expect("analyzable");
         assert_eq!(cache.counts().misses, 1);
         assert_eq!(cache.counts().hits, 1);
         assert_eq!(first, analyze(&l, &df, &acc).expect("analyzable"));
@@ -600,58 +505,22 @@ mod tests {
         let kcp = Style::KCP.dataflow();
         let ycp = Style::YXP.dataflow();
         let cache = Analyzer::new(1, DEFAULT_CACHE_CAP);
-        let a = lookup(&cache, &l, &kcp, &acc, None).expect("analyzable");
-        let b = lookup(&cache, &l, &ycp, &acc, None).expect("analyzable");
+        let a = cache.analyze(&l, &kcp, &acc, None).expect("analyzable");
+        let b = cache.analyze(&l, &ycp, &acc, None).expect("analyzable");
         assert_eq!(cache.counts().misses, 2);
         assert_eq!(cache.counts().hits, 0);
         assert_eq!(a, analyze(&l, &kcp, &acc).unwrap());
         assert_eq!(b, analyze(&l, &ycp, &acc).unwrap());
         // Same dataflow, different accelerator: also distinct.
         let wider = Accelerator::builder(64).noc(NocConfig::new(256, 1)).build();
-        let c = lookup(&cache, &l, &kcp, &wider, None).expect("analyzable");
+        let c = cache.analyze(&l, &kcp, &wider, None).expect("analyzable");
         assert_eq!(cache.counts().misses, 3);
         assert_eq!(c, analyze(&l, &kcp, &wider).unwrap());
         // And every context replays from the table.
-        let _ = lookup(&cache, &l, &kcp, &acc, None);
-        let _ = lookup(&cache, &l, &ycp, &acc, None);
-        let _ = lookup(&cache, &l, &kcp, &wider, None);
+        let _ = cache.analyze(&l, &kcp, &acc, None);
+        let _ = cache.analyze(&l, &ycp, &acc, None);
+        let _ = cache.analyze(&l, &kcp, &wider, None);
         assert_eq!(cache.counts().hits, 3);
-    }
-
-    #[test]
-    fn staged_path_matches_full_path() {
-        let l = layer("x");
-        for style in [Style::KCP, Style::YXP, Style::YRP] {
-            let df = style.dataflow();
-            for bw in [1u64, 32, 256] {
-                let acc = at_bw(bw);
-                let full = Analyzer::new(1, DEFAULT_CACHE_CAP).without_stage_reuse();
-                let staged = Analyzer::new(1, DEFAULT_CACHE_CAP);
-                let a = lookup(&full, &l, &df, &acc, None);
-                let b = lookup(&staged, &l, &df, &acc, None);
-                assert_eq!(a, b, "{style} bw={bw}");
-                assert_eq!(full.counts().stage_misses, 0, "full mode builds afresh");
-            }
-        }
-    }
-
-    #[test]
-    fn staged_shares_static_stages_across_noc_points() {
-        let l = layer("x");
-        let df = Style::KCP.dataflow();
-        let acc = at_bw(1);
-        let ctx = Context::new(&l, &df, &acc);
-        let cache = Analyzer::new(1, DEFAULT_CACHE_CAP);
-        for bw in [1u64, 2, 4, 8, 16, 32] {
-            cache
-                .analyze(&ctx, NocConfig::new(bw, 2), None)
-                .expect("analyzable");
-        }
-        // Six report-tier misses, but the expensive stages ran once.
-        let counts = cache.counts();
-        assert_eq!(counts.misses, 6);
-        assert_eq!(counts.stage_misses, 1);
-        assert_eq!(counts.stage_hits, 5);
     }
 
     #[test]
@@ -660,13 +529,15 @@ mod tests {
         let df = Style::KCP.dataflow();
         let cache = Analyzer::new(1, 2);
         for bw in [1u64, 2, 3] {
-            lookup(&cache, &l, &df, &at_bw(bw), None).expect("analyzable");
+            cache
+                .analyze(&l, &df, &at_bw(bw), None)
+                .expect("analyzable");
         }
         assert_eq!(cache.counts().evictions, 1);
         // bw=1 was evicted: re-analyzing it is a miss, evicting bw=2.
         let acc1 = at_bw(1);
         let direct = analyze(&l, &df, &acc1).unwrap();
-        assert_eq!(lookup(&cache, &l, &df, &acc1, None).unwrap(), direct);
+        assert_eq!(cache.analyze(&l, &df, &acc1, None).unwrap(), direct);
         let counts = cache.counts();
         assert_eq!(counts.misses, 4);
         assert_eq!(counts.evictions, 2);
@@ -682,11 +553,11 @@ mod tests {
         let acc = Accelerator::builder(64).build();
         let cache = Analyzer::new(1, DEFAULT_CACHE_CAP);
         for _ in 0..2 {
-            assert_eq!(lookup(&cache, &l, &df, &acc, None), analyze(&l, &df, &acc));
+            assert_eq!(cache.analyze(&l, &df, &acc, None), analyze(&l, &df, &acc));
         }
         assert_eq!(cache.counts().misses, 2);
         assert_eq!(cache.counts().inserts, 0);
-        assert_eq!(cache.peek(&Context::new(&l, &df, &acc), acc.noc), None);
+        assert_eq!(cache.peek(&l, &df, &acc), None);
     }
 
     #[test]
@@ -696,8 +567,8 @@ mod tests {
         let df = Style::KCP.dataflow();
         let acc = Accelerator::builder(64).build();
         let direct = analyze(&l, &df, &acc).expect("analyzable");
-        assert_eq!(lookup(&shared, &l, &df, &acc, None).unwrap(), direct);
-        assert_eq!(lookup(&shared, &l, &df, &acc, None).unwrap(), direct);
+        assert_eq!(shared.analyze(&l, &df, &acc, None).unwrap(), direct);
+        assert_eq!(shared.analyze(&l, &df, &acc, None).unwrap(), direct);
         let counts = shared.counts();
         assert_eq!((counts.hits, counts.misses), (1, 1));
     }
@@ -711,7 +582,7 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for bw in [1u64, 2, 4, 8, 16] {
-                        let r = lookup(&shared, &layer("t"), &df, &at_bw(bw), None).unwrap();
+                        let r = shared.analyze(&layer("t"), &df, &at_bw(bw), None).unwrap();
                         if bw == 8 {
                             assert_eq!(r, direct);
                         }
@@ -736,13 +607,15 @@ mod tests {
         let df = Style::KCP.dataflow();
         let acc = Accelerator::builder(64).build();
         let cache = Analyzer::new(4, DEFAULT_CACHE_CAP);
-        assert_eq!(cache.peek(&Context::new(&l, &df, &acc), acc.noc), None);
-        lookup(&cache, &l, &df, &acc, None).expect("analyzable");
+        assert_eq!(cache.peek(&l, &df, &acc), None);
+        cache.analyze(&l, &df, &acc, None).expect("analyzable");
         let before = cache.counts();
-        let peeked = cache.peek(&Context::new(&renamed, &df, &acc), acc.noc);
+        let peeked = cache.peek(&renamed, &df, &acc);
         assert_eq!(peeked, Some(analyze(&renamed, &df, &acc).unwrap()));
-        let other_noc = NocConfig::new(acc.noc.bandwidth + 1, acc.noc.avg_latency);
-        assert_eq!(cache.peek(&Context::new(&l, &df, &acc), other_noc), None);
+        let other_noc = Accelerator::builder(64)
+            .noc(NocConfig::new(acc.noc.bandwidth + 1, acc.noc.avg_latency))
+            .build();
+        assert_eq!(cache.peek(&l, &df, &other_noc), None);
         assert_eq!(cache.counts(), before);
     }
 
@@ -752,28 +625,21 @@ mod tests {
     #[test]
     fn flushes_add_only_new_counts() {
         let registry = maestro_obs::Registry::new();
-        let counters = [
-            "hits",
-            "misses",
-            "inserts",
-            "evictions",
-            "stage_hits",
-            "stage_misses",
-        ]
-        .map(|n| registry.counter(&format!("maestro.test.cache.{n}")));
+        let counters = ["hits", "misses", "inserts", "evictions"]
+            .map(|n| registry.counter(&format!("maestro.test.cache.{n}")));
         let l = layer("x");
         let df = Style::KCP.dataflow();
         let acc = Accelerator::builder(64).build();
         let cache = Analyzer::new(2, DEFAULT_CACHE_CAP);
-        lookup(&cache, &l, &df, &acc, None).expect("analyzable");
-        lookup(&cache, &l, &df, &acc, None).expect("analyzable");
+        cache.analyze(&l, &df, &acc, None).expect("analyzable");
+        cache.analyze(&l, &df, &acc, None).expect("analyzable");
         cache.flush_into(&counters);
         let read = || counters.each_ref().map(Counter::get);
-        assert_eq!(read(), [1, 1, 1, 0, 0, 1]);
+        assert_eq!(read(), [1, 1, 1, 0]);
         cache.flush_into(&counters);
-        assert_eq!(read(), [1, 1, 1, 0, 0, 1], "nothing new, nothing added");
-        lookup(&cache, &l, &df, &acc, None).expect("analyzable");
+        assert_eq!(read(), [1, 1, 1, 0], "nothing new, nothing added");
+        cache.analyze(&l, &df, &acc, None).expect("analyzable");
         cache.flush_into(&counters);
-        assert_eq!(read(), [2, 1, 1, 0, 0, 1]);
+        assert_eq!(read(), [2, 1, 1, 0]);
     }
 }

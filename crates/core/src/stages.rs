@@ -51,12 +51,12 @@ fn validation_failures() -> &'static maestro_obs::Counter {
 
 /// Counter of analysis builds (`maestro.analysis.calls`). Each fused
 /// [`analyze`](crate::analyze) counts once; under staged evaluation each
-/// *static build* counts once however many NoC points it is finished for —
+/// *static build* counts once however many NoC points it is priced for —
 /// which is exactly the number of expensive analyses actually run.
 ///
-/// Registering it also registers the memo table's `maestro.cache.*`
+/// Registering it also registers the daemon cache's `maestro.cache.*`
 /// counters, so every exposition that counts analyses carries them — at
-/// zero when no [`Analyzer`](crate::Analyzer) ran, as in a layer sweep.
+/// zero when no [`Analyzer`](crate::Analyzer) ran, as in every DSE sweep.
 fn analysis_calls() -> &'static maestro_obs::Counter {
     static C: OnceLock<maestro_obs::Counter> = OnceLock::new();
     C.get_or_init(|| {
@@ -105,7 +105,8 @@ impl StagedAnalysis {
     /// Only the NoC-independent parts of `acc` are read: PE count, vector
     /// width, reuse support, L2 capacity and off-chip bandwidth. Two
     /// accelerators differing only in `acc.noc` produce identical builds —
-    /// that invariance is what the staged sweep cache keys on.
+    /// that invariance is what lets a sweep price one build at every
+    /// bandwidth.
     ///
     /// # Errors
     ///

@@ -15,21 +15,22 @@
 //! [`SessionCtl::default`]), and `explore` is the one-thread case of
 //! `explore_parallel`, so parallel results are bit-identical to sequential
 //! ones apart from the wall-clock fields.
-//! Layer units need no memo table: under [`EvalMode::Staged`] each
-//! mapping's [`StagedAnalysis`] is built once and priced for every
-//! bandwidth, and every price call counts in [`DseStats::evaluated`].
-//! Whole-model units own a one-shard [`maestro_core::Analyzer`] whose
-//! report tier serves repeated layer shapes.
+//! Units need no memo table: under [`EvalMode::Staged`] each mapping's
+//! [`StagedAnalysis`] is built once and priced for every bandwidth, and
+//! every price call counts in [`DseStats::evaluated`]. A whole-model unit
+//! prices only the first layer of each [`ShapeKey`]; later layers of the
+//! same shape take its prices and count in [`DseStats::memo_hits`].
 
 use crate::cancel::{SessionCtl, SessionError, SessionReport};
 use crate::checkpoint::{sweep_fingerprint, Checkpoint};
 use crate::parallel::{merge_partials, run_units};
 use crate::space::{Constraints, SweepSpace};
-use maestro_core::{AnalysisError, Analyzer, Context, Priced, StagedAnalysis, DEFAULT_CACHE_CAP};
+use maestro_core::{AnalysisError, Priced, ShapeKey, StagedAnalysis};
 use maestro_dnn::Layer;
-use maestro_hw::{Accelerator, AreaModel, NocConfig, PowerModel};
+use maestro_hw::{Accelerator, AreaModel, PowerModel};
 use maestro_ir::Dataflow;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -43,9 +44,8 @@ use std::time::Instant;
 /// cannot silently resume under the other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
-    /// No stage reuse: every price call of a layer sweep (and every
-    /// report-tier miss of a whole-model sweep) runs the whole pipeline,
-    /// like a fused `analyze()` per (mapping, bandwidth) grid point.
+    /// No stage reuse: every price call runs the whole pipeline, like a
+    /// fused `analyze()` per (mapping, bandwidth) grid point.
     Full,
     /// Staged evaluation: the NoC-independent stages (tensor, reuse,
     /// buffer, off-chip) are computed once per mapping and shared across
@@ -107,16 +107,15 @@ pub struct QuarantinedUnit {
 pub struct DseStats {
     /// Design points covered (including bulk-skipped ones).
     pub explored: u64,
-    /// Cost-model invocations actually performed: in a layer sweep the
-    /// price calls, one per (mapping, bandwidth) point including ones that
-    /// returned an analysis error; in a whole-model sweep the memo-cache
-    /// misses.
+    /// Price calls actually performed, one per (mapping, bandwidth) point
+    /// including ones that returned an analysis error; a whole-model sweep
+    /// makes them only for the first layer of each shape.
     pub evaluated: u64,
     /// Valid design points found.
     pub valid: u64,
-    /// Cost-model invocations served from the memo cache's report tier
-    /// (whole-model sweeps; a layer sweep has no memo cache, so its
-    /// price calls all count in `evaluated`).
+    /// Price calls a whole-model sweep skipped, one per mapping of a layer
+    /// that took the prices of an earlier layer of the same shape. A layer
+    /// sweep skips none, so its price calls all count in `evaluated`.
     pub memo_hits: u64,
     /// Design points dropped because an objective evaluated to NaN or
     /// infinity (the finite-value gate).
@@ -159,7 +158,8 @@ impl DseStats {
         }
     }
 
-    /// Memo-cache hit rate in `[0, 1]` (zero when no lookups happened).
+    /// Share of price calls skipped as repeats, `memo_hits` over
+    /// `memo_hits + evaluated`, in `[0, 1]` (zero when there were none).
     pub fn memo_hit_rate(&self) -> f64 {
         let lookups = self.memo_hits + self.evaluated;
         if lookups == 0 {
@@ -278,17 +278,6 @@ impl Explorer {
             precision_bytes: 1,
             fail_unit_pes: None,
             eval: EvalMode::default(),
-        }
-    }
-
-    /// A whole-model work unit's memo table: one shard (the unit is
-    /// single-threaded) with stage reuse as [`Explorer::eval`] selects.
-    /// Layer units make price calls without one.
-    fn analyzer(&self) -> Analyzer {
-        let memo = Analyzer::new(1, DEFAULT_CACHE_CAP);
-        match self.eval {
-            EvalMode::Full => memo.without_stage_reuse(),
-            EvalMode::Staged => memo,
         }
     }
 
@@ -2130,8 +2119,9 @@ impl Explorer {
     /// [`Explorer::explore_model`] sharded by PE count across `threads`
     /// scoped worker threads (`0` = one per core), bit-identical to the
     /// sequential result except `seconds`/`rate`. Repeated layer shapes
-    /// (VGG/ResNet blocks) hit the per-unit memo cache instead of
-    /// re-running the cost model; `stats.memo_hits` counts those.
+    /// (VGG/ResNet blocks) take the prices of their first occurrence
+    /// instead of re-running the cost model; `stats.memo_hits` counts
+    /// those.
     ///
     /// A panicking work unit is handled as in
     /// [`Explorer::explore_parallel`].
@@ -2152,6 +2142,13 @@ impl Explorer {
 
     /// One whole-model work unit: the bandwidth × capacity sweep at a
     /// single PE count, auto-tuning the mapping per layer.
+    ///
+    /// A layer whose [`ShapeKey`] an earlier layer shares takes that
+    /// layer's best price at each bandwidth, counted per mapping in
+    /// [`DseStats::memo_hits`]; every other layer prices each mapping,
+    /// counted in [`DseStats::evaluated`]. Under [`EvalMode::Staged`] each
+    /// (distinct shape, mapping) build is made on first use and priced at
+    /// every bandwidth; the full oracle builds per price call.
     fn model_unit_inner(
         &self,
         pes: u64,
@@ -2166,18 +2163,18 @@ impl Explorer {
         let Some(&bw0) = self.space.noc_bw.first() else {
             return part;
         };
-        let memo = self.analyzer();
         let acc = self.accelerator(pes, bw0, None);
-        // One context per (layer, mapping), looked up per NoC pipe.
-        let analyses: Vec<Vec<Context<'_>>> = model
+        let lat = acc.noc.avg_latency;
+        // Each layer's first same-shape layer. A layer with a coupling
+        // override has no key and is its own.
+        let mut seen = HashMap::new();
+        let first: Vec<usize> = model
             .iter()
-            .map(|layer| {
-                mappings
-                    .iter()
-                    .map(|m| Context::new(layer, m, &acc))
-                    .collect()
-            })
+            .enumerate()
+            .map(|(i, layer)| ShapeKey::of(layer).map_or(i, |key| *seen.entry(key).or_insert(i)))
             .collect();
+        // Staged builds per (layer, mapping); only first-of-shape rows fill.
+        let mut builds = vec![vec![None; mappings.len()]; model.len()];
         let ctx = UnitCtx::new(self, pes);
         part.sample
             .reserve_exact(self.sample_capacity(caps_per_eval * self.space.noc_bw.len() as u64));
@@ -2186,29 +2183,38 @@ impl Explorer {
         let mut front = ParetoFront::new();
         let mut ecells = EnergyCells::new(self.space.l1_bytes.len(), self.space.l2_bytes.len());
         let mut best = Best::new();
+        let mut layers: Vec<Priced> = Vec::with_capacity(model.len());
         for (b_idx, &bw) in self.space.noc_bw.iter().enumerate() {
             part.stats.explored += caps_per_eval;
-            let noc = NocConfig {
-                bandwidth: bw,
-                ..acc.noc
-            };
             // Per-layer best-runtime mapping (embedded tuning).
-            let mut layers: Vec<Priced> = Vec::with_capacity(model.len());
-            let mut ok = true;
-            for layer_analyses in &analyses {
-                let fastest = layer_analyses
-                    .iter()
-                    .filter_map(|a| memo.analyze(a, noc, None).ok())
-                    .min_by(|a, b| a.runtime.total_cmp(&b.runtime));
-                match fastest {
-                    Some(r) => layers.push(r.priced()),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
+            layers.clear();
+            for ((i, layer), row) in model.iter().enumerate().zip(&mut builds) {
+                let fastest = if first[i] < i {
+                    part.stats.memo_hits += mappings.len() as u64;
+                    layers.get(first[i]).copied()
+                } else {
+                    part.stats.evaluated += mappings.len() as u64;
+                    mappings
+                        .iter()
+                        .zip(row)
+                        .filter_map(|(m, built)| match self.eval {
+                            EvalMode::Staged => built
+                                .get_or_insert_with(|| StagedAnalysis::build(layer, m, &acc))
+                                .as_ref()
+                                .ok()
+                                .and_then(|b| b.price(bw, lat).ok()),
+                            EvalMode::Full => StagedAnalysis::build(layer, m, &acc)
+                                .and_then(|b| b.price(bw, lat))
+                                .ok(),
+                        })
+                        .min_by(|a, b| a.runtime.total_cmp(&b.runtime))
+                };
+                let Some(priced) = fastest else {
+                    break;
+                };
+                layers.push(priced);
             }
-            if !ok {
+            if layers.len() < model.len() {
                 continue;
             }
             // The per-layer best mapping (and so the activity counts) can
@@ -2227,9 +2233,6 @@ impl Explorer {
             );
         }
         close_unit(&mut part, front, best);
-        let counts = memo.counts();
-        part.stats.evaluated += counts.misses;
-        part.stats.memo_hits += counts.hits;
         part
     }
 
@@ -2368,6 +2371,34 @@ mod model_tests {
         // point fails early on an unresolvable layer).
         let lookups = (model.len() * maps.len() * e.space.noc_bw.len() * e.space.pes.len()) as u64;
         assert!(r.stats.memo_hits + r.stats.evaluated <= lookups);
+    }
+
+    /// A layer with a coupling override has no shape key: it takes no
+    /// other layer's prices and prices every mapping itself, to the same
+    /// result.
+    #[test]
+    fn coupling_override_layers_price_themselves() {
+        let e = Explorer::new(SweepSpace::tiny());
+        let maps = variants::variants(Style::KCP);
+        let vgg = zoo::vgg16(1);
+        let mut custom = maestro_dnn::Model::new(vgg.name.clone());
+        for layer in vgg.iter() {
+            let mut layer = layer.clone();
+            layer.coupling_override = Some(layer.op.coupling());
+            custom.push(layer);
+        }
+        let plain = e.explore_model(&vgg, &maps).expect("valid space");
+        let r = e.explore_model(&custom, &maps).expect("valid space");
+        assert_eq!(r.pareto, plain.pareto);
+        assert_eq!(r.best_throughput, plain.best_throughput);
+        assert_eq!(r.best_energy, plain.best_energy);
+        assert_eq!(r.best_edp, plain.best_edp);
+        assert_eq!(r.sample, plain.sample);
+        assert_eq!(r.stats.memo_hits, 0);
+        assert_eq!(
+            r.stats.evaluated,
+            plain.stats.evaluated + plain.stats.memo_hits
+        );
     }
 
     #[test]

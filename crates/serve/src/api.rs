@@ -33,7 +33,7 @@ use crate::json::{self, Value};
 use crate::queue::AdmissionCtl;
 use crate::server::ServeMetrics;
 use crate::supervise::WorkerTable;
-use maestro_core::{AnalysisError, Analyzer, Context, LayerReport, ModelReport};
+use maestro_core::{AnalysisError, Analyzer, LayerReport, ModelReport};
 use maestro_dnn::{zoo, Layer, Model};
 use maestro_hw::Accelerator;
 use maestro_ir::{Dataflow, Style};
@@ -453,8 +453,8 @@ impl ApiCtx {
 
     /// The one lookup loop behind every analyze answer: each layer `p`
     /// asks for, in model order, through the shared cache — or, when
-    /// `cache_only`, peeked from its report tier without perturbing LRU
-    /// order or hit/miss counters. The cost model polls `token` at its
+    /// `cache_only`, peeked from it without perturbing LRU order or
+    /// hit/miss counters. The cost model polls `token` at its
     /// stage boundaries, so a slow layer stops at the next cancellation
     /// point instead of pinning the worker past its 504 budget. A stop
     /// reports how many layers completed and why: the analysis error, or
@@ -469,12 +469,11 @@ impl ApiCtx {
         let layers = p.layers();
         let mut reports = Vec::with_capacity(layers.len());
         for layer in layers {
-            let ctx = Context::new(layer, &p.dataflow, &p.acc);
             let got = if cache_only {
-                self.cache.peek(&ctx, p.acc.noc).ok_or(None)
+                self.cache.peek(layer, &p.dataflow, &p.acc).ok_or(None)
             } else {
                 self.cache
-                    .analyze(&ctx, p.acc.noc, Some(token))
+                    .analyze(layer, &p.dataflow, &p.acc, Some(token))
                     .map_err(|e| match e {
                         AnalysisError::Cancelled => None,
                         e => Some(e),

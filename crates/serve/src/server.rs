@@ -64,7 +64,7 @@ pub struct ServeConfig {
     pub max_body_bytes: usize,
     /// Socket read/write timeout (slow-loris guard).
     pub io_timeout: Duration,
-    /// Per-shard capacity of the shared analysis cache.
+    /// Entries per shard of the shared analysis cache (`0` = unbounded).
     pub memo_cap: usize,
     /// Shard count of the shared analysis cache.
     pub shards: usize,
