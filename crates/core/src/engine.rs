@@ -10,7 +10,8 @@
 //! multi-cluster scheme (§4.4).
 
 use crate::counts::ActivityCounts;
-use crate::level::{LevelCtx, OutputSpatial};
+use crate::footprint::{Footprints, Strides};
+use crate::level::{LevelCtx, LoopNode, OutputSpatial};
 use maestro_dnn::{Coupling, Density, Dim, TensorKind};
 use maestro_hw::Accelerator;
 use serde::{Deserialize, Serialize};
@@ -77,27 +78,39 @@ pub fn depends(coupling: &Coupling, kind: TensorKind, d: Dim) -> bool {
 enum DimState {
     /// The dimension's chunk advances by this many view-coordinate steps.
     Advance(u64),
-    /// An inner loop: the dimension resets to its first chunk.
-    Reset,
+    /// An inner loop: the dimension resets to its first chunk, jumping
+    /// back this many view positions.
+    Reset(u64),
     /// Outer loop or unlooped: the chunk is unchanged.
     Hold,
 }
 
-fn dim_state(ctx: &LevelCtx, j: usize, d: Dim) -> DimState {
-    if let Some((_, adv)) = ctx.loops[j].dims.iter().find(|(ld, _)| *ld == d) {
-        DimState::Advance(*adv)
-    } else if ctx.loops[j + 1..]
-        .iter()
-        .any(|l| l.dims.iter().any(|(ld, _)| *ld == d))
-    {
-        DimState::Reset
-    } else {
-        DimState::Hold
+/// Every dimension's state, in canonical order, when loop `j` advances and
+/// all inner loops reset.
+fn dim_states(loops: &[LoopNode], j: usize) -> [DimState; 7] {
+    let mut states = [DimState::Hold; 7];
+    // A reset is a *negative* advance: the dim jumps from its last chunk
+    // position back to the first, a span of adv × (trips − 1) view
+    // positions per inner loop it appears in. Short sliding windows wrap
+    // to a nearby position and keep most of their footprint resident.
+    for l in &loops[j + 1..] {
+        for &(d, adv) in l.dims.iter() {
+            let span = adv * l.trips.saturating_sub(1);
+            let st = &mut states[d.index()];
+            *st = match *st {
+                DimState::Reset(s) => DimState::Reset(s + span),
+                _ => DimState::Reset(span),
+            };
+        }
     }
+    for &(d, adv) in loops[j].dims.iter() {
+        states[d.index()] = DimState::Advance(adv);
+    }
+    states
 }
 
-/// New elements of `kind` needed (per unit) when loop `j` advances and all
-/// inner loops reset.
+/// New elements of `kind` needed (per unit) when a loop advances and all
+/// inner loops reset, each dimension moving as `states` says.
 ///
 /// When `own_only` is set (used for the output tensor's psum accounting),
 /// inner-loop resets are treated as unchanged: the result then measures the
@@ -105,34 +118,19 @@ fn dim_state(ctx: &LevelCtx, j: usize, d: Dim) -> DimState {
 /// (whose advance revisits the same outputs) report zero and are classified
 /// as reduction loops rather than output loops.
 fn new_data(
-    ctx: &LevelCtx,
+    strides: Strides,
+    fp: &Footprints,
     coupling: &Coupling,
     kind: TensorKind,
-    j: usize,
+    states: &[DimState; 7],
     own_only: bool,
 ) -> f64 {
     use crate::footprint::CouplingExt;
-    let fp = ctx.views.footprint(coupling, kind) as f64;
+    let factor = &fp.factor[kind as usize];
     let mut overlap = 1.0f64;
-    let st = |d: Dim| {
-        let s = dim_state(ctx, j, d);
-        if own_only && s == DimState::Reset {
-            DimState::Hold
-        } else {
-            s
-        }
-    };
-    // A reset is a *negative* advance: the dim jumps from its last chunk
-    // position back to the first, a span of adv × (trips − 1) view
-    // positions per inner loop it appears in. Short sliding windows wrap
-    // to a nearby position and keep most of their footprint resident.
-    let reset_span = |d: Dim| -> u64 {
-        ctx.loops[j + 1..]
-            .iter()
-            .flat_map(|l| l.dims.iter().map(move |(ld, a)| (*ld, *a, l.trips)))
-            .filter(|(ld, _, _)| *ld == d)
-            .map(|(_, a, trips)| a * trips.saturating_sub(1))
-            .sum()
+    let st = |d: Dim| match states[d.index()] {
+        DimState::Reset(_) if own_only => DimState::Hold,
+        s => s,
     };
     for d in maestro_dnn::ALL_DIMS {
         // The input's receptive field along Y/X depends on both halves of
@@ -141,16 +139,15 @@ fn new_data(
             let Some(p) = d.window_partner() else {
                 continue;
             };
-            let f = ctx.views.fp_factor(coupling, kind, d) as f64;
-            let disp = |s: DimState, dd: Dim| -> i64 {
+            let f = factor[d.index()] as f64;
+            let disp = |s: DimState| -> i64 {
                 match s {
                     DimState::Advance(a) => a as i64,
-                    DimState::Reset => -(reset_span(dd) as i64),
+                    DimState::Reset(span) => -(span as i64),
                     DimState::Hold => 0,
                 }
             };
-            let shift =
-                (ctx.views.strides.of(d) as i64 * disp(st(d), d) + disp(st(p), p)).unsigned_abs();
+            let shift = (strides.of(d) as i64 * disp(st(d)) + disp(st(p))).unsigned_abs();
             overlap *= (f - shift as f64).max(0.0);
             continue;
         }
@@ -163,20 +160,28 @@ fn new_data(
         if kind == TensorKind::Output && d.is_filter_window() && coupling.has_window_on_partner(d) {
             continue; // pure reduction: outputs anchored to the Y/X window
         }
-        match st(d) {
-            DimState::Hold => overlap *= ctx.views.fp_factor(coupling, kind, d) as f64,
-            DimState::Advance(a) => {
-                overlap *= ctx.views.overlap_factor(coupling, kind, d, a) as f64;
-            }
-            DimState::Reset => {
-                overlap *= ctx.views.overlap_factor(coupling, kind, d, reset_span(d)) as f64;
-            }
-        }
+        // On the axes left, a chunk moved by `a` keeps `factor − a` of its
+        // positions (`LevelViews::overlap_factor`'s plain case).
+        overlap *= match st(d) {
+            DimState::Hold => factor[d.index()],
+            DimState::Advance(a) | DimState::Reset(a) => factor[d.index()].saturating_sub(a),
+        } as f64;
         if overlap == 0.0 {
             break;
         }
     }
-    (fp - overlap).max(0.0)
+    (fp.total[kind as usize] as f64 - overlap).max(0.0)
+}
+
+/// Product of the per-dimension coverage ratios `total / (trips × chunk)`
+/// of the dimensions `keep` selects, in canonical order.
+fn coverage_over(ratios: [f64; 7], keep: impl Fn(Dim) -> bool) -> f64 {
+    maestro_dnn::ALL_DIMS
+        .into_iter()
+        .zip(ratios)
+        .filter(|&(d, _)| keep(d))
+        .map(|(_, r)| r)
+        .product()
 }
 
 /// Per-occurrence NoC transfer delay for `elements` through a
@@ -452,11 +457,9 @@ pub fn analyze_level_static(
     let active = ctx.active_units;
     let activef = active as f64;
 
-    // Footprints per unit per step.
-    let fp = |k: TensorKind| ctx.views.footprint(coupling, k) as f64;
-    let fp_in = fp(TensorKind::Input);
-    let fp_w = fp(TensorKind::Weight);
-    let fp_out = fp(TensorKind::Output);
+    // Footprints per unit per step, and the factors they multiply.
+    let fp = ctx.views.footprints(coupling);
+    let [fp_in, fp_w, fp_out] = fp.total.map(|f| f as f64);
 
     // Traffic multipliers across units.
     let operand_mult = |k: TensorKind| -> f64 {
@@ -503,29 +506,18 @@ pub fn analyze_level_static(
     // occurrence-weighted sums by the coverage ratio reproduces the exact
     // totals (and makes the multi-level MAC aggregate exact: inner
     // extents are the outer level's steady chunks, so products telescope).
-    let coverage: f64 = ctx
-        .views
-        .iter()
-        .map(|v| v.total as f64 / (v.trips as f64 * v.chunk as f64))
-        .product();
+    let ratios = maestro_dnn::ALL_DIMS.map(|d| {
+        let v = ctx.views.view(d);
+        v.total as f64 / (v.trips as f64 * v.chunk as f64)
+    });
+    let coverage = coverage_over(ratios, |_| true);
     // Runtime only shrinks with *temporal* edge padding: a spatial edge
     // chunk runs on fewer/smaller units in parallel, taking the same time.
-    let coverage_temporal: f64 = ctx
-        .views
-        .iter()
-        .filter(|v| !v.spatial)
-        .map(|v| v.total as f64 / (v.trips as f64 * v.chunk as f64))
-        .product();
+    let coverage_temporal = coverage_over(ratios, |d| !ctx.views.view(d).spatial);
     // Traffic shrinks only along dimensions the tensor's footprint actually
     // depends on: a K edge chunk moves fewer weights and outputs but the
     // same inputs.
-    let coverage_of = |kind: TensorKind| -> f64 {
-        ctx.views
-            .iter()
-            .filter(|v| depends(coupling, kind, v.dim))
-            .map(|v| v.total as f64 / (v.trips as f64 * v.chunk as f64))
-            .product()
-    };
+    let coverage_of = |kind: TensorKind| coverage_over(ratios, |d| depends(coupling, kind, d));
     let cov_in = coverage_of(TensorKind::Input);
     let cov_w = coverage_of(TensorKind::Weight);
     let cov_out = coverage_of(TensorKind::Output);
@@ -549,9 +541,12 @@ pub fn analyze_level_static(
     let mut outer_red = 1.0f64; // Π of trips of reduction loops outer than j
     for (j, l) in ctx.loops.iter().enumerate() {
         let occurrences = (l.trips - 1) as f64 * outer_cycles;
-        let new_in = new_data(ctx, coupling, TensorKind::Input, j, false);
-        let new_w = new_data(ctx, coupling, TensorKind::Weight, j, false);
-        let out_new = new_data(ctx, coupling, TensorKind::Output, j, true);
+        let states = dim_states(&ctx.loops, j);
+        let new =
+            |kind, own_only| new_data(ctx.views.strides, &fp, coupling, kind, &states, own_only);
+        let new_in = new(TensorKind::Input, false);
+        let new_w = new(TensorKind::Weight, false);
+        let out_new = new(TensorKind::Output, true);
         let is_output_loop = out_new > 0.0;
 
         let mut ingress = new_in * in_mult * d_in + new_w * w_mult * d_w;

@@ -18,7 +18,7 @@
 //! belongs to the cluster-shared output row.
 
 use maestro_dnn::layer::out_extent;
-use maestro_dnn::{Coupling, Dim, TensorKind};
+use maestro_dnn::{Coupling, Dim, TensorKind, ALL_DIMS};
 use serde::{Deserialize, Serialize};
 
 /// Spatial strides of the bound layer.
@@ -62,6 +62,16 @@ pub struct DimView {
     pub total: u64,
     /// Number of chunks covering `total`.
     pub trips: u64,
+}
+
+/// Every footprint factor of one level and the footprints they multiply
+/// into: the per-level table the reuse stage reads for each transition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Footprints {
+    /// [`LevelViews::fp_factor`] at `[kind as usize][dim.index()]`.
+    pub factor: [[u64; 7]; 3],
+    /// [`LevelViews::footprint`] at `[kind as usize]`.
+    pub total: [u64; 3],
 }
 
 /// The seven dimension views of one cluster level.
@@ -126,10 +136,20 @@ impl LevelViews {
 
     /// Full footprint (elements) of tensor `kind` per unit per step.
     pub fn footprint(&self, coupling: &Coupling, kind: TensorKind) -> u64 {
-        maestro_dnn::ALL_DIMS
+        ALL_DIMS
             .iter()
             .map(|&d| self.fp_factor(coupling, kind, d))
             .product()
+    }
+
+    /// The footprint factor of every (tensor, dimension) pair and the
+    /// three footprints, computed once.
+    pub fn footprints(&self, coupling: &Coupling) -> Footprints {
+        let factor = TensorKind::ALL.map(|k| ALL_DIMS.map(|d| self.fp_factor(coupling, k, d)));
+        Footprints {
+            factor,
+            total: factor.map(|f| f.iter().product()),
+        }
     }
 
     /// Footprint overlap factor along `d` when its view advances by

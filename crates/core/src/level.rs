@@ -2,9 +2,73 @@
 //! and spatial reuse classification (the Cluster + Reuse Analysis engines).
 
 use crate::footprint::{num_trips, to_view_coords, CouplingExt, DimView, LevelViews, Strides};
-use maestro_dnn::{Coupling, Dim, TensorKind};
+use maestro_dnn::{Coupling, Dim, TensorKind, ALL_DIMS};
 use maestro_ir::{MapKind, Resolved, ResolvedLevel};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonWriter, Serialize};
+use std::fmt;
+use std::ops::Deref;
+
+/// The dimensions one loop advances: at most one `(dim, advance)` pair per
+/// dimension, stored inline. Derefs to a slice, so it reads like the `Vec`
+/// it replaces without a heap block per loop.
+#[derive(Clone, Copy)]
+pub struct LoopDims {
+    len: usize,
+    pairs: [(Dim, u64); ALL_DIMS.len()],
+}
+
+impl LoopDims {
+    /// A loop over the single dimension `dim`.
+    pub fn one(dim: Dim, advance: u64) -> Self {
+        std::iter::once((dim, advance)).collect()
+    }
+}
+
+impl Deref for LoopDims {
+    type Target = [(Dim, u64)];
+
+    fn deref(&self) -> &[(Dim, u64)] {
+        &self.pairs[..self.len]
+    }
+}
+
+impl FromIterator<(Dim, u64)> for LoopDims {
+    /// Collect at most one pair per dimension; pairs past the seventh are
+    /// dropped.
+    fn from_iter<I: IntoIterator<Item = (Dim, u64)>>(iter: I) -> Self {
+        let mut dims = LoopDims {
+            len: 0,
+            pairs: [(Dim::N, 0); ALL_DIMS.len()],
+        };
+        for (slot, pair) in dims.pairs.iter_mut().zip(iter) {
+            *slot = pair;
+            dims.len += 1;
+        }
+        dims
+    }
+}
+
+impl PartialEq for LoopDims {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for LoopDims {}
+
+impl fmt::Debug for LoopDims {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Serialize for LoopDims {
+    fn serialize(&self, w: &mut JsonWriter) {
+        (**self).serialize(w);
+    }
+}
+
+impl Deserialize for LoopDims {}
 
 /// One temporal loop of a level's odometer. Spatial maps whose chunks
 /// exceed the unit count *fold* into a pseudo-temporal loop that advances
@@ -13,7 +77,7 @@ use serde::{Deserialize, Serialize};
 pub struct LoopNode {
     /// `(dim, advance-per-trip in view coordinates)` — one entry for
     /// temporal loops, all spatial dims for a fold loop.
-    pub dims: Vec<(Dim, u64)>,
+    pub dims: LoopDims,
     /// Trip count (> 1 by construction).
     pub trips: u64,
     /// `true` when this is a spatial fold.
@@ -106,10 +170,10 @@ impl LevelCtx {
 
         // Spatial folding.
         let num_units = level.num_units;
-        let spatial: Vec<&DimView> = views.iter().filter(|v| v.spatial).collect();
-        let max_chunks = spatial.iter().map(|v| v.trips).max().unwrap_or(0);
+        let spatial = || views.iter().filter(|v| v.spatial);
+        let max_chunks = spatial().map(|v| v.trips).max().unwrap_or(0);
         let (folds, active_units, utilization, first_spatial_pos) =
-            match spatial.iter().map(|v| v.pos).min() {
+            match spatial().map(|v| v.pos).min() {
                 None => (1, 1, 1.0 / num_units as f64, usize::MAX),
                 Some(pos) => {
                     let folds = max_chunks.div_ceil(num_units);
@@ -121,33 +185,30 @@ impl LevelCtx {
 
         // Odometer: temporal loops in directive order, the spatial fold (if
         // any) at the first spatial map's position.
-        let mut loops: Vec<LoopNode> = Vec::new();
-        let mut ordered: Vec<&DimView> = views.iter().collect();
+        let mut ordered = ALL_DIMS.map(|d| views.view(d));
         ordered.sort_by_key(|v| v.pos);
-        for v in ordered {
+        let is_loop = |v: &DimView| {
             if v.spatial {
-                if v.pos == first_spatial_pos && folds > 1 {
-                    let dims = views
-                        .iter()
-                        .filter(|s| s.spatial)
-                        .map(|s| (s.dim, s.step * num_units))
-                        .collect();
-                    loops.push(LoopNode {
-                        dims,
-                        trips: folds,
-                        spatial_fold: true,
-                        pos: v.pos,
-                    });
-                }
-            } else if v.trips > 1 {
-                loops.push(LoopNode {
-                    dims: vec![(v.dim, v.step)],
-                    trips: v.trips,
-                    spatial_fold: false,
-                    pos: v.pos,
-                });
+                v.pos == first_spatial_pos && folds > 1
+            } else {
+                v.trips > 1
             }
-        }
+        };
+        let mut loops = Vec::with_capacity(ordered.iter().filter(|v| is_loop(v)).count());
+        loops.extend(ordered.into_iter().filter(|v| is_loop(v)).map(|v| {
+            let (dims, trips) = if v.spatial {
+                let fold = spatial().map(|s| (s.dim, s.step * num_units)).collect();
+                (fold, folds)
+            } else {
+                (LoopDims::one(v.dim, v.step), v.trips)
+            };
+            LoopNode {
+                dims,
+                trips,
+                spatial_fold: v.spatial,
+                pos: v.pos,
+            }
+        }));
         let total_steps = loops.iter().map(|l| l.trips).product();
 
         let output_spatial = classify_output_spatial(&views, coupling, active_units);

@@ -157,11 +157,7 @@ impl StagedAnalysis {
                     utilization: ctx.utilization,
                     steps: ctx.total_steps,
                     pass_cycles: 0.0,
-                    footprint: [
-                        ctx.views.footprint(&coupling, TensorKind::Input),
-                        ctx.views.footprint(&coupling, TensorKind::Weight),
-                        ctx.views.footprint(&coupling, TensorKind::Output),
-                    ],
+                    footprint: ctx.views.footprints(&coupling).total,
                     output_spatial: ctx.output_spatial,
                 });
                 stats.push(st);
@@ -262,19 +258,24 @@ impl StagedAnalysis {
     /// same [`LayerReport`] a fused [`analyze`](crate::analyze) on an
     /// accelerator with that NoC would — bit for bit. This is
     /// [`price`](StagedAnalysis::price) plus the names and the per-level
-    /// pass cycles.
+    /// pass cycles, which move into the report: clone the build first to
+    /// finish it under several NoC configurations.
     ///
     /// # Errors
     ///
     /// As [`price`](StagedAnalysis::price).
-    pub fn finish(&self, bandwidth: u64, avg_latency: u64) -> Result<LayerReport, AnalysisError> {
-        let mut levels = self.levels_meta.clone();
+    pub fn finish(
+        mut self,
+        bandwidth: u64,
+        avg_latency: u64,
+    ) -> Result<LayerReport, AnalysisError> {
+        let mut levels = std::mem::take(&mut self.levels_meta);
         let priced = self.perf(bandwidth, avg_latency, |level, pass_cycles| {
             if let Some(meta) = levels.get_mut(level) {
                 meta.pass_cycles = pass_cycles;
             }
         })?;
-        Ok(priced.into_report(self.layer.clone(), self.dataflow.clone(), levels))
+        Ok(priced.into_report(self.layer, self.dataflow, levels))
     }
 
     /// The perf stage behind both [`price`] and [`finish`]: price every
@@ -401,7 +402,7 @@ mod tests {
                         .noc(maestro_hw::NocConfig::new(bw, lat))
                         .build();
                     let fused = crate::analyze(&layer, &df, &acc).unwrap();
-                    let fin = staged.finish(bw, lat).unwrap();
+                    let fin = staged.clone().finish(bw, lat).unwrap();
                     assert_eq!(fused, fin, "{style} bw={bw} lat={lat}");
                     let priced = staged.price(bw, lat).unwrap();
                     assert_eq!(

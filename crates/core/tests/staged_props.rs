@@ -56,7 +56,7 @@ fn staged_matches_fused_across_zoo_and_styles() {
                     let a = acc(64, bw, lat);
                     let fused = analyze(layer, &df, &a);
                     let staged = match &built {
-                        Ok(s) => s.finish(bw, lat),
+                        Ok(s) => s.clone().finish(bw, lat),
                         Err(e) => Err(e.clone()),
                     };
                     assert_eq!(
@@ -120,7 +120,7 @@ proptest! {
 
         let built = StagedAnalysis::build(&layer, &df, &acc(pes, bw_a, lat_a));
         let staged = match &built {
-            Ok(s) => s.finish(bw_b, lat_b),
+            Ok(s) => s.clone().finish(bw_b, lat_b),
             Err(e) => Err(e.clone()),
         };
         let fused = analyze(&layer, &df, &acc(pes, bw_b, lat_b));

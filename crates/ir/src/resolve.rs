@@ -202,53 +202,46 @@ pub fn resolve(dataflow: &Dataflow, layer: &Layer, num_pes: u64) -> Result<Resol
         }
     }
 
-    // Split directives into per-level map lists and collect cluster sizes.
-    let mut level_dirs: Vec<Vec<&Directive>> = Vec::new();
-    let mut current: Vec<&Directive> = Vec::new();
-    let mut cluster_sizes: Vec<u64> = Vec::new();
-    for d in dataflow.directives() {
-        match d {
-            Directive::Cluster(sz) => {
-                let v = sz.eval(&layer_dims);
-                if v == 0 {
-                    return Err(ResolveError::ZeroClusterSize);
-                }
-                cluster_sizes.push(v);
-                level_dirs.push(std::mem::take(&mut current));
-            }
-            _ => current.push(d),
-        }
+    // Cluster sizes, checked in two passes over the directives: every zero
+    // size first, then every fit, before any map is resolved.
+    let directives = dataflow.directives();
+    let cluster_sizes = || {
+        directives.iter().filter_map(|d| match d {
+            Directive::Cluster(sz) => Some(sz.eval(&layer_dims)),
+            _ => None,
+        })
+    };
+    if cluster_sizes().any(|c| c == 0) {
+        return Err(ResolveError::ZeroClusterSize);
     }
-    level_dirs.push(current);
-
-    // Units per level: level 0 divides the PEs into clusters of
-    // cluster_sizes[0]; level i divides cluster_sizes[i-1] into clusters of
-    // cluster_sizes[i]; the innermost level's units are its cluster size.
-    let num_levels = level_dirs.len();
-    let mut units = Vec::with_capacity(num_levels);
     let mut available = num_pes;
-    for (i, &c) in cluster_sizes.iter().enumerate() {
+    for c in cluster_sizes() {
         if c > available {
             return Err(ResolveError::ClusterTooLarge {
                 cluster: c,
                 available,
             });
         }
-        units.push(available / c);
         available = c;
-        if i == cluster_sizes.len() - 1 {
-            units.push(c);
-        }
     }
-    if cluster_sizes.is_empty() {
-        units.push(num_pes);
-    }
-    debug_assert_eq!(units.len(), num_levels);
 
-    // Resolve each level top-down, threading dimension sizes.
-    let mut levels = Vec::with_capacity(num_levels);
+    // Resolve each level top-down, threading dimension sizes. Units per
+    // level: level 0 divides the PEs into clusters of the first cluster
+    // size; level i divides cluster i-1 into clusters of cluster i; the
+    // innermost level's units are its cluster size.
+    let mut levels = Vec::with_capacity(dataflow.num_levels());
     let mut dims = layer_dims;
-    for (li, dirs) in level_dirs.iter().enumerate() {
+    available = num_pes;
+    let mut sizes = cluster_sizes();
+    for dirs in directives.split(|d| matches!(d, Directive::Cluster(_))) {
+        let num_units = match sizes.next() {
+            Some(c) => {
+                let units = available / c;
+                available = c;
+                units
+            }
+            None => available,
+        };
         let mut maps: Vec<ResolvedMap> = Vec::with_capacity(ALL_DIMS.len());
         for d in dirs {
             let (kind, size, offset, dim) = match d {
@@ -296,7 +289,7 @@ pub fn resolve(dataflow: &Dataflow, layer: &Layer, num_pes: u64) -> Result<Resol
         }
         let level = ResolvedLevel {
             maps,
-            num_units: units[li],
+            num_units,
             dims,
         };
         dims = level.mapped_sizes();
@@ -437,6 +430,59 @@ mod tests {
 
         let df = Dataflow::builder("p").spatial(1, 1, Dim::K).build();
         assert_eq!(resolve(&df, &layer, 0), Err(ResolveError::NoPes));
+    }
+
+    /// Every cluster is checked for a zero size, then every cluster for a
+    /// fit, and only then are maps resolved, level by level.
+    #[test]
+    fn error_precedence() {
+        let layer = toy_layer();
+        let df = Dataflow::builder("fit-then-zero")
+            .spatial(1, 1, Dim::K)
+            .cluster(SizeExpr::lit(32))
+            .spatial(1, 1, Dim::C)
+            .cluster(SizeExpr::lit(0))
+            .spatial(1, 1, Dim::X)
+            .build();
+        assert_eq!(resolve(&df, &layer, 16), Err(ResolveError::ZeroClusterSize));
+
+        let df = Dataflow::builder("map-then-fit")
+            .temporal(0u64, 1, Dim::K)
+            .cluster(SizeExpr::lit(32))
+            .spatial(1, 1, Dim::C)
+            .build();
+        assert_eq!(
+            resolve(&df, &layer, 16),
+            Err(ResolveError::ClusterTooLarge {
+                cluster: 32,
+                available: 16
+            })
+        );
+
+        let df = Dataflow::builder("level-order")
+            .temporal(1, 0u64, Dim::K)
+            .cluster(SizeExpr::lit(4))
+            .temporal(0u64, 1, Dim::C)
+            .build();
+        assert_eq!(
+            resolve(&df, &layer, 16),
+            Err(ResolveError::ZeroOffset(Dim::K))
+        );
+
+        let df = Dataflow::builder("nested-fit")
+            .spatial(1, 1, Dim::K)
+            .cluster(SizeExpr::lit(8))
+            .spatial(1, 1, Dim::C)
+            .cluster(SizeExpr::lit(16))
+            .spatial(1, 1, Dim::X)
+            .build();
+        assert_eq!(
+            resolve(&df, &layer, 16),
+            Err(ResolveError::ClusterTooLarge {
+                cluster: 16,
+                available: 8
+            })
+        );
     }
 
     #[test]

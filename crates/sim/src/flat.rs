@@ -78,7 +78,7 @@ impl FlatSchedule {
                     .any(|(d, _)| coupling.reduction.contains(*d) || d.is_filter_window());
                 loops.push(FlatLoop {
                     level: li,
-                    dims: node.dims.clone(),
+                    dims: node.dims.to_vec(),
                     trips: node.trips,
                     spatial_fold: node.spatial_fold,
                     is_reduction,
