@@ -89,16 +89,19 @@ echo "== obs_overhead guard (disabled instrumentation < 2% of a sweep)"
 cargo bench -q -p maestro-bench --bench obs_overhead
 
 # The whole-model and Fig 13 sweep digests, the whole-model build
-# counts, the capacity kernel's differential suite, the brownout table
-# (whose cache-only answers read the daemon's one cache) and the daemon's
-# tracing tests run in release too: a sweep drift, a unit that rebuilds
-# per bandwidth, a kernel that vectorizes or reorders differently, or a
-# release-only failure (timing premises, accept/pop races) fails CI, not
-# just a debug run.
-echo "== sweep digests + build counts + capacity kernel + serve (release)"
+# counts, the capacity kernel's differential suite, the zoo analysis
+# digest and allocation budget, the brownout table (whose cache-only
+# answers read the daemon's one cache) and the daemon's tracing tests run
+# in release too: a sweep drift, a unit that rebuilds per bandwidth, a
+# kernel that vectorizes or reorders differently, an analysis that
+# allocates more in the build the benchmark measures, or a release-only
+# failure (timing premises, accept/pop races) fails CI, not just a debug
+# run.
+echo "== sweep digests + build counts + capacity kernel + zoo digest + alloc budget + serve (release)"
 cargo test -q --release -p maestro-dse --test sweep_digests
 cargo test -q --release -p maestro-dse --test model_builds
 cargo test -q --release -p maestro-dse --lib capacity_kernel
+cargo test -q --release -p maestro-core --test zoo_digest --test alloc_budget
 cargo test -q --release -p maestro-serve --test brownout
 cargo test -q --release -p maestro-cli --test serve_trace
 

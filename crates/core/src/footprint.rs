@@ -67,11 +67,11 @@ pub struct DimView {
 /// Every footprint factor of one level and the footprints they multiply
 /// into: the per-level table the reuse stage reads for each transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Footprints {
+pub(crate) struct Footprints {
     /// [`LevelViews::fp_factor`] at `[kind as usize][dim.index()]`.
-    pub factor: [[u64; 7]; 3],
+    pub(crate) factor: [[u64; 7]; 3],
     /// [`LevelViews::footprint`] at `[kind as usize]`.
-    pub total: [u64; 3],
+    pub(crate) total: [u64; 3],
 }
 
 /// The seven dimension views of one cluster level.
@@ -144,7 +144,7 @@ impl LevelViews {
 
     /// The footprint factor of every (tensor, dimension) pair and the
     /// three footprints, computed once.
-    pub fn footprints(&self, coupling: &Coupling) -> Footprints {
+    pub(crate) fn footprints(&self, coupling: &Coupling) -> Footprints {
         let factor = TensorKind::ALL.map(|k| ALL_DIMS.map(|d| self.fp_factor(coupling, k, d)));
         Footprints {
             factor,

@@ -10,8 +10,9 @@ use std::ops::Deref;
 
 /// The dimensions one loop advances: at most one `(dim, advance)` pair per
 /// dimension, stored inline. Derefs to a slice, so it reads like the `Vec`
-/// it replaces without a heap block per loop.
-#[derive(Clone, Copy)]
+/// it replaces without a heap block per loop. Unused slots always hold
+/// `(N, 0)`, so the derived equality is the slices' equality.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct LoopDims {
     len: usize,
     pairs: [(Dim, u64); ALL_DIMS.len()],
@@ -19,7 +20,7 @@ pub struct LoopDims {
 
 impl LoopDims {
     /// A loop over the single dimension `dim`.
-    pub fn one(dim: Dim, advance: u64) -> Self {
+    pub(crate) fn one(dim: Dim, advance: u64) -> Self {
         std::iter::once((dim, advance)).collect()
     }
 }
@@ -47,14 +48,6 @@ impl FromIterator<(Dim, u64)> for LoopDims {
         dims
     }
 }
-
-impl PartialEq for LoopDims {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl Eq for LoopDims {}
 
 impl fmt::Debug for LoopDims {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -70,9 +70,10 @@ fn analysis_calls() -> &'static maestro_obs::Counter {
 /// except runtime, average/peak bandwidth and per-level pass cycles.
 ///
 /// Build once with [`StagedAnalysis::build`], then price it for any number
-/// of NoC configurations with [`StagedAnalysis::price`] (the scalars) or
-/// [`StagedAnalysis::finish`] (the full [`LayerReport`]) — each is a few
-/// hundred floating-point operations instead of a full re-analysis.
+/// of NoC configurations with [`StagedAnalysis::price`] (the scalars), or
+/// finish it into the full [`LayerReport`] with [`StagedAnalysis::finish`],
+/// which consumes the build — each is a few hundred floating-point
+/// operations instead of a full re-analysis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StagedAnalysis {
     layer: String,
