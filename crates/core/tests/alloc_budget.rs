@@ -3,14 +3,14 @@
 //! A counting global allocator tallies every allocation the calling
 //! thread makes, so one `analyze` over each (layer, dataflow) pair of the
 //! Figure 10 zoo can be checked against a fixed ceiling. The count is
-//! per-thread, so other tests running in parallel cannot disturb it, and
-//! this file holds exactly one test because the allocator is
-//! process-wide.
+//! per-thread, so tests running in parallel cannot disturb it. The file
+//! holds one test, so nothing else in the process runs an analysis
+//! around its warm-up.
 //!
 //! The budget covers what the result keeps (the report's two names and
-//! level list) plus the build's own per-level tables. A cut that quietly
-//! comes back (a scratch `Vec`, a clone before pricing) fails here rather
-//! than showing up only in a benchmark record.
+//! level list) plus the build's own per-level tables. An allocation that
+//! quietly comes back (a temporary `Vec`, a clone before pricing) fails
+//! here rather than showing up only in a benchmark record.
 
 use maestro_core::analyze;
 use maestro_dnn::{zoo, Layer};
