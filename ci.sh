@@ -91,18 +91,20 @@ cargo bench -q -p maestro-bench --bench obs_overhead
 # The whole-model and Fig 13 sweep digests, the whole-model build
 # counts, the capacity kernel's differential suite, the zoo analysis
 # digest and allocation budget, the brownout table (whose cache-only
-# answers read the daemon's one cache) and the daemon's tracing tests run
-# in release too: a sweep drift, a unit that rebuilds per bandwidth, a
-# kernel that vectorizes or reorders differently, an analysis that
-# allocates more in the build the benchmark measures, or a release-only
-# failure (timing premises, accept/pop races) fails CI, not just a debug
-# run.
-echo "== sweep digests + build counts + capacity kernel + zoo digest + alloc budget + serve (release)"
+# answers read the daemon's one cache), the daemon's end-to-end suite
+# (whose byte-for-byte pins hold the spliced answers to the uncached
+# oracle) and its tracing tests run in release too: a sweep drift, a
+# unit that rebuilds per bandwidth, a kernel that vectorizes or reorders
+# differently, an analysis that allocates more in the build the
+# benchmark measures, a splice that drifts from serde_json in the build
+# the benchmark serves, or a release-only failure (timing premises,
+# accept/pop races) fails CI, not just a debug run.
+echo "== sweep digests + build counts + capacity kernel + zoo digest + alloc budget + serve e2e byte pins + serve (release)"
 cargo test -q --release -p maestro-dse --test sweep_digests
 cargo test -q --release -p maestro-dse --test model_builds
 cargo test -q --release -p maestro-dse --lib capacity_kernel
 cargo test -q --release -p maestro-core --test zoo_digest --test alloc_budget
-cargo test -q --release -p maestro-serve --test brownout
+cargo test -q --release -p maestro-serve --test brownout --test server_e2e
 cargo test -q --release -p maestro-cli --test serve_trace
 
 smokedir=$(mktemp -d)

@@ -303,6 +303,9 @@ fn pick_layer<'m>(model: &'m Model, args: &Args) -> Result<&'m Layer, CliError> 
 fn accelerator(args: &Args) -> Result<Accelerator, CliError> {
     let pes = args.get_u64("pes", 256).map_err(CliError::usage)?;
     let bw = args.get_u64("bw", 32).map_err(CliError::usage)?;
+    if bw == 0 {
+        return Err(CliError::usage("--bw must be a positive integer"));
+    }
     let l1 = args.get_u64("l1", 2048).map_err(CliError::usage)?;
     let l2 = args.get_u64("l2", 1 << 20).map_err(CliError::usage)?;
     Ok(Accelerator::builder(pes)

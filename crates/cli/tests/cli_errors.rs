@@ -53,6 +53,17 @@ fn bad_integer_flag_exits_2() {
     );
 }
 
+/// A zero-width NoC pipe is a bad flag value, not a panic in the
+/// hardware model.
+#[test]
+fn zero_bandwidth_exits_2() {
+    let out = maestro(&["analyze", "--layer", "CONV2", "--bw", "0"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("--bw must be a positive integer"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
 #[test]
 fn missing_layer_exits_2() {
     let out = maestro(&["analyze", "--model", "vgg16"]);

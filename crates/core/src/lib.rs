@@ -60,6 +60,6 @@ pub use explain::{explain, Explanation, Observation};
 pub use level::{LevelCtx, OutputSpatial};
 pub use lint::{lint, Lint};
 pub use memo::{Analyzer, CacheCounts, ShapeKey, DEFAULT_CACHE_CAP};
-pub use report::{LayerReport, ModelReport, Priced};
+pub use report::{LayerReport, ModelReport, Priced, ReportJson};
 pub use reuse::{opportunity_table, spatial_opportunity, temporal_opportunity, ReuseForm};
 pub use stages::StagedAnalysis;

@@ -12,10 +12,14 @@
 //! entry is keyed by the shape, a fingerprint of the dataflow and the
 //! accelerator's NoC-independent fields, and the NoC pipe. The fingerprint
 //! is derived from those inputs themselves, so no caller can alias two
-//! points onto one entry. Both successful reports and analysis errors are
-//! memoized (cancellations never are), and each shard's table is
-//! LRU-bounded so a long-lived daemon cannot grow memory without limit. A
-//! miss runs the whole pipeline, as [`analyze`](crate::analyze) does.
+//! points onto one entry. An entry holds the answer, not the inputs to
+//! one: the report's [`ReportJson`] encoding, made once when the entry is
+//! made, so a hit costs a reference-count bump and the caller writes the
+//! asking layer's name in front. Both successful reports and analysis
+//! errors are memoized (cancellations never are), and each shard's table
+//! is LRU-bounded so a long-lived daemon cannot grow memory without
+//! limit. A miss runs the whole pipeline, as [`analyze`](crate::analyze)
+//! does.
 //!
 //! DSE sweeps use no `Analyzer`: they build [`StagedAnalysis`]es and
 //! price them per bandwidth themselves. A layer unit prices every
@@ -26,7 +30,7 @@
 
 use crate::analysis::{analyze_at, AnalysisError};
 use crate::lru::{FnvHasher, Lru};
-use crate::report::LayerReport;
+use crate::report::ReportJson;
 use maestro_dnn::{Layer, LayerDims, Operator};
 use maestro_hw::{Accelerator, NocConfig};
 use maestro_ir::Dataflow;
@@ -100,15 +104,6 @@ fn locate(layer: &Layer, dataflow: &Dataflow, acc: &Accelerator) -> (u64, Option
     (route, key.map(|key| (key, route, acc.noc)))
 }
 
-/// `report` under `layer`'s name. Entries ignore names, so one built for
-/// a layer also answers every other layer of the same shape.
-fn named(mut report: LayerReport, layer: &Layer) -> LayerReport {
-    if report.layer != layer.name {
-        report.layer.clone_from(&layer.name);
-    }
-    report
-}
-
 /// Lookup counters of an [`Analyzer`], summed over its shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounts {
@@ -161,14 +156,14 @@ pub(crate) fn register_counters() {
 /// touches a shared atomic.
 #[derive(Debug)]
 struct Shard {
-    reports: Lru<Entry, Result<LayerReport, AnalysisError>>,
+    answers: Lru<Entry, Result<ReportJson, AnalysisError>>,
     counts: CacheCounts,
     /// The part of `counts` already added to the metrics registry.
     flushed: [u64; 4],
 }
 
 impl Shard {
-    /// The report at `entry` from the table, or from the cost model on a
+    /// The answer at `entry` from the table, or from the cost model on a
     /// miss (and always for a layer with no entry).
     fn lookup(
         &mut self,
@@ -177,20 +172,21 @@ impl Shard {
         dataflow: &Dataflow,
         acc: &Accelerator,
         cancel: Option<&CancelToken>,
-    ) -> Result<LayerReport, AnalysisError> {
+    ) -> Result<ReportJson, AnalysisError> {
+        let answer = || analyze_at(layer, dataflow, acc, cancel).map(ReportJson::new);
         let Some(entry) = entry else {
             self.counts.misses += 1;
-            return analyze_at(layer, dataflow, acc, cancel);
+            return answer();
         };
-        if let Some(cached) = self.reports.get(&entry) {
+        if let Some(cached) = self.answers.get(&entry) {
             self.counts.hits += 1;
             return cached.clone();
         }
         self.counts.misses += 1;
-        let result = analyze_at(layer, dataflow, acc, cancel);
+        let result = answer();
         // A deadline belongs to the request, not to the entry.
         if !matches!(result, Err(AnalysisError::Cancelled)) {
-            self.counts.evictions += self.reports.insert(entry, result.clone());
+            self.counts.evictions += self.answers.insert(entry, result.clone());
             self.counts.inserts += 1;
         }
         result
@@ -221,7 +217,7 @@ impl Analyzer {
             shards: (0..shards.max(1))
                 .map(|_| {
                     Mutex::new(Shard {
-                        reports: Lru::new(cap),
+                        answers: Lru::new(cap),
                         counts: CacheCounts::default(),
                         flushed: [0; 4],
                     })
@@ -230,11 +226,12 @@ impl Analyzer {
         }
     }
 
-    /// The report for `layer` under `dataflow` on `acc`, from the table
-    /// or from the cost model. With a `cancel` token, a computation stops
-    /// at the next stage boundary once the token trips; cache hits are
-    /// returned regardless. The report carries `layer`'s name even when
-    /// the entry was built for another layer of the same shape.
+    /// The encoded report for `layer` under `dataflow` on `acc`, from the
+    /// table or from the cost model. With a `cancel` token, a computation
+    /// stops at the next stage boundary once the token trips; cache hits
+    /// are returned regardless. The encoding carries no name: the entry
+    /// may have been made for another layer of the same shape, so the
+    /// caller writes `layer`'s name with [`ReportJson::write_named`].
     ///
     /// # Errors
     ///
@@ -247,15 +244,13 @@ impl Analyzer {
         dataflow: &Dataflow,
         acc: &Accelerator,
         cancel: Option<&CancelToken>,
-    ) -> Result<LayerReport, AnalysisError> {
+    ) -> Result<ReportJson, AnalysisError> {
         let (route, entry) = locate(layer, dataflow, acc);
-        let result = self
-            .shard(route)
-            .lookup(entry, layer, dataflow, acc, cancel);
-        result.map(|report| named(report, layer))
+        self.shard(route)
+            .lookup(entry, layer, dataflow, acc, cancel)
     }
 
-    /// The cached successful report for `layer` under `dataflow` on
+    /// The cached successful encoding for `layer` under `dataflow` on
     /// `acc`, if the table holds one. Read-only: no counters and no LRU
     /// promotion, because a brownout probe asks "can this be served for
     /// free right now?" and the caller may still shed the request.
@@ -264,15 +259,13 @@ impl Analyzer {
         layer: &Layer,
         dataflow: &Dataflow,
         acc: &Accelerator,
-    ) -> Option<LayerReport> {
+    ) -> Option<ReportJson> {
         let (route, entry) = locate(layer, dataflow, acc);
         let entry = entry?;
-        let cached = self
-            .shard(route)
-            .reports
+        self.shard(route)
+            .answers
             .peek(&entry)
-            .and_then(|r| r.as_ref().ok().cloned());
-        cached.map(|report| named(report, layer))
+            .and_then(|r| r.as_ref().ok().cloned())
     }
 
     /// Lookup counters summed over all shards (takes each shard lock in
@@ -359,6 +352,18 @@ mod tests {
         Accelerator::builder(64).noc(NocConfig::new(bw, 2)).build()
     }
 
+    /// The oracle: `serde_json` of the uncached report.
+    fn oracle(layer: &Layer, df: &Dataflow, acc: &Accelerator) -> Result<String, AnalysisError> {
+        analyze(layer, df, acc).map(|r| serde_json::to_string(&r).unwrap())
+    }
+
+    /// `answer` written under `layer`'s name.
+    fn text(answer: &ReportJson, layer: &Layer) -> String {
+        let mut out = String::new();
+        answer.write_named(&mut out, &layer.name);
+        out
+    }
+
     #[test]
     fn key_ignores_name_but_not_shape() {
         let a = ShapeKey::of(&layer("a")).unwrap();
@@ -383,6 +388,67 @@ mod tests {
         );
     }
 
+    /// Every answer, written under its layer's own name or under a name
+    /// that needs escaping, is byte for byte what `serde_json` writes for
+    /// the uncached report renamed the same way, and the model splice is
+    /// byte for byte the encoded [`ModelReport`](crate::ModelReport).
+    #[test]
+    fn answers_match_serde_json_byte_for_byte() {
+        let acc = Accelerator::paper_case_study();
+        let cache = Analyzer::new(4, 0);
+        let odd_names = [
+            "say \"hi\"",
+            "C:\\conv",
+            "tab\there\u{1}bell",
+            "conv ünï ✓ 层",
+        ];
+        for model in zoo::figure10_models(1) {
+            for style in Style::ALL {
+                let df = style.dataflow();
+                let mut answers = Vec::new();
+                for layer in model.iter() {
+                    let at = format!("{} {} {}", model.name, layer.name, style.short_name());
+                    let (report, answer) = match (
+                        analyze(layer, &df, &acc),
+                        cache.analyze(layer, &df, &acc, None),
+                    ) {
+                        (Ok(report), Ok(answer)) => (report, answer),
+                        (direct, answer) => {
+                            assert_eq!(answer.err(), direct.err(), "{at}");
+                            continue;
+                        }
+                    };
+                    assert_eq!(cache.peek(layer, &df, &acc).as_ref(), Some(&answer), "{at}");
+                    for name in std::iter::once(layer.name.as_str()).chain(odd_names) {
+                        let mut renamed = report.clone();
+                        renamed.layer = name.to_string();
+                        let mut got = String::new();
+                        answer.write_named(&mut got, name);
+                        assert_eq!(
+                            got,
+                            serde_json::to_string(&renamed).unwrap(),
+                            "{at} as {name}"
+                        );
+                    }
+                    answers.push((layer.name.as_str(), answer));
+                }
+                let whole = analyze_model(&model, &df, &acc);
+                if answers.len() < model.layers().len() {
+                    assert!(whole.is_err(), "{} {}", model.name, style.short_name());
+                    continue;
+                }
+                let mut got = String::new();
+                ReportJson::write_model(
+                    &mut got,
+                    &model.name,
+                    answers.iter().map(|(n, a)| (*n, a)),
+                );
+                let want = serde_json::to_string(&whole.unwrap()).unwrap();
+                assert_eq!(got, want, "{} {}", model.name, style.short_name());
+            }
+        }
+    }
+
     /// Pins the deadline bugfix: a tripped token yields `Cancelled`, and
     /// that outcome is never memoized — the next request with budget gets
     /// the real report and subsequent calls hit the table.
@@ -401,10 +467,13 @@ mod tests {
         ));
 
         let fresh = CancelToken::detached();
-        let report = cache
+        let answer = cache
             .analyze(&l, &df, &acc, Some(&fresh))
             .expect("cancelled outcome must not poison the cache");
-        assert_eq!(report, analyze(&l, &df, &acc).expect("analyzable"));
+        assert_eq!(
+            text(&answer, &l),
+            oracle(&l, &df, &acc).expect("analyzable")
+        );
 
         let hits_before = cache.counts().hits;
         cache
@@ -436,7 +505,8 @@ mod tests {
             .analyze(&l, &df, &acc, Some(&fresh))
             .expect("analyzable");
         let plain = shared.analyze(&l, &df, &acc, None).expect("analyzable");
-        assert_eq!(via_token, plain);
+        assert_eq!(text(&via_token, &l), text(&plain, &l));
+        assert_eq!(text(&plain, &l), oracle(&l, &df, &acc).unwrap());
     }
 
     /// A live token changes nothing; a tripped one stops every path,
@@ -452,16 +522,30 @@ mod tests {
         let cache = Analyzer::new(1, DEFAULT_CACHE_CAP);
         for layer in [&l, &custom] {
             assert_eq!(
-                cache.analyze(layer, &df, &acc, Some(&live)).unwrap(),
-                analyze(layer, &df, &acc).unwrap()
+                text(
+                    &cache.analyze(layer, &df, &acc, Some(&live)).unwrap(),
+                    layer
+                ),
+                oracle(layer, &df, &acc).unwrap()
             );
         }
         let model = zoo::alexnet(1);
-        let layers: Vec<LayerReport> = model
+        let layers: Vec<String> = model
             .iter()
-            .map(|layer| cache.analyze(layer, &df, &acc, Some(&live)).unwrap())
+            .map(|layer| {
+                text(
+                    &cache.analyze(layer, &df, &acc, Some(&live)).unwrap(),
+                    layer,
+                )
+            })
             .collect();
-        assert_eq!(layers, analyze_model(&model, &df, &acc).unwrap().layers);
+        let direct: Vec<String> = analyze_model(&model, &df, &acc)
+            .unwrap()
+            .layers
+            .iter()
+            .map(|r| serde_json::to_string(r).unwrap())
+            .collect();
+        assert_eq!(layers, direct);
 
         let tripped = CancelToken::detached();
         tripped.cancel();
@@ -487,10 +571,13 @@ mod tests {
             .expect("analyzable");
         assert_eq!(cache.counts().misses, 1);
         assert_eq!(cache.counts().hits, 1);
-        assert_eq!(first, analyze(&l, &df, &acc).expect("analyzable"));
-        // The hit carries the requesting layer's name, not the first
-        // same-shape layer's.
-        assert_eq!(second, analyze(&renamed, &df, &acc).expect("analyzable"));
+        assert_eq!(text(&first, &l), oracle(&l, &df, &acc).expect("analyzable"));
+        // Written under the requesting layer's name, the hit reads as that
+        // layer's report, not the first same-shape layer's.
+        assert_eq!(
+            text(&second, &renamed),
+            oracle(&renamed, &df, &acc).expect("analyzable")
+        );
     }
 
     /// Regression for the stale-report footgun: under the old API a caller
@@ -509,13 +596,13 @@ mod tests {
         let b = cache.analyze(&l, &ycp, &acc, None).expect("analyzable");
         assert_eq!(cache.counts().misses, 2);
         assert_eq!(cache.counts().hits, 0);
-        assert_eq!(a, analyze(&l, &kcp, &acc).unwrap());
-        assert_eq!(b, analyze(&l, &ycp, &acc).unwrap());
+        assert_eq!(text(&a, &l), oracle(&l, &kcp, &acc).unwrap());
+        assert_eq!(text(&b, &l), oracle(&l, &ycp, &acc).unwrap());
         // Same dataflow, different accelerator: also distinct.
         let wider = Accelerator::builder(64).noc(NocConfig::new(256, 1)).build();
         let c = cache.analyze(&l, &kcp, &wider, None).expect("analyzable");
         assert_eq!(cache.counts().misses, 3);
-        assert_eq!(c, analyze(&l, &kcp, &wider).unwrap());
+        assert_eq!(text(&c, &l), oracle(&l, &kcp, &wider).unwrap());
         // And every context replays from the table.
         let _ = cache.analyze(&l, &kcp, &acc, None);
         let _ = cache.analyze(&l, &ycp, &acc, None);
@@ -536,8 +623,11 @@ mod tests {
         assert_eq!(cache.counts().evictions, 1);
         // bw=1 was evicted: re-analyzing it is a miss, evicting bw=2.
         let acc1 = at_bw(1);
-        let direct = analyze(&l, &df, &acc1).unwrap();
-        assert_eq!(cache.analyze(&l, &df, &acc1, None).unwrap(), direct);
+        let direct = oracle(&l, &df, &acc1).unwrap();
+        assert_eq!(
+            text(&cache.analyze(&l, &df, &acc1, None).unwrap(), &l),
+            direct
+        );
         let counts = cache.counts();
         assert_eq!(counts.misses, 4);
         assert_eq!(counts.evictions, 2);
@@ -553,7 +643,10 @@ mod tests {
         let acc = Accelerator::builder(64).build();
         let cache = Analyzer::new(1, DEFAULT_CACHE_CAP);
         for _ in 0..2 {
-            assert_eq!(cache.analyze(&l, &df, &acc, None), analyze(&l, &df, &acc));
+            assert_eq!(
+                cache.analyze(&l, &df, &acc, None).map(|a| text(&a, &l)),
+                oracle(&l, &df, &acc)
+            );
         }
         assert_eq!(cache.counts().misses, 2);
         assert_eq!(cache.counts().inserts, 0);
@@ -566,9 +659,15 @@ mod tests {
         let l = layer("x");
         let df = Style::KCP.dataflow();
         let acc = Accelerator::builder(64).build();
-        let direct = analyze(&l, &df, &acc).expect("analyzable");
-        assert_eq!(shared.analyze(&l, &df, &acc, None).unwrap(), direct);
-        assert_eq!(shared.analyze(&l, &df, &acc, None).unwrap(), direct);
+        let direct = oracle(&l, &df, &acc).expect("analyzable");
+        assert_eq!(
+            text(&shared.analyze(&l, &df, &acc, None).unwrap(), &l),
+            direct
+        );
+        assert_eq!(
+            text(&shared.analyze(&l, &df, &acc, None).unwrap(), &l),
+            direct
+        );
         let counts = shared.counts();
         assert_eq!((counts.hits, counts.misses), (1, 1));
     }
@@ -577,14 +676,15 @@ mod tests {
     fn shared_cache_serves_concurrent_threads() {
         let shared = Analyzer::new(2, 64);
         let df = Style::KCP.dataflow();
-        let direct = analyze(&layer("t"), &df, &at_bw(8)).expect("analyzable");
+        let direct = oracle(&layer("t"), &df, &at_bw(8)).expect("analyzable");
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     for bw in [1u64, 2, 4, 8, 16] {
-                        let r = shared.analyze(&layer("t"), &df, &at_bw(bw), None).unwrap();
+                        let t = layer("t");
+                        let a = shared.analyze(&t, &df, &at_bw(bw), None).unwrap();
                         if bw == 8 {
-                            assert_eq!(r, direct);
+                            assert_eq!(text(&a, &t), direct);
                         }
                     }
                 });
@@ -598,8 +698,8 @@ mod tests {
         );
     }
 
-    /// A brownout probe serves only finished reports, under the asking
-    /// layer's name, and leaves every counter alone.
+    /// A brownout probe serves only finished answers, which read under
+    /// the asking layer's name, and leaves every counter alone.
     #[test]
     fn peek_is_read_only_and_names_the_asking_layer() {
         let l = layer("x");
@@ -611,7 +711,10 @@ mod tests {
         cache.analyze(&l, &df, &acc, None).expect("analyzable");
         let before = cache.counts();
         let peeked = cache.peek(&renamed, &df, &acc);
-        assert_eq!(peeked, Some(analyze(&renamed, &df, &acc).unwrap()));
+        assert_eq!(
+            peeked.map(|a| text(&a, &renamed)),
+            Some(oracle(&renamed, &df, &acc).unwrap())
+        );
         let other_noc = Accelerator::builder(64)
             .noc(NocConfig::new(acc.noc.bandwidth + 1, acc.noc.avg_latency))
             .build();

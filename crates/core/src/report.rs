@@ -5,6 +5,7 @@ use maestro_dnn::TensorKind;
 use maestro_hw::{Accelerator, EnergyModel};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Per-cluster-level detail inside a [`LayerReport`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -347,6 +348,71 @@ pub fn offchip_traffic(
         }
     }
     (reads, writes)
+}
+
+/// A [`LayerReport`]'s JSON encoding from its `dataflow` field on: the
+/// report without its name. Every layer of one shape has the same text,
+/// so the daemon's cache keeps one per entry and
+/// [`write_named`](ReportJson::write_named) puts the asking layer's name
+/// in front. Cloning shares the text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReportJson(Arc<str>);
+
+/// What the derived `Serialize` writes for a report named `""` before its
+/// `dataflow` field: `layer` is the first field [`LayerReport`] declares.
+const UNNAMED_HEAD: &str = "{\"layer\":\"\"";
+
+impl ReportJson {
+    /// Encode `report` without its name.
+    pub fn new(mut report: LayerReport) -> ReportJson {
+        report.layer.clear();
+        let mut w = serde::JsonWriter::new(false);
+        report.serialize(&mut w);
+        let json = w.into_string();
+        // The derive writes fields in declaration order, so the head is
+        // fixed; `memo`'s byte-for-byte test over every zoo layer fails
+        // the moment a field moves ahead of `layer`.
+        let tail = json.strip_prefix(UNNAMED_HEAD);
+        debug_assert!(
+            tail.is_some(),
+            "`layer` must stay LayerReport's first field"
+        );
+        ReportJson(Arc::from(tail.unwrap_or_default()))
+    }
+
+    /// The encoded text: everything after the layer name.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+
+    /// Append the report under `name`: `{"layer":<name>` and then this
+    /// text, byte for byte what `serde_json::to_string` writes for the
+    /// report renamed to `name`.
+    pub fn write_named(&self, out: &mut String, name: &str) {
+        out.push_str("{\"layer\":");
+        serde::write_escaped(out, name);
+        out.push_str(&self.0);
+    }
+
+    /// Append the [`ModelReport`] named `model` whose layers are `layers`
+    /// (each layer's name and encoding, in network order), byte for byte
+    /// what `serde_json::to_string` writes for it.
+    pub fn write_model<'a>(
+        out: &mut String,
+        model: &str,
+        layers: impl IntoIterator<Item = (&'a str, &'a ReportJson)>,
+    ) {
+        out.push_str("{\"model\":");
+        serde::write_escaped(out, model);
+        out.push_str(",\"layers\":[");
+        for (i, (name, report)) in layers.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            report.write_named(out, name);
+        }
+        out.push_str("]}");
+    }
 }
 
 /// Aggregated analysis of a whole model under one dataflow assignment.

@@ -388,25 +388,34 @@ pub fn dcgan(batch: u64) -> Model {
     m
 }
 
-/// The five models used in Figure 10's dataflow case study.
+/// A zoo model builder: the model at the given batch size.
+pub type Builder = fn(u64) -> Model;
+
+/// The models [`by_name`] knows: each one's CLI names (the first, then
+/// the common aliases) and its builder.
+pub const NAMED: [(&[&str], Builder); 10] = [
+    (&["vgg16"], vgg16),
+    (&["alexnet"], alexnet),
+    (&["resnet50"], resnet50),
+    (&["resnext50"], resnext50),
+    (&["mobilenet_v2", "mobilenetv2"], mobilenet_v2),
+    (&["unet"], unet),
+    (&["dcgan"], dcgan),
+    (&["deepspeech2", "ds2"], deepspeech2),
+    (&["googlenet"], googlenet),
+    (&["efficientnet_b0", "efficientnet"], efficientnet_b0),
+];
+
 /// Look a zoo model up by its CLI name (accepting the common aliases);
 /// `None` if the name is not a zoo model.
 pub fn by_name(name: &str, batch: u64) -> Option<Model> {
-    Some(match name {
-        "vgg16" => vgg16(batch),
-        "alexnet" => alexnet(batch),
-        "resnet50" => resnet50(batch),
-        "resnext50" => resnext50(batch),
-        "mobilenet_v2" | "mobilenetv2" => mobilenet_v2(batch),
-        "unet" => unet(batch),
-        "dcgan" => dcgan(batch),
-        "deepspeech2" | "ds2" => deepspeech2(batch),
-        "googlenet" => googlenet(batch),
-        "efficientnet_b0" | "efficientnet" => efficientnet_b0(batch),
-        _ => return None,
-    })
+    NAMED
+        .iter()
+        .find(|(names, _)| names.contains(&name))
+        .map(|(_, build)| build(batch))
 }
 
+/// The five models used in Figure 10's dataflow case study.
 pub fn figure10_models(batch: u64) -> Vec<Model> {
     vec![
         resnet50(batch),

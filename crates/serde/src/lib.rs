@@ -148,25 +148,28 @@ impl JsonWriter {
 
     /// Write an escaped JSON string.
     pub fn write_str(&mut self, s: &str) {
-        self.out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => self.out.push_str("\\\""),
-                '\\' => self.out.push_str("\\\\"),
-                '\n' => self.out.push_str("\\n"),
-                '\r' => self.out.push_str("\\r"),
-                '\t' => self.out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = std::fmt::Write::write_fmt(
-                        &mut self.out,
-                        format_args!("\\u{:04x}", c as u32),
-                    );
-                }
-                c => self.out.push(c),
-            }
-        }
-        self.out.push('"');
+        write_escaped(&mut self.out, s);
     }
+}
+
+/// Append `s` to `out` as a quoted, escaped JSON string: the bytes
+/// [`JsonWriter::write_str`] writes.
+pub fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = std::fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 macro_rules! impl_serialize_unsigned {

@@ -26,14 +26,20 @@
 //!
 //! Model references resolve through [`maestro_dnn::zoo`] *only* — a
 //! network-facing daemon must not read arbitrary filesystem paths on
-//! behalf of its clients.
+//! behalf of its clients. The zoo models are built once per process, on
+//! first use, and every request borrows them.
+//!
+//! Analyze answers are spliced, not serialized: the shared cache holds
+//! each report's JSON encoding ([`ReportJson`]), and a response writes the
+//! asking layer's name in front of it, byte for byte what `serde_json`
+//! writes for the report.
 
 use crate::http::{Request, Response};
 use crate::json::{self, Value};
 use crate::queue::AdmissionCtl;
 use crate::server::ServeMetrics;
 use crate::supervise::WorkerTable;
-use maestro_core::{AnalysisError, Analyzer, LayerReport, ModelReport};
+use maestro_core::{AnalysisError, Analyzer, ReportJson};
 use maestro_dnn::{zoo, Layer, Model};
 use maestro_hw::Accelerator;
 use maestro_ir::{Dataflow, Style};
@@ -42,7 +48,7 @@ use maestro_obs::CancelToken;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Deadlines are clamped to this ceiling; an absent or absurd
@@ -425,12 +431,11 @@ impl ApiCtx {
         // daemon almost nothing.
         let cache_only = token.is_cancelled() || self.pressure() == Pressure::Critical;
         match self.lookup(&point, token, cache_only) {
-            Ok(reports) => {
+            Ok(answers) => {
                 crate::trace::mark("serialize");
-                let mut resp = match point.to_json(reports) {
-                    Ok(js) => Response::json(200, js),
-                    Err(e) => return error_response(500, &e.to_string()),
-                };
+                let mut body = String::new();
+                point.write_json(&mut body, &answers);
+                let mut resp = Response::json(200, body);
                 if cache_only {
                     self.metrics.degraded.inc();
                     resp.degraded = Some("cache-only");
@@ -458,16 +463,16 @@ impl ApiCtx {
     /// stage boundaries, so a slow layer stops at the next cancellation
     /// point instead of pinning the worker past its 504 budget. A stop
     /// reports how many layers completed and why: the analysis error, or
-    /// `None` when there is no report (the deadline tripped, or a
+    /// `None` when there is no answer (the deadline tripped, or a
     /// cache-only layer is not cached).
     fn lookup(
         &self,
         p: &Point,
         token: &CancelToken,
         cache_only: bool,
-    ) -> Result<Vec<LayerReport>, (usize, Option<AnalysisError>)> {
+    ) -> Result<Vec<ReportJson>, (usize, Option<AnalysisError>)> {
         let layers = p.layers();
-        let mut reports = Vec::with_capacity(layers.len());
+        let mut answers = Vec::with_capacity(layers.len());
         for layer in layers {
             let got = if cache_only {
                 self.cache.peek(layer, &p.dataflow, &p.acc).ok_or(None)
@@ -480,11 +485,11 @@ impl ApiCtx {
                     })
             };
             match got {
-                Ok(r) => reports.push(r),
-                Err(why) => return Err((reports.len(), why)),
+                Ok(a) => answers.push(a),
+                Err(why) => return Err((answers.len(), why)),
             }
         }
-        Ok(reports)
+        Ok(answers)
     }
 
     /// Parse and validate everything a `/v1/dse` request needs before any
@@ -492,18 +497,18 @@ impl ApiCtx {
     fn dse_setup(
         &self,
         body: &Value,
-    ) -> Result<(Model, String, Style, maestro_dse::Explorer, usize), Response> {
-        let model = load_model(body)?;
+    ) -> Result<(&'static Layer, Style, maestro_dse::Explorer, usize), Response> {
+        let model = zoo_model(body)?;
         let layer_name = body.get("layer").and_then(Value::as_str).unwrap_or("");
         if layer_name.is_empty() {
             return Err(error_response(400, "missing `layer`"));
         }
-        if model.layer(layer_name).is_none() {
+        let Some(layer) = model.layer(layer_name) else {
             return Err(error_response(
                 400,
                 &format!("model {} has no layer `{layer_name}`", model.name),
             ));
-        }
+        };
         let style_name = body.get("style").and_then(Value::as_str).unwrap_or("KC-P");
         let Some(style) = find_style(style_name) else {
             return Err(error_response(
@@ -532,18 +537,14 @@ impl ApiCtx {
             body.get("threads").and_then(Value::as_u64).unwrap_or(1),
             self.max_request_threads,
         );
-        Ok((model, layer_name.to_string(), style, explorer, threads))
+        Ok((layer, style, explorer, threads))
     }
 
     /// `POST /v1/dse` (buffered).
     fn dse(&self, body: &Value, token: &CancelToken) -> Response {
-        let (model, layer_name, style, explorer, threads) = match self.dse_setup(body) {
+        let (layer, style, explorer, threads) = match self.dse_setup(body) {
             Ok(setup) => setup,
             Err(r) => return r,
-        };
-        let Some(layer) = model.layer(&layer_name) else {
-            // dse_setup validated the name; unreachable in practice.
-            return error_response(400, "missing `layer`");
         };
         let ctl = maestro_dse::SessionCtl {
             token: token.clone(),
@@ -589,12 +590,9 @@ impl ApiCtx {
     /// return a buffered error; once the head is on the wire the
     /// connection is committed to EOF framing and always closes.
     fn dse_stream(&self, body: &Value, token: &CancelToken, sock: &TcpStream) -> Handled {
-        let (model, layer_name, style, explorer, threads) = match self.dse_setup(body) {
+        let (layer, style, explorer, threads) = match self.dse_setup(body) {
             Ok(setup) => setup,
             Err(r) => return Handled::Response(r),
-        };
-        let Some(layer) = model.layer(&layer_name) else {
-            return Handled::Response(error_response(400, "missing `layer`"));
         };
         let cloned = match sock.try_clone() {
             Ok(s) => s,
@@ -704,56 +702,55 @@ impl ApiCtx {
                 ),
             );
         }
-        let mut results: Vec<String> = Vec::with_capacity(points.len());
-        for point in points {
-            if token.is_cancelled() {
-                self.metrics.timeouts.inc();
-                let partial = format!("{{\"results\":[{}]}}", results.join(","));
-                return timeout_response(results.len(), points.len(), Some(&partial));
+        // Items are written straight after the success envelope's head;
+        // a tripped deadline rewraps those written so far as the 504's
+        // partial result.
+        let mut out = format!("{{\"count\":{},\"results\":[", points.len());
+        let items = out.len();
+        for (done, point) in points.iter().enumerate() {
+            let end = out.len();
+            if done > 0 {
+                out.push(',');
             }
-            match self.batch_point(point, token) {
-                Ok(item) => results.push(item),
-                // Cancelled mid-point: account it as not completed.
-                Err(()) => {
-                    self.metrics.timeouts.inc();
-                    let partial = format!("{{\"results\":[{}]}}", results.join(","));
-                    return timeout_response(results.len(), points.len(), Some(&partial));
-                }
+            // Cancelled before or during the point: it is not completed.
+            if token.is_cancelled() || self.batch_point(point, token, &mut out).is_err() {
+                out.truncate(end);
+                self.metrics.timeouts.inc();
+                let partial = format!("{{\"results\":[{}]}}", &out[items..]);
+                return timeout_response(done, points.len(), Some(&partial));
             }
         }
         crate::trace::mark("serialize");
-        Response::json(
-            200,
-            format!(
-                "{{\"count\":{},\"results\":[{}]}}",
-                results.len(),
-                results.join(",")
-            ),
-        )
+        out.push_str("]}");
+        Response::json(200, out)
     }
 
-    /// Serve one batch point. `Ok` is the item's JSON object — a report
-    /// or a per-item error; `Err(())` means the request deadline tripped
-    /// mid-analysis (the caller turns the whole tail into a 504).
-    fn batch_point(&self, point: &Value, token: &CancelToken) -> Result<String, ()> {
+    /// Serve one batch point, appending its item to `out`: the report or
+    /// a per-item error. `Err(())` means the request deadline tripped
+    /// mid-analysis (the caller turns the whole tail into a 504); nothing
+    /// is appended then.
+    fn batch_point(&self, point: &Value, token: &CancelToken, out: &mut String) -> Result<(), ()> {
         if !matches!(point, Value::Obj(_)) {
-            return Ok("{\"error\":\"batch point must be a JSON object\"}".to_string());
+            out.push_str("{\"error\":\"batch point must be a JSON object\"}");
+            return Ok(());
         }
         let p = match Point::resolve(point) {
             Ok(p) if p.layer.is_none() => {
-                return Ok("{\"error\":\"batch point missing `layer`\"}".to_string())
+                out.push_str("{\"error\":\"batch point missing `layer`\"}");
+                return Ok(());
             }
             Ok(p) => p,
-            Err(r) => return Ok(r.body),
+            Err(r) => {
+                out.push_str(&r.body);
+                return Ok(());
+            }
         };
         match self.lookup(&p, token, false) {
-            Ok(reports) => Ok(match p.to_json(reports) {
-                Ok(js) => js,
-                Err(e) => error_response(500, &e.to_string()).body,
-            }),
-            Err((_, Some(e))) => Ok(analysis_error_response(&e).body),
-            Err((_, None)) => Err(()),
+            Ok(answers) => p.write_json(out, &answers),
+            Err((_, Some(e))) => out.push_str(&analysis_error_response(&e).body),
+            Err((_, None)) => return Err(()),
         }
+        Ok(())
     }
 
     /// `POST /v1/conform`.
@@ -798,28 +795,24 @@ impl ApiCtx {
 /// resolved: a zoo model, the dataflow and accelerator to price it on,
 /// and the one layer asked for (`None`: the whole model).
 struct Point {
-    model: Model,
+    model: &'static Model,
     dataflow: Dataflow,
     acc: Accelerator,
-    layer: Option<String>,
+    layer: Option<&'static Layer>,
 }
 
 impl Point {
     /// The one point resolver. Fields are checked in the order clients
     /// see their errors: model, dataflow, accelerator, then layer.
     fn resolve(body: &Value) -> Result<Point, Response> {
-        let model = load_model(body)?;
+        let model = zoo_model(body)?;
         let dataflow = load_dataflow(body)?;
         let acc = accelerator(body)?;
         let layer = match body.get("layer").and_then(Value::as_str).unwrap_or("") {
             "" => None,
-            name if model.layer(name).is_some() => Some(name.to_string()),
-            name => {
-                return Err(error_response(
-                    400,
-                    &format!("model {} has no layer `{name}`", model.name),
-                ))
-            }
+            name => Some(model.layer(name).ok_or_else(|| {
+                error_response(400, &format!("model {} has no layer `{name}`", model.name))
+            })?),
         };
         Ok(Point {
             model,
@@ -830,27 +823,34 @@ impl Point {
     }
 
     /// The layers this point prices, in model order.
-    fn layers(&self) -> Vec<&Layer> {
-        match &self.layer {
-            Some(name) => self.model.layer(name).into_iter().collect(),
-            None => self.model.iter().collect(),
+    fn layers(&self) -> &'static [Layer] {
+        match self.layer {
+            Some(layer) => std::slice::from_ref(layer),
+            None => self.model.layers(),
         }
     }
 
-    /// The one analyze serializer: `{"model","layer","report"}` for one
-    /// layer, the whole [`ModelReport`] otherwise.
-    fn to_json(&self, reports: Vec<LayerReport>) -> Result<String, serde_json::Error> {
-        match (&self.layer, reports.first()) {
-            (Some(layer), Some(report)) => Ok(format!(
-                "{{\"model\":{},\"layer\":{},\"report\":{}}}",
-                json_str(&self.model.name),
-                json_str(layer),
-                serde_json::to_string(report)?
-            )),
-            _ => serde_json::to_string(&ModelReport {
-                model: self.model.name.clone(),
-                layers: reports,
-            }),
+    /// The one analyze encoder, appending to `out`:
+    /// `{"model","layer","report"}` for one layer, the whole
+    /// `ModelReport` otherwise, spliced from `answers` (one per layer of
+    /// [`Point::layers`]) under the layers' own names.
+    fn write_json(&self, out: &mut String, answers: &[ReportJson]) {
+        out.reserve(answers.iter().map(|a| a.as_str().len() + 64).sum::<usize>() + 64);
+        match (self.layer, answers.first()) {
+            (Some(layer), Some(answer)) => {
+                out.push_str("{\"model\":");
+                serde::write_escaped(out, &self.model.name);
+                out.push_str(",\"layer\":");
+                serde::write_escaped(out, &layer.name);
+                out.push_str(",\"report\":");
+                answer.write_named(out, &layer.name);
+                out.push('}');
+            }
+            _ => ReportJson::write_model(
+                out,
+                &self.model.name,
+                self.layers().iter().map(|l| l.name.as_str()).zip(answers),
+            ),
         }
     }
 }
@@ -898,9 +898,22 @@ fn analysis_error_response(e: &AnalysisError) -> Response {
     }
 }
 
-fn load_model(body: &Value) -> Result<Model, Response> {
+/// The zoo model `body` names (`vgg16` when it names none), under the
+/// names and aliases of [`zoo::by_name`], at batch 1. The models are built
+/// once per process, on first use.
+fn zoo_model(body: &Value) -> Result<&'static Model, Response> {
+    static ZOO: OnceLock<Vec<(&[&str], Model)>> = OnceLock::new();
     let name = body.get("model").and_then(Value::as_str).unwrap_or("vgg16");
-    zoo::by_name(name, 1).ok_or_else(|| {
+    ZOO.get_or_init(|| {
+        zoo::NAMED
+            .iter()
+            .map(|&(names, build)| (names, build(1)))
+            .collect()
+    })
+    .iter()
+    .find(|(names, _)| names.contains(&name))
+    .map(|(_, model)| model)
+    .ok_or_else(|| {
         error_response(
             400,
             &format!("unknown zoo model `{name}` (the daemon serves zoo models only)"),
@@ -933,6 +946,9 @@ fn accelerator(body: &Value) -> Result<Accelerator, Response> {
     };
     let pes = get("pes", 256)?;
     let bw = get("bw", 32)?;
+    if bw == 0 {
+        return Err(error_response(400, "`bw` must be a positive integer"));
+    }
     let l1 = get("l1", 2048)?;
     let l2 = get("l2", 1 << 20)?;
     Ok(Accelerator::builder(pes)
@@ -944,9 +960,9 @@ fn accelerator(body: &Value) -> Result<Accelerator, Response> {
 
 /// JSON-escape a string (delegates to the serde shim's writer).
 fn json_str(s: &str) -> String {
-    let mut w = serde::JsonWriter::new(false);
-    w.write_str(s);
-    w.into_string()
+    let mut out = String::with_capacity(s.len() + 2);
+    serde::write_escaped(&mut out, s);
+    out
 }
 
 #[cfg(test)]

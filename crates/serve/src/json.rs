@@ -57,7 +57,8 @@ impl Value {
     /// exactly (rejects fractions, negatives and overflow).
     pub fn as_u64(&self) -> Option<u64> {
         let n = self.as_f64()?;
-        if n.is_finite() && n >= 0.0 && n <= u64::MAX as f64 && n.fract() == 0.0 {
+        // `u64::MAX as f64` rounds up to 2^64, the first value past range.
+        if n.is_finite() && n >= 0.0 && n < u64::MAX as f64 && n.fract() == 0.0 {
             Some(n as u64)
         } else {
             None
@@ -473,5 +474,21 @@ mod tests {
         assert_eq!(parse("0").unwrap().as_u64(), Some(0));
         assert_eq!(parse("1.5").unwrap().as_u64(), None, "fractional");
         assert_eq!(parse("-1").unwrap().as_u64(), None, "negative");
+    }
+
+    /// Integers up to 2^53 are exact and accepted; 2^64 and above do not
+    /// fit a `u64` and are rejected rather than saturated.
+    #[test]
+    fn as_u64_rejects_values_past_u64_range() {
+        let two_53 = 1u64 << 53;
+        assert_eq!(parse(&two_53.to_string()).unwrap().as_u64(), Some(two_53));
+        for past in [
+            "18446744073709551616",
+            "18446744073709551617",
+            "1e20",
+            "1e300",
+        ] {
+            assert_eq!(parse(past).unwrap().as_u64(), None, "{past}");
+        }
     }
 }

@@ -11,7 +11,13 @@ use maestro_obs::CancelToken;
 use maestro_serve::{DrainOutcome, ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Mutex;
 use std::time::Duration;
+
+/// Held by the tests that read `maestro.serve.panics`: the registry is
+/// process global, so a test that asserts the counter did not move must
+/// not overlap the one that panics a handler on purpose.
+static PANIC_COUNTER: Mutex<()> = Mutex::new(());
 
 struct Daemon {
     addr: SocketAddr,
@@ -167,6 +173,101 @@ fn whole_model_analyze_matches_the_uncached_oracle_byte_for_byte() {
         assert_eq!(got, want, "{body}");
     }
     assert_eq!(d.stop(), DrainOutcome::Clean);
+}
+
+/// A batch answer is spliced from cached encodings under each point's own
+/// layer name. VGG16's CONV6/CONV7 and CONV11–CONV13 share shapes, so the
+/// later names are served from entries made for the earlier ones; every
+/// item must still read byte for byte as the uncached oracle renders it,
+/// on a cold cache and again on a warm one, with a bad point in between.
+#[test]
+fn batch_matches_the_uncached_oracle_byte_for_byte() {
+    let d = Daemon::start(test_config());
+    let acc = maestro_hw::Accelerator::builder(64)
+        .noc_bandwidth(32)
+        .l1_bytes(2048)
+        .l2_bytes(1 << 20)
+        .build();
+    let vgg16 = maestro_dnn::zoo::vgg16(1);
+    let points = [
+        ("CONV6", "KC-P"),
+        ("CONV7", "KC-P"),
+        ("NOPE", "KC-P"),
+        ("CONV11", "YR-P"),
+        ("CONV12", "YR-P"),
+        ("CONV13", "YR-P"),
+        ("CONV7", "YR-P"),
+    ];
+    let mut bodies = Vec::new();
+    let mut items = Vec::new();
+    for (layer, dataflow) in points {
+        bodies.push(format!(
+            "{{\"model\":\"vgg16\",\"layer\":\"{layer}\",\"dataflow\":\"{dataflow}\",\"pes\":64}}"
+        ));
+        let Some(l) = vgg16.layer(layer) else {
+            items.push(format!(
+                "{{\"error\":\"model VGG16 has no layer `{layer}`\"}}"
+            ));
+            continue;
+        };
+        let style = maestro_ir::Style::ALL
+            .into_iter()
+            .find(|s| s.short_name() == dataflow)
+            .expect("a paper style");
+        let report = maestro_core::analyze(l, &style.dataflow(), &acc).expect("VGG16 analyzes");
+        items.push(format!(
+            "{{\"model\":\"VGG16\",\"layer\":\"{layer}\",\"report\":{}}}",
+            serde_json::to_string(&report).expect("report serializes")
+        ));
+    }
+    let want = format!(
+        "{{\"count\":{},\"results\":[{}]}}",
+        items.len(),
+        items.join(",")
+    );
+    let body = format!("{{\"points\":[{}]}}", bodies.join(","));
+    for cache in ["cold", "warm"] {
+        let resp = post(d.addr, "/v1/batch", &body);
+        assert_eq!(status_of(&resp), 200, "{resp}");
+        let (_, got) = resp.split_once("\r\n\r\n").expect("headers end");
+        assert_eq!(got, want, "{cache} cache");
+    }
+    assert_eq!(d.stop(), DrainOutcome::Clean);
+}
+
+/// A zero NoC bandwidth is the client's error: a 400 from `/v1/analyze`
+/// and a per-item error inside `/v1/batch`, never a handler panic.
+#[test]
+fn zero_bandwidth_is_a_client_error_not_a_panic() {
+    let _serial = PANIC_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    let panics = || {
+        maestro_obs::registry()
+            .counter("maestro.serve.panics")
+            .get()
+    };
+    let before = panics();
+    let d = Daemon::start(test_config());
+    let resp = post(
+        d.addr,
+        "/v1/analyze",
+        "{\"model\":\"alexnet\",\"layer\":\"CONV1\",\"bw\":0}",
+    );
+    assert_eq!(status_of(&resp), 400, "{resp}");
+    assert!(resp.contains("`bw` must be a positive integer"), "{resp}");
+    let resp = post(
+        d.addr,
+        "/v1/batch",
+        "{\"points\":[{\"model\":\"alexnet\",\"layer\":\"CONV1\"},\
+         {\"model\":\"alexnet\",\"layer\":\"CONV2\",\"bw\":0}]}",
+    );
+    assert_eq!(status_of(&resp), 200, "{resp}");
+    assert_eq!(resp.matches("\"report\"").count(), 1, "{resp}");
+    assert!(
+        resp.contains("{\"error\":\"`bw` must be a positive integer\"}]}"),
+        "{resp}"
+    );
+    assert_eq!(d.stop(), DrainOutcome::Clean);
+    assert_eq!(panics(), before, "no handler panicked");
 }
 
 #[test]
@@ -329,6 +430,7 @@ fn handler_panics_are_isolated_to_the_request() {
         workers: 1, // the one worker must survive its handler panicking
         ..test_config()
     });
+    let _serial = PANIC_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     let before = maestro_obs::registry()
         .counter("maestro.serve.panics")
         .get();
