@@ -364,7 +364,7 @@ const UNNAMED_HEAD: &str = "{\"layer\":\"\"";
 
 impl ReportJson {
     /// Encode `report` without its name.
-    pub fn new(mut report: LayerReport) -> ReportJson {
+    pub(crate) fn new(mut report: LayerReport) -> ReportJson {
         report.layer.clear();
         let mut w = serde::JsonWriter::new(false);
         report.serialize(&mut w);
