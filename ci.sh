@@ -53,6 +53,16 @@ if grep -rni --include='*.rs' '0xbf58_\?476d_\?1ce4_\?e5b9' crates \
   exit 1
 fi
 
+# One fault-spec grammar: --inject and --chaos both parse their
+# `kind[:duration]:rate` clauses with maestro_obs::rng::parse_spec, so a
+# second duration parser would let the two flags drift apart.
+echo "== one fault-spec grammar (maestro_obs::rng::parse_spec)"
+if grep -rn --include='*.rs' 'fn parse_duration' crates/*/src \
+    | grep -v '^crates/obs/src/rng\.rs:'; then
+  echo "parse_duration defined outside crates/obs/src/rng.rs; call maestro_obs::rng::parse_spec" >&2
+  exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --release --workspace
 
@@ -89,18 +99,23 @@ echo "== obs_overhead guard (disabled instrumentation < 2% of a sweep)"
 cargo bench -q -p maestro-bench --bench obs_overhead
 
 # The whole-model and Fig 13 sweep digests, the whole-model build
-# counts, the capacity kernel's differential suite, the zoo analysis
-# digest and allocation budget, the brownout table (whose cache-only
-# answers read the daemon's one cache), the daemon's end-to-end suite
-# (whose byte-for-byte pins hold the spliced answers to the uncached
-# oracle) and its tracing tests run in release too: a sweep drift, a
-# unit that rebuilds per bandwidth, a kernel that vectorizes or reorders
-# differently, an analysis that allocates more in the build the
-# benchmark measures, a splice that drifts from serde_json in the build
-# the benchmark serves, or a release-only failure (timing premises,
-# accept/pop races) fails CI, not just a debug run.
-echo "== sweep digests + build counts + capacity kernel + zoo digest + alloc budget + serve e2e byte pins + serve (release)"
+# counts, the session suites (interrupt/resume, staged and full
+# evaluation, thread counts and quarantine, all steered by the unit
+# observer's cancel points and seeded fault plans), the capacity
+# kernel's differential suite, the zoo analysis digest and allocation
+# budget, the brownout table (whose cache-only answers read the daemon's
+# one cache), the daemon's end-to-end suite (whose byte-for-byte pins
+# hold the spliced answers to the uncached oracle) and its tracing tests
+# run in release too: a sweep drift, a unit that rebuilds per bandwidth,
+# a cancel point that lands differently when units run faster, a kernel
+# that vectorizes or reorders differently, an analysis that allocates
+# more in the build the benchmark measures, a splice that drifts from
+# serde_json in the build the benchmark serves, or a release-only
+# failure (timing premises, accept/pop races) fails CI, not just a
+# debug run.
+echo "== sweep digests + build counts + session suites + capacity kernel + zoo digest + alloc budget + serve e2e byte pins + serve (release)"
 cargo test -q --release -p maestro-dse --test sweep_digests
+cargo test -q --release -p maestro-dse --test interrupt_resume --test staged_equivalence --test parallel_equivalence
 cargo test -q --release -p maestro-dse --test model_builds
 cargo test -q --release -p maestro-dse --lib capacity_kernel
 cargo test -q --release -p maestro-core --test zoo_digest --test alloc_budget

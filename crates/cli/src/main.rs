@@ -460,7 +460,7 @@ fn session_ctl(args: &Args, threads: usize) -> Result<(maestro_dse::SessionCtl, 
     if !inject.is_empty() {
         let seed = args.get_u64("inject-seed", 0).map_err(CliError::usage)?;
         ctl.faults = maestro_dse::FaultPlan::parse(inject, seed)
-            .map_err(|e| CliError::usage(e.to_string()))?;
+            .map_err(|e| CliError::usage(format!("--inject: {e}")))?;
     }
     ctl.retries = u32::try_from(args.get_u64("retries", 1).map_err(CliError::usage)?)
         .map_err(|_| CliError::usage("--retries is too large"))?;
@@ -475,7 +475,7 @@ fn session_ctl(args: &Args, threads: usize) -> Result<(maestro_dse::SessionCtl, 
     }
     if args.flag("progress") {
         let workers = maestro_dse::resolve_threads(threads);
-        ctl.on_progress = Some(Box::new(move |done, total| {
+        ctl.on_unit = Some(Box::new(move |u: &maestro_dse::UnitUpdate<'_>| {
             // Same histogram handle the workers feed (the bounds must
             // match the registration inside maestro-dse); its mean gives
             // seconds per unit per worker.
@@ -484,6 +484,7 @@ fn session_ctl(args: &Args, threads: usize) -> Result<(maestro_dse::SessionCtl, 
                 &maestro_dse::unit_seconds_buckets(),
             );
             let (count, sum) = (h.count(), h.sum());
+            let (done, total) = (u.completed, u.total);
             if count == 0 || sum <= 0.0 {
                 eprintln!("progress: {done}/{total} units");
             } else {

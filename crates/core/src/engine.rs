@@ -13,46 +13,6 @@ use crate::counts::ActivityCounts;
 use crate::footprint::{Footprints, Strides};
 use crate::level::{LevelCtx, LoopNode, OutputSpatial};
 use maestro_dnn::{Coupling, Density, Dim, TensorKind};
-use maestro_hw::Accelerator;
-use serde::{Deserialize, Serialize};
-
-/// Analysis results for one cluster level (one pass of one instance),
-/// inner levels included.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LevelResult {
-    /// Pass runtime assuming the pipeline is already warm (used as the
-    /// parent's per-step compute delay).
-    pub runtime_steady: f64,
-    /// Pass runtime including the initial fill (used for the first step).
-    pub runtime_first: f64,
-    /// Activity counts for one pass, inner levels included.
-    pub counts: ActivityCounts,
-    /// Dense MACs per pass.
-    pub macs_dense: f64,
-    /// Density-scaled MACs per pass.
-    pub macs_effective: f64,
-    /// Required L1 capacity per PE, in elements (double-buffered).
-    pub l1_per_pe: u64,
-    /// Data staged per steady step across this level's units, in elements
-    /// (double-buffered) — the L2 requirement when this is the top level.
-    pub staging: u64,
-    /// Peak NoC bandwidth demand (elements/cycle) to avoid stalls.
-    pub peak_bw: f64,
-    /// Steady-state per-step compute delay at this level.
-    pub compute_delay: f64,
-    /// Replication fanout of (input, weight) data from this level's
-    /// boundary down to PE L1s: data multicast at a level lands in every
-    /// unit's L1, data distributed spatially splits. Used by the top level
-    /// to charge L1 fills and NoC deliveries.
-    pub fanout: [f64; 2],
-    /// Output elements committed upstream across one pass of this level
-    /// (in boundary elements, edge-coverage scaled). The parent uses this
-    /// to spill partial sums its own output loops never see turn over.
-    pub out_egress: f64,
-    /// Output elements still resident in the units at the end of a pass —
-    /// the part an outer reduction loop can revisit without a refetch.
-    pub out_resident: f64,
-}
 
 /// Whether a tensor's footprint depends on a dimension's position (i.e.
 /// resetting that dimension invalidates the tensor's resident data).
@@ -273,7 +233,7 @@ pub struct LevelPerf {
 
 /// The slice of an inner level's results its parent reads during *static*
 /// analysis: the NoC-independent quantities that cross the level boundary.
-/// Both [`LevelStatic`] and a full [`LevelResult`] can produce one.
+/// [`LevelStatic::carry`] produces one.
 #[derive(Debug, Clone, Copy)]
 pub struct LevelCarry<'a> {
     /// Inner pass activity counts.
@@ -307,28 +267,12 @@ impl LevelStatic {
     }
 }
 
-impl LevelResult {
-    /// The boundary view a parent level's static analysis reads.
-    pub fn carry(&self) -> LevelCarry<'_> {
-        LevelCarry {
-            counts: &self.counts,
-            macs_dense: self.macs_dense,
-            macs_effective: self.macs_effective,
-            l1_per_pe: self.l1_per_pe,
-            fanout: self.fanout,
-            out_egress: self.out_egress,
-            out_resident: self.out_resident,
-        }
-    }
-}
-
 /// Price a level's static analysis under a concrete NoC pipe.
 ///
-/// This is the performance half of [`analyze_level`]: the f64 operations
-/// run in exactly the order the fused analysis ran them, so composing
-/// [`analyze_level_static`] with `level_perf` is bit-identical to the
-/// original single pass — which is what lets a sweep re-price one static
-/// analysis across a whole NoC-bandwidth grid.
+/// This is the performance half of a level's analysis, composed with
+/// [`analyze_level_static`] per level from the innermost out: the static
+/// half runs once and `level_perf` re-prices it, which is what lets a
+/// sweep re-price one static analysis across a whole NoC-bandwidth grid.
 pub fn level_perf(
     st: &LevelStatic,
     inner: Option<&LevelPerf>,
@@ -383,66 +327,15 @@ pub fn level_perf(
     }
 }
 
-/// Analyze one level given the already-analyzed inner level (if any).
-///
-/// `is_top` marks the outermost level (its ingress/egress is charged to the
-/// L2 scratchpad); the innermost level (when `inner` is `None`) charges L1
-/// fills and per-MAC operand accesses.
-///
-/// This is the fused convenience form: it runs [`analyze_level_static`]
-/// and prices the result with [`level_perf`] under `acc`'s NoC, which is
-/// exactly what the staged pipeline does — so fused and staged analysis
-/// are the same code path and cannot drift.
-pub fn analyze_level(
-    ctx: &LevelCtx,
-    inner: Option<&LevelResult>,
-    acc: &Accelerator,
-    coupling: &Coupling,
-    density: Density,
-    is_top: bool,
-) -> LevelResult {
-    let st = analyze_level_static(
-        ctx,
-        inner.map(LevelResult::carry),
-        acc.support,
-        acc.vector_width,
-        coupling,
-        density,
-        is_top,
-    );
-    let inner_perf = inner.map(|r| LevelPerf {
-        runtime_steady: r.runtime_steady,
-        runtime_first: r.runtime_first,
-        peak_bw: r.peak_bw,
-        compute_delay: r.compute_delay,
-    });
-    let pf = level_perf(
-        &st,
-        inner_perf.as_ref(),
-        acc.noc.bandwidth,
-        acc.noc.avg_latency,
-    );
-    LevelResult {
-        runtime_steady: pf.runtime_steady,
-        runtime_first: pf.runtime_first,
-        counts: st.counts,
-        macs_dense: st.macs_dense,
-        macs_effective: st.macs_effective,
-        l1_per_pe: st.l1_per_pe,
-        staging: st.staging,
-        peak_bw: pf.peak_bw,
-        compute_delay: pf.compute_delay,
-        fanout: st.fanout,
-        out_egress: st.out_egress,
-        out_resident: st.out_resident,
-    }
-}
-
-/// The NoC-independent half of [`analyze_level`]: reuse/buffer analysis
+/// The NoC-independent half of a level's analysis: reuse/buffer analysis
 /// plus the transition table. `support` and `vector_width` are the only
 /// accelerator inputs this half reads — deliberately *not* the whole
-/// [`Accelerator`], so the signature itself proves the result cannot
+/// [`Accelerator`](maestro_hw::Accelerator), so the signature itself proves the result cannot
 /// depend on the NoC configuration.
+///
+/// `is_top` marks the outermost level (its ingress/egress is charged to
+/// the L2 scratchpad); the innermost level (when `inner` is `None`)
+/// charges L1 fills and per-MAC operand accesses.
 #[allow(clippy::too_many_lines)]
 pub fn analyze_level_static(
     ctx: &LevelCtx,
@@ -717,9 +610,25 @@ pub fn analyze_level_static(
 mod tests {
     use super::*;
     use maestro_dnn::{Layer, LayerDims, Operator};
+    use maestro_hw::Accelerator;
     use maestro_ir::{resolve, Style};
 
-    fn analyze_layer(layer: &Layer, style: Style, acc: &Accelerator) -> LevelResult {
+    /// A layer's top level, composed as the staged pipeline composes it:
+    /// static halves from the innermost level out, then their prices.
+    struct TopLevel {
+        st: LevelStatic,
+        runtime_first: f64,
+        peak_bw: f64,
+    }
+
+    impl std::ops::Deref for TopLevel {
+        type Target = LevelStatic;
+        fn deref(&self) -> &LevelStatic {
+            &self.st
+        }
+    }
+
+    fn analyze_layer(layer: &Layer, style: Style, acc: &Accelerator) -> TopLevel {
         let r = resolve(&style.dataflow(), layer, acc.num_pes).unwrap();
         let coupling = layer.coupling();
         let ctxs: Vec<LevelCtx> = r
@@ -727,18 +636,34 @@ mod tests {
             .iter()
             .map(|l| LevelCtx::build(&r, l, &coupling))
             .collect();
-        let mut result: Option<LevelResult> = None;
+        let mut stats: Vec<LevelStatic> = Vec::new();
         for (i, ctx) in ctxs.iter().enumerate().rev() {
-            result = Some(analyze_level(
+            let st = analyze_level_static(
                 ctx,
-                result.as_ref(),
-                acc,
+                stats.last().map(LevelStatic::carry),
+                acc.support,
+                acc.vector_width,
                 &coupling,
                 layer.density,
                 i == 0,
+            );
+            stats.push(st);
+        }
+        let mut perf: Option<LevelPerf> = None;
+        for st in &stats {
+            perf = Some(level_perf(
+                st,
+                perf.as_ref(),
+                acc.noc.bandwidth,
+                acc.noc.avg_latency,
             ));
         }
-        result.expect("at least one level")
+        let perf = perf.expect("at least one level");
+        TopLevel {
+            st: stats.pop().expect("at least one level"),
+            runtime_first: perf.runtime_first,
+            peak_bw: perf.peak_bw,
+        }
     }
 
     fn small_conv() -> Layer {

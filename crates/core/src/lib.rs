@@ -55,7 +55,7 @@ pub mod stages;
 
 pub use analysis::{analyze, analyze_model, analyze_model_with, AnalysisError};
 pub use counts::{ActivityCounts, EnergyBreakdown, PerTensor};
-pub use engine::{LevelPerf, LevelResult, LevelStatic};
+pub use engine::{LevelPerf, LevelStatic};
 pub use explain::{explain, Explanation, Observation};
 pub use level::{LevelCtx, OutputSpatial};
 pub use lint::{lint, Lint};

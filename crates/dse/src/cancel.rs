@@ -17,13 +17,8 @@ use std::fmt;
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// Progress callback: `(completed_units, total_units)` after each unit
-/// reaches a terminal outcome (including units skipped via resume, which
-/// are reported once up front). Called from worker threads; keep it cheap.
-pub type ProgressFn = dyn Fn(usize, usize) + Sync;
-
-/// One completed work unit's frontier contribution, delivered to
-/// [`SessionCtl::on_unit`] streaming consumers as the unit finishes.
+/// One completed work unit's progress and frontier contribution,
+/// delivered to [`SessionCtl::on_unit`] as the unit finishes.
 ///
 /// The calls are serialized (the engine fires them under its completion
 /// lock), `completed` is strictly monotone across them, and `pareto`
@@ -92,11 +87,11 @@ pub struct SessionCtl {
     /// cut short, counted in `maestro.dse.units_timed_out`, and rerouted
     /// to a retry.
     pub unit_timeout: Option<Duration>,
-    /// Progress observer (the CLI's `--progress` line).
-    pub on_progress: Option<Box<ProgressFn>>,
-    /// Per-unit frontier observer (the serving daemon's NDJSON stream).
-    /// Fired once per unit completed *in this session* — resumed-skipped
-    /// units are not replayed.
+    /// The one per-unit observer: the CLI's `--progress` line, the
+    /// serving daemon's NDJSON stream, and any caller that cancels
+    /// mid-sweep. Fired once per unit completed *in this session* —
+    /// resumed-skipped units are not replayed, but they count in
+    /// [`UnitUpdate::completed`].
     pub on_unit: Option<Box<UnitFn>>,
     /// Record a per-unit trace into the global
     /// [`maestro_obs::FlightRecorder`] for 1 in this many units
@@ -121,7 +116,6 @@ impl Default for SessionCtl {
             faults: FaultPlan::new(0, Vec::new()),
             retries: 1,
             unit_timeout: None,
-            on_progress: None,
             on_unit: None,
             trace_sample: None,
             trace_seed: 0,
@@ -139,7 +133,6 @@ impl fmt::Debug for SessionCtl {
             .field("faults", &self.faults)
             .field("retries", &self.retries)
             .field("unit_timeout", &self.unit_timeout)
-            .field("on_progress", &self.on_progress.is_some())
             .field("on_unit", &self.on_unit.is_some())
             .field("trace_sample", &self.trace_sample)
             .field("trace_seed", &self.trace_seed)

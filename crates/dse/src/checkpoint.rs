@@ -369,19 +369,17 @@ fn checkpoint_writes() -> &'static maestro_obs::Counter {
 /// parameters, the workload, and the full mapping DSL. Two sweeps with
 /// equal fingerprints produce equal results, so a checkpoint is resumable
 /// exactly when fingerprints match.
-/// `threads`, checkpoint cadence and fault plans are deliberately *not*
-/// fingerprinted: they do not change results. The evaluation mode
-/// ([`crate::EvalMode`]) *is* fingerprinted even though staged and full
-/// evaluation are bit-identical by construction: a mode mismatch between
-/// the run that wrote a checkpoint and the run resuming it is evidence of
-/// a configuration drift worth rejecting loudly rather than papering over.
+/// `threads`, checkpoint cadence, fault plans and the evaluation mode
+/// ([`crate::EvalMode`]) are deliberately *not* fingerprinted: they do
+/// not change results (`staged_equivalence` holds staged and full
+/// evaluation bit-identical, across a resume from one into the other).
 pub fn sweep_fingerprint(explorer: &Explorer, workload: &str, mappings: &[Dataflow]) -> u64 {
     let mut s = String::new();
     let sp = &explorer.space;
     let c: &Constraints = &explorer.constraints;
     let _ = write!(
         s,
-        "pes{:?};bw{:?};l1{:?};l2{:?};area{:016x};power{:016x};{:?};{:?};dram{:016x};prec{};cap{};eval={};wl={workload};",
+        "pes{:?};bw{:?};l1{:?};l2{:?};area{:016x};power{:016x};{:?};{:?};dram{:016x};prec{};cap{};wl={workload};",
         sp.pes,
         sp.noc_bw,
         sp.l1_bytes,
@@ -393,7 +391,6 @@ pub fn sweep_fingerprint(explorer: &Explorer, workload: &str, mappings: &[Datafl
         explorer.dram_pj.to_bits(),
         explorer.precision_bytes,
         explorer.sample_cap,
-        explorer.eval,
     );
     for m in mappings {
         let _ = write!(s, "map={m};");
@@ -773,12 +770,11 @@ mod tests {
         let mut other = base.clone();
         other.power_model.noc_mw_per_lane += 1.0;
         assert_ne!(reference, fp(&other, "layer:c", &maps));
-        // Evaluation mode: a staged checkpoint must not resume a full
-        // sweep (or vice versa), even though the two modes agree
-        // bit-for-bit on results.
+        // Evaluation mode: the two modes agree bit-for-bit on results, so
+        // a staged checkpoint resumes a full sweep and vice versa.
         let mut other = base.clone();
         other.eval = crate::EvalMode::Full;
-        assert_ne!(reference, fp(&other, "layer:c", &maps));
+        assert_eq!(reference, fp(&other, "layer:c", &maps));
         assert_ne!(reference, fp(&base, "layer:d", &maps));
         assert_ne!(reference, fp(&base, "layer:c", &maps[..1]));
     }

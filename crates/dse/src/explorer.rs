@@ -39,9 +39,9 @@ use std::time::Instant;
 /// Both modes produce bit-identical results (they share one analysis
 /// implementation — see [`maestro_core::StagedAnalysis`]). `Staged` is
 /// the sweep; `Full` is the differential oracle that equivalence tests
-/// and benchmarks check it against. The mode is folded into the
-/// checkpoint sweep fingerprint, so a checkpoint written under one mode
-/// cannot silently resume under the other.
+/// and benchmarks check it against. Because the mode cannot change a
+/// result, the checkpoint sweep fingerprint leaves it out: a checkpoint
+/// written under one mode resumes under the other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
     /// No stage reuse: every price call runs the whole pipeline, like a
@@ -255,10 +255,6 @@ pub struct Explorer {
     /// `capacity / precision_bytes` against the requirement (exactly as
     /// [`Accelerator::l1_elements`] does).
     pub precision_bytes: u64,
-    /// **Test-only fault-injection hook**: when set, the work unit for this
-    /// PE count panics, exercising the quarantine path end to end. Leave
-    /// `None` in production use.
-    pub fail_unit_pes: Option<u64>,
     /// How the cost model is invoked (staged delta-evaluation vs. the
     /// full-analysis oracle). Results are bit-identical either way.
     pub eval: EvalMode,
@@ -276,7 +272,6 @@ impl Explorer {
             sample_cap: 4096,
             dram_pj: 100.0,
             precision_bytes: 1,
-            fail_unit_pes: None,
             eval: EvalMode::default(),
         }
     }
@@ -335,9 +330,6 @@ impl Explorer {
     /// One layer work unit: the full mapping × bandwidth × capacity sweep
     /// at a single PE count.
     fn explore_unit_inner(&self, pes: u64, layer: &Layer, mappings: &[Dataflow]) -> Partial {
-        if self.fail_unit_pes == Some(pes) {
-            panic!("injected failure for PE count {pes}");
-        }
         let mut part = Partial::new();
         let caps_per_eval = self.space.capacity_cells() as u64;
         // The space is validated at the `explore*` boundary; an empty grid
@@ -1242,8 +1234,8 @@ struct UnitMetrics {
 /// log-spaced, 2 per decade from 1 µs to 60 s, so tail quantiles
 /// interpolate within ~3x instead of the old decade-wide jumps, and a
 /// layer unit of a few tens of µs lands inside the range. The CLI
-/// registers the same histogram from its progress callback — sharing the
-/// bounds here keeps the two registrations from conflicting.
+/// registers the same histogram from its `--progress` observer — sharing
+/// the bounds here keeps the two registrations from conflicting.
 pub fn unit_seconds_buckets() -> Vec<f64> {
     maestro_obs::metrics::log_buckets(1e-6, 60.0, 2)
 }
@@ -2155,9 +2147,6 @@ impl Explorer {
         model: &maestro_dnn::Model,
         mappings: &[Dataflow],
     ) -> Partial {
-        if self.fail_unit_pes == Some(pes) {
-            panic!("injected failure for PE count {pes}");
-        }
         let mut part = Partial::new();
         let caps_per_eval = self.space.capacity_cells() as u64;
         let Some(&bw0) = self.space.noc_bw.first() else {

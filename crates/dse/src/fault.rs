@@ -21,7 +21,7 @@
 //!   finite-value gates (the injected point must never survive into the
 //!   merged front, so results stay bit-identical to a clean run).
 
-use std::fmt;
+use maestro_obs::rng::{parse_spec, SpecError};
 use std::time::Duration;
 
 /// One fault kind with its per-attempt probability.
@@ -47,23 +47,6 @@ pub enum Fault {
         rate: f64,
     },
 }
-
-/// A malformed `--inject` spec.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultSpecError {
-    /// The offending clause.
-    pub clause: String,
-    /// Why it was rejected.
-    pub reason: String,
-}
-
-impl fmt::Display for FaultSpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bad fault clause `{}`: {}", self.clause, self.reason)
-    }
-}
-
-impl std::error::Error for FaultSpecError {}
 
 /// What a [`FaultPlan`] decided for one `(unit, attempt)` execution.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -96,62 +79,27 @@ impl FaultPlan {
         FaultPlan { seed, faults }
     }
 
-    /// Parse a spec like `panic:0.01,delay:50ms:0.05,nofinite:0.001`.
-    /// Durations accept `ms`, `s` or bare milliseconds; rates are in
-    /// `[0, 1]`.
+    /// Parse a spec like `panic:0.01,delay:50ms:0.05,nofinite:0.001`
+    /// with [`maestro_obs::rng::parse_spec`]: durations accept `ms`, `s`
+    /// or bare milliseconds, rates are in `[0, 1]`, and the faults keep
+    /// spec order (a fault's draw is keyed by its clause slot).
     ///
     /// # Errors
     ///
-    /// Returns [`FaultSpecError`] naming the first malformed clause.
-    pub fn parse(spec: &str, seed: u64) -> Result<FaultPlan, FaultSpecError> {
-        let err = |clause: &str, reason: &str| FaultSpecError {
-            clause: clause.to_string(),
-            reason: reason.to_string(),
-        };
-        let rate_of = |clause: &str, text: &str| -> Result<f64, FaultSpecError> {
-            let rate: f64 = text
-                .parse()
-                .map_err(|_| err(clause, "rate must be a number"))?;
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(err(clause, "rate must be in [0, 1]"));
-            }
-            Ok(rate)
-        };
-        let mut faults = Vec::new();
-        for clause in spec.split(',').filter(|c| !c.trim().is_empty()) {
-            let clause = clause.trim();
-            let mut parts = clause.split(':');
-            let kind = parts.next().unwrap_or_default();
-            match kind {
-                "panic" | "nofinite" => {
-                    let rate = rate_of(clause, parts.next().unwrap_or_default())?;
-                    if parts.next().is_some() {
-                        return Err(err(clause, "expected `kind:rate`"));
-                    }
-                    faults.push(if kind == "panic" {
-                        Fault::Panic { rate }
-                    } else {
-                        Fault::NoFinite { rate }
-                    });
-                }
-                "delay" => {
-                    let dur_text = parts.next().unwrap_or_default();
-                    let rate = rate_of(clause, parts.next().unwrap_or_default())?;
-                    if parts.next().is_some() {
-                        return Err(err(clause, "expected `delay:duration:rate`"));
-                    }
-                    let duration = parse_duration(dur_text)
-                        .ok_or_else(|| err(clause, "duration must be like `50ms` or `2s`"))?;
-                    faults.push(Fault::Delay { duration, rate });
-                }
-                other => {
-                    return Err(err(
-                        clause,
-                        &format!("unknown fault kind `{other}` (panic, delay, nofinite)"),
-                    ));
-                }
-            }
-        }
+    /// Returns [`SpecError`] naming the first malformed clause.
+    pub fn parse(spec: &str, seed: u64) -> Result<FaultPlan, SpecError> {
+        const KINDS: [(&str, bool); 3] = [("panic", false), ("delay", true), ("nofinite", false)];
+        let faults = parse_spec(spec, &KINDS)?
+            .into_iter()
+            .map(|c| match c.kind {
+                0 => Fault::Panic { rate: c.rate },
+                1 => Fault::Delay {
+                    duration: c.duration.unwrap_or_default(),
+                    rate: c.rate,
+                },
+                _ => Fault::NoFinite { rate: c.rate },
+            })
+            .collect();
         Ok(FaultPlan { seed, faults })
     }
 
@@ -191,22 +139,6 @@ impl FaultPlan {
         }
         inj
     }
-}
-
-/// `hms`/`s`-suffixed duration literal (bare numbers are milliseconds).
-fn parse_duration(text: &str) -> Option<Duration> {
-    let (num, scale_ms) = if let Some(n) = text.strip_suffix("ms") {
-        (n, 1.0)
-    } else if let Some(n) = text.strip_suffix('s') {
-        (n, 1000.0)
-    } else {
-        (text, 1.0)
-    };
-    let v: f64 = num.parse().ok()?;
-    if !(v.is_finite() && v >= 0.0) {
-        return None;
-    }
-    Some(Duration::from_secs_f64(v * scale_ms / 1000.0))
 }
 
 /// Uniform draw in `[0, 1)` at the decision coordinates — stateless, so

@@ -50,7 +50,7 @@ pub use explorer::{
     insert_pareto, unit_seconds_buckets, DesignPoint, DseResult, DseStats, EvalMode, Explorer,
     ParetoFront, Partial, QuarantinedUnit,
 };
-pub use fault::{Fault, FaultPlan, FaultSpecError};
+pub use fault::{Fault, FaultPlan};
 pub use parallel::{resolve_threads, unit_trace_draw, unit_trace_id, UnitOutcome};
 pub use space::{Constraints, SpaceError, SweepSpace};
 pub use tuner::{tune_layer, tune_model, Objective, TunedLayer, TunedModel};

@@ -251,9 +251,6 @@ where
         units_since_write: 0,
         last_write: Instant::now(),
     });
-    if let Some(p) = &ctl.on_progress {
-        p(resumed_skipped, units);
-    }
 
     // One attempt loop per unit: fault draw → injected stall (under the
     // watchdog) → guarded execution → retry or terminal outcome. Returns
@@ -350,9 +347,8 @@ where
                 }
             }
         }
-        // Deliberately still under the lock: streaming consumers get
-        // serialized calls with monotone `completed`, with no extra
-        // synchronization of their own.
+        // Under the lock, so observers get serialized calls with monotone
+        // `completed` and need no synchronization of their own.
         if let Some(f) = &ctl.on_unit {
             let (pareto, failed): (&[_], Option<&str>) = match &st.slots[i] {
                 Some(Ok(p)) => (&p.pareto, None),
@@ -366,10 +362,6 @@ where
                 pareto,
                 failed,
             });
-        }
-        drop(st);
-        if let Some(p) = &ctl.on_progress {
-            p(completed, units);
         }
     };
 
@@ -735,11 +727,11 @@ mod tests {
     fn cancellation_mid_run_is_a_partial_not_an_error() {
         let cancel_after = 3usize;
         let mut ctl = plain_ctl();
-        // Cancellation is requested from the progress hook, which fires at
+        // Cancellation is requested from the unit observer, which fires at
         // each unit boundary — exactly where real signals are observed.
         let token = ctl.token.clone();
-        ctl.on_progress = Some(Box::new(move |done: usize, _total: usize| {
-            if done >= cancel_after {
+        ctl.on_unit = Some(Box::new(move |u: &UnitUpdate<'_>| {
+            if u.completed >= cancel_after {
                 token.cancel();
             }
         }));

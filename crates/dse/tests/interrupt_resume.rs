@@ -6,10 +6,11 @@
 //! may differ.
 
 use maestro_dnn::{Layer, LayerDims, Operator};
-use maestro_dse::{variants, Checkpoint, DseResult, Explorer, FaultPlan, SessionCtl, SweepSpace};
+use maestro_dse::{
+    variants, Checkpoint, DseResult, Explorer, FaultPlan, SessionCtl, SweepSpace, UnitUpdate,
+};
 use maestro_ir::Style;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 /// Strip the wall-clock fields so the rest can be compared exactly.
@@ -44,9 +45,10 @@ fn scratch(tag: &str) -> PathBuf {
     p
 }
 
-/// Run a session that cancels itself once `k` units have completed, then
-/// resume from the resulting checkpoint (with `resume_faults` active) and
-/// return the resumed-to-completion result.
+/// Run a session that cancels itself at its `k`th unit boundary (the
+/// sweep's start counts as the first, so `k = 2` cancels when the first
+/// unit completes), then resume from the resulting checkpoint (with
+/// `resume_faults` active) and return the resumed-to-completion result.
 fn interrupt_at_k_then_resume(
     tag: &str,
     threads: usize,
@@ -60,8 +62,8 @@ fn interrupt_at_k_then_resume(
     let path = scratch(tag);
     let _ = std::fs::remove_file(&path);
 
-    // Phase 1: cancel after K completed units, from the progress hook —
-    // the same boundary a signal or deadline trips at.
+    // Phase 1: cancel at the k-th boundary, from the unit observer — the
+    // same boundary a signal or deadline trips at.
     let mut ctl = SessionCtl {
         checkpoint_path: Some(path.clone()),
         faults: first_faults,
@@ -70,9 +72,8 @@ fn interrupt_at_k_then_resume(
         ..Default::default()
     };
     let token = ctl.token.clone();
-    let done_units = AtomicU32::new(0);
-    ctl.on_progress = Some(Box::new(move |_done, _total| {
-        if done_units.fetch_add(1, Ordering::Relaxed) + 1 >= k {
+    ctl.on_unit = Some(Box::new(move |u: &UnitUpdate<'_>| {
+        if u.completed + 1 >= k as usize {
             token.cancel();
         }
     }));

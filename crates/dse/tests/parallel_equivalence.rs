@@ -4,7 +4,7 @@
 //! Only the wall-clock fields (`seconds`, `rate`) may differ.
 
 use maestro_dnn::{zoo, Layer, LayerDims, Operator};
-use maestro_dse::{variants, DseResult, Explorer, SweepSpace};
+use maestro_dse::{variants, DseResult, Explorer, FaultPlan, SessionCtl, SweepSpace};
 use maestro_ir::Style;
 
 /// Strip the wall-clock fields so the rest can be compared exactly.
@@ -96,48 +96,69 @@ fn model_explore_is_thread_count_invariant() {
     }
 }
 
-/// Fault isolation: a panicking work unit (injected via the test hook)
-/// must not abort the sweep. The run completes, the failed unit is
-/// reported in `stats.quarantined`, and the merged result stays
+/// A session that panics each attempt of a unit with probability 1/2.
+/// At seed 3 over the tiny space's three units, unit 1 panics on every
+/// attempt and units 0 and 2 panic once and recover on their retry.
+fn panicking_session() -> SessionCtl {
+    SessionCtl {
+        faults: FaultPlan::parse("panic:0.5", 3).expect("valid spec"),
+        ..Default::default()
+    }
+}
+
+/// The units `ctl` quarantines: those whose every attempt panics.
+fn quarantined_by(ctl: &SessionCtl, units: usize) -> Vec<usize> {
+    (0..units)
+        .filter(|&u| (0..=ctl.retries).all(|a| ctl.faults.decide(u, a).panic))
+        .collect()
+}
+
+/// Fault isolation: a panicking work unit (injected through the session's
+/// fault plan) must not abort the sweep. The run completes, the failed
+/// unit is reported in `stats.quarantined`, and the merged result stays
 /// bit-identical at 1/2/8/auto threads.
 #[test]
 fn quarantined_unit_degrades_without_aborting_and_stays_deterministic() {
-    let mut e = Explorer::new(SweepSpace::tiny());
-    let poisoned_pes = e.space.pes[1];
-    e.fail_unit_pes = Some(poisoned_pes);
+    let e = Explorer::new(SweepSpace::tiny());
+    let ctl = panicking_session();
+    let expected = quarantined_by(&ctl, e.space.pes.len());
+    assert!(
+        !expected.is_empty() && expected.len() < e.space.pes.len(),
+        "pick a seed that quarantines some units but not all: {expected:?}"
+    );
     let layer = conv_layer();
     let maps = variants::variants(Style::KCP);
 
-    let seq = canonical(e.explore(&layer, &maps).expect("valid space"));
-    assert_eq!(
-        seq.stats.quarantined.len(),
-        1,
-        "{:?}",
-        seq.stats.quarantined
+    let seq = canonical(
+        e.explore_session(&layer, &maps, 1, &ctl)
+            .expect("valid space")
+            .0,
     );
-    assert_eq!(seq.stats.quarantined[0].unit, 1);
-    assert!(
-        seq.stats.quarantined[0]
-            .message
-            .contains(&format!("injected failure for PE count {poisoned_pes}")),
-        "{}",
-        seq.stats.quarantined[0].message
-    );
+    let units: Vec<usize> = seq.stats.quarantined.iter().map(|q| q.unit).collect();
+    assert_eq!(units, expected, "{:?}", seq.stats.quarantined);
+    for q in &seq.stats.quarantined {
+        assert!(
+            q.message.contains(&format!(
+                "injected panic (unit {}, attempt {})",
+                q.unit, ctl.retries
+            )),
+            "{}",
+            q.message
+        );
+    }
     // The surviving units still produce results.
     assert!(seq.stats.valid > 0, "{:?}", seq.stats);
 
     for threads in [1, 2, 8, 0] {
-        let par = e
-            .explore_parallel(&layer, &maps, threads)
+        let (par, _) = e
+            .explore_session(&layer, &maps, threads, &ctl)
             .expect("valid space");
         assert_identical(&seq, par, &format!("quarantine, {threads} threads"));
     }
 
     // The degraded run found strictly fewer (or equal) points than a
     // healthy one, and a healthy run quarantines nothing.
-    let mut healthy = e.clone();
-    healthy.fail_unit_pes = None;
-    let full = canonical(healthy.explore(&layer, &maps).expect("valid space"));
+    let full = canonical(e.explore(&layer, &maps).expect("valid space"));
     assert!(full.stats.quarantined.is_empty());
     assert!(seq.stats.valid <= full.stats.valid);
     assert!(seq.stats.explored < full.stats.explored);
@@ -145,16 +166,20 @@ fn quarantined_unit_degrades_without_aborting_and_stays_deterministic() {
 
 #[test]
 fn model_explore_quarantines_panicking_units_too() {
-    let mut e = Explorer::new(SweepSpace::tiny());
-    e.fail_unit_pes = Some(e.space.pes[0]);
+    let e = Explorer::new(SweepSpace::tiny());
+    let ctl = panicking_session();
     let model = zoo::alexnet(1);
     let maps = variants::variants(Style::KCP);
-    let seq = canonical(e.explore_model(&model, &maps).expect("valid space"));
-    assert_eq!(seq.stats.quarantined.len(), 1);
-    assert_eq!(seq.stats.quarantined[0].unit, 0);
+    let seq = canonical(
+        e.explore_model_session(&model, &maps, 1, &ctl)
+            .expect("valid space")
+            .0,
+    );
+    let units: Vec<usize> = seq.stats.quarantined.iter().map(|q| q.unit).collect();
+    assert_eq!(units, quarantined_by(&ctl, e.space.pes.len()));
     for threads in [2, 8] {
-        let par = e
-            .explore_model_parallel(&model, &maps, threads)
+        let (par, _) = e
+            .explore_model_session(&model, &maps, threads, &ctl)
             .expect("valid space");
         assert_identical(&seq, par, &format!("model quarantine, {threads} threads"));
     }

@@ -12,10 +12,10 @@
 use maestro_dnn::{zoo, Layer, LayerDims, Operator};
 use maestro_dse::{
     variants, Checkpoint, DseResult, EvalMode, Explorer, FaultPlan, SessionCtl, SweepSpace,
+    UnitUpdate,
 };
 use maestro_ir::Style;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Strip the wall-clock fields so the rest can be compared exactly.
 fn canonical(mut r: DseResult) -> DseResult {
@@ -152,7 +152,7 @@ fn staged_session_with_checkpoint_and_faults_matches_full() {
     let _ = std::fs::remove_file(&path);
     let faults = FaultPlan::parse("panic:0.2,nofinite:0.5", 42).expect("valid fault spec");
 
-    // Phase 1: cancel after two completed units.
+    // Phase 1: cancel when the first unit completes.
     let mut ctl = SessionCtl {
         checkpoint_path: Some(path.clone()),
         faults: faults.clone(),
@@ -160,9 +160,8 @@ fn staged_session_with_checkpoint_and_faults_matches_full() {
         ..Default::default()
     };
     let token = ctl.token.clone();
-    let done_units = AtomicU32::new(0);
-    ctl.on_progress = Some(Box::new(move |_done, _total| {
-        if done_units.fetch_add(1, Ordering::Relaxed) + 1 >= 2 {
+    ctl.on_unit = Some(Box::new(move |u: &UnitUpdate<'_>| {
+        if u.completed >= 1 {
             token.cancel();
         }
     }));
@@ -194,36 +193,49 @@ fn staged_session_with_checkpoint_and_faults_matches_full() {
     assert_eq!(golden, r, "staged session diverged from full sweep");
 }
 
-/// Satellite guard: a checkpoint written in one evaluation mode must not
-/// resume a sweep running in the other, even though their results agree —
-/// the fingerprint treats the mode as part of the sweep's identity.
+/// The evaluation mode changes no result, so the checkpoint fingerprint
+/// leaves it out: a sweep interrupted under one mode resumes under the
+/// other, both ways round, to the uninterrupted staged result.
 #[test]
-fn cross_mode_resume_is_rejected() {
+fn cross_mode_resume_matches_the_uninterrupted_sweep() {
     let layer = Layer::new("c", Operator::conv2d(), LayerDims::square(1, 32, 16, 18, 3));
     let maps = variants::variants(Style::KCP);
-    let path = scratch("cross-mode");
-    let _ = std::fs::remove_file(&path);
-    let ctl = SessionCtl {
-        checkpoint_path: Some(path.clone()),
-        ..Default::default()
-    };
-    explorer(EvalMode::Staged, SweepSpace::tiny())
-        .explore_session(&layer, &maps, 1, &ctl)
-        .expect("baseline staged session");
-    let ckpt = Checkpoint::load(&path).expect("checkpoint loads");
-    let bad = SessionCtl {
-        resume: Some(ckpt),
-        ..Default::default()
-    };
-    let err = explorer(EvalMode::Full, SweepSpace::tiny())
-        .explore_session(&layer, &maps, 1, &bad)
-        .expect_err("cross-mode resume must be rejected");
-    assert!(
-        matches!(
-            err,
-            maestro_dse::SessionError::Checkpoint(maestro_dse::CheckpointError::Fingerprint { .. })
-        ),
-        "wrong error: {err:?}"
+    let golden = canonical(
+        explorer(EvalMode::Staged, SweepSpace::tiny())
+            .explore_parallel(&layer, &maps, 1)
+            .expect("valid space"),
     );
-    let _ = std::fs::remove_file(&path);
+    for (first, then) in [
+        (EvalMode::Staged, EvalMode::Full),
+        (EvalMode::Full, EvalMode::Staged),
+    ] {
+        let path = scratch(&format!("cross-mode-{first}"));
+        let _ = std::fs::remove_file(&path);
+        // One thread, cancelled when the first unit completes.
+        let mut ctl = SessionCtl {
+            checkpoint_path: Some(path.clone()),
+            ..Default::default()
+        };
+        let token = ctl.token.clone();
+        ctl.on_unit = Some(Box::new(move |_: &UnitUpdate<'_>| token.cancel()));
+        let (partial, report) = explorer(first, SweepSpace::tiny())
+            .explore_session(&layer, &maps, 1, &ctl)
+            .expect("interrupted session still succeeds");
+        assert!(report.interrupted && partial.partial, "{first}");
+        let resumed_ctl = SessionCtl {
+            resume: Some(Checkpoint::load(&path).expect("checkpoint loads")),
+            ..Default::default()
+        };
+        let (full_run, resumed_report) = explorer(then, SweepSpace::tiny())
+            .explore_session(&layer, &maps, 1, &resumed_ctl)
+            .expect("a checkpoint resumes under the other mode");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(resumed_report.resumed_skipped, 1, "{first} -> {then}");
+        assert_eq!(resumed_report.completed_units, resumed_report.total_units);
+        assert_eq!(
+            golden,
+            canonical(full_run),
+            "{first} checkpoint resumed under {then} diverged"
+        );
+    }
 }

@@ -17,7 +17,8 @@
 //!   Prometheus text exposition format.
 //! * [`rng`] — stateless seeded draws (splitmix64): the one source of
 //!   randomness behind fault injection, serve chaos and trace IDs, so
-//!   every seeded run reproduces at any thread count.
+//!   every seeded run reproduces at any thread count; also the one
+//!   parser of the two fault plans' spec grammar.
 //! * [`span`] — lightweight hierarchical tracing spans: RAII guards,
 //!   monotonic timing, per-thread buffers flushed at root-scope exit so
 //!   the parallel DSE hot path never contends on a global lock. Exported

@@ -7,8 +7,14 @@
 //! thread identity, no clock — so a seeded run hits the same draws at any
 //! thread count and across interrupt/resume splits. The mixing function
 //! is the splitmix64 finalizer (Steele, Lea & Flood, OOPSLA 2014).
+//!
+//! The two fault plans are also written in one grammar, parsed here by
+//! [`parse_spec`]: comma-separated `kind:rate` or `kind:duration:rate`
+//! clauses, each plan supplying its own table of kinds.
 
 use crate::trace::TraceId;
+use std::fmt;
+use std::time::Duration;
 
 /// The splitmix64 state increment (2⁶⁴ / φ, odd).
 const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -59,6 +65,109 @@ pub fn trace_id(seed: u64, n: u64) -> TraceId {
     TraceId((u128::from(hi) << 64) | u128::from(lo))
 }
 
+/// A malformed fault spec (`--inject` or `--chaos`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpecError {
+    /// The offending clause.
+    pub clause: String,
+    /// Why it was rejected.
+    pub reason: String,
+}
+
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "bad clause `{}`: {}", self.clause, self.reason)
+    }
+}
+
+impl std::error::Error for SpecError {}
+
+/// One clause of a fault spec.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Clause {
+    /// The clause's kind, as an index into the table given to
+    /// [`parse_spec`].
+    pub kind: usize,
+    /// The clause's duration, for kinds that take one.
+    pub duration: Option<Duration>,
+    /// Per-draw probability in `[0, 1]`.
+    pub rate: f64,
+}
+
+/// Parse a fault spec like `panic:0.01,delay:50ms:0.05` into its clauses,
+/// in spec order. `kinds` lists each kind's name and whether it takes a
+/// duration (`kind:duration:rate`) or not (`kind:rate`). Empty clauses
+/// are skipped; durations are `50ms`, `2s` or bare milliseconds; rates
+/// are in `[0, 1]`.
+///
+/// # Errors
+///
+/// Returns [`SpecError`] naming the first malformed clause.
+pub fn parse_spec(spec: &str, kinds: &[(&str, bool)]) -> Result<Vec<Clause>, SpecError> {
+    let mut clauses = Vec::new();
+    for clause in spec.split(',').map(str::trim).filter(|c| !c.is_empty()) {
+        let err = |reason: String| SpecError {
+            clause: clause.to_string(),
+            reason,
+        };
+        let mut parts = clause.split(':');
+        let name = parts.next().unwrap_or_default();
+        let Some((kind, &(_, timed))) = kinds.iter().enumerate().find(|(_, (k, _))| *k == name)
+        else {
+            let known: Vec<&str> = kinds.iter().map(|&(k, _)| k).collect();
+            return Err(err(format!("unknown kind `{name}` ({})", known.join(", "))));
+        };
+        let duration = if timed {
+            let text = parts.next().unwrap_or_default();
+            Some(
+                parse_duration(text)
+                    .ok_or_else(|| err("duration must be like `50ms` or `2s`".into()))?,
+            )
+        } else {
+            None
+        };
+        let rate: f64 = parts
+            .next()
+            .unwrap_or_default()
+            .parse()
+            .map_err(|_| err("rate must be a number".into()))?;
+        if !(0.0..=1.0).contains(&rate) {
+            return Err(err("rate must be in [0, 1]".into()));
+        }
+        if parts.next().is_some() {
+            let shape = if timed {
+                "kind:duration:rate"
+            } else {
+                "kind:rate"
+            };
+            return Err(err(format!("expected `{shape}`")));
+        }
+        clauses.push(Clause {
+            kind,
+            duration,
+            rate,
+        });
+    }
+    Ok(clauses)
+}
+
+/// A duration literal: `50ms`, `2s`, or bare milliseconds. `None` unless
+/// it is a non-negative number that fits a [`Duration`].
+fn parse_duration(text: &str) -> Option<Duration> {
+    let (num, scale_ms) = if let Some(n) = text.strip_suffix("ms") {
+        (n, 1.0)
+    } else if let Some(n) = text.strip_suffix('s') {
+        (n, 1000.0)
+    } else {
+        (text, 1.0)
+    };
+    let v: f64 = num.parse().ok()?;
+    if !(v.is_finite() && v >= 0.0) {
+        return None;
+    }
+    Duration::try_from_secs_f64(v * scale_ms / 1000.0).ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,5 +197,53 @@ mod tests {
         let ids: std::collections::HashSet<TraceId> = (0..1000).map(|n| trace_id(5, n)).collect();
         assert_eq!(ids.len(), 1000);
         assert_ne!(trace_id(5, 1), trace_id(6, 1));
+    }
+
+    const KINDS: [(&str, bool); 2] = [("panic", false), ("delay", true)];
+
+    #[test]
+    fn spec_clauses_keep_spec_order_and_repeats() {
+        let clauses = parse_spec(" delay:2s:0.5,, panic:1 ,delay:250:0 ", &KINDS).unwrap();
+        assert_eq!(
+            clauses,
+            [
+                Clause {
+                    kind: 1,
+                    duration: Some(Duration::from_secs(2)),
+                    rate: 0.5
+                },
+                Clause {
+                    kind: 0,
+                    duration: None,
+                    rate: 1.0
+                },
+                Clause {
+                    kind: 1,
+                    duration: Some(Duration::from_millis(250)),
+                    rate: 0.0
+                },
+            ]
+        );
+        assert_eq!(parse_spec("", &KINDS), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn malformed_clauses_are_named_in_the_error() {
+        for (bad, reason) in [
+            ("explode:0.5", "unknown kind `explode` (panic, delay)"),
+            ("panic", "rate must be a number"),
+            ("panic:NaN", "rate must be in [0, 1]"),
+            ("panic:1.5", "rate must be in [0, 1]"),
+            ("panic:0.5:extra", "expected `kind:rate`"),
+            ("delay:50ms", "rate must be a number"),
+            ("delay:fast:0.5", "duration must be like `50ms` or `2s`"),
+            ("delay:-5ms:0.5", "duration must be like `50ms` or `2s`"),
+            ("delay:1e300s:0.5", "duration must be like `50ms` or `2s`"),
+            ("delay:5ms:0.5:x", "expected `kind:duration:rate`"),
+        ] {
+            let err = parse_spec(&format!("panic:0,{bad}"), &KINDS).unwrap_err();
+            assert_eq!(err.clause, bad);
+            assert_eq!(err.reason, reason, "{bad}");
+        }
     }
 }

@@ -202,16 +202,9 @@ pub fn drain() -> Vec<SpanEvent> {
 pub fn to_jsonl(events: &[SpanEvent]) -> String {
     let mut out = String::new();
     for e in events {
-        out.push_str("{\"name\":\"");
-        for c in e.name.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push_str("\",\"id\":");
+        out.push_str("{\"name\":");
+        crate::trace::push_json_str(&mut out, e.name);
+        out.push_str(",\"id\":");
         out.push_str(&e.id.to_string());
         out.push_str(",\"parent\":");
         match e.parent {

@@ -213,7 +213,7 @@ impl TraceRecord {
 }
 
 /// JSON-escape `s` into `out` with surrounding quotes.
-fn push_json_str(out: &mut String, s: &str) {
+pub(crate) fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

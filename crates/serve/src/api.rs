@@ -475,10 +475,10 @@ impl ApiCtx {
         let mut answers = Vec::with_capacity(layers.len());
         for layer in layers {
             let got = if cache_only {
-                self.cache.peek(layer, &p.dataflow, &p.acc).ok_or(None)
+                self.cache.peek(layer, p.dataflow, &p.acc).ok_or(None)
             } else {
                 self.cache
-                    .analyze(layer, &p.dataflow, &p.acc, Some(token))
+                    .analyze(layer, p.dataflow, &p.acc, Some(token))
                     .map_err(|e| match e {
                         AnalysisError::Cancelled => None,
                         e => Some(e),
@@ -796,7 +796,7 @@ impl ApiCtx {
 /// and the one layer asked for (`None`: the whole model).
 struct Point {
     model: &'static Model,
-    dataflow: Dataflow,
+    dataflow: &'static Dataflow,
     acc: Accelerator,
     layer: Option<&'static Layer>,
 }
@@ -921,13 +921,18 @@ fn zoo_model(body: &Value) -> Result<&'static Model, Response> {
     })
 }
 
-fn load_dataflow(body: &Value) -> Result<Dataflow, Response> {
+/// The dataflow of the style `body` names (`KC-P` when it names none).
+/// The five styles' dataflows are built once per process, on first use.
+fn load_dataflow(body: &Value) -> Result<&'static Dataflow, Response> {
+    static FLOWS: OnceLock<Vec<(Style, Dataflow)>> = OnceLock::new();
     let spec = body
         .get("dataflow")
         .and_then(Value::as_str)
         .unwrap_or("KC-P");
+    let flows = FLOWS.get_or_init(|| Style::ALL.into_iter().map(|s| (s, s.dataflow())).collect());
     find_style(spec)
-        .map(|s| s.dataflow())
+        .and_then(|style| flows.iter().find(|(s, _)| *s == style))
+        .map(|(_, dataflow)| dataflow)
         .ok_or_else(|| error_response(400, &format!("unknown dataflow style `{spec}`")))
 }
 

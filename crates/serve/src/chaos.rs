@@ -28,29 +28,13 @@
 //! * **stall** — the handler sleeps before dispatch, driving queue
 //!   sojourn up and exercising the CoDel shed and deadline paths.
 //!
-//! Spec grammar mirrors `--inject`:
+//! The spec is written in `--inject`'s grammar and parsed by the same
+//! function, `maestro_obs::rng::parse_spec`:
 //! `read-err:0.01,write-err:0.01,write-delay:20ms:0.05,worker-panic:0.005,stall:10ms:0.02`.
 
-use std::fmt;
+use maestro_obs::rng::{parse_spec, SpecError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// A malformed `--chaos` spec.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosSpecError {
-    /// The offending clause.
-    pub clause: String,
-    /// Why it was rejected.
-    pub reason: String,
-}
-
-impl fmt::Display for ChaosSpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bad chaos clause `{}`: {}", self.clause, self.reason)
-    }
-}
-
-impl std::error::Error for ChaosSpecError {}
 
 /// Indexes into the per-kind sequence counters (also the kind tag mixed
 /// into the draw, so two kinds at the same sequence number decorrelate).
@@ -75,68 +59,32 @@ pub struct ChaosPlan {
 
 impl ChaosPlan {
     /// Parse a spec like
-    /// `read-err:0.01,write-delay:20ms:0.05,worker-panic:0.005`.
-    /// Durations accept `ms`, `s` or bare milliseconds; rates are in
-    /// `[0, 1]`.
+    /// `read-err:0.01,write-delay:20ms:0.05,worker-panic:0.005` with
+    /// [`maestro_obs::rng::parse_spec`]: durations accept `ms`, `s` or
+    /// bare milliseconds, rates are in `[0, 1]`, and a kind given twice
+    /// takes its last clause.
     ///
     /// # Errors
     ///
-    /// Returns [`ChaosSpecError`] naming the first malformed clause.
-    pub fn parse(spec: &str, seed: u64) -> Result<ChaosPlan, ChaosSpecError> {
-        let err = |clause: &str, reason: &str| ChaosSpecError {
-            clause: clause.to_string(),
-            reason: reason.to_string(),
-        };
-        let rate_of = |clause: &str, text: &str| -> Result<f64, ChaosSpecError> {
-            let rate: f64 = text
-                .parse()
-                .map_err(|_| err(clause, "rate must be a number"))?;
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(err(clause, "rate must be in [0, 1]"));
-            }
-            Ok(rate)
-        };
+    /// Returns [`SpecError`] naming the first malformed clause.
+    pub fn parse(spec: &str, seed: u64) -> Result<ChaosPlan, SpecError> {
+        // Indexed by the `KIND_*` constants.
+        const NAMES: [(&str, bool); KINDS] = [
+            ("read-err", false),
+            ("write-err", false),
+            ("write-delay", true),
+            ("worker-panic", false),
+            ("stall", true),
+        ];
         let mut plan = ChaosPlan::empty(seed);
-        for clause in spec.split(',') {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
-            let mut parts = clause.split(':');
-            let kind = parts.next().unwrap_or("");
-            match kind {
-                "read-err" | "write-err" | "worker-panic" => {
-                    let rate = rate_of(clause, parts.next().unwrap_or(""))?;
-                    if parts.next().is_some() {
-                        return Err(err(clause, "expected `kind:rate`"));
-                    }
-                    match kind {
-                        "read-err" => plan.read_err = rate,
-                        "write-err" => plan.write_err = rate,
-                        _ => plan.worker_panic = rate,
-                    }
-                }
-                "write-delay" | "stall" => {
-                    let duration = parse_duration(clause, parts.next().unwrap_or(""))?;
-                    let rate = rate_of(clause, parts.next().unwrap_or(""))?;
-                    if parts.next().is_some() {
-                        return Err(err(clause, "expected `kind:duration:rate`"));
-                    }
-                    if kind == "write-delay" {
-                        plan.write_delay = Some((duration, rate));
-                    } else {
-                        plan.stall = Some((duration, rate));
-                    }
-                }
-                other => {
-                    return Err(err(
-                        clause,
-                        &format!(
-                            "unknown kind `{other}` \
-                             (read-err|write-err|write-delay|worker-panic|stall)"
-                        ),
-                    ))
-                }
+        for c in parse_spec(spec, &NAMES)? {
+            let timed = c.duration.map(|d| (d, c.rate));
+            match c.kind {
+                KIND_READ_ERR => plan.read_err = c.rate,
+                KIND_WRITE_ERR => plan.write_err = c.rate,
+                KIND_WRITE_DELAY => plan.write_delay = timed,
+                KIND_WORKER_PANIC => plan.worker_panic = c.rate,
+                _ => plan.stall = timed,
             }
         }
         Ok(plan)
@@ -188,28 +136,6 @@ impl ChaosPlan {
         let (d, rate) = self.stall?;
         (rate > 0.0 && self.draw(KIND_STALL) < rate).then_some(d)
     }
-}
-
-/// `50ms`, `2s`, or bare milliseconds.
-fn parse_duration(clause: &str, text: &str) -> Result<Duration, ChaosSpecError> {
-    let err = |reason: &str| ChaosSpecError {
-        clause: clause.to_string(),
-        reason: reason.to_string(),
-    };
-    let (digits, scale_ms) = if let Some(d) = text.strip_suffix("ms") {
-        (d, 1.0)
-    } else if let Some(d) = text.strip_suffix('s') {
-        (d, 1000.0)
-    } else {
-        (text, 1.0)
-    };
-    let v: f64 = digits
-        .parse()
-        .map_err(|_| err("duration must be like `50ms` or `2s`"))?;
-    if !v.is_finite() || v < 0.0 {
-        return Err(err("duration must be non-negative and finite"));
-    }
-    Ok(Duration::from_secs_f64(v * scale_ms / 1000.0))
 }
 
 #[cfg(test)]

@@ -74,7 +74,7 @@ pub use api::{
     classify, effective_threads, ApiCtx, Handled, Pressure, ReqClass, StreamSummary,
     MAX_BATCH_POINTS,
 };
-pub use chaos::{ChaosPlan, ChaosSpecError};
+pub use chaos::ChaosPlan;
 pub use http::{parse_request, HttpError, Limits, Parsed, Request, Response};
 pub use json::{parse as parse_json, JsonError, Value};
 pub use queue::{AdmissionCtl, BoundedQueue};

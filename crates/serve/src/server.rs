@@ -283,7 +283,7 @@ impl Server {
         let chaos = match &cfg.chaos {
             None => None,
             Some(spec) => Some(Arc::new(ChaosPlan::parse(spec, cfg.chaos_seed).map_err(
-                |e| std::io::Error::new(ErrorKind::InvalidInput, e.to_string()),
+                |e| std::io::Error::new(ErrorKind::InvalidInput, format!("chaos spec: {e}")),
             )?)),
         };
         let worker_count = cfg.workers.max(1);

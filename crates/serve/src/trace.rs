@@ -171,17 +171,10 @@ fn fold_phases(rec: &TraceRecord) -> (u64, u64, u64, u64) {
 /// "parse_us","analyze_us","serialize_us"}`.
 pub fn access_line(rec: &TraceRecord) -> String {
     let (queue, parse, analyze, serialize) = fold_phases(rec);
-    let mut route = String::with_capacity(rec.name.len());
-    for c in rec.name.chars() {
-        match c {
-            '"' => route.push_str("\\\""),
-            '\\' => route.push_str("\\\\"),
-            c if (c as u32) < 0x20 => route.push_str(&format!("\\u{:04x}", c as u32)),
-            c => route.push(c),
-        }
-    }
+    let mut route = String::with_capacity(rec.name.len() + 2);
+    serde::write_escaped(&mut route, &rec.name);
     format!(
-        "{{\"trace_id\":\"{}\",\"route\":\"{}\",\"status\":{},\"bytes\":{},\"total_us\":{},\
+        "{{\"trace_id\":\"{}\",\"route\":{},\"status\":{},\"bytes\":{},\"total_us\":{},\
          \"queue_us\":{},\"parse_us\":{},\"analyze_us\":{},\"serialize_us\":{}}}",
         rec.id.to_hex(),
         route,
