@@ -400,34 +400,31 @@ kill -TERM "${serve_pid}"
 rc=0; wait "${serve_pid}" || rc=$?
 [ "${rc}" -eq 0 ] || { echo "chaos-matrix daemon drain exited ${rc}, expected 0" >&2; exit 1; }
 
-# Serve latency baseline: short steady loads in each serving shape —
-# single analyze, 8-point batch, NDJSON stream — plus an *overload* row:
-# an open-loop analyze run offering 4x the capacity just measured. The
-# admission controller must hold goodput at >= 80% of the 1x capacity
-# and keep admitted-request p99 under the request deadline while
-# shedding the excess. The rows (p50/p90/p99 + QPS + outcome census
-# each) are combined into one record in the smoke scratch dir and
-# printed. The committed BENCH_serve.json is a baseline re-recorded by
-# hand, never here.
-echo "== serve bench (analyze + batch + stream + overload rows)"
+# Serve latency baseline: short closed-loop loads at 4 clients in each
+# serving shape — single analyze, 8-point batch, NDJSON stream, and the
+# mixed traffic (analyze, batch, dse, stream, conform) — then an
+# *overload* row: 128 mixed clients against 64 queue slots and 2
+# workers, so the queue fills and both shed paths must fire. The
+# rows (p50/p90/p99 + QPS + outcome census each) are combined into one
+# record in the smoke scratch dir and printed. The committed
+# BENCH_serve.json is a baseline re-recorded by hand, never here.
+echo "== serve bench (analyze + batch + stream + mixed + overload rows)"
 target/release/maestro serve --addr 127.0.0.1:0 --workers 2 \
   > "${serve_log}.bench" 2>/dev/null &
 serve_pid=$!
 serve_addr=$(wait_for_addr "${serve_log}.bench")
-for mode in analyze batch stream; do
+for mode in analyze batch stream mixed; do
   target/release/loadgen --addr "${serve_addr}" --seconds 2 --concurrency 4 \
     --mode "${mode}" --retries 2 --out "${smokedir}/bench_${mode}.json" > /dev/null
 done
-cap_qps=$(sed -n 's/.*"qps": \([0-9.]*\).*/\1/p' "${smokedir}/bench_analyze.json" | head -1)
-offered=$(awk "BEGIN{printf \"%.0f\", ${cap_qps} * 4}")
-target/release/loadgen --addr "${serve_addr}" --seconds 3 --concurrency 8 \
-  --mode analyze --retries 0 --offered-rate "${offered}" \
-  --out "${smokedir}/bench_overload.json" > /dev/null \
+target/release/loadgen --addr "${serve_addr}" --seconds 3 --concurrency 128 \
+  --mode mixed --retries 0 --out "${smokedir}/bench_overload.json" > /dev/null \
   || { echo "overload loadgen failed" >&2; cat "${smokedir}/bench_overload.json" >&2; exit 1; }
+bench_metrics=$(serve_request "${serve_addr}" GET /metrics)
 kill -TERM "${serve_pid}"
 rc=0; wait "${serve_pid}" || rc=$?
 [ "${rc}" -eq 0 ] || { echo "bench daemon drain exited ${rc}, expected 0" >&2; exit 1; }
-for mode in analyze batch stream overload; do
+for mode in analyze batch stream mixed overload; do
   for field in '"qps"' '"p50_ms"' '"p90_ms"' '"p99_ms"' '"ok"' '"shed"'; do
     grep -q "${field}" "${smokedir}/bench_${mode}.json" \
       || { echo "bench ${mode} row is missing ${field}" >&2; cat "${smokedir}/bench_${mode}.json" >&2; exit 1; }
@@ -440,19 +437,30 @@ done
 p50=$(sed -n 's/.*"p50_ms": \([0-9.]*\).*/\1/p' "${smokedir}/bench_analyze.json" | head -1)
 awk "BEGIN{exit !(${p50} < 2.0)}" \
   || { echo "analyze p50 ${p50} ms is not below the former 2 ms accept-poll floor" >&2; exit 1; }
-# The overload contract: goodput under 4x offered load stays >= 80% of
-# the 1x closed-loop capacity, and the p99 of *admitted* requests stays
-# under the 2 s request deadline — collapse on either axis means the
-# admission controller is letting queueing delay eat the service rate.
+# The overload contract. Goodput stays >= 80% of the 1x mixed row, and
+# the p99 of *admitted* requests stays under the 2 s request deadline;
+# without brownout the queue bound alone holds about half the 1x row,
+# so this gate fails if brownout goes. Both shed paths fired: the
+# acceptor's queue-full 503 (`shed`) and the brownout preflight
+# (`brownout_shed`); the 1x rows hold at most 4 connections, so neither
+# count can come from them.
+cap_qps=$(sed -n 's/.*"qps": \([0-9.]*\).*/\1/p' "${smokedir}/bench_mixed.json" | head -1)
 over_qps=$(sed -n 's/.*"qps": \([0-9.]*\).*/\1/p' "${smokedir}/bench_overload.json" | head -1)
 over_p99=$(sed -n 's/.*"p99_ms": \([0-9.]*\).*/\1/p' "${smokedir}/bench_overload.json" | head -1)
 awk "BEGIN{exit !(${over_qps} >= 0.8 * ${cap_qps})}" \
-  || { echo "overload goodput ${over_qps} qps fell below 80% of capacity ${cap_qps} qps" >&2; exit 1; }
+  || { echo "overload goodput ${over_qps} qps fell below 80% of the 1x mixed ${cap_qps} qps" >&2; exit 1; }
 awk "BEGIN{exit !(${over_p99} < 2000)}" \
   || { echo "overload p99 ${over_p99} ms breached the 2 s request deadline" >&2; exit 1; }
+for counter in shed brownout_shed; do
+  n=$(sed -n "s/^maestro_serve_${counter} \([0-9]*\).*/\1/p" <<<"${bench_metrics}" | head -1)
+  if [ -z "${n}" ] || [ "${n}" -lt 1 ]; then
+    echo "expected maestro_serve_${counter} >= 1 under 128 overload clients, got '${n}'" >&2
+    exit 1
+  fi
+done
 {
   printf '{\n'
-  for mode in analyze batch stream overload; do
+  for mode in analyze batch stream mixed overload; do
     [ "${mode}" = analyze ] || printf ',\n'
     printf '"%s":\n' "${mode}"
     cat "${smokedir}/bench_${mode}.json"

@@ -7,12 +7,9 @@
 //! `Retry-After` as a backoff floor, all under a per-request deadline
 //! budget so a retry storm can never run unbounded.
 //!
-//! `--offered-rate <r>` switches to an *open loop*: each thread fires on
-//! a fixed tick schedule (`r / concurrency` per second from a common
-//! start), so offered load stays constant even as the server slows down —
-//! the only honest way to measure goodput under overload. Ticks the
-//! client cannot keep up with are counted as `missed`, never silently
-//! absorbed into a lower offered rate.
+//! Each thread waits for its reply before it sends again, so at most
+//! `--concurrency` requests are ever in flight. To overload a daemon,
+//! run more threads than it has workers plus queue slots.
 //!
 //! Outcome classes (the chaos smoke keys on `dropped`):
 //!
@@ -29,8 +26,7 @@
 //! ```text
 //! loadgen --addr 127.0.0.1:7433 [--seconds 5] [--concurrency 8]
 //!         [--mode analyze|mixed|batch|stream] [--deadline-ms 2000]
-//!         [--budget-ms 4000] [--retries 4] [--offered-rate <r>]
-//!         [--json] [--out report.json]
+//!         [--budget-ms 4000] [--retries 4] [--json] [--out report.json]
 //! ```
 //!
 //! `batch` fires 8-point `/v1/batch` requests; `stream` fires NDJSON
@@ -54,9 +50,6 @@ struct Config {
     deadline_ms: u64,
     budget_ms: u64,
     retries: u32,
-    /// Open-loop offered load in requests/second across all threads
-    /// (0 = closed loop: each thread fires as fast as replies arrive).
-    offered_rate: f64,
     json: bool,
     out: String,
 }
@@ -70,7 +63,6 @@ fn parse_args() -> Config {
         deadline_ms: 2000,
         budget_ms: 4000,
         retries: 4,
-        offered_rate: 0.0,
         json: false,
         out: String::new(),
     };
@@ -88,7 +80,6 @@ fn parse_args() -> Config {
             "--deadline-ms" => cfg.deadline_ms = take().parse().expect("--deadline-ms"),
             "--budget-ms" => cfg.budget_ms = take().parse().expect("--budget-ms"),
             "--retries" => cfg.retries = take().parse().expect("--retries"),
-            "--offered-rate" => cfg.offered_rate = take().parse().expect("--offered-rate"),
             "--json" => cfg.json = true,
             "--out" => cfg.out = take(),
             other => panic!("unknown flag {other}"),
@@ -97,10 +88,6 @@ fn parse_args() -> Config {
     assert!(
         matches!(cfg.mode.as_str(), "analyze" | "mixed" | "batch" | "stream"),
         "--mode must be analyze|mixed|batch|stream"
-    );
-    assert!(
-        cfg.offered_rate.is_finite() && cfg.offered_rate >= 0.0,
-        "--offered-rate must be a non-negative rate in requests/second"
     );
     cfg
 }
@@ -140,7 +127,6 @@ struct Tally {
     refused: u64,
     dropped: u64,
     retries: u64,
-    missed: u64,
     latencies_us: Vec<u64>,
 }
 
@@ -156,7 +142,6 @@ impl Tally {
         self.refused += other.refused;
         self.dropped += other.dropped;
         self.retries += other.retries;
-        self.missed += other.missed;
         self.latencies_us.extend(other.latencies_us);
     }
 }
@@ -333,30 +318,7 @@ fn worker(args: WorkerArgs) -> Tally {
     let mut tally = Tally::default();
     let mut rng = Rng::new(args.seed);
     let io_timeout = Duration::from_millis(args.cfg.deadline_ms.max(1000) * 2);
-    // Open loop: this thread's share of the offered rate, as a fixed tick
-    // schedule anchored at the thread's start.
-    let tick_secs = if args.cfg.offered_rate > 0.0 {
-        args.cfg.concurrency.max(1) as f64 / args.cfg.offered_rate
-    } else {
-        0.0
-    };
-    let epoch = Instant::now();
-    let mut next_tick: u64 = 0;
     while !args.stop.load(Ordering::Relaxed) {
-        if tick_secs > 0.0 {
-            let due = Duration::from_secs_f64(next_tick as f64 * tick_secs);
-            let now = epoch.elapsed();
-            if now < due {
-                std::thread::sleep(due - now);
-            } else {
-                // Fell behind the schedule: the ticks that already passed
-                // are *missed* offered load, not a quietly lower rate.
-                let behind = ((now - due).as_secs_f64() / tick_secs) as u64;
-                tally.missed += behind;
-                next_tick += behind;
-            }
-            next_tick += 1;
-        }
         let (path, body) = request_body(&args.cfg.mode, &mut rng, args.cfg.deadline_ms);
         let raw = format!(
             "POST {path} HTTP/1.1\r\nHost: loadgen\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
@@ -418,12 +380,6 @@ struct LoadReport {
     mode: String,
     concurrency: usize,
     seconds: f64,
-    /// Configured open-loop offered rate (req/s); 0 = closed loop.
-    offered_rate: f64,
-    /// Ticks due under the open-loop schedule (`sent + missed`).
-    offered: u64,
-    /// Open-loop ticks the client could not fire on time.
-    missed: u64,
     sent: u64,
     ok: u64,
     /// 2xx responses carrying the brownout `x-maestro-degraded` marker
@@ -489,9 +445,6 @@ fn main() {
         mode: cfg.mode.clone(),
         concurrency: cfg.concurrency,
         seconds: elapsed,
-        offered_rate: cfg.offered_rate,
-        offered: total.sent + total.missed,
-        missed: total.missed,
         sent: total.sent,
         ok: total.ok,
         degraded: total.degraded,
@@ -522,12 +475,6 @@ fn main() {
             "loadgen: {} req in {:.2}s against {} ({} x {} mode)",
             report.sent, report.seconds, report.addr, report.concurrency, report.mode
         );
-        if report.offered_rate > 0.0 {
-            println!(
-                "  open loop  {:.1} req/s offered — {} due, {} fired, {} missed",
-                report.offered_rate, report.offered, report.sent, report.missed
-            );
-        }
         println!(
             "  outcomes   {} ok ({} degraded), {} shed(503), {} timeout(504), {} 4xx, {} 5xx, {} refused, {} dropped, {} retries",
             report.ok, report.degraded, report.shed, report.timeout, report.client_error,

@@ -1,6 +1,7 @@
 //! Minimal command-line argument parsing (no external dependencies).
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 
 /// Parsed command line: a subcommand, positional arguments, and
 /// `--key value` / `--flag` options.
@@ -11,7 +12,10 @@ pub struct Args {
     /// Remaining positional arguments.
     pub positional: Vec<String>,
     /// `--key value` options and boolean `--flag`s (value `"true"`).
-    pub options: HashMap<String, String>,
+    options: HashMap<String, String>,
+    /// Keys some accessor has asked for, present or not (see
+    /// [`Args::unread`]).
+    read: RefCell<HashSet<String>>,
 }
 
 impl Args {
@@ -39,9 +43,30 @@ impl Args {
         args
     }
 
+    /// The raw value of `key`, recording that it was read.
+    fn value(&self, key: &str) -> Option<&String> {
+        self.read.borrow_mut().insert(key.to_string());
+        self.options.get(key)
+    }
+
+    /// The options given on the command line that no accessor has read,
+    /// apart from `allowed`, sorted by name. A command that has read
+    /// every option it takes calls this to refuse the rest.
+    pub fn unread(&self, allowed: &[&str]) -> Vec<&str> {
+        let read = self.read.borrow();
+        let mut keys: Vec<&str> = self
+            .options
+            .keys()
+            .map(String::as_str)
+            .filter(|k| !read.contains(*k) && !allowed.contains(k))
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
     /// String option with a default.
     pub fn get<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
-        self.options.get(key).map(String::as_str).unwrap_or(default)
+        self.value(key).map(String::as_str).unwrap_or(default)
     }
 
     /// Integer option with a default.
@@ -50,7 +75,7 @@ impl Args {
     ///
     /// Returns an error message when the value is not an integer.
     pub fn get_u64(&self, key: &str, default: u64) -> Result<u64, String> {
-        match self.options.get(key) {
+        match self.value(key) {
             None => Ok(default),
             Some(v) => v
                 .parse()
@@ -64,7 +89,7 @@ impl Args {
     ///
     /// Returns an error message when the value is not a number.
     pub fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.options.get(key) {
+        match self.value(key) {
             None => Ok(default),
             Some(v) => v
                 .parse()
@@ -74,7 +99,7 @@ impl Args {
 
     /// Boolean flag.
     pub fn flag(&self, key: &str) -> bool {
-        self.options.get(key).is_some_and(|v| v == "true")
+        self.value(key).is_some_and(|v| v == "true")
     }
 }
 

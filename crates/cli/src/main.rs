@@ -147,6 +147,10 @@ fn main() -> ExitCode {
     }
 }
 
+/// Flags every command accepts; [`write_observability`] reads them after
+/// the command ran.
+const GLOBAL_FLAGS: [&str; 2] = ["metrics", "trace-json"];
+
 /// Emit the observability artifacts the user asked for: `--metrics
 /// <path|->` dumps the global registry in Prometheus text exposition
 /// format, `--trace-json <path|->` dumps collected spans as JSONL. `-`
@@ -239,7 +243,6 @@ Serving (serve):
                              always kept (default 16)
   --trace-slow-ms <n>        requests at least this slow are always kept (default 100)
   --trace-seed <n>           fixed trace-ID seed (tests; default: from the clock)
-  --sojourn-target-ms <n>    CoDel dequeue-shed target for queue sojourn (default 500; 0 = off)
   --watchdog-interval-ms <n> worker watchdog tick: respawn crashed, supersede wedged (default 250)
   --worker-quorum <n>        live workers needed for /readyz 200 (default 0 = majority)
   --wedge-ms <n>             heartbeat staleness after which a busy worker is wedged
@@ -826,10 +829,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
                 .map_err(CliError::usage)?,
             "max-request-threads",
         )?,
-        sojourn_target: Duration::from_millis(
-            args.get_u64("sojourn-target-ms", 500)
-                .map_err(CliError::usage)?,
-        ),
         watchdog_interval: Duration::from_millis(
             args.get_u64("watchdog-interval-ms", 250)
                 .map_err(CliError::usage)?
@@ -855,6 +854,17 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let max_seconds = args.get_f64("max-seconds", 0.0).map_err(CliError::usage)?;
     if max_seconds > 0.0 {
         shutdown.set_deadline_in(Duration::from_secs_f64(max_seconds));
+    }
+    // Every serve flag has been read by now. Anything left is a typo or a
+    // retired knob; ignoring it would start a daemon with a different
+    // admission policy than the caller asked for.
+    let unread = args.unread(&GLOBAL_FLAGS);
+    if !unread.is_empty() {
+        let flags: Vec<String> = unread.iter().map(|k| format!("--{k}")).collect();
+        return Err(CliError::usage(format!(
+            "serve does not take {}",
+            flags.join(", ")
+        )));
     }
     let requested = cfg.addr.clone();
     let server = maestro_serve::Server::bind(cfg)

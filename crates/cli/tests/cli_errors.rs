@@ -2,7 +2,8 @@
 //! user error maps to its documented exit code with a rendered diagnostic
 //! on stderr (never a panic backtrace):
 //!
-//! - 2 `Usage`       — unknown command, bad flag value, unreadable input
+//! - 2 `Usage`       — unknown command, bad flag value, unreadable input,
+//!   a flag `serve` does not take
 //! - 3 `Parse`       — malformed dataflow (`.m`/`.df`) or network file
 //! - 4 `Resolve`     — dataflow does not resolve onto the layer/accelerator
 //! - 5 `Analysis`    — the cost model itself rejected the configuration
@@ -156,6 +157,31 @@ fn unresolvable_dataflow_exits_4() {
         "{}",
         stderr(&out)
     );
+}
+
+/// `serve` refuses a flag it does not read — a retired knob or a typo —
+/// before binding, instead of starting a daemon with a policy the caller
+/// did not ask for. `--max-seconds` bounds the daemon if it starts.
+#[test]
+fn serve_rejects_unread_flags_with_exit_2() {
+    for flag in ["--sojourn-target-ms", "--queue-dept"] {
+        let out = maestro(&[
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--max-seconds",
+            "1",
+            flag,
+            "5",
+        ]);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {}", stderr(&out));
+        assert!(stderr(&out).contains(flag), "{flag}: {}", stderr(&out));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            !stdout.contains("serving on"),
+            "{flag}: bound anyway: {stdout}"
+        );
+    }
 }
 
 #[test]

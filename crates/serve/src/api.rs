@@ -36,7 +36,6 @@
 
 use crate::http::{Request, Response};
 use crate::json::{self, Value};
-use crate::queue::AdmissionCtl;
 use crate::server::ServeMetrics;
 use crate::supervise::WorkerTable;
 use maestro_core::{AnalysisError, Analyzer, ReportJson};
@@ -143,9 +142,6 @@ pub struct ApiCtx {
     /// (already resolved: `--max-request-threads`, or the host's
     /// available parallelism when the flag is 0/absent).
     pub max_request_threads: usize,
-    /// The dequeue-side CoDel controller; its dropping state is also an
-    /// overload-pressure signal for brownout decisions.
-    pub admission: Arc<AdmissionCtl>,
     /// Worker liveness table: `/readyz` quorum and the watchdog share it.
     pub workers: Arc<WorkerTable>,
     /// Live mirror of this daemon's queue depth. A mirror rather than
@@ -185,13 +181,12 @@ pub fn classify(req: &Request) -> ReqClass {
 }
 
 /// Instantaneous overload pressure, derived from this daemon's queue
-/// depth and the admission controller's dropping state.
+/// depth alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pressure {
     /// Queue mostly empty; serve everything.
     Nominal,
-    /// Standing queue (≥ half capacity, or CoDel is dropping): shed
-    /// [`ReqClass::Heavy`] work.
+    /// Standing queue (≥ half capacity): shed [`ReqClass::Heavy`] work.
     High,
     /// Near queue-full (≥ 90% capacity): also shed batches and serve
     /// analyze from cache only (brownout).
@@ -286,13 +281,14 @@ impl ApiCtx {
         )
     }
 
-    /// Instantaneous overload pressure (see [`Pressure`]).
+    /// Instantaneous overload pressure (see [`Pressure`]), read from the
+    /// queue-depth mirror.
     pub fn pressure(&self) -> Pressure {
         let depth = self.queue_len.load(Ordering::Relaxed);
         let cap = self.queue_cap.max(1);
         if depth * 10 >= cap * 9 {
             Pressure::Critical
-        } else if depth * 2 >= cap || self.admission.dropping() {
+        } else if depth * 2 >= cap {
             Pressure::High
         } else {
             Pressure::Nominal
@@ -327,7 +323,7 @@ impl ApiCtx {
     }
 
     /// A `503` shed response carrying the computed retry hint.
-    pub fn shed_response(&self, msg: &str) -> Response {
+    fn shed_response(&self, msg: &str) -> Response {
         let mut resp = error_response(503, msg);
         resp.retry_after = Some(self.retry_hint());
         resp
@@ -424,11 +420,13 @@ impl ApiCtx {
             Ok(p) => p,
             Err(r) => return r,
         };
-        // Brownout: a request whose deadline already tripped (it burned
-        // its budget queued) or one arriving under critical pressure is
-        // served from the report cache only. A degraded 200 from cache
-        // beats a 504 the client must retry — and costs the drowning
-        // daemon almost nothing.
+        // Brownout: an analyze arriving under critical pressure, or one
+        // whose token is already cancelled, is served from the report
+        // cache only. The token is made after the worker parsed the
+        // request, so time spent queued never trips it: only
+        // `deadline_ms: 0` or a forced drain cancelling `request_root`
+        // does. A degraded 200 from cache beats a 504 the client must
+        // retry — and costs the drowning daemon almost nothing.
         let cache_only = token.is_cancelled() || self.pressure() == Pressure::Critical;
         match self.lookup(&point, token, cache_only) {
             Ok(answers) => {

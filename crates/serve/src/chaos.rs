@@ -25,8 +25,9 @@
 //! * **worker-panic** — a worker thread panics at the top of its loop,
 //!   *before* popping a connection (so no admitted connection is ever
 //!   lost), exercising the watchdog's detect-and-respawn path.
-//! * **stall** — the handler sleeps before dispatch, driving queue
-//!   sojourn up and exercising the CoDel shed and deadline paths.
+//! * **stall** — the handler sleeps before dispatch, before the request
+//!   token exists: it wedges the worker (spending none of the request's
+//!   deadline) and lets the queue behind it grow.
 //!
 //! The spec is written in `--inject`'s grammar and parsed by the same
 //! function, `maestro_obs::rng::parse_spec`:

@@ -17,17 +17,18 @@
 //!   points through one connection, one parse and one cache session with
 //!   per-item error isolation, and `POST /v1/dse` with `"stream": true`
 //!   streams incremental NDJSON frontier updates as units complete.
-//! * **Admission control** — a bounded connection queue; when it is full
-//!   the acceptor sheds load with an immediate `503` + a *computed*
-//!   `Retry-After` (queue depth × observed median service time)
-//!   instead of letting latency collapse (`maestro.serve.shed`), and a
-//!   CoDel-style controller sheds at dequeue when queue sojourn stays
-//!   above `--sojourn-target` (`maestro.serve.shed_sojourn`).
+//! * **Admission control** — one signal, the queue depth. A bounded
+//!   connection queue; when it is full the acceptor sheds load with an
+//!   immediate `503` + a *computed* `Retry-After` (queue depth ×
+//!   observed median service time) instead of letting latency collapse
+//!   (`maestro.serve.shed`).
 //! * **Priority-aware brownout** — requests are classed (health/metrics
-//!   over analyze/batch over dse/conform); under pressure heavy classes
-//!   shed first, and deadline-pressed analyzes are served from the
-//!   shared report cache with an `x-maestro-degraded` header instead of
-//!   504ing (`maestro.serve.brownout_shed`, `maestro.serve.degraded`).
+//!   over analyze/batch over dse/conform); as the queue fills, heavy
+//!   classes shed first, and at ≥ 90% depth analyzes are served from
+//!   the shared report cache with an `x-maestro-degraded` header
+//!   (`maestro.serve.brownout_shed`, `maestro.serve.degraded`). An
+//!   analyze with `deadline_ms: 0`, or one whose token a forced drain
+//!   cancelled, takes the same cache-only path instead of 504ing.
 //! * **Worker supervision** — per-worker heartbeats, a watchdog that
 //!   respawns crashed workers and supersedes wedged ones
 //!   (`maestro.serve.worker_restarts`), and a `/readyz` that reports 503
@@ -77,6 +78,6 @@ pub use api::{
 pub use chaos::ChaosPlan;
 pub use http::{parse_request, HttpError, Limits, Parsed, Request, Response};
 pub use json::{parse as parse_json, JsonError, Value};
-pub use queue::{AdmissionCtl, BoundedQueue};
+pub use queue::BoundedQueue;
 pub use server::{DrainOutcome, ServeConfig, ServeMetrics, Server};
 pub use supervise::{ThreadGuard, WorkerSlot, WorkerTable};

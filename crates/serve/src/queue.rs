@@ -11,7 +11,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
 /// See the module docs.
 #[derive(Debug)]
@@ -96,124 +95,6 @@ impl<T> BoundedQueue<T> {
     }
 }
 
-/// CoDel-style admission control applied at *dequeue*.
-///
-/// The queue-full check in [`BoundedQueue::try_push`] bounds memory, but
-/// by the time an overloaded daemon pops a connection it may already have
-/// sat in the queue long enough that serving it blows its deadline —
-/// finishing the analyze is then pure waste that also delays everything
-/// behind it. The controller watches queue *sojourn* (pop time minus
-/// accept time), the one signal that directly measures standing-queue
-/// badness, and sheds at dequeue using the CoDel discipline (Nichols &
-/// Jacobson, CACM 2012):
-///
-/// * sojourn below `target` for any pop → not dropping; state resets.
-/// * sojourn above `target` continuously for one `interval` → enter the
-///   dropping state and shed this request.
-/// * while dropping, shed again at `interval / sqrt(drop_count)` spacing
-///   — pressure ramps until the standing queue collapses below target.
-///
-/// Deciding at dequeue (not enqueue) means the decision uses the freshest
-/// possible signal, and the caller can exempt critical requests (health,
-/// metrics) after parsing them — a shed here costs one already-parsed
-/// connection, not an unread socket.
-#[derive(Debug)]
-pub struct AdmissionCtl {
-    target: Duration,
-    interval: Duration,
-    state: Mutex<CoDelState>,
-}
-
-#[derive(Debug, Default)]
-struct CoDelState {
-    /// When sojourn first exceeded target (None while below).
-    first_above: Option<Instant>,
-    /// In the dropping state?
-    dropping: bool,
-    /// Drops since entering the dropping state (controls spacing).
-    drop_count: u32,
-    /// Next time a drop is allowed while dropping.
-    drop_next: Option<Instant>,
-}
-
-impl AdmissionCtl {
-    /// A controller shedding when sojourn exceeds `target`. A zero
-    /// target disables sojourn shedding entirely.
-    pub fn new(target: Duration) -> AdmissionCtl {
-        // CoDel's interval should be on the order of a worst-case RTT;
-        // for a local queue we use 2x the target, floored at 100ms so a
-        // tiny target doesn't make the controller hair-triggered.
-        let interval = (target * 2).max(Duration::from_millis(100));
-        AdmissionCtl {
-            target,
-            interval,
-            state: Mutex::new(CoDelState::default()),
-        }
-    }
-
-    /// Is sojourn shedding enabled at all?
-    pub fn enabled(&self) -> bool {
-        !self.target.is_zero()
-    }
-
-    /// Is the controller currently in the dropping state (a live
-    /// overload-pressure signal for brownout decisions)?
-    pub fn dropping(&self) -> bool {
-        self.lock().dropping
-    }
-
-    /// Feed one dequeue observation; returns `true` when this request
-    /// should be shed. `now` is the pop time that `sojourn` was measured
-    /// against.
-    pub fn on_dequeue(&self, sojourn: Duration, now: Instant) -> bool {
-        if !self.enabled() {
-            return false;
-        }
-        let mut s = self.lock();
-        if sojourn < self.target {
-            // Queue is healthy at this instant: leave the dropping state.
-            *s = CoDelState::default();
-            return false;
-        }
-        let first = *s.first_above.get_or_insert(now);
-        if !s.dropping {
-            // Above target, but not yet for a full interval: admit.
-            if now.duration_since(first) < self.interval {
-                return false;
-            }
-            s.dropping = true;
-            // Re-entering drop state shortly after leaving it resumes at
-            // elevated pressure instead of restarting from 1 (classic
-            // CoDel keeps more history; decaying by 2 is a common
-            // simplification that avoids tracking exit timestamps).
-            s.drop_count = if s.drop_count > 2 {
-                s.drop_count - 2
-            } else {
-                1
-            };
-            s.drop_next = Some(now + Self::spacing(self.interval, s.drop_count));
-            return true;
-        }
-        match s.drop_next {
-            Some(next) if now >= next => {
-                s.drop_count += 1;
-                s.drop_next = Some(now + Self::spacing(self.interval, s.drop_count));
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Drop spacing `interval / sqrt(count)`.
-    fn spacing(interval: Duration, count: u32) -> Duration {
-        interval.div_f64(f64::from(count.max(1)).sqrt())
-    }
-
-    fn lock(&self) -> MutexGuard<'_, CoDelState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,61 +174,5 @@ mod tests {
         q.close();
         assert_eq!(q.try_push(3), Err(3));
         assert_eq!(q.pop(), None);
-    }
-
-    const MS: Duration = Duration::from_millis(1);
-
-    /// Drive the controller with a synthetic clock: below-target pops
-    /// never shed and reset the state.
-    #[test]
-    fn admission_below_target_never_sheds() {
-        let ctl = AdmissionCtl::new(Duration::from_millis(100));
-        let t0 = Instant::now();
-        for i in 0..1000u32 {
-            assert!(!ctl.on_dequeue(50 * MS, t0 + i * MS));
-        }
-        assert!(!ctl.dropping());
-    }
-
-    #[test]
-    fn admission_zero_target_disables_shedding() {
-        let ctl = AdmissionCtl::new(Duration::ZERO);
-        assert!(!ctl.enabled());
-        let t0 = Instant::now();
-        assert!(!ctl.on_dequeue(Duration::from_secs(60), t0));
-        assert!(!ctl.dropping());
-    }
-
-    /// Sojourn must stay above target for a full interval before the
-    /// first shed; after that, shed spacing tightens as sqrt(count).
-    #[test]
-    fn admission_enters_dropping_after_one_interval_then_ramps() {
-        let target = Duration::from_millis(100);
-        let ctl = AdmissionCtl::new(target); // interval = 200ms
-        let t0 = Instant::now();
-        let bad = 150 * MS; // above target
-
-        assert!(!ctl.on_dequeue(bad, t0), "first above: arm, don't shed");
-        assert!(!ctl.on_dequeue(bad, t0 + 100 * MS), "interval not elapsed");
-        assert!(
-            ctl.on_dequeue(bad, t0 + 200 * MS),
-            "one interval above: shed"
-        );
-        assert!(ctl.dropping());
-
-        // Next shed only after interval/sqrt(1) = 200ms more.
-        assert!(!ctl.on_dequeue(bad, t0 + 300 * MS));
-        assert!(ctl.on_dequeue(bad, t0 + 400 * MS));
-        // Spacing tightens: interval/sqrt(2) ~ 141ms.
-        assert!(!ctl.on_dequeue(bad, t0 + 500 * MS));
-        assert!(ctl.on_dequeue(bad, t0 + 542 * MS));
-
-        // One healthy pop collapses the state entirely.
-        assert!(!ctl.on_dequeue(10 * MS, t0 + 543 * MS));
-        assert!(!ctl.dropping());
-        assert!(
-            !ctl.on_dequeue(bad, t0 + 544 * MS),
-            "must re-arm from scratch"
-        );
     }
 }

@@ -30,10 +30,10 @@
 //!   *written* responses, never dropped connections — and reports
 //!   [`DrainOutcome::Forced`] (the CLI maps it to exit 7).
 
-use crate::api::{classify, error_response, ApiCtx, Handled, ReqClass};
+use crate::api::{error_response, ApiCtx, Handled};
 use crate::chaos::ChaosPlan;
 use crate::http::{parse_request, Limits, Parsed, Request, Response};
-use crate::queue::{AdmissionCtl, BoundedQueue};
+use crate::queue::BoundedQueue;
 use crate::supervise::{ThreadGuard, WorkerSlot, WorkerTable};
 use crate::trace::{AccessLog, RequestTimer};
 use maestro_core::Analyzer;
@@ -86,10 +86,6 @@ pub struct ServeConfig {
     /// without a cap, `workers × threads` scoped threads from concurrent
     /// requests could oversubscribe the host.
     pub max_request_threads: usize,
-    /// CoDel target for queue sojourn (accept → worker pop): sustained
-    /// sojourn above this sheds at dequeue. Zero disables sojourn
-    /// shedding (the queue-full check still applies).
-    pub sojourn_target: Duration,
     /// How often the watchdog scans for crashed/wedged workers.
     pub watchdog_interval: Duration,
     /// Minimum live workers for `/readyz` to report ready; `0` means
@@ -124,7 +120,6 @@ impl Default for ServeConfig {
             trace_slow: Duration::from_millis(100),
             trace_seed: None,
             max_request_threads: 0,
-            sojourn_target: Duration::from_millis(500),
             watchdog_interval: Duration::from_millis(250),
             worker_quorum: 0,
             wedge_after: Duration::from_secs(30),
@@ -162,8 +157,6 @@ pub struct ServeMetrics {
     pub connections: Counter,
     /// Response writes that failed (client gone before the body landed).
     pub write_failures: Counter,
-    /// Connections shed at dequeue by the CoDel sojourn controller.
-    pub shed_sojourn: Counter,
     /// Requests shed by class-based brownout (heavy work under pressure,
     /// uncached analyzes in brownout).
     pub brownout_shed: Counter,
@@ -204,7 +197,6 @@ impl ServeMetrics {
             bad_requests: r.counter("maestro.serve.bad_requests"),
             connections: r.counter("maestro.serve.connections"),
             write_failures: r.counter("maestro.serve.write_failures"),
-            shed_sojourn: r.counter("maestro.serve.shed_sojourn"),
             brownout_shed: r.counter("maestro.serve.brownout_shed"),
             degraded: r.counter("maestro.serve.degraded"),
             worker_restarts: r.counter("maestro.serve.worker_restarts"),
@@ -287,7 +279,6 @@ impl Server {
             )?)),
         };
         let worker_count = cfg.workers.max(1);
-        let admission = Arc::new(AdmissionCtl::new(cfg.sojourn_target));
         let table = Arc::new(WorkerTable::new(
             worker_count,
             cfg.worker_quorum,
@@ -308,7 +299,6 @@ impl Server {
                     .map(std::num::NonZeroUsize::get)
                     .unwrap_or(8)
             },
-            admission,
             workers: Arc::clone(&table),
             queue_len: Arc::new(AtomicUsize::new(0)),
             queue_cap: cfg.queue_depth.max(1),
@@ -761,8 +751,7 @@ fn serve_connection(
             Ok(Parsed::Complete { req, consumed }) => {
                 buf.drain(..consumed);
                 let parsed_at = Instant::now();
-                let first_info = first.take();
-                let mut timer = match first_info {
+                let mut timer = match first.take() {
                     Some((accepted, popped)) => {
                         let mut t = RequestTimer::begin(accepted);
                         t.phase_span("queue", accepted, popped);
@@ -776,36 +765,6 @@ fn serve_connection(
                         t
                     }
                 };
-                // CoDel sojourn shed, decided at dequeue with the parsed
-                // request in hand: only the connection's first request
-                // carries queue sojourn, and critical-class probes
-                // (health/metrics) are never shed — nor fed to the
-                // controller, so they don't consume drop tokens.
-                if let Some((q_accepted, q_popped)) = first_info {
-                    if ctx.admission.enabled() && classify(&req) != ReqClass::Critical {
-                        let sojourn = q_popped.duration_since(q_accepted);
-                        if ctx.admission.on_dequeue(sojourn, q_popped) {
-                            ctx.metrics.shed_sojourn.inc();
-                            timer.mark("shed");
-                            let mut resp =
-                                ctx.shed_response("queue sojourn exceeded target, request shed");
-                            resp.close = true;
-                            resp.trace = Some(timer.id().to_hex());
-                            let route = format!("{} {}", req.method, req.path);
-                            crate::trace::install(timer);
-                            write_and_account(
-                                &mut stream,
-                                &resp.to_bytes(),
-                                &route,
-                                resp.status,
-                                resp.body.len() as u64,
-                                &ctx.metrics,
-                                access,
-                            );
-                            return;
-                        }
-                    }
-                }
                 first_byte = if buf.is_empty() {
                     None
                 } else {
@@ -984,8 +943,9 @@ fn serve_request(
     chaos: Option<&ChaosPlan>,
 ) -> Handled {
     if let Some(delay) = chaos.and_then(ChaosPlan::stall) {
-        // Injected handler stall: burns request budget and drives queue
-        // sojourn up, exercising the deadline and CoDel paths.
+        // Injected handler stall: wedges this worker before the request
+        // token exists (so it spends no deadline budget) and lets the
+        // queue behind it grow.
         ctx.metrics.chaos_injected.inc();
         std::thread::sleep(delay);
     }

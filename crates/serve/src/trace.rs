@@ -303,7 +303,7 @@ mod tests {
     }
 
     // Regression: the connection loop closes `parse` at the parse instant
-    // and reopens it with `mark("parse")` after the admission check; the
+    // and reopens it with `mark("parse")` before routing; the
     // two only merged when their microsecond offsets touched, so traces
     // listed `parse` twice.
     #[test]

@@ -8,12 +8,11 @@
 //! | ≥ 90% queue   | shed (503)    | shed  | cache-only: hit 200, miss 503 |
 //!
 //! Health and metrics are never shed. The table is deterministic: the
-//! depth mirror is set directly, no load is generated, and the CoDel
-//! controller is never fed, so it never enters its dropping state.
+//! depth mirror is set directly and no load is generated.
 
 use maestro_core::Analyzer;
 use maestro_obs::CancelToken;
-use maestro_serve::{AdmissionCtl, ApiCtx, Handled, Request, Response, ServeMetrics, WorkerTable};
+use maestro_serve::{ApiCtx, Handled, Request, Response, ServeMetrics, WorkerTable};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -31,7 +30,6 @@ fn api_ctx() -> ApiCtx {
         metrics: ServeMetrics::register(),
         started: Instant::now(),
         max_request_threads: 1,
-        admission: Arc::new(AdmissionCtl::new(Duration::from_millis(500))),
         workers: Arc::new(WorkerTable::new(1, 0, Duration::from_secs(30))),
         queue_len: Arc::new(AtomicUsize::new(0)),
         queue_cap: QUEUE_CAP,
