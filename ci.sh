@@ -367,13 +367,14 @@ grep -q '"dropped": 0' "${smokedir}/chaos.json" || { echo "chaos run dropped res
 # read/write errors, delayed first writes, worker panics, handler stalls
 # — while mixed loadgen traffic (with retries, honoring the computed
 # Retry-After) runs against it. Invariants: no started-but-incomplete
-# response, the watchdog respawned at least one panicked worker (seed 42
+# response, at least one panicked worker restarted its loop (seed 42
 # first fires the panic draw at index 77, well inside a 3 s mixed load),
-# /readyz recovers, and the drain still exits 0.
+# /readyz still answers 200 (the daemon answers and is not draining),
+# and the drain still exits 0.
 echo "== serve chaos-matrix smoke (seeded fault injection under load)"
 target/release/maestro serve --addr 127.0.0.1:0 --workers 2 --drain-seconds 10 \
   --chaos 'read-err:0.02,write-err:0.02,write-delay:5ms:0.05,worker-panic:0.005,stall:5ms:0.05' \
-  --chaos-seed 42 --watchdog-interval-ms 100 \
+  --chaos-seed 42 \
   > "${serve_log}.matrix" 2>/dev/null &
 serve_pid=$!
 serve_addr=$(wait_for_addr "${serve_log}.matrix")
@@ -382,7 +383,18 @@ target/release/loadgen --addr "${serve_addr}" --seconds 3 --concurrency 4 \
   || { echo "loadgen failed under the chaos matrix" >&2; cat "${smokedir}/matrix.json" >&2; exit 1; }
 grep -q '"dropped": 0' "${smokedir}/matrix.json" \
   || { echo "chaos matrix dropped responses" >&2; cat "${smokedir}/matrix.json" >&2; exit 1; }
-matrix_metrics=$(serve_request "${serve_addr}" GET /metrics)
+# The daemon's own read-err and write-err faults also reset about 4% of
+# these probe connections unanswered, so each probe retries an empty
+# answer; a daemon that answers nothing still fails the checks below.
+chaos_probe() { # chaos_probe <addr> <method> <path>
+  local resp="" i
+  for i in 1 2 3 4 5; do
+    resp=$(serve_request "$@")
+    [ -n "${resp}" ] && break
+  done
+  printf '%s' "${resp}"
+}
+matrix_metrics=$(chaos_probe "${serve_addr}" GET /metrics)
 restarts=$(sed -n 's/^maestro_serve_worker_restarts \([0-9]*\).*/\1/p' <<<"${matrix_metrics}" | head -1)
 if [ -z "${restarts}" ] || [ "${restarts}" -lt 1 ]; then
   echo "expected maestro_serve_worker_restarts >= 1 under panic chaos, got '${restarts}'" >&2
@@ -393,7 +405,7 @@ if [ -z "${injected}" ] || [ "${injected}" -lt 1 ]; then
   echo "expected maestro_serve_chaos_injected >= 1, got '${injected}'" >&2
   exit 1
 fi
-readyz_resp=$(serve_request "${serve_addr}" GET /readyz)
+readyz_resp=$(chaos_probe "${serve_addr}" GET /readyz)
 grep -q "HTTP/1.1 200" <<<"${readyz_resp}" \
   || { echo "/readyz not 200 after chaos load: ${readyz_resp}" >&2; exit 1; }
 kill -TERM "${serve_pid}"

@@ -2,6 +2,7 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::time::Duration;
 
 /// Parsed command line: a subcommand, positional arguments, and
 /// `--key value` / `--flag` options.
@@ -94,6 +95,25 @@ impl Args {
             Some(v) => v
                 .parse()
                 .map_err(|_| format!("--{key} expects a number, got `{v}`")),
+        }
+    }
+
+    /// Seconds option with a default.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error message when the value is not a number, or is
+    /// negative, not finite or too large for a [`Duration`].
+    pub fn get_secs(&self, key: &str, default: Duration) -> Result<Duration, String> {
+        match self.value(key) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .ok()
+                .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+                .ok_or_else(|| {
+                    format!("--{key} expects a finite, non-negative number of seconds, got `{v}`")
+                }),
         }
     }
 

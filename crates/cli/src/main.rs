@@ -231,7 +231,7 @@ Serving (serve):
                              (default 0 = the host's available parallelism)
   --drain-seconds <s>        drain budget after SIGTERM/SIGINT before in-flight
                              requests are cancelled (default 5; forced drain exits 7)
-  --io-timeout <s>           socket read/write timeout, slow-loris guard (default 10)
+  --io-timeout <s>           socket read/write timeout, slow-loris guard (default 10; > 0)
   --max-body-bytes <n>       request body cap, 413 beyond it (default 1048576)
   --shards <n>               shared analysis-cache shards (default 8)
   --memo-cap <n>             reports kept per analysis-cache shard (default 4096; 0 = unbounded)
@@ -243,10 +243,6 @@ Serving (serve):
                              always kept (default 16)
   --trace-slow-ms <n>        requests at least this slow are always kept (default 100)
   --trace-seed <n>           fixed trace-ID seed (tests; default: from the clock)
-  --watchdog-interval-ms <n> worker watchdog tick: respawn crashed, supersede wedged (default 250)
-  --worker-quorum <n>        live workers needed for /readyz 200 (default 0 = majority)
-  --wedge-ms <n>             heartbeat staleness after which a busy worker is wedged
-                             (default 30000; 0 = off)
   --chaos <spec>             seeded serve-plane fault injection, e.g.
                              read-err:0.02,write-err:0.02,write-delay:5ms:0.05,worker-panic:0.005,stall:5ms:0.05
   --chaos-seed <n>           seed for the chaos plan (default 0)
@@ -419,15 +415,19 @@ fn session_ctl(args: &Args, threads: usize) -> Result<(maestro_dse::SessionCtl, 
     };
     // --deadline and --max-seconds are aliases; the latter exists so CI
     // can pass one uniform guard to both `dse` and `conform`.
-    let deadline = args.get_f64("deadline", 0.0).map_err(CliError::usage)?;
-    let max_seconds = args.get_f64("max-seconds", 0.0).map_err(CliError::usage)?;
-    let budget = if deadline > 0.0 {
-        deadline
-    } else {
+    let deadline = args
+        .get_secs("deadline", Duration::ZERO)
+        .map_err(CliError::usage)?;
+    let max_seconds = args
+        .get_secs("max-seconds", Duration::ZERO)
+        .map_err(CliError::usage)?;
+    let budget = if deadline.is_zero() {
         max_seconds
+    } else {
+        deadline
     };
-    if budget > 0.0 {
-        ctl.token.set_deadline_in(Duration::from_secs_f64(budget));
+    if !budget.is_zero() {
+        ctl.token.set_deadline_in(budget);
     }
     let ckpt = args.get("checkpoint", "");
     if !ckpt.is_empty() {
@@ -442,10 +442,10 @@ fn session_ctl(args: &Args, threads: usize) -> Result<(maestro_dse::SessionCtl, 
             .map_err(CliError::usage)?,
     )
     .map_err(|_| CliError::usage("--checkpoint-interval is too large"))?;
-    let ckpt_secs = args
-        .get_f64("checkpoint-secs", 5.0)
+    let ckpt_every = args
+        .get_secs("checkpoint-secs", Duration::from_secs(5))
         .map_err(CliError::usage)?;
-    ctl.checkpoint_every = (ckpt_secs > 0.0).then(|| Duration::from_secs_f64(ckpt_secs));
+    ctl.checkpoint_every = (!ckpt_every.is_zero()).then_some(ckpt_every);
     let resume = args.get("resume", "");
     let resumed = !resume.is_empty();
     if resumed {
@@ -695,9 +695,11 @@ fn cmd_conform(args: &Args) -> Result<(), CliError> {
     // with a partial (but fully reported) sweep when cut short.
     signal::install_interrupt_handlers();
     let token = maestro_obs::CancelToken::new();
-    let max_seconds = args.get_f64("max-seconds", 0.0).map_err(CliError::usage)?;
-    if max_seconds > 0.0 {
-        token.set_deadline_in(Duration::from_secs_f64(max_seconds));
+    let max_seconds = args
+        .get_secs("max-seconds", Duration::ZERO)
+        .map_err(CliError::usage)?;
+    if !max_seconds.is_zero() {
+        token.set_deadline_in(max_seconds);
     }
     let report = maestro_sim::run_conform_cancellable(&cfg, &token);
     if args.flag("json") {
@@ -783,18 +785,17 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
             args.get_u64("default-deadline-ms", 10_000)
                 .map_err(CliError::usage)?,
         ),
-        drain_deadline: Duration::from_secs_f64(
-            args.get_f64("drain-seconds", 5.0)
-                .map_err(CliError::usage)?,
-        ),
+        drain_deadline: args
+            .get_secs("drain-seconds", Duration::from_secs(5))
+            .map_err(CliError::usage)?,
         max_body_bytes: to_usize(
             args.get_u64("max-body-bytes", 1024 * 1024)
                 .map_err(CliError::usage)?,
             "max-body-bytes",
         )?,
-        io_timeout: Duration::from_secs_f64(
-            args.get_f64("io-timeout", 10.0).map_err(CliError::usage)?,
-        ),
+        io_timeout: args
+            .get_secs("io-timeout", Duration::from_secs(10))
+            .map_err(CliError::usage)?,
         memo_cap: to_usize(
             args.get_u64("memo-cap", maestro_core::DEFAULT_CACHE_CAP as u64)
                 .map_err(CliError::usage)?,
@@ -829,31 +830,26 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
                 .map_err(CliError::usage)?,
             "max-request-threads",
         )?,
-        watchdog_interval: Duration::from_millis(
-            args.get_u64("watchdog-interval-ms", 250)
-                .map_err(CliError::usage)?
-                .max(10),
-        ),
-        worker_quorum: to_usize(
-            args.get_u64("worker-quorum", 0).map_err(CliError::usage)?,
-            "worker-quorum",
-        )?,
-        wedge_after: Duration::from_millis(
-            args.get_u64("wedge-ms", 30_000).map_err(CliError::usage)?,
-        ),
         chaos: {
             let spec = args.get("chaos", "");
             (!spec.is_empty()).then(|| spec.to_string())
         },
         chaos_seed: args.get_u64("chaos-seed", 0).map_err(CliError::usage)?,
     };
+    if cfg.io_timeout.is_zero() {
+        // A zero socket timeout is an error to the OS, so every
+        // connection would be reset unanswered.
+        return Err(CliError::usage("--io-timeout must be greater than 0"));
+    }
     // SIGTERM/SIGINT raise the process interrupt flag, which this heeding
     // token observes — tripping it starts the drain.
     signal::install_interrupt_handlers();
     let shutdown = maestro_obs::CancelToken::new();
-    let max_seconds = args.get_f64("max-seconds", 0.0).map_err(CliError::usage)?;
-    if max_seconds > 0.0 {
-        shutdown.set_deadline_in(Duration::from_secs_f64(max_seconds));
+    let max_seconds = args
+        .get_secs("max-seconds", Duration::ZERO)
+        .map_err(CliError::usage)?;
+    if !max_seconds.is_zero() {
+        shutdown.set_deadline_in(max_seconds);
     }
     // Every serve flag has been read by now. Anything left is a typo or a
     // retired knob; ignoring it would start a daemon with a different

@@ -11,7 +11,8 @@
 
 use std::io::Write;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn maestro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_maestro"))
@@ -164,7 +165,13 @@ fn unresolvable_dataflow_exits_4() {
 /// did not ask for. `--max-seconds` bounds the daemon if it starts.
 #[test]
 fn serve_rejects_unread_flags_with_exit_2() {
-    for flag in ["--sojourn-target-ms", "--queue-dept"] {
+    for flag in [
+        "--sojourn-target-ms",
+        "--queue-dept",
+        "--wedge-ms",
+        "--worker-quorum",
+        "--watchdog-interval-ms",
+    ] {
         let out = maestro(&[
             "serve",
             "--addr",
@@ -180,6 +187,65 @@ fn serve_rejects_unread_flags_with_exit_2() {
         assert!(
             !stdout.contains("serving on"),
             "{flag}: bound anyway: {stdout}"
+        );
+    }
+}
+
+/// `maestro` with `args`, killed if it outlives 20 s: a regression that
+/// starts a daemon or a sweep fails the test instead of hanging it.
+fn maestro_bounded(args: &[&str]) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_maestro"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn maestro binary");
+    let start = Instant::now();
+    while child.try_wait().expect("poll maestro").is_none() {
+        if start.elapsed() > Duration::from_secs(20) {
+            let _ = child.kill();
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect maestro output")
+}
+
+/// A seconds flag that is negative, NaN, infinite or too large for a
+/// duration is a usage error naming the flag, never a panic; so is a
+/// zero `serve --io-timeout`, which the OS refuses as a socket timeout.
+#[test]
+fn out_of_range_seconds_flags_exit_2() {
+    let cases = [
+        ("serve", "--drain-seconds", "-1"),
+        ("serve", "--drain-seconds", "nan"),
+        ("serve", "--io-timeout", "-1"),
+        ("serve", "--io-timeout", "inf"),
+        ("serve", "--io-timeout", "0"),
+        ("serve", "--max-seconds", "inf"),
+        ("serve", "--max-seconds", "-1"),
+        ("dse", "--max-seconds", "inf"),
+        ("dse", "--deadline", "1e300"),
+        ("dse", "--checkpoint-secs", "inf"),
+        ("conform", "--max-seconds", "inf"),
+    ];
+    for (command, flag, value) in cases {
+        let rest: &[&str] = match command {
+            "serve" => &["--addr", "127.0.0.1:0"],
+            "dse" => &["--model", "alexnet", "--layer", "CONV1"],
+            _ => &["--cases", "1"],
+        };
+        let mut args = vec![command, flag, value];
+        args.extend(rest);
+        let out = maestro_bounded(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(flag), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            !stdout.contains("serving on"),
+            "{args:?}: bound anyway: {stdout}"
         );
     }
 }

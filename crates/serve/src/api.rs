@@ -37,7 +37,6 @@
 use crate::http::{Request, Response};
 use crate::json::{self, Value};
 use crate::server::ServeMetrics;
-use crate::supervise::WorkerTable;
 use maestro_core::{AnalysisError, Analyzer, ReportJson};
 use maestro_dnn::{zoo, Layer, Model};
 use maestro_hw::Accelerator;
@@ -142,8 +141,8 @@ pub struct ApiCtx {
     /// (already resolved: `--max-request-threads`, or the host's
     /// available parallelism when the flag is 0/absent).
     pub max_request_threads: usize,
-    /// Worker liveness table: `/readyz` quorum and the watchdog share it.
-    pub workers: Arc<WorkerTable>,
+    /// Worker pool size; `Retry-After` hints drain the queue through it.
+    pub workers: usize,
     /// Live mirror of this daemon's queue depth. A mirror rather than
     /// the `maestro.serve.queue_depth` gauge because the metrics
     /// registry is process-global: two daemons in one test process must
@@ -229,20 +228,6 @@ impl ApiCtx {
             ("POST", "/v1/panic") if self.test_endpoints => {
                 panic!("test endpoint /v1/panic: deliberate handler panic")
             }
-            ("POST", "/v1/stall") if self.test_endpoints => {
-                // Simulates a wedged handler: a raw sleep that (unlike a
-                // deadline-aware analysis) never polls its token, so the
-                // worker's heartbeat goes stale and the watchdog's wedge
-                // detection has something real to find.
-                let ms = std::str::from_utf8(&req.body)
-                    .ok()
-                    .and_then(|t| json::parse(t).ok())
-                    .and_then(|b| b.get("ms").and_then(Value::as_u64))
-                    .unwrap_or(0)
-                    .min(10_000);
-                std::thread::sleep(Duration::from_millis(ms));
-                Response::json(200, format!("{{\"stalled_ms\":{ms}}}"))
-            }
             (
                 _,
                 "/healthz" | "/readyz" | "/metrics" | "/v1/analyze" | "/v1/batch" | "/v1/dse"
@@ -255,30 +240,14 @@ impl ApiCtx {
         }
     }
 
-    /// Readiness: drain state first, then worker quorum. The JSON body
-    /// names the cause, so an orchestrator (or a human) can tell "this
-    /// daemon is leaving" from "this daemon lost its workers".
+    /// Readiness: `200` while accepting, `503` naming the cause once the
+    /// drain has started.
     fn readyz(&self) -> Response {
-        if !self.ready.load(Ordering::Relaxed) {
-            return Response::json(503, "{\"ready\":false,\"cause\":\"draining\"}".to_string());
+        if self.ready.load(Ordering::Relaxed) {
+            Response::json(200, "{\"ready\":true}".to_string())
+        } else {
+            Response::json(503, "{\"ready\":false,\"cause\":\"draining\"}".to_string())
         }
-        let live = self.workers.live();
-        let (quorum, configured) = (self.workers.quorum, self.workers.configured);
-        if live < quorum {
-            return Response::json(
-                503,
-                format!(
-                    "{{\"ready\":false,\"cause\":\"workers below quorum\",\
-                     \"live\":{live},\"quorum\":{quorum},\"workers\":{configured}}}"
-                ),
-            );
-        }
-        Response::json(
-            200,
-            format!(
-                "{{\"ready\":true,\"live\":{live},\"quorum\":{quorum},\"workers\":{configured}}}"
-            ),
-        )
     }
 
     /// Instantaneous overload pressure (see [`Pressure`]), read from the
@@ -317,7 +286,7 @@ impl ApiCtx {
         retry_after_secs(
             p50,
             self.queue_len.load(Ordering::Relaxed),
-            self.workers.configured,
+            self.workers,
             self.drain_secs,
         )
     }

@@ -24,7 +24,8 @@
 //!   timeout handling and the drain's straggler path.
 //! * **worker-panic** — a worker thread panics at the top of its loop,
 //!   *before* popping a connection (so no admitted connection is ever
-//!   lost), exercising the watchdog's detect-and-respawn path.
+//!   lost), outside request isolation: the worker counts a restart and
+//!   re-enters its loop.
 //! * **stall** — the handler sleeps before dispatch, before the request
 //!   token exists: it wedges the worker (spending none of the request's
 //!   deadline) and lets the queue behind it grow.

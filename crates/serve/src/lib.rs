@@ -29,10 +29,9 @@
 //!   (`maestro.serve.brownout_shed`, `maestro.serve.degraded`). An
 //!   analyze with `deadline_ms: 0`, or one whose token a forced drain
 //!   cancelled, takes the same cache-only path instead of 504ing.
-//! * **Worker supervision** — per-worker heartbeats, a watchdog that
-//!   respawns crashed workers and supersedes wedged ones
-//!   (`maestro.serve.worker_restarts`), and a `/readyz` that reports 503
-//!   with the cause when live workers fall below quorum.
+//! * **Self-restarting workers** — each worker runs its loop under
+//!   `catch_unwind`; a panic that escapes request isolation counts
+//!   `maestro.serve.worker_restarts` and the loop starts again at once.
 //! * **Deterministic chaos** — `--chaos` injects seeded socket faults,
 //!   worker panics and handler stalls (the DSE `--inject` draw from
 //!   `maestro_obs::rng`), so overload invariants are CI-assertable.
@@ -68,7 +67,6 @@ pub mod http;
 pub mod json;
 pub mod queue;
 pub mod server;
-pub mod supervise;
 pub mod trace;
 
 pub use api::{
@@ -80,4 +78,3 @@ pub use http::{parse_request, HttpError, Limits, Parsed, Request, Response};
 pub use json::{parse as parse_json, JsonError, Value};
 pub use queue::BoundedQueue;
 pub use server::{DrainOutcome, ServeConfig, ServeMetrics, Server};
-pub use supervise::{ThreadGuard, WorkerSlot, WorkerTable};

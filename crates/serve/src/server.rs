@@ -2,8 +2,9 @@
 //!
 //! Thread topology: the caller's thread runs the accept loop (and later
 //! the drain); `workers` fixed threads pop connections from the bounded
-//! queue and serve keep-alive request loops. There is no async runtime —
-//! requests are CPU-bound analysis calls, so the pool *is* the
+//! queue and serve keep-alive request loops, each re-entering its loop
+//! after a panic that escaped request isolation. There is no async
+//! runtime — requests are CPU-bound analysis calls, so the pool *is* the
 //! concurrency limit and the queue bound *is* the admission policy.
 //!
 //! The acceptor *blocks* in `accept(2)` — no poll loop, no latency
@@ -34,7 +35,6 @@ use crate::api::{error_response, ApiCtx, Handled};
 use crate::chaos::ChaosPlan;
 use crate::http::{parse_request, Limits, Parsed, Request, Response};
 use crate::queue::BoundedQueue;
-use crate::supervise::{ThreadGuard, WorkerSlot, WorkerTable};
 use crate::trace::{AccessLog, RequestTimer};
 use maestro_core::Analyzer;
 use maestro_obs::trace::{FlightPolicy, FlightRecorder};
@@ -86,14 +86,6 @@ pub struct ServeConfig {
     /// without a cap, `workers × threads` scoped threads from concurrent
     /// requests could oversubscribe the host.
     pub max_request_threads: usize,
-    /// How often the watchdog scans for crashed/wedged workers.
-    pub watchdog_interval: Duration,
-    /// Minimum live workers for `/readyz` to report ready; `0` means
-    /// majority of the configured pool.
-    pub worker_quorum: usize,
-    /// A busy worker whose heartbeat is older than this is considered
-    /// wedged and superseded. Zero disables wedge detection.
-    pub wedge_after: Duration,
     /// Seeded fault-injection spec (`--chaos`), e.g.
     /// `read-err:0.01,worker-panic:0.005`; `None` = no injection.
     pub chaos: Option<String>,
@@ -120,9 +112,6 @@ impl Default for ServeConfig {
             trace_slow: Duration::from_millis(100),
             trace_seed: None,
             max_request_threads: 0,
-            watchdog_interval: Duration::from_millis(250),
-            worker_quorum: 0,
-            wedge_after: Duration::from_secs(30),
             chaos: None,
             chaos_seed: 0,
         }
@@ -162,15 +151,12 @@ pub struct ServeMetrics {
     pub brownout_shed: Counter,
     /// Analyze requests served cache-only with `x-maestro-degraded`.
     pub degraded: Counter,
-    /// Worker threads respawned by the watchdog (crashes + wedges).
+    /// Worker loops re-entered after a panic escaped request isolation.
     pub worker_restarts: Counter,
     /// Faults injected by the `--chaos` plan.
     pub chaos_injected: Counter,
     /// Requests currently being served.
     pub in_flight: Gauge,
-    /// Workers currently counting toward the `/readyz` quorum (refreshed
-    /// by the watchdog).
-    pub workers_live: Gauge,
     /// Connections admitted but not yet popped by a worker (sampled on
     /// every push and pop).
     pub queue_depth: Gauge,
@@ -202,7 +188,6 @@ impl ServeMetrics {
             worker_restarts: r.counter("maestro.serve.worker_restarts"),
             chaos_injected: r.counter("maestro.serve.chaos_injected"),
             in_flight: r.gauge("maestro.serve.in_flight"),
-            workers_live: r.gauge("maestro.serve.workers_live"),
             queue_depth: r.gauge("maestro.serve.queue_depth"),
             uptime_seconds: r.gauge("maestro.serve.uptime_seconds"),
             // Log-spaced: 3 buckets per decade from 100µs to 10s, so a
@@ -279,11 +264,6 @@ impl Server {
             )?)),
         };
         let worker_count = cfg.workers.max(1);
-        let table = Arc::new(WorkerTable::new(
-            worker_count,
-            cfg.worker_quorum,
-            cfg.wedge_after,
-        ));
         let ctx = Arc::new(ApiCtx {
             cache: Analyzer::new(cfg.shards, cfg.memo_cap),
             request_root: maestro_obs::CancelToken::detached(),
@@ -299,7 +279,7 @@ impl Server {
                     .map(std::num::NonZeroUsize::get)
                     .unwrap_or(8)
             },
-            workers: Arc::clone(&table),
+            workers: worker_count,
             queue_len: Arc::new(AtomicUsize::new(0)),
             queue_cap: cfg.queue_depth.max(1),
             drain_secs: cfg.drain_deadline.as_secs().max(1),
@@ -315,27 +295,15 @@ impl Server {
         let shared = Arc::new(WorkerShared {
             queue: Arc::clone(&queue),
             ctx: Arc::clone(&ctx),
-            table: Arc::clone(&table),
             in_flight: Arc::clone(&in_flight),
             io_timeout: cfg.io_timeout,
             limits,
             access: access.clone(),
             chaos,
         });
-        let mut pool = Vec::with_capacity(worker_count);
-        for i in 0..worker_count {
-            let slot = table.new_slot(i);
-            let handle = spawn_worker(&shared, Arc::clone(&slot))?;
-            pool.push((slot, handle));
-        }
-        metrics.workers_live.set(table.live() as f64);
-        let watchdog = {
-            let shared = Arc::clone(&shared);
-            let interval = cfg.watchdog_interval.max(Duration::from_millis(10));
-            std::thread::Builder::new()
-                .name("serve-watchdog".to_string())
-                .spawn(move || watchdog_loop(&shared, pool, interval))?
-        };
+        let pool = (0..worker_count)
+            .map(|i| spawn_worker(&shared, i))
+            .collect::<std::io::Result<Vec<_>>>()?;
 
         // The acceptor blocks in `accept(2)`; this thread is the only way
         // it learns about a drain. The interrupt flag is poll-only (the
@@ -379,7 +347,7 @@ impl Server {
 
         maestro_obs::info!(
             "serve: listening with {} workers, queue depth {}",
-            cfg.workers.max(1),
+            worker_count,
             cfg.queue_depth
         );
         loop {
@@ -424,20 +392,14 @@ impl Server {
 
         // --- Drain ---------------------------------------------------
         // Stop admitting: readiness off, listener closed, queue refuses
-        // producers but keeps already-admitted connections poppable. The
-        // table flips to draining so the watchdog stops wedge-replacing
-        // (but keeps respawning crashed workers while the queue holds
-        // admitted connections — the drain promise needs a pool).
+        // producers but keeps already-admitted connections poppable. Each
+        // worker returns once it finds the closed queue empty.
         ctx.ready.store(false, Ordering::Relaxed);
         drop(listener);
-        table.set_draining();
         queue.close();
         maestro_obs::info!("serve: drain started (deadline {:?})", cfg.drain_deadline);
         let t0 = Instant::now();
-        // The watchdog owns the join handles (it reaps and respawns), so
-        // the drain waits on the table's active-thread count instead —
-        // every worker registration is RAII and survives panics.
-        let outcome = if wait_for_threads(&table, t0, cfg.drain_deadline) {
+        let outcome = if wait_for_threads(&pool, t0, cfg.drain_deadline) {
             DrainOutcome::Clean
         } else {
             // The deadline expired with requests still in flight: cancel
@@ -448,21 +410,19 @@ impl Server {
                 in_flight.load(Ordering::Relaxed)
             );
             ctx.request_root.cancel();
-            wait_for_threads(&table, Instant::now(), Duration::from_secs(2));
+            wait_for_threads(&pool, Instant::now(), Duration::from_secs(2));
             DrainOutcome::Forced
         };
         if outcome == DrainOutcome::Clean {
-            // Every worker left its loop; the watchdog notices the empty
-            // pool on its next tick and exits.
-            if watchdog.join().is_err() {
-                maestro_obs::error!("serve: the watchdog thread panicked");
+            for handle in pool {
+                if handle.join().is_err() {
+                    maestro_obs::error!("serve: a worker thread panicked");
+                }
             }
-        } else {
-            // A stuck worker keeps its handle unfinished forever; the
-            // watchdog (like the stuck worker) is detached and reaped by
-            // process exit.
-            drop(watchdog);
         }
+        // A forced drain drops the pool instead: a worker stuck in its
+        // handler never finishes, so its thread is detached and process
+        // exit reaps it.
         maestro_obs::info!(
             "serve: drained in {:.3}s ({})",
             t0.elapsed().as_secs_f64(),
@@ -475,12 +435,10 @@ impl Server {
     }
 }
 
-/// Everything a worker thread (original or respawned) needs, bundled so
-/// the watchdog can spawn replacements with one `Arc` clone.
+/// Everything a worker thread needs, shared by the pool.
 struct WorkerShared {
     queue: Arc<BoundedQueue<(TcpStream, Instant)>>,
     ctx: Arc<ApiCtx>,
-    table: Arc<WorkerTable>,
     in_flight: Arc<AtomicU64>,
     io_timeout: Duration,
     limits: Limits,
@@ -488,163 +446,59 @@ struct WorkerShared {
     chaos: Option<Arc<ChaosPlan>>,
 }
 
-/// Spawn one worker thread bound to `slot`. The loop beats the slot's
-/// heartbeat at every iteration and around every connection; an injected
-/// `worker-panic` fires *before* popping, so a chaos kill never takes an
-/// admitted connection down with the thread.
+/// Spawn worker `index`. Its loop runs under `catch_unwind`: a panic that
+/// escapes request isolation (the chaos `worker-panic`, or a bug in the
+/// connection loop) counts a restart and re-enters the loop at once, so
+/// the thread lives until the closed queue is drained.
 fn spawn_worker(
     shared: &Arc<WorkerShared>,
-    slot: Arc<WorkerSlot>,
+    index: usize,
 ) -> std::io::Result<std::thread::JoinHandle<()>> {
     let shared = Arc::clone(shared);
     std::thread::Builder::new()
-        .name(format!("serve-worker-{}", slot.index))
+        .name(format!("serve-worker-{index}"))
         .spawn(move || {
-            let _guard = ThreadGuard::register(Arc::clone(&shared.table), Arc::clone(&slot));
-            loop {
-                slot.beat(shared.table.now_ms());
-                if slot.is_superseded() {
-                    // The watchdog gave up on this slot while it was
-                    // wedged and spawned a replacement; exiting here
-                    // avoids double-serving.
-                    break;
-                }
-                if let Some(chaos) = &shared.chaos {
-                    if chaos.worker_panic() {
-                        shared.ctx.metrics.chaos_injected.inc();
-                        panic!("chaos: injected worker panic");
-                    }
-                }
-                let Some((stream, accepted)) = shared.queue.pop() else {
-                    break; // queue closed and drained
-                };
-                let depth = shared.queue.len();
-                shared.ctx.queue_len.store(depth, Ordering::Relaxed);
-                shared.ctx.metrics.queue_depth.set(depth as f64);
-                slot.set_busy(true, shared.table.now_ms());
-                serve_connection(
-                    stream,
-                    accepted,
-                    &shared.ctx,
-                    &shared.in_flight,
-                    shared.io_timeout,
-                    &shared.limits,
-                    shared.access.as_deref(),
-                    shared.chaos.as_deref(),
-                );
-                slot.set_busy(false, shared.table.now_ms());
+            while catch_unwind(AssertUnwindSafe(|| worker_loop(&shared))).is_err() {
+                shared.ctx.metrics.worker_restarts.inc();
+                maestro_obs::warn!("serve: worker {index} panicked outside a request — restarting");
             }
         })
 }
 
-/// The watchdog: reap finished worker threads, respawn crashed ones,
-/// supersede wedged ones, refresh the liveness gauges. Runs until the
-/// drain finishes cleanly (draining + queue empty + no handles left);
-/// a forced drain detaches it instead.
-fn watchdog_loop(
-    shared: &Arc<WorkerShared>,
-    mut pool: Vec<(Arc<WorkerSlot>, std::thread::JoinHandle<()>)>,
-    interval: Duration,
-) {
-    let metrics = &shared.ctx.metrics;
-    let table = &shared.table;
-    let mut last_scan = Instant::now();
+/// Pop and serve connections until the closed queue is drained. An
+/// injected `worker-panic` fires *before* popping, so a chaos kill never
+/// takes an admitted connection down with it.
+fn worker_loop(shared: &WorkerShared) {
     loop {
-        // Sleep in small chunks so a drain is noticed (and drained
-        // workers reaped) promptly even under a long scan interval; the
-        // crash/wedge scan itself still runs once per `interval`.
-        std::thread::sleep(interval.min(Duration::from_millis(25)));
-        let draining = table.is_draining();
-        if !draining && last_scan.elapsed() < interval {
-            continue;
-        }
-        last_scan = Instant::now();
-        // Reap finished threads; a panicked worker is respawned into the
-        // same slot index. During a drain the pool is only sustained
-        // while admitted connections remain — a crash afterwards is just
-        // a thread that already did its job.
-        let mut alive = Vec::with_capacity(pool.len());
-        for (slot, handle) in pool {
-            if !handle.is_finished() {
-                alive.push((slot, handle));
-                continue;
-            }
-            let crashed = handle.join().is_err();
-            if !crashed {
-                continue; // clean exit: drained queue or superseded slot
-            }
-            maestro_obs::warn!("serve: worker {} crashed", slot.index);
-            if !slot.is_superseded() && (!draining || !shared.queue.is_empty()) {
-                let fresh = table.new_slot(slot.index);
-                match spawn_worker(shared, Arc::clone(&fresh)) {
-                    Ok(h) => {
-                        metrics.worker_restarts.inc();
-                        maestro_obs::info!("serve: worker {} respawned", fresh.index);
-                        alive.push((fresh, h));
-                    }
-                    Err(e) => {
-                        maestro_obs::error!("serve: failed to respawn worker {}: {e}", slot.index);
-                    }
-                }
+        if let Some(chaos) = &shared.chaos {
+            if chaos.worker_panic() {
+                shared.ctx.metrics.chaos_injected.inc();
+                panic!("chaos: injected worker panic");
             }
         }
-        pool = alive;
-        // Wedge scan: a busy worker silent past the threshold cannot be
-        // killed (std threads have no safe cancellation), so its slot is
-        // superseded — out of quorum, told to exit if it ever returns —
-        // and a replacement takes the index. Skipped while draining:
-        // stragglers there are the drain deadline's problem.
-        if !draining {
-            let now = table.now_ms();
-            let wedged: Vec<Arc<WorkerSlot>> = pool
-                .iter()
-                .filter(|(slot, _)| slot.is_wedged(now, table.wedge_after))
-                .map(|(slot, _)| Arc::clone(slot))
-                .collect();
-            for slot in wedged {
-                slot.supersede();
-                maestro_obs::warn!(
-                    "serve: worker {} wedged (heartbeat {}ms old) — superseding",
-                    slot.index,
-                    slot.heartbeat_age_ms(now)
-                );
-                let fresh = table.new_slot(slot.index);
-                match spawn_worker(shared, Arc::clone(&fresh)) {
-                    Ok(h) => {
-                        metrics.worker_restarts.inc();
-                        pool.push((fresh, h));
-                    }
-                    Err(e) => {
-                        maestro_obs::error!(
-                            "serve: failed to replace wedged worker {}: {e}",
-                            slot.index
-                        );
-                    }
-                }
-            }
-        }
-        metrics.workers_live.set(table.live() as f64);
-        let now = table.now_ms();
-        for slot in table.slots() {
-            maestro_obs::registry()
-                .gauge(&format!(
-                    "maestro.serve.worker_heartbeat_age_ms.{}",
-                    slot.index
-                ))
-                .set(slot.heartbeat_age_ms(now) as f64);
-        }
-        table.retire_dead();
-        if draining && shared.queue.is_empty() && pool.is_empty() {
-            return;
-        }
+        let Some((stream, accepted)) = shared.queue.pop() else {
+            return; // queue closed and drained
+        };
+        let depth = shared.queue.len();
+        shared.ctx.queue_len.store(depth, Ordering::Relaxed);
+        shared.ctx.metrics.queue_depth.set(depth as f64);
+        serve_connection(
+            stream,
+            accepted,
+            &shared.ctx,
+            &shared.in_flight,
+            shared.io_timeout,
+            &shared.limits,
+            shared.access.as_deref(),
+            shared.chaos.as_deref(),
+        );
     }
 }
 
-/// Poll until every registered worker thread has left its loop (their
-/// RAII guards hit zero) or `budget` elapsed.
-fn wait_for_threads(table: &WorkerTable, t0: Instant, budget: Duration) -> bool {
+/// Poll until every worker thread has finished or `budget` elapsed.
+fn wait_for_threads(pool: &[std::thread::JoinHandle<()>], t0: Instant, budget: Duration) -> bool {
     loop {
-        if table.active_threads() == 0 {
+        if pool.iter().all(std::thread::JoinHandle::is_finished) {
             return true;
         }
         if t0.elapsed() >= budget {

@@ -12,7 +12,7 @@
 
 use maestro_core::Analyzer;
 use maestro_obs::CancelToken;
-use maestro_serve::{ApiCtx, Handled, Request, Response, ServeMetrics, WorkerTable};
+use maestro_serve::{ApiCtx, Handled, Request, Response, ServeMetrics};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -30,7 +30,7 @@ fn api_ctx() -> ApiCtx {
         metrics: ServeMetrics::register(),
         started: Instant::now(),
         max_request_threads: 1,
-        workers: Arc::new(WorkerTable::new(1, 0, Duration::from_secs(30))),
+        workers: 1,
         queue_len: Arc::new(AtomicUsize::new(0)),
         queue_cap: QUEUE_CAP,
         drain_secs: 5,
