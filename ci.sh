@@ -63,6 +63,17 @@ if grep -rn --include='*.rs' 'fn parse_duration' crates/*/src \
   exit 1
 fi
 
+# One trace model: maestro_obs::trace::Trace is the thread's one trace
+# context, and it builds every TraceRecord. A second thread-local, or a
+# record or phase list built by hand, would bring back a parallel timing
+# model that spans and /debug/traces no longer agree with.
+echo "== one trace model (maestro_obs::trace::Trace)"
+if grep -rnE --include='*.rs' 'thread_local!|TraceRecord \{|Phase \{' crates/*/src \
+    | grep -v '^crates/obs/src/'; then
+  echo "thread-local state or a hand-built TraceRecord/Phase outside crates/obs/src; use maestro_obs::trace::Trace" >&2
+  exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --release --workspace
 

@@ -11,8 +11,9 @@
 use maestro_dnn::zoo;
 use maestro_dse::{variants, Explorer, SweepSpace};
 use maestro_ir::Style;
+use maestro_obs::Trace;
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Touch points inside one static build: the four stage span guards plus
 /// the `maestro.analysis.calls` add.
@@ -42,49 +43,29 @@ fn main() {
 
     // Enabled-path tracing costs (the per-request price when `serve`
     // runs with its default 1-in-16 tail sampling). Three components:
-    // drawing + installing a trace context, offering a sampled-out
-    // record to the flight recorder (the common case), and retaining a
-    // kept record in the ring.
+    // beginning a trace and installing it as the thread's context until
+    // it is taken back, offering a sampled-out record to the flight
+    // recorder (the common case), and retaining a kept record in the
+    // ring. Records are built through the trace, as serve builds them.
     maestro_obs::trace::seed_trace_ids(0xbe9c);
     let m: u64 = 2_000_000;
+    let anchor = Instant::now();
     let t0 = Instant::now();
     for _ in 0..m {
         let id = maestro_obs::trace::next_trace_id();
-        let prev = maestro_obs::trace::set_current(black_box(id));
-        maestro_obs::trace::clear_current(prev);
+        maestro_obs::trace::install(Trace::begin(black_box(id), anchor));
+        black_box(maestro_obs::trace::take());
     }
     let ctx_ns = t0.elapsed().as_secs_f64() * 1e9 / m as f64;
 
-    let mk_rec = |id: maestro_obs::TraceId| maestro_obs::TraceRecord {
-        id,
-        name: "POST /v1/analyze".to_string(),
-        status: 200,
-        start_unix_ms: 0,
-        total_us: 500,
-        bytes: 900,
-        phases: vec![
-            maestro_obs::Phase {
-                name: "queue",
-                start_us: 0,
-                dur_us: 30,
-            },
-            maestro_obs::Phase {
-                name: "parse",
-                start_us: 30,
-                dur_us: 90,
-            },
-            maestro_obs::Phase {
-                name: "analyze",
-                start_us: 120,
-                dur_us: 290,
-            },
-            maestro_obs::Phase {
-                name: "serialize",
-                start_us: 410,
-                dur_us: 90,
-            },
-        ],
-        kept: maestro_obs::KeepReason::Sampled,
+    let us = Duration::from_micros;
+    let mk_rec = |id: maestro_obs::TraceId| {
+        let mut t = Trace::begin(id, anchor);
+        t.mark_at("queue", anchor);
+        t.mark_at("parse", anchor + us(30));
+        t.mark_at("analyze", anchor + us(120));
+        t.mark_at("serialize", anchor + us(410));
+        t.finish("POST /v1/analyze".to_string(), 200, 900)
     };
     let dropped = maestro_obs::FlightRecorder::new(maestro_obs::FlightPolicy {
         capacity: 256,
@@ -137,7 +118,7 @@ fn main() {
     println!("  disabled span guard   {span_ns:>8.2} ns/call");
     println!("  gated-off log macro   {log_ns:>8.2} ns/call");
     println!("enabled tracing (per request, building the record included)");
-    println!("  trace context         {ctx_ns:>8.2} ns (draw ID + install + clear)");
+    println!("  trace context         {ctx_ns:>8.2} ns (draw ID + begin + install + take)");
     println!("  record, sampled out   {drop_ns:>8.2} ns (the 15-in-16 case)");
     println!("  record, kept          {keep_ns:>8.2} ns (ring insert + eviction)");
     println!(

@@ -276,10 +276,8 @@ fn load_model(name: &str) -> Result<Model, CliError> {
 }
 
 fn load_dataflow(spec: &str) -> Result<Dataflow, CliError> {
-    for s in Style::ALL {
-        if s.short_name().eq_ignore_ascii_case(spec) || s.alias().eq_ignore_ascii_case(spec) {
-            return Ok(s.dataflow());
-        }
+    if let Some(style) = Style::from_name(spec) {
+        return Ok(style.dataflow());
     }
     let text = std::fs::read_to_string(spec).map_err(|e| {
         CliError::usage(format!(
@@ -518,9 +516,7 @@ fn cmd_dse(args: &Args) -> Result<(), CliError> {
     let model = load_model(args.get("model", "vgg16"))?;
     let layer = pick_layer(&model, args)?;
     let style_name = args.get("style", "KC-P");
-    let style = Style::ALL
-        .into_iter()
-        .find(|s| s.short_name().eq_ignore_ascii_case(style_name))
+    let style = Style::from_name(style_name)
         .ok_or_else(|| CliError::usage(format!("unknown style `{style_name}`")))?;
     // 0 = one worker per core; results are identical at any thread count.
     let threads = usize::try_from(args.get_u64("threads", 0).map_err(CliError::usage)?)

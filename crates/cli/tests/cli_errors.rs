@@ -250,12 +250,79 @@ fn out_of_range_seconds_flags_exit_2() {
     }
 }
 
+// Regression: a restarted serve worker drew `worker-panic` again before
+// its first pop, so at rate 1 the workers panicked in a loop (tens of
+// thousands of times a second), never reached the closed queue, and the
+// drain was forced (exit 7).
+#[test]
+fn serve_worker_panic_at_rate_1_still_drains_cleanly() {
+    // stderr to null: every restart prints a panic message.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_maestro"))
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--chaos",
+            "worker-panic:1",
+            "--max-seconds",
+            "1",
+            "--drain-seconds",
+            "1",
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn maestro serve");
+    let start = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll maestro") {
+            break status;
+        }
+        if start.elapsed() > Duration::from_secs(20) {
+            let _ = child.kill();
+            break child.wait().expect("reap maestro");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(status.code(), Some(0), "forced drain: {status:?}");
+}
+
 #[test]
 fn healthy_invocations_exit_0() {
     let out = maestro(&["analyze", "--model", "vgg16", "--layer", "CONV2"]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let out = maestro(&["help"]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+}
+
+/// `dse --style` takes the Table 3 aliases in any case, as `analyze
+/// --dataflow` and `/v1/dse` do: `dla` sweeps exactly what `KC-P` does.
+#[test]
+fn dse_style_accepts_the_table_3_aliases() {
+    let sweep = |style: &str| {
+        let out = maestro(&[
+            "dse",
+            "--model",
+            "alexnet",
+            "--layer",
+            "CONV1",
+            "--style",
+            style,
+            "--threads",
+            "1",
+            "--json",
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{style}: {}", stderr(&out));
+        // Everything but the wall-clock fields.
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| !l.contains("\"seconds\"") && !l.contains("\"rate\""))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let kcp = sweep("KC-P");
+    assert!(kcp.contains("\"pareto\""), "{kcp}");
+    assert_eq!(sweep("dla"), kcp);
 }
 
 #[test]

@@ -201,6 +201,38 @@ fn deadline_exits_7_and_progress_reports_eta() {
     );
 }
 
+// Regression: a deadline past 2^64 µs wrapped to a fraction of a second,
+// so this sweep (12 units × 100 ms) was cut short and exited 7.
+#[test]
+fn deadlines_too_far_away_to_store_never_cut_a_sweep() {
+    let out = Command::new(env!("CARGO_BIN_EXE_maestro"))
+        .args([
+            "dse",
+            "--model",
+            "vgg16",
+            "--layer",
+            "CONV5",
+            "--style",
+            "KC-P",
+            "--threads",
+            "1",
+            "--max-seconds",
+            "18446744073710",
+            "--inject",
+            "delay:100ms:1.0",
+        ])
+        .output()
+        .expect("spawn far-deadline run");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "a deadline too far away to store is no deadline: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("PARTIAL"), "{stdout}");
+}
+
 #[test]
 fn conform_max_seconds_cuts_the_run_with_a_partial_report() {
     let out = Command::new(env!("CARGO_BIN_EXE_maestro"))

@@ -57,10 +57,11 @@ use crate::checkpoint::Checkpoint;
 use crate::explorer::{
     update_best, DesignPoint, DseResult, DseStats, ParetoFront, Partial, QuarantinedUnit,
 };
+use maestro_obs::Trace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What one work unit produced: its [`Partial`], or the panic payload
 /// (rendered as a string) if it panicked or timed out.
@@ -119,12 +120,14 @@ pub fn unit_trace_draw(k: u64, unit: usize) -> bool {
     k > 0 && (unit as u64).is_multiple_of(k)
 }
 
-/// Milliseconds since the Unix epoch (0 if the clock is before it).
-fn unix_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis().min(u128::from(u64::MAX)) as u64)
-        .unwrap_or(0)
+/// Begin unit `i`'s trace when tracing is on: its one `unit` phase opens
+/// now.
+fn begin_unit_trace(ctl: &SessionCtl, i: usize) -> Option<Trace> {
+    ctl.trace_sample?;
+    let now = Instant::now();
+    let mut trace = Trace::begin(unit_trace_id(ctl.trace_seed, i), now);
+    trace.mark_at("unit", now);
+    Some(trace)
 }
 
 /// Retain a flight-recorder entry for one completed unit, if tracing is
@@ -132,38 +135,20 @@ fn unix_ms() -> u64 {
 /// keep). The recorder's own tail-sampling policy is bypassed: the draw
 /// here is on the unit *index*, not the trace ID, so which units get
 /// traced does not change when the seed (and hence the IDs) does.
-fn record_unit_trace(
-    ctl: &SessionCtl,
-    i: usize,
-    outcome: &UnitOutcome,
-    started_ms: u64,
-    elapsed: Duration,
-) {
-    let Some(k) = ctl.trace_sample else { return };
+fn record_unit_trace(ctl: &SessionCtl, i: usize, outcome: &UnitOutcome, trace: Option<Trace>) {
+    let (Some(k), Some(trace)) = (ctl.trace_sample, trace) else {
+        return;
+    };
     let failed = outcome.is_err();
     if !failed && !unit_trace_draw(k, i) {
         return;
     }
-    let dur_us = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
-    let reason = if failed {
-        maestro_obs::KeepReason::Error
+    let (status, reason) = if failed {
+        (500, maestro_obs::KeepReason::Error)
     } else {
-        maestro_obs::KeepReason::Sampled
+        (200, maestro_obs::KeepReason::Sampled)
     };
-    let rec = maestro_obs::TraceRecord {
-        id: unit_trace_id(ctl.trace_seed, i),
-        name: format!("dse.unit[{i}]"),
-        status: if failed { 500 } else { 200 },
-        start_unix_ms: started_ms,
-        total_us: dur_us,
-        bytes: 0,
-        phases: vec![maestro_obs::Phase {
-            name: "unit",
-            start_us: 0,
-            dur_us,
-        }],
-        kept: reason,
-    };
+    let rec = trace.finish(format!("dse.unit[{i}]"), status, 0);
     maestro_obs::FlightRecorder::global().keep(rec, reason);
 }
 
@@ -377,15 +362,10 @@ where
         if skip[i] {
             continue;
         }
-        let started_ms = if ctl.trace_sample.is_some() {
-            unix_ms()
-        } else {
-            0
-        };
-        let t0 = Instant::now();
+        let trace = begin_unit_trace(ctl, i);
         match run_attempts(i) {
             Some(outcome) => {
-                record_unit_trace(ctl, i, &outcome, started_ms, t0.elapsed());
+                record_unit_trace(ctl, i, &outcome, trace);
                 complete_unit(i, outcome);
             }
             None => break,
@@ -520,6 +500,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn unit(i: usize) -> Partial {
         let mut p = Partial::new();

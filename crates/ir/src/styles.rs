@@ -56,6 +56,14 @@ impl Style {
         }
     }
 
+    /// The style named `name`: its short name or its alias, in any case
+    /// (`KC-P`, `kc-p`, `DLA` and `dla` all name [`Style::KCP`]).
+    pub fn from_name(name: &str) -> Option<Style> {
+        Style::ALL.into_iter().find(|s| {
+            s.short_name().eq_ignore_ascii_case(name) || s.alias().eq_ignore_ascii_case(name)
+        })
+    }
+
     /// Construct the style's dataflow description (Table 3).
     pub fn dataflow(self) -> Dataflow {
         let sz = SizeExpr::size;
@@ -242,6 +250,29 @@ mod tests {
         assert_eq!(Style::CP.to_string(), "C-P");
         for s in Style::ALL {
             assert!(!s.characteristics().is_empty());
+        }
+    }
+
+    #[test]
+    fn every_name_and_alias_finds_its_style_in_any_case() {
+        let names = [
+            ("C-P", "NLR", Style::CP),
+            ("X-P", "WS", Style::XP),
+            ("YX-P", "Shi", Style::YXP),
+            ("YR-P", "RS", Style::YRP),
+            ("KC-P", "DLA", Style::KCP),
+        ];
+        for (short, alias, style) in names {
+            for name in [short, alias] {
+                assert_eq!(Style::from_name(name), Some(style), "{name}");
+                let lower = name.to_ascii_lowercase();
+                assert_eq!(Style::from_name(&lower), Some(style), "{lower}");
+                let upper = name.to_ascii_uppercase();
+                assert_eq!(Style::from_name(&upper), Some(style), "{upper}");
+            }
+        }
+        for bad in ["", "KCP", "kc", "DLA ", "KC-P-X", "rs-p"] {
+            assert_eq!(Style::from_name(bad), None, "{bad:?}");
         }
     }
 

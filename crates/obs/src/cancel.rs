@@ -165,13 +165,17 @@ impl CancelToken {
         self.0.flag.store(true, Ordering::Relaxed);
     }
 
-    /// Arm a deadline `budget` from now. A zero budget trips immediately.
+    /// Arm a deadline `budget` from now. A zero budget trips immediately;
+    /// a deadline too far away to store (past 2^64 µs) means none.
     pub fn set_deadline_in(&self, budget: Duration) {
-        let at = epoch().elapsed() + budget;
         // Stored +1 so an exactly-zero elapsed time still arms (0 = none).
-        self.0
-            .deadline_micros
-            .store(at.as_micros() as u64 + 1, Ordering::Relaxed);
+        let at = epoch()
+            .elapsed()
+            .checked_add(budget)
+            .and_then(|at| u64::try_from(at.as_micros()).ok())
+            .and_then(|us| us.checked_add(1))
+            .unwrap_or(0);
+        self.0.deadline_micros.store(at, Ordering::Relaxed);
     }
 
     /// Whether the armed deadline (if any) of *this* token has passed
@@ -233,6 +237,23 @@ mod tests {
         std::thread::sleep(Duration::from_millis(40));
         assert!(t.deadline_exceeded());
         assert!(t.is_cancelled());
+    }
+
+    // Regression: the deadline's microseconds wrapped past 2^64, so a
+    // budget of ~584,000 years tripped after a fraction of a second.
+    #[test]
+    fn deadlines_too_far_away_to_store_never_trip() {
+        for budget in [
+            Duration::from_secs(18_446_744_073_710),
+            Duration::from_micros(u64::MAX),
+            Duration::MAX,
+        ] {
+            let t = CancelToken::detached();
+            t.set_deadline_in(budget);
+            std::thread::sleep(Duration::from_millis(1));
+            assert!(!t.deadline_exceeded(), "{budget:?}");
+            assert!(!t.is_cancelled(), "{budget:?}");
+        }
     }
 
     #[test]

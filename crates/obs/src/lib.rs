@@ -23,8 +23,10 @@
 //!   monotonic timing, per-thread buffers flushed at root-scope exit so
 //!   the parallel DSE hot path never contends on a global lock. Exported
 //!   as JSONL events.
-//! * [`trace`] — request-scoped trace IDs propagated into spans via a
-//!   thread-local context, plus a bounded tail-sampling
+//! * [`trace`](mod@trace) — the one trace model: a [`trace::Trace`]
+//!   times a unit of work in named phases and builds its record, and,
+//!   installed as the thread's trace context, lends its ID to every
+//!   span the thread records; plus a bounded tail-sampling
 //!   [`trace::FlightRecorder`] that keeps 100% of failed/slow work and a
 //!   deterministic 1-in-K sample of the rest.
 //!
@@ -71,4 +73,4 @@ pub use cancel::{interrupt_raised, raise_interrupt, CancelToken};
 pub use log::Level;
 pub use metrics::{registry, Counter, Gauge, Histogram, Registry};
 pub use span::{SpanEvent, SpanGuard};
-pub use trace::{FlightPolicy, FlightRecorder, KeepReason, Phase, TraceId, TraceRecord};
+pub use trace::{FlightPolicy, FlightRecorder, KeepReason, Phase, Trace, TraceId, TraceRecord};

@@ -110,7 +110,7 @@ pub fn span(name: &'static str) -> SpanGuard {
 #[cold]
 fn span_slow(name: &'static str) -> SpanGuard {
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-    let trace = crate::trace::current();
+    let trace = crate::trace::current().map_or(0, |id| id.0);
     let start_ns = epoch().elapsed().as_nanos() as u64;
     let (parent, depth, thread) = STATE.with(|s| {
         let mut s = s.borrow_mut();
@@ -399,11 +399,12 @@ mod tests {
             {
                 let _bare = span("maestro.test.untraced");
             }
-            let prev = crate::trace::set_current(crate::trace::TraceId(0xfeed));
+            let id = crate::trace::TraceId(0xfeed);
+            crate::trace::install(crate::trace::Trace::begin(id, Instant::now()));
             {
                 let _traced = span("maestro.test.traced");
             }
-            crate::trace::clear_current(prev);
+            crate::trace::take();
         });
         let bare = events
             .iter()

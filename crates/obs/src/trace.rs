@@ -1,18 +1,29 @@
-//! Request-scoped tracing: trace IDs, a per-thread trace context, and a
+//! Request-scoped tracing: trace IDs, the thread's trace context, and a
 //! tail-sampling **flight recorder**.
 //!
 //! A [`TraceId`] is a 128-bit identifier stamped on a unit of served work
 //! (an HTTP request in `maestro serve`, a DSE work unit under
-//! `--trace-sample`). While the work runs, the ID is installed in a
-//! thread-local *trace context* ([`set_current`]); every span the thread
-//! records during that window carries it (see
-//! [`crate::span::SpanEvent::trace`]), so a span dump can be sliced per
-//! request after the fact.
+//! `--trace-sample`). A [`Trace`] times that work and finishes into its
+//! [`TraceRecord`]; every record in the workspace is built that way.
+//! While a trace is [`install`]ed it is the thread's *trace context*:
+//! code deeper in the stack advances it with [`mark`] without threading
+//! an argument through every signature, and every span the thread
+//! records carries its ID (see [`crate::span::SpanEvent::trace`]), so a
+//! span dump can be sliced per request after the fact. [`take`] removes
+//! it again.
 //!
-//! When the work finishes, its phase breakdown is assembled into a
-//! [`TraceRecord`] and offered to the process-global [`FlightRecorder`] —
-//! a bounded ring of the last N *kept* traces. Keeping is **tail-based**:
-//! the decision is made after the outcome is known, so the recorder keeps
+//! Phase model: a trace is an ordered list of half-open phases measured
+//! against one anchor instant (for a served request, its accept time or
+//! its first byte). [`Trace::mark_at`] closes the open phase and opens
+//! the next; marking the phase that is already open does nothing, so the
+//! HTTP parse and the JSON body decode both land in one `parse` phase.
+//! [`Trace::finish`] closes whatever phase is open, so the phases tile
+//! the trace from its first mark to its end.
+//!
+//! A finished record is offered to the process-global [`FlightRecorder`]
+//! — a bounded ring of the last N *kept* traces. Keeping is
+//! **tail-based**: the decision is made after the outcome is known, so
+//! the recorder keeps
 //!
 //! * 100% of failed work (HTTP 5xx: sheds, panics, deadline 504s,
 //!   quarantined DSE units) — [`KeepReason::Error`];
@@ -31,9 +42,11 @@
 //! bytes per record — ~100 KiB at the default capacity of 256. Eviction
 //! is strictly FIFO; nothing in the recorder grows without bound.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// A 128-bit trace identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -52,17 +65,6 @@ impl TraceId {
             return None;
         }
         u128::from_str_radix(s, 16).ok().map(TraceId)
-    }
-
-    /// The low 64 bits — the sampling key.
-    pub fn lo(self) -> u64 {
-        self.0 as u64
-    }
-}
-
-impl std::fmt::Display for TraceId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:032x}", self.0)
     }
 }
 
@@ -87,8 +89,8 @@ pub fn next_trace_id() -> TraceId {
             // First use without an explicit seed: derive one from the
             // wall clock so concurrent daemons don't collide. Racing
             // initializers agree via compare_exchange.
-            let entropy = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
+            let entropy = SystemTime::now()
+                .duration_since(UNIX_EPOCH)
                 .map(|d| d.as_nanos() as u64)
                 .unwrap_or(0x5eed)
                 | 1;
@@ -100,28 +102,6 @@ pub fn next_trace_id() -> TraceId {
         s => s,
     };
     crate::rng::trace_id(seed, n)
-}
-
-thread_local! {
-    static CURRENT_TRACE: std::cell::Cell<u128> = const { std::cell::Cell::new(0) };
-}
-
-/// Install `id` as the thread's current trace; spans recorded until
-/// [`clear_current`] carry it. Returns the previously installed ID (0 =
-/// none) so nested scopes can restore it.
-pub fn set_current(id: TraceId) -> u128 {
-    CURRENT_TRACE.with(|c| c.replace(id.0))
-}
-
-/// Remove the thread's current trace (restoring `prev` from
-/// [`set_current`]).
-pub fn clear_current(prev: u128) {
-    CURRENT_TRACE.with(|c| c.set(prev));
-}
-
-/// The thread's current trace ID, 0 when none is installed.
-pub fn current() -> u128 {
-    CURRENT_TRACE.with(std::cell::Cell::get)
 }
 
 /// One attributed phase of a trace (e.g. `queue`, `parse`, `analyze`,
@@ -212,6 +192,117 @@ impl TraceRecord {
     }
 }
 
+/// Milliseconds since the Unix epoch (0 if the clock is before 1970).
+fn unix_ms() -> u64 {
+    SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map(|d| d.as_millis().min(u128::from(u64::MAX)) as u64)
+        .unwrap_or(0)
+}
+
+/// An in-progress trace: named phases marked against one anchor instant
+/// (see the module docs for the phase model).
+#[derive(Debug)]
+pub struct Trace {
+    id: TraceId,
+    anchor: Instant,
+    start_unix_ms: u64,
+    phases: Vec<Phase>,
+    open: Option<(&'static str, Instant)>,
+}
+
+impl Trace {
+    /// Start trace `id` anchored at `anchor`, which may lie in the past
+    /// (a request's accept time precedes the parse that begins its
+    /// trace).
+    pub fn begin(id: TraceId, anchor: Instant) -> Trace {
+        Trace {
+            id,
+            anchor,
+            start_unix_ms: unix_ms(),
+            phases: Vec::new(),
+            open: None,
+        }
+    }
+
+    /// The trace ID (the `x-maestro-trace` header value).
+    pub fn id(&self) -> TraceId {
+        self.id
+    }
+
+    fn off(&self, t: Instant) -> u64 {
+        t.saturating_duration_since(self.anchor).as_micros() as u64
+    }
+
+    /// Close the open phase at `t` and open `name` there. Marking the
+    /// phase that is already open does nothing.
+    pub fn mark_at(&mut self, name: &'static str, t: Instant) {
+        if self.open.is_some_and(|(open, _)| open == name) {
+            return;
+        }
+        self.close(t);
+        self.open = Some((name, t));
+    }
+
+    fn close(&mut self, t: Instant) {
+        if let Some((name, t0)) = self.open.take() {
+            let start_us = self.off(t0);
+            self.phases.push(Phase {
+                name,
+                start_us,
+                dur_us: self.off(t).saturating_sub(start_us),
+            });
+        }
+    }
+
+    /// Close the trace now: whatever phase is open absorbs the
+    /// remainder, and the total is the full anchored wall time.
+    pub fn finish(mut self, name: String, status: u16, bytes: u64) -> TraceRecord {
+        let now = Instant::now();
+        self.close(now);
+        TraceRecord {
+            id: self.id,
+            name,
+            status,
+            start_unix_ms: self.start_unix_ms,
+            total_us: self.off(now),
+            bytes,
+            phases: self.phases,
+            // Placeholder: the recorder stamps the real reason on keep.
+            kept: KeepReason::Sampled,
+        }
+    }
+}
+
+thread_local! {
+    static CONTEXT: RefCell<Option<Trace>> = const { RefCell::new(None) };
+}
+
+/// Install `trace` as the thread's trace context, replacing any other.
+pub fn install(trace: Trace) {
+    CONTEXT.with(|c| *c.borrow_mut() = Some(trace));
+}
+
+/// Mark phase `name` now on the thread's trace ([`Trace::mark_at`]).
+/// No-op when no trace is installed (handlers called directly by tests).
+pub fn mark(name: &'static str) {
+    CONTEXT.with(|c| {
+        if let Some(t) = c.borrow_mut().as_mut() {
+            t.mark_at(name, Instant::now());
+        }
+    });
+}
+
+/// The ID of the thread's trace, if one is installed.
+pub fn current() -> Option<TraceId> {
+    CONTEXT.with(|c| c.borrow().as_ref().map(Trace::id))
+}
+
+/// Remove and return the thread's trace.
+pub fn take() -> Option<Trace> {
+    CONTEXT.with(|c| c.borrow_mut().take())
+}
+
 /// JSON-escape `s` into `out` with surrounding quotes.
 pub(crate) fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
@@ -274,8 +365,22 @@ pub struct FlightRecorder {
 struct Ring {
     policy: FlightPolicy,
     buf: VecDeque<TraceRecord>,
-    kept: u64,
-    sampled_out: u64,
+}
+
+impl Ring {
+    /// Stamp `reason` on `rec` and append it, evicting the oldest records
+    /// beyond capacity. Returns the reason when the record was retained.
+    fn insert(&mut self, mut rec: TraceRecord, reason: KeepReason) -> Option<KeepReason> {
+        if self.policy.capacity == 0 {
+            return None;
+        }
+        rec.kept = reason;
+        while self.buf.len() >= self.policy.capacity {
+            self.buf.pop_front();
+        }
+        self.buf.push_back(rec);
+        Some(reason)
+    }
 }
 
 impl Default for FlightRecorder {
@@ -291,8 +396,6 @@ impl FlightRecorder {
             inner: Mutex::new(Ring {
                 policy,
                 buf: VecDeque::with_capacity(policy.capacity.min(1024)),
-                kept: 0,
-                sampled_out: 0,
             }),
         }
     }
@@ -321,53 +424,21 @@ impl FlightRecorder {
         }
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> FlightPolicy {
-        self.lock().policy
-    }
-
-    /// The tail-sampling decision for an outcome, without recording.
-    /// `None` = drop.
-    pub fn decide(&self, id: TraceId, status: u16, total_us: u64) -> Option<KeepReason> {
-        let policy = self.policy();
-        decide(policy, id, status, total_us)
-    }
-
     /// Offer a completed trace. Returns the keep reason when the record
     /// was retained, `None` when it was sampled out.
-    pub fn record(&self, mut rec: TraceRecord) -> Option<KeepReason> {
+    pub fn record(&self, rec: TraceRecord) -> Option<KeepReason> {
         let mut r = self.lock();
-        let Some(reason) = decide(r.policy, rec.id, rec.status, rec.total_us) else {
-            r.sampled_out += 1;
-            return None;
-        };
-        rec.kept = reason;
-        if r.policy.capacity == 0 {
-            return None;
-        }
-        while r.buf.len() >= r.policy.capacity {
-            r.buf.pop_front();
-        }
-        r.buf.push_back(rec);
-        r.kept += 1;
-        Some(reason)
+        let reason = decide(r.policy, rec.id, rec.status, rec.total_us)?;
+        r.insert(rec, reason)
     }
 
     /// Retain a trace unconditionally, bypassing the sampling policy —
     /// for callers that made their own keep decision (the DSE per-unit
     /// path samples on the *unit index*, not the trace ID, so resumed
-    /// sweeps trace the same units). Capacity eviction still applies.
-    pub fn keep(&self, mut rec: TraceRecord, reason: KeepReason) {
-        let mut r = self.lock();
-        rec.kept = reason;
-        if r.policy.capacity == 0 {
-            return;
-        }
-        while r.buf.len() >= r.policy.capacity {
-            r.buf.pop_front();
-        }
-        r.buf.push_back(rec);
-        r.kept += 1;
+    /// sweeps trace the same units; a failed response write is always
+    /// an error). Capacity eviction still applies.
+    pub fn keep(&self, rec: TraceRecord, reason: KeepReason) {
+        self.lock().insert(rec, reason);
     }
 
     /// The retained traces, newest first.
@@ -380,13 +451,7 @@ impl FlightRecorder {
         self.lock().buf.iter().rev().find(|r| r.id == id).cloned()
     }
 
-    /// `(kept, sampled_out)` totals since process start.
-    pub fn stats(&self) -> (u64, u64) {
-        let r = self.lock();
-        (r.kept, r.sampled_out)
-    }
-
-    /// Drop every retained trace (tests).
+    /// Drop every retained trace (tests that share the global recorder).
     pub fn clear(&self) {
         self.lock().buf.clear();
     }
@@ -404,7 +469,7 @@ pub fn decide(policy: FlightPolicy, id: TraceId, status: u16, total_us: u64) -> 
     match policy.sample_k {
         0 => None,
         1 => Some(KeepReason::Sampled),
-        k => crate::rng::splitmix64(id.lo())
+        k => crate::rng::splitmix64(id.0 as u64)
             .is_multiple_of(k)
             .then_some(KeepReason::Sampled),
     }
@@ -413,6 +478,7 @@ pub fn decide(policy: FlightPolicy, id: TraceId, status: u16, total_us: u64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn trace_ids_render_and_parse() {
@@ -445,17 +511,64 @@ mod tests {
     }
 
     #[test]
-    fn current_trace_nests_and_restores() {
-        assert_eq!(current(), 0);
-        let prev = set_current(TraceId(7));
-        assert_eq!(prev, 0);
-        assert_eq!(current(), 7);
-        let prev2 = set_current(TraceId(9));
-        assert_eq!(prev2, 7);
-        clear_current(prev2);
-        assert_eq!(current(), 7);
-        clear_current(prev);
-        assert_eq!(current(), 0);
+    fn phases_partition_the_total() {
+        let us = Duration::from_micros;
+        let anchor = Instant::now();
+        let mut t = Trace::begin(TraceId(1), anchor);
+        t.mark_at("queue", anchor);
+        t.mark_at("parse", anchor + us(100));
+        // Marking the open phase again does nothing.
+        t.mark_at("parse", anchor + us(150));
+        t.mark_at("analyze", anchor + us(250));
+        std::thread::sleep(Duration::from_millis(2));
+        t.mark_at("serialize", Instant::now());
+        let rec = t.finish("GET /x".to_string(), 200, 10);
+        let names: Vec<&str> = rec.phases.iter().map(|p| p.name).collect();
+        assert_eq!(names, vec!["queue", "parse", "analyze", "serialize"]);
+        let parse = &rec.phases[1];
+        assert_eq!((parse.start_us, parse.dur_us), (100, 150), "{rec:?}");
+        let sum: u64 = rec.phases.iter().map(|p| p.dur_us).sum();
+        // The phases tile [anchor, finish], so they sum to the total up
+        // to microsecond rounding.
+        assert!(
+            rec.total_us.abs_diff(sum) < rec.total_us / 5 + 200,
+            "total {} vs phase sum {sum}: {rec:?}",
+            rec.total_us
+        );
+    }
+
+    // Regression: the connection loop closed `parse` at the parse instant
+    // and reopened it before routing; the two only merged when their
+    // microsecond offsets touched, so traces listed `parse` twice.
+    #[test]
+    fn marking_the_open_phase_does_nothing() {
+        let anchor = Instant::now();
+        let mut t = Trace::begin(TraceId(2), anchor);
+        t.mark_at("parse", anchor);
+        std::thread::sleep(Duration::from_millis(2));
+        t.mark_at("parse", Instant::now());
+        t.mark_at("analyze", Instant::now());
+        let rec = t.finish("POST /v1/x".to_string(), 200, 0);
+        let names: Vec<&str> = rec.phases.iter().map(|p| p.name).collect();
+        assert_eq!(names, vec!["parse", "analyze"], "{rec:?}");
+        let (parse, analyze) = (&rec.phases[0], &rec.phases[1]);
+        assert_eq!(parse.start_us, 0, "{rec:?}");
+        assert_eq!(parse.start_us + parse.dur_us, analyze.start_us, "{rec:?}");
+    }
+
+    #[test]
+    fn install_mark_take() {
+        assert!(take().is_none());
+        mark("noop-without-trace");
+        let t = Trace::begin(TraceId(3), Instant::now());
+        let id = t.id();
+        install(t);
+        assert_eq!(current(), Some(id));
+        mark("analyze");
+        let t = take().unwrap();
+        let rec = t.finish("x".to_string(), 200, 0);
+        assert_eq!(rec.phases.last().map(|p| p.name), Some("analyze"));
+        assert!(take().is_none());
     }
 
     fn rec(id: u128, status: u16, total_us: u64) -> TraceRecord {
@@ -492,7 +605,6 @@ mod tests {
         assert_eq!(fr.record(rec(4, 200, 10_000)), Some(KeepReason::Slow));
         assert_eq!(fr.record(rec(5, 200, 5)), None, "fast success sampled out");
         assert_eq!(fr.recent().len(), 4);
-        assert_eq!(fr.stats(), (4, 1));
     }
 
     #[test]

@@ -370,7 +370,7 @@ impl ApiCtx {
         let token = self.request_root.child_with_deadline(budget);
         // Body decoded, token built: attribution shifts from parse to
         // the analysis stages.
-        crate::trace::mark("analyze");
+        maestro_obs::trace::mark("analyze");
         Ok((body, token))
     }
 
@@ -399,7 +399,7 @@ impl ApiCtx {
         let cache_only = token.is_cancelled() || self.pressure() == Pressure::Critical;
         match self.lookup(&point, token, cache_only) {
             Ok(answers) => {
-                crate::trace::mark("serialize");
+                maestro_obs::trace::mark("serialize");
                 let mut body = String::new();
                 point.write_json(&mut body, &answers);
                 let mut resp = Response::json(200, body);
@@ -477,7 +477,7 @@ impl ApiCtx {
             ));
         };
         let style_name = body.get("style").and_then(Value::as_str).unwrap_or("KC-P");
-        let Some(style) = find_style(style_name) else {
+        let Some(style) = Style::from_name(style_name) else {
             return Err(error_response(
                 400,
                 &format!("unknown style `{style_name}`"),
@@ -527,7 +527,7 @@ impl ApiCtx {
             &ctl,
         ) {
             Ok((result, session)) => {
-                crate::trace::mark("serialize");
+                maestro_obs::trace::mark("serialize");
                 let js = match serde_json::to_string(&result) {
                     Ok(js) => js,
                     Err(e) => return error_response(500, &e.to_string()),
@@ -575,7 +575,7 @@ impl ApiCtx {
         let mut head = String::from(
             "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n",
         );
-        if let Some(id) = crate::trace::active_id() {
+        if let Some(id) = maestro_obs::trace::current() {
             head.push_str(&format!("x-maestro-trace: {}\r\n", id.to_hex()));
         }
         head.push_str("\r\n");
@@ -624,7 +624,7 @@ impl ApiCtx {
             &ctl,
         ) {
             Ok((result, session)) => {
-                crate::trace::mark("serialize");
+                maestro_obs::trace::mark("serialize");
                 if session.interrupted {
                     self.metrics.timeouts.inc();
                 }
@@ -687,7 +687,7 @@ impl ApiCtx {
                 return timeout_response(done, points.len(), Some(&partial));
             }
         }
-        crate::trace::mark("serialize");
+        maestro_obs::trace::mark("serialize");
         out.push_str("]}");
         Response::json(200, out)
     }
@@ -744,7 +744,7 @@ impl ApiCtx {
             Err(r) => return r,
         };
         let report = maestro_sim::run_conform_cancellable(&cfg, token);
-        crate::trace::mark("serialize");
+        maestro_obs::trace::mark("serialize");
         let js = match serde_json::to_string(&report) {
             Ok(js) => js,
             Err(e) => return error_response(500, &e.to_string()),
@@ -897,16 +897,10 @@ fn load_dataflow(body: &Value) -> Result<&'static Dataflow, Response> {
         .and_then(Value::as_str)
         .unwrap_or("KC-P");
     let flows = FLOWS.get_or_init(|| Style::ALL.into_iter().map(|s| (s, s.dataflow())).collect());
-    find_style(spec)
+    Style::from_name(spec)
         .and_then(|style| flows.iter().find(|(s, _)| *s == style))
         .map(|(_, dataflow)| dataflow)
         .ok_or_else(|| error_response(400, &format!("unknown dataflow style `{spec}`")))
-}
-
-fn find_style(spec: &str) -> Option<Style> {
-    Style::ALL
-        .into_iter()
-        .find(|s| s.short_name().eq_ignore_ascii_case(spec) || s.alias().eq_ignore_ascii_case(spec))
 }
 
 fn accelerator(body: &Value) -> Result<Accelerator, Response> {

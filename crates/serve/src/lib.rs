@@ -39,6 +39,12 @@
 //!   [`CancelToken::child_with_deadline`] child token, so a timed-out
 //!   request returns a typed `504` with a partial-result marker and can
 //!   never cancel the server (or a sibling request).
+//! * **Request tracing** — every request, shed and parser reject runs
+//!   under one [`maestro_obs::Trace`], installed as the worker's trace
+//!   context: its `queue`/`parse`/`analyze`/`serialize` phases, the
+//!   `x-maestro-trace` header, `/debug/traces` and the `--access-log`
+//!   line all come from it, and spans recorded while it runs carry its
+//!   ID (see [`trace`]).
 //! * **Panic isolation** — each request is wrapped in `catch_unwind`; a
 //!   panicking handler returns `500`, increments `maestro.serve.panics`,
 //!   and the worker thread survives.

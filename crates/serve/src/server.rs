@@ -35,9 +35,9 @@ use crate::api::{error_response, ApiCtx, Handled};
 use crate::chaos::ChaosPlan;
 use crate::http::{parse_request, Limits, Parsed, Request, Response};
 use crate::queue::BoundedQueue;
-use crate::trace::{AccessLog, RequestTimer};
+use crate::trace::{finish_active, AccessLog, WRITE_FAILED};
 use maestro_core::Analyzer;
-use maestro_obs::trace::{FlightPolicy, FlightRecorder};
+use maestro_obs::trace::{install, next_trace_id, FlightPolicy, FlightRecorder, Trace};
 use maestro_obs::{Counter, Gauge, Histogram};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -458,7 +458,9 @@ fn spawn_worker(
     std::thread::Builder::new()
         .name(format!("serve-worker-{index}"))
         .spawn(move || {
-            while catch_unwind(AssertUnwindSafe(|| worker_loop(&shared))).is_err() {
+            let mut restarted = false;
+            while catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, restarted))).is_err() {
+                restarted = true;
                 shared.ctx.metrics.worker_restarts.inc();
                 maestro_obs::warn!("serve: worker {index} panicked outside a request — restarting");
             }
@@ -467,11 +469,13 @@ fn spawn_worker(
 
 /// Pop and serve connections until the closed queue is drained. An
 /// injected `worker-panic` fires *before* popping, so a chaos kill never
-/// takes an admitted connection down with it.
-fn worker_loop(shared: &WorkerShared) {
+/// takes an admitted connection down with it. A `restarted` loop pops
+/// and serves once before its first draw, so even a panic rate of 1
+/// serves the queue and reaches the drain.
+fn worker_loop(shared: &WorkerShared, mut restarted: bool) {
     loop {
         if let Some(chaos) = &shared.chaos {
-            if chaos.worker_panic() {
+            if !std::mem::take(&mut restarted) && chaos.worker_panic() {
                 shared.ctx.metrics.chaos_injected.inc();
                 panic!("chaos: injected worker panic");
             }
@@ -537,13 +541,13 @@ fn write_shed<W: Write>(
     retry_after: u64,
 ) {
     metrics.shed.inc();
-    let mut timer = RequestTimer::begin(accepted);
-    timer.mark("shed");
+    let mut trace = Trace::begin(next_trace_id(), accepted);
+    trace.mark_at("shed", accepted);
     let mut resp = error_response(503, "server is at capacity, retry later");
     resp.retry_after = Some(retry_after);
-    resp.trace = Some(timer.id().to_hex());
+    resp.trace = Some(trace.id().to_hex());
     resp.close = true;
-    crate::trace::install(timer);
+    install(trace);
     write_and_account(
         sink,
         &resp.to_bytes(),
@@ -605,17 +609,19 @@ fn serve_connection(
             Ok(Parsed::Complete { req, consumed }) => {
                 buf.drain(..consumed);
                 let parsed_at = Instant::now();
-                let mut timer = match first.take() {
+                // `parse` stays open across routing and body decode;
+                // `ApiCtx::decode_body` marks `analyze`.
+                let trace = match first.take() {
                     Some((accepted, popped)) => {
-                        let mut t = RequestTimer::begin(accepted);
-                        t.phase_span("queue", accepted, popped);
-                        t.phase_span("parse", popped, parsed_at);
+                        let mut t = Trace::begin(next_trace_id(), accepted);
+                        t.mark_at("queue", accepted);
+                        t.mark_at("parse", popped);
                         t
                     }
                     None => {
                         let anchor = first_byte.unwrap_or(parsed_at);
-                        let mut t = RequestTimer::begin(anchor);
-                        t.phase_span("parse", anchor, parsed_at);
+                        let mut t = Trace::begin(next_trace_id(), anchor);
+                        t.mark_at("parse", anchor);
                         t
                     }
                 };
@@ -626,18 +632,15 @@ fn serve_connection(
                     // buffered; its clock starts now.
                     Some(parsed_at)
                 };
-                // Keep the `parse` attribution open across routing and
-                // body decode; `ApiCtx::with_body` advances it.
-                timer.mark("parse");
                 let route = format!("{} {}", req.method, req.path);
-                crate::trace::install(timer);
+                install(trace);
                 match serve_request(ctx, &req, in_flight, &stream, chaos) {
                     Handled::Response(resp) => {
                         let close = resp.close || req.close || !ctx.ready.load(Ordering::Relaxed);
                         let mut resp = resp;
                         resp.close = close;
                         if resp.trace.is_none() {
-                            resp.trace = crate::trace::active_id().map(|id| id.to_hex());
+                            resp.trace = maestro_obs::trace::current().map(|id| id.to_hex());
                         }
                         if let Some(plan) = chaos {
                             if !wrote_any {
@@ -654,7 +657,7 @@ fn serve_connection(
                                 if plan.write_error() {
                                     ctx.metrics.chaos_injected.inc();
                                     ctx.metrics.write_failures.inc();
-                                    crate::trace::finish_active_write_failed(&route, access);
+                                    finish_active(&route, WRITE_FAILED, 0, access);
                                     return;
                                 }
                             }
@@ -680,9 +683,9 @@ fn serve_connection(
                         // is the framing — streams never keep-alive).
                         if sum.write_failed {
                             ctx.metrics.write_failures.inc();
-                            crate::trace::finish_active_write_failed(&route, access);
+                            finish_active(&route, WRITE_FAILED, 0, access);
                         } else {
-                            crate::trace::finish_active(&route, sum.status, sum.bytes, access);
+                            finish_active(&route, sum.status, sum.bytes, access);
                         }
                         return;
                     }
@@ -743,10 +746,10 @@ fn reject_with_trace<W: Write>(
     access: Option<&AccessLog>,
 ) {
     let anchor = anchor.unwrap_or_else(Instant::now);
-    let mut timer = RequestTimer::begin(anchor);
-    timer.phase_span("parse", anchor, Instant::now());
-    resp.trace = Some(timer.id().to_hex());
-    crate::trace::install(timer);
+    let mut trace = Trace::begin(next_trace_id(), anchor);
+    trace.mark_at("parse", anchor);
+    resp.trace = Some(trace.id().to_hex());
+    install(trace);
     write_and_account(
         sink,
         &resp.to_bytes(),
@@ -760,8 +763,9 @@ fn reject_with_trace<W: Write>(
 
 /// Write the response bytes and record the request's true outcome: a
 /// failed write is *not* a served request, so it is counted in
-/// `write_failures` and traced as a distinct, always-kept `499` record
-/// instead of being logged as the success the client never saw.
+/// `write_failures` and traced as a distinct, always-kept
+/// [`WRITE_FAILED`] record instead of being logged as the success the
+/// client never saw.
 /// Returns whether the write failed (the caller must close).
 fn write_and_account<W: Write>(
     sink: &mut W,
@@ -774,21 +778,21 @@ fn write_and_account<W: Write>(
 ) -> bool {
     if sink.write_all(bytes).is_err() {
         metrics.write_failures.inc();
-        crate::trace::finish_active_write_failed(route, access);
+        finish_active(route, WRITE_FAILED, 0, access);
         true
     } else {
-        crate::trace::finish_active(route, status, body_len, access);
+        finish_active(route, status, body_len, access);
         false
     }
 }
 
 /// Dispatch one request under panic isolation and metrics accounting.
-/// The active timer's trace ID is installed as the thread's span context
-/// for the duration, so spans recorded by the analysis engines carry it.
-/// The socket is in reach so streaming handlers (NDJSON `/v1/dse`) can
-/// write incrementally; a panic *mid-stream* still yields a buffered 500
-/// — the connection loop appends it and closes, and the client detects
-/// the truncation by the absent `"final":true` line.
+/// The request's trace is the thread's trace context, so spans recorded
+/// by the analysis engines carry its ID. The socket is in reach so
+/// streaming handlers (NDJSON `/v1/dse`) can write incrementally; a panic
+/// *mid-stream* still yields a buffered 500 — the connection loop appends
+/// it and closes, and the client detects the truncation by the absent
+/// `"final":true` line.
 fn serve_request(
     ctx: &ApiCtx,
     req: &Request,
@@ -810,7 +814,6 @@ fn serve_request(
     // leave the gauge permanently skewed.
     ctx.metrics.in_flight.inc();
     let t0 = Instant::now();
-    let span_prev = crate::trace::active_id().map(maestro_obs::trace::set_current);
     let handled = match catch_unwind(AssertUnwindSafe(|| ctx.handle_conn(req, stream))) {
         Ok(handled) => handled,
         Err(_) => {
@@ -820,9 +823,6 @@ fn serve_request(
             Handled::Response(r)
         }
     };
-    if let Some(prev) = span_prev {
-        maestro_obs::trace::clear_current(prev);
-    }
     ctx.metrics
         .request_seconds
         .observe(t0.elapsed().as_secs_f64());
@@ -856,7 +856,7 @@ mod tests {
     fn failed_write_is_accounted_as_a_distinct_outcome() {
         let metrics = ServeMetrics::register();
         let before = metrics.write_failures.get();
-        crate::trace::install(RequestTimer::begin(Instant::now()));
+        install(Trace::begin(next_trace_id(), Instant::now()));
         let failed = write_and_account(
             &mut FailWriter,
             b"HTTP/1.1 200 OK\r\n\r\n",
@@ -879,7 +879,7 @@ mod tests {
         );
 
         // The success path must NOT touch the counter.
-        crate::trace::install(RequestTimer::begin(Instant::now()));
+        install(Trace::begin(next_trace_id(), Instant::now()));
         let ok = write_and_account(
             &mut Vec::new(),
             b"HTTP/1.1 200 OK\r\n\r\n",
