@@ -4,9 +4,9 @@
 //! compiled in unconditionally, so their *disabled* cost is what every
 //! un-instrumented user pays. This bench measures that cost directly —
 //! nanoseconds per disabled span guard and per gated log macro — then
-//! runs a real DSE sweep (no trace sink, logging off) and bounds the
-//! implied instrumentation share of the sweep's wall time. The build
-//! fails the guard if that share reaches 2%.
+//! runs a real DSE sweep (no trace sink, logging off) 21 times and bounds
+//! the implied instrumentation share of the median sweep's wall time.
+//! The build fails the guard if that share reaches 2%.
 
 use maestro_dnn::zoo;
 use maestro_dse::{variants, Explorer, SweepSpace};
@@ -18,6 +18,9 @@ use std::time::{Duration, Instant};
 /// Touch points inside one static build: the four stage span guards plus
 /// the `maestro.analysis.calls` add.
 const TOUCHES_PER_BUILD: u64 = 5;
+
+/// Sweeps timed for the share's denominator.
+const SWEEPS: usize = 21;
 
 fn main() {
     maestro_obs::log::set_level(maestro_obs::Level::Off);
@@ -89,28 +92,43 @@ fn main() {
     }
     let keep_ns = t0.elapsed().as_secs_f64() * 1e9 / m as f64;
 
-    // A real sweep with everything disabled — the production configuration.
+    // Real sweeps with everything disabled — the production configuration.
+    // One sweep takes about a millisecond, so a single timing is at the
+    // mercy of one preemption: the denominator is the median of SWEEPS.
     let vgg = zoo::vgg16(1);
     let layer = vgg.layer("CONV2").expect("zoo layer");
     let maps = variants::variants(Style::KCP);
     let calls = maestro_obs::registry().counter("maestro.analysis.calls");
-    let calls_before = calls.get();
-    let t0 = Instant::now();
     let e = Explorer::new(SweepSpace::standard());
-    let r = e
-        .explore(black_box(layer), black_box(&maps))
-        .expect("valid sweep space");
-    let sweep_s = t0.elapsed().as_secs_f64();
-    assert!(r.stats.valid > 0);
-    let builds = calls.get() - calls_before;
+    let mut walls = Vec::with_capacity(SWEEPS);
+    let mut per_sweep = None;
+    for _ in 0..SWEEPS {
+        let calls_before = calls.get();
+        let t0 = Instant::now();
+        let r = e
+            .explore(black_box(layer), black_box(&maps))
+            .expect("valid sweep space");
+        walls.push(t0.elapsed().as_secs_f64());
+        assert!(r.stats.valid > 0);
+        let counts = (calls.get() - calls_before, r.stats.evaluated);
+        assert!(
+            per_sweep.is_none_or(|c| c == counts),
+            "sweeps made different (builds, price calls): {per_sweep:?} then {counts:?}"
+        );
+        per_sweep = Some(counts);
+    }
+    let (builds, evaluated) = per_sweep.expect("at least one sweep");
+    walls.sort_by(f64::total_cmp);
+    let sweep_s = walls[SWEEPS / 2];
+    let (q1_s, q3_s) = (walls[SWEEPS / 4], walls[3 * SWEEPS / 4]);
 
-    // Instrumentation touch points in that sweep, each costed as one
+    // Instrumentation touch points in one sweep, each costed as one
     // disabled span guard: five per static build (read back from
     // `maestro.analysis.calls`), one `maestro.analysis.perf` guard per
     // price call, and per work unit one span guard plus one batched
     // metric flush (~11 atomic adds, costed at 11 spans).
     let units = e.space.pes.len() as u64;
-    let touches = TOUCHES_PER_BUILD * builds + r.stats.evaluated + units * 12;
+    let touches = TOUCHES_PER_BUILD * builds + evaluated + units * 12;
     let implied_s = touches as f64 * span_ns * 1e-9;
     let share = 100.0 * implied_s / sweep_s;
 
@@ -122,10 +140,15 @@ fn main() {
     println!("  record, sampled out   {drop_ns:>8.2} ns (the 15-in-16 case)");
     println!("  record, kept          {keep_ns:>8.2} ns (ring insert + eviction)");
     println!(
-        "  DSE sweep             {sweep_s:>8.3} s wall, {builds} builds, {} price calls, {units} units",
-        r.stats.evaluated
+        "  DSE sweep             {:>8.3} ms wall (median of {SWEEPS}, q1 {:.3}, q3 {:.3}), \
+         {builds} builds, {evaluated} price calls, {units} units",
+        1e3 * sweep_s,
+        1e3 * q1_s,
+        1e3 * q3_s
     );
-    println!("  instrumentation share {share:>8.4} % of sweep wall time ({touches} touch points)");
+    println!(
+        "  instrumentation share {share:>8.4} % of median sweep wall time ({touches} touch points a sweep)"
+    );
 
     assert!(
         share < 2.0,

@@ -23,16 +23,18 @@ fn model_arg() -> maestro_dnn::Model {
 fn main() {
     let threads = threads_arg();
     let model = model_arg();
-    // Collect spans for the per-stage time breakdown printed at the end.
-    maestro_obs::span::enable();
     let explorer = Explorer::new(SweepSpace::tiny());
     let candidates = default_candidates();
     let r = explorer
         .explore_model_parallel(&model, &candidates, threads)
         .expect("valid sweep space");
     println!(
-        "whole-model DSE over {}: {} designs explored, {} valid ({} memo hits), {:.2}s",
-        model.name, r.stats.explored, r.stats.valid, r.stats.memo_hits, r.stats.seconds
+        "whole-model DSE over {}: {} designs explored, {} valid ({} memo hits), {:.3} ms",
+        model.name,
+        r.stats.explored,
+        r.stats.valid,
+        r.stats.memo_hits,
+        1e3 * r.stats.seconds
     );
     if !r.stats.quarantined.is_empty() {
         maestro_obs::warn!(
@@ -52,9 +54,4 @@ fn main() {
     show("energy-opt    ", &r.best_energy);
     show("EDP-opt       ", &r.best_edp);
     println!("  Pareto front: {} points", r.pareto.len());
-
-    maestro_obs::span::disable();
-    let events = maestro_obs::span::drain();
-    println!("\nPer-stage time breakdown");
-    print!("{}", maestro_obs::span::breakdown_table(&events));
 }

@@ -11,8 +11,6 @@ use maestro_ir::Style;
 fn main() {
     let threads = threads_arg();
     let vgg = zoo::vgg16(1);
-    // Collect spans for the per-stage time breakdown printed at the end.
-    maestro_obs::span::enable();
     println!("Figure 13 — design-space exploration (area<=16mm2, power<=450mW)\n");
     let mut stats_rows = Vec::new();
     for style in [Style::KCP, Style::YRP] {
@@ -72,17 +70,17 @@ fn main() {
     println!("Figure 13(c) — DSE statistics");
     println!(
         "{:<6} {:<8} {:>12} {:>12} {:>10} {:>14}",
-        "flow", "layer", "valid", "explored", "time (s)", "rate (dsg/s)"
+        "flow", "layer", "valid", "explored", "time (ms)", "rate (dsg/s)"
     );
     for (flow, layer, s) in stats_rows {
         println!(
-            "{:<6} {:<8} {:>12} {:>12} {:>10.2} {:>14.2e}",
-            flow, layer, s.valid, s.explored, s.seconds, s.rate
+            "{:<6} {:<8} {:>12} {:>12} {:>10.3} {:>14.2e}",
+            flow,
+            layer,
+            s.valid,
+            s.explored,
+            1e3 * s.seconds,
+            s.rate
         );
     }
-
-    maestro_obs::span::disable();
-    let events = maestro_obs::span::drain();
-    println!("\nPer-stage time breakdown");
-    print!("{}", maestro_obs::span::breakdown_table(&events));
 }

@@ -1,11 +1,16 @@
-//! Shared fixtures for the figure/table regeneration binaries and the
-//! criterion benchmarks.
+//! Shared fixtures for the figure/table regeneration binaries.
 //!
 //! Every table and figure of the paper's evaluation has a binary in
 //! `src/bin/` that regenerates its rows/series with this workspace's
 //! implementation (see DESIGN.md's per-experiment index); absolute numbers
 //! come from our synthetic 28 nm calibration, so the *shapes* — who wins,
 //! by what factor, where the crossovers are — are the reproduction target.
+//!
+//! Speed is measured elsewhere. The repository benchmark, `perfbench/`,
+//! times the Fig 13 sweeps, zoo analysis and the daemon, and reports
+//! each row as a median and IQR over seeded runs with a host
+//! fingerprint. The one bench target here, `obs_overhead`, is a guard:
+//! it fails when disabled instrumentation reaches 2% of a sweep.
 
 use maestro_dnn::{zoo, Layer, Model};
 use maestro_hw::Accelerator;

@@ -577,8 +577,10 @@ fn cmd_dse(args: &Args) -> Result<(), CliError> {
     }
     let s = &result.stats;
     println!(
-        "explored {} designs in {:.2}s — {:.2e} designs/s",
-        s.explored, s.seconds, s.rate
+        "explored {} designs in {:.3} ms — {:.2e} designs/s",
+        s.explored,
+        1e3 * s.seconds,
+        s.rate
     );
     println!(
         "  cost model      {} evaluated, {} memo hits ({:.1}% hit rate)",

@@ -92,6 +92,37 @@ fn dse_metrics_exposition_has_documented_names() {
     assert!(stdout.contains("le=\"+Inf\""), "{stdout}");
 }
 
+/// A one-thread Fig 13 sweep takes about a millisecond in a release
+/// build; the summary line prints its time in milliseconds, with enough
+/// digits to read nonzero (two-decimal seconds read `0.00s`).
+#[test]
+fn dse_summary_prints_a_nonzero_sweep_time() {
+    let out = maestro(&[
+        "dse",
+        "--model",
+        "vgg16",
+        "--layer",
+        "CONV2",
+        "--style",
+        "KC-P",
+        "--threads",
+        "1",
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let summary = stdout.lines().next().unwrap_or_default();
+    let mut took = summary
+        .split_once(" designs in ")
+        .map_or("", |(_, rest)| rest)
+        .split_whitespace();
+    let (value, unit) = (took.next(), took.next());
+    assert_eq!(unit, Some("ms"), "no sweep time in ms in `{summary}`");
+    let ms: f64 = value
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("unreadable sweep time in `{summary}`"));
+    assert!(ms > 0.0, "zero sweep time in `{summary}`");
+}
+
 #[test]
 fn metrics_write_to_file() {
     let path = temp_path("metrics.prom");

@@ -124,11 +124,16 @@ fn mobilenet_v2_digests_are_pinned() {
 }
 
 /// The paper's Fig 13 layer sweeps: KC-P and YR-P variants × VGG16
-/// CONV2 and CONV11 on the standard space.
+/// CONV2 and CONV11 on the standard space. The digests cover the
+/// explored and valid counts (280,908 and 162,434 for KC-P on CONV2), so
+/// a coverage or pruning change cannot pass as a faster sweep, and full
+/// evaluation must land on the same digest as the staged default.
 #[test]
 fn fig13_layer_digests_are_pinned() {
     let vgg = model("vgg16");
     let ex = Explorer::new(SweepSpace::standard());
+    let mut full = ex.clone();
+    full.eval = EvalMode::Full;
     for (style, layer, want) in [
         (Style::KCP, "CONV2", 0x9323_50e9_62ce_ebd1),
         (Style::KCP, "CONV11", 0x1f81_8922_bf2b_42c5),
@@ -137,10 +142,13 @@ fn fig13_layer_digests_are_pinned() {
     ] {
         let layer = vgg.layer(layer).expect("zoo layer");
         let maps = variants::variants(style);
-        pinned(&format!("{} {style}", layer.name), want, |threads| {
+        let what = format!("{} {style}", layer.name);
+        pinned(&what, want, |threads| {
             ex.explore_parallel(layer, &maps, threads)
                 .expect("valid space")
         });
+        let oracle = full.explore(layer, &maps).expect("valid space");
+        assert_eq!(digest(oracle), want, "{what}: full evaluation differs");
     }
 }
 

@@ -3,7 +3,7 @@
 //! The level is read once from `MAESTRO_LOG` (`error`, `warn`, `info`,
 //! `debug`, `trace`, or `off`/unset) on first use; [`set_level`]
 //! overrides it at runtime. Records go to stderr, or to a caller-installed
-//! capture sink ([`capture`]) — which is how tests assert that a path is
+//! capture sink ([`set_capture`]) — which is how tests assert that a path is
 //! *silent* at the default level.
 //!
 //! Use through the crate-level macros:

@@ -36,7 +36,7 @@ pub struct SpanEvent {
     pub start_ns: u64,
     /// Duration in nanoseconds.
     pub duration_ns: u64,
-    /// The request trace the span ran under (see [`crate::trace`]);
+    /// The request trace the span ran under (see [`mod@crate::trace`]);
     /// 0 when no trace context was installed on the thread.
     pub trace: u128,
 }
@@ -227,63 +227,6 @@ pub fn to_jsonl(events: &[SpanEvent]) -> String {
     out
 }
 
-/// Aggregated timing of one span name across occurrences.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageStats {
-    /// Span name.
-    pub name: &'static str,
-    /// Occurrences.
-    pub count: u64,
-    /// Σ duration in nanoseconds.
-    pub total_ns: u64,
-    /// Maximum single duration in nanoseconds.
-    pub max_ns: u64,
-}
-
-/// Aggregate events by span name, ordered by descending total time —
-/// the per-stage breakdown the bench binaries print.
-pub fn aggregate(events: &[SpanEvent]) -> Vec<StageStats> {
-    let mut stages: Vec<StageStats> = Vec::new();
-    for e in events {
-        match stages.iter_mut().find(|s| s.name == e.name) {
-            Some(s) => {
-                s.count += 1;
-                s.total_ns += e.duration_ns;
-                s.max_ns = s.max_ns.max(e.duration_ns);
-            }
-            None => stages.push(StageStats {
-                name: e.name,
-                count: 1,
-                total_ns: e.duration_ns,
-                max_ns: e.duration_ns,
-            }),
-        }
-    }
-    stages.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.name.cmp(b.name)));
-    stages
-}
-
-/// Format a per-stage breakdown table (used by the bench binaries).
-pub fn breakdown_table(events: &[SpanEvent]) -> String {
-    let stages = aggregate(events);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<28} {:>9} {:>12} {:>12} {:>12}\n",
-        "stage", "count", "total (ms)", "mean (us)", "max (us)"
-    ));
-    for s in &stages {
-        out.push_str(&format!(
-            "{:<28} {:>9} {:>12.2} {:>12.1} {:>12.1}\n",
-            s.name,
-            s.count,
-            s.total_ns as f64 / 1e6,
-            s.total_ns as f64 / 1e3 / s.count.max(1) as f64,
-            s.max_ns as f64 / 1e3,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,50 +373,5 @@ mod tests {
             .find(|l| l.contains("maestro.test.untraced"))
             .expect("bare line");
         assert!(!bare_line.contains("\"trace\""), "{bare_line}");
-    }
-
-    #[test]
-    fn aggregate_sums_by_name() {
-        let events = vec![
-            SpanEvent {
-                name: "a",
-                id: 1,
-                parent: None,
-                thread: 0,
-                depth: 0,
-                start_ns: 0,
-                duration_ns: 100,
-                trace: 0,
-            },
-            SpanEvent {
-                name: "b",
-                id: 2,
-                parent: Some(1),
-                thread: 0,
-                depth: 1,
-                start_ns: 10,
-                duration_ns: 30,
-                trace: 0,
-            },
-            SpanEvent {
-                name: "b",
-                id: 3,
-                parent: Some(1),
-                thread: 0,
-                depth: 1,
-                start_ns: 50,
-                duration_ns: 50,
-                trace: 0,
-            },
-        ];
-        let agg = aggregate(&events);
-        assert_eq!(agg[0].name, "a");
-        let b = agg.iter().find(|s| s.name == "b").expect("b aggregated");
-        assert_eq!(b.count, 2);
-        assert_eq!(b.total_ns, 80);
-        assert_eq!(b.max_ns, 50);
-        let table = breakdown_table(&events);
-        assert!(table.contains("stage"), "{table}");
-        assert!(table.contains('b'), "{table}");
     }
 }

@@ -221,7 +221,7 @@ pub mod bool {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         elem: S,
