@@ -4,11 +4,19 @@
 
 use maestro_bench::{case_study_acc, figure10_models};
 use maestro_core::{analyze, analyze_model_with};
+use maestro_dse::{tune_layer, Objective};
 use maestro_hw::EnergyModel;
-use maestro_ir::Style;
+use maestro_ir::{Dataflow, Style};
 
 fn main() {
     let acc = case_study_acc();
+    let styles: Vec<Dataflow> = Style::ALL.iter().map(|s| s.dataflow()).collect();
+    // The fastest of the five styles on layer `l`.
+    let best_for = |l: &maestro_dnn::Layer| {
+        tune_layer(l, &acc, Objective::Runtime, &styles)
+            .expect("some style maps every layer")
+            .dataflow
+    };
     let em = EnergyModel::cacti_28nm(acc.l1_bytes, acc.l2_bytes);
     println!("Figure 10 — runtime (cycles) and energy (pJ), 256 PEs / 32 B/cy NoC\n");
     println!(
@@ -29,7 +37,7 @@ fn main() {
                 if analyze(l, &df, &acc).is_ok() {
                     df
                 } else {
-                    best_for(l, &acc)
+                    best_for(l)
                 }
             })
             .expect("model analysis");
@@ -37,7 +45,7 @@ fn main() {
             rt.push(report.runtime());
             en.push(report.energy(&em));
         }
-        let adaptive = analyze_model_with(&model, &acc, |l| best_for(l, &acc)).expect("adaptive");
+        let adaptive = analyze_model_with(&model, &acc, &best_for).expect("adaptive");
         avg_adaptive += adaptive.runtime();
         rt.push(adaptive.runtime());
         en.push(adaptive.energy(&em));
@@ -59,16 +67,4 @@ fn main() {
         "\nadaptive vs best fixed dataflow: {:.1}% runtime reduction",
         100.0 * (1.0 - avg_adaptive / best_fixed)
     );
-}
-
-fn best_for(l: &maestro_dnn::Layer, acc: &maestro_hw::Accelerator) -> maestro_ir::Dataflow {
-    Style::ALL
-        .iter()
-        .map(|s| s.dataflow())
-        .min_by(|a, b| {
-            let ra = analyze(l, a, acc).map(|r| r.runtime).unwrap_or(f64::MAX);
-            let rb = analyze(l, b, acc).map(|r| r.runtime).unwrap_or(f64::MAX);
-            ra.total_cmp(&rb)
-        })
-        .expect("non-empty")
 }

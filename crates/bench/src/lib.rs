@@ -106,20 +106,6 @@ where
         .collect()
 }
 
-/// Format a count with engineering suffixes (`12.3M`, `1.2G`).
-pub fn eng(v: f64) -> String {
-    let (value, suffix) = if v >= 1e9 {
-        (v / 1e9, "G")
-    } else if v >= 1e6 {
-        (v / 1e6, "M")
-    } else if v >= 1e3 {
-        (v / 1e3, "k")
-    } else {
-        (v, "")
-    };
-    format!("{value:.2}{suffix}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,13 +128,5 @@ mod tests {
             assert_eq!(parallel_map(&items, threads, |v| v * 3), seq);
         }
         assert!(parallel_map(&[] as &[u64], 4, |v| *v).is_empty());
-    }
-
-    #[test]
-    fn eng_formatting() {
-        assert_eq!(eng(1234.0), "1.23k");
-        assert_eq!(eng(12.0), "12.00");
-        assert_eq!(eng(2.5e9), "2.50G");
-        assert_eq!(eng(3.1e6), "3.10M");
     }
 }

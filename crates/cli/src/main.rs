@@ -24,7 +24,8 @@ use maestro_ir::{parse::parse_dataflow, Dataflow, Style};
 use maestro_sim::{mapping_at_step, validate_network, SimOptions};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 /// What class of failure occurred. Each kind maps to a distinct process
 /// exit code so scripts can tell them apart without scraping stderr.
@@ -151,6 +152,22 @@ fn main() -> ExitCode {
 /// the command ran.
 const GLOBAL_FLAGS: [&str; 2] = ["metrics", "trace-json"];
 
+/// Refuse the flags `command` did not read. The command calls this once
+/// it has read every flag it takes, before it starts work: anything left
+/// is a typo or a retired knob, and ignoring it would run with settings
+/// the caller did not ask for.
+fn refuse_unread(args: &Args, command: &str) -> Result<(), CliError> {
+    let unread = args.unread(&GLOBAL_FLAGS);
+    if unread.is_empty() {
+        return Ok(());
+    }
+    let flags: Vec<String> = unread.iter().map(|k| format!("--{k}")).collect();
+    Err(CliError::usage(format!(
+        "{command} does not take {}",
+        flags.join(", ")
+    )))
+}
+
 /// Emit the observability artifacts the user asked for: `--metrics
 /// <path|->` dumps the global registry in Prometheus text exposition
 /// format, `--trace-json <path|->` dumps collected spans as JSONL. `-`
@@ -206,16 +223,14 @@ Styles (Table 3): C-P X-P YX-P YR-P KC-P
 
 Long-running sweeps (dse):
   --checkpoint <path>        write a resumable checkpoint (atomic temp-file + rename)
-  --checkpoint-interval <n>  also checkpoint every n completed units (default 0 = off)
-  --checkpoint-secs <s>      checkpoint every s seconds (default 5; 0 = off; a final
-                             checkpoint is always written on graceful shutdown)
+  --checkpoint-secs <s>      checkpoint every s seconds (default 5; 0 = off; a small value
+                             writes after nearly every unit; a final checkpoint is
+                             always written on graceful shutdown)
   --resume <path>            resume from a checkpoint; completed units are skipped
-  --deadline <s>             stop gracefully after s seconds with partial results
-  --max-seconds <s>          alias for --deadline (conform honors it too)
+  --max-seconds <s>          stop gracefully after s seconds with partial results
+                             (conform and serve take it too)
   --inject <spec>            deterministic fault injection, e.g. panic:0.01,delay:50ms:0.05,nofinite:0.001
   --inject-seed <n>          seed for the fault plan (default 0)
-  --retries <n>              re-attempts for a failed unit before quarantine (default 1)
-  --unit-timeout <ms>        per-unit watchdog budget (trips only on injected stalls)
   --progress                 stderr progress line with units/s and ETA
   --trace-sample <k|1/k>     record 1-in-k per-unit traces into the flight recorder
                              (quarantined units are always kept)
@@ -345,21 +360,11 @@ fn cmd_model(args: &Args) -> Result<(), CliError> {
     let model = load_model(args.get("model", "vgg16"))?;
     let acc = accelerator(args)?;
     let report = if args.flag("adaptive") {
+        // The fastest style per layer; KC-P where no style maps.
+        let styles: Vec<Dataflow> = Style::ALL.iter().map(|s| s.dataflow()).collect();
         analyze_model_with(&model, &acc, |layer| {
-            Style::ALL
-                .iter()
-                .map(|s| s.dataflow())
-                .filter(|df| analyze(layer, df, &acc).is_ok())
-                .min_by(|a, b| {
-                    let ra = analyze(layer, a, &acc)
-                        .map(|r| r.runtime)
-                        .unwrap_or(f64::MAX);
-                    let rb = analyze(layer, b, &acc)
-                        .map(|r| r.runtime)
-                        .unwrap_or(f64::MAX);
-                    ra.total_cmp(&rb)
-                })
-                .unwrap_or_else(|| Style::KCP.dataflow())
+            maestro_dse::tune_layer(layer, &acc, maestro_dse::Objective::Runtime, &styles)
+                .map_or_else(|| Style::KCP.dataflow(), |t| t.dataflow)
         })
     } else {
         let df = load_dataflow(args.get("dataflow", "KC-P"))?;
@@ -405,41 +410,25 @@ fn session_error(e: &maestro_dse::SessionError) -> CliError {
 /// the SIGINT/SIGTERM handler: the returned token heeds the process-wide
 /// interrupt flag, so a signal drains in-flight units and the command
 /// exits 7 with partial results instead of dying mid-write.
-fn session_ctl(args: &Args, threads: usize) -> Result<(maestro_dse::SessionCtl, bool), CliError> {
+fn session_ctl(args: &Args) -> Result<(maestro_dse::SessionCtl, bool), CliError> {
     signal::install_interrupt_handlers();
     let mut ctl = maestro_dse::SessionCtl {
         token: maestro_dse::CancelToken::new(),
         ..Default::default()
     };
-    // --deadline and --max-seconds are aliases; the latter exists so CI
-    // can pass one uniform guard to both `dse` and `conform`.
-    let deadline = args
-        .get_secs("deadline", Duration::ZERO)
-        .map_err(CliError::usage)?;
     let max_seconds = args
         .get_secs("max-seconds", Duration::ZERO)
         .map_err(CliError::usage)?;
-    let budget = if deadline.is_zero() {
-        max_seconds
-    } else {
-        deadline
-    };
-    if !budget.is_zero() {
-        ctl.token.set_deadline_in(budget);
+    if !max_seconds.is_zero() {
+        ctl.token.set_deadline_in(max_seconds);
     }
     let ckpt = args.get("checkpoint", "");
     if !ckpt.is_empty() {
         ctl.checkpoint_path = Some(PathBuf::from(ckpt));
     }
-    // Cadence: by default, periodic checkpoints are time-based (every 5s,
-    // bounding overhead on any workload); --checkpoint-interval N adds a
-    // unit-count trigger on top. The final checkpoint on shutdown is
-    // unconditional either way.
-    ctl.checkpoint_every_units = usize::try_from(
-        args.get_u64("checkpoint-interval", 0)
-            .map_err(CliError::usage)?,
-    )
-    .map_err(|_| CliError::usage("--checkpoint-interval is too large"))?;
+    // Periodic checkpoints are time-based (every 5 s by default, bounding
+    // overhead on any workload); 0 leaves only the final checkpoint on
+    // shutdown, which is unconditional.
     let ckpt_every = args
         .get_secs("checkpoint-secs", Duration::from_secs(5))
         .map_err(CliError::usage)?;
@@ -458,42 +447,29 @@ fn session_ctl(args: &Args, threads: usize) -> Result<(maestro_dse::SessionCtl, 
         ctl.resume = Some(cp);
     }
     let inject = args.get("inject", "");
+    let inject_seed = args.get_u64("inject-seed", 0).map_err(CliError::usage)?;
     if !inject.is_empty() {
-        let seed = args.get_u64("inject-seed", 0).map_err(CliError::usage)?;
-        ctl.faults = maestro_dse::FaultPlan::parse(inject, seed)
+        ctl.faults = maestro_dse::FaultPlan::parse(inject, inject_seed)
             .map_err(|e| CliError::usage(format!("--inject: {e}")))?;
     }
-    ctl.retries = u32::try_from(args.get_u64("retries", 1).map_err(CliError::usage)?)
-        .map_err(|_| CliError::usage("--retries is too large"))?;
     let trace_sample = args.get("trace-sample", "");
+    ctl.trace_seed = args.get_u64("trace-seed", 0).map_err(CliError::usage)?;
     if !trace_sample.is_empty() {
         ctl.trace_sample = Some(parse_sample(trace_sample)?);
-        ctl.trace_seed = args.get_u64("trace-seed", 0).map_err(CliError::usage)?;
-    }
-    let timeout_ms = args.get_u64("unit-timeout", 0).map_err(CliError::usage)?;
-    if timeout_ms > 0 {
-        ctl.unit_timeout = Some(Duration::from_millis(timeout_ms));
     }
     if args.flag("progress") {
-        let workers = maestro_dse::resolve_threads(threads);
+        // The observer fires once per unit run in this session, so its
+        // call count over its own clock is the session's unit rate.
+        let start = Instant::now();
+        let ran = AtomicUsize::new(0);
         ctl.on_unit = Some(Box::new(move |u: &maestro_dse::UnitUpdate<'_>| {
-            // Same histogram handle the workers feed (the bounds must
-            // match the registration inside maestro-dse); its mean gives
-            // seconds per unit per worker.
-            let h = maestro_obs::registry().histogram(
-                "maestro.dse.unit_seconds",
-                &maestro_dse::unit_seconds_buckets(),
+            let ran = ran.fetch_add(1, Ordering::Relaxed) + 1;
+            let rate = ran as f64 / start.elapsed().as_secs_f64().max(1e-9);
+            let eta = u.total.saturating_sub(u.completed) as f64 / rate;
+            eprintln!(
+                "progress: {}/{} units — {rate:.1} units/s, ETA {eta:.0}s",
+                u.completed, u.total
             );
-            let (count, sum) = (h.count(), h.sum());
-            let (done, total) = (u.completed, u.total);
-            if count == 0 || sum <= 0.0 {
-                eprintln!("progress: {done}/{total} units");
-            } else {
-                let mean = sum / count as f64;
-                let rate = workers as f64 / mean;
-                let eta = (total.saturating_sub(done)) as f64 * mean / workers as f64;
-                eprintln!("progress: {done}/{total} units — {rate:.1} units/s, ETA {eta:.0}s");
-            }
         }));
     }
     Ok((ctl, resumed))
@@ -521,7 +497,10 @@ fn cmd_dse(args: &Args) -> Result<(), CliError> {
     // 0 = one worker per core; results are identical at any thread count.
     let threads = usize::try_from(args.get_u64("threads", 0).map_err(CliError::usage)?)
         .map_err(|_| CliError::usage("--threads is too large"))?;
-    let (ctl, resumed) = session_ctl(args, threads)?;
+    let (ctl, resumed) = session_ctl(args)?;
+    let trace_out = args.get("trace-out", "");
+    let json = args.flag("json");
+    refuse_unread(args, "dse")?;
     let explorer = maestro_dse::Explorer::new(maestro_dse::SweepSpace::standard());
     let (result, session) = explorer
         .explore_session(
@@ -538,7 +517,6 @@ fn cmd_dse(args: &Args) -> Result<(), CliError> {
     // Per-unit traces, when sampled: dump whatever the flight recorder
     // kept (drawn units plus every quarantined one) — even on an
     // interrupted run, where attribution matters most.
-    let trace_out = args.get("trace-out", "");
     if !trace_out.is_empty() {
         let dump =
             maestro_obs::trace::records_to_json(&maestro_obs::FlightRecorder::global().recent());
@@ -565,7 +543,7 @@ fn cmd_dse(args: &Args) -> Result<(), CliError> {
             ),
         )
     });
-    if args.flag("json") {
+    if json {
         println!(
             "{}",
             serde_json::to_string_pretty(&result).map_err(|e| e.to_string())?
@@ -615,17 +593,10 @@ fn cmd_dse(args: &Args) -> Result<(), CliError> {
             );
         }
     };
-    if session.checkpoint_writes > 0
-        || session.units_retried > 0
-        || session.units_timed_out > 0
-        || session.faults_injected > 0
-    {
+    if session.checkpoint_writes > 0 || session.faults_injected > 0 {
         println!(
-            "  session         {} checkpoint writes, {} retries, {} timeouts, {} faults injected",
-            session.checkpoint_writes,
-            session.units_retried,
-            session.units_timed_out,
-            session.faults_injected
+            "  session         {} checkpoint writes, {} faults injected",
+            session.checkpoint_writes, session.faults_injected
         );
     }
     show("throughput-optimized", &result.best_throughput);
@@ -849,17 +820,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     if !max_seconds.is_zero() {
         shutdown.set_deadline_in(max_seconds);
     }
-    // Every serve flag has been read by now. Anything left is a typo or a
-    // retired knob; ignoring it would start a daemon with a different
-    // admission policy than the caller asked for.
-    let unread = args.unread(&GLOBAL_FLAGS);
-    if !unread.is_empty() {
-        let flags: Vec<String> = unread.iter().map(|k| format!("--{k}")).collect();
-        return Err(CliError::usage(format!(
-            "serve does not take {}",
-            flags.join(", ")
-        )));
-    }
+    refuse_unread(args, "serve")?;
     let requested = cfg.addr.clone();
     let server = maestro_serve::Server::bind(cfg)
         .map_err(|e| CliError::usage(format!("cannot bind {requested}: {e}")))?;

@@ -3,7 +3,7 @@
 //! on stderr (never a panic backtrace):
 //!
 //! - 2 `Usage`       — unknown command, bad flag value, unreadable input,
-//!   a flag `serve` does not take
+//!   a flag `serve` or `dse` does not take
 //! - 3 `Parse`       — malformed dataflow (`.m`/`.df`) or network file
 //! - 4 `Resolve`     — dataflow does not resolve onto the layer/accelerator
 //! - 5 `Analysis`    — the cost model itself rejected the configuration
@@ -191,6 +191,62 @@ fn serve_rejects_unread_flags_with_exit_2() {
     }
 }
 
+/// `dse` refuses a flag it does not read — a retired knob or a typo —
+/// before sweeping, as `serve` does.
+#[test]
+fn dse_rejects_unread_flags_with_exit_2() {
+    for flag in [
+        "--retries",
+        "--deadline",
+        "--unit-timeout",
+        "--checkpoint-interval",
+        "--bogus",
+    ] {
+        let out = maestro_bounded(&[
+            "dse", "--model", "vgg16", "--layer", "CONV2", "--style", "KC-P", flag, "1",
+        ]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {err}");
+        assert!(err.contains(&format!("dse does not take {flag}")), "{err}");
+        assert!(out.stdout.is_empty(), "{flag}: swept anyway");
+    }
+}
+
+/// Every flag `dse` takes is read before the sweep, whether or not the
+/// flag it qualifies was given, so none of them is refused.
+#[test]
+fn dse_reads_every_flag_it_takes() {
+    let traces = std::env::temp_dir().join(format!(
+        "maestro-cli-test-{}-traces.json",
+        std::process::id()
+    ));
+    let out = maestro(&[
+        "dse",
+        "--model",
+        "vgg16",
+        "--layer",
+        "CONV2",
+        "--style",
+        "KC-P",
+        "--threads",
+        "1",
+        "--inject-seed",
+        "3",
+        "--trace-seed",
+        "5",
+        "--trace-out",
+        traces.to_str().expect("utf8 path"),
+        "--checkpoint-secs",
+        "0",
+        "--max-seconds",
+        "300",
+        "--progress",
+        "--json",
+    ]);
+    let _ = std::fs::remove_file(&traces);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+}
+
 /// `maestro` with `args`, killed if it outlives 20 s: a regression that
 /// starts a daemon or a sweep fails the test instead of hanging it.
 fn maestro_bounded(args: &[&str]) -> Output {
@@ -225,7 +281,7 @@ fn out_of_range_seconds_flags_exit_2() {
         ("serve", "--max-seconds", "inf"),
         ("serve", "--max-seconds", "-1"),
         ("dse", "--max-seconds", "inf"),
-        ("dse", "--deadline", "1e300"),
+        ("dse", "--max-seconds", "1e300"),
         ("dse", "--checkpoint-secs", "inf"),
         ("conform", "--max-seconds", "inf"),
     ];

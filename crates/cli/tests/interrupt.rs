@@ -180,7 +180,7 @@ fn deadline_exits_7_and_progress_reports_eta() {
             "1",
             "--inject",
             "delay:200ms:1.0",
-            "--deadline",
+            "--max-seconds",
             "0.5",
             "--progress",
         ])
@@ -195,10 +195,20 @@ fn deadline_exits_7_and_progress_reports_eta() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("PARTIAL"), "{stdout}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("progress:") && stderr.contains("ETA"),
-        "--progress did not report an ETA:\n{stderr}"
-    );
+    // The rate counts wall time per unit, injected stalls included: the
+    // first unit took at least 200 ms, so the 11 left take at least 2 s.
+    let first = stderr
+        .lines()
+        .find(|l| l.starts_with("progress:"))
+        .unwrap_or_else(|| panic!("--progress printed nothing:\n{stderr}"));
+    assert!(first.starts_with("progress: 1/12 units — "), "{first}");
+    let eta: f64 = first
+        .split("ETA ")
+        .nth(1)
+        .and_then(|e| e.strip_suffix('s'))
+        .and_then(|e| e.parse().ok())
+        .unwrap_or_else(|| panic!("no ETA in `{first}`"));
+    assert!(eta >= 2.0, "{first}");
 }
 
 // Regression: a deadline past 2^64 µs wrapped to a fraction of a second,

@@ -46,27 +46,27 @@ pub type UnitFn = dyn Fn(&UnitUpdate<'_>) + Sync;
 
 /// Controls for one sweep. [`SessionCtl::default`] is a plain
 /// run-to-completion sweep — no checkpointing, no deadline, no faults, a
-/// detached token, one retry for a panicking unit — and is what the plain
-/// `explore*` entry points run under.
+/// detached token — and is what the plain `explore*` entry points run
+/// under.
+///
+/// Every work unit gets one attempt. A unit is pure compute, so one that
+/// panics would panic again: it is quarantined at once.
 pub struct SessionCtl {
-    /// Cancellation token polled at work-unit boundaries. Arm a deadline
-    /// on it for `--deadline`; pass [`CancelToken::new`] to also heed the
-    /// process-wide interrupt flag (signals).
+    /// Cancellation token polled at work-unit boundaries and inside
+    /// injected stalls. Arm a deadline on it for `--max-seconds`; pass
+    /// [`CancelToken::new`] to also heed the process-wide interrupt flag
+    /// (signals).
     pub token: CancelToken,
     /// Where to write checkpoints (periodic and final). `None` disables
     /// checkpointing.
     pub checkpoint_path: Option<PathBuf>,
-    /// Write a checkpoint every this many completed units (0 = never on a
-    /// unit count). The default is 0: unit-count cadence ties the write
-    /// cost to the unit duration, which for fast units dwarfs the work
-    /// itself, while the time-based cadence below bounds overhead by
-    /// construction (one ~millisecond write per interval).
-    pub checkpoint_every_units: usize,
     /// Write a checkpoint when this much time passed since the last
-    /// write (checked at unit completion). Default: every 5 seconds —
-    /// steady-state overhead is write-cost / 5 s, well under 1% on any
-    /// workload. A graceful shutdown *always* writes a final checkpoint,
-    /// so the interval only bounds how much work a SIGKILL can lose.
+    /// write (checked at unit completion); `None` writes only the final
+    /// one. Default: every 5 seconds, so steady-state overhead is
+    /// write-cost / 5 s, well under 1% on any workload. A small value
+    /// writes after nearly every unit (`Duration::ZERO`: after every
+    /// one). A graceful shutdown *always* writes a final checkpoint, so
+    /// the interval only bounds how much work a SIGKILL can lose.
     pub checkpoint_every: Option<Duration>,
     /// A previously saved checkpoint to resume from. Its fingerprint must
     /// match this sweep or the session fails with
@@ -75,18 +75,6 @@ pub struct SessionCtl {
     pub resume: Option<Checkpoint>,
     /// Deterministic fault plan (empty = no injection).
     pub faults: FaultPlan,
-    /// How many times a failed (panicked / timed-out) unit is re-attempted
-    /// before being quarantined. Fault draws are per-attempt, so a unit
-    /// hit by a transient injected fault recovers on retry and the sweep
-    /// result stays identical to an uninjected run.
-    pub retries: u32,
-    /// Per-unit watchdog budget. Deterministic by construction: only
-    /// *injected* stalls can trip it (real unit work is pure compute with
-    /// no cancellation points), so timeout decisions do not depend on
-    /// machine speed. A unit whose injected stall meets the budget is
-    /// cut short, counted in `maestro.dse.units_timed_out`, and rerouted
-    /// to a retry.
-    pub unit_timeout: Option<Duration>,
     /// The one per-unit observer: the CLI's `--progress` line, the
     /// serving daemon's NDJSON stream, and any caller that cancels
     /// mid-sweep. Fired once per unit completed *in this session* —
@@ -110,12 +98,9 @@ impl Default for SessionCtl {
         SessionCtl {
             token: CancelToken::detached(),
             checkpoint_path: None,
-            checkpoint_every_units: 0,
             checkpoint_every: Some(Duration::from_secs(5)),
             resume: None,
             faults: FaultPlan::new(0, Vec::new()),
-            retries: 1,
-            unit_timeout: None,
             on_unit: None,
             trace_sample: None,
             trace_seed: 0,
@@ -127,12 +112,9 @@ impl fmt::Debug for SessionCtl {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SessionCtl")
             .field("checkpoint_path", &self.checkpoint_path)
-            .field("checkpoint_every_units", &self.checkpoint_every_units)
             .field("checkpoint_every", &self.checkpoint_every)
             .field("resumed", &self.resume.is_some())
             .field("faults", &self.faults)
-            .field("retries", &self.retries)
-            .field("unit_timeout", &self.unit_timeout)
             .field("on_unit", &self.on_unit.is_some())
             .field("trace_sample", &self.trace_sample)
             .field("trace_seed", &self.trace_seed)
@@ -148,8 +130,6 @@ pub struct SessionReport {
     /// The cancellation token tripped (signal, explicit cancel, or
     /// deadline) before every unit completed.
     pub interrupted: bool,
-    /// The token's deadline specifically had passed by session end.
-    pub deadline_hit: bool,
     /// Units skipped because the resume checkpoint already held them.
     pub resumed_skipped: usize,
     /// Checkpoint files written during this session (periodic + final).
@@ -159,10 +139,6 @@ pub struct SessionReport {
     pub completed_units: usize,
     /// Total work units in the sweep.
     pub total_units: usize,
-    /// Extra attempts spent re-running failed units.
-    pub units_retried: u64,
-    /// Attempts cut short by the per-unit watchdog.
-    pub units_timed_out: u64,
     /// Individual faults injected (a unit hit by two kinds counts twice).
     pub faults_injected: u64,
 }

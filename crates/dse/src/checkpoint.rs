@@ -369,10 +369,13 @@ fn checkpoint_writes() -> &'static maestro_obs::Counter {
 /// parameters, the workload, and the full mapping DSL. Two sweeps with
 /// equal fingerprints produce equal results, so a checkpoint is resumable
 /// exactly when fingerprints match.
-/// `threads`, checkpoint cadence, fault plans and the evaluation mode
+/// `threads`, checkpoint cadence and the evaluation mode
 /// ([`crate::EvalMode`]) are deliberately *not* fingerprinted: they do
 /// not change results (`staged_equivalence` holds staged and full
 /// evaluation bit-identical, across a resume from one into the other).
+/// Nor is the fault plan, a test harness: the units it quarantined are
+/// stored terminally, so a resume under the same plan lands on the
+/// uninterrupted run under that plan (`interrupt_resume`).
 pub fn sweep_fingerprint(explorer: &Explorer, workload: &str, mappings: &[Dataflow]) -> u64 {
     let mut s = String::new();
     let sp = &explorer.space;

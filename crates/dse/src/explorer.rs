@@ -309,9 +309,9 @@ impl Explorer {
     /// `rate` fields. (The paper runs four DSEs concurrently on its
     /// workstation; this parallelizes *within* one DSE.)
     ///
-    /// A panicking work unit does not abort the sweep: it is retried once
-    /// ([`SessionCtl::default`]), then quarantined (see
-    /// [`DseStats::quarantined`]) while the remaining units complete.
+    /// A panicking work unit does not abort the sweep: it is quarantined
+    /// (see [`DseStats::quarantined`]) while the remaining units
+    /// complete.
     ///
     /// # Errors
     ///
@@ -1230,13 +1230,10 @@ struct UnitMetrics {
     unit_rate: maestro_obs::Histogram,
 }
 
-/// The one source of truth for `maestro.dse.unit_seconds` bucket bounds:
-/// log-spaced, 2 per decade from 1 µs to 60 s, so tail quantiles
-/// interpolate within ~3x instead of the old decade-wide jumps, and a
-/// layer unit of a few tens of µs lands inside the range. The CLI
-/// registers the same histogram from its `--progress` observer — sharing
-/// the bounds here keeps the two registrations from conflicting.
-pub fn unit_seconds_buckets() -> Vec<f64> {
+/// Bucket bounds of `maestro.dse.unit_seconds`: log-spaced, 2 per decade
+/// from 1 µs to 60 s, so tail quantiles interpolate within ~3x and a
+/// layer unit of a few tens of µs lands inside the range.
+fn unit_seconds_buckets() -> Vec<f64> {
     maestro_obs::metrics::log_buckets(1e-6, 60.0, 2)
 }
 

@@ -2,20 +2,19 @@
 //!
 //! A [`FaultPlan`] is parsed from a compact spec (`--inject
 //! panic:0.01,delay:50ms:0.05,nofinite:0.001`) plus a seed, and decides —
-//! as a pure function of `(seed, kind, unit, attempt)` — whether a given
-//! execution attempt of a work unit is hit by each fault kind. Because
-//! the decision depends on nothing else (not thread count, not timing),
-//! fault-injected sweeps stay bit-identically reproducible, which is what
-//! lets CI prove that quarantine, checkpoint/resume and the watchdog
-//! interact correctly under failure.
+//! as a pure function of `(seed, kind, slot, unit)` — whether a work unit
+//! is hit by each fault kind. Because the decision depends on nothing
+//! else (not thread count, not timing), fault-injected sweeps stay
+//! bit-identically reproducible, which is what lets CI prove that
+//! quarantine and checkpoint/resume interact correctly under failure.
 //!
 //! Three fault kinds:
 //!
-//! * **panic** — the attempt panics before doing any work, exercising the
-//!   catch-unwind + retry + quarantine path;
-//! * **delay** — the attempt stalls (cooperatively: the sleep observes the
-//!   cancellation token and the per-unit watchdog budget) before doing its
-//!   work, exercising deadline/signal responsiveness and the watchdog;
+//! * **panic** — the unit panics before doing any work, exercising the
+//!   catch-unwind + quarantine path;
+//! * **delay** — the unit stalls (cooperatively: the sleep observes the
+//!   cancellation token) before doing its work, exercising deadline and
+//!   signal responsiveness;
 //! * **nofinite** — a `NaN`-poisoned design point is appended to the
 //!   unit's Pareto slice after it computes, exercising the merge-side
 //!   finite-value gates (the injected point must never survive into the
@@ -24,36 +23,36 @@
 use maestro_obs::rng::{parse_spec, SpecError};
 use std::time::Duration;
 
-/// One fault kind with its per-attempt probability.
+/// One fault kind with its per-unit probability.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fault {
-    /// Panic at the start of the attempt, with probability `rate`.
+    /// Panic at the start of the unit, with probability `rate`.
     Panic {
-        /// Per-attempt injection probability in `[0, 1]`.
+        /// Per-unit injection probability in `[0, 1]`.
         rate: f64,
     },
-    /// Stall for `duration` at the start of the attempt, with probability
+    /// Stall for `duration` at the start of the unit, with probability
     /// `rate`.
     Delay {
         /// How long the injected stall lasts (cooperative sleep).
         duration: Duration,
-        /// Per-attempt injection probability in `[0, 1]`.
+        /// Per-unit injection probability in `[0, 1]`.
         rate: f64,
     },
     /// Append a non-finite design point to the unit's result, with
     /// probability `rate`.
     NoFinite {
-        /// Per-attempt injection probability in `[0, 1]`.
+        /// Per-unit injection probability in `[0, 1]`.
         rate: f64,
     },
 }
 
-/// What a [`FaultPlan`] decided for one `(unit, attempt)` execution.
+/// What a [`FaultPlan`] decided for one work unit.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Injection {
-    /// Panic at the start of the attempt.
+    /// Panic at the start of the unit.
     pub panic: bool,
-    /// Stall for this long at the start of the attempt.
+    /// Stall for this long at the start of the unit.
     pub stall: Option<Duration>,
     /// Poison the unit result with a non-finite point.
     pub nofinite: bool,
@@ -113,9 +112,9 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
-    /// Decide the injection for one `(unit, attempt)` execution. Pure:
-    /// the same plan always returns the same decision for the same pair.
-    pub fn decide(&self, unit: usize, attempt: u32) -> Injection {
+    /// Decide the injection for one work unit. Pure: the same plan
+    /// always returns the same decision for the same unit.
+    pub fn decide(&self, unit: usize) -> Injection {
         let mut inj = Injection::default();
         for (slot, fault) in self.faults.iter().enumerate() {
             let (kind_tag, rate) = match fault {
@@ -123,14 +122,14 @@ impl FaultPlan {
                 Fault::Delay { rate, .. } => (2, *rate),
                 Fault::NoFinite { rate } => (3, *rate),
             };
-            let draw = unit_draw(self.seed, kind_tag, slot as u64, unit as u64, attempt);
+            let draw = unit_draw(self.seed, kind_tag, slot as u64, unit as u64);
             if draw >= rate {
                 continue;
             }
             match fault {
                 Fault::Panic { .. } => inj.panic = true,
                 Fault::Delay { duration, .. } => {
-                    // Two delay clauses on the same attempt: the longer
+                    // Two delay clauses on the same unit: the longer
                     // stall wins (they would overlap, not add).
                     inj.stall = Some(inj.stall.map_or(*duration, |d| d.max(*duration)));
                 }
@@ -142,9 +141,10 @@ impl FaultPlan {
 }
 
 /// Uniform draw in `[0, 1)` at the decision coordinates — stateless, so
-/// decisions are independent of evaluation order and thread count.
-fn unit_draw(seed: u64, kind: u64, slot: u64, unit: u64, attempt: u32) -> f64 {
-    maestro_obs::rng::uniform(seed, [kind, slot, unit, u64::from(attempt)])
+/// decisions are independent of evaluation order and thread count. The
+/// fourth coordinate is unused and passed as 0.
+fn unit_draw(seed: u64, kind: u64, slot: u64, unit: u64) -> f64 {
+    maestro_obs::rng::uniform(seed, [kind, slot, unit, 0])
 }
 
 #[cfg(test)]
@@ -191,68 +191,55 @@ mod tests {
     }
 
     #[test]
-    fn decisions_are_deterministic_and_attempt_sensitive() {
+    fn decisions_are_deterministic() {
         let plan = FaultPlan::parse("panic:0.5", 42).unwrap();
-        let a: Vec<bool> = (0..64).map(|u| plan.decide(u, 0).panic).collect();
-        let b: Vec<bool> = (0..64).map(|u| plan.decide(u, 0).panic).collect();
-        assert_eq!(a, b, "same coordinates, same decision");
-        let retry: Vec<bool> = (0..64).map(|u| plan.decide(u, 1).panic).collect();
-        assert_ne!(a, retry, "retries draw fresh randomness");
+        let a: Vec<bool> = (0..64).map(|u| plan.decide(u).panic).collect();
+        let b: Vec<bool> = (0..64).map(|u| plan.decide(u).panic).collect();
+        assert_eq!(a, b, "same unit, same decision");
         assert!(a.iter().any(|&p| p) && a.iter().any(|&p| !p));
     }
 
     /// Pins seed 7 bit for bit: the raw draws at the first coordinates
-    /// and every decision of a three-clause plan over 32 units x 2
-    /// attempts. A seeded `--inject` run must hit the same attempts
-    /// whichever module computes the draw.
+    /// and every decision of a three-clause plan over 32 units. A seeded
+    /// `--inject` run must hit the same units whichever module computes
+    /// the draw.
     #[test]
     fn seed_7_draws_and_decisions_are_pinned() {
         let bits = |d: f64| (d * (1u64 << 53) as f64) as u64;
         let draws: Vec<u64> = (0..12u64)
-            .map(|u| bits(unit_draw(7, 1 + u % 3, u % 3, u, (u % 2) as u32)))
+            .map(|u| bits(unit_draw(7, 1 + u % 3, u % 3, u)))
             .collect();
         assert_eq!(
             draws,
             [
                 0x1a_67f3_a6bc_bfa9,
-                0x12_d0f6_fcce_ab60,
+                0x11_15d3_e004_dbef,
                 0x1b_4a42_1fb4_93fc,
-                0x05_27e3_53d5_d852,
+                0x05_78b7_3391_453a,
                 0x11_3c4a_6c11_ca2f,
-                0x1a_d8f2_b692_bcd4,
+                0x05_5000_a7d3_9779,
                 0x12_ed37_ad70_b89b,
-                0x07_8e95_0ec6_7b5e,
+                0x04_e4cf_f77c_3e2d,
                 0x06_26ff_503b_6882,
-                0x16_0d43_af18_5f08,
+                0x11_3957_e3e4_9fcc,
                 0x1a_0e3e_3a04_7176,
-                0x12_b591_a398_8d18,
+                0x1a_4940_5ad3_e988,
             ]
         );
         let plan = FaultPlan::parse("panic:0.5,delay:1ms:0.25,nofinite:0.125", 7).unwrap();
-        let mut masks = [0u64; 3];
+        let mut masks = [0u32; 3];
         for unit in 0..32 {
-            for attempt in 0..2u32 {
-                let inj = plan.decide(unit, attempt);
-                let bit = 1u64 << (unit * 2 + attempt as usize);
-                for (mask, hit) in
-                    masks
-                        .iter_mut()
-                        .zip([inj.panic, inj.stall.is_some(), inj.nofinite])
-                {
-                    if hit {
-                        *mask |= bit;
-                    }
+            let inj = plan.decide(unit);
+            for (mask, hit) in masks
+                .iter_mut()
+                .zip([inj.panic, inj.stall.is_some(), inj.nofinite])
+            {
+                if hit {
+                    *mask |= 1 << unit;
                 }
             }
         }
-        assert_eq!(
-            masks,
-            [
-                0x96f7_78f9_a4f3_aad4,
-                0x0020_0050_2b42_c0e0,
-                0x0011_2800_0000_d000
-            ]
-        );
+        assert_eq!(masks, [0x6fcd_2d0e, 0x000c_1888, 0x0500_00c0]);
     }
 
     #[test]
@@ -260,8 +247,8 @@ mod tests {
         let never = FaultPlan::parse("panic:0", 1).unwrap();
         let always = FaultPlan::parse("panic:1", 1).unwrap();
         for u in 0..100 {
-            assert!(!never.decide(u, 0).panic);
-            assert!(always.decide(u, 0).panic);
+            assert!(!never.decide(u).panic);
+            assert!(always.decide(u).panic);
         }
     }
 
@@ -280,7 +267,7 @@ mod tests {
                 },
             ],
         );
-        assert_eq!(plan.decide(0, 0).stall, Some(Duration::from_millis(30)));
-        assert_eq!(plan.decide(0, 0).count(), 1);
+        assert_eq!(plan.decide(0).stall, Some(Duration::from_millis(30)));
+        assert_eq!(plan.decide(0).count(), 1);
     }
 }

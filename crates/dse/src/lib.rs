@@ -47,8 +47,8 @@ pub mod variants;
 pub use cancel::{CancelToken, SessionCtl, SessionError, SessionReport, UnitUpdate};
 pub use checkpoint::{sweep_fingerprint, Checkpoint, CheckpointError};
 pub use explorer::{
-    insert_pareto, unit_seconds_buckets, DesignPoint, DseResult, DseStats, EvalMode, Explorer,
-    ParetoFront, Partial, QuarantinedUnit,
+    insert_pareto, DesignPoint, DseResult, DseStats, EvalMode, Explorer, ParetoFront, Partial,
+    QuarantinedUnit,
 };
 pub use fault::{Fault, FaultPlan};
 pub use parallel::{resolve_threads, unit_trace_draw, unit_trace_id, UnitOutcome};

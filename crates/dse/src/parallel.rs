@@ -43,14 +43,14 @@
 //! plain run to completion. On top of the claiming loop the control adds
 //! cooperative cancellation (polled between units and inside injected
 //! stalls), resume (units already terminal in the resume
-//! [`Checkpoint`] are pre-filled, not re-run), per-attempt deterministic
-//! fault injection with retry (a failed attempt is re-run up to
-//! `retries` times with a fresh fault draw before quarantining), a
-//! watchdog for injected stalls, and incremental checkpoint writes from
-//! whichever worker completes a unit. Everything that affects *results*
-//! (fault draws, retry counts, quarantine decisions) is a pure function of
-//! the unit index, so the bit-identical guarantee extends across
-//! interruption, resume and injection at any thread count.
+//! [`Checkpoint`] are pre-filled, not re-run), deterministic per-unit
+//! fault injection, and periodic checkpoint writes from whichever worker
+//! completes a unit. Each unit gets one attempt: a unit is pure compute,
+//! so one that panicked would panic again, and it is quarantined at once.
+//! Everything that affects *results* (fault draws, quarantine decisions)
+//! is a pure function of the unit index, so the bit-identical guarantee
+//! extends across interruption, resume and injection at any thread
+//! count.
 
 use crate::cancel::{SessionCtl, SessionReport, UnitUpdate};
 use crate::checkpoint::Checkpoint;
@@ -64,7 +64,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// What one work unit produced: its [`Partial`], or the panic payload
-/// (rendered as a string) if it panicked or timed out.
+/// (rendered as a string) if it panicked.
 pub type UnitOutcome = Result<Partial, String>;
 
 /// `OnceLock`-cached handles for the session-control counters, registered
@@ -72,8 +72,6 @@ pub type UnitOutcome = Result<Partial, String>;
 struct CtlMetrics {
     quarantined: maestro_obs::Counter,
     resumed_skipped: maestro_obs::Counter,
-    retried: maestro_obs::Counter,
-    timed_out: maestro_obs::Counter,
     faults_injected: maestro_obs::Counter,
     deadline_exceeded: maestro_obs::Counter,
 }
@@ -85,8 +83,6 @@ fn ctl_metrics() -> &'static CtlMetrics {
         CtlMetrics {
             quarantined: r.counter("maestro.dse.units_quarantined"),
             resumed_skipped: r.counter("maestro.dse.units_resumed_skipped"),
-            retried: r.counter("maestro.dse.units_retried"),
-            timed_out: r.counter("maestro.dse.units_timed_out"),
             faults_injected: r.counter("maestro.dse.faults_injected"),
             deadline_exceeded: r.counter("maestro.dse.deadline_exceeded"),
         }
@@ -188,7 +184,6 @@ fn poison_point() -> DesignPoint {
 struct SlotState {
     slots: Vec<Option<UnitOutcome>>,
     completed: usize,
-    units_since_write: usize,
     last_write: Instant,
 }
 
@@ -226,81 +221,39 @@ where
     let resumed_skipped = skip.iter().filter(|&&s| s).count();
     metrics.resumed_skipped.add(resumed_skipped as u64);
 
-    let retried = AtomicU64::new(0);
-    let timed_out = AtomicU64::new(0);
     let injected = AtomicU64::new(0);
     let ckpt_writes = AtomicU64::new(0);
     let state = Mutex::new(SlotState {
         completed: resumed_skipped,
         slots,
-        units_since_write: 0,
         last_write: Instant::now(),
     });
 
-    // One attempt loop per unit: fault draw → injected stall (under the
-    // watchdog) → guarded execution → retry or terminal outcome. Returns
-    // `None` when cancellation struck mid-unit (the unit stays incomplete
-    // and will be re-run on resume).
-    let run_attempts = |i: usize| -> Option<UnitOutcome> {
-        let mut attempt: u32 = 0;
-        loop {
-            if ctl.token.is_cancelled() {
+    // One attempt per unit: fault draw → injected stall → guarded
+    // execution. Returns `None` when cancellation struck during an
+    // injected stall (the unit stays incomplete and is re-run on resume).
+    let run_unit = |i: usize| -> Option<UnitOutcome> {
+        let inj = ctl.faults.decide(i);
+        if inj.count() > 0 {
+            injected.fetch_add(inj.count(), Ordering::Relaxed);
+            metrics.faults_injected.add(inj.count());
+        }
+        if let Some(stall) = inj.stall {
+            if !ctl.token.sleep_cooperatively(stall) {
                 return None;
             }
-            let inj = ctl.faults.decide(i, attempt);
-            if inj.count() > 0 {
-                injected.fetch_add(inj.count(), Ordering::Relaxed);
-                metrics.faults_injected.add(inj.count());
-            }
-            if let Some(stall) = inj.stall {
-                // Watchdog: a stall that meets the per-unit budget times
-                // the attempt out. Both quantities are deterministic, so
-                // the decision is machine-independent.
-                let (sleep_for, watchdog_fires) = match ctl.unit_timeout {
-                    Some(budget) if stall >= budget => (budget, true),
-                    _ => (stall, false),
-                };
-                if !ctl.token.sleep_cooperatively(sleep_for) {
-                    return None;
-                }
-                if watchdog_fires {
-                    timed_out.fetch_add(1, Ordering::Relaxed);
-                    metrics.timed_out.inc();
-                    if attempt < ctl.retries {
-                        attempt += 1;
-                        retried.fetch_add(1, Ordering::Relaxed);
-                        metrics.retried.inc();
-                        continue;
-                    }
-                    return Some(Err(format!(
-                        "unit {i} timed out after {sleep_for:?} (watchdog, attempt {attempt})"
-                    )));
-                }
-            }
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if inj.panic {
-                    panic!("injected panic (unit {i}, attempt {attempt})");
-                }
-                let mut part = unit(i);
-                if inj.nofinite {
-                    part.pareto.push(poison_point());
-                }
-                part
-            }))
-            .map_err(payload_to_string);
-            match outcome {
-                Ok(part) => return Some(Ok(part)),
-                Err(message) => {
-                    if attempt < ctl.retries {
-                        attempt += 1;
-                        retried.fetch_add(1, Ordering::Relaxed);
-                        metrics.retried.inc();
-                        continue;
-                    }
-                    return Some(Err(message));
-                }
-            }
         }
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if inj.panic {
+                panic!("injected panic (unit {i})");
+            }
+            let mut part = unit(i);
+            if inj.nofinite {
+                part.pareto.push(poison_point());
+            }
+            part
+        }));
+        Some(outcome.map_err(payload_to_string))
     };
 
     // Store a terminal outcome, write a periodic checkpoint when due, and
@@ -309,15 +262,12 @@ where
         let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
         st.slots[i] = Some(outcome);
         st.completed += 1;
-        st.units_since_write += 1;
         let completed = st.completed;
         if let Some(path) = &ctl.checkpoint_path {
-            let due_units = ctl.checkpoint_every_units > 0
-                && st.units_since_write >= ctl.checkpoint_every_units;
-            let due_time = ctl
+            let due = ctl
                 .checkpoint_every
                 .is_some_and(|d| st.last_write.elapsed() >= d);
-            if due_units || due_time {
+            if due {
                 let ckpt = Checkpoint {
                     fingerprint,
                     units: st.slots.clone(),
@@ -325,7 +275,6 @@ where
                 match ckpt.save(path) {
                     Ok(()) => {
                         ckpt_writes.fetch_add(1, Ordering::Relaxed);
-                        st.units_since_write = 0;
                         st.last_write = Instant::now();
                     }
                     Err(e) => maestro_obs::warn!("periodic checkpoint write failed: {e}"),
@@ -363,7 +312,7 @@ where
             continue;
         }
         let trace = begin_unit_trace(ctl, i);
-        match run_attempts(i) {
+        match run_unit(i) {
             Some(outcome) => {
                 record_unit_trace(ctl, i, &outcome, trace);
                 complete_unit(i, outcome);
@@ -387,16 +336,13 @@ where
     let st = state.into_inner().unwrap_or_else(|e| e.into_inner());
     let report = SessionReport {
         interrupted: ctl.token.is_cancelled() && st.completed < units,
-        deadline_hit: ctl.token.deadline_exceeded(),
         resumed_skipped,
         checkpoint_writes: ckpt_writes.into_inner(),
         completed_units: st.completed,
         total_units: units,
-        units_retried: retried.into_inner(),
-        units_timed_out: timed_out.into_inner(),
         faults_injected: injected.into_inner(),
     };
-    if report.deadline_hit {
+    if ctl.token.deadline_exceeded() {
         metrics.deadline_exceeded.inc();
     }
     (st.slots, report)
@@ -523,10 +469,9 @@ mod tests {
             .collect()
     }
 
-    /// The inert control: no retries, no time-based checkpoint cadence.
+    /// The inert control: no periodic checkpoint cadence.
     fn plain_ctl() -> SessionCtl {
         SessionCtl {
-            retries: 0,
             checkpoint_every: None,
             ..SessionCtl::default()
         }
@@ -725,79 +670,54 @@ mod tests {
         }
     }
 
+    /// A unit is pure compute, so a panic is not transient: the default
+    /// control runs a panicking unit once and quarantines it.
     #[test]
-    fn retry_recovers_a_transiently_failing_unit() {
-        use std::sync::atomic::AtomicU32;
-        let attempts = AtomicU32::new(0);
-        let flaky = |i: usize| {
-            if i == 1 && attempts.fetch_add(1, Ordering::Relaxed) == 0 {
-                panic!("transient failure");
+    fn a_panicking_unit_runs_once_under_the_default_control() {
+        let calls = AtomicUsize::new(0);
+        let (slots, report) = run_units(3, 1, &SessionCtl::default(), 0, |i| {
+            if i == 1 {
+                calls.fetch_add(1, Ordering::Relaxed);
+                panic!("unit 1 always panics");
             }
             unit(i)
-        };
-        let ctl = SessionCtl {
-            retries: 1,
-            ..plain_ctl()
-        };
-        let (slots, report) = run_units(3, 1, &ctl, 0, flaky);
+        });
+        assert_eq!(calls.into_inner(), 1, "the panicking unit ran again");
         assert_eq!(report.completed_units, report.total_units);
-        assert_eq!(report.units_retried, 1);
-        let slots: Vec<UnitOutcome> = slots.into_iter().flatten().collect();
-        assert!(slots[1].is_ok(), "unit recovered on retry");
+        assert!(matches!(&slots[1], Some(Err(m)) if m == "unit 1 always panics"));
     }
 
     #[test]
-    fn persistent_failure_is_quarantined_after_retries() {
-        let ctl = SessionCtl {
-            retries: 2,
-            ..plain_ctl()
-        };
-        let (slots, report) = run_units(5, 2, &ctl, 0, faulty);
-        assert_eq!(report.completed_units, report.total_units);
-        assert_eq!(report.units_retried, 2, "both retries were spent");
-        let merged = merge_partials(slots, 16);
-        assert_eq!(merged.stats.quarantined.len(), 1);
-        assert_eq!(merged.stats.quarantined[0].unit, 2);
-    }
-
-    #[test]
-    fn injected_panic_with_retry_preserves_results() {
-        // Rate 1.0 hits every attempt, so retries are spent and exhausted:
-        // this pins the deterministic injected-quarantine path.
+    fn injected_panics_quarantine_every_hit_unit() {
+        // Rate 1.0 hits every unit: this pins the deterministic
+        // injected-quarantine path.
         let ctl = SessionCtl {
             faults: FaultPlan::parse("panic:1", 9).expect("valid spec"),
-            retries: 1,
             ..plain_ctl()
         };
         let (slots, report) = run_units(3, 1, &ctl, 0, unit);
         assert_eq!(report.completed_units, report.total_units);
-        assert_eq!(report.units_retried, 3);
-        assert!(report.faults_injected >= 6, "{}", report.faults_injected);
-        for s in &slots {
-            assert!(matches!(s, Some(Err(m)) if m.contains("injected panic")));
+        assert_eq!(report.faults_injected, 3);
+        for (i, s) in slots.iter().enumerate() {
+            let expected = format!("injected panic (unit {i})");
+            assert!(matches!(s, Some(Err(m)) if *m == expected), "{s:?}");
         }
     }
 
+    /// A cancel during an injected stall cuts the sleep short and leaves
+    /// the unit incomplete, so resume re-runs it.
     #[test]
-    fn watchdog_times_out_injected_stalls_and_reroutes() {
-        // Stall every attempt for 10s against a 20ms budget: the watchdog
-        // must fire (quickly!) and, with no retries, quarantine.
+    fn cancel_cuts_an_injected_stall_short() {
         let ctl = SessionCtl {
             faults: FaultPlan::parse("delay:10s:1.0", 3).expect("valid spec"),
-            unit_timeout: Some(Duration::from_millis(20)),
             ..plain_ctl()
         };
+        ctl.token.set_deadline_in(Duration::from_millis(20));
         let t0 = Instant::now();
         let (slots, report) = run_units(2, 1, &ctl, 0, unit);
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "watchdog cut the stall"
-        );
-        assert_eq!(report.completed_units, report.total_units);
-        assert_eq!(report.units_timed_out, 2);
-        for s in &slots {
-            assert!(matches!(s, Some(Err(m)) if m.contains("timed out")));
-        }
+        assert!(t0.elapsed() < Duration::from_secs(5), "the stall ran out");
+        assert!(report.interrupted);
+        assert!(slots.iter().all(Option::is_none), "{slots:?}");
     }
 
     #[test]
@@ -829,24 +749,18 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("maestro-ckpt-par-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("run.ckpt");
+        // A zero interval writes after every unit.
         let ctl = SessionCtl {
             checkpoint_path: Some(path.clone()),
-            checkpoint_every_units: 2,
+            checkpoint_every: Some(Duration::ZERO),
             ..plain_ctl()
         };
         let (_, report) = run_units(6, 2, &ctl, 42, unit);
         assert_eq!(report.completed_units, report.total_units);
-        assert!(
-            report.checkpoint_writes >= 3,
-            "{}",
-            report.checkpoint_writes
-        );
+        assert_eq!(report.checkpoint_writes, 6);
         let ckpt = Checkpoint::load(&path).expect("readable checkpoint");
         assert_eq!(ckpt.fingerprint, 42);
-        assert!(
-            ckpt.completed() >= 4,
-            "last periodic write covers most units"
-        );
+        assert_eq!(ckpt.completed(), 6, "the last write covers every unit");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,9 +1,9 @@
 //! Golden tests for interruption-proof sessions: a sweep interrupted at
 //! unit K, checkpointed, and resumed must be **bit-identical** to the
-//! uninterrupted run — at any thread count, and with or without injected
-//! panics, stalls, and non-finite poison. Only the wall-clock fields
-//! (`seconds`, `rate`) and the `partial` marker on the interrupted half
-//! may differ.
+//! uninterrupted run under the same fault plan — at any thread count, and
+//! with or without injected panics, stalls, and non-finite poison. Only
+//! the wall-clock fields (`seconds`, `rate`) and the `partial` marker on
+//! the interrupted half may differ.
 
 use maestro_dnn::{Layer, LayerDims, Operator};
 use maestro_dse::{
@@ -11,7 +11,6 @@ use maestro_dse::{
 };
 use maestro_ir::Style;
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// Strip the wall-clock fields so the rest can be compared exactly.
 fn canonical(mut r: DseResult) -> DseResult {
@@ -47,15 +46,9 @@ fn scratch(tag: &str) -> PathBuf {
 
 /// Run a session that cancels itself at its `k`th unit boundary (the
 /// sweep's start counts as the first, so `k = 2` cancels when the first
-/// unit completes), then resume from the resulting checkpoint (with
-/// `resume_faults` active) and return the resumed-to-completion result.
-fn interrupt_at_k_then_resume(
-    tag: &str,
-    threads: usize,
-    k: u32,
-    first_faults: FaultPlan,
-    resume_faults: FaultPlan,
-) -> DseResult {
+/// unit completes), then resume from the resulting checkpoint and return
+/// the resumed-to-completion result. `faults` is active on both halves.
+fn interrupt_at_k_then_resume(tag: &str, threads: usize, k: u32, faults: FaultPlan) -> DseResult {
     let explorer = Explorer::new(space());
     let layer = conv_layer();
     let maps = variants::variants(Style::KCP);
@@ -66,9 +59,7 @@ fn interrupt_at_k_then_resume(
     // same boundary a signal or deadline trips at.
     let mut ctl = SessionCtl {
         checkpoint_path: Some(path.clone()),
-        faults: first_faults,
-        retries: 2,
-        unit_timeout: Some(Duration::from_millis(5)),
+        faults: faults.clone(),
         ..Default::default()
     };
     let token = ctl.token.clone();
@@ -95,9 +86,7 @@ fn interrupt_at_k_then_resume(
     let resumed_ctl = SessionCtl {
         checkpoint_path: Some(path.clone()),
         resume: Some(ckpt),
-        faults: resume_faults,
-        retries: 2,
-        unit_timeout: Some(Duration::from_millis(5)),
+        faults,
         ..Default::default()
     };
     let (full, resumed_report) = explorer
@@ -113,19 +102,23 @@ fn interrupt_at_k_then_resume(
     canonical(full)
 }
 
-fn uninterrupted() -> DseResult {
+/// One uninterrupted thread under `faults`.
+fn uninterrupted(faults: FaultPlan) -> DseResult {
     let explorer = Explorer::new(space());
     let maps = variants::variants(Style::KCP);
-    canonical(
-        explorer
-            .explore_parallel(&conv_layer(), &maps, 1)
-            .expect("valid space"),
-    )
+    let ctl = SessionCtl {
+        faults,
+        ..Default::default()
+    };
+    let (result, _) = explorer
+        .explore_session(&conv_layer(), &maps, 1, &ctl)
+        .expect("valid space");
+    canonical(result)
 }
 
 #[test]
 fn interrupt_and_resume_is_bit_identical_at_every_thread_count() {
-    let golden = uninterrupted();
+    let golden = uninterrupted(FaultPlan::new(0, Vec::new()));
     assert!(
         golden.stats.quarantined.is_empty(),
         "clean run must not quarantine"
@@ -136,7 +129,6 @@ fn interrupt_and_resume_is_bit_identical_at_every_thread_count() {
             threads,
             2,
             FaultPlan::new(0, Vec::new()),
-            FaultPlan::new(0, Vec::new()),
         );
         assert_eq!(golden, r, "threads={threads}: resumed run diverged");
     }
@@ -144,26 +136,33 @@ fn interrupt_and_resume_is_bit_identical_at_every_thread_count() {
 
 #[test]
 fn interrupt_and_resume_is_bit_identical_under_injected_faults() {
-    let golden = uninterrupted();
-    // Transient panics recover on retry; injected stalls trip the 5ms
-    // watchdog and the unit is rerouted; non-finite poison is rejected by
-    // the merge's finite gates. All three must leave the science
-    // untouched. (Deterministic draws: these seeds are chosen so no unit
-    // fails every attempt — asserted via the quarantine list below.)
-    let plans: &[(&str, &str)] = &[
-        ("panics", "panic:0.3"),
-        ("stalls", "delay:50ms:0.3"),
-        ("poison", "nofinite:1.0"),
-        ("mixed", "panic:0.2,delay:50ms:0.2,nofinite:0.5"),
+    let clean = uninterrupted(FaultPlan::new(0, Vec::new()));
+    // Injected stalls only delay a unit, and non-finite poison is rejected
+    // by the merge's finite gates, so those plans leave the science
+    // untouched. A panicked unit is quarantined, so a plan with panics
+    // must land on the uninterrupted run under the same plan: quarantine
+    // is checkpointed terminally and not re-run on resume. (At seed 42
+    // both panic plans quarantine a unit — asserted below.)
+    let plans: &[(&str, &str, bool)] = &[
+        ("panics", "panic:0.3", true),
+        ("stalls", "delay:50ms:0.3", false),
+        ("poison", "nofinite:1.0", false),
+        ("mixed", "panic:0.2,delay:50ms:0.2,nofinite:0.5", true),
     ];
-    for (tag, spec) in plans {
+    for (tag, spec, panics) in plans {
         let faults = FaultPlan::parse(spec, 42).expect("valid fault spec");
-        let r = interrupt_at_k_then_resume(&format!("faults-{tag}"), 2, 2, faults.clone(), faults);
-        assert!(
-            r.stats.quarantined.is_empty(),
-            "{tag}: a unit failed every attempt — pick a different seed"
+        let golden = if *panics {
+            uninterrupted(faults.clone())
+        } else {
+            clean.clone()
+        };
+        assert_eq!(
+            !golden.stats.quarantined.is_empty(),
+            *panics,
+            "{tag}: the plan should quarantine a unit exactly when it panics"
         );
-        assert_eq!(&golden, &r, "{tag}: faults leaked into the result");
+        let r = interrupt_at_k_then_resume(&format!("faults-{tag}"), 2, 2, faults);
+        assert_eq!(&golden, &r, "{tag}: resumed run diverged");
     }
 }
 

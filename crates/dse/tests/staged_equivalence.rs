@@ -126,8 +126,9 @@ fn staged_equals_full_for_whole_model_sweeps() {
 
 /// A staged session interrupted mid-sweep, checkpointed, and resumed (with
 /// fault injection active on both halves) must land bit-identical to an
-/// uninterrupted *full*-mode run: the staged path composes with the whole
-/// interruption-proofing machinery.
+/// uninterrupted *full*-mode run under the same fault plan: the staged
+/// path composes with the whole interruption-proofing machinery.
+/// Quarantined units included — at seed 42 the plan panics one unit.
 #[test]
 fn staged_session_with_checkpoint_and_faults_matches_full() {
     let layer = Layer::new("c", Operator::conv2d(), LayerDims::square(1, 64, 32, 34, 3));
@@ -141,22 +142,30 @@ fn staged_session_with_checkpoint_and_faults_matches_full() {
             l2_bytes: full.l2_bytes.iter().copied().step_by(4).collect(),
         }
     };
+    let faults = FaultPlan::parse("panic:0.2,nofinite:0.5", 42).expect("valid fault spec");
+    let golden_ctl = SessionCtl {
+        faults: faults.clone(),
+        ..Default::default()
+    };
     let golden = canonical(
         explorer(EvalMode::Full, space())
-            .explore_parallel(&layer, &maps, 1)
-            .expect("valid space"),
+            .explore_session(&layer, &maps, 1, &golden_ctl)
+            .expect("valid space")
+            .0,
+    );
+    assert!(
+        !golden.stats.quarantined.is_empty(),
+        "the plan should quarantine a unit"
     );
 
     let staged = explorer(EvalMode::Staged, space());
     let path = scratch("session");
     let _ = std::fs::remove_file(&path);
-    let faults = FaultPlan::parse("panic:0.2,nofinite:0.5", 42).expect("valid fault spec");
 
     // Phase 1: cancel when the first unit completes.
     let mut ctl = SessionCtl {
         checkpoint_path: Some(path.clone()),
         faults: faults.clone(),
-        retries: 2,
         ..Default::default()
     };
     let token = ctl.token.clone();
@@ -176,7 +185,6 @@ fn staged_session_with_checkpoint_and_faults_matches_full() {
         checkpoint_path: Some(path.clone()),
         resume: Some(ckpt),
         faults,
-        retries: 2,
         ..Default::default()
     };
     let (full_run, resumed_report) = staged
@@ -185,12 +193,11 @@ fn staged_session_with_checkpoint_and_faults_matches_full() {
     assert!(!resumed_report.interrupted && !full_run.partial);
     let _ = std::fs::remove_file(&path);
 
-    let r = canonical(full_run);
-    assert!(
-        r.stats.quarantined.is_empty(),
-        "a unit failed every attempt — pick a different seed"
+    assert_eq!(
+        golden,
+        canonical(full_run),
+        "staged session diverged from full sweep"
     );
-    assert_eq!(golden, r, "staged session diverged from full sweep");
 }
 
 /// The evaluation mode changes no result, so the checkpoint fingerprint

@@ -3,7 +3,7 @@
 //! chaos (`maestro_serve::chaos`), trace IDs and the 1-in-K trace sample.
 //!
 //! Each draw is a pure function of a seed and integer coordinates (a
-//! counter, a unit index, an attempt number). Nothing else feeds it — no
+//! counter, a clause slot, a unit index). Nothing else feeds it — no
 //! thread identity, no clock — so a seeded run hits the same draws at any
 //! thread count and across interrupt/resume splits. The mixing function
 //! is the splitmix64 finalizer (Steele, Lea & Flood, OOPSLA 2014).

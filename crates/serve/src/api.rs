@@ -515,9 +515,6 @@ impl ApiCtx {
         };
         let ctl = maestro_dse::SessionCtl {
             token: token.clone(),
-            // No periodic checkpointing in the serving path: there is no
-            // checkpoint file, so the time-based cadence is disabled too.
-            checkpoint_every: None,
             ..Default::default()
         };
         match explorer.explore_session(
@@ -594,7 +591,6 @@ impl ApiCtx {
         let unit_sink = Arc::clone(&sink);
         let ctl = maestro_dse::SessionCtl {
             token: token.clone(),
-            checkpoint_every: None,
             on_unit: Some(Box::new(move |u: &maestro_dse::UnitUpdate<'_>| {
                 let pareto = serde_json::to_string(&u.pareto).unwrap_or_else(|_| "[]".to_string());
                 let line = match u.failed {

@@ -5,29 +5,21 @@
 
 use maestro::core::{analyze, analyze_model, analyze_model_with};
 use maestro::dnn::zoo;
+use maestro::dse::{tune_layer, Objective};
 use maestro::hw::{Accelerator, EnergyModel};
 use maestro::ir::{Dataflow, Style};
-
-fn best_for(layer: &maestro::dnn::Layer, acc: &Accelerator) -> Dataflow {
-    Style::ALL
-        .iter()
-        .map(|s| s.dataflow())
-        .min_by(|a, b| {
-            let ra = analyze(layer, a, acc)
-                .map(|r| r.runtime)
-                .unwrap_or(f64::MAX);
-            let rb = analyze(layer, b, acc)
-                .map(|r| r.runtime)
-                .unwrap_or(f64::MAX);
-            ra.total_cmp(&rb)
-        })
-        .expect("styles are non-empty")
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = zoo::mobilenet_v2(1);
     let acc = Accelerator::paper_case_study();
     let em = EnergyModel::cacti_28nm(acc.l1_bytes, acc.l2_bytes);
+    let styles: Vec<Dataflow> = Style::ALL.iter().map(|s| s.dataflow()).collect();
+    // The fastest of the five styles on `layer`.
+    let best_for = |layer: &maestro::dnn::Layer| {
+        tune_layer(layer, &acc, Objective::Runtime, &styles)
+            .expect("some style maps every layer")
+            .dataflow
+    };
 
     println!("fixed dataflows on {}:", model.name);
     let mut best_fixed = f64::MAX;
@@ -50,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let adaptive = analyze_model_with(&model, &acc, |l| best_for(l, &acc))?;
+    let adaptive = analyze_model_with(&model, &acc, &best_for)?;
     println!(
         "  {:<6} {:>12.3e} cycles  {:>12.3e} pJ",
         "adapt",
@@ -65,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Which dataflow each operator class prefers:
     println!("\nper-layer choices (first ten layers):");
     for l in model.iter().take(10) {
-        let df = best_for(l, &acc);
+        let df = best_for(l);
         println!(
             "  {:<18} {:<22} -> {}",
             l.name,
