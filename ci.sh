@@ -79,6 +79,25 @@ if grep -rnE --include='*.rs' 'thread_local!|TraceRecord \{|Phase \{' crates/*/s
   exit 1
 fi
 
+# One derivation per level: analyze_level_static computes each level's
+# footprint table once, and everything else in the build reads its
+# totals from the LevelStatic it returns. A second .footprints( call
+# outside the test modules would derive the table again per level, the
+# duplicate that once held a sixth of zoo_analyze's time.
+echo "== one derivation per level (LevelViews::footprints)"
+derivations=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { fn = "" }
+  /^#\[cfg\(test\)\]/ { nextfile }
+  match($0, /^ *(pub(\([a-z]+\))? )?fn [a-z_0-9]+/) { fn = substr($0, RSTART, RLENGTH); sub(/.*fn /, "", fn) }
+  /\.footprints\(/ && !(FILENAME == "crates/core/src/engine.rs" && fn == "analyze_level_static") {
+    print FILENAME ":" FNR ": " $0
+  }')
+if [ -n "${derivations}" ]; then
+  printf '%s\n' "${derivations}"
+  echo "LevelViews::footprints called outside analyze_level_static; read LevelStatic::footprint instead" >&2
+  exit 1
+fi
+
 # One timer: perfbench (perfbench/, its own workspace) measures, with a
 # median, an IQR and a host fingerprint per row. obs_overhead is the one
 # bench target here, and it guards a budget rather than timing a

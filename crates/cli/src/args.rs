@@ -1,6 +1,6 @@
 //! Minimal command-line argument parsing (no external dependencies).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
@@ -11,12 +11,14 @@ pub struct Args {
     /// The subcommand (first non-flag argument).
     pub command: String,
     /// Remaining positional arguments.
-    pub positional: Vec<String>,
+    positional: Vec<String>,
     /// `--key value` options and boolean `--flag`s (value `"true"`).
     options: HashMap<String, String>,
     /// Keys some accessor has asked for, present or not (see
     /// [`Args::unread`]).
     read: RefCell<HashSet<String>>,
+    /// How many leading positional arguments some accessor has asked for.
+    positional_read: Cell<usize>,
 }
 
 impl Args {
@@ -50,19 +52,34 @@ impl Args {
         self.options.get(key)
     }
 
-    /// The options given on the command line that no accessor has read,
-    /// apart from `allowed`, sorted by name. A command that has read
-    /// every option it takes calls this to refuse the rest.
-    pub fn unread(&self, allowed: &[&str]) -> Vec<&str> {
+    /// Positional argument `i` (0 is the first after the subcommand),
+    /// recording that the command takes it.
+    pub fn positional(&self, i: usize) -> Option<&str> {
+        self.positional_read
+            .set(self.positional_read.get().max(i + 1));
+        self.positional.get(i).map(String::as_str)
+    }
+
+    /// The arguments given on the command line that no accessor has read:
+    /// the options apart from `allowed`, as `--key` sorted by name, then
+    /// the positional arguments past those read, in order. A command that
+    /// has read every argument it takes calls this to refuse the rest.
+    pub fn unread(&self, allowed: &[&str]) -> Vec<String> {
         let read = self.read.borrow();
-        let mut keys: Vec<&str> = self
+        let mut unread: Vec<String> = self
             .options
             .keys()
-            .map(String::as_str)
-            .filter(|k| !read.contains(*k) && !allowed.contains(k))
+            .filter(|k| !read.contains(*k) && !allowed.contains(&k.as_str()))
+            .map(|k| format!("--{k}"))
             .collect();
-        keys.sort_unstable();
-        keys
+        unread.sort_unstable();
+        unread.extend(
+            self.positional
+                .iter()
+                .skip(self.positional_read.get())
+                .cloned(),
+        );
+        unread
     }
 
     /// String option with a default.
@@ -146,6 +163,19 @@ mod tests {
         let a = parse("zoo resnet50 extra");
         assert_eq!(a.command, "zoo");
         assert_eq!(a.positional, vec!["resnet50", "extra"]);
+    }
+
+    #[test]
+    fn unread_lists_options_then_positionals_no_accessor_read() {
+        let a = parse("dse --model vgg16 --bogus 1 stray --metrics -");
+        assert_eq!(a.get("model", ""), "vgg16");
+        assert_eq!(a.unread(&["metrics"]), vec!["--bogus", "stray"]);
+        let t = parse("trace abc extra --from host:1");
+        assert_eq!(t.positional(0), Some("abc"));
+        assert_eq!(t.get("from", ""), "host:1");
+        assert_eq!(t.unread(&[]), vec!["extra"]);
+        assert_eq!(t.positional(1), Some("extra"));
+        assert!(t.unread(&[]).is_empty());
     }
 
     #[test]

@@ -44,6 +44,9 @@ enum ErrorKind {
     /// A signal or deadline cut the run short. Partial results (and a
     /// resumable checkpoint, when requested) were still written.
     Interrupted,
+    /// Whoever read stdout closed it early (`maestro ... | head`): the
+    /// rest of the report has no reader, so the command ends quietly.
+    ReaderGone,
     /// Anything else.
     Other,
 }
@@ -87,8 +90,37 @@ impl CliError {
             ErrorKind::Analysis => 5,
             ErrorKind::Conformance => 6,
             ErrorKind::Interrupted => 7,
+            ErrorKind::ReaderGone => 0,
             ErrorKind::Other => 1,
         })
+    }
+}
+
+/// `print!` to stdout, returning a failed write as a [`CliError`] instead
+/// of panicking: a closed stdout is [`ErrorKind::ReaderGone`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        std::io::Write::write_fmt(&mut std::io::stdout().lock(), format_args!($($arg)*))
+            .map_err(stdout_error)
+    };
+}
+
+/// `println!` to stdout, as [`out!`] does `print!`.
+macro_rules! outln {
+    () => {
+        out!("\n")
+    };
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
+/// The [`CliError`] for a failed write to stdout.
+fn stdout_error(e: std::io::Error) -> CliError {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        CliError::new(ErrorKind::ReaderGone, "stdout closed")
+    } else {
+        CliError::new(ErrorKind::Other, format!("writing to stdout: {e}"))
     }
 }
 
@@ -127,10 +159,7 @@ fn main() -> ExitCode {
         "trace" => cmd_trace(&args),
         "tune" => cmd_tune(&args),
         "zoo" => cmd_zoo(),
-        "" | "help" | "-h" => {
-            print!("{}", USAGE);
-            Ok(())
-        }
+        "" | "help" | "-h" => out!("{USAGE}"),
         other => Err(CliError::usage(format!(
             "unknown command `{other}`\n{USAGE}"
         ))),
@@ -142,7 +171,9 @@ fn main() -> ExitCode {
     match result.and(obs) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {}", e.message);
+            if e.kind != ErrorKind::ReaderGone {
+                eprintln!("error: {}", e.message);
+            }
             e.exit_code()
         }
     }
@@ -152,19 +183,18 @@ fn main() -> ExitCode {
 /// the command ran.
 const GLOBAL_FLAGS: [&str; 2] = ["metrics", "trace-json"];
 
-/// Refuse the flags `command` did not read. The command calls this once
-/// it has read every flag it takes, before it starts work: anything left
-/// is a typo or a retired knob, and ignoring it would run with settings
-/// the caller did not ask for.
+/// Refuse the flags and positional arguments `command` did not read. The
+/// command calls this once it has read every argument it takes, before it
+/// starts work: anything left is a typo or a retired knob, and ignoring
+/// it would run with settings the caller did not ask for.
 fn refuse_unread(args: &Args, command: &str) -> Result<(), CliError> {
     let unread = args.unread(&GLOBAL_FLAGS);
     if unread.is_empty() {
         return Ok(());
     }
-    let flags: Vec<String> = unread.iter().map(|k| format!("--{k}")).collect();
     Err(CliError::usage(format!(
         "{command} does not take {}",
-        flags.join(", ")
+        unread.join(", ")
     )))
 }
 
@@ -176,8 +206,7 @@ fn refuse_unread(args: &Args, command: &str) -> Result<(), CliError> {
 fn write_observability(args: &Args) -> Result<(), CliError> {
     let write = |dest: &str, what: &str, text: String| -> Result<(), CliError> {
         if dest == "-" {
-            print!("{text}");
-            Ok(())
+            out!("{text}")
         } else {
             std::fs::write(dest, text)
                 .map_err(|e| CliError::usage(format!("writing {what} to {dest}: {e}")))
@@ -334,23 +363,23 @@ fn cmd_analyze(args: &Args) -> Result<(), CliError> {
     let acc = accelerator(args)?;
     let report = analyze(layer, &df, &acc)?;
     if args.flag("json") {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-        );
+        )?;
     } else {
-        println!("{report}");
+        outln!("{report}")?;
         let em = EnergyModel::cacti_28nm(acc.l1_bytes, acc.l2_bytes);
-        println!(
+        outln!(
             "  energy        {:>14.3e} pJ (CACTI-style 28nm)",
             report.energy(&em)
-        );
+        )?;
         for k in TensorKind::ALL {
-            println!(
+            outln!(
                 "  {k:<7} reuse {:>14.1} (algorithmic max {:.1})",
                 report.reuse_factor(k),
                 report.algorithmic_max_reuse(k)
-            );
+            )?;
         }
     }
     Ok(())
@@ -372,18 +401,18 @@ fn cmd_model(args: &Args) -> Result<(), CliError> {
     }
     .map_err(CliError::from)?;
     if args.flag("json") {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-        );
+        )?;
     } else {
-        println!("{report}");
+        outln!("{report}")?;
         let em = EnergyModel::cacti_28nm(acc.l1_bytes, acc.l2_bytes);
-        println!(
+        outln!(
             "total: {:.3e} cycles, {:.3e} pJ",
             report.runtime(),
             report.energy(&em)
-        );
+        )?;
     }
     Ok(())
 }
@@ -521,7 +550,7 @@ fn cmd_dse(args: &Args) -> Result<(), CliError> {
         let dump =
             maestro_obs::trace::records_to_json(&maestro_obs::FlightRecorder::global().recent());
         if trace_out == "-" {
-            println!("{dump}");
+            outln!("{dump}")?;
         } else {
             std::fs::write(trace_out, dump)
                 .map_err(|e| CliError::usage(format!("writing traces to {trace_out}: {e}")))?;
@@ -544,73 +573,78 @@ fn cmd_dse(args: &Args) -> Result<(), CliError> {
         )
     });
     if json {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&result).map_err(|e| e.to_string())?
-        );
+        )?;
         return match interrupted_err {
             Some(e) => Err(e),
             None => Ok(()),
         };
     }
     let s = &result.stats;
-    println!(
+    outln!(
         "explored {} designs in {:.3} ms — {:.2e} designs/s",
         s.explored,
         1e3 * s.seconds,
         s.rate
-    );
-    println!(
+    )?;
+    outln!(
         "  cost model      {} evaluated, {} memo hits ({:.1}% hit rate)",
         s.evaluated,
         s.memo_hits,
         100.0 * s.memo_hit_rate()
-    );
-    println!(
+    )?;
+    outln!(
         "  filtered        {} capacity-skipped, {} non-finite dropped",
-        s.capacity_skipped, s.nonfinite_dropped
-    );
-    println!(
+        s.capacity_skipped,
+        s.nonfinite_dropped
+    )?;
+    outln!(
         "  valid           {} points ({} Pareto insertions, {} rejections)",
-        s.valid, s.pareto_inserted, s.pareto_rejected
-    );
+        s.valid,
+        s.pareto_inserted,
+        s.pareto_rejected
+    )?;
     if s.quarantined.is_empty() {
-        println!("  quarantined     0 work units");
+        outln!("  quarantined     0 work units")?;
     } else {
         // Degraded coverage is always surfaced in the summary; the
         // per-unit panic payloads were already logged (at warn level)
         // by the merge, so they are not repeated here.
-        println!(
+        outln!(
             "  quarantined     {} work units — coverage is incomplete",
             s.quarantined.len()
-        );
+        )?;
     }
-    let show = |tag: &str, p: &Option<maestro_dse::DesignPoint>| {
+    let show = |tag: &str, p: &Option<maestro_dse::DesignPoint>| -> Result<(), CliError> {
         if let Some(p) = p {
-            println!(
+            outln!(
                 "{tag}: {} PEs, NoC {}, L1 {} B, L2 {} B, map {} -> {:.1} MACs/cyc, {:.3e} pJ, {:.1} mm2, {:.0} mW",
                 p.pes, p.noc_bw, p.l1_bytes, p.l2_bytes, p.mapping, p.throughput, p.energy, p.area_mm2, p.power_mw
-            );
+            )?;
         }
+        Ok(())
     };
     if session.checkpoint_writes > 0 || session.faults_injected > 0 {
-        println!(
+        outln!(
             "  session         {} checkpoint writes, {} faults injected",
-            session.checkpoint_writes, session.faults_injected
-        );
+            session.checkpoint_writes,
+            session.faults_injected
+        )?;
     }
-    show("throughput-optimized", &result.best_throughput);
-    show("energy-optimized    ", &result.best_energy);
-    show("EDP-optimized       ", &result.best_edp);
+    show("throughput-optimized", &result.best_throughput)?;
+    show("energy-optimized    ", &result.best_energy)?;
+    show("EDP-optimized       ", &result.best_edp)?;
     if result.partial {
-        println!(
+        outln!(
             "Pareto front: {} points (PARTIAL — {} of {} units completed)",
             result.pareto.len(),
             session.completed_units,
             session.total_units
-        );
+        )?;
     } else {
-        println!("Pareto front: {} points", result.pareto.len());
+        outln!("Pareto front: {} points", result.pareto.len())?;
     }
     match interrupted_err {
         Some(e) => Err(e),
@@ -624,12 +658,12 @@ fn cmd_validate(args: &Args) -> Result<(), CliError> {
     let acc = accelerator(args)?;
     let (points, mean) = validate_network(&model, &df, &acc, SimOptions::default());
     for p in &points {
-        println!("{p}");
+        outln!("{p}")?;
     }
-    println!(
+    outln!(
         "mean absolute runtime error: {mean:.2}% over {} layers",
         points.len()
-    );
+    )?;
     Ok(())
 }
 
@@ -672,43 +706,46 @@ fn cmd_conform(args: &Args) -> Result<(), CliError> {
     }
     let report = maestro_sim::run_conform_cancellable(&cfg, &token);
     if args.flag("json") {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-        );
+        )?;
     } else {
-        println!(
+        outln!(
             "conform: seed {} — {} cases, {} compared, {} diverged",
             report.seed,
             report.cases,
             report.compared,
             report.diverged.len()
-        );
-        println!(
+        )?;
+        outln!(
             "  skipped         {} unresolvable, {} model errors, {} over step budget",
-            report.skipped_resolve, report.skipped_analysis, report.skipped_steps
-        );
+            report.skipped_resolve,
+            report.skipped_analysis,
+            report.skipped_steps
+        )?;
         if report.interrupted {
-            println!(
+            outln!(
                 "  interrupted     after {} of {} cases — partial report",
-                report.cases, cfg.cases
-            );
+                report.cases,
+                cfg.cases
+            )?;
         }
-        println!(
+        outln!(
             "  tolerances      runtime {}%, L1 {}%, L2 {}%, |util| {}, model-MACs {}%",
             cfg.tol.runtime_pct,
             cfg.tol.l1_pct,
             cfg.tol.l2_pct,
             cfg.tol.utilization_abs,
             cfg.tol.model_macs_pct
-        );
+        )?;
         for dc in &report.diverged {
-            println!("\ncase {} diverged — original: {}", dc.index, dc.original);
-            println!("shrunk to: {}", dc.shrunk);
+            outln!("\ncase {} diverged — original: {}", dc.index, dc.original)?;
+            outln!("shrunk to: {}", dc.shrunk)?;
             for div in &dc.divergences {
-                println!("  {div}");
+                outln!("  {div}")?;
             }
-            println!("--- reproducer ---\n{}", dc.reproducer);
+            outln!("--- reproducer ---\n{}", dc.reproducer)?;
         }
     }
     if !report.is_clean() {
@@ -829,7 +866,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         .map_err(|e| CliError::new(ErrorKind::Other, format!("local_addr: {e}")))?;
     // Scripted clients (the ci smoke, loadgen wrappers) read this line to
     // learn the port when `--addr ...:0` picked one.
-    println!("serving on {addr}");
+    outln!("serving on {addr}")?;
     match server
         .run(&shutdown)
         .map_err(|e| CliError::new(ErrorKind::Other, format!("serve: {e}")))?
@@ -850,16 +887,16 @@ fn cmd_mapping(args: &Args) -> Result<(), CliError> {
     let step = args.get_u64("step", 0).map_err(CliError::usage)?;
     let maps =
         mapping_at_step(layer, &df, pes, step).map_err(|e| CliError::analysis(e.to_string()))?;
-    println!("{} / {} / {} PEs / t={step}", layer.name, df.name(), pes);
+    outln!("{} / {} / {} PEs / t={step}", layer.name, df.name(), pes)?;
     for m in maps {
-        print!("PE{:<3} [{:?}]", m.pe, m.unit_coords);
+        out!("PE{:<3} [{:?}]", m.pe, m.unit_coords)?;
         for (kind, ranges) in TensorKind::ALL.iter().zip(&m.ranges) {
-            print!("  {kind}: ");
+            out!("  {kind}: ")?;
             for (d, iv) in ranges {
-                print!("{d}:{}-{} ", iv.start, iv.start + iv.len.saturating_sub(1));
+                out!("{d}:{}-{} ", iv.start, iv.start + iv.len.saturating_sub(1))?;
             }
         }
-        println!();
+        outln!()?;
     }
     Ok(())
 }
@@ -871,7 +908,7 @@ fn cmd_explain(args: &Args) -> Result<(), CliError> {
     let acc = accelerator(args)?;
     let explanation =
         maestro_core::explain(layer, &df, &acc).map_err(|e| CliError::resolve(e.to_string()))?;
-    print!("{explanation}");
+    out!("{explanation}")?;
     Ok(())
 }
 
@@ -883,10 +920,10 @@ fn cmd_lint(args: &Args) -> Result<(), CliError> {
     let lints =
         maestro_core::lint(layer, &df, &acc).map_err(|e| CliError::resolve(e.to_string()))?;
     if lints.is_empty() {
-        println!("no findings: {} maps cleanly onto {}", df.name(), acc.name);
+        outln!("no findings: {} maps cleanly onto {}", df.name(), acc.name)?;
     } else {
         for l in &lints {
-            println!("warning: {l}");
+            outln!("warning: {l}")?;
         }
     }
     Ok(())
@@ -910,20 +947,26 @@ fn cmd_trace(args: &Args) -> Result<(), CliError> {
     let steps = args.get_u64("steps", 16).map_err(CliError::usage)?;
     let t = maestro_sim::trace(layer, &df, pes, steps)
         .map_err(|e| CliError::analysis(e.to_string()))?;
-    println!(
+    outln!(
         "{} / {} / {} PEs — showing {} of {} steps",
         layer.name,
         df.name(),
         pes,
         t.steps.len(),
         t.total_steps
-    );
-    println!(
+    )?;
+    outln!(
         "{:<6} {:>8} {:>10} {:>10} {:>10} {:>10} {:>8}",
-        "step", "loop", "new In", "new Wt", "new Out", "MACs", "PEs"
-    );
+        "step",
+        "loop",
+        "new In",
+        "new Wt",
+        "new Out",
+        "MACs",
+        "PEs"
+    )?;
     for s in &t.steps {
-        println!(
+        outln!(
             "{:<6} {:>8} {:>10} {:>10} {:>10} {:>10} {:>8}",
             s.step,
             s.advanced.map_or("-".to_string(), |j| j.to_string()),
@@ -932,17 +975,13 @@ fn cmd_trace(args: &Args) -> Result<(), CliError> {
             s.new_data[2],
             s.macs,
             s.active_pes
-        );
+        )?;
     }
     Ok(())
 }
 
 fn cmd_trace_explorer(args: &Args, from: &str, file: &str) -> Result<(), CliError> {
-    let id = args
-        .positional
-        .first()
-        .map(String::as_str)
-        .unwrap_or_default();
+    let id = args.positional(0).unwrap_or_default();
     let text = if !from.is_empty() {
         let path = if id.is_empty() {
             "/debug/traces".to_string()
@@ -965,22 +1004,25 @@ fn cmd_trace_explorer(args: &Args, from: &str, file: &str) -> Result<(), CliErro
     }
     if args.flag("folded") {
         for t in &traces {
-            print!("{}", trace_view::folded(t));
+            out!("{}", trace_view::folded(t))?;
         }
         return Ok(());
     }
     if id.is_empty() && traces.len() > 1 {
-        println!(
+        outln!(
             "{:<32}  {:>4}  {:>10}  {:<7}  name",
-            "trace", "code", "total", "kept"
-        );
+            "trace",
+            "code",
+            "total",
+            "kept"
+        )?;
         for t in &traces {
-            println!("{}", trace_view::summary(t));
+            outln!("{}", trace_view::summary(t))?;
         }
-        println!("\n(`maestro trace <id> ...` for a waterfall)");
+        outln!("\n(`maestro trace <id> ...` for a waterfall)")?;
     } else {
         for t in &traces {
-            print!("{}", trace_view::waterfall(t));
+            out!("{}", trace_view::waterfall(t))?;
         }
     }
     Ok(())
@@ -998,32 +1040,32 @@ fn cmd_tune(args: &Args) -> Result<(), CliError> {
     };
     let tuned = maestro_dse::tune_model(&model, &acc, objective);
     if args.flag("json") {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&tuned).map_err(|e| e.to_string())?
-        );
+        )?;
         return Ok(());
     }
-    println!(
+    outln!(
         "tuned {} for {objective} on {} PEs ({} distinct dataflows):",
         tuned.model,
         acc.num_pes,
         tuned.distinct_dataflows()
-    );
+    )?;
     for l in &tuned.layers {
-        println!(
+        outln!(
             "  {:<18} -> {:<20} {:>12.0} cyc {:>8.1} MAC/cy",
             l.layer,
             l.dataflow.name(),
             l.report.runtime,
             l.report.throughput()
-        );
+        )?;
     }
-    println!(
+    outln!(
         "total: {:.3e} cycles, {:.3e} pJ",
         tuned.runtime(),
         tuned.energy(&em)
-    );
+    )?;
     Ok(())
 }
 
@@ -1041,12 +1083,12 @@ fn cmd_zoo() -> Result<(), CliError> {
         "efficientnet_b0",
     ] {
         let m = load_model(name)?;
-        println!(
+        outln!(
             "{:<13} {:>3} layers, {:>14} MACs",
             name,
             m.len(),
             m.total_macs()
-        );
+        )?;
     }
     Ok(())
 }

@@ -3,13 +3,13 @@
 //! on stderr (never a panic backtrace):
 //!
 //! - 2 `Usage`       — unknown command, bad flag value, unreadable input,
-//!   a flag `serve` or `dse` does not take
+//!   a flag or positional argument `serve` or `dse` does not take
 //! - 3 `Parse`       — malformed dataflow (`.m`/`.df`) or network file
 //! - 4 `Resolve`     — dataflow does not resolve onto the layer/accelerator
 //! - 5 `Analysis`    — the cost model itself rejected the configuration
 //! - 6 `Conformance` — `conform` found model-vs-simulator divergences
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -247,8 +247,13 @@ fn dse_reads_every_flag_it_takes() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
 }
 
-/// `maestro` with `args`, killed if it outlives 20 s: a regression that
-/// starts a daemon or a sweep fails the test instead of hanging it.
+/// How long [`maestro_bounded`] lets a command run before killing it.
+const BOUND: Duration = Duration::from_secs(20);
+
+/// `maestro` with `args`, killed if it outlives [`BOUND`]: a regression
+/// that starts a daemon or a sweep fails the test instead of hanging it.
+/// Its stdout and stderr are drained while it runs, so output larger than
+/// a pipe buffer cannot block it.
 fn maestro_bounded(args: &[&str]) -> Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_maestro"))
         .args(args)
@@ -256,15 +261,125 @@ fn maestro_bounded(args: &[&str]) -> Output {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn maestro binary");
-    let start = Instant::now();
-    while child.try_wait().expect("poll maestro").is_none() {
-        if start.elapsed() > Duration::from_secs(20) {
-            let _ = child.kill();
-            break;
+    let stdout = child.stdout.take().expect("piped stdout");
+    let stderr = child.stderr.take().expect("piped stderr");
+    std::thread::scope(|s| {
+        let stdout = s.spawn(|| read_all(stdout));
+        let stderr = s.spawn(|| read_all(stderr));
+        let start = Instant::now();
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("poll maestro") {
+                break status;
+            }
+            if start.elapsed() > BOUND {
+                let _ = child.kill();
+                break child.wait().expect("reap maestro");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        Output {
+            status,
+            stdout: stdout.join().expect("stdout reader"),
+            stderr: stderr.join().expect("stderr reader"),
         }
-        std::thread::sleep(Duration::from_millis(20));
+    })
+}
+
+/// Everything `pipe` yields until its writer closes it.
+fn read_all(mut pipe: impl Read) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    pipe.read_to_end(&mut bytes).expect("read maestro output");
+    bytes
+}
+
+/// A sweep whose `--json` report is far larger than a pipe buffer exits
+/// 0 through [`maestro_bounded`], well inside its bound.
+#[test]
+fn bounded_run_drains_large_output() {
+    let start = Instant::now();
+    let out = maestro_bounded(&[
+        "dse",
+        "--model",
+        "vgg16",
+        "--layer",
+        "CONV2",
+        "--style",
+        "KC-P",
+        "--threads",
+        "1",
+        "--json",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(start.elapsed() < BOUND / 2, "took {:?}", start.elapsed());
+    assert!(out.stdout.len() > 1 << 16, "{} bytes", out.stdout.len());
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("\"pareto\""),
+        "no frontier in the report"
+    );
+}
+
+/// A reader that closes stdout early (`maestro ... | head -c 10`) ends
+/// the command quietly with exit 0, not with a broken-pipe panic (101).
+#[test]
+fn closed_stdout_ends_the_command_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_maestro"))
+        .args([
+            "dse",
+            "--model",
+            "vgg16",
+            "--layer",
+            "CONV2",
+            "--style",
+            "KC-P",
+            "--threads",
+            "1",
+            "--json",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn maestro binary");
+    let mut head = [0u8; 10];
+    child
+        .stdout
+        .take()
+        .expect("piped stdout")
+        .read_exact(&mut head)
+        .expect("read the first bytes");
+    // The read end is dropped here, closed while maestro still writes.
+    let out = child.wait_with_output().expect("collect maestro output");
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(err.is_empty(), "{err}");
+}
+
+/// `dse` and `serve` refuse a positional argument they do not read, as
+/// they refuse an unread flag, before sweeping or binding.
+#[test]
+fn stray_positional_arguments_exit_2() {
+    let cases: [&[&str]; 2] = [
+        &[
+            "dse", "--model", "vgg16", "--layer", "CONV2", "--style", "KC-P", "stray",
+        ],
+        &[
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--max-seconds",
+            "1",
+            "stray",
+        ],
+    ];
+    for args in cases {
+        let out = maestro_bounded(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.contains(&format!("{} does not take stray", args[0])),
+            "{args:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: ran anyway");
     }
-    child.wait_with_output().expect("collect maestro output")
 }
 
 /// A seconds flag that is negative, NaN, infinite or too large for a

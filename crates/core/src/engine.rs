@@ -211,6 +211,8 @@ pub struct LevelStatic {
     pub staging: u64,
     /// Replication fanout of (input, weight) data down to PE L1s.
     pub fanout: [f64; 2],
+    /// Per-unit per-step footprints (Input, Weight, Output), elements.
+    pub footprint: [u64; 3],
     /// Output elements committed upstream across one pass.
     pub out_egress: f64,
     /// Output elements still resident in the units at the end of a pass.
@@ -354,19 +356,29 @@ pub fn analyze_level_static(
     let fp = ctx.views.footprints(coupling);
     let [fp_in, fp_w, fp_out] = fp.total.map(|f| f as f64);
 
+    // How each operand spreads over the units: whether it differs across
+    // them, and the distinct fraction of what they hold.
+    let [(in_varies, in_sharing), (w_varies, w_sharing)] = [TensorKind::Input, TensorKind::Weight]
+        .map(|k| {
+            (
+                ctx.varies_spatially(coupling, k),
+                ctx.spatial_sharing_ratio(coupling, k),
+            )
+        });
+
     // Traffic multipliers across units.
-    let operand_mult = |k: TensorKind| -> f64 {
-        if ctx.varies_spatially(coupling, k) {
+    let operand_mult = |varies: bool, sharing: f64| -> f64 {
+        if varies {
             match support.multicast {
                 maestro_hw::SpatialMulticast::None => activef,
-                _ => activef * ctx.spatial_sharing_ratio(coupling, k),
+                _ => activef * sharing,
             }
         } else {
             support.multicast.upstream_reads(active) as f64
         }
     };
-    let in_mult = operand_mult(TensorKind::Input);
-    let w_mult = operand_mult(TensorKind::Weight);
+    let in_mult = operand_mult(in_varies, in_sharing);
+    let w_mult = operand_mult(w_varies, w_sharing);
     let out_mult = match ctx.output_spatial {
         OutputSpatial::Varies => activef,
         OutputSpatial::Reduced => support.reduction.upstream_writes(active) as f64,
@@ -525,16 +537,16 @@ pub fn analyze_level_static(
     // Replication fanout from this level's boundary to PE L1s: multicast
     // tensors land in every sub-unit's L1, distributed tensors split.
     let child_fanout = inner.map(|r| r.fanout).unwrap_or([1.0, 1.0]);
-    let step_fanout = |k: TensorKind, below: f64| -> f64 {
-        if ctx.varies_spatially(coupling, k) {
+    let step_fanout = |varies: bool, below: f64| -> f64 {
+        if varies {
             below
         } else {
             activef * below
         }
     };
     let fanout = [
-        step_fanout(TensorKind::Input, child_fanout[0]),
-        step_fanout(TensorKind::Weight, child_fanout[1]),
+        step_fanout(in_varies, child_fanout[0]),
+        step_fanout(w_varies, child_fanout[1]),
     ];
     // When the inner level folds outputs through its units mid-pass it
     // cannot hold them resident: every pass streams its full egress across
@@ -578,10 +590,8 @@ pub fn analyze_level_static(
         OutputSpatial::Varies => fp_out * activef,
         _ => fp_out,
     };
-    let staging = (2.0
-        * (fp_in * activef * ctx.spatial_sharing_ratio(coupling, TensorKind::Input)
-            + fp_w * activef * ctx.spatial_sharing_ratio(coupling, TensorKind::Weight)
-            + out_staged)) as u64;
+    let staging =
+        (2.0 * (fp_in * activef * in_sharing + fp_w * activef * w_sharing + out_staged)) as u64;
 
     LevelStatic {
         transitions,
@@ -599,6 +609,7 @@ pub fn analyze_level_static(
         l1_per_pe,
         staging,
         fanout,
+        footprint: fp.total,
         out_egress: out_commit * cov_out,
         out_resident: inner
             .map(|r| r.out_resident)

@@ -143,13 +143,20 @@ impl LevelViews {
     }
 
     /// The footprint factor of every (tensor, dimension) pair and the
-    /// three footprints, computed once.
+    /// three footprints, each total multiplied in canonical dimension order.
     pub(crate) fn footprints(&self, coupling: &Coupling) -> Footprints {
-        let factor = TensorKind::ALL.map(|k| ALL_DIMS.map(|d| self.fp_factor(coupling, k, d)));
-        Footprints {
-            factor,
-            total: factor.map(|f| f.iter().product()),
+        let mut fp = Footprints {
+            factor: [[1; 7]; 3],
+            total: [1; 3],
+        };
+        for k in TensorKind::ALL {
+            for d in ALL_DIMS {
+                let f = self.fp_factor(coupling, k, d);
+                fp.factor[k as usize][d.index()] = f;
+                fp.total[k as usize] *= f;
+            }
         }
+        fp
     }
 
     /// Footprint overlap factor along `d` when its view advances by

@@ -117,13 +117,6 @@ impl LevelCtx {
             y: resolved.stride_y,
             x: resolved.stride_x,
         };
-        // First pass: the R/S chunk sizes, needed to derive Y/X views.
-        let mut filter_chunk = [1u64; 7];
-        for m in &level.maps {
-            if m.dim.is_filter_window() {
-                filter_chunk[m.dim.index()] = m.size.min(level.dims.get(m.dim));
-            }
-        }
         // Build views in canonical dim order.
         let mut views: [DimView; 7] = maestro_dnn::ALL_DIMS.map(|d| DimView {
             dim: d,
@@ -188,20 +181,23 @@ impl LevelCtx {
             }
         };
         let mut loops = Vec::with_capacity(ordered.iter().filter(|v| is_loop(v)).count());
-        loops.extend(ordered.into_iter().filter(|v| is_loop(v)).map(|v| {
+        for v in ordered {
+            if !is_loop(v) {
+                continue;
+            }
             let (dims, trips) = if v.spatial {
                 let fold = spatial().map(|s| (s.dim, s.step * num_units)).collect();
                 (fold, folds)
             } else {
                 (LoopDims::one(v.dim, v.step), v.trips)
             };
-            LoopNode {
+            loops.push(LoopNode {
                 dims,
                 trips,
                 spatial_fold: v.spatial,
                 pos: v.pos,
-            }
-        }));
+            });
+        }
         let total_steps = loops.iter().map(|l| l.trips).product();
 
         let output_spatial = classify_output_spatial(&views, coupling, active_units);

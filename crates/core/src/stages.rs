@@ -158,7 +158,7 @@ impl StagedAnalysis {
                     utilization: ctx.utilization,
                     steps: ctx.total_steps,
                     pass_cycles: 0.0,
-                    footprint: ctx.views.footprints(&coupling).total,
+                    footprint: st.footprint,
                     output_spatial: ctx.output_spatial,
                 });
                 stats.push(st);
@@ -209,11 +209,7 @@ impl StagedAnalysis {
         // `price`, where the on-chip runtime is known.
         let (dram_delay, tensor_elems) = {
             let _s = maestro_obs::span::span("maestro.analysis.noc");
-            let tensor_elems = [
-                layer.tensor_elements(TensorKind::Input),
-                layer.tensor_elements(TensorKind::Weight),
-                layer.tensor_elements(TensorKind::Output),
-            ];
+            let tensor_elems = layer.tensor_sizes();
             let (dram_read, dram_write) =
                 crate::report::offchip_traffic(&counts, tensor_elems, acc.l2_elements());
             counts.dram_read = dram_read;
@@ -448,6 +444,48 @@ mod tests {
                 .build(),
         );
         assert_eq!(a.unwrap(), b.unwrap());
+    }
+
+    /// The build derives each level's footprint table once, in
+    /// `analyze_level_static`. At every level of every (layer, dataflow)
+    /// pair of the Figure 10 zoo, the table must match the public
+    /// per-pair and per-kind accessors, and the report's level summaries
+    /// must carry the same totals.
+    #[test]
+    fn footprint_table_matches_the_public_accessors_across_the_zoo() {
+        let acc = Accelerator::paper_case_study();
+        let mut levels_checked = 0;
+        for name in ["resnet50", "vgg16", "resnext50", "mobilenet_v2", "unet"] {
+            let model = maestro_dnn::zoo::by_name(name, 1).unwrap();
+            for layer in model.iter() {
+                let coupling = layer.coupling();
+                for style in Style::ALL {
+                    let df = style.dataflow();
+                    let report = crate::analyze(layer, &df, &acc).unwrap();
+                    let resolved = resolve(&df, layer, acc.num_pes).unwrap();
+                    assert_eq!(report.levels.len(), resolved.levels.len());
+                    for (level, summary) in resolved.levels.iter().zip(&report.levels) {
+                        let views = LevelCtx::build(&resolved, level, &coupling).views;
+                        let fp = views.footprints(&coupling);
+                        let at = format!("{name}/{}/{style} level {}", layer.name, summary.level);
+                        for k in TensorKind::ALL {
+                            for d in maestro_dnn::ALL_DIMS {
+                                assert_eq!(
+                                    fp.factor[k as usize][d.index()],
+                                    views.fp_factor(&coupling, k, d),
+                                    "{at}: {k} factor along {d}"
+                                );
+                            }
+                            let footprint = views.footprint(&coupling, k);
+                            assert_eq!(fp.total[k as usize], footprint, "{at}: {k} total");
+                            assert_eq!(summary.footprint[k as usize], footprint, "{at}: {k}");
+                        }
+                        levels_checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(levels_checked >= 1210, "{levels_checked} levels");
     }
 
     #[test]

@@ -310,33 +310,43 @@ impl Layer {
     }
 
     /// Number of elements of a tensor, honoring the operator's coupling.
+    /// [`tensor_sizes`](Layer::tensor_sizes) gives all three at once.
+    pub fn tensor_elements(&self, kind: TensorKind) -> u64 {
+        self.tensor_sizes()[kind as usize]
+    }
+
+    /// Number of elements of each tensor, indexed by `TensorKind as usize`
+    /// (Input, Weight, Output), honoring the operator's coupling.
     ///
     /// For grouped convolution the input tensor spans all `groups × C`
     /// channels while the per-filter weight spans only `C`.
-    pub fn tensor_elements(&self, kind: TensorKind) -> u64 {
+    pub fn tensor_sizes(&self) -> [u64; 3] {
         let d = &self.dims;
         let coupling = self.coupling();
-        let set = coupling.coupled(kind);
+        let sizes = d.sizes();
+        let (out_y, out_x) = (d.out_y(), d.out_x());
         let groups = match self.op {
             Operator::Conv2d { groups } => u64::from(groups),
             _ => 1,
         };
-        let mut count = 1u64;
-        for dim in set.iter() {
-            let size = match (kind, dim) {
-                // Output spatial extents are derived from the window pairs;
-                // count the pair once (on the Y/X half).
-                (TensorKind::Output, Dim::Y) => d.out_y(),
-                (TensorKind::Output, Dim::X) => d.out_x(),
-                (TensorKind::Output, Dim::R) | (TensorKind::Output, Dim::S) => 1,
-                (_, dim) => d.sizes().get(dim),
-            };
-            count *= size;
-        }
-        if kind == TensorKind::Input {
-            count *= groups;
-        }
-        count
+        TensorKind::ALL.map(|kind| {
+            let mut count = 1u64;
+            for dim in coupling.coupled(kind).iter() {
+                let size = match (kind, dim) {
+                    // Output spatial extents are derived from the window
+                    // pairs; count the pair once (on the Y/X half).
+                    (TensorKind::Output, Dim::Y) => out_y,
+                    (TensorKind::Output, Dim::X) => out_x,
+                    (TensorKind::Output, Dim::R) | (TensorKind::Output, Dim::S) => 1,
+                    (_, dim) => sizes.get(dim),
+                };
+                count *= size;
+            }
+            if kind == TensorKind::Input {
+                count *= groups;
+            }
+            count
+        })
     }
 
     /// Total multiply-accumulate (or element-op) count of the dense layer.

@@ -9,6 +9,7 @@
 
 use crate::dataflow::Dataflow;
 use crate::directive::{Directive, MapKind};
+use maestro_dnn::coupling::DimSet;
 use maestro_dnn::{Dim, DimSizes, Layer, ALL_DIMS};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -202,47 +203,56 @@ pub fn resolve(dataflow: &Dataflow, layer: &Layer, num_pes: u64) -> Result<Resol
         }
     }
 
-    // Cluster sizes, checked in two passes over the directives: every zero
-    // size first, then every fit, before any map is resolved.
+    // Cluster sizes, each evaluated once, in one pass that also gives
+    // every level its unit count: level 0 divides the PEs into clusters of
+    // the first cluster size; level i divides cluster i-1 into clusters of
+    // cluster i; the innermost level's units are its cluster size. Any zero
+    // size is reported before the first misfit, and both before any map is
+    // resolved.
     let directives = dataflow.directives();
-    let cluster_sizes = || {
-        directives.iter().filter_map(|d| match d {
-            Directive::Cluster(sz) => Some(sz.eval(&layer_dims)),
-            _ => None,
-        })
-    };
-    if cluster_sizes().any(|c| c == 0) {
-        return Err(ResolveError::ZeroClusterSize);
-    }
+    let mut levels = Vec::with_capacity(dataflow.num_levels());
+    let mut zero = false;
+    let mut misfit = None;
     let mut available = num_pes;
-    for c in cluster_sizes() {
-        if c > available {
-            return Err(ResolveError::ClusterTooLarge {
+    for d in directives {
+        let Directive::Cluster(sz) = d else {
+            continue;
+        };
+        let c = sz.eval(&layer_dims);
+        zero |= c == 0;
+        if misfit.is_none() && c > available {
+            misfit = Some(ResolveError::ClusterTooLarge {
                 cluster: c,
                 available,
             });
         }
+        // A zero or misfit size pushes a level that the errors below
+        // discard; its maps and dims are filled in once they all pass.
+        levels.push(ResolvedLevel {
+            maps: Vec::new(),
+            num_units: available.checked_div(c).unwrap_or(0),
+            dims: layer_dims,
+        });
         available = c;
     }
+    if zero {
+        return Err(ResolveError::ZeroClusterSize);
+    }
+    if let Some(e) = misfit {
+        return Err(e);
+    }
+    levels.push(ResolvedLevel {
+        maps: Vec::new(),
+        num_units: available,
+        dims: layer_dims,
+    });
 
-    // Resolve each level top-down, threading dimension sizes. Units per
-    // level: level 0 divides the PEs into clusters of the first cluster
-    // size; level i divides cluster i-1 into clusters of cluster i; the
-    // innermost level's units are its cluster size.
-    let mut levels = Vec::with_capacity(dataflow.num_levels());
+    // Resolve each level's maps top-down, threading dimension sizes.
     let mut dims = layer_dims;
-    available = num_pes;
-    let mut sizes = cluster_sizes();
-    for dirs in directives.split(|d| matches!(d, Directive::Cluster(_))) {
-        let num_units = match sizes.next() {
-            Some(c) => {
-                let units = available / c;
-                available = c;
-                units
-            }
-            None => available,
-        };
+    let level_dirs = directives.split(|d| matches!(d, Directive::Cluster(_)));
+    for (level, dirs) in levels.iter_mut().zip(level_dirs) {
         let mut maps: Vec<ResolvedMap> = Vec::with_capacity(ALL_DIMS.len());
+        let mut mapped = DimSet::empty();
         for d in dirs {
             let (kind, size, offset, dim) = match d {
                 Directive::SpatialMap { size, offset, dim } => {
@@ -253,9 +263,10 @@ pub fn resolve(dataflow: &Dataflow, layer: &Layer, num_pes: u64) -> Result<Resol
                 }
                 Directive::Cluster(_) => unreachable!("clusters split levels"),
             };
-            if maps.iter().any(|m| m.dim == dim) {
+            if mapped.contains(dim) {
                 return Err(ResolveError::DuplicateDim(dim));
             }
+            mapped.insert(dim);
             // Sizes are evaluated against the *layer* dims so `Sz(R)` means
             // the same thing at every level, then clamped to this level.
             let size = size.eval(&layer_dims);
@@ -276,7 +287,7 @@ pub fn resolve(dataflow: &Dataflow, layer: &Layer, num_pes: u64) -> Result<Resol
         }
         // Inferred full-coverage maps for unmapped dimensions (innermost).
         for dim in ALL_DIMS {
-            if !maps.iter().any(|m| m.dim == dim) {
+            if !mapped.contains(dim) {
                 let sz = dims.get(dim);
                 maps.push(ResolvedMap {
                     kind: MapKind::Temporal,
@@ -287,13 +298,9 @@ pub fn resolve(dataflow: &Dataflow, layer: &Layer, num_pes: u64) -> Result<Resol
                 });
             }
         }
-        let level = ResolvedLevel {
-            maps,
-            num_units,
-            dims,
-        };
+        level.maps = maps;
+        level.dims = dims;
         dims = level.mapped_sizes();
-        levels.push(level);
     }
 
     let used_pes = levels.iter().map(|l| l.num_units).product();

@@ -332,11 +332,7 @@ pub fn simulate(
 
     // Off-chip traffic and delay, by the same rule as the model (the
     // estimator is shared; inputs here are the simulator's exact counts).
-    let tensor_elems = [
-        layer.tensor_elements(TensorKind::Input),
-        layer.tensor_elements(TensorKind::Weight),
-        layer.tensor_elements(TensorKind::Output),
-    ];
+    let tensor_elems = layer.tensor_sizes();
     let (dram_read, dram_write) =
         maestro_core::report::offchip_traffic(&counts, tensor_elems, acc.l2_elements());
     counts.dram_read = dram_read;
