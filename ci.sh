@@ -115,6 +115,17 @@ if [ -n "${timers}" ]; then
   exit 1
 fi
 
+# One thread per sweep: a sweep runs its units in index order on the
+# calling thread, and parallelism lives across sweeps (the daemon's
+# workers). On the 2-vCPU CI host an intra-sweep pool lost to one thread
+# on every sweep a binary runs, so a thread spawned, scoped or sized
+# under crates/dse/src would bring back a cost with no measured reason.
+echo "== one thread per sweep (no std::thread under crates/dse/src)"
+if grep -rnE --include='*.rs' 'thread::(scope|spawn|available_parallelism)|std::thread\b' crates/dse/src; then
+  echo "std::thread use under crates/dse/src; a sweep runs on its caller's thread" >&2
+  exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --release --workspace
 
@@ -126,7 +137,7 @@ cargo test -q --workspace
 # bounds the smoke so a regression hangs CI for minutes, not forever (a
 # tripped deadline exits 7, which set -e turns into a failure).
 echo "== observability smoke (dse --metrics -)"
-metrics_out=$(target/release/maestro dse --model vgg16 --layer CONV5 --style KC-P --threads 2 --max-seconds 300 --metrics -)
+metrics_out=$(target/release/maestro dse --model vgg16 --layer CONV5 --style KC-P --max-seconds 300 --metrics -)
 for name in maestro_cache_hits maestro_cache_misses maestro_dse_unit_rate \
             maestro_dse_pareto_inserted maestro_dse_units_quarantined; do
   if ! grep -q "# TYPE ${name}" <<<"${metrics_out}"; then
@@ -136,9 +147,9 @@ for name in maestro_cache_hits maestro_cache_misses maestro_dse_unit_rate \
 done
 
 # Staged evaluation is a pure refactor of analyze(): the golden suite
-# must prove the staged DSE bit-identical to full evaluation at 1/2/8/
-# auto threads, with checkpoints and under fault injection, before any
-# rate number is trusted.
+# must prove the staged DSE bit-identical to full evaluation, with
+# checkpoints and under fault injection, before any rate number is
+# trusted.
 echo "== staged-equivalence goldens"
 cargo test -q --release -p maestro-dse --test staged_equivalence
 cargo test -q --release -p maestro-sim --test staged_conform_smoke
@@ -153,7 +164,7 @@ cargo bench -q -p maestro-bench --bench obs_overhead
 # The whole-model and Fig 13 sweep digests (the Fig 13 ones also pin
 # the explored and valid counts and hold full evaluation to the staged
 # default), the whole-model build counts, the session suites (interrupt/resume, staged and full
-# evaluation, thread counts and quarantine, all steered by the unit
+# evaluation and quarantine, all steered by the unit
 # observer's cancel points and seeded fault plans), the capacity
 # kernel's differential suite, the zoo analysis digest and allocation
 # budget, the brownout table (whose cache-only answers read the daemon's
@@ -196,7 +207,7 @@ fi
 # (only the wall-clock `seconds`/`rate` stats and the `partial` marker
 # may differ).
 echo "== kill-and-resume smoke (dse SIGTERM + --resume)"
-dse_args=(dse --model vgg16 --layer CONV5 --style KC-P --threads 2 --json)
+dse_args=(dse --model vgg16 --layer CONV5 --style KC-P --json)
 target/release/maestro "${dse_args[@]}" --max-seconds 300 > "${smokedir}/golden.json"
 target/release/maestro "${dse_args[@]}" \
   --checkpoint "${smokedir}/smoke.ckpt" --inject delay:300ms:1.0 \

@@ -2,7 +2,6 @@
 //! evaluated with the best per-layer mapping (embedded auto-tuning), the
 //! natural end-to-end extension of the paper's per-layer DSE (§5.2).
 
-use maestro_bench::threads_arg;
 use maestro_dnn::zoo;
 use maestro_dse::{tuner::default_candidates, Explorer, SweepSpace};
 
@@ -21,12 +20,11 @@ fn model_arg() -> maestro_dnn::Model {
 }
 
 fn main() {
-    let threads = threads_arg();
     let model = model_arg();
     let explorer = Explorer::new(SweepSpace::tiny());
     let candidates = default_candidates();
     let r = explorer
-        .explore_model_parallel(&model, &candidates, threads)
+        .explore_model(&model, &candidates)
         .expect("valid sweep space");
     println!(
         "whole-model DSE over {}: {} designs explored, {} valid ({} memo hits), {:.3} ms",

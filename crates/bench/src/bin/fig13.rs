@@ -3,13 +3,12 @@
 //! Eyeriss-envelope budget (16 mm², 450 mW), the throughput- and
 //! energy-optimized points, and the DSE statistics table (13c).
 
-use maestro_bench::{layer, threads_arg};
+use maestro_bench::layer;
 use maestro_dnn::zoo;
 use maestro_dse::{variants, DesignPoint, Explorer, SweepSpace};
 use maestro_ir::Style;
 
 fn main() {
-    let threads = threads_arg();
     let vgg = zoo::vgg16(1);
     println!("Figure 13 — design-space exploration (area<=16mm2, power<=450mW)\n");
     let mut stats_rows = Vec::new();
@@ -18,7 +17,7 @@ fn main() {
             let l = layer(&vgg, lname);
             let explorer = Explorer::new(SweepSpace::standard());
             let r = explorer
-                .explore_parallel(l, &variants::variants(style), threads)
+                .explore(l, &variants::variants(style))
                 .expect("valid sweep space");
             println!("== {} on VGG16 {lname} ==", style.short_name());
             if !r.stats.quarantined.is_empty() {

@@ -2,19 +2,14 @@
 //! NoC bandwidth ("an accelerator can achieve peak throughput [only if]
 //! the NoC provides sufficient bandwidth") and DRAM traffic vs L2
 //! capacity (the buffer/throughput/energy balance of Figure 13's text).
-//!
-//! Each table row's cells are independent cost-model calls, so they are
-//! computed with [`maestro_bench::parallel_map`] (`--threads <n>`, default
-//! one worker per core) and printed in fixed column order.
 
-use maestro_bench::{layer, parallel_map, threads_arg};
+use maestro_bench::layer;
 use maestro_core::analyze;
 use maestro_dnn::zoo;
 use maestro_hw::Accelerator;
 use maestro_ir::Style;
 
 fn main() {
-    let threads = threads_arg();
     let vgg = zoo::vgg16(1);
     println!("Throughput (MACs/cycle) vs NoC bandwidth, 256 PEs:\n");
     print!("{:<10}", "BW el/cy");
@@ -31,16 +26,11 @@ fn main() {
     ] {
         let l = layer(&vgg, lname);
         print!("{:<10}", format!("{}/{}", style.short_name(), lname));
-        let cells = parallel_map(&bws, threads, |&bw| {
+        for bw in bws {
             let acc = Accelerator::builder(256).noc_bandwidth(bw).build();
-            analyze(l, &style.dataflow(), &acc)
-                .ok()
-                .map(|r| r.throughput())
-        });
-        for cell in cells {
-            match cell {
-                Some(throughput) => print!("{throughput:>9.1}"),
-                None => print!("{:>9}", "-"),
+            match analyze(l, &style.dataflow(), &acc) {
+                Ok(r) => print!("{:>9.1}", r.throughput()),
+                Err(_) => print!("{:>9}", "-"),
             }
         }
         println!();
@@ -55,12 +45,10 @@ fn main() {
     println!();
     print!("{:<10}", "DRAM");
     let l = layer(&vgg, "CONV2");
-    let cells = parallel_map(&l2s, threads, |&l2| {
+    for l2 in l2s {
         let acc = Accelerator::builder(256).l2_bytes(l2 * 1024).build();
         let r = analyze(l, &Style::KCP.dataflow(), &acc).expect("analysis");
-        r.counts.dram_read.total() + r.counts.dram_write.total()
-    });
-    for dram in cells {
+        let dram = r.counts.dram_read.total() + r.counts.dram_write.total();
         print!("{dram:>12.3e}");
     }
     println!();

@@ -47,65 +47,6 @@ pub fn layer<'m>(model: &'m Model, name: &str) -> &'m Layer {
         .unwrap_or_else(|| panic!("{} has no layer {name}", model.name))
 }
 
-/// The `--threads <n>` argument of a figure binary (`0`, the default,
-/// means one worker per core — see [`maestro_dse::resolve_threads`]).
-pub fn threads_arg() -> usize {
-    let mut argv = std::env::args();
-    while let Some(a) = argv.next() {
-        if a == "--threads" {
-            let v = argv.next().unwrap_or_default();
-            return v
-                .parse()
-                .unwrap_or_else(|_| panic!("--threads expects an integer, got `{v}`"));
-        }
-    }
-    0
-}
-
-/// Apply `f` to every item on up to `threads` scoped worker threads
-/// (`0` = one per core), returning results **in input order** regardless
-/// of scheduling — the bench binaries print tables, so output must not
-/// depend on thread interleaving.
-pub fn parallel_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let threads = maestro_dse::resolve_threads(threads).clamp(1, items.len().max(1));
-    if threads == 1 {
-        return items.iter().map(f).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, U)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        mine.push((i, f(item)));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("bench worker panicked"))
-            .collect()
-    });
-    let mut slots: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
-    for (i, u) in per_worker.into_iter().flatten() {
-        slots[i] = Some(u);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every item mapped"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,15 +59,5 @@ mod tests {
         }
         let vgg = zoo::vgg16(1);
         let _ = layer(&vgg, "CONV2");
-    }
-
-    #[test]
-    fn parallel_map_preserves_input_order() {
-        let items: Vec<u64> = (0..57).collect();
-        let seq = parallel_map(&items, 1, |v| v * 3);
-        for threads in [2, 8] {
-            assert_eq!(parallel_map(&items, threads, |v| v * 3), seq);
-        }
-        assert!(parallel_map(&[] as &[u64], 4, |v| *v).is_empty());
     }
 }

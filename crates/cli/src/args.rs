@@ -93,6 +93,20 @@ impl Args {
     ///
     /// Returns an error message when the value is not an integer.
     pub fn get_u64(&self, key: &str, default: u64) -> Result<u64, String> {
+        self.get_int(key, default)
+    }
+
+    /// Integer option with a default, as a `usize` (a count or a size).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error message when the value is not an integer that
+    /// fits a `usize`.
+    pub fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
+        self.get_int(key, default)
+    }
+
+    fn get_int<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.value(key) {
             None => Ok(default),
             Some(v) => v
@@ -134,9 +148,21 @@ impl Args {
         }
     }
 
-    /// Boolean flag.
-    pub fn flag(&self, key: &str) -> bool {
-        self.value(key).is_some_and(|v| v == "true")
+    /// Boolean flag: given bare (or as `--key true`) or not at all. The
+    /// parser cannot tell a flag from an option, so the word after a flag
+    /// reaches here as its value.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error message naming the flag and the word when the flag
+    /// was given any other value, rather than reading it as "off" and
+    /// dropping the word.
+    pub fn flag(&self, key: &str) -> Result<bool, String> {
+        match self.value(key).map(String::as_str) {
+            None => Ok(false),
+            Some("true") => Ok(true),
+            Some(v) => Err(format!("--{key} is a flag and takes no value, got `{v}`")),
+        }
     }
 }
 
@@ -154,8 +180,8 @@ mod tests {
         assert_eq!(a.command, "analyze");
         assert_eq!(a.get("model", ""), "vgg16");
         assert_eq!(a.get_u64("pes", 64).unwrap(), 256);
-        assert!(a.flag("json"));
-        assert!(!a.flag("quiet"));
+        assert_eq!(a.flag("json"), Ok(true));
+        assert_eq!(a.flag("quiet"), Ok(false));
     }
 
     #[test]
@@ -179,9 +205,25 @@ mod tests {
     }
 
     #[test]
+    fn a_flag_given_a_value_is_an_error_naming_the_flag_and_the_word() {
+        let a = parse("dse --json stray --progress true --metrics -");
+        assert_eq!(
+            a.flag("json"),
+            Err("--json is a flag and takes no value, got `stray`".to_string())
+        );
+        assert_eq!(a.flag("progress"), Ok(true), "an explicit true is a flag");
+        let b = parse("analyze --json false");
+        assert!(b.flag("json").unwrap_err().contains("`false`"));
+        // A valued option is read through `get`, not `flag`.
+        assert_eq!(a.get("metrics", ""), "-");
+    }
+
+    #[test]
     fn bad_integer_reports_error() {
-        let a = parse("x --pes lots");
+        let a = parse("x --pes lots --workers -1");
         assert!(a.get_u64("pes", 1).is_err());
+        assert!(a.get_usize("workers", 4).is_err());
+        assert_eq!(a.get_usize("missing", 4), Ok(4));
     }
 
     #[test]
@@ -197,6 +239,6 @@ mod tests {
     #[test]
     fn trailing_flag() {
         let a = parse("x --verbose");
-        assert!(a.flag("verbose"));
+        assert_eq!(a.flag("verbose"), Ok(true));
     }
 }

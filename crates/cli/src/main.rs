@@ -3,7 +3,7 @@
 //! ```text
 //! maestro analyze  --model vgg16 --layer CONV2 --dataflow KC-P --pes 256 [--bw 32] [--json]
 //! maestro model    --model resnet50 --dataflow YR-P --pes 256 [--adaptive] [--json]
-//! maestro dse      --model vgg16 --layer CONV2 --style KC-P [--threads N] [--json]
+//! maestro dse      --model vgg16 --layer CONV2 --style KC-P [--json]
 //! maestro validate --model alexnet --dataflow YR-P --pes 168
 //! maestro mapping  --model vgg16 --layer CONV1 --dataflow YR-P --pes 6 --step 0
 //! maestro zoo
@@ -235,7 +235,7 @@ maestro — data-centric DNN dataflow cost model
 USAGE:
   maestro analyze  --model <zoo> --layer <name> --dataflow <style|file> --pes <n> [--bw <n>] [--json]
   maestro model    --model <zoo> --dataflow <style|file> --pes <n> [--adaptive] [--json]
-  maestro dse      --model <zoo> --layer <name> --style <style> [--threads <n>] [--json]
+  maestro dse      --model <zoo> --layer <name> --style <style> [--json]
   maestro validate --model <zoo> --dataflow <style|file> --pes <n>
   maestro conform  [--seed <n>] [--cases <n>] [--max-steps <n>] [--max-seconds <s>] [--tol-runtime <pct>] [--tol-l1 <pct>] [--tol-l2 <pct>] [--tol-util <abs>] [--tol-macs <pct>] [--json]
   maestro serve    [--addr <host:port>] [--workers <n>] [--queue-depth <n>] [--drain-seconds <s>]
@@ -271,8 +271,6 @@ Serving (serve):
   --workers <n>              worker threads (default 4)
   --queue-depth <n>          admission queue bound; full queue sheds 503 + Retry-After (default 64)
   --default-deadline-ms <n>  deadline for requests without deadline_ms (default 10000)
-  --max-request-threads <n>  cap on the `threads` one /v1/dse request may claim
-                             (default 0 = the host's available parallelism)
   --drain-seconds <s>        drain budget after SIGTERM/SIGINT before in-flight
                              requests are cancelled (default 5; forced drain exits 7)
   --io-timeout <s>           socket read/write timeout, slow-loris guard (default 10; > 0)
@@ -357,12 +355,13 @@ fn accelerator(args: &Args) -> Result<Accelerator, CliError> {
 }
 
 fn cmd_analyze(args: &Args) -> Result<(), CliError> {
+    let json = args.flag("json").map_err(CliError::usage)?;
     let model = load_model(args.get("model", "vgg16"))?;
     let layer = pick_layer(&model, args)?;
     let df = load_dataflow(args.get("dataflow", "KC-P"))?;
     let acc = accelerator(args)?;
     let report = analyze(layer, &df, &acc)?;
-    if args.flag("json") {
+    if json {
         outln!(
             "{}",
             serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
@@ -386,9 +385,10 @@ fn cmd_analyze(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_model(args: &Args) -> Result<(), CliError> {
+    let json = args.flag("json").map_err(CliError::usage)?;
     let model = load_model(args.get("model", "vgg16"))?;
     let acc = accelerator(args)?;
-    let report = if args.flag("adaptive") {
+    let report = if args.flag("adaptive").map_err(CliError::usage)? {
         // The fastest style per layer; KC-P where no style maps.
         let styles: Vec<Dataflow> = Style::ALL.iter().map(|s| s.dataflow()).collect();
         analyze_model_with(&model, &acc, |layer| {
@@ -400,7 +400,7 @@ fn cmd_model(args: &Args) -> Result<(), CliError> {
         analyze_model(&model, &df, &acc)
     }
     .map_err(CliError::from)?;
-    if args.flag("json") {
+    if json {
         outln!(
             "{}",
             serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
@@ -486,7 +486,7 @@ fn session_ctl(args: &Args) -> Result<(maestro_dse::SessionCtl, bool), CliError>
     if !trace_sample.is_empty() {
         ctl.trace_sample = Some(parse_sample(trace_sample)?);
     }
-    if args.flag("progress") {
+    if args.flag("progress").map_err(CliError::usage)? {
         // The observer fires once per unit run in this session, so its
         // call count over its own clock is the session's unit rate.
         let start = Instant::now();
@@ -523,21 +523,13 @@ fn cmd_dse(args: &Args) -> Result<(), CliError> {
     let style_name = args.get("style", "KC-P");
     let style = Style::from_name(style_name)
         .ok_or_else(|| CliError::usage(format!("unknown style `{style_name}`")))?;
-    // 0 = one worker per core; results are identical at any thread count.
-    let threads = usize::try_from(args.get_u64("threads", 0).map_err(CliError::usage)?)
-        .map_err(|_| CliError::usage("--threads is too large"))?;
     let (ctl, resumed) = session_ctl(args)?;
     let trace_out = args.get("trace-out", "");
-    let json = args.flag("json");
+    let json = args.flag("json").map_err(CliError::usage)?;
     refuse_unread(args, "dse")?;
     let explorer = maestro_dse::Explorer::new(maestro_dse::SweepSpace::standard());
     let (result, session) = explorer
-        .explore_session(
-            layer,
-            &maestro_dse::variants::variants(style),
-            threads,
-            &ctl,
-        )
+        .explore_session(layer, &maestro_dse::variants::variants(style), &ctl)
         .map_err(|e| session_error(&e))?;
     if resumed {
         // stderr so `--json` stdout stays machine-parseable.
@@ -668,6 +660,7 @@ fn cmd_validate(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_conform(args: &Args) -> Result<(), CliError> {
+    let json = args.flag("json").map_err(CliError::usage)?;
     let d = maestro_sim::ConformConfig::default();
     let cfg = maestro_sim::ConformConfig {
         seed: args.get_u64("seed", d.seed).map_err(CliError::usage)?,
@@ -705,7 +698,7 @@ fn cmd_conform(args: &Args) -> Result<(), CliError> {
         token.set_deadline_in(max_seconds);
     }
     let report = maestro_sim::run_conform_cancellable(&cfg, &token);
-    if args.flag("json") {
+    if json {
         outln!(
             "{}",
             serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
@@ -773,75 +766,74 @@ fn cmd_conform(args: &Args) -> Result<(), CliError> {
     }
 }
 
-fn cmd_serve(args: &Args) -> Result<(), CliError> {
-    let to_usize = |v: u64, what: &str| -> Result<usize, CliError> {
-        usize::try_from(v).map_err(|_| CliError::usage(format!("--{what} is too large")))
+/// The daemon configuration `serve`'s flags ask for: each field is
+/// [`maestro_serve::ServeConfig::default`]'s unless its flag is given.
+fn serve_config(args: &Args) -> Result<maestro_serve::ServeConfig, CliError> {
+    let d = maestro_serve::ServeConfig::default();
+    let millis = |key: &str, default: Duration| -> Result<Duration, CliError> {
+        let default = u64::try_from(default.as_millis()).unwrap_or(u64::MAX);
+        Ok(Duration::from_millis(
+            args.get_u64(key, default).map_err(CliError::usage)?,
+        ))
     };
-    let cfg = maestro_serve::ServeConfig {
-        addr: args.get("addr", "127.0.0.1:7433").to_string(),
-        workers: to_usize(
-            args.get_u64("workers", 4).map_err(CliError::usage)?,
-            "workers",
-        )?,
-        queue_depth: to_usize(
-            args.get_u64("queue-depth", 64).map_err(CliError::usage)?,
-            "queue-depth",
-        )?,
-        default_deadline: Duration::from_millis(
-            args.get_u64("default-deadline-ms", 10_000)
-                .map_err(CliError::usage)?,
-        ),
+    let text = |key: &str, default: Option<String>| {
+        let v = args.get(key, "");
+        if v.is_empty() {
+            default
+        } else {
+            Some(v.to_string())
+        }
+    };
+    let trace_sample = args.get("trace-sample", "");
+    Ok(maestro_serve::ServeConfig {
+        addr: args.get("addr", &d.addr).to_string(),
+        workers: args
+            .get_usize("workers", d.workers)
+            .map_err(CliError::usage)?,
+        queue_depth: args
+            .get_usize("queue-depth", d.queue_depth)
+            .map_err(CliError::usage)?,
+        default_deadline: millis("default-deadline-ms", d.default_deadline)?,
         drain_deadline: args
-            .get_secs("drain-seconds", Duration::from_secs(5))
+            .get_secs("drain-seconds", d.drain_deadline)
             .map_err(CliError::usage)?,
-        max_body_bytes: to_usize(
-            args.get_u64("max-body-bytes", 1024 * 1024)
-                .map_err(CliError::usage)?,
-            "max-body-bytes",
-        )?,
+        max_body_bytes: args
+            .get_usize("max-body-bytes", d.max_body_bytes)
+            .map_err(CliError::usage)?,
         io_timeout: args
-            .get_secs("io-timeout", Duration::from_secs(10))
+            .get_secs("io-timeout", d.io_timeout)
             .map_err(CliError::usage)?,
-        memo_cap: to_usize(
-            args.get_u64("memo-cap", maestro_core::DEFAULT_CACHE_CAP as u64)
-                .map_err(CliError::usage)?,
-            "memo-cap",
-        )?,
-        shards: to_usize(
-            args.get_u64("shards", 8).map_err(CliError::usage)?,
-            "shards",
-        )?,
-        test_endpoints: args.flag("test-endpoints"),
-        access_log: {
-            let dest = args.get("access-log", "");
-            (!dest.is_empty()).then(|| dest.to_string())
+        memo_cap: args
+            .get_usize("memo-cap", d.memo_cap)
+            .map_err(CliError::usage)?,
+        shards: args
+            .get_usize("shards", d.shards)
+            .map_err(CliError::usage)?,
+        test_endpoints: args.flag("test-endpoints").map_err(CliError::usage)? || d.test_endpoints,
+        access_log: text("access-log", d.access_log),
+        trace_capacity: args
+            .get_usize("trace-capacity", d.trace_capacity)
+            .map_err(CliError::usage)?,
+        trace_sample: if trace_sample.is_empty() {
+            d.trace_sample
+        } else {
+            parse_sample(trace_sample)?
         },
-        trace_capacity: to_usize(
-            args.get_u64("trace-capacity", 256)
-                .map_err(CliError::usage)?,
-            "trace-capacity",
-        )?,
-        trace_sample: parse_sample(args.get("trace-sample", "16"))?,
-        trace_slow: Duration::from_millis(
-            args.get_u64("trace-slow-ms", 100)
-                .map_err(CliError::usage)?,
-        ),
+        trace_slow: millis("trace-slow-ms", d.trace_slow)?,
         trace_seed: if args.get("trace-seed", "").is_empty() {
-            None
+            d.trace_seed
         } else {
             Some(args.get_u64("trace-seed", 0).map_err(CliError::usage)?)
         },
-        max_request_threads: to_usize(
-            args.get_u64("max-request-threads", 0)
-                .map_err(CliError::usage)?,
-            "max-request-threads",
-        )?,
-        chaos: {
-            let spec = args.get("chaos", "");
-            (!spec.is_empty()).then(|| spec.to_string())
-        },
-        chaos_seed: args.get_u64("chaos-seed", 0).map_err(CliError::usage)?,
-    };
+        chaos: text("chaos", d.chaos),
+        chaos_seed: args
+            .get_u64("chaos-seed", d.chaos_seed)
+            .map_err(CliError::usage)?,
+    })
+}
+
+fn cmd_serve(args: &Args) -> Result<(), CliError> {
+    let cfg = serve_config(args)?;
     if cfg.io_timeout.is_zero() {
         // A zero socket timeout is an error to the OS, so every
         // connection would be reset unanswered.
@@ -981,6 +973,7 @@ fn cmd_trace(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_trace_explorer(args: &Args, from: &str, file: &str) -> Result<(), CliError> {
+    let folded = args.flag("folded").map_err(CliError::usage)?;
     let id = args.positional(0).unwrap_or_default();
     let text = if !from.is_empty() {
         let path = if id.is_empty() {
@@ -1002,7 +995,7 @@ fn cmd_trace_explorer(args: &Args, from: &str, file: &str) -> Result<(), CliErro
             return Err(CliError::usage(format!("no trace matching `{id}`")));
         }
     }
-    if args.flag("folded") {
+    if folded {
         for t in &traces {
             out!("{}", trace_view::folded(t))?;
         }
@@ -1029,6 +1022,7 @@ fn cmd_trace_explorer(args: &Args, from: &str, file: &str) -> Result<(), CliErro
 }
 
 fn cmd_tune(args: &Args) -> Result<(), CliError> {
+    let json = args.flag("json").map_err(CliError::usage)?;
     let model = load_model(args.get("model", "vgg16"))?;
     let acc = accelerator(args)?;
     let em = EnergyModel::cacti_28nm(acc.l1_bytes, acc.l2_bytes);
@@ -1039,7 +1033,7 @@ fn cmd_tune(args: &Args) -> Result<(), CliError> {
         other => return Err(CliError::usage(format!("unknown objective `{other}`"))),
     };
     let tuned = maestro_dse::tune_model(&model, &acc, objective);
-    if args.flag("json") {
+    if json {
         outln!(
             "{}",
             serde_json::to_string_pretty(&tuned).map_err(|e| e.to_string())?
@@ -1091,4 +1085,37 @@ fn cmd_zoo() -> Result<(), CliError> {
         )?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Args {
+        Args::parse(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn a_bare_serve_runs_the_default_config() {
+        let cfg = serve_config(&args("serve")).expect("no flags to refuse");
+        assert_eq!(cfg, maestro_serve::ServeConfig::default());
+    }
+
+    #[test]
+    fn each_serve_flag_overrides_only_its_field() {
+        let cfg = serve_config(&args(
+            "serve --workers 2 --default-deadline-ms 250 --trace-seed 7 --chaos stall:1ms:0.5",
+        ))
+        .expect("valid flags");
+        assert_eq!(
+            cfg,
+            maestro_serve::ServeConfig {
+                workers: 2,
+                default_deadline: Duration::from_millis(250),
+                trace_seed: Some(7),
+                chaos: Some("stall:1ms:0.5".to_string()),
+                ..maestro_serve::ServeConfig::default()
+            }
+        );
+    }
 }

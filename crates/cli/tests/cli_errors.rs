@@ -3,7 +3,8 @@
 //! on stderr (never a panic backtrace):
 //!
 //! - 2 `Usage`       — unknown command, bad flag value, unreadable input,
-//!   a flag or positional argument `serve` or `dse` does not take
+//!   a flag or positional argument `serve` or `dse` does not take, a
+//!   value given to a boolean flag
 //! - 3 `Parse`       — malformed dataflow (`.m`/`.df`) or network file
 //! - 4 `Resolve`     — dataflow does not resolve onto the layer/accelerator
 //! - 5 `Analysis`    — the cost model itself rejected the configuration
@@ -171,6 +172,7 @@ fn serve_rejects_unread_flags_with_exit_2() {
         "--wedge-ms",
         "--worker-quorum",
         "--watchdog-interval-ms",
+        "--max-request-threads",
     ] {
         let out = maestro(&[
             "serve",
@@ -200,6 +202,7 @@ fn dse_rejects_unread_flags_with_exit_2() {
         "--deadline",
         "--unit-timeout",
         "--checkpoint-interval",
+        "--threads",
         "--bogus",
     ] {
         let out = maestro_bounded(&[
@@ -228,8 +231,6 @@ fn dse_reads_every_flag_it_takes() {
         "CONV2",
         "--style",
         "KC-P",
-        "--threads",
-        "1",
         "--inject-seed",
         "3",
         "--trace-seed",
@@ -298,16 +299,7 @@ fn read_all(mut pipe: impl Read) -> Vec<u8> {
 fn bounded_run_drains_large_output() {
     let start = Instant::now();
     let out = maestro_bounded(&[
-        "dse",
-        "--model",
-        "vgg16",
-        "--layer",
-        "CONV2",
-        "--style",
-        "KC-P",
-        "--threads",
-        "1",
-        "--json",
+        "dse", "--model", "vgg16", "--layer", "CONV2", "--style", "KC-P", "--json",
     ]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     assert!(start.elapsed() < BOUND / 2, "took {:?}", start.elapsed());
@@ -324,16 +316,7 @@ fn bounded_run_drains_large_output() {
 fn closed_stdout_ends_the_command_quietly() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_maestro"))
         .args([
-            "dse",
-            "--model",
-            "vgg16",
-            "--layer",
-            "CONV2",
-            "--style",
-            "KC-P",
-            "--threads",
-            "1",
-            "--json",
+            "dse", "--model", "vgg16", "--layer", "CONV2", "--style", "KC-P", "--json",
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -379,6 +362,58 @@ fn stray_positional_arguments_exit_2() {
             "{args:?}: {err}"
         );
         assert!(out.stdout.is_empty(), "{args:?}: ran anyway");
+    }
+}
+
+/// A boolean flag takes no value: the word after it is refused with exit
+/// 2 naming the flag and the word, not read as "off" and dropped. A bare
+/// flag and an explicit `true` still work.
+#[test]
+fn a_value_given_to_a_boolean_flag_exits_2() {
+    let dump = temp_file("traces.json", "[]");
+    let dump = dump.to_str().expect("utf8 path");
+    let cases: [(&[&str], &str, &str); 3] = [
+        (
+            &[
+                "dse", "--model", "vgg16", "--layer", "CONV2", "--style", "KC-P", "--json", "stray",
+            ],
+            "--json",
+            "stray",
+        ),
+        (
+            &[
+                "analyze", "--model", "vgg16", "--layer", "CONV2", "--json", "false",
+            ],
+            "--json",
+            "false",
+        ),
+        (
+            &["trace", "--folded", "00ab", "--file", dump],
+            "--folded",
+            "00ab",
+        ),
+    ];
+    for (args, flag, word) in cases {
+        let out = maestro_bounded(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.contains(&format!(
+                "{flag} is a flag and takes no value, got `{word}`"
+            )),
+            "{args:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: ran anyway");
+    }
+    for json in [&["--json"][..], &["--json", "true"]] {
+        let mut args = vec!["analyze", "--model", "vgg16", "--layer", "CONV2"];
+        args.extend_from_slice(json);
+        let out = maestro(&args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+        assert!(
+            String::from_utf8_lossy(&out.stdout).starts_with('{'),
+            "{args:?}: not JSON"
+        );
     }
 }
 
@@ -472,16 +507,7 @@ fn healthy_invocations_exit_0() {
 fn dse_style_accepts_the_table_3_aliases() {
     let sweep = |style: &str| {
         let out = maestro(&[
-            "dse",
-            "--model",
-            "alexnet",
-            "--layer",
-            "CONV1",
-            "--style",
-            style,
-            "--threads",
-            "1",
-            "--json",
+            "dse", "--model", "alexnet", "--layer", "CONV1", "--style", style, "--json",
         ]);
         assert_eq!(out.status.code(), Some(0), "{style}: {}", stderr(&out));
         // Everything but the wall-clock fields.

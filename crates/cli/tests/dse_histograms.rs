@@ -30,8 +30,6 @@ fn unit_rate_histogram_has_no_overflowing_units() {
             "CONV2",
             "--style",
             "KC-P",
-            "--threads",
-            "1",
             "--metrics",
             "-",
         ])

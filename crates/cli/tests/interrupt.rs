@@ -31,8 +31,6 @@ fn spawn_slow_dse(ckpt: &std::path::Path, metrics: &std::path::Path) -> Child {
             "CONV5",
             "--style",
             "KC-P",
-            "--threads",
-            "2",
             "--inject",
             "delay:400ms:1.0",
             "--checkpoint",
@@ -102,7 +100,8 @@ fn sigint_exits_7_with_checkpoint_partial_frontier_and_metrics() {
 
     let mut child = spawn_slow_dse(&ckpt, &metrics);
     let [out_reader, err_reader] = reader_threads(&mut child);
-    // Let a few units finish (12 units x 400ms on 2 threads ≈ 2.4s total).
+    // Let a few units finish: 12 units x 400 ms take 4.8 s, so after
+    // 0.9 s units 0 and 1 are done and unit 2 is stalled.
     std::thread::sleep(Duration::from_millis(900));
     signal(&child, "-INT");
     let (code, elapsed) = wait_within(&mut child, Duration::from_secs(2));
@@ -144,8 +143,6 @@ fn sigint_exits_7_with_checkpoint_partial_frontier_and_metrics() {
             "CONV5",
             "--style",
             "KC-P",
-            "--threads",
-            "2",
             "--resume",
             &ckpt.display().to_string(),
             "--json",
@@ -176,8 +173,6 @@ fn deadline_exits_7_and_progress_reports_eta() {
             "CONV5",
             "--style",
             "KC-P",
-            "--threads",
-            "1",
             "--inject",
             "delay:200ms:1.0",
             "--max-seconds",
@@ -224,8 +219,6 @@ fn deadlines_too_far_away_to_store_never_cut_a_sweep() {
             "CONV5",
             "--style",
             "KC-P",
-            "--threads",
-            "1",
             "--max-seconds",
             "18446744073710",
             "--inject",

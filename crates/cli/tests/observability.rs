@@ -41,8 +41,6 @@ fn dse_metrics_exposition_has_documented_names() {
         "CONV5",
         "--style",
         "KC-P",
-        "--threads",
-        "2",
         "--metrics",
         "-",
     ]);
@@ -98,15 +96,7 @@ fn dse_metrics_exposition_has_documented_names() {
 #[test]
 fn dse_summary_prints_a_nonzero_sweep_time() {
     let out = maestro(&[
-        "dse",
-        "--model",
-        "vgg16",
-        "--layer",
-        "CONV2",
-        "--style",
-        "KC-P",
-        "--threads",
-        "1",
+        "dse", "--model", "vgg16", "--layer", "CONV2", "--style", "KC-P",
     ]);
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -189,15 +179,7 @@ fn trace_json_covers_every_analysis_stage() {
 #[test]
 fn dse_human_summary_reports_full_stats() {
     let out = maestro(&[
-        "dse",
-        "--model",
-        "vgg16",
-        "--layer",
-        "CONV5",
-        "--style",
-        "KC-P",
-        "--threads",
-        "1",
+        "dse", "--model", "vgg16", "--layer", "CONV5", "--style", "KC-P",
     ]);
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();

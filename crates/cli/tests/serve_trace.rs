@@ -279,8 +279,6 @@ fn dse_trace_sample_dumps_unit_traces_the_explorer_reads() {
             "CONV1",
             "--style",
             "KC-P",
-            "--threads",
-            "2",
             "--trace-sample",
             "1/4",
             "--trace-seed",

@@ -20,11 +20,10 @@ use std::time::Duration;
 /// One completed work unit's progress and frontier contribution,
 /// delivered to [`SessionCtl::on_unit`] as the unit finishes.
 ///
-/// The calls are serialized (the engine fires them under its completion
-/// lock), `completed` is strictly monotone across them, and `pareto`
-/// borrows the unit's own frontier slice — the *incremental* view; the
-/// merged cross-unit frontier arrives with the final
-/// [`crate::DseResult`].
+/// The calls come in unit order on the sweep's thread, `completed` is
+/// strictly monotone across them, and `pareto` borrows the unit's own
+/// frontier slice — the *incremental* view; the merged cross-unit
+/// frontier arrives with the final [`crate::DseResult`].
 #[derive(Debug)]
 pub struct UnitUpdate<'a> {
     /// The unit's index in the sweep.
@@ -39,10 +38,10 @@ pub struct UnitUpdate<'a> {
     pub failed: Option<&'a str>,
 }
 
-/// Per-unit streaming callback. Called from worker threads under the
-/// completion lock — keep it bounded (a socket write with a timeout is
-/// fine; unbounded blocking stalls the sweep).
-pub type UnitFn = dyn Fn(&UnitUpdate<'_>) + Sync;
+/// Per-unit streaming callback. Called on the sweep's thread between
+/// units — keep it bounded (a socket write with a timeout is fine;
+/// unbounded blocking stalls the sweep).
+pub type UnitFn = dyn Fn(&UnitUpdate<'_>);
 
 /// Controls for one sweep. [`SessionCtl::default`] is a plain
 /// run-to-completion sweep — no checkpointing, no deadline, no faults, a
@@ -84,8 +83,8 @@ pub struct SessionCtl {
     /// Record a per-unit trace into the global
     /// [`maestro_obs::FlightRecorder`] for 1 in this many units
     /// (`None` = off, the CLI's `--trace-sample`). Sampling is on the
-    /// *unit index* — deterministic across thread counts and
-    /// interrupt/resume splits — and quarantined units are always kept,
+    /// *unit index* — deterministic across runs and interrupt/resume
+    /// splits — and quarantined units are always kept,
     /// so a failed sweep is attributable after the fact.
     pub trace_sample: Option<u64>,
     /// Seed mixed into sampled units' trace IDs, so a given

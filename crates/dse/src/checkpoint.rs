@@ -48,8 +48,8 @@
 //! real path.
 
 use crate::explorer::{DesignPoint, Partial};
-use crate::parallel::UnitOutcome;
 use crate::space::Constraints;
+use crate::units::UnitOutcome;
 use crate::Explorer;
 use maestro_ir::Dataflow;
 use std::fmt;
@@ -369,9 +369,8 @@ fn checkpoint_writes() -> &'static maestro_obs::Counter {
 /// parameters, the workload, and the full mapping DSL. Two sweeps with
 /// equal fingerprints produce equal results, so a checkpoint is resumable
 /// exactly when fingerprints match.
-/// `threads`, checkpoint cadence and the evaluation mode
-/// ([`crate::EvalMode`]) are deliberately *not* fingerprinted: they do
-/// not change results (`staged_equivalence` holds staged and full
+/// The checkpoint cadence and the evaluation mode ([`crate::EvalMode`])
+/// are deliberately *not* fingerprinted: they do not change results (`staged_equivalence` holds staged and full
 /// evaluation bit-identical, across a resume from one into the other).
 /// Nor is the fault plan, a test harness: the units it quarantined are
 /// stored terminally, so a resume under the same plan lands on the

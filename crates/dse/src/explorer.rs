@@ -8,13 +8,11 @@
 //! requirement) are *skipped in bulk* without individual evaluation, which
 //! is what produces effective rates of >0.1M designs/second.
 //!
-//! The sweep is sharded by PE count into independent work units (one per
-//! entry of [`SweepSpace::pes`]) executed by the runner in
-//! [`crate::parallel`] and folded by its merge. Every `explore*` entry
-//! point runs as a session under a [`SessionCtl`] (plain explores pass
-//! [`SessionCtl::default`]), and `explore` is the one-thread case of
-//! `explore_parallel`, so parallel results are bit-identical to sequential
-//! ones apart from the wall-clock fields.
+//! The sweep is split by PE count into independent work units (one per
+//! entry of [`SweepSpace::pes`]) that the runner in [`crate::units`] runs
+//! in index order and folds with its merge. Every `explore*` entry point
+//! runs as a session under a [`SessionCtl`] (plain explores pass
+//! [`SessionCtl::default`]).
 //! Units need no memo table: under [`EvalMode::Staged`] each mapping's
 //! [`StagedAnalysis`] is built once and priced for every bandwidth, and
 //! every price call counts in [`DseStats::evaluated`]. A whole-model unit
@@ -23,8 +21,8 @@
 
 use crate::cancel::{SessionCtl, SessionError, SessionReport};
 use crate::checkpoint::{sweep_fingerprint, Checkpoint};
-use crate::parallel::{merge_partials, run_units};
 use crate::space::{Constraints, SweepSpace};
+use crate::units::{merge_partials, run_units};
 use maestro_core::{AnalysisError, Priced, ShapeKey, StagedAnalysis};
 use maestro_dnn::Layer;
 use maestro_hw::{Accelerator, AreaModel, PowerModel};
@@ -93,7 +91,7 @@ pub struct DesignPoint {
 }
 
 /// A work unit that panicked during a sweep and was dropped from the
-/// merged result (see [`crate::parallel`]).
+/// merged result (see [`crate::units`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuarantinedUnit {
     /// Index of the failing unit (its position in [`SweepSpace::pes`]).
@@ -194,7 +192,7 @@ pub struct DseResult {
 }
 
 /// The result of one work unit (one PE count's slice of the sweep),
-/// before merging. See [`crate::parallel`] for the merge rules.
+/// before merging. See [`crate::units`] for the merge rules.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Partial {
     /// Counters for this slice (`seconds`/`rate` stay zero).
@@ -293,21 +291,10 @@ impl Explorer {
         bytes / self.precision_bytes.max(1)
     }
 
-    /// Explore `layer` across the hardware space × `mappings`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SessionError::Space`] when the sweep space has an empty or
-    /// zero-containing grid.
-    pub fn explore(&self, layer: &Layer, mappings: &[Dataflow]) -> Result<DseResult, SessionError> {
-        self.explore_parallel(layer, mappings, 1)
-    }
-
-    /// [`Explorer::explore`] sharded by PE count across `threads` scoped
-    /// worker threads (`0` = one per core). The result is bit-identical to
-    /// `explore` at any thread count, except the wall-clock `seconds` and
-    /// `rate` fields. (The paper runs four DSEs concurrently on its
-    /// workstation; this parallelizes *within* one DSE.)
+    /// Explore `layer` across the hardware space × `mappings`, one work
+    /// unit per PE count. (The paper runs four DSEs concurrently on its
+    /// workstation; a caller that wants parallelism runs whole sweeps side
+    /// by side.)
     ///
     /// A panicking work unit does not abort the sweep: it is quarantined
     /// (see [`DseStats::quarantined`]) while the remaining units
@@ -317,13 +304,8 @@ impl Explorer {
     ///
     /// Returns [`SessionError::Space`] when the sweep space has an empty or
     /// zero-containing grid (a default session fails no other way).
-    pub fn explore_parallel(
-        &self,
-        layer: &Layer,
-        mappings: &[Dataflow],
-        threads: usize,
-    ) -> Result<DseResult, SessionError> {
-        self.explore_session(layer, mappings, threads, &SessionCtl::default())
+    pub fn explore(&self, layer: &Layer, mappings: &[Dataflow]) -> Result<DseResult, SessionError> {
+        self.explore_session(layer, mappings, &SessionCtl::default())
             .map(|(result, _)| result)
     }
 
@@ -634,7 +616,7 @@ impl Explorer {
                 // Stratified subsample: every 61st valid point *of this
                 // unit*, so the scatter spans the whole space instead of
                 // its first corner — and so unit samples concatenate
-                // deterministically (see `crate::parallel`).
+                // deterministically (see `crate::units`).
                 if sampled {
                     part.sample.push(c.to_point());
                 }
@@ -1279,13 +1261,14 @@ fn flush_unit_metrics(part: &Partial, elapsed: std::time::Duration) {
 }
 
 /// Replace `slot` when `key(p)` is strictly smaller — on ties the earlier
-/// point wins, which keeps the parallel merge identical to a sequential
-/// sweep. A non-finite key is rejected outright, whether the slot is empty
-/// or occupied: `total_cmp` alone is not enough, because a *negative* NaN
-/// (which the `-throughput` key produces from a NaN throughput) sorts
-/// below every finite value and would displace a finite incumbent. The
-/// gate keeps poisoned candidates (fault-harness injections, damaged
-/// checkpoints) out of the best-point slots.
+/// point wins, which keeps the unit-order merge identical to a single
+/// fold over the whole space. A non-finite key is rejected outright,
+/// whether the slot is empty or occupied: `total_cmp` alone is not
+/// enough, because a *negative* NaN (which the `-throughput` key
+/// produces from a NaN throughput) sorts below every finite value and
+/// would displace a finite incumbent. The gate keeps poisoned candidates
+/// (fault-harness injections, damaged checkpoints) out of the best-point
+/// slots.
 pub(crate) fn update_best(
     slot: &mut Option<DesignPoint>,
     p: &DesignPoint,
@@ -2092,6 +2075,11 @@ impl Explorer {
     /// activity counts summed across layers, buffer requirements taken as
     /// worst-case. Energy at each placed capacity sums the per-layer
     /// placed energies (so per-layer working sets drive DRAM misses).
+    /// Repeated layer shapes (VGG/ResNet blocks) take the prices of their
+    /// first occurrence instead of re-running the cost model;
+    /// `stats.memo_hits` counts those.
+    ///
+    /// A panicking work unit is handled as in [`Explorer::explore`].
     ///
     /// # Errors
     ///
@@ -2102,30 +2090,7 @@ impl Explorer {
         model: &maestro_dnn::Model,
         mappings: &[Dataflow],
     ) -> Result<DseResult, SessionError> {
-        self.explore_model_parallel(model, mappings, 1)
-    }
-
-    /// [`Explorer::explore_model`] sharded by PE count across `threads`
-    /// scoped worker threads (`0` = one per core), bit-identical to the
-    /// sequential result except `seconds`/`rate`. Repeated layer shapes
-    /// (VGG/ResNet blocks) take the prices of their first occurrence
-    /// instead of re-running the cost model; `stats.memo_hits` counts
-    /// those.
-    ///
-    /// A panicking work unit is handled as in
-    /// [`Explorer::explore_parallel`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SessionError::Space`] when the sweep space has an empty or
-    /// zero-containing grid.
-    pub fn explore_model_parallel(
-        &self,
-        model: &maestro_dnn::Model,
-        mappings: &[Dataflow],
-        threads: usize,
-    ) -> Result<DseResult, SessionError> {
-        self.explore_model_session(model, mappings, threads, &SessionCtl::default())
+        self.explore_model_session(model, mappings, &SessionCtl::default())
             .map(|(result, _)| result)
     }
 
@@ -2222,14 +2187,14 @@ impl Explorer {
         part
     }
 
-    /// [`Explorer::explore_parallel`] as an interruption-proof **session**:
+    /// [`Explorer::explore`] as an interruption-proof **session**:
     /// resumable from a checkpoint, periodically checkpointed,
     /// deadline/signal-cancellable, and optionally fault-injected — all
     /// per [`SessionCtl`]. The scientific result stays bit-identical to a
-    /// plain uninterrupted `explore_parallel` run (at any thread count,
-    /// across any interrupt/resume split, with or without injected
-    /// transient faults) except the wall-clock `seconds`/`rate` fields and
-    /// the [`DseResult::partial`] marker on interrupted runs.
+    /// plain uninterrupted `explore` run (across any interrupt/resume
+    /// split, with or without injected stalls) except the wall-clock
+    /// `seconds`/`rate` fields and the [`DseResult::partial`] marker on
+    /// interrupted runs.
     ///
     /// # Errors
     ///
@@ -2242,19 +2207,17 @@ impl Explorer {
         &self,
         layer: &Layer,
         mappings: &[Dataflow],
-        threads: usize,
         ctl: &SessionCtl,
     ) -> Result<(DseResult, SessionReport), SessionError> {
         self.run_session(
-            threads,
             ctl,
             || sweep_fingerprint(self, &format!("layer:{layer:?}"), mappings),
             |pes| self.explore_unit_inner(pes, layer, mappings),
         )
     }
 
-    /// [`Explorer::explore_model_parallel`] as an interruption-proof
-    /// session. See [`Explorer::explore_session`].
+    /// [`Explorer::explore_model`] as an interruption-proof session. See
+    /// [`Explorer::explore_session`].
     ///
     /// # Errors
     ///
@@ -2263,11 +2226,9 @@ impl Explorer {
         &self,
         model: &maestro_dnn::Model,
         mappings: &[Dataflow],
-        threads: usize,
         ctl: &SessionCtl,
     ) -> Result<(DseResult, SessionReport), SessionError> {
         self.run_session(
-            threads,
             ctl,
             || sweep_fingerprint(self, &format!("model:{model:?}"), mappings),
             |pes| self.model_unit_inner(pes, model, mappings),
@@ -2280,16 +2241,12 @@ impl Explorer {
     ///
     /// `fingerprint` is called only when `ctl` resumes or writes
     /// checkpoints, so a plain sweep does not hash its configuration.
-    fn run_session<F>(
+    fn run_session(
         &self,
-        threads: usize,
         ctl: &SessionCtl,
         fingerprint: impl FnOnce() -> u64,
-        unit: F,
-    ) -> Result<(DseResult, SessionReport), SessionError>
-    where
-        F: Fn(u64) -> Partial + Sync,
-    {
+        unit: impl Fn(u64) -> Partial,
+    ) -> Result<(DseResult, SessionReport), SessionError> {
         let t0 = Instant::now();
         self.space.validate()?;
         let total = self.space.pes.len();
@@ -2301,7 +2258,7 @@ impl Explorer {
         if let Some(resume) = &ctl.resume {
             resume.validate_against(fingerprint, total)?;
         }
-        let (mut slots, mut report) = run_units(total, threads, ctl, fingerprint, |i| {
+        let (mut slots, mut report) = run_units(total, ctl, fingerprint, |i| {
             timed_unit(|| unit(self.space.pes[i]))
         });
 
@@ -2385,26 +2342,5 @@ mod model_tests {
             r.stats.evaluated,
             plain.stats.evaluated + plain.stats.memo_hits
         );
-    }
-
-    #[test]
-    fn parallel_matches_serial_optima() {
-        let e = Explorer::new(SweepSpace::tiny());
-        let model = zoo::vgg16(1);
-        let layer = model.layer("CONV5").expect("zoo layer");
-        let maps = variants::variants(Style::KCP);
-        let serial = e.explore(layer, &maps).expect("valid space");
-        let parallel = e.explore_parallel(layer, &maps, 3).expect("valid space");
-        assert_eq!(serial.stats.valid, parallel.stats.valid);
-        let (s, p) = (
-            serial.best_throughput.expect("serial optimum"),
-            parallel.best_throughput.expect("parallel optimum"),
-        );
-        assert_eq!(s.throughput, p.throughput);
-        let (s, p) = (
-            serial.best_energy.expect("serial"),
-            parallel.best_energy.expect("parallel"),
-        );
-        assert!((s.energy - p.energy).abs() < 1e-6 * s.energy);
     }
 }

@@ -1,10 +1,10 @@
-//! Deterministic fault injection for the DSE worker loop.
+//! Deterministic fault injection for the DSE unit loop.
 //!
 //! A [`FaultPlan`] is parsed from a compact spec (`--inject
 //! panic:0.01,delay:50ms:0.05,nofinite:0.001`) plus a seed, and decides —
 //! as a pure function of `(seed, kind, slot, unit)` — whether a work unit
 //! is hit by each fault kind. Because the decision depends on nothing
-//! else (not thread count, not timing), fault-injected sweeps stay
+//! else (not resume splits, not timing), fault-injected sweeps stay
 //! bit-identically reproducible, which is what lets CI prove that
 //! quarantine and checkpoint/resume interact correctly under failure.
 //!
@@ -141,7 +141,7 @@ impl FaultPlan {
 }
 
 /// Uniform draw in `[0, 1)` at the decision coordinates — stateless, so
-/// decisions are independent of evaluation order and thread count. The
+/// decisions are independent of evaluation order and resume splits. The
 /// fourth coordinate is unused and passed as 0.
 fn unit_draw(seed: u64, kind: u64, slot: u64, unit: u64) -> f64 {
     maestro_obs::rng::uniform(seed, [kind, slot, unit, 0])

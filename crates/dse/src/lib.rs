@@ -39,9 +39,9 @@ pub mod cancel;
 pub mod checkpoint;
 pub mod explorer;
 pub mod fault;
-pub mod parallel;
 pub mod space;
 pub mod tuner;
+pub mod units;
 pub mod variants;
 
 pub use cancel::{CancelToken, SessionCtl, SessionError, SessionReport, UnitUpdate};
@@ -51,6 +51,6 @@ pub use explorer::{
     QuarantinedUnit,
 };
 pub use fault::{Fault, FaultPlan};
-pub use parallel::{resolve_threads, unit_trace_draw, unit_trace_id, UnitOutcome};
 pub use space::{Constraints, SpaceError, SweepSpace};
 pub use tuner::{tune_layer, tune_model, Objective, TunedLayer, TunedModel};
+pub use units::{unit_trace_draw, unit_trace_id, UnitOutcome};

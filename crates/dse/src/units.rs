@@ -1,56 +1,54 @@
-//! Sharded parallel execution with a deterministic merge.
+//! Sweep work units and their deterministic merge.
 //!
 //! The explorer's sweep is decomposed into independent **work units**, one
 //! per PE-count index. A unit produces a [`Partial`] — private statistics,
 //! Pareto front, per-objective bests and scatter subsample for its slice
-//! of the space. `run_units` executes units either inline or on scoped
-//! worker threads pulling indices from a shared atomic counter, and always
-//! returns their outcomes **in unit-index order** regardless of which
-//! thread computed what. `merge_partials` then folds them in that fixed
-//! order.
+//! of the space. `run_units` runs the units in index order on the calling
+//! thread and returns their outcomes in that order; `merge_partials` then
+//! folds them in the same fixed order.
 //!
-//! Because the sequential path (`threads == 1`) runs the *same* units
-//! through the *same* merge, the parallel result is bit-identical to the
-//! sequential one at any thread count — only the wall-clock fields
-//! (`seconds`, `rate`) differ:
+//! The merge order is what makes a sweep resumable: a resumed run fills
+//! some slots from a checkpoint and runs the rest, and the fold over the
+//! slots is the same whichever run filled them. So a result is
+//! bit-identical across any interrupt/resume split — only the wall-clock
+//! fields (`seconds`, `rate`) differ:
 //!
 //! * **Pareto front** — re-inserting each unit's surviving points in
-//!   global unit order reproduces the sequential fold: a point eliminated
-//!   inside its unit is dominated by an in-unit survivor (dominance is
-//!   transitive, so it would also lose globally), and `insert_pareto`'s
-//!   first-wins tie rule sees candidates in the same relative order.
+//!   global unit order reproduces a single fold over the whole space: a
+//!   point eliminated inside its unit is dominated by an in-unit survivor
+//!   (dominance is transitive, so it would also lose globally), and
+//!   `insert_pareto`'s first-wins tie rule sees candidates in the same
+//!   relative order.
 //! * **Per-objective bests** — folded with strict `<`, so the earliest
-//!   unit's point wins ties, exactly as in a sequential sweep.
+//!   unit's point wins ties.
 //! * **Sample** — each unit samples every 61st of *its own* valid points;
 //!   the merge concatenates unit samples in order and truncates at the
-//!   cap. The rule is applied per-unit on the sequential path too, which
-//!   is what makes the subsample mergeable at all.
+//!   cap.
 //! * **Counters** — sums, which commute.
 //!
 //! # Fault isolation
 //!
-//! Each work unit runs under [`std::panic::catch_unwind`], on the inline
-//! path and on the workers alike. A panicking unit yields an `Err` at its
-//! fixed index instead of aborting the sweep; `merge_partials` records it
-//! in [`DseStats::quarantined`] (unit index + panic payload) and folds the
-//! remaining units unchanged. Because the failed unit contributes nothing
-//! at the same position on every path, results stay bit-identical at any
-//! thread count even in the presence of failures.
+//! Each work unit runs under [`std::panic::catch_unwind`]. A panicking
+//! unit yields an `Err` at its fixed index instead of aborting the sweep;
+//! `merge_partials` records it in [`DseStats::quarantined`] (unit index +
+//! panic payload) and folds the remaining units unchanged.
 //!
 //! # Controlled execution
 //!
 //! Every sweep runs under a [`SessionCtl`]; [`SessionCtl::default`] is a
-//! plain run to completion. On top of the claiming loop the control adds
+//! plain run to completion. On top of the unit loop the control adds
 //! cooperative cancellation (polled between units and inside injected
 //! stalls), resume (units already terminal in the resume
 //! [`Checkpoint`] are pre-filled, not re-run), deterministic per-unit
-//! fault injection, and periodic checkpoint writes from whichever worker
-//! completes a unit. Each unit gets one attempt: a unit is pure compute,
-//! so one that panicked would panic again, and it is quarantined at once.
+//! fault injection, and periodic checkpoint writes as units complete.
+//! Each unit gets one attempt: a unit is pure compute, so one that
+//! panicked would panic again, and it is quarantined at once.
 //! Everything that affects *results* (fault draws, quarantine decisions)
 //! is a pure function of the unit index, so the bit-identical guarantee
-//! extends across interruption, resume and injection at any thread
-//! count.
+//! extends across interruption, resume and injection.
+//!
+//! Parallelism lives across sweeps, not inside one: the serving daemon
+//! runs one sweep per worker thread.
 
 use crate::cancel::{SessionCtl, SessionReport, UnitUpdate};
 use crate::checkpoint::Checkpoint;
@@ -59,8 +57,6 @@ use crate::explorer::{
 };
 use maestro_obs::Trace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// What one work unit produced: its [`Partial`], or the panic payload
@@ -102,8 +98,8 @@ fn payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Deterministic trace ID for a sampled work unit — a pure function of
-/// `(seed, unit)`, so the same unit names the same trace at any thread
-/// count and across interrupt/resume splits.
+/// `(seed, unit)`, so the same unit names the same trace on every run and
+/// across interrupt/resume splits.
 pub fn unit_trace_id(seed: u64, unit: usize) -> maestro_obs::TraceId {
     maestro_obs::rng::trace_id(seed, unit as u64)
 }
@@ -111,7 +107,7 @@ pub fn unit_trace_id(seed: u64, unit: usize) -> maestro_obs::TraceId {
 /// The healthy-unit draw for `--trace-sample 1/k`: trace unit `i` when
 /// `i % k == 0`. Quarantined units are kept regardless of the draw.
 /// Pure in the unit index, so the traced subset is identical across
-/// thread counts and resume splits.
+/// runs and resume splits.
 pub fn unit_trace_draw(k: u64, unit: usize) -> bool {
     k > 0 && (unit as u64).is_multiple_of(k)
 }
@@ -148,17 +144,6 @@ fn record_unit_trace(ctl: &SessionCtl, i: usize, outcome: &UnitOutcome, trace: O
     maestro_obs::FlightRecorder::global().keep(rec, reason);
 }
 
-/// Resolve a thread-count request: `0` means "one per available core".
-pub fn resolve_threads(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        requested
-    }
-}
-
 /// The placeholder appended to a unit's Pareto slice by `nofinite`
 /// injection. Rejected by [`insert_pareto`]'s finite gate at merge time,
 /// so injected sweeps stay bit-identical to clean ones — which is exactly
@@ -179,36 +164,20 @@ fn poison_point() -> DesignPoint {
     }
 }
 
-/// Mutable state shared by the workers, guarded by one mutex taken only at
-/// unit completion (never inside the sweep hot loop).
-struct SlotState {
-    slots: Vec<Option<UnitOutcome>>,
-    completed: usize,
-    last_write: Instant,
-}
-
-/// Run `units` work units on up to `threads` scoped worker threads
-/// (`0` = auto, one per core) under `ctl`, and return their outcomes in
-/// unit-index order plus the control report. `slots[i]` is `None` only
-/// when the run was cancelled before unit `i` completed. Periodic
-/// checkpoints are stamped with `fingerprint`; the final checkpoint is
-/// the caller's.
+/// Run `units` work units in index order under `ctl`, and return their
+/// outcomes in unit-index order plus the control report. `slots[i]` is
+/// `None` only when the run was cancelled before unit `i` completed.
+/// Periodic checkpoints are stamped with `fingerprint`; the final
+/// checkpoint is the caller's.
 ///
-/// Units are claimed dynamically from an atomic counter, so uneven unit
-/// costs (bulk-skipped PE counts finish instantly) still load-balance.
-/// A panicking unit becomes an `Err` at its index — on the sequential and
-/// parallel paths alike — so a single poisoned configuration degrades that
-/// slice instead of aborting the whole sweep.
-pub(crate) fn run_units<F>(
+/// A panicking unit becomes an `Err` at its index, so a single poisoned
+/// configuration degrades that slice instead of aborting the whole sweep.
+pub(crate) fn run_units(
     units: usize,
-    threads: usize,
     ctl: &SessionCtl,
     fingerprint: u64,
-    unit: F,
-) -> (Vec<Option<UnitOutcome>>, SessionReport)
-where
-    F: Fn(usize) -> Partial + Sync,
-{
+    unit: impl Fn(usize) -> Partial,
+) -> (Vec<Option<UnitOutcome>>, SessionReport) {
     let metrics = ctl_metrics();
     // Units already terminal in the resume checkpoint (quarantined ones
     // included) are copied in and never re-run.
@@ -217,30 +186,35 @@ where
         .as_ref()
         .map_or_else(Vec::new, |c| c.units.clone());
     slots.resize(units, None);
-    let skip: Vec<bool> = slots.iter().map(Option::is_some).collect();
-    let resumed_skipped = skip.iter().filter(|&&s| s).count();
+    let resumed_skipped = slots.iter().filter(|s| s.is_some()).count();
     metrics.resumed_skipped.add(resumed_skipped as u64);
+    let mut report = SessionReport {
+        resumed_skipped,
+        completed_units: resumed_skipped,
+        total_units: units,
+        ..SessionReport::default()
+    };
+    let mut last_write = Instant::now();
 
-    let injected = AtomicU64::new(0);
-    let ckpt_writes = AtomicU64::new(0);
-    let state = Mutex::new(SlotState {
-        completed: resumed_skipped,
-        slots,
-        last_write: Instant::now(),
-    });
-
-    // One attempt per unit: fault draw → injected stall → guarded
-    // execution. Returns `None` when cancellation struck during an
-    // injected stall (the unit stays incomplete and is re-run on resume).
-    let run_unit = |i: usize| -> Option<UnitOutcome> {
+    for i in 0..units {
+        if ctl.token.is_cancelled() {
+            break;
+        }
+        if slots[i].is_some() {
+            continue;
+        }
+        // One attempt per unit: fault draw → injected stall → guarded
+        // execution. Cancellation during an injected stall leaves the
+        // unit incomplete, so resume re-runs it.
+        let trace = begin_unit_trace(ctl, i);
         let inj = ctl.faults.decide(i);
         if inj.count() > 0 {
-            injected.fetch_add(inj.count(), Ordering::Relaxed);
+            report.faults_injected += inj.count();
             metrics.faults_injected.add(inj.count());
         }
         if let Some(stall) = inj.stall {
             if !ctl.token.sleep_cooperatively(stall) {
-                return None;
+                break;
             }
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -252,107 +226,57 @@ where
                 part.pareto.push(poison_point());
             }
             part
-        }));
-        Some(outcome.map_err(payload_to_string))
-    };
+        }))
+        .map_err(payload_to_string);
+        record_unit_trace(ctl, i, &outcome, trace);
+        slots[i] = Some(outcome);
+        report.completed_units += 1;
 
-    // Store a terminal outcome, write a periodic checkpoint when due, and
-    // report progress. The lock is per-unit, far off the hot path.
-    let complete_unit = |i: usize, outcome: UnitOutcome| {
-        let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-        st.slots[i] = Some(outcome);
-        st.completed += 1;
-        let completed = st.completed;
         if let Some(path) = &ctl.checkpoint_path {
-            let due = ctl
+            if ctl
                 .checkpoint_every
-                .is_some_and(|d| st.last_write.elapsed() >= d);
-            if due {
+                .is_some_and(|d| last_write.elapsed() >= d)
+            {
                 let ckpt = Checkpoint {
                     fingerprint,
-                    units: st.slots.clone(),
+                    units: slots.clone(),
                 };
                 match ckpt.save(path) {
                     Ok(()) => {
-                        ckpt_writes.fetch_add(1, Ordering::Relaxed);
-                        st.last_write = Instant::now();
+                        report.checkpoint_writes += 1;
+                        last_write = Instant::now();
                     }
                     Err(e) => maestro_obs::warn!("periodic checkpoint write failed: {e}"),
                 }
             }
         }
-        // Under the lock, so observers get serialized calls with monotone
-        // `completed` and need no synchronization of their own.
-        if let Some(f) = &ctl.on_unit {
-            let (pareto, failed): (&[_], Option<&str>) = match &st.slots[i] {
-                Some(Ok(p)) => (&p.pareto, None),
-                Some(Err(e)) => (&[], Some(e.as_str())),
-                None => (&[], None),
+        if let (Some(f), Some(outcome)) = (&ctl.on_unit, &slots[i]) {
+            let (pareto, failed): (&[_], Option<&str>) = match outcome {
+                Ok(p) => (&p.pareto, None),
+                Err(e) => (&[], Some(e.as_str())),
             };
             f(&UnitUpdate {
                 unit: i,
-                completed,
+                completed: report.completed_units,
                 total: units,
                 pareto,
                 failed,
             });
         }
-    };
-
-    let next = AtomicUsize::new(0);
-    let worker = || loop {
-        if ctl.token.is_cancelled() {
-            break;
-        }
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= units {
-            break;
-        }
-        if skip[i] {
-            continue;
-        }
-        let trace = begin_unit_trace(ctl, i);
-        match run_unit(i) {
-            Some(outcome) => {
-                record_unit_trace(ctl, i, &outcome, trace);
-                complete_unit(i, outcome);
-            }
-            None => break,
-        }
-    };
-
-    let threads = resolve_threads(threads).clamp(1, units.max(1));
-    if threads == 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
-            for h in handles {
-                let _ = h.join();
-            }
-        });
     }
 
-    let st = state.into_inner().unwrap_or_else(|e| e.into_inner());
-    let report = SessionReport {
-        interrupted: ctl.token.is_cancelled() && st.completed < units,
-        resumed_skipped,
-        checkpoint_writes: ckpt_writes.into_inner(),
-        completed_units: st.completed,
-        total_units: units,
-        faults_injected: injected.into_inner(),
-    };
+    report.interrupted = ctl.token.is_cancelled() && report.completed_units < units;
     if ctl.token.deadline_exceeded() {
         metrics.deadline_exceeded.inc();
     }
-    (st.slots, report)
+    (slots, report)
 }
 
 /// Fold unit outcome slots — **in index order** — into one result.
 ///
 /// Failed units are quarantined into [`DseStats::quarantined`] (in
-/// unit-index order) and contribute nothing else, which preserves the
-/// bit-identical-at-any-thread-count guarantee even when units fail.
+/// unit-index order) and contribute nothing else, so a failed unit
+/// leaves the same result whichever run quarantined it.
 /// Unfinished (`None`) slots are skipped and mark the result
 /// [`DseResult::partial`].
 ///
@@ -425,27 +349,12 @@ pub(crate) fn merge_partials(slots: Vec<Option<UnitOutcome>>, sample_cap: usize)
     out
 }
 
-// The scoped workers share `&Explorer`, `&SessionCtl`, `&Layer`, `&Model`
-// and `&[Dataflow]`; fail at compile time (with a readable message, not a
-// trait-bound blizzard at the `scope.spawn` call) if any of them stops
-// being thread-shareable.
-const _: () = {
-    const fn assert_sync<T: Sync>() {}
-    const fn assert_send<T: Send>() {}
-    assert_sync::<crate::Explorer>();
-    assert_sync::<SessionCtl>();
-    assert_sync::<maestro_dnn::Layer>();
-    assert_sync::<maestro_dnn::Model>();
-    assert_sync::<maestro_ir::Dataflow>();
-    assert_send::<Partial>();
-    assert_send::<DseResult>();
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
-    use std::sync::Arc;
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
     use std::time::Duration;
 
     fn unit(i: usize) -> Partial {
@@ -478,42 +387,37 @@ mod tests {
     }
 
     /// Run to completion under [`plain_ctl`], returning only the slots.
-    fn run_plain<F>(units: usize, threads: usize, unit: F) -> Vec<Option<UnitOutcome>>
-    where
-        F: Fn(usize) -> Partial + Sync,
-    {
-        run_units(units, threads, &plain_ctl(), 0, unit).0
+    fn run_plain(units: usize, unit: impl Fn(usize) -> Partial) -> Vec<Option<UnitOutcome>> {
+        run_units(units, &plain_ctl(), 0, unit).0
     }
 
-    /// The streaming hook fires exactly once per unit, serialized, with a
-    /// strictly monotone `completed` and the failure message on
+    /// The streaming hook fires exactly once per unit, in unit order, with
+    /// a strictly monotone `completed` and the failure message on
     /// quarantined units — the contract the NDJSON stream relies on.
     #[test]
-    fn on_unit_fires_serialized_with_monotone_progress() {
-        let seen: Arc<Mutex<Vec<(usize, usize, bool)>>> = Arc::default();
-        let sink = Arc::clone(&seen);
+    fn on_unit_fires_in_unit_order_with_monotone_progress() {
+        let seen: Rc<RefCell<Vec<(usize, usize, bool)>>> = Rc::default();
+        let sink = Rc::clone(&seen);
         let ctl = SessionCtl {
             on_unit: Some(Box::new(move |u: &UnitUpdate<'_>| {
-                sink.lock()
-                    .unwrap()
+                sink.borrow_mut()
                     .push((u.unit, u.completed, u.failed.is_some()));
             })),
             ..plain_ctl()
         };
-        let (_, report) = run_units(6, 3, &ctl, 0, |i| {
+        let (_, report) = run_units(6, &ctl, 0, |i| {
             if i == 2 {
                 panic!("boom unit 2");
             }
             unit(i)
         });
         assert_eq!(report.completed_units, report.total_units);
-        let seen = seen.lock().unwrap();
+        let seen = seen.borrow();
         assert_eq!(seen.len(), 6, "one call per unit");
         let completed: Vec<usize> = seen.iter().map(|(_, c, _)| *c).collect();
         assert_eq!(completed, vec![1, 2, 3, 4, 5, 6], "strictly monotone");
-        let mut units: Vec<usize> = seen.iter().map(|(u, _, _)| *u).collect();
-        units.sort_unstable();
-        assert_eq!(units, vec![0, 1, 2, 3, 4, 5]);
+        let units: Vec<usize> = seen.iter().map(|(u, _, _)| *u).collect();
+        assert_eq!(units, vec![0, 1, 2, 3, 4, 5], "in unit order");
         for (u, _, failed) in seen.iter() {
             assert_eq!(*failed, *u == 2, "only the panicked unit is failed");
         }
@@ -528,7 +432,7 @@ mod tests {
         };
         let rec = maestro_obs::FlightRecorder::global();
         rec.clear();
-        let (_, report) = run_units(7, 2, &ctl, 0, |i| {
+        let (_, report) = run_units(7, &ctl, 0, |i| {
             if i == 4 {
                 panic!("boom unit 4");
             }
@@ -537,7 +441,7 @@ mod tests {
         assert_eq!(report.completed_units, 7);
 
         // Drawn units 0, 3, 6 (1-in-3 by index) plus the quarantined
-        // unit 4 — and nothing else, at any thread interleaving.
+        // unit 4 — and nothing else.
         let mut names: Vec<String> = rec.recent().iter().map(|t| t.name.clone()).collect();
         names.sort();
         assert_eq!(
@@ -577,28 +481,15 @@ mod tests {
     }
 
     #[test]
-    fn run_units_is_index_ordered_at_any_thread_count() {
-        let sequential = run_plain(7, 1, unit);
-        for threads in [2, 3, 8, 64] {
-            let parallel = run_plain(7, threads, unit);
-            assert_eq!(
-                explored(&sequential),
-                explored(&parallel),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn zero_units_and_auto_threads() {
-        assert!(run_plain(0, 0, unit).is_empty());
-        assert!(resolve_threads(0) >= 1);
-        assert_eq!(resolve_threads(5), 5);
+    fn run_units_returns_outcomes_in_index_order() {
+        let slots = run_plain(7, unit);
+        assert_eq!(explored(&slots), (100..107).collect::<Vec<u64>>());
+        assert!(run_plain(0, unit).is_empty());
     }
 
     #[test]
     fn merge_sums_counters() {
-        let merged = merge_partials(run_plain(4, 2, unit), 16);
+        let merged = merge_partials(run_plain(4, unit), 16);
         assert_eq!(merged.stats.explored, 100 + 101 + 102 + 103);
         assert_eq!(merged.stats.valid, 1 + 2 + 3);
         assert!(merged.pareto.is_empty());
@@ -615,35 +506,24 @@ mod tests {
 
     #[test]
     fn panicking_unit_is_quarantined_not_fatal() {
-        for threads in [1, 2, 8, 0] {
-            let outcomes = run_plain(5, threads, faulty);
-            assert_eq!(outcomes.len(), 5);
-            assert!(matches!(outcomes[2], Some(Err(_))), "threads={threads}");
-            let merged = merge_partials(outcomes, 16);
-            assert_eq!(merged.stats.quarantined.len(), 1);
-            let q = &merged.stats.quarantined[0];
-            assert_eq!(q.unit, 2);
-            assert!(q.message.contains("unit 2 is poisoned"), "{}", q.message);
-            // The surviving units' counters are all present.
-            assert_eq!(merged.stats.explored, 100 + 101 + 103 + 104);
-            assert_eq!(merged.stats.valid, 1 + 3 + 4);
-        }
-    }
-
-    #[test]
-    fn quarantine_preserves_merge_determinism() {
-        let reference = merge_partials(run_plain(5, 1, faulty), 16);
-        for threads in [2, 8, 0] {
-            let merged = merge_partials(run_plain(5, threads, faulty), 16);
-            assert_eq!(merged.stats, reference.stats, "threads={threads}");
-        }
+        let outcomes = run_plain(5, faulty);
+        assert_eq!(outcomes.len(), 5);
+        assert!(matches!(outcomes[2], Some(Err(_))));
+        let merged = merge_partials(outcomes, 16);
+        assert_eq!(merged.stats.quarantined.len(), 1);
+        let q = &merged.stats.quarantined[0];
+        assert_eq!(q.unit, 2);
+        assert!(q.message.contains("unit 2 is poisoned"), "{}", q.message);
+        // The surviving units' counters are all present.
+        assert_eq!(merged.stats.explored, 100 + 101 + 103 + 104);
+        assert_eq!(merged.stats.valid, 1 + 3 + 4);
     }
 
     #[test]
     fn cancelled_run_leaves_later_units_incomplete() {
         let ctl = plain_ctl();
         ctl.token.cancel();
-        let (_, report) = run_units(6, 1, &ctl, 0, unit);
+        let (_, report) = run_units(6, &ctl, 0, unit);
         assert!(report.interrupted);
         assert!(report.completed_units < report.total_units);
         assert_eq!(report.completed_units, 0);
@@ -661,10 +541,10 @@ mod tests {
                 token.cancel();
             }
         }));
-        let (slots, report) = run_units(8, 1, &ctl, 0, unit);
+        let (slots, report) = run_units(8, &ctl, 0, unit);
         assert!(report.interrupted);
         assert_eq!(report.completed_units, cancel_after);
-        // Completed prefix is exactly units 0..cancel_after on one thread.
+        // The completed prefix is exactly units 0..cancel_after.
         for (i, s) in slots.iter().enumerate() {
             assert_eq!(s.is_some(), i < cancel_after, "unit {i}");
         }
@@ -674,15 +554,15 @@ mod tests {
     /// control runs a panicking unit once and quarantines it.
     #[test]
     fn a_panicking_unit_runs_once_under_the_default_control() {
-        let calls = AtomicUsize::new(0);
-        let (slots, report) = run_units(3, 1, &SessionCtl::default(), 0, |i| {
+        let calls = Cell::new(0);
+        let (slots, report) = run_units(3, &SessionCtl::default(), 0, |i| {
             if i == 1 {
-                calls.fetch_add(1, Ordering::Relaxed);
+                calls.set(calls.get() + 1);
                 panic!("unit 1 always panics");
             }
             unit(i)
         });
-        assert_eq!(calls.into_inner(), 1, "the panicking unit ran again");
+        assert_eq!(calls.get(), 1, "the panicking unit ran again");
         assert_eq!(report.completed_units, report.total_units);
         assert!(matches!(&slots[1], Some(Err(m)) if m == "unit 1 always panics"));
     }
@@ -695,7 +575,7 @@ mod tests {
             faults: FaultPlan::parse("panic:1", 9).expect("valid spec"),
             ..plain_ctl()
         };
-        let (slots, report) = run_units(3, 1, &ctl, 0, unit);
+        let (slots, report) = run_units(3, &ctl, 0, unit);
         assert_eq!(report.completed_units, report.total_units);
         assert_eq!(report.faults_injected, 3);
         for (i, s) in slots.iter().enumerate() {
@@ -714,7 +594,7 @@ mod tests {
         };
         ctl.token.set_deadline_in(Duration::from_millis(20));
         let t0 = Instant::now();
-        let (slots, report) = run_units(2, 1, &ctl, 0, unit);
+        let (slots, report) = run_units(2, &ctl, 0, unit);
         assert!(t0.elapsed() < Duration::from_secs(5), "the stall ran out");
         assert!(report.interrupted);
         assert!(slots.iter().all(Option::is_none), "{slots:?}");
@@ -725,22 +605,22 @@ mod tests {
         let mut ckpt = Checkpoint::new(7, 5);
         ckpt.units[0] = Some(Ok(unit(0)));
         ckpt.units[2] = Some(Err("old panic".to_string()));
-        let ran = AtomicUsize::new(0);
+        let ran = Cell::new(0);
         let counting = |i: usize| {
-            ran.fetch_add(1, Ordering::Relaxed);
+            ran.set(ran.get() + 1);
             unit(i)
         };
         let ctl = SessionCtl {
             resume: Some(ckpt),
             ..plain_ctl()
         };
-        let (slots, report) = run_units(5, 1, &ctl, 7, counting);
+        let (slots, report) = run_units(5, &ctl, 7, counting);
         assert_eq!(report.completed_units, report.total_units);
         assert_eq!(report.resumed_skipped, 2);
-        assert_eq!(ran.load(Ordering::Relaxed), 3, "only units 1, 3, 4 ran");
+        assert_eq!(ran.get(), 3, "only units 1, 3, 4 ran");
         assert!(matches!(&slots[2], Some(Err(m)) if m == "old panic"));
         // Full-resume outcomes equal a fresh run's.
-        let fresh = run_plain(5, 1, unit);
+        let fresh = run_plain(5, unit);
         assert_eq!(explored(&fresh[..2]), explored(&slots[..2]));
     }
 
@@ -755,7 +635,7 @@ mod tests {
             checkpoint_every: Some(Duration::ZERO),
             ..plain_ctl()
         };
-        let (_, report) = run_units(6, 2, &ctl, 42, unit);
+        let (_, report) = run_units(6, &ctl, 42, unit);
         assert_eq!(report.completed_units, report.total_units);
         assert_eq!(report.checkpoint_writes, 6);
         let ckpt = Checkpoint::load(&path).expect("readable checkpoint");

@@ -1,7 +1,7 @@
 //! Golden tests for interruption-proof sessions: a sweep interrupted at
 //! unit K, checkpointed, and resumed must be **bit-identical** to the
-//! uninterrupted run under the same fault plan — at any thread count, and
-//! with or without injected panics, stalls, and non-finite poison. Only
+//! uninterrupted run under the same fault plan, with or without injected
+//! panics, stalls, and non-finite poison. Only
 //! the wall-clock fields (`seconds`, `rate`) and the `partial` marker on
 //! the interrupted half may differ.
 
@@ -48,7 +48,7 @@ fn scratch(tag: &str) -> PathBuf {
 /// sweep's start counts as the first, so `k = 2` cancels when the first
 /// unit completes), then resume from the resulting checkpoint and return
 /// the resumed-to-completion result. `faults` is active on both halves.
-fn interrupt_at_k_then_resume(tag: &str, threads: usize, k: u32, faults: FaultPlan) -> DseResult {
+fn interrupt_at_k_then_resume(tag: &str, k: u32, faults: FaultPlan) -> DseResult {
     let explorer = Explorer::new(space());
     let layer = conv_layer();
     let maps = variants::variants(Style::KCP);
@@ -69,7 +69,7 @@ fn interrupt_at_k_then_resume(tag: &str, threads: usize, k: u32, faults: FaultPl
         }
     }));
     let (partial, report) = explorer
-        .explore_session(&layer, &maps, threads, &ctl)
+        .explore_session(&layer, &maps, &ctl)
         .expect("interrupted session still succeeds");
     assert!(report.interrupted, "{tag}: session should be interrupted");
     assert!(partial.partial, "{tag}: result should be marked partial");
@@ -90,7 +90,7 @@ fn interrupt_at_k_then_resume(tag: &str, threads: usize, k: u32, faults: FaultPl
         ..Default::default()
     };
     let (full, resumed_report) = explorer
-        .explore_session(&layer, &maps, threads, &resumed_ctl)
+        .explore_session(&layer, &maps, &resumed_ctl)
         .expect("resumed session succeeds");
     assert!(!resumed_report.interrupted, "{tag}: resume ran to the end");
     assert!(!full.partial, "{tag}: resumed result is complete");
@@ -102,7 +102,7 @@ fn interrupt_at_k_then_resume(tag: &str, threads: usize, k: u32, faults: FaultPl
     canonical(full)
 }
 
-/// One uninterrupted thread under `faults`.
+/// One uninterrupted run under `faults`.
 fn uninterrupted(faults: FaultPlan) -> DseResult {
     let explorer = Explorer::new(space());
     let maps = variants::variants(Style::KCP);
@@ -111,27 +111,20 @@ fn uninterrupted(faults: FaultPlan) -> DseResult {
         ..Default::default()
     };
     let (result, _) = explorer
-        .explore_session(&conv_layer(), &maps, 1, &ctl)
+        .explore_session(&conv_layer(), &maps, &ctl)
         .expect("valid space");
     canonical(result)
 }
 
 #[test]
-fn interrupt_and_resume_is_bit_identical_at_every_thread_count() {
+fn interrupt_and_resume_is_bit_identical() {
     let golden = uninterrupted(FaultPlan::new(0, Vec::new()));
     assert!(
         golden.stats.quarantined.is_empty(),
         "clean run must not quarantine"
     );
-    for threads in [1usize, 2, 8, 0] {
-        let r = interrupt_at_k_then_resume(
-            &format!("t{threads}"),
-            threads,
-            2,
-            FaultPlan::new(0, Vec::new()),
-        );
-        assert_eq!(golden, r, "threads={threads}: resumed run diverged");
-    }
+    let r = interrupt_at_k_then_resume("clean", 2, FaultPlan::new(0, Vec::new()));
+    assert_eq!(golden, r, "resumed run diverged");
 }
 
 #[test]
@@ -161,7 +154,7 @@ fn interrupt_and_resume_is_bit_identical_under_injected_faults() {
             *panics,
             "{tag}: the plan should quarantine a unit exactly when it panics"
         );
-        let r = interrupt_at_k_then_resume(&format!("faults-{tag}"), 2, 2, faults);
+        let r = interrupt_at_k_then_resume(&format!("faults-{tag}"), 2, faults);
         assert_eq!(&golden, &r, "{tag}: resumed run diverged");
     }
 }
@@ -188,7 +181,7 @@ fn measure_checkpoint_overhead() {
     for _ in 0..3 {
         let plain = SessionCtl::default();
         let (r, _) = explorer
-            .explore_model_session(&model, &maps, 2, &plain)
+            .explore_model_session(&model, &maps, &plain)
             .expect("plain session");
         base = base.min(r.stats.seconds);
         let with_ckpt = SessionCtl {
@@ -196,7 +189,7 @@ fn measure_checkpoint_overhead() {
             ..Default::default()
         };
         let (r, rep) = explorer
-            .explore_model_session(&model, &maps, 2, &with_ckpt)
+            .explore_model_session(&model, &maps, &with_ckpt)
             .expect("checkpointed session");
         ckpt = ckpt.min(r.stats.seconds);
         println!(
@@ -220,7 +213,7 @@ fn resume_against_a_different_sweep_is_rejected() {
         ..Default::default()
     };
     explorer
-        .explore_session(&layer, &maps, 1, &ctl)
+        .explore_session(&layer, &maps, &ctl)
         .expect("baseline session");
     let ckpt = Checkpoint::load(&path).expect("checkpoint loads");
     // Same checkpoint, different workload: must be refused, not merged.
@@ -230,7 +223,7 @@ fn resume_against_a_different_sweep_is_rejected() {
         ..Default::default()
     };
     let err = explorer
-        .explore_session(&other, &maps, 1, &bad)
+        .explore_session(&other, &maps, &bad)
         .expect_err("fingerprint mismatch must be rejected");
     assert!(
         matches!(

@@ -1,7 +1,9 @@
-//! Golden tests: the sharded parallel explorer must be **bit-identical**
-//! to the sequential one at any thread count — same Pareto front (same
-//! order), same per-objective bests, same scatter sample, same counters.
-//! Only the wall-clock fields (`seconds`, `rate`) may differ.
+//! Golden tests: what a sweep's session adds around its work units —
+//! quarantining a panicking unit, collecting spans — must leave the
+//! result **bit-identical** to the plain sweep over the same units: same
+//! Pareto front (same order), same per-objective bests, same scatter
+//! sample, same counters. Only the wall-clock fields (`seconds`, `rate`)
+//! may differ.
 
 use maestro_dnn::{zoo, Layer, LayerDims, Operator};
 use maestro_dse::{variants, DseResult, Explorer, FaultPlan, SessionCtl, SweepSpace};
@@ -14,86 +16,25 @@ fn canonical(mut r: DseResult) -> DseResult {
     r
 }
 
-fn assert_identical(seq: &DseResult, par: DseResult, what: &str) {
-    let par = canonical(par);
-    assert_eq!(seq.stats, par.stats, "{what}: stats differ");
-    assert_eq!(seq.pareto, par.pareto, "{what}: pareto fronts differ");
+fn assert_identical(seq: &DseResult, other: DseResult, what: &str) {
+    let other = canonical(other);
+    assert_eq!(seq.stats, other.stats, "{what}: stats differ");
+    assert_eq!(seq.pareto, other.pareto, "{what}: pareto fronts differ");
     assert_eq!(
-        seq.best_throughput, par.best_throughput,
+        seq.best_throughput, other.best_throughput,
         "{what}: best_throughput differs"
     );
     assert_eq!(
-        seq.best_energy, par.best_energy,
+        seq.best_energy, other.best_energy,
         "{what}: best_energy differs"
     );
-    assert_eq!(seq.best_edp, par.best_edp, "{what}: best_edp differs");
-    assert_eq!(seq.sample, par.sample, "{what}: samples differ");
-    assert_eq!(seq, &par, "{what}: results differ");
-}
-
-/// A slice of the standard space that keeps the test fast while still
-/// spanning several PE counts and triggering bulk skips.
-fn trimmed_standard() -> SweepSpace {
-    let full = SweepSpace::standard();
-    SweepSpace {
-        pes: full.pes.iter().copied().step_by(2).collect(),
-        noc_bw: full.noc_bw.iter().copied().step_by(3).collect(),
-        l1_bytes: full.l1_bytes.iter().copied().step_by(4).collect(),
-        l2_bytes: full.l2_bytes.iter().copied().step_by(4).collect(),
-    }
+    assert_eq!(seq.best_edp, other.best_edp, "{what}: best_edp differs");
+    assert_eq!(seq.sample, other.sample, "{what}: samples differ");
+    assert_eq!(seq, &other, "{what}: results differ");
 }
 
 fn conv_layer() -> Layer {
     Layer::new("c", Operator::conv2d(), LayerDims::square(1, 64, 32, 34, 3))
-}
-
-#[test]
-fn layer_explore_is_thread_count_invariant_on_tiny_space() {
-    let e = Explorer::new(SweepSpace::tiny());
-    let layer = conv_layer();
-    let maps = variants::variants(Style::KCP);
-    let seq = canonical(e.explore(&layer, &maps).expect("valid space"));
-    assert!(seq.stats.valid > 0, "{:?}", seq.stats);
-    for threads in [1, 2, 8] {
-        let par = e
-            .explore_parallel(&layer, &maps, threads)
-            .expect("valid space");
-        assert_identical(&seq, par, &format!("tiny space, {threads} threads"));
-    }
-}
-
-#[test]
-fn layer_explore_is_thread_count_invariant_on_trimmed_standard_space() {
-    let e = Explorer::new(trimmed_standard());
-    let layer = conv_layer();
-    let maps = variants::variants(Style::YRP);
-    let seq = canonical(e.explore(&layer, &maps).expect("valid space"));
-    assert!(seq.stats.valid > 0, "{:?}", seq.stats);
-    assert!(
-        !seq.sample.is_empty(),
-        "space too small to exercise sampling"
-    );
-    for threads in [1, 2, 8] {
-        let par = e
-            .explore_parallel(&layer, &maps, threads)
-            .expect("valid space");
-        assert_identical(&seq, par, &format!("trimmed standard, {threads} threads"));
-    }
-}
-
-#[test]
-fn model_explore_is_thread_count_invariant() {
-    let e = Explorer::new(SweepSpace::tiny());
-    let model = zoo::alexnet(1);
-    let maps = variants::variants(Style::KCP);
-    let seq = canonical(e.explore_model(&model, &maps).expect("valid space"));
-    assert!(seq.stats.valid > 0, "{:?}", seq.stats);
-    for threads in [1, 2, 8] {
-        let par = e
-            .explore_model_parallel(&model, &maps, threads)
-            .expect("valid space");
-        assert_identical(&seq, par, &format!("alexnet, {threads} threads"));
-    }
 }
 
 /// A session that panics each unit with probability 1/2. At seed 2 over
@@ -112,8 +53,8 @@ fn quarantined_by(ctl: &SessionCtl, units: usize) -> Vec<usize> {
 
 /// Fault isolation: a panicking work unit (injected through the session's
 /// fault plan) must not abort the sweep. The run completes, the failed
-/// unit is reported in `stats.quarantined`, and the merged result stays
-/// bit-identical at 1/2/8/auto threads.
+/// unit is reported in `stats.quarantined`, and a second run under the
+/// same plan is bit-identical.
 #[test]
 fn quarantined_unit_degrades_without_aborting_and_stays_deterministic() {
     let e = Explorer::new(SweepSpace::tiny());
@@ -127,7 +68,7 @@ fn quarantined_unit_degrades_without_aborting_and_stays_deterministic() {
     let maps = variants::variants(Style::KCP);
 
     let seq = canonical(
-        e.explore_session(&layer, &maps, 1, &ctl)
+        e.explore_session(&layer, &maps, &ctl)
             .expect("valid space")
             .0,
     );
@@ -143,12 +84,8 @@ fn quarantined_unit_degrades_without_aborting_and_stays_deterministic() {
     // The surviving units still produce results.
     assert!(seq.stats.valid > 0, "{:?}", seq.stats);
 
-    for threads in [1, 2, 8, 0] {
-        let (par, _) = e
-            .explore_session(&layer, &maps, threads, &ctl)
-            .expect("valid space");
-        assert_identical(&seq, par, &format!("quarantine, {threads} threads"));
-    }
+    let (again, _) = e.explore_session(&layer, &maps, &ctl).expect("valid space");
+    assert_identical(&seq, again, "quarantine, second run");
 
     // The degraded run found strictly fewer (or equal) points than a
     // healthy one, and a healthy run quarantines nothing.
@@ -165,36 +102,25 @@ fn model_explore_quarantines_panicking_units_too() {
     let model = zoo::alexnet(1);
     let maps = variants::variants(Style::KCP);
     let seq = canonical(
-        e.explore_model_session(&model, &maps, 1, &ctl)
+        e.explore_model_session(&model, &maps, &ctl)
             .expect("valid space")
             .0,
     );
     let units: Vec<usize> = seq.stats.quarantined.iter().map(|q| q.unit).collect();
     assert_eq!(units, quarantined_by(&ctl, e.space.pes.len()));
-    for threads in [2, 8] {
-        let (par, _) = e
-            .explore_model_session(&model, &maps, threads, &ctl)
-            .expect("valid space");
-        assert_identical(&seq, par, &format!("model quarantine, {threads} threads"));
-    }
-}
-
-#[test]
-fn auto_thread_count_gives_the_same_result() {
-    let e = Explorer::new(SweepSpace::tiny());
-    let layer = conv_layer();
-    let maps = variants::variants(Style::KCP);
-    let seq = canonical(e.explore(&layer, &maps).expect("valid space"));
-    // threads == 0 resolves to the host's core count.
-    let auto = e.explore_parallel(&layer, &maps, 0).expect("valid space");
-    assert_identical(&seq, auto, "auto thread count");
+    // The surviving units still produce results.
+    assert!(seq.stats.valid > 0, "{:?}", seq.stats);
+    let (again, _) = e
+        .explore_model_session(&model, &maps, &ctl)
+        .expect("valid space");
+    assert_identical(&seq, again, "model quarantine, second run");
 }
 
 /// Observability must not perturb results: with span collection *enabled*
 /// (the most invasive configuration — every analyze call and work unit
 /// records timing into thread-local buffers flushed to a global sink),
-/// the explorer stays bit-identical to an uninstrumented sequential run
-/// at 1/2/8/auto threads, and the trace actually covers the run.
+/// the explorer stays bit-identical to an uninstrumented run, and the
+/// trace actually covers the run.
 #[test]
 fn tracing_enabled_preserves_bit_identical_results() {
     let e = Explorer::new(SweepSpace::tiny());
@@ -206,23 +132,11 @@ fn tracing_enabled_preserves_bit_identical_results() {
     assert!(seq.stats.valid > 0, "{:?}", seq.stats);
 
     maestro_obs::span::enable();
-    let traced = std::panic::catch_unwind(|| {
-        let mut runs = Vec::new();
-        for threads in [1, 2, 8, 0] {
-            runs.push((
-                threads,
-                e.explore_parallel(&layer, &maps, threads)
-                    .expect("valid space"),
-            ));
-        }
-        runs
-    });
+    let traced = std::panic::catch_unwind(|| e.explore(&layer, &maps).expect("valid space"));
     maestro_obs::span::disable();
     let events = maestro_obs::span::drain();
 
-    for (threads, par) in traced.expect("traced sweeps completed") {
-        assert_identical(&seq, par, &format!("tracing on, {threads} threads"));
-    }
+    assert_identical(&seq, traced.expect("traced sweep completed"), "tracing on");
     // The trace covered the sweeps: unit spans with nested analysis-stage
     // spans (the staged evaluator emits per-stage spans — tensor/reuse/
     // buffer/noc from `StagedAnalysis::build`, perf from `finish` — rather

@@ -1,5 +1,5 @@
-//! Property tests for the Pareto-front fold used by both the sequential
-//! explorer and the parallel merge.
+//! Property tests for the Pareto-front fold used both inside a work unit
+//! and by the unit-order merge.
 
 use maestro_dse::{insert_pareto, DesignPoint, ParetoFront};
 use proptest::prelude::*;

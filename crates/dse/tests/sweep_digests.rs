@@ -1,6 +1,6 @@
 //! Pinned digests of whole sweeps.
 //!
-//! Whole-model sweeps (`Explorer::explore_model*`) and layer sweeps share
+//! Whole-model sweeps (`Explorer::explore_model`) and layer sweeps share
 //! one capacity expansion; this suite pins the complete [`DseResult`] of
 //! representative runs of both, so any change to that expansion (energy
 //! summation order, skip and drop counting, best-point ties, the
@@ -8,7 +8,6 @@
 //! mismatch. Each digest is FNV-1a over the `Debug` text of the result
 //! with the wall-clock fields zeroed; `Debug` prints every `f64` in its
 //! shortest round-trip form, so equal digests mean bit-identical results.
-//! Every case runs at one and two threads against the same digest.
 
 use maestro_dnn::{zoo, Model};
 use maestro_dse::checkpoint::fnv1a;
@@ -26,28 +25,21 @@ fn model(name: &str) -> Model {
     zoo::by_name(name, 1).expect("zoo model")
 }
 
-/// Run `sweep` at one and two threads, check both results against
-/// `want`, and return the one-thread result.
-fn pinned(what: &str, want: u64, sweep: impl Fn(usize) -> DseResult) -> DseResult {
-    let first = sweep(1);
-    assert!(first.stats.valid > 0, "{what}: empty sweep");
-    for (threads, r) in [(1, first.clone()), (2, sweep(2))] {
-        let got = digest(r);
-        assert_eq!(
-            got, want,
-            "{what} at {threads} thread(s): digest {got:#018x}, pinned {want:#018x}"
-        );
-    }
-    first
+/// Check the result of `sweep` against `want` and return it.
+fn pinned(what: &str, want: u64, sweep: impl Fn() -> DseResult) -> DseResult {
+    let r = sweep();
+    assert!(r.stats.valid > 0, "{what}: empty sweep");
+    let got = digest(r.clone());
+    assert_eq!(got, want, "{what}: digest {got:#018x}, pinned {want:#018x}");
+    r
 }
 
 /// Pin the whole-model sweep of `model` × `style` on `space`.
 fn check(model: &Model, style: Style, space: SweepSpace, want: u64) -> DseResult {
     let ex = Explorer::new(space);
     let maps = variants::variants(style);
-    pinned(&format!("{} {style}", model.name), want, |threads| {
-        ex.explore_model_parallel(model, &maps, threads)
-            .expect("valid space")
+    pinned(&format!("{} {style}", model.name), want, || {
+        ex.explore_model(model, &maps).expect("valid space")
     })
 }
 
@@ -143,9 +135,8 @@ fn fig13_layer_digests_are_pinned() {
         let layer = vgg.layer(layer).expect("zoo layer");
         let maps = variants::variants(style);
         let what = format!("{} {style}", layer.name);
-        pinned(&what, want, |threads| {
-            ex.explore_parallel(layer, &maps, threads)
-                .expect("valid space")
+        pinned(&what, want, || {
+            ex.explore(layer, &maps).expect("valid space")
         });
         let oracle = full.explore(layer, &maps).expect("valid space");
         assert_eq!(digest(oracle), want, "{what}: full evaluation differs");
@@ -180,9 +171,8 @@ fn capped_two_byte_layer_digests_are_pinned() {
         let layer = m.layer(layer).expect("zoo layer");
         let maps = variants::variants(style);
         let what = format!("{} {style} (2-byte, capped)", layer.name);
-        let r = pinned(&what, want, |threads| {
-            ex.explore_parallel(layer, &maps, threads)
-                .expect("valid space")
+        let r = pinned(&what, want, || {
+            ex.explore(layer, &maps).expect("valid space")
         });
         assert_eq!(r.sample.len(), ex.sample_cap, "{what}: cap not reached");
         let oracle = full.explore(layer, &maps).expect("valid space");

@@ -83,17 +83,11 @@ pub struct StreamSummary {
     pub write_failed: bool,
 }
 
-/// Clamp a client-requested `threads` to the server-side cap: absent or
-/// zero requests run single-threaded, and no request can exceed
-/// `max_request_threads` however large a value it sends.
-pub fn effective_threads(requested: u64, cap: usize) -> usize {
-    (requested.max(1).min(usize::MAX as u64) as usize).min(cap.max(1))
-}
-
 /// Shared state behind a streaming response: the cloned socket handle
 /// plus write accounting. Held in an `Arc<Mutex<..>>` so the `'static`
-/// per-unit callback and the handler can both reach it; the engine fires
-/// callbacks under its completion lock, so lines never interleave.
+/// per-unit callback and the handler can both reach it; the sweep fires
+/// callbacks one at a time on this request's thread, so lines never
+/// interleave.
 struct StreamSink {
     sock: TcpStream,
     bytes: u64,
@@ -137,10 +131,6 @@ pub struct ApiCtx {
     pub metrics: ServeMetrics,
     /// Daemon start time; `/metrics` derives the uptime gauge from it.
     pub started: Instant,
-    /// Upper bound on the `threads` a single `/v1/dse` request may claim
-    /// (already resolved: `--max-request-threads`, or the host's
-    /// available parallelism when the flag is 0/absent).
-    pub max_request_threads: usize,
     /// Worker pool size; `Retry-After` hints drain the queue through it.
     pub workers: usize,
     /// Live mirror of this daemon's queue depth. A mirror rather than
@@ -464,7 +454,7 @@ impl ApiCtx {
     fn dse_setup(
         &self,
         body: &Value,
-    ) -> Result<(&'static Layer, Style, maestro_dse::Explorer, usize), Response> {
+    ) -> Result<(&'static Layer, Style, maestro_dse::Explorer), Response> {
         let model = zoo_model(body)?;
         let layer_name = body.get("layer").and_then(Value::as_str).unwrap_or("");
         if layer_name.is_empty() {
@@ -497,19 +487,12 @@ impl ApiCtx {
                 ))
             }
         };
-        let explorer = maestro_dse::Explorer::new(space);
-        // Server-side thread cap: without it, `workers × threads` scoped
-        // threads from concurrent requests could oversubscribe the host.
-        let threads = effective_threads(
-            body.get("threads").and_then(Value::as_u64).unwrap_or(1),
-            self.max_request_threads,
-        );
-        Ok((layer, style, explorer, threads))
+        Ok((layer, style, maestro_dse::Explorer::new(space)))
     }
 
     /// `POST /v1/dse` (buffered).
     fn dse(&self, body: &Value, token: &CancelToken) -> Response {
-        let (layer, style, explorer, threads) = match self.dse_setup(body) {
+        let (layer, style, explorer) = match self.dse_setup(body) {
             Ok(setup) => setup,
             Err(r) => return r,
         };
@@ -517,12 +500,7 @@ impl ApiCtx {
             token: token.clone(),
             ..Default::default()
         };
-        match explorer.explore_session(
-            layer,
-            &maestro_dse::variants::variants(style),
-            threads,
-            &ctl,
-        ) {
+        match explorer.explore_session(layer, &maestro_dse::variants::variants(style), &ctl) {
             Ok((result, session)) => {
                 maestro_obs::trace::mark("serialize");
                 let js = match serde_json::to_string(&result) {
@@ -554,7 +532,7 @@ impl ApiCtx {
     /// return a buffered error; once the head is on the wire the
     /// connection is committed to EOF framing and always closes.
     fn dse_stream(&self, body: &Value, token: &CancelToken, sock: &TcpStream) -> Handled {
-        let (layer, style, explorer, threads) = match self.dse_setup(body) {
+        let (layer, style, explorer) = match self.dse_setup(body) {
             Ok(setup) => setup,
             Err(r) => return Handled::Response(r),
         };
@@ -616,7 +594,6 @@ impl ApiCtx {
         let final_line = match explorer.explore_session(
             layer,
             &maestro_dse::variants::variants(style),
-            threads,
             &ctl,
         ) {
             Ok((result, session)) => {
@@ -930,31 +907,6 @@ fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // Regression: `/v1/dse` used to clamp `threads` only to a hardwired
-    // 64 — a handful of concurrent requests could claim hundreds of
-    // scoped threads. The cap is now server-side configuration.
-    #[test]
-    fn effective_threads_clamps_to_the_server_cap() {
-        assert_eq!(
-            effective_threads(0, 8),
-            1,
-            "absent/zero runs single-threaded"
-        );
-        assert_eq!(effective_threads(1, 8), 1);
-        assert_eq!(effective_threads(4, 8), 4);
-        assert_eq!(
-            effective_threads(u64::MAX, 8),
-            8,
-            "no request exceeds the cap"
-        );
-        assert_eq!(effective_threads(1_000_000, 2), 2);
-        assert_eq!(
-            effective_threads(5, 0),
-            1,
-            "a zero cap still serves one thread"
-        );
-    }
 
     // Satellite: the shed path's `Retry-After` is computed from queue
     // depth and the observed median service time, clamped to

@@ -75,10 +75,7 @@ pub mod queue;
 pub mod server;
 pub mod trace;
 
-pub use api::{
-    classify, effective_threads, ApiCtx, Handled, Pressure, ReqClass, StreamSummary,
-    MAX_BATCH_POINTS,
-};
+pub use api::{classify, ApiCtx, Handled, Pressure, ReqClass, StreamSummary, MAX_BATCH_POINTS};
 pub use chaos::ChaosPlan;
 pub use http::{parse_request, HttpError, Limits, Parsed, Request, Response};
 pub use json::{parse as parse_json, JsonError, Value};

@@ -42,12 +42,12 @@ use maestro_obs::{Counter, Gauge, Histogram};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Daemon configuration (the CLI's `serve` flags map 1:1 onto this).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7433` (port 0 picks a free port).
     pub addr: String,
@@ -81,11 +81,6 @@ pub struct ServeConfig {
     pub trace_slow: Duration,
     /// Fixed trace-ID seed (tests); `None` seeds from the clock.
     pub trace_seed: Option<u64>,
-    /// Upper bound on the `threads` a single `/v1/dse` request may claim.
-    /// `0` (the default) resolves to the host's available parallelism —
-    /// without a cap, `workers × threads` scoped threads from concurrent
-    /// requests could oversubscribe the host.
-    pub max_request_threads: usize,
     /// Seeded fault-injection spec (`--chaos`), e.g.
     /// `read-err:0.01,worker-panic:0.005`; `None` = no injection.
     pub chaos: Option<String>,
@@ -111,7 +106,6 @@ impl Default for ServeConfig {
             trace_sample: 16,
             trace_slow: Duration::from_millis(100),
             trace_seed: None,
-            max_request_threads: 0,
             chaos: None,
             chaos_seed: 0,
         }
@@ -272,13 +266,6 @@ impl Server {
             test_endpoints: cfg.test_endpoints,
             metrics: metrics.clone(),
             started: Instant::now(),
-            max_request_threads: if cfg.max_request_threads > 0 {
-                cfg.max_request_threads
-            } else {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(8)
-            },
             workers: worker_count,
             queue_len: Arc::new(AtomicUsize::new(0)),
             queue_cap: cfg.queue_depth.max(1),
@@ -286,7 +273,6 @@ impl Server {
         });
         let queue: Arc<BoundedQueue<(TcpStream, Instant)>> =
             Arc::new(BoundedQueue::new(cfg.queue_depth));
-        let in_flight = Arc::new(AtomicU64::new(0));
         let limits = Limits {
             max_head_bytes: Limits::default().max_head_bytes,
             max_body_bytes: cfg.max_body_bytes,
@@ -295,7 +281,6 @@ impl Server {
         let shared = Arc::new(WorkerShared {
             queue: Arc::clone(&queue),
             ctx: Arc::clone(&ctx),
-            in_flight: Arc::clone(&in_flight),
             io_timeout: cfg.io_timeout,
             limits,
             access: access.clone(),
@@ -407,7 +392,7 @@ impl Server {
             // grace period to write those responses out.
             maestro_obs::warn!(
                 "serve: drain deadline expired with {} requests in flight — cancelling",
-                in_flight.load(Ordering::Relaxed)
+                metrics.in_flight.get()
             );
             ctx.request_root.cancel();
             wait_for_threads(&pool, Instant::now(), Duration::from_secs(2));
@@ -439,7 +424,6 @@ impl Server {
 struct WorkerShared {
     queue: Arc<BoundedQueue<(TcpStream, Instant)>>,
     ctx: Arc<ApiCtx>,
-    in_flight: Arc<AtomicU64>,
     io_timeout: Duration,
     limits: Limits,
     access: Option<Arc<AccessLog>>,
@@ -490,7 +474,6 @@ fn worker_loop(shared: &WorkerShared, mut restarted: bool) {
             stream,
             accepted,
             &shared.ctx,
-            &shared.in_flight,
             shared.io_timeout,
             &shared.limits,
             shared.access.as_deref(),
@@ -567,12 +550,10 @@ fn write_shed<W: Write>(
 /// first byte observed after the previous response — client think time
 /// between requests is idle line time, not served latency, and is left
 /// out of the trace.
-#[allow(clippy::too_many_arguments)]
 fn serve_connection(
     stream: TcpStream,
     accepted: Instant,
     ctx: &ApiCtx,
-    in_flight: &AtomicU64,
     io_timeout: Duration,
     limits: &Limits,
     access: Option<&AccessLog>,
@@ -634,7 +615,7 @@ fn serve_connection(
                 };
                 let route = format!("{} {}", req.method, req.path);
                 install(trace);
-                match serve_request(ctx, &req, in_flight, &stream, chaos) {
+                match serve_request(ctx, &req, &stream, chaos) {
                     Handled::Response(resp) => {
                         let close = resp.close || req.close || !ctx.ready.load(Ordering::Relaxed);
                         let mut resp = resp;
@@ -796,7 +777,6 @@ fn write_and_account<W: Write>(
 fn serve_request(
     ctx: &ApiCtx,
     req: &Request,
-    in_flight: &AtomicU64,
     stream: &TcpStream,
     chaos: Option<&ChaosPlan>,
 ) -> Handled {
@@ -808,7 +788,6 @@ fn serve_request(
         std::thread::sleep(delay);
     }
     ctx.metrics.requests_total.inc();
-    in_flight.fetch_add(1, Ordering::Relaxed);
     // One atomic add on the gauge itself: the old load-then-`set` pair
     // let two concurrent requests publish the same stale snapshot and
     // leave the gauge permanently skewed.
@@ -826,7 +805,6 @@ fn serve_request(
     ctx.metrics
         .request_seconds
         .observe(t0.elapsed().as_secs_f64());
-    in_flight.fetch_sub(1, Ordering::Relaxed);
     ctx.metrics.in_flight.dec();
     handled
 }

@@ -29,7 +29,6 @@ fn api_ctx() -> ApiCtx {
         test_endpoints: false,
         metrics: ServeMetrics::register(),
         started: Instant::now(),
-        max_request_threads: 1,
         workers: 1,
         queue_len: Arc::new(AtomicUsize::new(0)),
         queue_cap: QUEUE_CAP,

@@ -8,7 +8,7 @@
 //! global and tests run concurrently.
 
 use maestro_obs::CancelToken;
-use maestro_serve::{DrainOutcome, ServeConfig, Server};
+use maestro_serve::{DrainOutcome, ServeConfig, Server, Value};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
@@ -336,7 +336,6 @@ fn batch_serves_many_points_with_per_item_error_isolation() {
 
 #[test]
 fn dse_stream_emits_ndjson_unit_lines_and_a_final_result() {
-    use maestro_serve::Value;
     let d = Daemon::start(test_config());
     let resp = post(
         d.addr,
@@ -380,22 +379,36 @@ fn dse_stream_emits_ndjson_unit_lines_and_a_final_result() {
     assert_eq!(d.stop(), DrainOutcome::Clean);
 }
 
+/// The `result` of a buffered `/v1/dse` answer without its wall-clock
+/// fields (`stats.seconds` and `stats.rate`).
+fn dse_result(response: &str) -> Value {
+    let (_, body) = response.split_once("\r\n\r\n").expect("headers end");
+    let answer = maestro_serve::parse_json(body).expect("well-formed JSON body");
+    let mut result = answer.get("result").cloned().expect("a result");
+    let Value::Obj(fields) = &mut result else {
+        panic!("result is not an object: {body}");
+    };
+    let Some((_, Value::Obj(stats))) = fields.iter_mut().find(|(k, _)| k == "stats") else {
+        panic!("result has no stats object: {body}");
+    };
+    stats.retain(|(k, _)| k != "seconds" && k != "rate");
+    result
+}
+
 #[test]
-fn dse_thread_requests_are_capped_server_side() {
-    // Regression: `threads` used to be clamped only to a hardwired 64.
-    // With the cap at 1, an absurd request must still serve fine (on one
-    // thread) instead of spawning hundreds.
-    let d = Daemon::start(ServeConfig {
-        max_request_threads: 1,
-        ..test_config()
-    });
-    let resp = post(
-        d.addr,
-        "/v1/dse",
-        "{\"model\":\"alexnet\",\"layer\":\"CONV3\",\"space\":\"tiny\",\"threads\":999999}",
-    );
-    assert_eq!(status_of(&resp), 200, "{resp}");
-    assert!(resp.contains("\"partial\":false"), "{resp}");
+fn dse_ignores_a_threads_field() {
+    // A sweep runs on its worker's thread; a client's `threads` ask is an
+    // unknown field like any other and changes nothing in the answer.
+    let d = Daemon::start(test_config());
+    let body = "\"model\":\"alexnet\",\"layer\":\"CONV3\",\"space\":\"tiny\"";
+    let plain = post(d.addr, "/v1/dse", &format!("{{{body}}}"));
+    let asked = post(d.addr, "/v1/dse", &format!("{{{body},\"threads\":8}}"));
+    assert_eq!(status_of(&plain), 200, "{plain}");
+    assert_eq!(status_of(&asked), 200, "{asked}");
+    assert!(asked.contains("\"partial\":false"), "{asked}");
+    let want = dse_result(&plain);
+    assert!(want.get("pareto").is_some(), "{plain}");
+    assert_eq!(dse_result(&asked), want);
     assert_eq!(d.stop(), DrainOutcome::Clean);
 }
 
