@@ -126,6 +126,18 @@ if grep -rnE --include='*.rs' 'thread::(scope|spawn|available_parallelism)|std::
   exit 1
 fi
 
+# One argv reader: every maestro command and figure declares its flags
+# in a table that one parser reads, so a typo exits 2 instead of running
+# with settings the caller did not ask for. A second std::env::args
+# reader would bring back a parser that takes anything. loadgen keeps
+# its own parser until its HTTP client moves into maestro_bench.
+echo "== one argv reader (std::env::args only in the CLI's main and loadgen)"
+if grep -rn --include='*.rs' 'std::env::args' crates \
+    | grep -v '^crates/cli/src/main\.rs:\|^crates/bench/src/bin/loadgen\.rs:'; then
+  echo "std::env::args read outside crates/cli/src/main.rs; declare the flag in a maestro flag table" >&2
+  exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --release --workspace
 

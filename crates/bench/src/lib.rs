@@ -1,10 +1,12 @@
-//! Shared fixtures for the figure/table regeneration binaries.
+//! The paper's tables and figures, regenerated.
 //!
-//! Every table and figure of the paper's evaluation has a binary in
-//! `src/bin/` that regenerates its rows/series with this workspace's
-//! implementation (see DESIGN.md's per-experiment index); absolute numbers
-//! come from our synthetic 28 nm calibration, so the *shapes* — who wins,
-//! by what factor, where the crossovers are — are the reproduction target.
+//! Every table and figure of the paper's evaluation is a function here
+//! that writes its rows/series, computed with this workspace's
+//! implementation, to a [`std::io::Write`] (see DESIGN.md's
+//! per-experiment index); `maestro figures <name>` runs one. Absolute
+//! numbers come from our synthetic 28 nm calibration, so the *shapes* —
+//! who wins, by what factor, where the crossovers are — are the
+//! reproduction target.
 //!
 //! Speed is measured elsewhere. The repository benchmark, `perfbench/`,
 //! times the Fig 13 sweeps, zoo analysis and the daemon, and reports
@@ -12,22 +14,17 @@
 //! fingerprint. The one bench target here, `obs_overhead`, is a guard:
 //! it fails when disabled instrumentation reaches 2% of a sweep.
 
+mod figures;
+mod tables;
+
+pub use figures::{dse_model, fig10, fig11, fig12, fig13, fig5, fig6, fig9, scale, sweep};
+pub use tables::{table1, table2, table3, table4, table5};
+
 use maestro_dnn::{zoo, Layer, Model};
-use maestro_hw::Accelerator;
-
-/// The 256-PE / 32 GB/s configuration of the Figure 10–12 case studies.
-pub fn case_study_acc() -> Accelerator {
-    Accelerator::paper_case_study()
-}
-
-/// The five evaluation models of Figure 10 (batch 1).
-pub fn figure10_models() -> Vec<Model> {
-    zoo::figure10_models(1)
-}
 
 /// The four representative operators of Figure 11:
 /// (label, model, layer name).
-pub fn figure11_operators() -> Vec<(&'static str, Model, String)> {
+fn figure11_operators() -> Vec<(&'static str, Model, String)> {
     vec![
         ("Early layer", zoo::resnet50(1), "CONV1".to_string()),
         ("Late layer", zoo::vgg16(1), "CONV13".to_string()),
@@ -41,7 +38,7 @@ pub fn figure11_operators() -> Vec<(&'static str, Model, String)> {
 }
 
 /// Fetch a layer from a model or panic with a clear message (fixture use).
-pub fn layer<'m>(model: &'m Model, name: &str) -> &'m Layer {
+fn layer<'m>(model: &'m Model, name: &str) -> &'m Layer {
     model
         .layer(name)
         .unwrap_or_else(|| panic!("{} has no layer {name}", model.name))
@@ -53,7 +50,7 @@ mod tests {
 
     #[test]
     fn fixtures_resolve() {
-        assert_eq!(figure10_models().len(), 5);
+        assert_eq!(zoo::figure10_models(1).len(), 5);
         for (label, m, l) in figure11_operators() {
             assert!(m.layer(&l).is_some(), "{label}: {l}");
         }

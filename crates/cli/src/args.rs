@@ -1,244 +1,372 @@
-//! Minimal command-line argument parsing (no external dependencies).
+//! Table-driven command-line parsing (no external dependencies).
+//!
+//! Each command declares the flags it takes once, in a table of
+//! [`Flag`]s, and [`Args::parse`] reads every table. It checks each value
+//! against its flag's [`Kind`], and refuses an unknown flag, a word given
+//! to a boolean flag and a stray positional argument before the command
+//! starts any work, so a typo or a retired knob never runs with settings
+//! the caller did not ask for.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::Duration;
 
-/// Parsed command line: a subcommand, positional arguments, and
-/// `--key value` / `--flag` options.
-#[derive(Debug, Clone, Default)]
+/// What a flag's value must be.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// No value: given bare (or as `--flag true`), or not at all.
+    Bool,
+    /// A non-negative integer.
+    Int,
+    /// A number.
+    Num,
+    /// A finite, non-negative number of seconds.
+    Secs,
+    /// Any word.
+    Text,
+}
+
+impl Kind {
+    /// `None` when `value` is of this kind, else what the flag expects.
+    fn refuses(self, value: &str) -> Option<&'static str> {
+        let (ok, expects) = match self {
+            Kind::Bool => (value == "true", "is a flag and takes no value"),
+            Kind::Int => (value.parse::<u64>().is_ok(), "expects an integer"),
+            Kind::Num => (value.parse::<f64>().is_ok(), "expects a number"),
+            Kind::Secs => (
+                secs(value).is_some(),
+                "expects a finite, non-negative number of seconds",
+            ),
+            Kind::Text => (true, ""),
+        };
+        (!ok).then_some(expects)
+    }
+}
+
+/// One flag a command takes.
+#[derive(Debug)]
+pub struct Flag {
+    /// The name, without the leading `--`.
+    pub name: &'static str,
+    pub kind: Kind,
+    /// The value when the flag is not given; `""` for none.
+    pub default: &'static str,
+    /// One line for the usage text.
+    pub help: &'static str,
+}
+
+impl Flag {
+    pub const fn new(
+        name: &'static str,
+        kind: Kind,
+        default: &'static str,
+        help: &'static str,
+    ) -> Flag {
+        Flag {
+            name,
+            kind,
+            default,
+            help,
+        }
+    }
+
+    /// The flag's line in the usage text.
+    pub fn usage(&self) -> String {
+        let value = match self.kind {
+            Kind::Bool => "",
+            Kind::Int => " <n>",
+            Kind::Num => " <x>",
+            Kind::Secs => " <secs>",
+            Kind::Text => " <text>",
+        };
+        let flag = format!("--{}{value}", self.name);
+        match self.default {
+            "" => format!("      {flag:<28}{}\n", self.help),
+            d => format!("      {flag:<28}{} (default {d})\n", self.help),
+        }
+    }
+}
+
+/// One command's command line, parsed against its flag table.
+#[derive(Debug)]
 pub struct Args {
-    /// The subcommand (first non-flag argument).
-    pub command: String,
-    /// Remaining positional arguments.
+    /// The command, for the messages that name it.
+    command: &'static str,
+    flags: Vec<&'static Flag>,
+    /// The flags given, with their checked values.
+    given: HashMap<&'static str, String>,
     positional: Vec<String>,
-    /// `--key value` options and boolean `--flag`s (value `"true"`).
-    options: HashMap<String, String>,
-    /// Keys some accessor has asked for, present or not (see
-    /// [`Args::unread`]).
-    read: RefCell<HashSet<String>>,
-    /// How many leading positional arguments some accessor has asked for.
-    positional_read: Cell<usize>,
 }
 
 impl Args {
-    /// Parse from an iterator of arguments (excluding `argv[0]`).
-    pub fn parse(mut argv: impl Iterator<Item = String>) -> Args {
-        let mut args = Args::default();
-        let mut pending_key: Option<String> = None;
-        for a in argv.by_ref() {
-            if let Some(key) = a.strip_prefix("--") {
-                if let Some(k) = pending_key.take() {
-                    args.options.insert(k, "true".into());
+    /// Parse `argv`, the words after `command`'s name, against the flags
+    /// it takes, keeping up to `positionals` positional arguments. A word
+    /// after a flag is the flag's value unless it is another flag; a
+    /// boolean flag given bare is on.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the word refused: a flag not in `flags`, a
+    /// missing or malformed value, a word other than `true` after a
+    /// boolean flag, or a positional argument past the last one taken.
+    pub fn parse(
+        command: &'static str,
+        flags: impl IntoIterator<Item = &'static Flag>,
+        positionals: usize,
+        argv: &[String],
+    ) -> Result<Args, String> {
+        let mut args = Args {
+            command,
+            flags: flags.into_iter().collect(),
+            given: HashMap::new(),
+            positional: Vec::new(),
+        };
+        let mut words = argv.iter().peekable();
+        while let Some(word) = words.next() {
+            let flag = match word.strip_prefix("--") {
+                Some(name) => args.flags.iter().find(|f| f.name == name).copied(),
+                None if args.positional.len() < positionals => {
+                    args.positional.push(word.clone());
+                    continue;
                 }
-                pending_key = Some(key.to_string());
-            } else if let Some(k) = pending_key.take() {
-                args.options.insert(k, a);
-            } else if args.command.is_empty() {
-                args.command = a;
-            } else {
-                args.positional.push(a);
+                None => None,
+            };
+            let flag = flag.ok_or_else(|| format!("{command} does not take {word}"))?;
+            let value = match words.next_if(|w| !w.starts_with("--")) {
+                Some(value) => value.clone(),
+                None if flag.kind == Kind::Bool => "true".to_string(),
+                None => return Err(format!("{word} expects a value")),
+            };
+            if let Some(expects) = flag.kind.refuses(&value) {
+                return Err(format!("{word} {expects}, got `{value}`"));
             }
+            args.given.insert(flag.name, value);
         }
-        if let Some(k) = pending_key.take() {
-            args.options.insert(k, "true".into());
-        }
-        args
+        Ok(args)
     }
 
-    /// The raw value of `key`, recording that it was read.
-    fn value(&self, key: &str) -> Option<&String> {
-        self.read.borrow_mut().insert(key.to_string());
-        self.options.get(key)
-    }
-
-    /// Positional argument `i` (0 is the first after the subcommand),
-    /// recording that the command takes it.
+    /// Positional argument `i`.
     pub fn positional(&self, i: usize) -> Option<&str> {
-        self.positional_read
-            .set(self.positional_read.get().max(i + 1));
         self.positional.get(i).map(String::as_str)
     }
 
-    /// The arguments given on the command line that no accessor has read:
-    /// the options apart from `allowed`, as `--key` sorted by name, then
-    /// the positional arguments past those read, in order. A command that
-    /// has read every argument it takes calls this to refuse the rest.
-    pub fn unread(&self, allowed: &[&str]) -> Vec<String> {
-        let read = self.read.borrow();
-        let mut unread: Vec<String> = self
-            .options
-            .keys()
-            .filter(|k| !read.contains(*k) && !allowed.contains(&k.as_str()))
-            .map(|k| format!("--{k}"))
-            .collect();
-        unread.sort_unstable();
-        unread.extend(
-            self.positional
-                .iter()
-                .skip(self.positional_read.get())
-                .cloned(),
+    /// The value of `name`, read as `kind`: the one given, else its table
+    /// default (`None` when that is empty). A command reading a flag its
+    /// table does not declare, or as another kind, is a bug in the
+    /// command: this panics, so no table drifts from its command.
+    fn value(&self, name: &str, kind: Kind) -> Option<&str> {
+        let Some(flag) = self.flags.iter().find(|f| f.name == name && f.kind == kind) else {
+            panic!(
+                "{} reads --{name} as {kind:?}, which its table does not declare",
+                self.command
+            );
+        };
+        match self.given.get(name) {
+            Some(v) => Some(v),
+            None => Some(flag.default).filter(|d| !d.is_empty()),
+        }
+    }
+
+    /// The value of `name` as `parse` reads it. Values given were checked
+    /// by [`Args::parse`], and table defaults by the tests, so this
+    /// panics only on a flag with neither.
+    fn parsed<T>(&self, name: &str, kind: Kind, parse: impl Fn(&str) -> Option<T>) -> T {
+        let value = self.value(name, kind).and_then(parse);
+        value.unwrap_or_else(|| panic!("{} reads --{name} with no default", self.command))
+    }
+
+    /// Whether boolean flag `name` was given.
+    pub fn flag(&self, name: &str) -> bool {
+        self.value(name, Kind::Bool).is_some()
+    }
+
+    /// Text flag `name`, or `""` when it has no value.
+    pub fn text(&self, name: &str) -> &str {
+        self.value(name, Kind::Text).unwrap_or_default()
+    }
+
+    pub fn u64(&self, name: &str) -> u64 {
+        self.parsed(name, Kind::Int, |v| v.parse().ok())
+    }
+
+    /// [`Args::u64`] as a count or a size, saturating where a `usize` is
+    /// narrower.
+    pub fn usize(&self, name: &str) -> usize {
+        usize::try_from(self.u64(name)).unwrap_or(usize::MAX)
+    }
+
+    pub fn f64(&self, name: &str) -> f64 {
+        self.parsed(name, Kind::Num, |v| v.parse().ok())
+    }
+
+    pub fn secs(&self, name: &str) -> Duration {
+        self.parsed(name, Kind::Secs, secs)
+    }
+
+    /// `read(self, name)` when `name` was given, else `fallback`: for a
+    /// flag whose default lives outside its table.
+    pub fn given_or<'a, T>(&'a self, name: &str, read: fn(&'a Self, &str) -> T, fallback: T) -> T {
+        let declared = self.flags.iter().any(|f| f.name == name);
+        assert!(
+            declared,
+            "{} reads --{name}, which its table does not declare",
+            self.command
         );
-        unread
-    }
-
-    /// String option with a default.
-    pub fn get<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
-        self.value(key).map(String::as_str).unwrap_or(default)
-    }
-
-    /// Integer option with a default.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error message when the value is not an integer.
-    pub fn get_u64(&self, key: &str, default: u64) -> Result<u64, String> {
-        self.get_int(key, default)
-    }
-
-    /// Integer option with a default, as a `usize` (a count or a size).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error message when the value is not an integer that
-    /// fits a `usize`.
-    pub fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
-        self.get_int(key, default)
-    }
-
-    fn get_int<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.value(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key} expects an integer, got `{v}`")),
+        if self.given.contains_key(name) {
+            read(self, name)
+        } else {
+            fallback
         }
     }
+}
 
-    /// Floating-point option with a default.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error message when the value is not a number.
-    pub fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.value(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key} expects a number, got `{v}`")),
-        }
-    }
-
-    /// Seconds option with a default.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error message when the value is not a number, or is
-    /// negative, not finite or too large for a [`Duration`].
-    pub fn get_secs(&self, key: &str, default: Duration) -> Result<Duration, String> {
-        match self.value(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .ok()
-                .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
-                .ok_or_else(|| {
-                    format!("--{key} expects a finite, non-negative number of seconds, got `{v}`")
-                }),
-        }
-    }
-
-    /// Boolean flag: given bare (or as `--key true`) or not at all. The
-    /// parser cannot tell a flag from an option, so the word after a flag
-    /// reaches here as its value.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error message naming the flag and the word when the flag
-    /// was given any other value, rather than reading it as "off" and
-    /// dropping the word.
-    pub fn flag(&self, key: &str) -> Result<bool, String> {
-        match self.value(key).map(String::as_str) {
-            None => Ok(false),
-            Some("true") => Ok(true),
-            Some(v) => Err(format!("--{key} is a flag and takes no value, got `{v}`")),
-        }
-    }
+/// `value` as a [`Duration`]: `None` unless it is a finite, non-negative
+/// number of seconds that fits one.
+fn secs(value: &str) -> Option<Duration> {
+    let secs = value.parse().ok()?;
+    Duration::try_from_secs_f64(secs).ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from))
+    const FLAGS: &[Flag] = &[
+        Flag::new("model", Kind::Text, "vgg16", "model"),
+        Flag::new("layer", Kind::Text, "", "layer"),
+        Flag::new("pes", Kind::Int, "256", "PEs"),
+        Flag::new("workers", Kind::Int, "", "workers"),
+        Flag::new("tol", Kind::Num, "1.5", "tolerance"),
+        Flag::new("wait", Kind::Secs, "5", "wait"),
+        Flag::new("json", Kind::Bool, "", "JSON"),
+        Flag::new("progress", Kind::Bool, "", "progress"),
+        Flag::new("metrics", Kind::Text, "", "metrics"),
+    ];
+
+    fn parse(line: &str, positionals: usize) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        Args::parse("cmd", FLAGS, positionals, &argv)
     }
 
     #[test]
-    fn subcommand_and_options() {
-        let a = parse("analyze --model vgg16 --pes 256 --json");
-        assert_eq!(a.command, "analyze");
-        assert_eq!(a.get("model", ""), "vgg16");
-        assert_eq!(a.get_u64("pes", 64).unwrap(), 256);
-        assert_eq!(a.flag("json"), Ok(true));
-        assert_eq!(a.flag("quiet"), Ok(false));
+    fn values_given_and_defaults() {
+        let a = parse("--model resnet50 --workers 2 --json --metrics -", 0).unwrap();
+        assert_eq!(a.text("model"), "resnet50");
+        assert_eq!(a.usize("workers"), 2);
+        assert!(a.flag("json"));
+        assert_eq!(a.text("metrics"), "-");
+        assert_eq!(a.u64("pes"), 256);
+        assert_eq!(a.f64("tol"), 1.5);
+        assert_eq!(a.secs("wait"), Duration::from_secs(5));
+        assert!(!a.flag("progress"));
+        assert_eq!(a.text("layer"), "");
     }
 
     #[test]
-    fn positional_arguments() {
-        let a = parse("zoo resnet50 extra");
-        assert_eq!(a.command, "zoo");
-        assert_eq!(a.positional, vec!["resnet50", "extra"]);
+    fn an_unknown_flag_is_refused_naming_the_command_and_the_flag() {
+        assert_eq!(
+            parse("--model vgg16 --bogus 1", 0).unwrap_err(),
+            "cmd does not take --bogus"
+        );
+        assert_eq!(
+            parse("--modle vgg16", 0).unwrap_err(),
+            "cmd does not take --modle"
+        );
     }
 
     #[test]
-    fn unread_lists_options_then_positionals_no_accessor_read() {
-        let a = parse("dse --model vgg16 --bogus 1 stray --metrics -");
-        assert_eq!(a.get("model", ""), "vgg16");
-        assert_eq!(a.unread(&["metrics"]), vec!["--bogus", "stray"]);
-        let t = parse("trace abc extra --from host:1");
-        assert_eq!(t.positional(0), Some("abc"));
-        assert_eq!(t.get("from", ""), "host:1");
-        assert_eq!(t.unread(&[]), vec!["extra"]);
-        assert_eq!(t.positional(1), Some("extra"));
-        assert!(t.unread(&[]).is_empty());
+    fn positionals_past_the_count_are_refused() {
+        assert_eq!(
+            parse("--model vgg16 stray", 0).unwrap_err(),
+            "cmd does not take stray"
+        );
+        let a = parse("abc --metrics -", 1).unwrap();
+        assert_eq!(a.positional(0), Some("abc"));
+        assert_eq!(a.positional(1), None);
+        assert_eq!(a.text("metrics"), "-");
+        assert_eq!(
+            parse("abc extra", 1).unwrap_err(),
+            "cmd does not take extra"
+        );
+        let b = parse("abc extra", 2).unwrap();
+        assert_eq!(b.positional(1), Some("extra"));
     }
 
     #[test]
     fn a_flag_given_a_value_is_an_error_naming_the_flag_and_the_word() {
-        let a = parse("dse --json stray --progress true --metrics -");
         assert_eq!(
-            a.flag("json"),
-            Err("--json is a flag and takes no value, got `stray`".to_string())
+            parse("--json stray --progress true", 0).unwrap_err(),
+            "--json is a flag and takes no value, got `stray`"
         );
-        assert_eq!(a.flag("progress"), Ok(true), "an explicit true is a flag");
-        let b = parse("analyze --json false");
-        assert!(b.flag("json").unwrap_err().contains("`false`"));
-        // A valued option is read through `get`, not `flag`.
-        assert_eq!(a.get("metrics", ""), "-");
+        let a = parse("--progress true --json", 0).unwrap();
+        assert!(a.flag("progress"), "an explicit true is a flag");
+        assert!(a.flag("json"), "a trailing flag is on");
+        assert!(parse("--json false", 0).unwrap_err().contains("`false`"));
     }
 
     #[test]
-    fn bad_integer_reports_error() {
-        let a = parse("x --pes lots --workers -1");
-        assert!(a.get_u64("pes", 1).is_err());
-        assert!(a.get_usize("workers", 4).is_err());
-        assert_eq!(a.get_usize("missing", 4), Ok(4));
+    fn malformed_values_are_refused_before_any_read() {
+        assert_eq!(
+            parse("--pes lots", 0).unwrap_err(),
+            "--pes expects an integer, got `lots`"
+        );
+        assert!(parse("--workers -1", 0).is_err());
+        assert_eq!(
+            parse("--tol wide", 0).unwrap_err(),
+            "--tol expects a number, got `wide`"
+        );
+        for bad in ["-1", "nan", "inf", "1e300"] {
+            assert_eq!(
+                parse(&format!("--wait {bad}"), 0).unwrap_err(),
+                format!("--wait expects a finite, non-negative number of seconds, got `{bad}`")
+            );
+        }
+        assert_eq!(parse("--model", 0).unwrap_err(), "--model expects a value");
+        assert_eq!(
+            parse("--layer --json", 0).unwrap_err(),
+            "--layer expects a value"
+        );
     }
 
     #[test]
-    fn float_options() {
-        let a = parse("x --tol-runtime 12.5");
-        assert_eq!(a.get_f64("tol-runtime", 1.0).unwrap(), 12.5);
-        assert_eq!(a.get_f64("missing", 2.5).unwrap(), 2.5);
-        assert!(a.get_f64("tol-runtime", 1.0).is_ok());
-        let b = parse("x --tol-l1 wide");
-        assert!(b.get_f64("tol-l1", 1.0).is_err());
+    fn the_last_value_given_wins() {
+        let a = parse("--pes 64 --pes 128", 0).unwrap();
+        assert_eq!(a.u64("pes"), 128);
     }
 
     #[test]
-    fn trailing_flag() {
-        let a = parse("x --verbose");
-        assert_eq!(a.flag("verbose"), Ok(true));
+    fn given_or_falls_back_only_when_the_flag_is_absent() {
+        let a = parse("--workers 3", 0).unwrap();
+        assert_eq!(a.given_or("workers", Args::usize, 9), 3);
+        let b = parse("", 0).unwrap();
+        assert_eq!(b.given_or("workers", Args::usize, 9), 9);
+        assert_eq!(
+            b.given_or("pes", Args::u64, 7),
+            7,
+            "the table default is not a value given"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "cmd reads --bogus as Text, which its table does not declare")]
+    fn reading_an_undeclared_flag_panics() {
+        parse("", 0).unwrap().text("bogus");
+    }
+
+    #[test]
+    #[should_panic(expected = "cmd reads --workerz, which its table does not declare")]
+    fn a_fallback_for_an_undeclared_flag_panics() {
+        parse("", 0).unwrap().given_or("workerz", Args::usize, 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "cmd reads --pes as Text")]
+    fn reading_a_flag_as_another_kind_panics() {
+        parse("", 0).unwrap().text("pes");
+    }
+
+    #[test]
+    #[should_panic(expected = "cmd reads --workers with no default")]
+    fn reading_a_number_with_neither_value_nor_default_panics() {
+        parse("", 0).unwrap().u64("workers");
     }
 }

@@ -1,22 +1,13 @@
-//! `maestro` — command-line front-end for the dataflow cost model.
-//!
-//! ```text
-//! maestro analyze  --model vgg16 --layer CONV2 --dataflow KC-P --pes 256 [--bw 32] [--json]
-//! maestro model    --model resnet50 --dataflow YR-P --pes 256 [--adaptive] [--json]
-//! maestro dse      --model vgg16 --layer CONV2 --style KC-P [--json]
-//! maestro validate --model alexnet --dataflow YR-P --pes 168
-//! maestro mapping  --model vgg16 --layer CONV1 --dataflow YR-P --pes 6 --step 0
-//! maestro zoo
-//! ```
-//!
-//! `--dataflow` accepts a Table 3 style name (C-P, X-P, YX-P, YR-P, KC-P)
-//! or a path to a `.df` file in the textual DSL.
+//! `maestro` — command-line front-end for the dataflow cost model:
+//! `maestro analyze --model vgg16 --layer CONV2 --dataflow KC-P`,
+//! `maestro figures fig13`, and more. Each command declares its flags in
+//! one table, from which `maestro help` prints every command and flag.
 
 mod args;
 mod signal;
 mod trace_view;
 
-use args::Args;
+use args::{Args, Flag};
 use maestro_core::{analyze, analyze_model, analyze_model_with, AnalysisError};
 use maestro_dnn::{zoo, Layer, Model, TensorKind};
 use maestro_hw::{Accelerator, EnergyModel};
@@ -26,6 +17,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
+use tables::{COMMANDS, FIGURES, HELP, OBS, TRACE_EXPLORER};
 
 /// What class of failure occurred. Each kind maps to a distinct process
 /// exit code so scripts can tell them apart without scraping stderr.
@@ -140,35 +132,8 @@ impl From<AnalysisError> for CliError {
 }
 
 fn main() -> ExitCode {
-    let args = Args::parse(std::env::args().skip(1));
-    // Span collection is off (one relaxed load per call site) unless the
-    // user asked for a trace artifact.
-    if !args.get("trace-json", "").is_empty() {
-        maestro_obs::span::enable();
-    }
-    let result = match args.command.as_str() {
-        "analyze" => cmd_analyze(&args),
-        "model" => cmd_model(&args),
-        "dse" => cmd_dse(&args),
-        "validate" => cmd_validate(&args),
-        "conform" => cmd_conform(&args),
-        "serve" => cmd_serve(&args),
-        "mapping" => cmd_mapping(&args),
-        "explain" => cmd_explain(&args),
-        "lint" => cmd_lint(&args),
-        "trace" => cmd_trace(&args),
-        "tune" => cmd_tune(&args),
-        "zoo" => cmd_zoo(),
-        "" | "help" | "-h" => out!("{USAGE}"),
-        other => Err(CliError::usage(format!(
-            "unknown command `{other}`\n{USAGE}"
-        ))),
-    };
-    // Observability artifacts are written even when the command fails
-    // (e.g. `conform` exiting non-zero on divergences still dumps its
-    // counters); the command's own error decides the exit code.
-    let obs = write_observability(&args);
-    match result.and(obs) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match run(&argv) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             if e.kind != ErrorKind::ReaderGone {
@@ -179,23 +144,272 @@ fn main() -> ExitCode {
     }
 }
 
-/// Flags every command accepts; [`write_observability`] reads them after
-/// the command ran.
-const GLOBAL_FLAGS: [&str; 2] = ["metrics", "trace-json"];
-
-/// Refuse the flags and positional arguments `command` did not read. The
-/// command calls this once it has read every argument it takes, before it
-/// starts work: anything left is a typo or a retired knob, and ignoring
-/// it would run with settings the caller did not ask for.
-fn refuse_unread(args: &Args, command: &str) -> Result<(), CliError> {
-    let unread = args.unread(&GLOBAL_FLAGS);
-    if unread.is_empty() {
-        return Ok(());
+/// Parse `argv` against its command's flag table, then run the command.
+fn run(argv: &[String]) -> Result<(), CliError> {
+    let (cmd, args) = parse(argv)?;
+    // Span collection is off (one relaxed load per call site) unless the
+    // user asked for a trace artifact.
+    if !args.text("trace-json").is_empty() {
+        maestro_obs::span::enable();
     }
-    Err(CliError::usage(format!(
-        "{command} does not take {}",
-        unread.join(", ")
-    )))
+    let result = (cmd.run)(&args);
+    // Observability artifacts are written even when the command fails
+    // (e.g. `conform` exiting non-zero on divergences still dumps its
+    // counters); the command's own error decides the exit code.
+    result.and(write_observability(&args))
+}
+
+/// The command `argv` names, and the words after its name parsed against
+/// its flag table.
+fn parse(argv: &[String]) -> Result<(Command, Args), CliError> {
+    let (name, rest) = argv
+        .split_first()
+        .map_or(("help", argv), |(n, r)| (n.as_str(), r));
+    let (cmd, rest) = match name {
+        "figures" => {
+            let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+            let names = names.join(" ");
+            let (name, rest) = rest
+                .split_first()
+                .ok_or_else(|| CliError::usage(format!("figures takes a name: {names}")))?;
+            let figure = FIGURES.iter().find(|f| f.name == name).ok_or_else(|| {
+                CliError::usage(format!("unknown figure `{name}`; figures: {names}"))
+            })?;
+            (*figure, rest)
+        }
+        // The trace explorer reads a daemon or a dump, plain `trace` the
+        // simulator; neither takes the other's flags.
+        "trace" if rest.iter().any(|a| a == "--from" || a == "--file") => (TRACE_EXPLORER, rest),
+        "-h" | "--help" => (HELP, rest),
+        _ => {
+            let cmd = COMMANDS
+                .iter()
+                .find(|c| c.name == name)
+                .ok_or_else(|| CliError::usage(format!("unknown command `{name}`\n{}", usage())))?;
+            (*cmd, rest)
+        }
+    };
+    let args = Args::parse(cmd.name, cmd.flags.iter().chain(OBS), cmd.args.len(), rest)
+        .map_err(CliError::usage)?;
+    Ok((cmd, args))
+}
+
+/// A subcommand: its name, what it does, the positional arguments and
+/// flags it takes, and the function that runs it.
+#[derive(Clone, Copy)]
+struct Command {
+    name: &'static str,
+    about: &'static str,
+    /// The positional arguments, as the usage text names them.
+    args: &'static [&'static str],
+    flags: &'static [Flag],
+    run: fn(&Args) -> Result<(), CliError>,
+}
+
+impl Command {
+    const fn new(
+        name: &'static str,
+        about: &'static str,
+        flags: &'static [Flag],
+        run: fn(&Args) -> Result<(), CliError>,
+    ) -> Command {
+        Command {
+            name,
+            about,
+            args: &[],
+            flags,
+            run,
+        }
+    }
+}
+
+/// Every command, and every flag each takes, declared once; laid out by
+/// hand as tables.
+#[rustfmt::skip]
+mod tables {
+    use super::*;
+    use crate::args::Kind::{Bool, Int, Num, Secs, Text};
+    use maestro_bench as b;
+
+    pub const COMMANDS: [Command; 14] = [
+        Command::new("analyze",  "one layer's cost under one dataflow",    ANALYZE,      cmd_analyze),
+        Command::new("model",    "a whole model's cost",                   MODEL_COST,   cmd_model),
+        Command::new("dse",      "sweep the hardware design space",        DSE,          cmd_dse),
+        Command::new("validate", "check the model against the simulator",  VALIDATE,     cmd_validate),
+        Command::new("conform",  "fuzz the model against the simulator",   CONFORM,      cmd_conform),
+        Command::new("serve",    "serve analyses over HTTP",               SERVE,        cmd_serve),
+        Command::new("mapping",  "each PE's data at one time step",        MAPPING,      cmd_mapping),
+        Command::new("explain",  "the reuse a dataflow exposes, per level", LAYER_ON_ACC, cmd_explain),
+        Command::new("lint",     "warnings on a dataflow's mapping",       LAYER_ON_ACC, cmd_lint),
+        Command::new("trace",    "the simulator's step trace",             SIM_TRACE,    cmd_trace),
+        TRACE_EXPLORER,
+        Command::new("tune",     "auto-tune each layer's dataflow",        TUNE,         cmd_tune),
+        Command::new("zoo",      "the zoo models and their sizes",         &[],          cmd_zoo),
+        HELP,
+    ];
+    pub const TRACE_EXPLORER: Command = Command {
+        args: &["[<id>]"],
+        ..Command::new("trace", "request traces from a daemon or a dump", TRACE_FROM, cmd_trace_explorer)
+    };
+    pub const HELP: Command = Command::new("help", "print this text", &[], cmd_help);
+
+    /// `maestro figures <name>`: the paper's tables and figures.
+    pub const FIGURES: [Command; 15] = [
+        Command::new("table1",    "Table 1: reuse opportunities by mapping",    &[], |_| figure(b::table1)),
+        Command::new("table2",    "Table 2: hardware for each reuse class",     &[], |_| figure(b::table2)),
+        Command::new("table3",    "Table 3: the five dataflow styles",          &[], |_| figure(b::table3)),
+        Command::new("table4",    "Table 4: operator classes in the zoo",       &[], |_| figure(b::table4)),
+        Command::new("table5",    "Table 5: impact of NoC and reuse support",   &[], |_| figure(b::table5)),
+        Command::new("fig5",      "Figure 5: the 1-D convolution playground",   &[], |_| figure(b::fig5)),
+        Command::new("fig6",      "Figure 6: row-stationary mapping on 6 PEs",  &[], |_| figure(b::fig6)),
+        Command::new("fig9",      "Figure 9: model vs step simulator (~30 s)",  &[], |_| figure(b::fig9)),
+        Command::new("fig10",     "Figure 10: five dataflows on five DNNs",     &[], |_| figure(b::fig10)),
+        Command::new("fig11",     "Figure 11: reuse factors and NoC bandwidth", &[], |_| figure(b::fig11)),
+        Command::new("fig12",     "Figure 12: energy breakdown",                &[], |_| figure(b::fig12)),
+        Command::new("fig13",     "Figure 13: design-space exploration",        &[], |_| figure(b::fig13)),
+        Command::new("sweep",     "§5.2: throughput vs NoC BW, DRAM vs L2",     &[], |_| figure(b::sweep)),
+        Command::new("scale",     "throughput and utilization vs PE count",     &[], |_| figure(b::scale)),
+        Command::new("dse_model", "whole-model DSE with per-layer tuning",      DSE_MODEL, cmd_dse_model),
+    ];
+
+    const MODEL: Flag = Flag::new("model", Text, "vgg16", "zoo model, or a network description file");
+    const LAYER: Flag = Flag::new("layer", Text, "", "layer of the model (required)");
+    const DATAFLOW: Flag = Flag::new("dataflow", Text, "KC-P", "Table 3 style, or a dataflow file");
+    const PES: Flag = Flag::new("pes", Int, "256", "processing elements");
+    const BW: Flag = Flag::new("bw", Int, "32", "NoC bandwidth, elements per cycle");
+    const L1: Flag = Flag::new("l1", Int, "2048", "L1 bytes per PE");
+    const L2: Flag = Flag::new("l2", Int, "1048576", "shared L2 bytes");
+    const JSON: Flag = Flag::new("json", Bool, "", "print JSON");
+    const MAX_SECONDS: Flag = Flag::new("max-seconds", Secs, "0", "stop gracefully after this long; 0 = never");
+
+    const ANALYZE: &[Flag] = &[MODEL, LAYER, DATAFLOW, PES, BW, L1, L2, JSON];
+    const LAYER_ON_ACC: &[Flag] = &[MODEL, LAYER, DATAFLOW, PES, BW, L1, L2];
+    const VALIDATE: &[Flag] = &[MODEL, DATAFLOW, PES, BW, L1, L2];
+    const MODEL_COST: &[Flag] = &[MODEL, DATAFLOW, PES, BW, L1, L2, JSON,
+        Flag::new("adaptive", Bool, "", "the fastest style per layer, not --dataflow"),
+    ];
+    const TUNE: &[Flag] = &[MODEL, PES, BW, L1, L2, JSON,
+        Flag::new("objective", Text, "runtime", "runtime, energy or edp"),
+    ];
+    const MAPPING: &[Flag] = &[MODEL, LAYER,
+        Flag::new("dataflow", Text, "YR-P", "Table 3 style, or a dataflow file"),
+        Flag::new("pes",      Int,  "6",    "processing elements"),
+        Flag::new("step",     Int,  "0",    "time step"),
+    ];
+    const SIM_TRACE: &[Flag] = &[MODEL, LAYER, DATAFLOW, PES,
+        Flag::new("steps", Int, "16", "steps to show"),
+    ];
+    const TRACE_FROM: &[Flag] = &[
+        Flag::new("from",   Text, "", "fetch /debug/traces from a daemon (host:port)"),
+        Flag::new("file",   Text, "", "read a saved trace dump instead"),
+        Flag::new("folded", Bool, "", "collapsed stacks for flamegraph scripts"),
+    ];
+    const DSE: &[Flag] = &[MODEL, LAYER,
+        Flag::new("style",           Text, "KC-P", "Table 3 style whose mappings to sweep"),
+        JSON,
+        Flag::new("checkpoint",      Text, "",     "write a resumable checkpoint to this path"),
+        Flag::new("checkpoint-secs", Secs, "5",    "seconds between checkpoints; 0 = final only"),
+        Flag::new("resume",          Text, "",     "resume from a checkpoint, skipping done units"),
+        MAX_SECONDS,
+        Flag::new("inject",          Text, "",     "fault plan, e.g. panic:0.01,delay:50ms:0.05"),
+        Flag::new("inject-seed",     Int,  "0",    "seed of the fault plan"),
+        Flag::new("progress",        Bool, "",     "stderr progress line with units/s and ETA"),
+        Flag::new("trace-sample",    Text, "",     "record 1 in K unit traces (K or 1/K)"),
+        Flag::new("trace-seed",      Int,  "0",    "seed of the per-unit trace IDs"),
+        Flag::new("trace-out",       Text, "",     "dump the recorded unit traces as JSON (- = stdout)"),
+    ];
+    /// Without a flag, `ConformConfig::default()` holds.
+    const CONFORM: &[Flag] = &[
+        Flag::new("seed",        Int, "", "seed of the generated cases"),
+        Flag::new("cases",       Int, "", "cases to generate"),
+        Flag::new("max-steps",   Int, "", "skip cases over this many simulator steps"),
+        Flag::new("tol-runtime", Num, "", "runtime tolerance, %"),
+        Flag::new("tol-l1",      Num, "", "L1 traffic tolerance, %"),
+        Flag::new("tol-l2",      Num, "", "L2 traffic tolerance, %"),
+        Flag::new("tol-util",    Num, "", "utilization tolerance, absolute"),
+        Flag::new("tol-macs",    Num, "", "model MAC-count tolerance, %"),
+        MAX_SECONDS, JSON,
+    ];
+    /// Without a flag, `ServeConfig::default()` holds.
+    const SERVE: &[Flag] = &[
+        Flag::new("addr",                Text, "", "bind address; port 0 picks a free port"),
+        Flag::new("workers",             Int,  "", "worker threads"),
+        Flag::new("queue-depth",         Int,  "", "admission queue bound; a full queue sheds 503"),
+        Flag::new("default-deadline-ms", Int,  "", "deadline of a request without deadline_ms"),
+        Flag::new("drain-seconds",       Secs, "", "drain budget after SIGTERM/SIGINT"),
+        Flag::new("io-timeout",          Secs, "", "socket read/write timeout (> 0)"),
+        Flag::new("max-body-bytes",      Int,  "", "request body cap; 413 beyond it"),
+        Flag::new("shards",              Int,  "", "shared analysis-cache shards"),
+        Flag::new("memo-cap",            Int,  "", "reports kept per cache shard; 0 = unbounded"),
+        Flag::new("test-endpoints",      Bool, "", "enable POST /v1/panic (tests only)"),
+        Flag::new("access-log",          Text, "", "JSONL per-request log (- = stdout)"),
+        Flag::new("trace-capacity",      Int,  "", "flight-recorder ring size"),
+        Flag::new("trace-sample",        Text, "", "keep 1 in K healthy requests (K or 1/K)"),
+        Flag::new("trace-slow-ms",       Int,  "", "keep every request at least this slow"),
+        Flag::new("trace-seed",          Int,  "", "fixed trace-ID seed (default: the clock)"),
+        Flag::new("chaos",               Text, "", "seeded faults, e.g. stall:5ms:0.05"),
+        Flag::new("chaos-seed",          Int,  "", "seed of the chaos plan"),
+        MAX_SECONDS,
+    ];
+    const DSE_MODEL: &[Flag] = &[
+        Flag::new("model", Text, "alexnet", "zoo model, or a network description file"),
+    ];
+    /// Every command takes these; `write_observability` reads them after
+    /// the command ran.
+    pub const OBS: &[Flag] = &[
+        Flag::new("metrics",    Text, "", "dump the metrics registry, Prometheus text (- = stdout)"),
+        Flag::new("trace-json", Text, "", "collect spans, dump them as JSON lines (- = stdout)"),
+    ];
+}
+
+/// The usage text, generated from the command and flag tables.
+fn usage() -> String {
+    let mut s = String::from(
+        "maestro — data-centric DNN dataflow cost model\n\n\
+         USAGE: maestro <command> [--<flag> [<value>]]...\n",
+    );
+    for c in COMMANDS {
+        let args: String = c.args.iter().map(|a| format!(" {a}")).collect();
+        s += &format!("\n  maestro {}{args} — {}\n", c.name, c.about);
+        c.flags.iter().for_each(|f| s += &f.usage());
+    }
+    s += "\n  maestro figures <name> — regenerate one of the paper's tables or figures\n";
+    for f in FIGURES {
+        s += &format!("      {:<28}{}\n", f.name, f.about);
+        f.flags
+            .iter()
+            .for_each(|f| s += &format!("  {}", f.usage()));
+    }
+    s += "\nEvery command also takes:\n";
+    OBS.iter().for_each(|f| s += &f.usage());
+    let zoo: Vec<&str> = zoo::NAMED.iter().map(|(names, _)| names[0]).collect();
+    let styles: Vec<&str> = Style::ALL.iter().map(|s| s.short_name()).collect();
+    s += &format!(
+        "      MAESTRO_LOG=<level>         stderr diagnostics: error|warn|info|debug|trace (default off)\n\n\
+         Zoo models: {}\n(--model also accepts a path to a network description file)\n\
+         Styles (Table 3): {}\n\n\
+         Exit codes:\n  \
+         0 ok   1 other   2 usage   3 parse error / corrupt checkpoint   4 unresolvable mapping\n  \
+         5 analysis failure   6 conformance divergence   7 interrupted (partial results written)\n",
+        zoo.join(" "),
+        styles.join(" ")
+    );
+    s
+}
+
+fn cmd_help(_: &Args) -> Result<(), CliError> {
+    out!("{}", usage())
+}
+
+/// Run a figure's writer on stdout; a closed stdout ends it quietly, as
+/// it ends [`out!`].
+fn figure(write: fn(&mut dyn std::io::Write) -> std::io::Result<()>) -> Result<(), CliError> {
+    write(&mut std::io::stdout().lock()).map_err(stdout_error)
+}
+
+fn cmd_dse_model(args: &Args) -> Result<(), CliError> {
+    let model = load_model(args.text("model"))?;
+    maestro_bench::dse_model(&model, &mut std::io::stdout().lock()).map_err(stdout_error)
 }
 
 /// Emit the observability artifacts the user asked for: `--metrics
@@ -212,7 +426,7 @@ fn write_observability(args: &Args) -> Result<(), CliError> {
                 .map_err(|e| CliError::usage(format!("writing {what} to {dest}: {e}")))
         }
     };
-    let metrics_dest = args.get("metrics", "");
+    let metrics_dest = args.text("metrics");
     if !metrics_dest.is_empty() {
         write(
             metrics_dest,
@@ -220,7 +434,7 @@ fn write_observability(args: &Args) -> Result<(), CliError> {
             maestro_obs::registry().render_prometheus(),
         )?;
     }
-    let trace_dest = args.get("trace-json", "");
+    let trace_dest = args.text("trace-json");
     if !trace_dest.is_empty() {
         maestro_obs::span::disable();
         let events = maestro_obs::span::drain();
@@ -228,81 +442,6 @@ fn write_observability(args: &Args) -> Result<(), CliError> {
     }
     Ok(())
 }
-
-const USAGE: &str = "\
-maestro — data-centric DNN dataflow cost model
-
-USAGE:
-  maestro analyze  --model <zoo> --layer <name> --dataflow <style|file> --pes <n> [--bw <n>] [--json]
-  maestro model    --model <zoo> --dataflow <style|file> --pes <n> [--adaptive] [--json]
-  maestro dse      --model <zoo> --layer <name> --style <style> [--json]
-  maestro validate --model <zoo> --dataflow <style|file> --pes <n>
-  maestro conform  [--seed <n>] [--cases <n>] [--max-steps <n>] [--max-seconds <s>] [--tol-runtime <pct>] [--tol-l1 <pct>] [--tol-l2 <pct>] [--tol-util <abs>] [--tol-macs <pct>] [--json]
-  maestro serve    [--addr <host:port>] [--workers <n>] [--queue-depth <n>] [--drain-seconds <s>]
-  maestro mapping  --model <zoo> --layer <name> --dataflow <style|file> --pes <n> --step <t>
-  maestro explain  --model <zoo> --layer <name> --dataflow <style|file> --pes <n>
-  maestro lint     --model <zoo> --layer <name> --dataflow <style|file> --pes <n>
-  maestro trace    --model <zoo> --layer <name> --dataflow <style|file> --pes <n> [--steps <k>]
-  maestro trace    [<id>] --from <host:port> | --file <dump.json> [--folded]
-  maestro tune     --model <zoo> --pes <n> [--objective runtime|energy|edp] [--json]
-  maestro zoo
-
-Zoo models: vgg16 alexnet resnet50 resnext50 mobilenet_v2 unet dcgan deepspeech2 googlenet efficientnet_b0\n(--model also accepts a path to a Network description file)
-Styles (Table 3): C-P X-P YX-P YR-P KC-P
-
-Long-running sweeps (dse):
-  --checkpoint <path>        write a resumable checkpoint (atomic temp-file + rename)
-  --checkpoint-secs <s>      checkpoint every s seconds (default 5; 0 = off; a small value
-                             writes after nearly every unit; a final checkpoint is
-                             always written on graceful shutdown)
-  --resume <path>            resume from a checkpoint; completed units are skipped
-  --max-seconds <s>          stop gracefully after s seconds with partial results
-                             (conform and serve take it too)
-  --inject <spec>            deterministic fault injection, e.g. panic:0.01,delay:50ms:0.05,nofinite:0.001
-  --inject-seed <n>          seed for the fault plan (default 0)
-  --progress                 stderr progress line with units/s and ETA
-  --trace-sample <k|1/k>     record 1-in-k per-unit traces into the flight recorder
-                             (quarantined units are always kept)
-  --trace-seed <n>           seed for the deterministic per-unit trace IDs (default 0)
-  --trace-out <path|->       dump the recorded unit traces as JSON after the sweep
-
-Serving (serve):
-  --addr <host:port>         bind address (default 127.0.0.1:7433; port 0 picks a free port)
-  --workers <n>              worker threads (default 4)
-  --queue-depth <n>          admission queue bound; full queue sheds 503 + Retry-After (default 64)
-  --default-deadline-ms <n>  deadline for requests without deadline_ms (default 10000)
-  --drain-seconds <s>        drain budget after SIGTERM/SIGINT before in-flight
-                             requests are cancelled (default 5; forced drain exits 7)
-  --io-timeout <s>           socket read/write timeout, slow-loris guard (default 10; > 0)
-  --max-body-bytes <n>       request body cap, 413 beyond it (default 1048576)
-  --shards <n>               shared analysis-cache shards (default 8)
-  --memo-cap <n>             reports kept per analysis-cache shard (default 4096; 0 = unbounded)
-  --max-seconds <s>          self-terminate after s seconds (smoke tests)
-  --test-endpoints           enable POST /v1/panic (panic-isolation tests only)
-  --access-log <path|->      JSONL per-request log with phase attribution (- = stdout)
-  --trace-capacity <n>       flight-recorder ring size, last n kept traces (default 256)
-  --trace-sample <k|1/k>     keep 1-in-k healthy requests; 5xx/shed/504/slow are
-                             always kept (default 16)
-  --trace-slow-ms <n>        requests at least this slow are always kept (default 100)
-  --trace-seed <n>           fixed trace-ID seed (tests; default: from the clock)
-  --chaos <spec>             seeded serve-plane fault injection, e.g.
-                             read-err:0.02,write-err:0.02,write-delay:5ms:0.05,worker-panic:0.005,stall:5ms:0.05
-  --chaos-seed <n>           seed for the chaos plan (default 0)
-
-Trace explorer (trace --from/--file):
-  --from <host:port>         fetch /debug/traces (or /debug/traces/<id>) from a daemon
-  --file <path>              read a saved trace dump (e.g. dse --trace-out) instead
-  --folded                   collapsed-stack output for flamegraph scripts
-
-Observability (any command):
-  --metrics <path|->     dump the metrics registry (Prometheus text format)
-  --trace-json <path|->  collect spans and dump them as JSON lines
-  MAESTRO_LOG=<level>    stderr diagnostics: error|warn|info|debug|trace (default off)
-
-Exit codes:
-  0 ok   1 other   2 usage   3 parse error / corrupt checkpoint   4 unresolvable mapping
-  5 analysis failure   6 conformance divergence   7 interrupted (partial results written)
-";
 
 fn load_model(name: &str) -> Result<Model, CliError> {
     if let Some(m) = zoo::by_name(name, 1) {
@@ -330,7 +469,7 @@ fn load_dataflow(spec: &str) -> Result<Dataflow, CliError> {
 }
 
 fn pick_layer<'m>(model: &'m Model, args: &Args) -> Result<&'m Layer, CliError> {
-    let name = args.get("layer", "");
+    let name = args.text("layer");
     if name.is_empty() {
         return Err(CliError::usage("missing --layer"));
     }
@@ -340,28 +479,24 @@ fn pick_layer<'m>(model: &'m Model, args: &Args) -> Result<&'m Layer, CliError> 
 }
 
 fn accelerator(args: &Args) -> Result<Accelerator, CliError> {
-    let pes = args.get_u64("pes", 256).map_err(CliError::usage)?;
-    let bw = args.get_u64("bw", 32).map_err(CliError::usage)?;
+    let bw = args.u64("bw");
     if bw == 0 {
         return Err(CliError::usage("--bw must be a positive integer"));
     }
-    let l1 = args.get_u64("l1", 2048).map_err(CliError::usage)?;
-    let l2 = args.get_u64("l2", 1 << 20).map_err(CliError::usage)?;
-    Ok(Accelerator::builder(pes)
+    Ok(Accelerator::builder(args.u64("pes"))
         .noc_bandwidth(bw)
-        .l1_bytes(l1)
-        .l2_bytes(l2)
+        .l1_bytes(args.u64("l1"))
+        .l2_bytes(args.u64("l2"))
         .build())
 }
 
 fn cmd_analyze(args: &Args) -> Result<(), CliError> {
-    let json = args.flag("json").map_err(CliError::usage)?;
-    let model = load_model(args.get("model", "vgg16"))?;
+    let model = load_model(args.text("model"))?;
     let layer = pick_layer(&model, args)?;
-    let df = load_dataflow(args.get("dataflow", "KC-P"))?;
+    let df = load_dataflow(args.text("dataflow"))?;
     let acc = accelerator(args)?;
     let report = analyze(layer, &df, &acc)?;
-    if json {
+    if args.flag("json") {
         outln!(
             "{}",
             serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
@@ -385,10 +520,9 @@ fn cmd_analyze(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_model(args: &Args) -> Result<(), CliError> {
-    let json = args.flag("json").map_err(CliError::usage)?;
-    let model = load_model(args.get("model", "vgg16"))?;
+    let model = load_model(args.text("model"))?;
     let acc = accelerator(args)?;
-    let report = if args.flag("adaptive").map_err(CliError::usage)? {
+    let report = if args.flag("adaptive") {
         // The fastest style per layer; KC-P where no style maps.
         let styles: Vec<Dataflow> = Style::ALL.iter().map(|s| s.dataflow()).collect();
         analyze_model_with(&model, &acc, |layer| {
@@ -396,11 +530,11 @@ fn cmd_model(args: &Args) -> Result<(), CliError> {
                 .map_or_else(|| Style::KCP.dataflow(), |t| t.dataflow)
         })
     } else {
-        let df = load_dataflow(args.get("dataflow", "KC-P"))?;
+        let df = load_dataflow(args.text("dataflow"))?;
         analyze_model(&model, &df, &acc)
     }
     .map_err(CliError::from)?;
-    if json {
+    if args.flag("json") {
         outln!(
             "{}",
             serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
@@ -445,24 +579,20 @@ fn session_ctl(args: &Args) -> Result<(maestro_dse::SessionCtl, bool), CliError>
         token: maestro_dse::CancelToken::new(),
         ..Default::default()
     };
-    let max_seconds = args
-        .get_secs("max-seconds", Duration::ZERO)
-        .map_err(CliError::usage)?;
+    let max_seconds = args.secs("max-seconds");
     if !max_seconds.is_zero() {
         ctl.token.set_deadline_in(max_seconds);
     }
-    let ckpt = args.get("checkpoint", "");
+    let ckpt = args.text("checkpoint");
     if !ckpt.is_empty() {
         ctl.checkpoint_path = Some(PathBuf::from(ckpt));
     }
     // Periodic checkpoints are time-based (every 5 s by default, bounding
     // overhead on any workload); 0 leaves only the final checkpoint on
     // shutdown, which is unconditional.
-    let ckpt_every = args
-        .get_secs("checkpoint-secs", Duration::from_secs(5))
-        .map_err(CliError::usage)?;
+    let ckpt_every = args.secs("checkpoint-secs");
     ctl.checkpoint_every = (!ckpt_every.is_zero()).then_some(ckpt_every);
-    let resume = args.get("resume", "");
+    let resume = args.text("resume");
     let resumed = !resume.is_empty();
     if resumed {
         let cp =
@@ -475,18 +605,17 @@ fn session_ctl(args: &Args) -> Result<(maestro_dse::SessionCtl, bool), CliError>
         }
         ctl.resume = Some(cp);
     }
-    let inject = args.get("inject", "");
-    let inject_seed = args.get_u64("inject-seed", 0).map_err(CliError::usage)?;
+    let inject = args.text("inject");
     if !inject.is_empty() {
-        ctl.faults = maestro_dse::FaultPlan::parse(inject, inject_seed)
+        ctl.faults = maestro_dse::FaultPlan::parse(inject, args.u64("inject-seed"))
             .map_err(|e| CliError::usage(format!("--inject: {e}")))?;
     }
-    let trace_sample = args.get("trace-sample", "");
-    ctl.trace_seed = args.get_u64("trace-seed", 0).map_err(CliError::usage)?;
+    let trace_sample = args.text("trace-sample");
+    ctl.trace_seed = args.u64("trace-seed");
     if !trace_sample.is_empty() {
         ctl.trace_sample = Some(parse_sample(trace_sample)?);
     }
-    if args.flag("progress").map_err(CliError::usage)? {
+    if args.flag("progress") {
         // The observer fires once per unit run in this session, so its
         // call count over its own clock is the session's unit rate.
         let start = Instant::now();
@@ -518,15 +647,13 @@ fn parse_sample(spec: &str) -> Result<u64, CliError> {
 }
 
 fn cmd_dse(args: &Args) -> Result<(), CliError> {
-    let model = load_model(args.get("model", "vgg16"))?;
+    let model = load_model(args.text("model"))?;
     let layer = pick_layer(&model, args)?;
-    let style_name = args.get("style", "KC-P");
+    let style_name = args.text("style");
     let style = Style::from_name(style_name)
         .ok_or_else(|| CliError::usage(format!("unknown style `{style_name}`")))?;
     let (ctl, resumed) = session_ctl(args)?;
-    let trace_out = args.get("trace-out", "");
-    let json = args.flag("json").map_err(CliError::usage)?;
-    refuse_unread(args, "dse")?;
+    let trace_out = args.text("trace-out");
     let explorer = maestro_dse::Explorer::new(maestro_dse::SweepSpace::standard());
     let (result, session) = explorer
         .explore_session(layer, &maestro_dse::variants::variants(style), &ctl)
@@ -564,7 +691,7 @@ fn cmd_dse(args: &Args) -> Result<(), CliError> {
             ),
         )
     });
-    if json {
+    if args.flag("json") {
         outln!(
             "{}",
             serde_json::to_string_pretty(&result).map_err(|e| e.to_string())?
@@ -645,10 +772,17 @@ fn cmd_dse(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_validate(args: &Args) -> Result<(), CliError> {
-    let model = load_model(args.get("model", "vgg16"))?;
-    let df = load_dataflow(args.get("dataflow", "KC-P"))?;
+    let model = load_model(args.text("model"))?;
+    let df = load_dataflow(args.text("dataflow"))?;
     let acc = accelerator(args)?;
     let (points, mean) = validate_network(&model, &df, &acc, SimOptions::default());
+    if points.is_empty() {
+        // A mean over no layers would read as a perfect 0% error.
+        return Err(CliError::resolve(format!(
+            "no layer of {} validated: each failed to map or exceeded the simulator's step budget",
+            model.name
+        )));
+    }
     for p in &points {
         outln!("{p}")?;
     }
@@ -660,30 +794,17 @@ fn cmd_validate(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_conform(args: &Args) -> Result<(), CliError> {
-    let json = args.flag("json").map_err(CliError::usage)?;
     let d = maestro_sim::ConformConfig::default();
     let cfg = maestro_sim::ConformConfig {
-        seed: args.get_u64("seed", d.seed).map_err(CliError::usage)?,
-        cases: args.get_u64("cases", d.cases).map_err(CliError::usage)?,
-        max_steps: args
-            .get_u64("max-steps", d.max_steps)
-            .map_err(CliError::usage)?,
+        seed: args.given_or("seed", Args::u64, d.seed),
+        cases: args.given_or("cases", Args::u64, d.cases),
+        max_steps: args.given_or("max-steps", Args::u64, d.max_steps),
         tol: maestro_sim::Tolerances {
-            runtime_pct: args
-                .get_f64("tol-runtime", d.tol.runtime_pct)
-                .map_err(CliError::usage)?,
-            l1_pct: args
-                .get_f64("tol-l1", d.tol.l1_pct)
-                .map_err(CliError::usage)?,
-            l2_pct: args
-                .get_f64("tol-l2", d.tol.l2_pct)
-                .map_err(CliError::usage)?,
-            utilization_abs: args
-                .get_f64("tol-util", d.tol.utilization_abs)
-                .map_err(CliError::usage)?,
-            model_macs_pct: args
-                .get_f64("tol-macs", d.tol.model_macs_pct)
-                .map_err(CliError::usage)?,
+            runtime_pct: args.given_or("tol-runtime", Args::f64, d.tol.runtime_pct),
+            l1_pct: args.given_or("tol-l1", Args::f64, d.tol.l1_pct),
+            l2_pct: args.given_or("tol-l2", Args::f64, d.tol.l2_pct),
+            utilization_abs: args.given_or("tol-util", Args::f64, d.tol.utilization_abs),
+            model_macs_pct: args.given_or("tol-macs", Args::f64, d.tol.model_macs_pct),
         },
     };
     // `conform` is the other long-running command: it honors the same
@@ -691,14 +812,12 @@ fn cmd_conform(args: &Args) -> Result<(), CliError> {
     // with a partial (but fully reported) sweep when cut short.
     signal::install_interrupt_handlers();
     let token = maestro_obs::CancelToken::new();
-    let max_seconds = args
-        .get_secs("max-seconds", Duration::ZERO)
-        .map_err(CliError::usage)?;
+    let max_seconds = args.secs("max-seconds");
     if !max_seconds.is_zero() {
         token.set_deadline_in(max_seconds);
     }
     let report = maestro_sim::run_conform_cancellable(&cfg, &token);
-    if json {
+    if args.flag("json") {
         outln!(
             "{}",
             serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
@@ -770,65 +889,36 @@ fn cmd_conform(args: &Args) -> Result<(), CliError> {
 /// [`maestro_serve::ServeConfig::default`]'s unless its flag is given.
 fn serve_config(args: &Args) -> Result<maestro_serve::ServeConfig, CliError> {
     let d = maestro_serve::ServeConfig::default();
-    let millis = |key: &str, default: Duration| -> Result<Duration, CliError> {
-        let default = u64::try_from(default.as_millis()).unwrap_or(u64::MAX);
-        Ok(Duration::from_millis(
-            args.get_u64(key, default).map_err(CliError::usage)?,
-        ))
+    let millis = |name: &str, default: Duration| {
+        args.given_or(name, |a, n| Duration::from_millis(a.u64(n)), default)
     };
-    let text = |key: &str, default: Option<String>| {
-        let v = args.get(key, "");
-        if v.is_empty() {
-            default
-        } else {
-            Some(v.to_string())
-        }
+    let text = |name: &str, default: Option<String>| match args.text(name) {
+        "" => default,
+        v => Some(v.to_string()),
     };
-    let trace_sample = args.get("trace-sample", "");
+    let trace_sample = args.text("trace-sample");
     Ok(maestro_serve::ServeConfig {
-        addr: args.get("addr", &d.addr).to_string(),
-        workers: args
-            .get_usize("workers", d.workers)
-            .map_err(CliError::usage)?,
-        queue_depth: args
-            .get_usize("queue-depth", d.queue_depth)
-            .map_err(CliError::usage)?,
-        default_deadline: millis("default-deadline-ms", d.default_deadline)?,
-        drain_deadline: args
-            .get_secs("drain-seconds", d.drain_deadline)
-            .map_err(CliError::usage)?,
-        max_body_bytes: args
-            .get_usize("max-body-bytes", d.max_body_bytes)
-            .map_err(CliError::usage)?,
-        io_timeout: args
-            .get_secs("io-timeout", d.io_timeout)
-            .map_err(CliError::usage)?,
-        memo_cap: args
-            .get_usize("memo-cap", d.memo_cap)
-            .map_err(CliError::usage)?,
-        shards: args
-            .get_usize("shards", d.shards)
-            .map_err(CliError::usage)?,
-        test_endpoints: args.flag("test-endpoints").map_err(CliError::usage)? || d.test_endpoints,
+        addr: args.given_or("addr", Args::text, &d.addr).to_string(),
+        workers: args.given_or("workers", Args::usize, d.workers),
+        queue_depth: args.given_or("queue-depth", Args::usize, d.queue_depth),
+        default_deadline: millis("default-deadline-ms", d.default_deadline),
+        drain_deadline: args.given_or("drain-seconds", Args::secs, d.drain_deadline),
+        max_body_bytes: args.given_or("max-body-bytes", Args::usize, d.max_body_bytes),
+        io_timeout: args.given_or("io-timeout", Args::secs, d.io_timeout),
+        memo_cap: args.given_or("memo-cap", Args::usize, d.memo_cap),
+        shards: args.given_or("shards", Args::usize, d.shards),
+        test_endpoints: args.flag("test-endpoints") || d.test_endpoints,
         access_log: text("access-log", d.access_log),
-        trace_capacity: args
-            .get_usize("trace-capacity", d.trace_capacity)
-            .map_err(CliError::usage)?,
+        trace_capacity: args.given_or("trace-capacity", Args::usize, d.trace_capacity),
         trace_sample: if trace_sample.is_empty() {
             d.trace_sample
         } else {
             parse_sample(trace_sample)?
         },
-        trace_slow: millis("trace-slow-ms", d.trace_slow)?,
-        trace_seed: if args.get("trace-seed", "").is_empty() {
-            d.trace_seed
-        } else {
-            Some(args.get_u64("trace-seed", 0).map_err(CliError::usage)?)
-        },
+        trace_slow: millis("trace-slow-ms", d.trace_slow),
+        trace_seed: args.given_or("trace-seed", |a, n| Some(a.u64(n)), d.trace_seed),
         chaos: text("chaos", d.chaos),
-        chaos_seed: args
-            .get_u64("chaos-seed", d.chaos_seed)
-            .map_err(CliError::usage)?,
+        chaos_seed: args.given_or("chaos-seed", Args::u64, d.chaos_seed),
     })
 }
 
@@ -843,13 +933,10 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     // token observes — tripping it starts the drain.
     signal::install_interrupt_handlers();
     let shutdown = maestro_obs::CancelToken::new();
-    let max_seconds = args
-        .get_secs("max-seconds", Duration::ZERO)
-        .map_err(CliError::usage)?;
+    let max_seconds = args.secs("max-seconds");
     if !max_seconds.is_zero() {
         shutdown.set_deadline_in(max_seconds);
     }
-    refuse_unread(args, "serve")?;
     let requested = cfg.addr.clone();
     let server = maestro_serve::Server::bind(cfg)
         .map_err(|e| CliError::usage(format!("cannot bind {requested}: {e}")))?;
@@ -872,11 +959,11 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_mapping(args: &Args) -> Result<(), CliError> {
-    let model = load_model(args.get("model", "vgg16"))?;
+    let model = load_model(args.text("model"))?;
     let layer = pick_layer(&model, args)?;
-    let df = load_dataflow(args.get("dataflow", "YR-P"))?;
-    let pes = args.get_u64("pes", 6).map_err(CliError::usage)?;
-    let step = args.get_u64("step", 0).map_err(CliError::usage)?;
+    let df = load_dataflow(args.text("dataflow"))?;
+    let pes = args.u64("pes");
+    let step = args.u64("step");
     let maps =
         mapping_at_step(layer, &df, pes, step).map_err(|e| CliError::analysis(e.to_string()))?;
     outln!("{} / {} / {} PEs / t={step}", layer.name, df.name(), pes)?;
@@ -894,9 +981,9 @@ fn cmd_mapping(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_explain(args: &Args) -> Result<(), CliError> {
-    let model = load_model(args.get("model", "vgg16"))?;
+    let model = load_model(args.text("model"))?;
     let layer = pick_layer(&model, args)?;
-    let df = load_dataflow(args.get("dataflow", "KC-P"))?;
+    let df = load_dataflow(args.text("dataflow"))?;
     let acc = accelerator(args)?;
     let explanation =
         maestro_core::explain(layer, &df, &acc).map_err(|e| CliError::resolve(e.to_string()))?;
@@ -905,9 +992,9 @@ fn cmd_explain(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_lint(args: &Args) -> Result<(), CliError> {
-    let model = load_model(args.get("model", "vgg16"))?;
+    let model = load_model(args.text("model"))?;
     let layer = pick_layer(&model, args)?;
-    let df = load_dataflow(args.get("dataflow", "KC-P"))?;
+    let df = load_dataflow(args.text("dataflow"))?;
     let acc = accelerator(args)?;
     let lints =
         maestro_core::lint(layer, &df, &acc).map_err(|e| CliError::resolve(e.to_string()))?;
@@ -921,22 +1008,14 @@ fn cmd_lint(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `maestro trace` is two tools behind one name. With `--from` (a
-/// daemon's `/debug/traces`) or `--file` (a saved dump) it is the
-/// request-trace explorer: a listing, an ASCII waterfall per trace, or
-/// `--folded` collapsed stacks for flamegraph scripts. Otherwise it is
-/// the original simulator step trace (`--model/--layer/...`).
+/// `maestro trace` without `--from` or `--file`: the simulator's step
+/// trace.
 fn cmd_trace(args: &Args) -> Result<(), CliError> {
-    let from = args.get("from", "");
-    let file = args.get("file", "");
-    if !from.is_empty() || !file.is_empty() {
-        return cmd_trace_explorer(args, from, file);
-    }
-    let model = load_model(args.get("model", "vgg16"))?;
+    let model = load_model(args.text("model"))?;
     let layer = pick_layer(&model, args)?;
-    let df = load_dataflow(args.get("dataflow", "KC-P"))?;
-    let pes = args.get_u64("pes", 256).map_err(CliError::usage)?;
-    let steps = args.get_u64("steps", 16).map_err(CliError::usage)?;
+    let df = load_dataflow(args.text("dataflow"))?;
+    let pes = args.u64("pes");
+    let steps = args.u64("steps");
     let t = maestro_sim::trace(layer, &df, pes, steps)
         .map_err(|e| CliError::analysis(e.to_string()))?;
     outln!(
@@ -972,8 +1051,11 @@ fn cmd_trace(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_trace_explorer(args: &Args, from: &str, file: &str) -> Result<(), CliError> {
-    let folded = args.flag("folded").map_err(CliError::usage)?;
+/// `maestro trace --from <daemon>` or `--file <dump>`: the request-trace
+/// explorer. It prints a listing, an ASCII waterfall per trace, or
+/// `--folded` collapsed stacks for flamegraph scripts.
+fn cmd_trace_explorer(args: &Args) -> Result<(), CliError> {
+    let (from, file) = (args.text("from"), args.text("file"));
     let id = args.positional(0).unwrap_or_default();
     let text = if !from.is_empty() {
         let path = if id.is_empty() {
@@ -995,7 +1077,7 @@ fn cmd_trace_explorer(args: &Args, from: &str, file: &str) -> Result<(), CliErro
             return Err(CliError::usage(format!("no trace matching `{id}`")));
         }
     }
-    if folded {
+    if args.flag("folded") {
         for t in &traces {
             out!("{}", trace_view::folded(t))?;
         }
@@ -1022,18 +1104,18 @@ fn cmd_trace_explorer(args: &Args, from: &str, file: &str) -> Result<(), CliErro
 }
 
 fn cmd_tune(args: &Args) -> Result<(), CliError> {
-    let json = args.flag("json").map_err(CliError::usage)?;
-    let model = load_model(args.get("model", "vgg16"))?;
+    let model = load_model(args.text("model"))?;
     let acc = accelerator(args)?;
     let em = EnergyModel::cacti_28nm(acc.l1_bytes, acc.l2_bytes);
-    let objective = match args.get("objective", "runtime") {
+    let objective = match args.text("objective") {
         "runtime" => maestro_dse::Objective::Runtime,
         "energy" => maestro_dse::Objective::Energy(em),
         "edp" => maestro_dse::Objective::Edp(em),
         other => return Err(CliError::usage(format!("unknown objective `{other}`"))),
     };
-    let tuned = maestro_dse::tune_model(&model, &acc, objective);
-    if json {
+    let tuned = maestro_dse::tune_model(&model, &acc, objective)
+        .map_err(|e| CliError::resolve(e.to_string()))?;
+    if args.flag("json") {
         outln!(
             "{}",
             serde_json::to_string_pretty(&tuned).map_err(|e| e.to_string())?
@@ -1063,23 +1145,12 @@ fn cmd_tune(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_zoo() -> Result<(), CliError> {
-    for name in [
-        "vgg16",
-        "alexnet",
-        "resnet50",
-        "resnext50",
-        "mobilenet_v2",
-        "unet",
-        "dcgan",
-        "deepspeech2",
-        "googlenet",
-        "efficientnet_b0",
-    ] {
-        let m = load_model(name)?;
+fn cmd_zoo(_: &Args) -> Result<(), CliError> {
+    for (names, build) in zoo::NAMED {
+        let m = build(1);
         outln!(
             "{:<13} {:>3} layers, {:>14} MACs",
-            name,
+            names[0],
             m.len(),
             m.total_macs()
         )?;
@@ -1091,8 +1162,55 @@ fn cmd_zoo() -> Result<(), CliError> {
 mod tests {
     use super::*;
 
+    /// `line` parsed as `maestro` parses its command line.
     fn args(line: &str) -> Args {
-        Args::parse(line.split_whitespace().map(String::from))
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&argv).map_err(|e| e.message).expect("valid flags").1
+    }
+
+    /// Each command's name and every flag it takes.
+    fn tables() -> impl Iterator<Item = (&'static str, Vec<&'static Flag>)> {
+        COMMANDS
+            .into_iter()
+            .chain(FIGURES)
+            .map(|c| (c.name, c.flags.iter().chain(OBS).collect()))
+    }
+
+    #[test]
+    fn the_help_text_names_every_command_and_every_flag_in_every_table() {
+        let usage = usage();
+        assert!(usage.contains("USAGE"), "{usage}");
+        for (command, flags) in tables() {
+            assert!(
+                usage.contains(command),
+                "{command} is missing from:\n{usage}"
+            );
+            for f in flags {
+                let flag = format!("--{}", f.name);
+                assert!(
+                    usage.contains(&flag),
+                    "{command}'s {flag} is missing from:\n{usage}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn no_table_declares_a_flag_twice_and_every_default_is_of_its_kind() {
+        for (command, flags) in tables() {
+            for (i, f) in flags.iter().enumerate() {
+                assert!(
+                    flags[..i].iter().all(|g| g.name != f.name),
+                    "{command} declares --{} twice",
+                    f.name
+                );
+                if !f.default.is_empty() {
+                    let argv = [format!("--{}", f.name), f.default.to_string()];
+                    Args::parse(command, flags.iter().copied(), 0, &argv)
+                        .unwrap_or_else(|e| panic!("{command}'s default: {e}"));
+                }
+            }
+        }
     }
 
     #[test]

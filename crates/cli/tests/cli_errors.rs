@@ -2,11 +2,12 @@
 //! user error maps to its documented exit code with a rendered diagnostic
 //! on stderr (never a panic backtrace):
 //!
-//! - 2 `Usage`       — unknown command, bad flag value, unreadable input,
-//!   a flag or positional argument `serve` or `dse` does not take, a
-//!   value given to a boolean flag
+//! - 2 `Usage`       — unknown command or figure, bad flag value,
+//!   unreadable input, a flag or positional argument the command does not
+//!   take, a value given to a boolean flag
 //! - 3 `Parse`       — malformed dataflow (`.m`/`.df`) or network file
-//! - 4 `Resolve`     — dataflow does not resolve onto the layer/accelerator
+//! - 4 `Resolve`     — dataflow does not resolve onto the layer/accelerator,
+//!   or no layer of a model maps (`tune`) or validates (`validate`)
 //! - 5 `Analysis`    — the cost model itself rejected the configuration
 //! - 6 `Conformance` — `conform` found model-vs-simulator divergences
 
@@ -314,26 +315,32 @@ fn bounded_run_drains_large_output() {
 /// the command quietly with exit 0, not with a broken-pipe panic (101).
 #[test]
 fn closed_stdout_ends_the_command_quietly() {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_maestro"))
-        .args([
+    let commands: [&[&str]; 2] = [
+        &[
             "dse", "--model", "vgg16", "--layer", "CONV2", "--style", "KC-P", "--json",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn maestro binary");
-    let mut head = [0u8; 10];
-    child
-        .stdout
-        .take()
-        .expect("piped stdout")
-        .read_exact(&mut head)
-        .expect("read the first bytes");
-    // The read end is dropped here, closed while maestro still writes.
-    let out = child.wait_with_output().expect("collect maestro output");
-    let err = stderr(&out);
-    assert_eq!(out.status.code(), Some(0), "{err}");
-    assert!(err.is_empty(), "{err}");
+        ],
+        &["figures", "dse_model", "--model", "alexnet"],
+    ];
+    for args in commands {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_maestro"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn maestro binary");
+        let mut head = [0u8; 10];
+        child
+            .stdout
+            .take()
+            .expect("piped stdout")
+            .read_exact(&mut head)
+            .expect("read the first bytes");
+        // The read end is dropped here, closed while maestro still writes.
+        let out = child.wait_with_output().expect("collect maestro output");
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        assert!(err.is_empty(), "{args:?}: {err}");
+    }
 }
 
 /// `dse` and `serve` refuse a positional argument they do not read, as
@@ -561,4 +568,181 @@ fn conform_clean_run_exits_0() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("0 diverged"), "{stdout}");
+}
+
+/// The figure names `maestro figures` lists when given none.
+fn figure_names() -> Vec<String> {
+    let out = maestro(&["figures"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    let err = stderr(&out);
+    let (_, names) = err.trim().rsplit_once(": ").expect("a list of names");
+    names.split(' ').map(String::from).collect()
+}
+
+/// Every subcommand and every figure refuses a flag it does not take
+/// with exit 2, naming the flag, before it does any work.
+#[test]
+fn every_command_and_every_figure_refuses_an_unknown_flag() {
+    let mut commands: Vec<Vec<String>> = [
+        "analyze", "model", "dse", "validate", "conform", "serve", "mapping", "explain", "lint",
+        "trace", "tune", "zoo", "help",
+    ]
+    .iter()
+    .map(|c| vec![c.to_string()])
+    .collect();
+    commands.push(vec!["trace".into(), "--file".into(), "dump.json".into()]);
+    let figures = figure_names();
+    assert_eq!(figures.len(), 15, "{figures:?}");
+    commands.extend(figures.into_iter().map(|f| vec!["figures".into(), f]));
+    for mut args in commands {
+        args.push("--bogus".into());
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let out = maestro_bounded(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        let command = if args[0] == "figures" {
+            args[1]
+        } else {
+            args[0]
+        };
+        assert!(
+            err.contains(&format!("{command} does not take --bogus")),
+            "{args:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: ran anyway");
+    }
+}
+
+/// A typo in a flag name, a stray word or a flag of the other `trace`
+/// mode exits 2 instead of running with settings the caller did not ask
+/// for.
+#[test]
+fn a_typo_or_a_stray_word_exits_2_instead_of_changing_the_answer() {
+    let cases: [(&[&str], &str); 5] = [
+        (
+            &[
+                "model",
+                "--model",
+                "vgg16",
+                "--dataflow",
+                "KC-P",
+                "--pes",
+                "256",
+                "--adaptve",
+            ],
+            "model does not take --adaptve",
+        ),
+        (
+            &["analyze", "--layer", "CONV2", "--pe", "64"],
+            "analyze does not take --pe",
+        ),
+        (
+            &["analyze", "--layer", "CONV2", "stray"],
+            "analyze does not take stray",
+        ),
+        (
+            &["figures", "dse_model", "--modle", "vgg16"],
+            "dse_model does not take --modle",
+        ),
+        (
+            &["trace", "--model", "vgg16", "--from", "127.0.0.1:9"],
+            "trace does not take --model",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = maestro_bounded(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(message), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}: ran anyway");
+    }
+}
+
+/// An unknown or missing figure name exits 2 and lists the figures.
+#[test]
+fn an_unknown_figure_exits_2_listing_the_figures() {
+    for args in [
+        &["figures", "fig99"][..],
+        &["figures", "dse_model_x", "--model", "vgg16"],
+    ] {
+        let out = maestro(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.contains(&format!("unknown figure `{}`", args[1])),
+            "{err}"
+        );
+        assert!(err.contains("table1") && err.contains("dse_model"), "{err}");
+    }
+    let out = maestro(&["figures", "dse_model", "--model", "nope"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+}
+
+/// `tune` on an accelerator no candidate maps onto exits 4 naming the
+/// layer, as `model --adaptive` does, instead of panicking.
+#[test]
+fn tune_with_no_mappable_candidate_exits_4() {
+    let out = maestro(&["tune", "--model", "alexnet", "--pes", "0"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(4), "{err}");
+    assert!(err.contains("layer CONV1"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+/// `validate` that validated no layer exits 4, rather than reporting a
+/// 0% mean error over 0 layers.
+#[test]
+fn validate_with_no_layer_validated_exits_4() {
+    let out = maestro(&[
+        "validate",
+        "--model",
+        "alexnet",
+        "--dataflow",
+        "YR-P",
+        "--pes",
+        "0",
+    ]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(4), "{err}");
+    assert!(err.contains("no layer of AlexNet validated"), "{err}");
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+/// Every figure but fig9 (about 30 s of simulation in a release build)
+/// runs through `maestro figures` and prints its table.
+#[test]
+fn every_figure_runs() {
+    for figure in figure_names().iter().filter(|f| *f != "fig9") {
+        let out = maestro_bounded(&["figures", figure]);
+        assert_eq!(out.status.code(), Some(0), "{figure}: {}", stderr(&out));
+        assert!(!out.stdout.is_empty(), "{figure} printed nothing");
+    }
+}
+
+/// Each command runs on a small input. A command that reads a flag its
+/// table does not declare panics in the read, so this pins every table
+/// to its command.
+#[test]
+fn every_command_reads_only_the_flags_it_declares() {
+    let cases: [&[&str]; 9] = [
+        &["model", "--model", "alexnet"],
+        &["model", "--model", "alexnet", "--adaptive", "--json"],
+        &["mapping", "--layer", "CONV1", "--pes", "6", "--step", "1"],
+        &["explain", "--layer", "CONV2"],
+        &["lint", "--layer", "CONV2"],
+        &["trace", "--layer", "CONV2", "--steps", "2"],
+        &["tune", "--model", "alexnet", "--objective", "edp", "--json"],
+        &["zoo"],
+        &["help"],
+    ];
+    for args in cases {
+        let out = maestro_bounded(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+        assert!(!out.stdout.is_empty(), "{args:?} printed nothing");
+    }
 }

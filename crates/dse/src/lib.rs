@@ -52,5 +52,5 @@ pub use explorer::{
 };
 pub use fault::{Fault, FaultPlan};
 pub use space::{Constraints, SpaceError, SweepSpace};
-pub use tuner::{tune_layer, tune_model, Objective, TunedLayer, TunedModel};
+pub use tuner::{tune_layer, tune_model, Objective, TunedLayer, TunedModel, Unmappable};
 pub use units::{unit_trace_draw, unit_trace_id, UnitOutcome};

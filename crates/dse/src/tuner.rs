@@ -135,26 +135,50 @@ pub fn tune_layer(
     })
 }
 
+/// A layer that no candidate dataflow maps onto the accelerator.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Unmappable {
+    /// The layer's name.
+    pub layer: String,
+}
+
+impl fmt::Display for Unmappable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "no candidate dataflow maps layer {} onto the accelerator",
+            self.layer
+        )
+    }
+}
+
+impl std::error::Error for Unmappable {}
+
 /// Tune every layer of a model with the default candidate set.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if some layer cannot be mapped by *any* candidate (the default
-/// set always contains single-level dataflows that map on ≥ 1 PE, so this
-/// indicates an invalid layer).
-pub fn tune_model(model: &Model, acc: &Accelerator, objective: Objective) -> TunedModel {
+/// [`Unmappable`] naming the first layer no candidate maps (the default
+/// set always contains single-level dataflows that map on ≥ 1 PE, so on
+/// a real accelerator this indicates an invalid layer).
+pub fn tune_model(
+    model: &Model,
+    acc: &Accelerator,
+    objective: Objective,
+) -> Result<TunedModel, Unmappable> {
     let candidates = default_candidates();
     let layers = model
         .iter()
         .map(|l| {
-            tune_layer(l, acc, objective, &candidates)
-                .unwrap_or_else(|| panic!("layer {} has no mappable candidate", l.name))
+            tune_layer(l, acc, objective, &candidates).ok_or_else(|| Unmappable {
+                layer: l.name.clone(),
+            })
         })
-        .collect();
-    TunedModel {
+        .collect::<Result<_, _>>()?;
+    Ok(TunedModel {
         model: model.name.clone(),
         layers,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -166,7 +190,7 @@ mod tests {
     fn tuned_beats_every_fixed_style() {
         let model = zoo::alexnet(1);
         let acc = Accelerator::builder(128).build();
-        let tuned = tune_model(&model, &acc, Objective::Runtime);
+        let tuned = tune_model(&model, &acc, Objective::Runtime).expect("every layer maps");
         for style in Style::ALL {
             let mut fixed = 0.0f64;
             for layer in model.iter() {
@@ -188,7 +212,7 @@ mod tests {
         // The tuner's value-add over per-style adaptivity: tile variants.
         let model = zoo::vgg16(1);
         let acc = Accelerator::paper_case_study();
-        let tuned = tune_model(&model, &acc, Objective::Runtime);
+        let tuned = tune_model(&model, &acc, Objective::Runtime).expect("every layer maps");
         let uses_variant = tuned.layers.iter().any(|l| l.dataflow.name().contains('['));
         assert!(uses_variant, "expected some tile-size variant to win");
     }
@@ -221,7 +245,7 @@ mod tests {
     fn tuned_model_reports_diversity() {
         let model = zoo::mobilenet_v2(1);
         let acc = Accelerator::paper_case_study();
-        let tuned = tune_model(&model, &acc, Objective::Runtime);
+        let tuned = tune_model(&model, &acc, Objective::Runtime).expect("every layer maps");
         assert!(
             tuned.distinct_dataflows() >= 2,
             "MobileNet mixes operator types"

@@ -17,7 +17,7 @@ fn main() {
         Objective::Energy(em),
         Objective::Edp(em),
     ] {
-        let tuned = tune_model(&model, &acc, objective);
+        let tuned = tune_model(&model, &acc, objective).expect("every ResNet-50 layer maps");
         println!(
             "{objective:>8}-tuned {}: {:.3e} cycles, {:.3e} pJ, {} distinct dataflows",
             tuned.model,
@@ -28,7 +28,7 @@ fn main() {
     }
 
     // Show what the runtime tuner picked for a few characteristic layers.
-    let tuned = tune_model(&model, &acc, Objective::Runtime);
+    let tuned = tune_model(&model, &acc, Objective::Runtime).expect("every ResNet-50 layer maps");
     println!("\nruntime-tuned choices (sample):");
     for name in ["CONV1", "CONV2_1_a", "CONV2_1_b", "CONV3_1_b", "FC1000"] {
         if let Some(l) = tuned.layers.iter().find(|l| l.layer == name) {

@@ -267,7 +267,9 @@ fn tuner_beats_style_level_adaptivity() {
     })
     .unwrap()
     .runtime();
-    let tuned = tune_model(&model, &acc, Objective::Runtime).runtime();
+    let tuned = tune_model(&model, &acc, Objective::Runtime)
+        .expect("every AlexNet layer maps")
+        .runtime();
     assert!(
         tuned <= adaptive * 1.0001,
         "tuned {tuned} vs adaptive {adaptive}"
