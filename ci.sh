@@ -47,14 +47,21 @@ cargo clippy -p maestro-core -p maestro-ir -p maestro-dse -p maestro-hw -p maest
   -p maestro-sim -p maestro-obs -p maestro-serve --lib \
   -- -D warnings -D clippy::exit
 
-# One seeded-draw function: fault injection, serve chaos and trace IDs
-# all draw through maestro_obs::rng. A copied splitmix64 finalizer
-# elsewhere would let two seeded streams drift apart silently. The
+# One seeded-draw function: fault injection, serve chaos, trace IDs and
+# loadgen's request mix and backoff jitter all draw through
+# maestro_obs::rng. A copied splitmix64 finalizer, or a generator of its
+# own (an Rng type, xorshift steps, the splitmix increment) under
+# crates/*/src, would let two seeded streams drift apart silently. The
 # proptest shim keeps its own seeding: it stands in for an external crate.
-echo "== one seeded-draw function (maestro_obs::rng)"
+echo "== one seeded draw (maestro_obs::rng)"
 if grep -rni --include='*.rs' '0xbf58_\?476d_\?1ce4_\?e5b9' crates \
     | grep -v '^crates/obs/src/rng\.rs:\|^crates/proptest/'; then
   echo "splitmix64 finalizer copied outside crates/obs/src/rng.rs; call maestro_obs::rng" >&2
+  exit 1
+fi
+if grep -rniE --include='*.rs' 'xorshift|x \^= x <<|struct [a-z_]*rng\b|fn splitmix|0x9e37_?79b9' crates/*/src \
+    | grep -v '^crates/obs/src/rng\.rs:\|^crates/proptest/'; then
+  echo "a PRNG defined outside crates/obs/src/rng.rs; draw with maestro_obs::rng::uniform" >&2
   exit 1
 fi
 
@@ -126,14 +133,13 @@ if grep -rnE --include='*.rs' 'thread::(scope|spawn|available_parallelism)|std::
   exit 1
 fi
 
-# One argv reader: every maestro command and figure declares its flags
-# in a table that one parser reads, so a typo exits 2 instead of running
-# with settings the caller did not ask for. A second std::env::args
-# reader would bring back a parser that takes anything. loadgen keeps
-# its own parser until its HTTP client moves into maestro_bench.
-echo "== one argv reader (std::env::args only in the CLI's main and loadgen)"
+# One argv reader: every maestro command and figure, loadgen included,
+# declares its flags in a table that one parser reads, so a typo exits 2
+# instead of running with settings the caller did not ask for. A second
+# std::env::args reader would bring back a parser that takes anything.
+echo "== one argv reader (std::env::args only in the CLI's main)"
 if grep -rn --include='*.rs' 'std::env::args' crates \
-    | grep -v '^crates/cli/src/main\.rs:\|^crates/bench/src/bin/loadgen\.rs:'; then
+    | grep -v '^crates/cli/src/main\.rs:'; then
   echo "std::env::args read outside crates/cli/src/main.rs; declare the flag in a maestro flag table" >&2
   exit 1
 fi
@@ -405,7 +411,7 @@ target/release/maestro serve --addr 127.0.0.1:0 --workers 2 --drain-seconds 10 \
   > "${serve_log}.chaos" 2>/dev/null &
 serve_pid=$!
 serve_addr=$(wait_for_addr "${serve_log}.chaos")
-target/release/loadgen --addr "${serve_addr}" --seconds 3 --concurrency 4 \
+target/release/maestro loadgen --addr "${serve_addr}" --seconds 3 --concurrency 4 \
   --mode mixed --retries 0 --json > "${smokedir}/chaos.json" &
 loadgen_pid=$!
 sleep 1
@@ -422,20 +428,23 @@ grep -q '"dropped": 0' "${smokedir}/chaos.json" || { echo "chaos run dropped res
 
 # Chaos-matrix smoke: the daemon injects its *own* seeded faults — socket
 # read/write errors, delayed first writes, worker panics, handler stalls
-# — while mixed loadgen traffic (with retries, honoring the computed
-# Retry-After) runs against it. Invariants: no started-but-incomplete
-# response, at least one panicked worker restarted its loop (seed 42
-# first fires the panic draw at index 77, well inside a 3 s mixed load),
+# and handler panics — while mixed loadgen traffic (with retries,
+# honoring the computed Retry-After) runs against it. Invariants: no
+# started-but-incomplete response, at least one panicked worker
+# restarted its loop (seed 42 first fires the worker-panic draw at index
+# 77, well inside a 3 s mixed load), at least one /v1 handler panicked
+# inside request isolation (seed 42 first fires the handler-panic draw
+# at index 170; a 3 s mixed load sends thousands of /v1 requests),
 # /readyz still answers 200 (the daemon answers and is not draining),
 # and the drain still exits 0.
 echo "== serve chaos-matrix smoke (seeded fault injection under load)"
 target/release/maestro serve --addr 127.0.0.1:0 --workers 2 --drain-seconds 10 \
-  --chaos 'read-err:0.02,write-err:0.02,write-delay:5ms:0.05,worker-panic:0.005,stall:5ms:0.05' \
+  --chaos 'read-err:0.02,write-err:0.02,write-delay:5ms:0.05,worker-panic:0.005,stall:5ms:0.05,handler-panic:0.01' \
   --chaos-seed 42 \
   > "${serve_log}.matrix" 2>/dev/null &
 serve_pid=$!
 serve_addr=$(wait_for_addr "${serve_log}.matrix")
-target/release/loadgen --addr "${serve_addr}" --seconds 3 --concurrency 4 \
+target/release/maestro loadgen --addr "${serve_addr}" --seconds 3 --concurrency 4 \
   --mode mixed --retries 3 --json > "${smokedir}/matrix.json" \
   || { echo "loadgen failed under the chaos matrix" >&2; cat "${smokedir}/matrix.json" >&2; exit 1; }
 grep -q '"dropped": 0' "${smokedir}/matrix.json" \
@@ -455,6 +464,11 @@ matrix_metrics=$(chaos_probe "${serve_addr}" GET /metrics)
 restarts=$(sed -n 's/^maestro_serve_worker_restarts \([0-9]*\).*/\1/p' <<<"${matrix_metrics}" | head -1)
 if [ -z "${restarts}" ] || [ "${restarts}" -lt 1 ]; then
   echo "expected maestro_serve_worker_restarts >= 1 under panic chaos, got '${restarts}'" >&2
+  exit 1
+fi
+panics=$(sed -n 's/^maestro_serve_panics \([0-9]*\).*/\1/p' <<<"${matrix_metrics}" | head -1)
+if [ -z "${panics}" ] || [ "${panics}" -lt 1 ]; then
+  echo "expected maestro_serve_panics >= 1 under handler-panic chaos, got '${panics}'" >&2
   exit 1
 fi
 injected=$(sed -n 's/^maestro_serve_chaos_injected \([0-9]*\).*/\1/p' <<<"${matrix_metrics}" | head -1)
@@ -483,10 +497,10 @@ target/release/maestro serve --addr 127.0.0.1:0 --workers 2 \
 serve_pid=$!
 serve_addr=$(wait_for_addr "${serve_log}.bench")
 for mode in analyze batch stream mixed; do
-  target/release/loadgen --addr "${serve_addr}" --seconds 2 --concurrency 4 \
+  target/release/maestro loadgen --addr "${serve_addr}" --seconds 2 --concurrency 4 \
     --mode "${mode}" --retries 2 --out "${smokedir}/bench_${mode}.json" > /dev/null
 done
-target/release/loadgen --addr "${serve_addr}" --seconds 3 --concurrency 128 \
+target/release/maestro loadgen --addr "${serve_addr}" --seconds 3 --concurrency 128 \
   --mode mixed --retries 0 --out "${smokedir}/bench_overload.json" > /dev/null \
   || { echo "overload loadgen failed" >&2; cat "${smokedir}/bench_overload.json" >&2; exit 1; }
 bench_metrics=$(serve_request "${serve_addr}" GET /metrics)

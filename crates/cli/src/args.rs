@@ -202,20 +202,15 @@ impl Args {
         self.parsed(name, Kind::Secs, secs)
     }
 
-    /// `read(self, name)` when `name` was given, else `fallback`: for a
-    /// flag whose default lives outside its table.
-    pub fn given_or<'a, T>(&'a self, name: &str, read: fn(&'a Self, &str) -> T, fallback: T) -> T {
+    /// Whether flag `name` was given, whatever its value.
+    pub fn given(&self, name: &str) -> bool {
         let declared = self.flags.iter().any(|f| f.name == name);
         assert!(
             declared,
-            "{} reads --{name}, which its table does not declare",
+            "{} asks for --{name}, which its table does not declare",
             self.command
         );
-        if self.given.contains_key(name) {
-            read(self, name)
-        } else {
-            fallback
-        }
+        self.given.contains_key(name)
     }
 }
 
@@ -334,28 +329,15 @@ mod tests {
     }
 
     #[test]
-    fn given_or_falls_back_only_when_the_flag_is_absent() {
-        let a = parse("--workers 3", 0).unwrap();
-        assert_eq!(a.given_or("workers", Args::usize, 9), 3);
-        let b = parse("", 0).unwrap();
-        assert_eq!(b.given_or("workers", Args::usize, 9), 9);
-        assert_eq!(
-            b.given_or("pes", Args::u64, 7),
-            7,
-            "the table default is not a value given"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "cmd reads --bogus as Text, which its table does not declare")]
     fn reading_an_undeclared_flag_panics() {
         parse("", 0).unwrap().text("bogus");
     }
 
     #[test]
-    #[should_panic(expected = "cmd reads --workerz, which its table does not declare")]
-    fn a_fallback_for_an_undeclared_flag_panics() {
-        parse("", 0).unwrap().given_or("workerz", Args::usize, 9);
+    #[should_panic(expected = "cmd asks for --workerz, which its table does not declare")]
+    fn asking_for_an_undeclared_flag_panics() {
+        parse("", 0).unwrap().given("workerz");
     }
 
     #[test]

@@ -8,6 +8,7 @@ mod signal;
 mod trace_view;
 
 use args::{Args, Flag};
+use client::Exchange;
 use maestro_core::{analyze, analyze_model, analyze_model_with, AnalysisError};
 use maestro_dnn::{zoo, Layer, Model, TensorKind};
 use maestro_hw::{Accelerator, EnergyModel};
@@ -93,7 +94,7 @@ impl CliError {
 macro_rules! out {
     ($($arg:tt)*) => {
         std::io::Write::write_fmt(&mut std::io::stdout().lock(), format_args!($($arg)*))
-            .map_err(stdout_error)
+            .map_err($crate::stdout_error)
     };
 }
 
@@ -106,6 +107,10 @@ macro_rules! outln {
         out!("{}\n", format_args!($($arg)*))
     };
 }
+
+// Declared after the macros, which they use.
+mod client;
+mod loadgen;
 
 /// The [`CliError`] for a failed write to stdout.
 fn stdout_error(e: std::io::Error) -> CliError {
@@ -231,13 +236,14 @@ mod tables {
     use crate::args::Kind::{Bool, Int, Num, Secs, Text};
     use maestro_bench as b;
 
-    pub const COMMANDS: [Command; 14] = [
+    pub const COMMANDS: [Command; 15] = [
         Command::new("analyze",  "one layer's cost under one dataflow",    ANALYZE,      cmd_analyze),
         Command::new("model",    "a whole model's cost",                   MODEL_COST,   cmd_model),
         Command::new("dse",      "sweep the hardware design space",        DSE,          cmd_dse),
         Command::new("validate", "check the model against the simulator",  VALIDATE,     cmd_validate),
         Command::new("conform",  "fuzz the model against the simulator",   CONFORM,      cmd_conform),
         Command::new("serve",    "serve analyses over HTTP",               SERVE,        cmd_serve),
+        Command::new("loadgen",  "closed-loop load against a daemon",      LOADGEN,      loadgen::cmd_loadgen),
         Command::new("mapping",  "each PE's data at one time step",        MAPPING,      cmd_mapping),
         Command::new("explain",  "the reuse a dataflow exposes, per level", LAYER_ON_ACC, cmd_explain),
         Command::new("lint",     "warnings on a dataflow's mapping",       LAYER_ON_ACC, cmd_lint),
@@ -318,38 +324,48 @@ mod tables {
         Flag::new("trace-seed",      Int,  "0",    "seed of the per-unit trace IDs"),
         Flag::new("trace-out",       Text, "",     "dump the recorded unit traces as JSON (- = stdout)"),
     ];
-    /// Without a flag, `ConformConfig::default()` holds.
+    /// The defaults are `ConformConfig::default()`'s, which
+    /// `a_bare_conform_runs_the_default_config` holds them to.
     const CONFORM: &[Flag] = &[
-        Flag::new("seed",        Int, "", "seed of the generated cases"),
-        Flag::new("cases",       Int, "", "cases to generate"),
-        Flag::new("max-steps",   Int, "", "skip cases over this many simulator steps"),
-        Flag::new("tol-runtime", Num, "", "runtime tolerance, %"),
-        Flag::new("tol-l1",      Num, "", "L1 traffic tolerance, %"),
-        Flag::new("tol-l2",      Num, "", "L2 traffic tolerance, %"),
-        Flag::new("tol-util",    Num, "", "utilization tolerance, absolute"),
-        Flag::new("tol-macs",    Num, "", "model MAC-count tolerance, %"),
+        Flag::new("seed",        Int, "0",      "seed of the generated cases"),
+        Flag::new("cases",       Int, "500",    "cases to generate"),
+        Flag::new("max-steps",   Int, "100000", "skip cases over this many simulator steps"),
+        Flag::new("tol-runtime", Num, "45",     "runtime tolerance, %"),
+        Flag::new("tol-l1",      Num, "45",     "L1 traffic tolerance, %"),
+        Flag::new("tol-l2",      Num, "45",     "L2 traffic tolerance, %"),
+        Flag::new("tol-util",    Num, "0.3",    "utilization tolerance, absolute"),
+        Flag::new("tol-macs",    Num, "30",     "model MAC-count tolerance, %"),
         MAX_SECONDS, JSON,
     ];
-    /// Without a flag, `ServeConfig::default()` holds.
+    /// The defaults are `ServeConfig::default()`'s, which
+    /// `a_bare_serve_runs_the_default_config` holds them to.
     const SERVE: &[Flag] = &[
-        Flag::new("addr",                Text, "", "bind address; port 0 picks a free port"),
-        Flag::new("workers",             Int,  "", "worker threads"),
-        Flag::new("queue-depth",         Int,  "", "admission queue bound; a full queue sheds 503"),
-        Flag::new("default-deadline-ms", Int,  "", "deadline of a request without deadline_ms"),
-        Flag::new("drain-seconds",       Secs, "", "drain budget after SIGTERM/SIGINT"),
-        Flag::new("io-timeout",          Secs, "", "socket read/write timeout (> 0)"),
-        Flag::new("max-body-bytes",      Int,  "", "request body cap; 413 beyond it"),
-        Flag::new("shards",              Int,  "", "shared analysis-cache shards"),
-        Flag::new("memo-cap",            Int,  "", "reports kept per cache shard; 0 = unbounded"),
-        Flag::new("test-endpoints",      Bool, "", "enable POST /v1/panic (tests only)"),
-        Flag::new("access-log",          Text, "", "JSONL per-request log (- = stdout)"),
-        Flag::new("trace-capacity",      Int,  "", "flight-recorder ring size"),
-        Flag::new("trace-sample",        Text, "", "keep 1 in K healthy requests (K or 1/K)"),
-        Flag::new("trace-slow-ms",       Int,  "", "keep every request at least this slow"),
-        Flag::new("trace-seed",          Int,  "", "fixed trace-ID seed (default: the clock)"),
-        Flag::new("chaos",               Text, "", "seeded faults, e.g. stall:5ms:0.05"),
-        Flag::new("chaos-seed",          Int,  "", "seed of the chaos plan"),
+        Flag::new("addr",                Text, "127.0.0.1:7433", "bind address; port 0 picks a free port"),
+        Flag::new("workers",             Int,  "4",       "worker threads"),
+        Flag::new("queue-depth",         Int,  "64",      "admission queue bound; a full queue sheds 503"),
+        Flag::new("default-deadline-ms", Int,  "10000",   "deadline of a request without deadline_ms"),
+        Flag::new("drain-seconds",       Secs, "5",       "drain budget after SIGTERM/SIGINT"),
+        Flag::new("io-timeout",          Secs, "10",      "socket read/write timeout (> 0)"),
+        Flag::new("max-body-bytes",      Int,  "1048576", "request body cap; 413 beyond it"),
+        Flag::new("shards",              Int,  "8",       "shared analysis-cache shards"),
+        Flag::new("memo-cap",            Int,  "4096",    "reports kept per cache shard; 0 = unbounded"),
+        Flag::new("access-log",          Text, "",        "JSONL per-request log (- = stdout)"),
+        Flag::new("trace-capacity",      Int,  "256",     "flight-recorder ring size"),
+        Flag::new("trace-sample",        Text, "16",      "keep 1 in K healthy requests (K or 1/K)"),
+        Flag::new("trace-slow-ms",       Int,  "100",     "keep every request at least this slow"),
+        Flag::new("trace-seed",          Int,  "",        "fixed trace-ID seed (default: the clock)"),
+        Flag::new("chaos",               Text, "",        "seeded faults, e.g. stall:5ms:0.05"),
+        Flag::new("chaos-seed",          Int,  "0",       "seed of the chaos plan"),
         MAX_SECONDS,
+    ];
+    const LOADGEN: &[Flag] = &[
+        Flag::new("addr",        Text, "127.0.0.1:7433", "the daemon's address"),
+        Flag::new("seconds",     Secs, "5",       "how long to send"),
+        Flag::new("concurrency", Int,  "8",       "client threads, each with one request in flight"),
+        Flag::new("mode",        Text, "analyze", "analyze, mixed, batch or stream"),
+        Flag::new("retries",     Int,  "4",       "retries of a 503 or a refused connection"),
+        JSON,
+        Flag::new("out",         Text, "",        "also write the JSON report to this path"),
     ];
     const DSE_MODEL: &[Flag] = &[
         Flag::new("model", Text, "alexnet", "zoo model, or a network description file"),
@@ -520,6 +536,11 @@ fn cmd_analyze(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_model(args: &Args) -> Result<(), CliError> {
+    if args.flag("adaptive") && args.given("dataflow") {
+        return Err(CliError::usage(
+            "--adaptive picks each layer's dataflow, so it does not take --dataflow",
+        ));
+    }
     let model = load_model(args.text("model"))?;
     let acc = accelerator(args)?;
     let report = if args.flag("adaptive") {
@@ -793,20 +814,24 @@ fn cmd_validate(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_conform(args: &Args) -> Result<(), CliError> {
-    let d = maestro_sim::ConformConfig::default();
-    let cfg = maestro_sim::ConformConfig {
-        seed: args.given_or("seed", Args::u64, d.seed),
-        cases: args.given_or("cases", Args::u64, d.cases),
-        max_steps: args.given_or("max-steps", Args::u64, d.max_steps),
+/// The conformance run `conform`'s flags ask for.
+fn conform_config(args: &Args) -> maestro_sim::ConformConfig {
+    maestro_sim::ConformConfig {
+        seed: args.u64("seed"),
+        cases: args.u64("cases"),
+        max_steps: args.u64("max-steps"),
         tol: maestro_sim::Tolerances {
-            runtime_pct: args.given_or("tol-runtime", Args::f64, d.tol.runtime_pct),
-            l1_pct: args.given_or("tol-l1", Args::f64, d.tol.l1_pct),
-            l2_pct: args.given_or("tol-l2", Args::f64, d.tol.l2_pct),
-            utilization_abs: args.given_or("tol-util", Args::f64, d.tol.utilization_abs),
-            model_macs_pct: args.given_or("tol-macs", Args::f64, d.tol.model_macs_pct),
+            runtime_pct: args.f64("tol-runtime"),
+            l1_pct: args.f64("tol-l1"),
+            l2_pct: args.f64("tol-l2"),
+            utilization_abs: args.f64("tol-util"),
+            model_macs_pct: args.f64("tol-macs"),
         },
-    };
+    }
+}
+
+fn cmd_conform(args: &Args) -> Result<(), CliError> {
+    let cfg = conform_config(args);
     // `conform` is the other long-running command: it honors the same
     // --max-seconds guard and SIGINT/SIGTERM semantics as `dse`, exiting 7
     // with a partial (but fully reported) sweep when cut short.
@@ -885,40 +910,26 @@ fn cmd_conform(args: &Args) -> Result<(), CliError> {
     }
 }
 
-/// The daemon configuration `serve`'s flags ask for: each field is
-/// [`maestro_serve::ServeConfig::default`]'s unless its flag is given.
+/// The daemon configuration `serve`'s flags ask for.
 fn serve_config(args: &Args) -> Result<maestro_serve::ServeConfig, CliError> {
-    let d = maestro_serve::ServeConfig::default();
-    let millis = |name: &str, default: Duration| {
-        args.given_or(name, |a, n| Duration::from_millis(a.u64(n)), default)
-    };
-    let text = |name: &str, default: Option<String>| match args.text(name) {
-        "" => default,
-        v => Some(v.to_string()),
-    };
-    let trace_sample = args.text("trace-sample");
+    let text = |name: &str| Some(args.text(name).to_string()).filter(|v| !v.is_empty());
     Ok(maestro_serve::ServeConfig {
-        addr: args.given_or("addr", Args::text, &d.addr).to_string(),
-        workers: args.given_or("workers", Args::usize, d.workers),
-        queue_depth: args.given_or("queue-depth", Args::usize, d.queue_depth),
-        default_deadline: millis("default-deadline-ms", d.default_deadline),
-        drain_deadline: args.given_or("drain-seconds", Args::secs, d.drain_deadline),
-        max_body_bytes: args.given_or("max-body-bytes", Args::usize, d.max_body_bytes),
-        io_timeout: args.given_or("io-timeout", Args::secs, d.io_timeout),
-        memo_cap: args.given_or("memo-cap", Args::usize, d.memo_cap),
-        shards: args.given_or("shards", Args::usize, d.shards),
-        test_endpoints: args.flag("test-endpoints") || d.test_endpoints,
-        access_log: text("access-log", d.access_log),
-        trace_capacity: args.given_or("trace-capacity", Args::usize, d.trace_capacity),
-        trace_sample: if trace_sample.is_empty() {
-            d.trace_sample
-        } else {
-            parse_sample(trace_sample)?
-        },
-        trace_slow: millis("trace-slow-ms", d.trace_slow),
-        trace_seed: args.given_or("trace-seed", |a, n| Some(a.u64(n)), d.trace_seed),
-        chaos: text("chaos", d.chaos),
-        chaos_seed: args.given_or("chaos-seed", Args::u64, d.chaos_seed),
+        addr: args.text("addr").to_string(),
+        workers: args.usize("workers"),
+        queue_depth: args.usize("queue-depth"),
+        default_deadline: Duration::from_millis(args.u64("default-deadline-ms")),
+        drain_deadline: args.secs("drain-seconds"),
+        max_body_bytes: args.usize("max-body-bytes"),
+        io_timeout: args.secs("io-timeout"),
+        memo_cap: args.usize("memo-cap"),
+        shards: args.usize("shards"),
+        access_log: text("access-log"),
+        trace_capacity: args.usize("trace-capacity"),
+        trace_sample: parse_sample(args.text("trace-sample"))?,
+        trace_slow: Duration::from_millis(args.u64("trace-slow-ms")),
+        trace_seed: args.given("trace-seed").then(|| args.u64("trace-seed")),
+        chaos: text("chaos"),
+        chaos_seed: args.u64("chaos-seed"),
     })
 }
 
@@ -1063,7 +1074,14 @@ fn cmd_trace_explorer(args: &Args) -> Result<(), CliError> {
         } else {
             format!("/debug/traces/{id}")
         };
-        trace_view::fetch(from, &path).map_err(CliError::usage)?
+        let addr = client::resolve(from).map_err(|e| CliError::usage(format!("--from: {e}")))?;
+        let body = match client::exchange(addr, "GET", &path, "", Duration::from_secs(10)) {
+            Exchange::Reply(r) if r.status == 200 => Ok(r.body),
+            Exchange::Reply(r) => Err(format!("HTTP {}: {}", r.status, r.body.trim())),
+            Exchange::Refused => Err(format!("{from} did not answer")),
+            Exchange::Dropped => Err(format!("{from} cut its reply short")),
+        };
+        body.map_err(|e| CliError::usage(format!("GET {path}: {e}")))?
     } else {
         std::fs::read_to_string(file)
             .map_err(|e| CliError::usage(format!("reading {file}: {e}")))?
@@ -1217,6 +1235,14 @@ mod tests {
     fn a_bare_serve_runs_the_default_config() {
         let cfg = serve_config(&args("serve")).expect("no flags to refuse");
         assert_eq!(cfg, maestro_serve::ServeConfig::default());
+    }
+
+    #[test]
+    fn a_bare_conform_runs_the_default_config() {
+        assert_eq!(
+            conform_config(&args("conform")),
+            maestro_sim::ConformConfig::default()
+        );
     }
 
     #[test]

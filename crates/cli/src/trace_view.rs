@@ -1,12 +1,9 @@
-//! The `maestro trace` explorer: fetch kept traces from a running
-//! daemon's `/debug/traces` endpoint (or a saved JSON dump) and render
-//! them as an ASCII waterfall or a collapsed-stack (`--folded`) dump
-//! that flamegraph tooling consumes directly.
+//! The `maestro trace` explorer: decode kept traces, as a running
+//! daemon's `/debug/traces` endpoint or a saved JSON dump lists them, and
+//! render them as an ASCII waterfall or a collapsed-stack (`--folded`)
+//! dump that flamegraph tooling consumes directly.
 
 use maestro_serve::{parse_json, Value};
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
 
 /// One decoded trace (the `/debug/traces` element schema).
 pub struct TraceView {
@@ -22,34 +19,6 @@ pub struct TraceView {
     pub kept: String,
     /// `(name, start_us, dur_us)` per attributed phase, in time order.
     pub phases: Vec<(String, u64, u64)>,
-}
-
-/// `GET` a path from the daemon over one `Connection: close` request and
-/// return the response body. Errors are rendered for the user (they end
-/// up in a [`crate::CliError`]).
-pub fn fetch(addr: &str, path: &str) -> Result<String, String> {
-    let mut s = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let _ = s.set_read_timeout(Some(Duration::from_secs(10)));
-    let _ = s.set_write_timeout(Some(Duration::from_secs(10)));
-    s.write_all(
-        format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n").as_bytes(),
-    )
-    .map_err(|e| format!("send to {addr}: {e}"))?;
-    let mut raw = String::new();
-    s.read_to_string(&mut raw)
-        .map_err(|e| format!("read from {addr}: {e}"))?;
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| format!("malformed HTTP response from {addr}"))?;
-    let code: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .unwrap_or(0);
-    if code != 200 {
-        return Err(format!("GET {path}: HTTP {code}: {}", body.trim()));
-    }
-    Ok(body.to_string())
 }
 
 /// Decode a `/debug/traces` listing (`{"traces":[...]}`) or a single

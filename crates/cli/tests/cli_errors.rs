@@ -584,8 +584,8 @@ fn figure_names() -> Vec<String> {
 #[test]
 fn every_command_and_every_figure_refuses_an_unknown_flag() {
     let mut commands: Vec<Vec<String>> = [
-        "analyze", "model", "dse", "validate", "conform", "serve", "mapping", "explain", "lint",
-        "trace", "tune", "zoo", "help",
+        "analyze", "model", "dse", "validate", "conform", "serve", "loadgen", "mapping", "explain",
+        "lint", "trace", "tune", "zoo", "help",
     ]
     .iter()
     .map(|c| vec![c.to_string()])
@@ -618,7 +618,7 @@ fn every_command_and_every_figure_refuses_an_unknown_flag() {
 /// for.
 #[test]
 fn a_typo_or_a_stray_word_exits_2_instead_of_changing_the_answer() {
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 6] = [
         (
             &[
                 "model",
@@ -631,6 +631,17 @@ fn a_typo_or_a_stray_word_exits_2_instead_of_changing_the_answer() {
                 "--adaptve",
             ],
             "model does not take --adaptve",
+        ),
+        (
+            &[
+                "model",
+                "--model",
+                "alexnet",
+                "--adaptive",
+                "--dataflow",
+                "/nonexistent.df",
+            ],
+            "--adaptive picks each layer's dataflow, so it does not take --dataflow",
         ),
         (
             &["analyze", "--layer", "CONV2", "--pe", "64"],
@@ -654,6 +665,47 @@ fn a_typo_or_a_stray_word_exits_2_instead_of_changing_the_answer() {
         let err = stderr(&out);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
         assert!(err.contains(message), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}: ran anyway");
+    }
+}
+
+/// `loadgen` refuses a bad flag, value or address with exit 2, naming
+/// it, before it sends anything.
+#[test]
+fn loadgen_refuses_bad_input_with_exit_2() {
+    let cases: [(&[&str], &str); 7] = [
+        (&["loadgen", "--bogus"], "loadgen does not take --bogus"),
+        (
+            &["loadgen", "--seconds", "abc"],
+            "--seconds expects a finite, non-negative number of seconds, got `abc`",
+        ),
+        (
+            &["loadgen", "--mode", "bogus"],
+            "--mode takes analyze, mixed, batch or stream, got `bogus`",
+        ),
+        (
+            &["loadgen", "--concurrency"],
+            "--concurrency expects a value",
+        ),
+        (
+            &["loadgen", "--addr", "nohost.invalid:1"],
+            "--addr: cannot resolve `nohost.invalid:1`",
+        ),
+        (
+            &["loadgen", "--deadline-ms", "2000"],
+            "loadgen does not take --deadline-ms",
+        ),
+        (
+            &["loadgen", "--budget-ms", "4000"],
+            "loadgen does not take --budget-ms",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = maestro_bounded(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(message), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
         assert!(out.stdout.is_empty(), "{args:?}: ran anyway");
     }
 }
@@ -745,4 +797,29 @@ fn every_command_reads_only_the_flags_it_declares() {
         assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
         assert!(!out.stdout.is_empty(), "{args:?} printed nothing");
     }
+    // Nothing listens on the discard port, so every request is refused:
+    // the run exits 1, with the reason on stderr and its one JSON report
+    // alone on stdout.
+    let out = maestro_bounded(&[
+        "loadgen",
+        "--addr",
+        "127.0.0.1:9",
+        "--seconds",
+        "0.2",
+        "--json",
+    ]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("no successful requests"), "{err}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let report = maestro_serve::parse_json(&stdout).expect("one JSON document on stdout");
+    assert_eq!(
+        report.get("ok").and_then(|v| v.as_u64()),
+        Some(0),
+        "{stdout}"
+    );
+    assert!(
+        report.get("refused").and_then(|v| v.as_u64()) > Some(0),
+        "{stdout}"
+    );
 }

@@ -15,8 +15,6 @@
 //!   per completed unit (its local Pareto frontier), then a final line
 //!   carrying the merged result and session stats.
 //! * `POST /v1/conform` — a conformance sweep against the simulator.
-//! * `POST /v1/panic` — test-only (off by default): panics in the
-//!   handler, to exercise worker panic isolation.
 //!
 //! Every `/v1` request runs under a child [`CancelToken`] carrying the
 //! request deadline (`deadline_ms` in the body, else the server default).
@@ -125,8 +123,6 @@ pub struct ApiCtx {
     pub default_deadline: Duration,
     /// Flips to `false` when the drain starts (`/readyz` → 503).
     pub ready: AtomicBool,
-    /// Gate for `POST /v1/panic` (tests and the ci smoke only).
-    pub test_endpoints: bool,
     /// Serve-plane counters and histograms.
     pub metrics: ServeMetrics,
     /// Daemon start time; `/metrics` derives the uptime gauge from it.
@@ -215,9 +211,6 @@ impl ApiCtx {
             ("POST", "/v1/analyze") => self.with_body(req, Self::analyze),
             ("POST", "/v1/batch") => self.with_body(req, Self::batch),
             ("POST", "/v1/conform") => self.with_body(req, Self::conform),
-            ("POST", "/v1/panic") if self.test_endpoints => {
-                panic!("test endpoint /v1/panic: deliberate handler panic")
-            }
             (
                 _,
                 "/healthz" | "/readyz" | "/metrics" | "/v1/analyze" | "/v1/batch" | "/v1/dse"

@@ -10,7 +10,7 @@
 //! restarts observed) reproducibly instead of hoping a random fault
 //! landed.
 //!
-//! Five fault kinds, each placed so that the daemon's promises survive
+//! Six fault kinds, each placed so that the daemon's promises survive
 //! it (an injected fault must degrade service, never corrupt it):
 //!
 //! * **read-err** — the connection is torn down before any request byte
@@ -29,10 +29,14 @@
 //! * **stall** — the handler sleeps before dispatch, before the request
 //!   token exists: it wedges the worker (spending none of the request's
 //!   deadline) and lets the queue behind it grow.
+//! * **handler-panic** — a `/v1/` request's handler panics inside request
+//!   isolation: the client gets a `500`, `maestro.serve.panics` counts
+//!   it, and the worker serves on. Probes (`/healthz`, `/readyz`,
+//!   `/metrics`) never draw it.
 //!
 //! The spec is written in `--inject`'s grammar and parsed by the same
 //! function, `maestro_obs::rng::parse_spec`:
-//! `read-err:0.01,write-err:0.01,write-delay:20ms:0.05,worker-panic:0.005,stall:10ms:0.02`.
+//! `read-err:0.01,write-err:0.01,write-delay:20ms:0.05,worker-panic:0.005,stall:10ms:0.02,handler-panic:0.01`.
 
 use maestro_obs::rng::{parse_spec, SpecError};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,7 +49,8 @@ const KIND_WRITE_ERR: usize = 1;
 const KIND_WRITE_DELAY: usize = 2;
 const KIND_WORKER_PANIC: usize = 3;
 const KIND_STALL: usize = 4;
-const KINDS: usize = 5;
+const KIND_HANDLER_PANIC: usize = 5;
+const KINDS: usize = 6;
 
 /// A seeded, deterministic serve-plane fault plan. See the module docs.
 #[derive(Debug)]
@@ -56,6 +61,7 @@ pub struct ChaosPlan {
     write_delay: Option<(Duration, f64)>,
     worker_panic: f64,
     stall: Option<(Duration, f64)>,
+    handler_panic: f64,
     seq: [AtomicU64; KINDS],
 }
 
@@ -77,6 +83,7 @@ impl ChaosPlan {
             ("write-delay", true),
             ("worker-panic", false),
             ("stall", true),
+            ("handler-panic", false),
         ];
         let mut plan = ChaosPlan::empty(seed);
         for c in parse_spec(spec, &NAMES)? {
@@ -86,7 +93,8 @@ impl ChaosPlan {
                 KIND_WRITE_ERR => plan.write_err = c.rate,
                 KIND_WRITE_DELAY => plan.write_delay = timed,
                 KIND_WORKER_PANIC => plan.worker_panic = c.rate,
-                _ => plan.stall = timed,
+                KIND_STALL => plan.stall = timed,
+                _ => plan.handler_panic = c.rate,
             }
         }
         Ok(plan)
@@ -100,6 +108,7 @@ impl ChaosPlan {
             write_delay: None,
             worker_panic: 0.0,
             stall: None,
+            handler_panic: 0.0,
             seq: Default::default(),
         }
     }
@@ -138,6 +147,11 @@ impl ChaosPlan {
         let (d, rate) = self.stall?;
         (rate > 0.0 && self.draw(KIND_STALL) < rate).then_some(d)
     }
+
+    /// Panic this request's handler, inside request isolation?
+    pub fn handler_panic(&self) -> bool {
+        self.handler_panic > 0.0 && self.draw(KIND_HANDLER_PANIC) < self.handler_panic
+    }
 }
 
 #[cfg(test)]
@@ -147,7 +161,7 @@ mod tests {
     #[test]
     fn parses_the_full_grammar() {
         let p = ChaosPlan::parse(
-            "read-err:0.25,write-err:0.1,write-delay:20ms:0.5,worker-panic:1.0,stall:1s:0.0",
+            "read-err:0.25,write-err:0.1,write-delay:20ms:0.5,worker-panic:1.0,stall:1s:0.0,handler-panic:0.75",
             7,
         )
         .unwrap();
@@ -156,6 +170,7 @@ mod tests {
         assert_eq!(p.write_delay, Some((Duration::from_millis(20), 0.5)));
         assert_eq!(p.worker_panic, 1.0);
         assert_eq!(p.stall, Some((Duration::from_secs(1), 0.0)));
+        assert_eq!(p.handler_panic, 0.75);
     }
 
     #[test]
@@ -193,7 +208,8 @@ mod tests {
     /// Pins seed 42 bit for bit: the first six draws of every kind, as
     /// the 53-bit integers behind the `[0, 1)` values. ci.sh's
     /// chaos-matrix smoke relies on this sequence (the first worker
-    /// panic at draw 77), so moving the draw must not change it.
+    /// panic at draw 77, the first handler panic at draw 170), so moving
+    /// the draw must not change it.
     #[test]
     fn seed_42_draws_are_pinned() {
         let p = ChaosPlan::parse("", 42).unwrap();
@@ -234,6 +250,12 @@ mod tests {
                 0x03_0da2_911c_5560,
                 0x08_445f_b729_0d2d,
                 0x1f_163a_3727_1c68,
+                0x1f_b776_f078_6bdc,
+                0x04_f8fb_1b00_d559,
+                0x09_0b90_ffe8_312c,
+                0x04_3ae6_0981_03e6,
+                0x0b_84db_7b30_6aba,
+                0x03_e368_3d07_2693,
             ]
         );
     }
@@ -255,6 +277,7 @@ mod tests {
             assert!(!p.read_error());
             assert!(!p.worker_panic());
             assert_eq!(p.stall(), None);
+            assert!(!p.handler_panic());
         }
         // Disabled kinds short-circuit before drawing, so enabling a kind
         // later in a config change does not shift other kinds' sequences.

@@ -68,8 +68,6 @@ pub struct ServeConfig {
     pub memo_cap: usize,
     /// Shard count of the shared analysis cache.
     pub shards: usize,
-    /// Enable the test-only `POST /v1/panic` endpoint.
-    pub test_endpoints: bool,
     /// JSONL access-log destination (`-` = stdout, `None` = off).
     pub access_log: Option<String>,
     /// Flight-recorder ring capacity (kept traces; the memory bound).
@@ -100,7 +98,6 @@ impl Default for ServeConfig {
             io_timeout: Duration::from_secs(10),
             memo_cap: maestro_core::DEFAULT_CACHE_CAP,
             shards: 8,
-            test_endpoints: false,
             access_log: None,
             trace_capacity: 256,
             trace_sample: 16,
@@ -263,7 +260,6 @@ impl Server {
             request_root: maestro_obs::CancelToken::detached(),
             default_deadline: cfg.default_deadline,
             ready: AtomicBool::new(true),
-            test_endpoints: cfg.test_endpoints,
             metrics: metrics.clone(),
             started: Instant::now(),
             workers: worker_count,
@@ -793,7 +789,15 @@ fn serve_request(
     // leave the gauge permanently skewed.
     ctx.metrics.in_flight.inc();
     let t0 = Instant::now();
-    let handled = match catch_unwind(AssertUnwindSafe(|| ctx.handle_conn(req, stream))) {
+    let handled = match catch_unwind(AssertUnwindSafe(|| {
+        // Only `/v1/` routes draw, so health, readiness and metrics probes
+        // never meet an injected handler panic.
+        if req.path.starts_with("/v1/") && chaos.is_some_and(ChaosPlan::handler_panic) {
+            ctx.metrics.chaos_injected.inc();
+            panic!("chaos: injected handler panic");
+        }
+        ctx.handle_conn(req, stream)
+    })) {
         Ok(handled) => handled,
         Err(_) => {
             ctx.metrics.panics.inc();

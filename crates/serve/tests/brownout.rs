@@ -26,7 +26,6 @@ fn api_ctx() -> ApiCtx {
         request_root: CancelToken::detached(),
         default_deadline: Duration::from_secs(60),
         ready: AtomicBool::new(true),
-        test_endpoints: false,
         metrics: ServeMetrics::register(),
         started: Instant::now(),
         workers: 1,

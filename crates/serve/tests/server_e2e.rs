@@ -439,7 +439,7 @@ fn queue_depth_gauge_is_registered_and_sampled() {
 #[test]
 fn handler_panics_are_isolated_to_the_request() {
     let d = Daemon::start(ServeConfig {
-        test_endpoints: true,
+        chaos: Some("handler-panic:1".to_string()),
         workers: 1, // the one worker must survive its handler panicking
         ..test_config()
     });
@@ -447,10 +447,15 @@ fn handler_panics_are_isolated_to_the_request() {
     let before = maestro_obs::registry()
         .counter("maestro.serve.panics")
         .get();
-    let resp = post(d.addr, "/v1/panic", "{}");
+    let resp = post(
+        d.addr,
+        "/v1/analyze",
+        r#"{"model":"alexnet","layer":"CONV1","pes":64}"#,
+    );
     assert_eq!(status_of(&resp), 500, "{resp}");
     assert!(resp.contains("internal panic"), "{resp}");
-    // The sole worker survived and keeps serving.
+    // The sole worker survived and keeps serving; probes never draw the
+    // injected panic.
     assert_eq!(status_of(&get(d.addr, "/healthz")), 200);
     let after = maestro_obs::registry()
         .counter("maestro.serve.panics")

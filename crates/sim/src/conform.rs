@@ -16,9 +16,9 @@
 //! Counters (`maestro.conform.*`): `cases`, `diverged`, `shrunk`,
 //! `skipped` — exposed through the usual `maestro-obs` registry.
 
-use crate::engine::{simulate, SimError, SimOptions};
-use crate::validate::error_pct;
-use maestro_core::analyze;
+use crate::engine::{SimError, SimOptions};
+use crate::validate::{error_pct, validate_layer, ValidateError};
+use maestro_core::AnalysisError;
 use maestro_dnn::{Layer, LayerDims, Operator};
 use maestro_hw::Accelerator;
 use maestro_ir::{Dataflow, Directive, SizeExpr, Style};
@@ -358,30 +358,29 @@ pub fn gen_case(rng: &mut TestRng) -> Case {
     }
 }
 
-/// Run both engines on `case` and classify the outcome against `tol`.
+/// Run both engines on `case` ([`validate_layer`]) and classify the
+/// outcome against `tol`. The model runs first, so its failure is the
+/// skip reason when both fail.
 pub fn check_case(case: &Case, tol: &Tolerances, max_steps: u64) -> CaseOutcome {
-    let model = match analyze(&case.layer, &case.dataflow, &case.acc) {
-        Ok(m) => m,
-        Err(maestro_core::AnalysisError::Resolve(e)) => {
-            return CaseOutcome::Skipped(SkipReason::Resolve(e.to_string()))
-        }
-        Err(e) => return CaseOutcome::Skipped(SkipReason::Analysis(e.to_string())),
-    };
-    let sim = match simulate(
+    let p = match validate_layer(
         &case.layer,
         &case.dataflow,
         &case.acc,
         SimOptions { max_steps },
     ) {
-        Ok(s) => s,
-        Err(SimError::Resolve(e)) => {
-            return CaseOutcome::Skipped(SkipReason::Resolve(e.to_string()))
+        Ok(p) => p,
+        Err(
+            ValidateError::Model(AnalysisError::Resolve(e))
+            | ValidateError::Sim(SimError::Resolve(e)),
+        ) => return CaseOutcome::Skipped(SkipReason::Resolve(e.to_string())),
+        Err(ValidateError::Model(e)) => {
+            return CaseOutcome::Skipped(SkipReason::Analysis(e.to_string()))
         }
-        Err(SimError::TooManySteps { .. }) => {
+        Err(ValidateError::Sim(SimError::TooManySteps { .. })) => {
             return CaseOutcome::Skipped(SkipReason::TooManySteps)
         }
     };
-    let exact = case.layer.total_macs();
+    let exact = p.exact_macs;
     let mut divs = Vec::new();
     let mut rel = |metric: Metric, model_v: f64, sim_v: f64, bound: f64| {
         let err = error_pct(model_v, sim_v);
@@ -394,40 +393,35 @@ pub fn check_case(case: &Case, tol: &Tolerances, max_steps: u64) -> CaseOutcome 
             });
         }
     };
-    rel(Metric::Runtime, model.runtime, sim.cycles, tol.runtime_pct);
     rel(
-        Metric::L1Fill,
-        model.counts.l1_write.total(),
-        sim.counts.l1_write.total(),
-        tol.l1_pct,
+        Metric::Runtime,
+        p.model_runtime,
+        p.sim_runtime,
+        tol.runtime_pct,
     );
-    rel(
-        Metric::L2Traffic,
-        model.counts.l2_read.total() + model.counts.l2_write.total(),
-        sim.counts.l2_read.total() + sim.counts.l2_write.total(),
-        tol.l2_pct,
-    );
+    rel(Metric::L1Fill, p.model_l1_fill, p.sim_l1_fill, tol.l1_pct);
+    rel(Metric::L2Traffic, p.model_l2, p.sim_l2, tol.l2_pct);
     rel(
         Metric::ModelMacs,
-        model.macs_dense,
+        p.model_macs,
         exact as f64,
         tol.model_macs_pct,
     );
-    let util_err = (model.utilization - sim.utilization).abs();
+    let util_err = (p.model_utilization - p.sim_utilization).abs();
     if util_err > tol.utilization_abs {
         divs.push(Divergence {
             metric: Metric::Utilization,
-            model: model.utilization,
-            sim: sim.utilization,
+            model: p.model_utilization,
+            sim: p.sim_utilization,
             error: util_err,
         });
     }
-    if sim.macs != exact {
+    if p.sim_macs != exact {
         divs.push(Divergence {
             metric: Metric::SimMacs,
             model: exact as f64,
-            sim: sim.macs as f64,
-            error: (sim.macs as f64 - exact as f64).abs(),
+            sim: p.sim_macs as f64,
+            error: (p.sim_macs as f64 - exact as f64).abs(),
         });
     }
     if divs.is_empty() {

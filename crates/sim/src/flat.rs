@@ -171,25 +171,6 @@ impl FlatSchedule {
         }
     }
 
-    /// Exact sum over the active units of a spatial dimension's chunk
-    /// lengths at `level` (accounts for edge folds and boundary clamps).
-    pub fn spatial_len_sum(&self, level: usize, d: Dim, avail: u64) -> u64 {
-        let ctx = &self.levels[level];
-        let v = ctx.views.view(d);
-        debug_assert!(v.spatial);
-        let fold = self.dim_position(level, d, 0);
-        let mut sum = 0u64;
-        for u in 0..ctx.num_units {
-            let pos = fold + u;
-            if pos >= v.trips {
-                break;
-            }
-            let start = (pos * v.step).min(avail.saturating_sub(1));
-            sum += v.chunk.min(avail - start);
-        }
-        sum
-    }
-
     /// Number of active units at `level` in the current step (edge folds
     /// may use fewer than `num_units`).
     pub fn active_units(&self, level: usize) -> u64 {

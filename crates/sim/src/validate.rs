@@ -21,6 +21,8 @@ pub struct ValidationPoint {
     pub model_l2: f64,
     /// Simulated total L2 traffic (elements).
     pub sim_l2: f64,
+    /// Analytical dense MAC count.
+    pub model_macs: f64,
     /// Simulated MAC count (exact).
     pub sim_macs: u64,
     /// Layer's true MAC count.
@@ -118,6 +120,7 @@ pub fn validate_layer(
         sim_runtime: sim.cycles,
         model_l2: model.counts.l2_read.total() + model.counts.l2_write.total(),
         sim_l2: sim.counts.l2_read.total() + sim.counts.l2_write.total(),
+        model_macs: model.macs_dense,
         sim_macs: sim.macs,
         exact_macs: layer.total_macs(),
         model_l1_fill: model.counts.l1_write.total(),
@@ -197,6 +200,7 @@ mod tests {
             sim_runtime: 0.0,
             model_l2: 5.0,
             sim_l2: 0.0,
+            model_macs: 0.0,
             sim_macs: 0,
             exact_macs: 0,
             model_l1_fill: 1.0,
