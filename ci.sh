@@ -105,6 +105,28 @@ if [ -n "${derivations}" ]; then
   exit 1
 fi
 
+# One binding: maestro_core::level::bind resolves a dataflow onto a layer
+# and derives every level's context, and the model, explain, lint and the
+# simulator all bind through it. A resolve( or LevelCtx::build( call
+# outside it and the test modules would be a second binding that could
+# drift from the first. Comments, definitions and other crates' own
+# resolve methods (client::resolve, Point::resolve) do not count.
+echo "== one binding (maestro_core::level::bind)"
+bindings=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { fn = "" }
+  /^#\[cfg\(test\)\]/ { nextfile }
+  /^ *\/\// { next }
+  match($0, /^ *(pub(\([a-z]+\))? )?fn [a-z_0-9]+/) { fn = substr($0, RSTART, RLENGTH); sub(/.*fn /, "", fn) }
+  (/LevelCtx::build\(/ || /(^|[^a-zA-Z_0-9:.])resolve\(/ || /maestro_ir::resolve\(/) && !/fn resolve\(/ \
+    && !(FILENAME == "crates/core/src/level.rs" && fn == "bind") {
+    print FILENAME ":" FNR ": " $0
+  }')
+if [ -n "${bindings}" ]; then
+  printf '%s\n' "${bindings}"
+  echo "a dataflow bound outside maestro_core::level::bind; call bind instead" >&2
+  exit 1
+fi
+
 # One timer: perfbench (perfbench/, its own workspace) measures, with a
 # median, an IQR and a host fingerprint per row. obs_overhead is the one
 # bench target here, and it guards a budget rather than timing a

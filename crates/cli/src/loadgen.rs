@@ -215,9 +215,12 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), CliError> {
             "--mode takes analyze, mixed, batch or stream, got `{mode}`"
         )));
     }
+    let concurrency = args.usize("concurrency");
+    if concurrency == 0 {
+        return Err(CliError::usage("--concurrency must be greater than 0"));
+    }
     let addr_text = args.text("addr");
     let addr = client::resolve(addr_text).map_err(|e| CliError::usage(format!("--addr: {e}")))?;
-    let concurrency = args.usize("concurrency");
     let retries = args.u64("retries");
     let out = args.text("out");
     let stop = AtomicBool::new(false);
@@ -233,7 +236,7 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), CliError> {
     };
     let mut latencies_us = Vec::new();
     std::thread::scope(|s| {
-        let workers: Vec<_> = (0..concurrency.max(1) as u64)
+        let workers: Vec<_> = (0..concurrency as u64)
             .map(|i| {
                 let draws = Draws {
                     seed,

@@ -13,7 +13,7 @@ use maestro_core::{analyze, analyze_model, analyze_model_with, AnalysisError};
 use maestro_dnn::{zoo, Layer, Model, TensorKind};
 use maestro_hw::{Accelerator, EnergyModel};
 use maestro_ir::{parse::parse_dataflow, Dataflow, Style};
-use maestro_sim::{mapping_at_step, validate_network, SimOptions};
+use maestro_sim::{mapping_at_step, validate_network, SimError, SimOptions};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -132,6 +132,16 @@ impl From<AnalysisError> for CliError {
         match e {
             AnalysisError::Resolve(_) => CliError::resolve(e.to_string()),
             _ => CliError::analysis(e.to_string()),
+        }
+    }
+}
+
+impl From<SimError> for CliError {
+    fn from(e: SimError) -> Self {
+        match e {
+            SimError::Resolve(_) => CliError::resolve(e.to_string()),
+            SimError::StepOutOfRange { .. } => CliError::usage(format!("--step: {e}")),
+            SimError::TooManySteps { .. } => CliError::analysis(e.to_string()),
         }
     }
 }
@@ -975,8 +985,7 @@ fn cmd_mapping(args: &Args) -> Result<(), CliError> {
     let df = load_dataflow(args.text("dataflow"))?;
     let pes = args.u64("pes");
     let step = args.u64("step");
-    let maps =
-        mapping_at_step(layer, &df, pes, step).map_err(|e| CliError::analysis(e.to_string()))?;
+    let maps = mapping_at_step(layer, &df, pes, step)?;
     outln!("{} / {} / {} PEs / t={step}", layer.name, df.name(), pes)?;
     for m in maps {
         out!("PE{:<3} [{:?}]", m.pe, m.unit_coords)?;
@@ -1027,8 +1036,7 @@ fn cmd_trace(args: &Args) -> Result<(), CliError> {
     let df = load_dataflow(args.text("dataflow"))?;
     let pes = args.u64("pes");
     let steps = args.u64("steps");
-    let t = maestro_sim::trace(layer, &df, pes, steps)
-        .map_err(|e| CliError::analysis(e.to_string()))?;
+    let t = maestro_sim::trace(layer, &df, pes, steps)?;
     outln!(
         "{} / {} / {} PEs — showing {} of {} steps",
         layer.name,

@@ -143,23 +143,45 @@ fn unresolvable_dataflow_exits_4() {
 
     // Mapping the same dimension twice in one cluster level is a
     // well-formed parse but an invalid mapping: ResolveError::DuplicateDim.
+    // Every command that binds a dataflow to a layer fails in the same
+    // binding, so each exits 4 on it, on a cluster larger than the PE
+    // array, and on no PEs at all.
     let df = temp_file(
         "duplicate_dim.m",
         "Dataflow ODP {\n  TemporalMap(1,1) K;\n  TemporalMap(1,1) K;\n}\n",
     );
-    let out = maestro(&[
-        "analyze",
-        "--layer",
-        "CONV2",
-        "--dataflow",
-        df.to_str().expect("utf8 path"),
-    ]);
-    assert_eq!(out.status.code(), Some(4), "{}", stderr(&out));
-    assert!(
-        stderr(&out).contains("mapped more than once"),
-        "{}",
-        stderr(&out)
-    );
+    let df = df.to_str().expect("utf8 path");
+    let nvdla = concat!(env!("CARGO_MANIFEST_DIR"), "/../../dataflows/nvdla.df");
+    let cases: [(&[&str], &str); 3] = [
+        (&["--dataflow", df], "mapped more than once"),
+        (
+            &["--dataflow", nvdla, "--pes", "3"],
+            "cluster size 64 exceeds",
+        ),
+        (&["--pes", "0"], "accelerator has zero PEs"),
+    ];
+    for command in ["analyze", "explain", "lint", "mapping", "trace"] {
+        for (flags, message) in cases {
+            let mut args = vec![command, "--layer", "CONV2"];
+            args.extend(flags);
+            let out = maestro(&args);
+            let err = stderr(&out);
+            assert_eq!(out.status.code(), Some(4), "{args:?}: {err}");
+            assert!(err.contains(message), "{args:?}: {err}");
+        }
+    }
+}
+
+/// `mapping --step` past the end of the schedule is a bad flag value:
+/// exit 2, naming the flag and the schedule's step count.
+#[test]
+fn mapping_step_past_the_end_exits_2() {
+    let out = maestro(&["mapping", "--layer", "CONV1", "--step", "99999999999"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("--step"), "{err}");
+    assert!(err.contains("1605632 steps"), "{err}");
+    assert!(out.stdout.is_empty(), "ran anyway");
 }
 
 /// `serve` refuses a flag it does not read — a retired knob or a typo —
@@ -673,7 +695,7 @@ fn a_typo_or_a_stray_word_exits_2_instead_of_changing_the_answer() {
 /// it, before it sends anything.
 #[test]
 fn loadgen_refuses_bad_input_with_exit_2() {
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 8] = [
         (&["loadgen", "--bogus"], "loadgen does not take --bogus"),
         (
             &["loadgen", "--seconds", "abc"],
@@ -686,6 +708,10 @@ fn loadgen_refuses_bad_input_with_exit_2() {
         (
             &["loadgen", "--concurrency"],
             "--concurrency expects a value",
+        ),
+        (
+            &["loadgen", "--concurrency", "0"],
+            "--concurrency must be greater than 0",
         ),
         (
             &["loadgen", "--addr", "nohost.invalid:1"],

@@ -620,9 +620,10 @@ pub fn analyze_level_static(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::level::bind;
     use maestro_dnn::{Layer, LayerDims, Operator};
     use maestro_hw::Accelerator;
-    use maestro_ir::{resolve, Style};
+    use maestro_ir::Style;
 
     /// A layer's top level, composed as the staged pipeline composes it:
     /// static halves from the innermost level out, then their prices.
@@ -640,13 +641,8 @@ mod tests {
     }
 
     fn analyze_layer(layer: &Layer, style: Style, acc: &Accelerator) -> TopLevel {
-        let r = resolve(&style.dataflow(), layer, acc.num_pes).unwrap();
+        let (_, ctxs) = bind(layer, &style.dataflow(), acc.num_pes).unwrap();
         let coupling = layer.coupling();
-        let ctxs: Vec<LevelCtx> = r
-            .levels
-            .iter()
-            .map(|l| LevelCtx::build(&r, l, &coupling))
-            .collect();
         let mut stats: Vec<LevelStatic> = Vec::new();
         for (i, ctx) in ctxs.iter().enumerate().rev() {
             let st = analyze_level_static(

@@ -8,10 +8,10 @@
 //! data-centric representation enables.
 
 use crate::engine::depends;
-use crate::level::{LevelCtx, OutputSpatial};
+use crate::level::{bind, LevelCtx, OutputSpatial};
 use maestro_dnn::{Coupling, Layer, TensorKind};
 use maestro_hw::Accelerator;
-use maestro_ir::{resolve, Dataflow, ResolveError};
+use maestro_ir::{Dataflow, ResolveError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -101,16 +101,16 @@ pub fn explain(
     acc: &Accelerator,
 ) -> Result<Explanation, ResolveError> {
     let coupling = layer.coupling();
-    let resolved = resolve(dataflow, layer, acc.num_pes)?;
-    let mut levels = Vec::new();
-    for (li, level) in resolved.levels.iter().enumerate() {
-        let ctx = LevelCtx::build(&resolved, level, &coupling);
-        levels.push(LevelExplanation {
+    let (_, ctxs) = bind(layer, dataflow, acc.num_pes)?;
+    let levels = ctxs
+        .iter()
+        .enumerate()
+        .map(|(li, ctx)| LevelExplanation {
             level: li,
             units: ctx.num_units,
-            observations: observe(&ctx, &coupling),
-        });
-    }
+            observations: observe(ctx, &coupling),
+        })
+        .collect();
     Ok(Explanation {
         dataflow: dataflow.name().to_string(),
         levels,

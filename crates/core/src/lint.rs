@@ -6,10 +6,10 @@
 //! problems, and the way an architect reviews a candidate schedule before
 //! trusting its numbers.
 
-use crate::level::LevelCtx;
+use crate::level::bind;
 use maestro_dnn::{Dim, Layer};
 use maestro_hw::Accelerator;
-use maestro_ir::{resolve, Dataflow, ResolveError};
+use maestro_ir::{Dataflow, ResolveError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -127,8 +127,7 @@ pub fn lint(
     dataflow: &Dataflow,
     acc: &Accelerator,
 ) -> Result<Vec<Lint>, ResolveError> {
-    let coupling = layer.coupling();
-    let resolved = resolve(dataflow, layer, acc.num_pes)?;
+    let (resolved, ctxs) = bind(layer, dataflow, acc.num_pes)?;
     let mut lints = Vec::new();
 
     if resolved.used_pes < acc.num_pes {
@@ -138,8 +137,7 @@ pub fn lint(
         });
     }
 
-    for (li, level) in resolved.levels.iter().enumerate() {
-        let ctx = LevelCtx::build(&resolved, level, &coupling);
+    for (li, ctx) in ctxs.iter().enumerate() {
         for v in ctx.views.iter() {
             if v.trips <= 1 {
                 continue;

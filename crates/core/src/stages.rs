@@ -35,11 +35,11 @@
 use crate::analysis::AnalysisError;
 use crate::counts::ActivityCounts;
 use crate::engine::{analyze_level_static, level_perf, LevelPerf, LevelStatic};
-use crate::level::LevelCtx;
+use crate::level::bind;
 use crate::report::{LayerReport, LevelSummary, Priced};
 use maestro_dnn::{Layer, TensorKind};
 use maestro_hw::Accelerator;
-use maestro_ir::{resolve, Dataflow};
+use maestro_ir::Dataflow;
 use std::sync::OnceLock;
 
 /// Counter of [`LayerReport::validate`] rejections inside the analysis
@@ -125,14 +125,8 @@ impl StagedAnalysis {
         let (resolved, coupling, ctxs) = {
             let _s = maestro_obs::span::span("maestro.analysis.tensor");
             layer.validate()?;
-            let resolved = resolve(dataflow, layer, acc.num_pes)?;
-            let coupling = layer.coupling();
-            let ctxs: Vec<LevelCtx> = resolved
-                .levels
-                .iter()
-                .map(|l| LevelCtx::build(&resolved, l, &coupling))
-                .collect();
-            (resolved, coupling, ctxs)
+            let (resolved, ctxs) = bind(layer, dataflow, acc.num_pes)?;
+            (resolved, layer.coupling(), ctxs)
         };
 
         // Reuse analysis: the per-level transition-class engine (paper
@@ -462,10 +456,10 @@ mod tests {
                 for style in Style::ALL {
                     let df = style.dataflow();
                     let report = crate::analyze(layer, &df, &acc).unwrap();
-                    let resolved = resolve(&df, layer, acc.num_pes).unwrap();
-                    assert_eq!(report.levels.len(), resolved.levels.len());
-                    for (level, summary) in resolved.levels.iter().zip(&report.levels) {
-                        let views = LevelCtx::build(&resolved, level, &coupling).views;
+                    let (_, ctxs) = bind(layer, &df, acc.num_pes).unwrap();
+                    assert_eq!(report.levels.len(), ctxs.len());
+                    for (ctx, summary) in ctxs.iter().zip(&report.levels) {
+                        let views = &ctx.views;
                         let fp = views.footprints(&coupling);
                         let at = format!("{name}/{}/{style} level {}", layer.name, summary.level);
                         for k in TensorKind::ALL {

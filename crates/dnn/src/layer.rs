@@ -48,14 +48,6 @@ impl LayerDims {
         }
     }
 
-    /// Returns a copy with both strides set.
-    #[must_use]
-    pub const fn with_stride(mut self, stride: u64) -> Self {
-        self.stride_y = stride;
-        self.stride_x = stride;
-        self
-    }
-
     /// Output rows: `(y - r) / stride_y + 1`.
     pub const fn out_y(&self) -> u64 {
         out_extent(self.y, self.r, self.stride_y)

@@ -376,9 +376,9 @@ pub fn check_case(case: &Case, tol: &Tolerances, max_steps: u64) -> CaseOutcome 
         Err(ValidateError::Model(e)) => {
             return CaseOutcome::Skipped(SkipReason::Analysis(e.to_string()))
         }
-        Err(ValidateError::Sim(SimError::TooManySteps { .. })) => {
-            return CaseOutcome::Skipped(SkipReason::TooManySteps)
-        }
+        Err(ValidateError::Sim(
+            SimError::TooManySteps { .. } | SimError::StepOutOfRange { .. },
+        )) => return CaseOutcome::Skipped(SkipReason::TooManySteps),
     };
     let exact = p.exact_macs;
     let mut divs = Vec::new();

@@ -11,14 +11,13 @@
 //! but derives cost from enumeration rather than algebra, which is what
 //! makes it a meaningful validation target (paper Figure 9's role).
 
-use crate::flat::{tensor_axis_interval, FlatSchedule, Interval};
+use crate::flat::FlatSchedule;
 use maestro_core::counts::ActivityCounts;
-use maestro_core::level::{LevelCtx, OutputSpatial};
-use maestro_dnn::{Coupling, Layer, TensorKind, ALL_DIMS};
+use maestro_core::level::OutputSpatial;
+use maestro_dnn::{Layer, TensorKind};
 use maestro_hw::Accelerator;
-use maestro_ir::{resolve, Dataflow, ResolveError};
+use maestro_ir::{Dataflow, ResolveError};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Simulator failure modes.
@@ -33,6 +32,13 @@ pub enum SimError {
         /// The configured limit.
         limit: u64,
     },
+    /// A mapping was asked for at a step past the end of the schedule.
+    StepOutOfRange {
+        /// The step asked for.
+        step: u64,
+        /// Steps in the schedule.
+        total_steps: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -45,6 +51,10 @@ impl fmt::Display for SimError {
                     "schedule needs {needed} steps, over the limit of {limit}"
                 )
             }
+            SimError::StepOutOfRange { step, total_steps } => write!(
+                f,
+                "step {step} is past the end of the schedule ({total_steps} steps)"
+            ),
         }
     }
 }
@@ -100,42 +110,35 @@ pub fn simulate(
     opts: SimOptions,
 ) -> Result<SimReport, SimError> {
     let _span = maestro_obs::span::span("maestro.sim.simulate");
-    let coupling = layer.coupling();
-    let resolved = resolve(dataflow, layer, acc.num_pes)?;
-    let levels: Vec<LevelCtx> = resolved
-        .levels
-        .iter()
-        .map(|l| LevelCtx::build(&resolved, l, &coupling))
-        .collect();
-    let mut sched = FlatSchedule::new(levels, &coupling);
+    let sched = FlatSchedule::build(layer, dataflow, acc.num_pes)?;
+    let total_steps = sched.total_steps();
     maestro_obs::debug!(
         "simulating {}/{}: {} steps on {} PEs",
         layer.name,
         dataflow.name(),
-        sched.total_steps,
+        total_steps,
         acc.num_pes
     );
-    if sched.total_steps > opts.max_steps {
+    if total_steps > opts.max_steps {
         maestro_obs::warn!(
             "simulation of {}/{} aborted: schedule needs {} steps, over the limit of {}",
             layer.name,
             dataflow.name(),
-            sched.total_steps,
+            total_steps,
             opts.max_steps
         );
         return Err(SimError::TooManySteps {
-            needed: sched.total_steps,
+            needed: total_steps,
             limit: opts.max_steps,
         });
     }
-    let strides = (layer.dims.stride_y, layer.dims.stride_x);
+    let coupling = layer.coupling();
     let density = layer.density;
     let support = acc.support;
-    let num_levels = sched.levels.len();
+    let levels = sched.levels();
 
     // Per-level static spatial facts (shared semantics with the model).
-    let op_mult: Vec<[f64; 2]> = sched
-        .levels
+    let op_mult: Vec<[f64; 2]> = levels
         .iter()
         .map(|ctx| {
             let m = |k: TensorKind| -> f64 {
@@ -151,8 +154,7 @@ pub fn simulate(
             [m(TensorKind::Input), m(TensorKind::Weight)]
         })
         .collect();
-    let out_mult: f64 = sched
-        .levels
+    let out_mult: f64 = levels
         .iter()
         .map(|ctx| match ctx.output_spatial {
             OutputSpatial::Varies => ctx.active_units as f64,
@@ -162,8 +164,7 @@ pub fn simulate(
         .product();
     let in_mult: f64 = op_mult.iter().map(|m| m[0]).product();
     let w_mult: f64 = op_mult.iter().map(|m| m[1]).product();
-    let red_latency: f64 = sched
-        .levels
+    let red_latency: f64 = levels
         .iter()
         .map(|ctx| {
             if ctx.output_spatial == OutputSpatial::Reduced {
@@ -176,58 +177,27 @@ pub fn simulate(
     // Without spatial-reduction hardware, arriving psums read-modify-write
     // the L2 (one extra read per write).
     let rmw_reduction = support.reduction == maestro_hw::SpatialReduction::None
-        && sched
-            .levels
+        && levels
             .iter()
             .any(|ctx| ctx.output_spatial == OutputSpatial::Reduced);
-    let mcast_latency: f64 = sched
-        .levels
+    let mcast_latency: f64 = levels
         .iter()
         .map(|ctx| support.multicast.extra_latency(ctx.active_units) as f64)
         .sum();
-
-    // Representative-PE resident intervals per tensor/axis.
-    let axes = |s: &FlatSchedule| -> [Vec<Option<Interval>>; 3] {
-        TensorKind::ALL.map(|k| {
-            ALL_DIMS
-                .iter()
-                .map(|&d| tensor_axis_interval(s, &coupling, k, d, strides, &[]))
-                .collect()
-        })
-    };
-    let fp_of =
-        |iv: &[Option<Interval>]| -> f64 { iv.iter().flatten().map(|i| i.len as f64).product() };
-    let overlap_of = |a: &[Option<Interval>], b: &[Option<Interval>]| -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| match (x, y) {
-                (Some(x), Some(y)) => x.overlap(y) as f64,
-                _ => 1.0,
-            })
-            .product()
-    };
 
     let mut counts = ActivityCounts::new();
     let mut cycles = 0.0f64;
     let mut macs_total = 0u64;
     let mut active_pe_steps = 0.0f64;
     let mut steps = 0u64;
-    let mut macs_memo: HashMap<Vec<u64>, u64> = HashMap::new();
-
-    let mut prev = axes(&sched);
-    let mut first = true;
-    loop {
+    let mut last = None;
+    for step in sched.walk() {
         steps += 1;
-        let cur = axes(&sched);
-        let active: f64 = (0..num_levels)
-            .map(|l| sched.active_units(l) as f64)
-            .product();
-
-        // Exact MAC count across the unit grid (memoized recursion).
-        let step_macs = exact_macs(&sched, &coupling, &mut macs_memo);
-        macs_total += step_macs;
+        let first = step.advanced.is_none();
+        let active = step.active_pes as f64;
+        macs_total += step.macs;
         active_pe_steps += active;
-        let macs_eff = step_macs as f64 * density.mac_fraction();
+        let macs_eff = step.macs as f64 * density.mac_fraction();
         counts.macs += macs_eff;
         counts.l1_read[TensorKind::Input] += macs_eff;
         counts.l1_read[TensorKind::Weight] += macs_eff;
@@ -235,16 +205,8 @@ pub fn simulate(
         counts.l1_write[TensorKind::Output] += macs_eff;
 
         // Representative-PE new data (exact interval diffs).
-        let new_of = |k: TensorKind| -> f64 {
-            let ki = k as usize;
-            if first {
-                fp_of(&cur[ki])
-            } else {
-                (fp_of(&cur[ki]) - overlap_of(&prev[ki], &cur[ki])).max(0.0)
-            }
-        };
-        let new_in = new_of(TensorKind::Input) * density.input;
-        let new_w = new_of(TensorKind::Weight) * density.weight;
+        let new_in = step.entered[TensorKind::Input as usize] as f64 * density.input;
+        let new_w = step.entered[TensorKind::Weight as usize] as f64 * density.weight;
         counts.l1_write[TensorKind::Input] += new_in * active;
         counts.l1_write[TensorKind::Weight] += new_w * active;
         let l2_in = new_in * in_mult;
@@ -256,20 +218,12 @@ pub fn simulate(
 
         // Outputs: leaving = spilled or committed; entering partials are
         // refetched when this region was visited before.
-        let oi = TensorKind::Output as usize;
         let mut egress = 0.0f64;
         let mut refetch = 0.0f64;
         if !first {
-            let leaving =
-                (fp_of(&prev[oi]) - overlap_of(&prev[oi], &cur[oi])).max(0.0) * density.output;
-            let entering =
-                (fp_of(&cur[oi]) - overlap_of(&prev[oi], &cur[oi])).max(0.0) * density.output;
+            let leaving = step.left[TensorKind::Output as usize] as f64 * density.output;
+            let entering = step.entered[TensorKind::Output as usize] as f64 * density.output;
             if leaving > 0.0 || entering > 0.0 {
-                let j = advancing_loop(&sched);
-                let visited_before = sched.loops[..j]
-                    .iter()
-                    .zip(&sched.counters[..j])
-                    .any(|(l, &c)| l.is_reduction && c > 0);
                 // Whether these are spills (they will return) or final
                 // commits, they travel upstream and hit the L2 once.
                 let moved = leaving * out_mult;
@@ -280,7 +234,7 @@ pub fn simulate(
                 if rmw_reduction {
                     counts.l2_read[TensorKind::Output] += moved;
                 }
-                if visited_before {
+                if step.revisit {
                     refetch = entering * out_mult;
                     counts.l2_read[TensorKind::Output] += refetch;
                     counts.noc[TensorKind::Output] += refetch;
@@ -311,24 +265,20 @@ pub fn simulate(
         } else {
             compute.max(ingress_delay).max(egress_delay)
         };
-
-        first = false;
-        prev = cur;
-        if sched.advance().is_none() {
-            break;
-        }
+        last = Some(step);
     }
 
     // Final drain of resident outputs.
-    let oi = TensorKind::Output as usize;
-    let resident = fp_of(&prev[oi]) * density.output;
-    counts.l1_read[TensorKind::Output] += resident * active_last(&sched);
-    counts.l2_write[TensorKind::Output] += resident * out_mult;
-    if rmw_reduction {
-        counts.l2_read[TensorKind::Output] += resident * out_mult;
+    if let Some(last) = last {
+        let resident = last.footprint[TensorKind::Output as usize] as f64 * density.output;
+        counts.l1_read[TensorKind::Output] += resident * last.active_pes as f64;
+        counts.l2_write[TensorKind::Output] += resident * out_mult;
+        if rmw_reduction {
+            counts.l2_read[TensorKind::Output] += resident * out_mult;
+        }
+        counts.noc[TensorKind::Output] += resident * out_mult;
+        cycles += ((resident * out_mult) / acc.noc.bandwidth as f64).ceil();
     }
-    counts.noc[TensorKind::Output] += resident * out_mult;
-    cycles += ((resident * out_mult) / acc.noc.bandwidth as f64).ceil();
 
     // Off-chip traffic and delay, by the same rule as the model (the
     // estimator is shared; inputs here are the simulator's exact counts).
@@ -348,144 +298,6 @@ pub fn simulate(
         steps,
         utilization: active_pe_steps / (total_pes * steps as f64),
     })
-}
-
-fn active_last(sched: &FlatSchedule) -> f64 {
-    (0..sched.levels.len())
-        .map(|l| sched.active_units(l) as f64)
-        .product()
-}
-
-/// The loop that advanced to reach the current step: the outermost loop
-/// whose inner neighbours are all at counter zero (the odometer reset
-/// them), i.e. the last loop with a nonzero "just advanced" position. We
-/// recover it as the innermost loop with a nonzero counter among those
-/// whose inner loops are all zero — equivalently the largest `j` such that
-/// all counters after `j` are zero.
-fn advancing_loop(sched: &FlatSchedule) -> usize {
-    let mut j = sched.loops.len();
-    while j > 0 && sched.counters[j - 1] == 0 {
-        j -= 1;
-    }
-    j.saturating_sub(1).min(sched.loops.len().saturating_sub(1))
-}
-
-/// Exact MACs executed across the whole unit grid in the schedule's
-/// current step (public wrapper for tracing; `memo` caches inner-level
-/// sub-grid sums across calls).
-pub fn exact_step_macs(
-    sched: &FlatSchedule,
-    coupling: &Coupling,
-    memo: &mut HashMap<Vec<u64>, u64>,
-) -> u64 {
-    exact_macs(sched, coupling, memo)
-}
-
-/// Exact MACs across the whole unit grid in the current step, memoized by
-/// the per-level availability signature.
-fn exact_macs(sched: &FlatSchedule, coupling: &Coupling, memo: &mut HashMap<Vec<u64>, u64>) -> u64 {
-    fn rec(
-        sched: &FlatSchedule,
-        coupling: &Coupling,
-        level: usize,
-        avail: [u64; 7],
-        memo: &mut HashMap<Vec<u64>, u64>,
-    ) -> u64 {
-        if level == sched.levels.len() {
-            // Leaf: the PE executes the product of its chunk extents.
-            let _ = coupling;
-            return avail.iter().product();
-        }
-        // Memoize inner levels only: the top level's key is unique per
-        // step, so caching it would only grow the table.
-        let key: Option<Vec<u64>> = (level >= 1).then(|| {
-            std::iter::once(level as u64)
-                .chain(avail.iter().copied())
-                .chain(
-                    sched
-                        .loops
-                        .iter()
-                        .zip(&sched.counters)
-                        .filter(|(l, _)| l.level >= level)
-                        .map(|(_, &c)| c),
-                )
-                .collect()
-        });
-        if let Some(k) = &key {
-            if let Some(&v) = memo.get(k) {
-                return v;
-            }
-        }
-        let ctx = &sched.levels[level];
-        let mut total = 0u64;
-        let units = if ctx.views.iter().any(|v| v.spatial) {
-            ctx.num_units
-        } else {
-            1
-        };
-        // A unit idles when it is beyond the *driving* spatial dim (the
-        // one with the most chunks available in the current, possibly
-        // edge-truncated extents); shorter co-mapped dims clamp.
-        use maestro_core::footprint::num_trips;
-        let avail_trips = |d: maestro_dnn::Dim| {
-            let v = ctx.views.view(d);
-            num_trips(v.chunk, v.step, avail[d.index()])
-        };
-        let driving_trips = ctx
-            .views
-            .iter()
-            .filter(|v| v.spatial)
-            .map(|v| avail_trips(v.dim))
-            .max()
-            .unwrap_or(1);
-        let fold = sched
-            .loops
-            .iter()
-            .zip(&sched.counters)
-            .find(|(l, _)| l.level == level && l.spatial_fold)
-            .map(|(_, &c)| c)
-            .unwrap_or(0);
-        'units: for u in 0..units {
-            if fold * ctx.num_units + u >= driving_trips && ctx.views.iter().any(|v| v.spatial) {
-                continue 'units;
-            }
-            let mut lens = [0u64; 7];
-            for d in ALL_DIMS {
-                let v = ctx.views.view(d);
-                let a = avail[d.index()];
-                let pos = if v.spatial {
-                    (fold * ctx.num_units + u).min(avail_trips(d).saturating_sub(1))
-                } else {
-                    sched
-                        .loops
-                        .iter()
-                        .zip(&sched.counters)
-                        .find(|(l, _)| {
-                            l.level == level
-                                && !l.spatial_fold
-                                && l.dims.iter().any(|(ld, _)| *ld == d)
-                        })
-                        .map(|(_, &c)| c)
-                        .unwrap_or(0)
-                };
-                let start = (pos * v.step).min(a.saturating_sub(1));
-                lens[d.index()] = v.chunk.min(a - start);
-            }
-            total += rec(sched, coupling, level + 1, lens, memo);
-        }
-        if let Some(k) = key {
-            memo.insert(k, total);
-        }
-        total
-    }
-    let top: [u64; 7] = {
-        let mut a = [0u64; 7];
-        for d in ALL_DIMS {
-            a[d.index()] = sched.levels[0].views.view(d).total;
-        }
-        a
-    };
-    rec(sched, coupling, 0, top, memo)
 }
 
 #[cfg(test)]

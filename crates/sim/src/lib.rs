@@ -35,7 +35,7 @@
 
 pub mod conform;
 pub mod engine;
-pub mod flat;
+mod flat;
 pub mod mapping;
 pub mod trace;
 pub mod validate;
@@ -45,6 +45,7 @@ pub use conform::{
     ConformReport, Divergence, DivergentCase, Metric, SkipReason, Tolerances,
 };
 pub use engine::{simulate, SimError, SimOptions, SimReport};
+pub use flat::Interval;
 pub use mapping::{mapping_at_step, PeMapping};
 pub use trace::{trace, StepTrace, Trace};
 pub use validate::{validate_layer, validate_network, ValidateError, ValidationPoint};

@@ -2,10 +2,9 @@
 //! time step (paper Figure 6's tables).
 
 use crate::engine::SimError;
-use crate::flat::{tensor_axis_interval, FlatSchedule, Interval};
-use maestro_core::level::LevelCtx;
+use crate::flat::{FlatSchedule, Interval};
 use maestro_dnn::{Dim, Layer, TensorKind, ALL_DIMS};
-use maestro_ir::{resolve, Dataflow};
+use maestro_ir::Dataflow;
 use serde::{Deserialize, Serialize};
 
 /// The data one PE holds at one time step.
@@ -43,27 +42,17 @@ pub fn mapping_at_step(
     num_pes: u64,
     step: u64,
 ) -> Result<Vec<PeMapping>, SimError> {
-    let coupling = layer.coupling();
-    let resolved = resolve(dataflow, layer, num_pes)?;
-    let levels: Vec<LevelCtx> = resolved
-        .levels
-        .iter()
-        .map(|l| LevelCtx::build(&resolved, l, &coupling))
-        .collect();
-    let mut sched = FlatSchedule::new(levels, &coupling);
-    if step.saturating_add(1) > sched.total_steps {
-        return Err(SimError::TooManySteps {
-            needed: step.saturating_add(1),
-            limit: sched.total_steps,
-        });
+    let mut sched = FlatSchedule::build(layer, dataflow, num_pes)?;
+    let total_steps = sched.total_steps();
+    if step >= total_steps {
+        return Err(SimError::StepOutOfRange { step, total_steps });
     }
     for _ in 0..step {
         sched.advance();
     }
-    let strides = (layer.dims.stride_y, layer.dims.stride_x);
 
     // Enumerate the unit grid (mixed radix over per-level unit counts).
-    let radices: Vec<u64> = sched.levels.iter().map(|c| c.num_units).collect();
+    let radices: Vec<u64> = sched.levels().iter().map(|c| c.num_units).collect();
     let total_pes: u64 = radices.iter().product();
     let mut out = Vec::with_capacity(total_pes as usize);
     for pe in 0..total_pes {
@@ -76,10 +65,7 @@ pub fn mapping_at_step(
         let ranges = TensorKind::ALL.map(|k| {
             ALL_DIMS
                 .iter()
-                .filter_map(|&d| {
-                    tensor_axis_interval(&sched, &coupling, k, d, strides, &coords)
-                        .map(|iv| (d, iv))
-                })
+                .filter_map(|&d| sched.tensor_axis_interval(k, d, &coords).map(|iv| (d, iv)))
                 .collect::<Vec<_>>()
         });
         out.push(PeMapping {

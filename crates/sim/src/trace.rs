@@ -6,10 +6,9 @@
 //! behind figures like the paper's Figure 3 timeline.
 
 use crate::engine::SimError;
-use crate::flat::{tensor_axis_interval, FlatSchedule, Interval};
-use maestro_core::level::LevelCtx;
-use maestro_dnn::{Layer, TensorKind, ALL_DIMS};
-use maestro_ir::{resolve, Dataflow};
+use crate::flat::FlatSchedule;
+use maestro_dnn::Layer;
+use maestro_ir::Dataflow;
 use serde::{Deserialize, Serialize};
 
 /// One time step of a trace.
@@ -52,74 +51,22 @@ pub fn trace(
     num_pes: u64,
     max_steps: u64,
 ) -> Result<Trace, SimError> {
-    let coupling = layer.coupling();
-    let resolved = resolve(dataflow, layer, num_pes)?;
-    let levels: Vec<LevelCtx> = resolved
-        .levels
-        .iter()
-        .map(|l| LevelCtx::build(&resolved, l, &coupling))
-        .collect();
-    let mut sched = FlatSchedule::new(levels, &coupling);
-    let strides = (layer.dims.stride_y, layer.dims.stride_x);
-    let num_levels = sched.levels.len();
-
-    let axes = |s: &FlatSchedule| -> [Vec<Option<Interval>>; 3] {
-        TensorKind::ALL.map(|k| {
-            ALL_DIMS
-                .iter()
-                .map(|&d| tensor_axis_interval(s, &coupling, k, d, strides, &[]))
-                .collect()
-        })
-    };
-    let fp = |iv: &[Option<Interval>]| -> u64 { iv.iter().flatten().map(|i| i.len).product() };
-    let overlap = |a: &[Option<Interval>], b: &[Option<Interval>]| -> u64 {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| match (x, y) {
-                (Some(x), Some(y)) => x.overlap(y),
-                _ => 1,
-            })
-            .product()
-    };
-
-    let mut steps = Vec::new();
-    let mut prev = axes(&sched);
-    let mut advanced: Option<usize> = None;
-    let mut step = 0u64;
-    let mut memo = std::collections::HashMap::new();
-    loop {
-        let cur = axes(&sched);
-        let active: u64 = (0..num_levels).map(|l| sched.active_units(l)).product();
-        let macs = crate::engine::exact_step_macs(&sched, &coupling, &mut memo);
-        let footprint = [fp(&cur[0]), fp(&cur[1]), fp(&cur[2])];
-        let new_data = std::array::from_fn(|i| {
-            if step == 0 {
-                footprint[i]
-            } else {
-                footprint[i].saturating_sub(overlap(&prev[i], &cur[i]))
-            }
-        });
-        steps.push(StepTrace {
+    let sched = FlatSchedule::build(layer, dataflow, num_pes)?;
+    let total_steps = sched.total_steps();
+    let steps = (0..max_steps)
+        .zip(sched.walk())
+        .map(|(step, s)| StepTrace {
             step,
-            advanced,
-            footprint,
-            new_data,
-            macs,
-            active_pes: active,
-        });
-        prev = cur;
-        step += 1;
-        if step >= max_steps {
-            break;
-        }
-        match sched.advance() {
-            Some(j) => advanced = Some(j),
-            None => break,
-        }
-    }
+            advanced: s.advanced,
+            footprint: s.footprint,
+            new_data: s.entered,
+            macs: s.macs,
+            active_pes: s.active_pes,
+        })
+        .collect();
     Ok(Trace {
         dataflow: dataflow.name().to_string(),
-        total_steps: sched.total_steps,
+        total_steps,
         steps,
     })
 }
@@ -127,7 +74,7 @@ pub fn trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maestro_dnn::{LayerDims, Operator};
+    use maestro_dnn::{LayerDims, Operator, TensorKind};
     use maestro_ir::Style;
 
     fn layer() -> Layer {
@@ -165,6 +112,13 @@ mod tests {
             "weights are stationary across the Y sweep: {:?}",
             t.steps[1]
         );
+    }
+
+    #[test]
+    fn zero_steps_records_none() {
+        let t = trace(&layer(), &Style::KCP.dataflow(), 64, 0).unwrap();
+        assert!(t.steps.is_empty(), "{:?}", t.steps);
+        assert!(t.total_steps > 0);
     }
 
     #[test]
